@@ -1,10 +1,11 @@
 """Deterministic fixed-step rigid-body plant for a serial arm.
 
-Dynamics terms (M, C qdot, g) come from recursive Newton-Euler passes over
-the chain; integration is semi-implicit Euler, which is symplectic and stays
-stable against the stiff penalty contact used for the surface tasks. Contact
-is a spring-damper on the plane normal plus tanh-regularized Coulomb friction,
-so trajectories are smooth and bitwise reproducible.
+Dynamics terms (M and the bias C qdot + g) come from recursive Newton-Euler
+passes over the chain; integration is semi-implicit Euler, which is
+symplectic and stays stable against the stiff penalty contact used for the
+surface tasks. Contact is a spring-damper on the plane normal plus
+tanh-regularized Coulomb friction, so trajectories are smooth and bitwise
+reproducible.
 """
 
 import configparser
@@ -89,22 +90,11 @@ class PayloadSpec:
 
 
 @dataclass
-class GraspedObject:
-    mass: float
-    slipped: bool = False
-
-    def mark_slipped(self) -> None:
-        # latching: once slipped within an episode, stays slipped
-        self.slipped = True
-
-
-@dataclass
 class SimState:
     q: np.ndarray
     qdot: np.ndarray
     time: float = 0.0
     contact_wrench_ee: Wrench = field(default_factory=lambda: Wrench.zero("ee"))
-    grasped_object: Optional[GraspedObject] = None
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float).reshape(-1)
@@ -114,8 +104,7 @@ class SimState:
 @dataclass
 class DynTerms:
     mass_matrix: np.ndarray
-    c_qdot: np.ndarray
-    g_vec: np.ndarray
+    bias: np.ndarray    # C(q, qdot) qdot + g(q)
 
 
 @dataclass
@@ -180,10 +169,6 @@ def _rnea_core(model: ArmDynamicsModel, rots: list, qdot, qddot,
     return tau
 
 
-def _rnea(model: ArmDynamicsModel, q, qdot, qddot, gravity) -> np.ndarray:
-    return _rnea_core(model, _joint_rotations(model.chain, q), qdot, qddot, gravity)
-
-
 def bias_terms(model: ArmDynamicsModel, q: np.ndarray, qdot: np.ndarray) -> BiasTerms:
     """Coriolis/centrifugal generalized force C(q,qdot) qdot and gravity torque g(q)."""
     q = np.asarray(q, dtype=float)
@@ -239,17 +224,18 @@ def mass_matrix(model: ArmDynamicsModel, q: np.ndarray) -> np.ndarray:
 
 
 def inverse_dynamics_terms(model: ArmDynamicsModel, q, qdot) -> DynTerms:
-    """Full term set {M, C qdot, g} used by the plant and the controller."""
+    """M and the bias C qdot + g shared by the plant and the controller.
+
+    The bias is one Newton-Euler pass at zero acceleration with gravity, so C
+    and g never need to be formed apart here (bias_terms splits them).
+    """
     q = np.asarray(q, dtype=float).reshape(-1)
     qdot = np.asarray(qdot, dtype=float).reshape(-1)
     if q.shape[0] != model.chain.dof or qdot.shape[0] != model.chain.dof:
         raise ValueError("q/qdot dimension mismatch")
-    n = model.chain.dof
     rots = _joint_rotations(model.chain, q)
-    zero = np.zeros(n)
-    g_vec = _rnea_core(model, rots, zero, zero, model.gravity)
-    c_qdot = _rnea_core(model, rots, qdot, zero, _ZERO3)
-    return DynTerms(_mass_matrix_core(model, rots), c_qdot, g_vec)
+    bias = _rnea_core(model, rots, qdot, np.zeros(model.chain.dof), model.gravity)
+    return DynTerms(_mass_matrix_core(model, rots), bias)
 
 
 def plane_contact_force(plane: ContactPlane, p_ee: np.ndarray,
@@ -280,9 +266,9 @@ def step(model: ArmDynamicsModel, state: SimState, tau: np.ndarray,
          terms: Optional[DynTerms] = None, frames=None) -> SimState:
     """Advance one semi-implicit Euler step: M qdd + C qd + g = tau + J^T f_c.
 
-    Pass `terms` (and optionally the current `frames`) to share one
-    inverse-dynamics/kinematics evaluation between the plant and a controller
-    that compensates C and g; both must belong to the current state.
+    Pass `terms` and `frames` to share one inverse-dynamics/kinematics
+    evaluation between the plant and a controller that compensates the bias;
+    both must belong to the current state.
     """
     if not 0.0 < dt <= 0.01:
         raise ValueError("dt must be in (0, 0.01]")
@@ -292,19 +278,16 @@ def step(model: ArmDynamicsModel, state: SimState, tau: np.ndarray,
 
     if frames is None:
         frames = chain_frames(model.chain, state.q)
-    p_ee = frames.ee_pose.translation
-    j_lin = np.zeros((3, model.chain.dof))
-    for i in range(model.chain.dof):
-        j_lin[:, i] = cross3(frames.joint_axes[i], p_ee - frames.joint_origins[i])
+    j_lin = frames.jacobian[:3]
 
     f_contact = np.zeros(3)
     if plane is not None:
         v_ee = j_lin @ state.qdot
-        f_contact, _ = plane_contact_force(plane, p_ee, v_ee)
+        f_contact, _ = plane_contact_force(plane, frames.ee_pose.translation, v_ee)
 
     if terms is None:
         terms = inverse_dynamics_terms(model, state.q, state.qdot)
-    rhs = tau + j_lin.T @ f_contact - terms.c_qdot - terms.g_vec
+    rhs = tau + j_lin.T @ f_contact - terms.bias
     qddot = np.linalg.solve(terms.mass_matrix, rhs)
     qdot_new = state.qdot + dt * qddot
     q_new = state.q + dt * qdot_new
@@ -313,8 +296,7 @@ def step(model: ArmDynamicsModel, state: SimState, tau: np.ndarray,
             f"state diverged at t={state.time:.6f}: q={state.q}, qdot={state.qdot}")
 
     wrench_ee = Wrench(frames.ee_pose.rotation.T @ f_contact, np.zeros(3), "ee")
-    return SimState(q_new, qdot_new, state.time + dt, wrench_ee,
-                    state.grasped_object)
+    return SimState(q_new, qdot_new, state.time + dt, wrench_ee)
 
 
 def read_ft_sensor(state: SimState, payload: PayloadSpec, ee_pose: Pose,

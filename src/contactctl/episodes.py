@@ -8,6 +8,7 @@ plus one CSV per stream with floats serialized via repr, so the round trip
 is value-exact.
 """
 
+import bisect
 import csv
 import json
 from dataclasses import dataclass
@@ -125,7 +126,7 @@ class Episode:
                 raise EpisodeError(
                     f"t={t_query} precedes first sample of stream {name!r}")
             # rightmost sample with time <= t_query
-            idx = int(np.searchsorted(times, t_query, side="right")) - 1
+            idx = bisect.bisect_right(times, t_query) - 1
             samples[name] = StreamSample(self._rows[name][idx], times[idx],
                                          t_query - times[idx])
         return AlignedFrame(t_query, samples)

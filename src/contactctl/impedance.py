@@ -18,9 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .compliance import ComplianceCommand
-from .dynamics import ArmDynamicsModel, BiasTerms, SimState, bias_terms
-from .geometry import cross3
-from .kinematics import ChainModel, chain_frames, pose_error
+from .dynamics import (ArmDynamicsModel, ContactPlane, SimState,
+                       inverse_dynamics_terms, step)
+from .kinematics import ChainFrames, chain_frames, dls_step, pose_error
 
 
 class StiffnessClampWarning(UserWarning):
@@ -48,6 +48,9 @@ class ImpedanceConfig:
         self.d_rot = np.asarray(self.d_rot, dtype=float).reshape(3)
         if not 0.0 <= self.k_min <= self.k_max:
             raise ValueError("need 0 <= k_min <= k_max")
+        for name in ("ik_damping", "dt", "qd_filter_cutoff"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -121,14 +124,13 @@ def fold_to_joint_gains(j: np.ndarray, cart: CartesianGains,
 
 
 def control_torque(gains: JointGains, q_d, q, qdot_d, qdot,
-                   bias: BiasTerms) -> np.ndarray:
-    """tau = Kq_p (q_d - q) + Kq_d (qdot_d - qdot) + C qdot + g."""
+                   bias: np.ndarray) -> np.ndarray:
+    """tau = Kq_p (q_d - q) + Kq_d (qdot_d - qdot) + bias, bias = C qdot + g."""
     q_d = np.asarray(q_d, dtype=float)
     q = np.asarray(q, dtype=float)
     qdot_d = np.asarray(qdot_d, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    return gains.kq_p @ (q_d - q) + gains.kq_d @ (qdot_d - qdot) \
-        + bias.c_qdot + bias.g_vec
+    return gains.kq_p @ (q_d - q) + gains.kq_d @ (qdot_d - qdot) + bias
 
 
 @dataclass
@@ -156,12 +158,11 @@ class ImpedanceExecutor:
     loop; independent executors may run concurrently.
     """
 
-    def __init__(self, chain: ChainModel, dyn_model: ArmDynamicsModel,
-                 config: ImpedanceConfig):
-        self.chain = chain
+    def __init__(self, dyn_model: ArmDynamicsModel, config: ImpedanceConfig):
+        self.chain = dyn_model.chain
         self.dyn_model = dyn_model
         self.config = config
-        self._qdot_d_filtered = np.zeros(chain.dof)
+        self._qdot_d_filtered = np.zeros(self.chain.dof)
         self._prev_q_d = None
         rc = 1.0 / (2.0 * np.pi * config.qd_filter_cutoff)
         self._alpha = config.dt / (config.dt + rc)
@@ -170,28 +171,29 @@ class ImpedanceExecutor:
         self._qdot_d_filtered[:] = 0.0
         self._prev_q_d = None
 
-    def execute_tick(self, state: SimState, command: ComplianceCommand,
-                     bias: Optional[BiasTerms] = None, frames=None) -> TickResult:
-        """One control tick. `bias` lets the caller share the plant's own
-        C qdot + g terms with the controller (exact compensation); `frames`
-        likewise shares one forward-kinematics pass for the current state."""
-        cfg = self.config
-        if frames is None:
-            frames = chain_frames(self.chain, state.q)
-        xi = pose_error(command.virtual_target, frames.ee_pose)
+    def closed_loop_tick(self, state: SimState, command: ComplianceCommand,
+                         plane: Optional[ContactPlane]
+                         ) -> tuple[TickResult, SimState, ChainFrames]:
+        """One control step: one forward pass and one dynamics evaluation
+        shared by the controller and the plant. Returns the tick's result,
+        the plant state after it, and the frames of `state`."""
+        frames = chain_frames(self.chain, state.q)
+        terms = inverse_dynamics_terms(self.dyn_model, state.q, state.qdot)
+        out = self.execute_tick(state, command, frames, terms.bias)
+        next_state = step(self.dyn_model, state, out.tau, plane, self.config.dt,
+                          terms=terms, frames=frames)
+        return out, next_state, frames
 
-        j = np.zeros((6, self.chain.dof))
-        p_ee = frames.ee_pose.translation
-        for i in range(self.chain.dof):
-            axis = frames.joint_axes[i]
-            j[:3, i] = cross3(axis, p_ee - frames.joint_origins[i])
-            j[3:, i] = axis
+    def execute_tick(self, state: SimState, command: ComplianceCommand,
+                     frames: ChainFrames, bias: np.ndarray) -> TickResult:
+        """Controller half of a tick, given the frames and the bias
+        C qdot + g of `state`."""
+        cfg = self.config
+        xi = pose_error(command.virtual_target, frames.ee_pose)
+        j = frames.jacobian
 
         # single DLS update per tick; solve_ik exists for initialization only
-        jjt = j @ j.T
-        jjt[np.diag_indices(6)] += cfg.ik_damping ** 2
-        dq = j.T @ np.linalg.solve(jjt, xi)
-        q_d_raw = state.q + dq
+        q_d_raw = state.q + dls_step(j, xi, cfg.ik_damping)
         q_d = self.chain.clamp_to_limits(q_d_raw)
         limits_clamped = bool(np.any(q_d != q_d_raw))
 
@@ -211,9 +213,6 @@ class ImpedanceExecutor:
             warnings.simplefilter("ignore", StiffnessClampWarning)
             cart = build_operational_gains(kp, cfg)
         gains = fold_to_joint_gains(j, cart, cfg.kq_floor, cfg.kqd_floor)
-
-        if bias is None:
-            bias = bias_terms(self.dyn_model, state.q, state.qdot)
         tau = control_torque(gains, q_d, state.q, qdot_d, state.qdot, bias)
 
         diag = TickDiagnostics(

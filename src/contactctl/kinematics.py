@@ -9,6 +9,7 @@ single-step update.
 
 import configparser
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,22 @@ class ChainFrames:
     link_rotations: np.ndarray   # (dof, 3, 3) world rotation of each link frame
     ee_pose: Pose
 
+    @cached_property
+    def jacobian(self) -> np.ndarray:
+        """Geometric Jacobian at the end-effector, rows [linear; angular].
+
+        Column i for a revolute joint is [axis_i x (p_ee - p_i); axis_i] with
+        all quantities in the world frame. Built once per forward pass and
+        shared by every reader of these frames, so it is read-only.
+        """
+        p_ee = self.ee_pose.translation
+        j = np.empty((6, len(self.joint_axes)))
+        for i, axis in enumerate(self.joint_axes):
+            j[:3, i] = cross3(axis, p_ee - self.joint_origins[i])
+            j[3:, i] = axis
+        j.flags.writeable = False
+        return j
+
 
 def _check_q(chain: ChainModel, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float).reshape(-1)
@@ -110,19 +127,8 @@ def forward_kinematics(chain: ChainModel, q: np.ndarray) -> Pose:
 
 
 def jacobian(chain: ChainModel, q: np.ndarray) -> np.ndarray:
-    """Geometric Jacobian at the end-effector, rows [linear; angular].
-
-    Column i for a revolute joint is [axis_i x (p_ee - p_i); axis_i] with all
-    quantities in the world frame.
-    """
-    frames = chain_frames(chain, q)
-    p_ee = frames.ee_pose.translation
-    j = np.zeros((6, chain.dof))
-    for i in range(chain.dof):
-        axis = frames.joint_axes[i]
-        j[:3, i] = cross3(axis, p_ee - frames.joint_origins[i])
-        j[3:, i] = axis
-    return j
+    """Geometric Jacobian at the end-effector, rows [linear; angular]."""
+    return chain_frames(chain, q).jacobian
 
 
 def pose_error(target: Pose, current: Pose) -> np.ndarray:
@@ -133,27 +139,26 @@ def pose_error(target: Pose, current: Pose) -> np.ndarray:
     return xi
 
 
-def dls_ik_step(chain: ChainModel, q: np.ndarray, target: Pose,
-                lam: float = DEFAULT_DAMPING) -> np.ndarray:
-    """One damped-least-squares update: dq = J^T (J J^T + lam^2 I)^-1 xi.
+def dls_step(j: np.ndarray, xi: np.ndarray, lam: float) -> np.ndarray:
+    """Damped-least-squares update: dq = J^T (J J^T + lam^2 I)^-1 xi.
 
-    The damping term keeps the solve well-posed at singularities; the caller
-    forms q_d = q + dq (and clamps to limits if it cares about them).
+    The damping term keeps the solve well-posed at singularities.
     """
     if lam <= 0.0:
         raise ValueError("damping must be positive")
-    q = _check_q(chain, q)
-    frames = chain_frames(chain, q)
-    xi = pose_error(target, frames.ee_pose)
-    j = np.zeros((6, chain.dof))
-    p_ee = frames.ee_pose.translation
-    for i in range(chain.dof):
-        axis = frames.joint_axes[i]
-        j[:3, i] = cross3(axis, p_ee - frames.joint_origins[i])
-        j[3:, i] = axis
     jjt = j @ j.T
     jjt[np.diag_indices(6)] += lam * lam
     return j.T @ np.linalg.solve(jjt, xi)
+
+
+def dls_ik_step(chain: ChainModel, q: np.ndarray, target: Pose,
+                lam: float = DEFAULT_DAMPING) -> np.ndarray:
+    """One dls_step toward `target` from q.
+
+    The caller forms q_d = q + dq (and clamps to limits if it cares about them).
+    """
+    frames = chain_frames(chain, q)
+    return dls_step(frames.jacobian, pose_error(target, frames.ee_pose), lam)
 
 
 @dataclass
@@ -168,7 +173,7 @@ class IKResult:
 def solve_ik(chain: ChainModel, q0: np.ndarray, target: Pose,
              lam: float = DEFAULT_DAMPING, max_iters: int = 100,
              tol: float = 1e-6) -> IKResult:
-    """Iterate dls_ik_step with joint-limit clamping until ||xi|| < tol.
+    """Iterate dls_step with joint-limit clamping until ||xi|| < tol.
 
     Each step is backtracked (halved) until it does not increase ||xi||,
     which kills the two-cycle the raw update falls into on unreachable
@@ -179,28 +184,17 @@ def solve_ik(chain: ChainModel, q0: np.ndarray, target: Pose,
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if lam <= 0.0:
-        raise ValueError("damping must be positive")
     q = chain.clamp_to_limits(_check_q(chain, q0))
     frames = chain_frames(chain, q)
     xi = pose_error(target, frames.ee_pose)
     err_norm = float(np.linalg.norm(xi))
     limited = False
     iterations = 0
-    lam_sq = lam * lam
     for it in range(max_iters):
         if err_norm < tol:
             return IKResult(q, True, it, limited, err_norm)
         iterations = it + 1
-        j = np.zeros((6, chain.dof))
-        p_ee = frames.ee_pose.translation
-        for i in range(chain.dof):
-            axis = frames.joint_axes[i]
-            j[:3, i] = cross3(axis, p_ee - frames.joint_origins[i])
-            j[3:, i] = axis
-        jjt = j @ j.T
-        jjt[np.diag_indices(6)] += lam_sq
-        dq = j.T @ np.linalg.solve(jjt, xi)
+        dq = dls_step(frames.jacobian, xi, lam)
         scale = 1.0
         while True:
             q_try = chain.clamp_to_limits(q + scale * dq)

@@ -11,18 +11,18 @@ during the pass; the residual-marking fraction is the task metric.
 """
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 
 from ..compliance import (ACTION_SCHEMA, ActionStep, RecedingHorizonScheduler,
                           StiffnessSchedule, interpolate_commands)
-from ..dynamics import (BiasTerms, ContactPlane, PayloadSpec, SimState,
-                        inverse_dynamics_terms, load_arm_model,
-                        read_ft_sensor, step)
+from ..dynamics import (ContactPlane, PayloadSpec, SimState, load_arm_model,
+                        read_ft_sensor)
 from ..episodes import Episode, StreamSpec, export_csv, replay_actions
 from ..geometry import Pose, Rot6D, rotation_about_axis
 from ..impedance import ImpedanceConfig, ImpedanceExecutor
-from ..kinematics import chain_frames, solve_ik
+from ..kinematics import solve_ik
 from ..sensing import IdentifiedPayload, WrenchFrameModel, compensate_wrench
 from .base import (Criterion, ScenarioConfig, ScenarioConfigError,
                    ScenarioReport, evaluate_criteria)
@@ -82,14 +82,23 @@ def run_wiping(config: ScenarioConfig, use_wrench: bool, out_dir=None) -> Scenar
     model = load_arm_model(chain_path)
     chain = model.chain
     dt = config.get_float("plant", "dt", 1e-3)
-    imp_cfg = impedance_config_from(config)
-    sched = stiffness_schedule_from(config)
+    z_nominal = config.get_float("plant", "plane_offset", 0.0)
+    try:
+        imp_cfg = impedance_config_from(config)
+        sched = stiffness_schedule_from(config)
+        # per-trial planes differ only in their offset
+        nominal_plane = ContactPlane(config.get_vec("plant", "plane_normal", "0 0 1"),
+                                     z_nominal,
+                                     config.get_float("plant", "plane_stiffness", 1e5),
+                                     config.get_float("plant", "plane_damping", 200.0),
+                                     config.get_float("plant", "plane_mu", 0.4))
+    except ValueError as exc:
+        raise ScenarioConfigError(f"{config.scenario_id}: {exc}") from exc
 
     force_target = config.get_float("wiping", "force_target", 10.0) if use_wrench else 0.0
     x_start = config.get_float("wiping", "x_start", 0.40)
     stroke = config.get_float("wiping", "stroke", 0.24)
     pitch = config.get_float("wiping", "tool_pitch", 0.7)
-    z_nominal = config.get_float("plant", "plane_offset", 0.0)
     erase_threshold = config.get_float("wiping", "erase_threshold", 7.0)
     n_cells = config.get_int("wiping", "cells", 24)
     surface_jitter = config.get_float("plant", "surface_jitter", 0.0005)
@@ -139,11 +148,7 @@ def run_wiping(config: ScenarioConfig, use_wrench: bool, out_dir=None) -> Scenar
             offset = z_nominal + rng.uniform(-surface_jitter, surface_jitter)
         else:
             offset = z_nominal + baseline_offset
-        plane = ContactPlane(config.get_vec("plant", "plane_normal", "0 0 1"),
-                             offset,
-                             config.get_float("plant", "plane_stiffness", 1e5),
-                             config.get_float("plant", "plane_damping", 200.0),
-                             config.get_float("plant", "plane_mu", 0.4))
+        plane = replace(nominal_plane, offset=offset)
         record = (trial == 0 and out_dir is not None)
         result = _run_trial(config, model, imp_cfg, sched, plane, ik.q, start_pose,
                             steps, labels, ticks_per_action, dt, chunk_len, horizon,
@@ -200,8 +205,6 @@ def _run_trial(config, model, imp_cfg, sched, plane, q0, start_pose, steps, labe
                ticks_per_action, dt, chunk_len, horizon, x_start, stroke, n_cells,
                erase_threshold, payload, identified, frame_model, noise_sigma,
                rng, record, variant):
-    chain = model.chain
-
     # route the scripted stream through the recorded-episode replay path
     scratch = Episode("actions", [StreamSpec("action", 1.0 / (ticks_per_action * dt),
                                              ACTION_SCHEMA, "action")])
@@ -220,8 +223,8 @@ def _run_trial(config, model, imp_cfg, sched, plane, q0, start_pose, steps, labe
                                       ACTION_SCHEMA, "action")],
                           config_hash=config.config_hash)
 
-    executor = ImpedanceExecutor(chain, model, imp_cfg)
-    state = SimState(q0.copy(), np.zeros(chain.dof))
+    executor = ImpedanceExecutor(model, imp_cfg)
+    state = SimState(q0.copy(), np.zeros(model.chain.dof))
     cell_edges = np.linspace(x_start, x_start + stroke, n_cells + 1)
     cleared = np.zeros(n_cells, dtype=bool)
     fz_sliding = []
@@ -240,13 +243,8 @@ def _run_trial(config, model, imp_cfg, sched, plane, q0, start_pose, steps, labe
             # upsample the 20 Hz command stream to the control rate
             tick_command = interpolate_commands(base, command,
                                                 (k + 1) / ticks_per_action)
-            frames = chain_frames(chain, state.q)
-            terms = inverse_dynamics_terms(model, state.q, state.qdot)
-            out = executor.execute_tick(state, tick_command,
-                                        bias=BiasTerms(terms.c_qdot, terms.g_vec),
-                                        frames=frames)
-            new_state = step(model, state, out.tau, plane, dt, terms=terms,
-                             frames=frames)
+            out, new_state, frames = executor.closed_loop_tick(state, tick_command,
+                                                               plane)
 
             # contact force actually applied this step, mapped back to world
             f_world = frames.ee_pose.rotation @ new_state.contact_wrench_ee.force

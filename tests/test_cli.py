@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from contactctl.cli import main
 from contactctl.episodes import load_episode
@@ -64,6 +65,25 @@ def test_run_selective_release_pair_and_table(tmp_path, capsys):
     assert "with tactile" in out and "fixed width" in out
     assert (tmp_path / "report_with_tactile.json").exists()
     assert (tmp_path / "report_fixed_width.json").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("[gains]\nk_min = 200", "[gains]\nk_min = 3000"),
+     ("ik_damping = 0.05", "ik_damping = 0")],
+    ids=["k_min_above_k_max", "zero_ik_damping"])
+def test_run_bad_gain_config_is_usage_error(tmp_path, capsys, old, new):
+    # a gain the controller cannot use is a config error, not a runtime fault
+    src = Path("configs/wiping.ini").read_text()
+    assert src.count(old) == 1
+    chains = Path("configs/chains").resolve()
+    bad = tmp_path / "wiping.ini"
+    bad.write_text(src.replace(old, new)
+                   .replace("chain = chains", f"chain = {chains}"))
+    code = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "out"),
+                   "--quiet")
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_run_failure_exit_code(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contactctl.dynamics import (ArmDynamicsModel, ContactPlane, GraspedObject,
+from contactctl.dynamics import (ArmDynamicsModel, ContactPlane,
                                  PayloadSpec, SimState, SimulationFault,
                                  bias_terms, grasp_slip_check,
                                  inverse_dynamics_terms, load_arm_model,
@@ -115,8 +115,7 @@ def test_inverse_dynamics_terms_bundle(rng):
     qdot = rng.uniform(-1, 1, 3)
     terms = inverse_dynamics_terms(model, q, qdot)
     ref = bias_terms(model, q, qdot)
-    assert np.allclose(terms.c_qdot, ref.c_qdot)
-    assert np.allclose(terms.g_vec, ref.g_vec)
+    assert np.allclose(terms.bias, ref.c_qdot + ref.g_vec, rtol=0.0, atol=1e-12)
     assert np.allclose(terms.mass_matrix, mass_matrix(model, q))
     with pytest.raises(ValueError):
         inverse_dynamics_terms(model, q[:2], qdot)
@@ -294,14 +293,6 @@ def test_slip_downward_accel_ignored():
     # 6 N holds statically (needs 5.40); downward accel must not help further
     assert not grasp_slip_check(6.0, 0.55, 0.5, -5.0)
     assert grasp_slip_check(6.0, 0.55, 0.5, 2.0)
-
-
-def test_grasped_object_latches():
-    obj = GraspedObject(0.5)
-    assert not obj.slipped
-    obj.mark_slipped()
-    obj.mark_slipped()
-    assert obj.slipped
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from contactctl.compliance import ComplianceCommand
-from contactctl.dynamics import (ArmDynamicsModel, BiasTerms, ContactPlane,
-                                 SimState, bias_terms, inverse_dynamics_terms,
+from contactctl.dynamics import (ArmDynamicsModel, ContactPlane, SimState,
+                                 bias_terms, inverse_dynamics_terms,
                                  load_arm_model, plane_contact_force, step)
 from contactctl.geometry import Pose, rotation_about_axis
 from contactctl.impedance import (CartesianGains, ImpedanceConfig,
                                   ImpedanceExecutor, JointGains,
                                   StiffnessClampWarning, build_operational_gains,
                                   control_torque, fold_to_joint_gains)
-from contactctl.kinematics import chain_frames, forward_kinematics, jacobian, solve_ik
+from contactctl.kinematics import chain_frames, forward_kinematics, solve_ik
 from conftest import make_planar2
 
 
@@ -48,6 +48,13 @@ def test_block_diagonal_structure():
     assert np.allclose(kxd[:3, 3:], 0.0) and np.allclose(kxd[3:, :3], 0.0)
     assert np.allclose(kx[3:, 3:], np.diag(cfg.k_rot))
     assert np.allclose(kxd[3:, 3:], np.diag(cfg.d_rot))
+
+
+@pytest.mark.parametrize("field", ["ik_damping", "dt", "qd_filter_cutoff"])
+def test_config_rejects_nonpositive_timing_and_damping(field):
+    for value in (0.0, -1.0):
+        with pytest.raises(ValueError, match=field):
+            ImpedanceConfig(**{field: value})
 
 
 def test_out_of_range_stiffness_clamped_with_warning():
@@ -120,16 +127,16 @@ def test_zero_error_returns_compensation_exactly(rng):
                        np.ones(2), np.full(2, 0.1))
     q = rng.normal(size=2)
     qdot = rng.normal(size=2)
-    bias = BiasTerms(rng.normal(size=2), rng.normal(size=2))
+    bias = rng.normal(size=2)
     tau = control_torque(gains, q, q, qdot, qdot, bias)
-    assert np.array_equal(tau, bias.c_qdot + bias.g_vec)
+    assert np.array_equal(tau, bias)
 
 
 def test_unit_error_diagonal_gain():
     gains = JointGains(np.diag([100.0, 50.0]), np.zeros((2, 2)),
                        np.zeros(2), np.zeros(2))
     tau = control_torque(gains, [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
-                         BiasTerms(np.zeros(2), np.zeros(2)))
+                         np.zeros(2))
     assert np.allclose(tau, [100.0, 0.0])
 
 
@@ -141,12 +148,13 @@ def test_closed_loop_converges_to_constant_target():
     state = SimState(np.array([0.2, 0.4]), np.zeros(2))
     dt = 1e-3
     for _ in range(2000):   # 2 s
-        j = jacobian(chain, state.q)
+        frames = chain_frames(chain, state.q)
+        terms = inverse_dynamics_terms(model, state.q, state.qdot)
         cart = build_operational_gains(np.full(3, 1500.0), cfg)
-        gains = fold_to_joint_gains(j, cart, 3.0, 0.5)
-        bias = bias_terms(model, state.q, state.qdot)
-        tau = control_torque(gains, q_d, state.q, np.zeros(2), state.qdot, bias)
-        state = step(model, state, tau, None, dt)
+        gains = fold_to_joint_gains(frames.jacobian, cart, 3.0, 0.5)
+        tau = control_torque(gains, q_d, state.q, np.zeros(2), state.qdot,
+                             terms.bias)
+        state = step(model, state, tau, None, dt, terms=terms, frames=frames)
     assert np.linalg.norm(state.q - q_d) < 1e-3
 
 
@@ -156,7 +164,7 @@ def test_closed_loop_converges_to_constant_target():
 def executor_setup(kp=None):
     model = planar2_model()
     cfg = ImpedanceConfig(dt=1e-3)
-    executor = ImpedanceExecutor(model.chain, model, cfg)
+    executor = ImpedanceExecutor(model, cfg)
     return model, executor, cfg
 
 
@@ -166,7 +174,7 @@ def test_execute_tick_identity_command():
     state = SimState(q0.copy(), np.zeros(2))
     target = forward_kinematics(model.chain, q0)
     command = ComplianceCommand(target, np.full(3, 1000.0), 0.05, target)
-    out = executor.execute_tick(state, command)
+    out, _, _ = executor.closed_loop_tick(state, command, None)
     hold = bias_terms(model, q0, np.zeros(2))
     assert np.allclose(out.q_d, q0, atol=1e-9)
     assert np.allclose(out.tau, hold.c_qdot + hold.g_vec, atol=1e-6)
@@ -175,22 +183,19 @@ def test_execute_tick_identity_command():
 
 def test_execute_tick_rest_drift_with_shared_terms():
     # compensation exactness: at rest with shared dyn terms the arm stays put
-    model, executor, cfg = executor_setup()
+    model, executor, _ = executor_setup()
     q0 = np.array([0.4, 0.7])
     state = SimState(q0.copy(), np.zeros(2))
     target = forward_kinematics(model.chain, q0)
     command = ComplianceCommand(target, np.full(3, 1000.0), 0.05, target)
     for _ in range(50):
-        terms = inverse_dynamics_terms(model, state.q, state.qdot)
-        out = executor.execute_tick(state, command,
-                                    bias=BiasTerms(terms.c_qdot, terms.g_vec))
-        new_state = step(model, state, out.tau, None, cfg.dt, terms=terms)
+        _, new_state, _ = executor.closed_loop_tick(state, command, None)
         assert np.max(np.abs(new_state.q - state.q)) < 1e-9
         state = new_state
 
 
 def test_executor_error_norm_decreases_in_free_space():
-    model, executor, cfg = executor_setup()
+    model, executor, _ = executor_setup()
     q0 = np.array([0.4, 0.7])
     start = forward_kinematics(model.chain, q0)
     # a reachable pose about 5 cm away (2-dof arm: pose must come from FK)
@@ -202,8 +207,7 @@ def test_executor_error_norm_decreases_in_free_space():
     state = SimState(q0.copy(), np.zeros(2))
     norms = []
     for _ in range(1500):
-        out = executor.execute_tick(state, command)
-        state = step(model, state, out.tau, None, cfg.dt)
+        out, state, _ = executor.closed_loop_tick(state, command, None)
         norms.append(out.diagnostics.error_norm)
     norms = np.array(norms)
     assert norms[-1] < 1e-3
@@ -214,7 +218,7 @@ def test_executor_error_norm_decreases_in_free_space():
 def wiping_rig(kp_z, plane_stiffness=2e4, depth=0.01):
     model = load_arm_model("configs/chains/planar3.ini")
     cfg = ImpedanceConfig(dt=1e-3)
-    executor = ImpedanceExecutor(model.chain, model, cfg)
+    executor = ImpedanceExecutor(model, cfg)
     pitch = 0.7
     rot = rotation_about_axis(np.array([0.0, 1.0, 0.0]), pitch)
     surface = Pose(rot, [0.45, 0.0, 0.0])
@@ -226,10 +230,7 @@ def wiping_rig(kp_z, plane_stiffness=2e4, depth=0.01):
                                 0.05, surface)
     state = SimState(ik.q.copy(), np.zeros(3))
     for _ in range(1500):
-        terms = inverse_dynamics_terms(model, state.q, state.qdot)
-        out = executor.execute_tick(state, command,
-                                    bias=BiasTerms(terms.c_qdot, terms.g_vec))
-        state = step(model, state, out.tau, plane, cfg.dt, terms=terms)
+        _, state, _ = executor.closed_loop_tick(state, command, plane)
     frames = chain_frames(model.chain, state.q)
     _, f_n = plane_contact_force(plane, frames.ee_pose.translation, np.zeros(3))
     return f_n, frames.ee_pose.translation[2], state
@@ -260,7 +261,7 @@ def test_executor_reports_stiffness_clamp():
     target = forward_kinematics(model.chain, q0)
     command = ComplianceCommand(target, np.array([1.0, 1000.0, 1000.0]),
                                 0.05, target)
-    out = executor.execute_tick(state, command)
+    out, _, _ = executor.closed_loop_tick(state, command, None)
     assert out.diagnostics.stiffness_clamped
 
 
@@ -272,6 +273,6 @@ def test_executor_single_code_path_in_contact_and_free_space():
     free_state = SimState(np.array([0.4, 0.7]), np.zeros(2))
     target = forward_kinematics(model.chain, free_state.q)
     command = ComplianceCommand(target, np.full(3, 1000.0), 0.05, target)
-    out_free = executor.execute_tick(free_state, command)
+    out_free, _, _ = executor.closed_loop_tick(free_state, command, None)
     assert out_free.diagnostics.code_path == "unified"
     assert f_n > 0.0   # contact case did make contact, same code path

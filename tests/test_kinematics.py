@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contactctl.geometry import Pose, rotation_about_axis
+from contactctl.geometry import Pose, rotation_about_axis, rotation_log
 from contactctl.kinematics import (ChainConfigError, ChainLink, ChainModel,
                                    dls_ik_step, forward_kinematics, jacobian,
                                    load_chain, pose_error, solve_ik)
@@ -88,19 +88,23 @@ def test_jacobian_shape(rng):
 
 
 def test_fk_jacobian_consistency_random_chains(rng):
-    # invariant: FD of FK translation matches linear Jacobian rows within 10 eps
+    # invariant: FD of FK matches the Jacobian within 10 eps, linear rows by
+    # translation difference, angular rows by log(R(q+dq) R(q)^T) / eps
     eps = 1e-6
     for _ in range(15):
         dof = int(rng.integers(1, 5))
         chain = random_chain(rng, dof)
         q = rng.uniform(-1.5, 1.5, dof)
         j = jacobian(chain, q)
-        base = forward_kinematics(chain, q).translation
+        base = forward_kinematics(chain, q)
         for i in range(dof):
             dq = np.zeros(dof)
             dq[i] = eps
-            fd = (forward_kinematics(chain, q + dq).translation - base) / eps
+            moved = forward_kinematics(chain, q + dq)
+            fd = (moved.translation - base.translation) / eps
             assert np.max(np.abs(fd - j[:3, i])) < 1e-5   # 10 eps, eps = 1e-6
+            fd_rot = rotation_log(moved.rotation @ base.rotation.T) / eps
+            assert np.max(np.abs(fd_rot - j[3:, i])) < 1e-5
 
 
 # ---------------------------------------------------------------------------

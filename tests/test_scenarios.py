@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,9 @@ def test_wiping_single_trial_passes_core_metrics():
     assert report.metrics["mean_fz_max"] <= 11.5
     assert report.metrics["frac_above_floor_min"] >= 0.95
     assert report.metrics["residual_max"] < 0.05
+    # golden for seed 7, one trial: a refactor keeps these bits or declares drift
+    assert config.seed == 7
+    assert math.isclose(report.metrics["mean_fz"], 9.070765960989986, rel_tol=1e-9)
 
 
 def test_wiping_baseline_misses_surface():
