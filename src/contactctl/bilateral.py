@@ -109,6 +109,9 @@ def grasp_contact_force(width: float, contact: Optional[GraspContactModel]) -> f
     return contact.contact_stiffness * (contact.object_width - width)
 
 
+BILATERAL_DT_MAX = 0.005   # s, largest step `step_bilateral` accepts
+
+
 def step_bilateral(state: BilateralState, master_drive_torque: float,
                    contact: Optional[GraspContactModel], params: GripperParams,
                    dt: float) -> BilateralState:
@@ -117,8 +120,8 @@ def step_bilateral(state: BilateralState, master_drive_torque: float,
     Master sees operator drive plus reflected torque; slave sees its PD
     command minus the contact reaction mapped through the transmission.
     """
-    if not 0.0 < dt <= 0.005:
-        raise ValueError("dt must be in (0, 0.005]")
+    if not 0.0 < dt <= BILATERAL_DT_MAX:
+        raise ValueError(f"dt must be in (0, {BILATERAL_DT_MAX}]")
     tau_s = slave_torque(state, params)
     tau_filtered = low_pass(state.tau_s_filtered, tau_s, dt, params.filter_cutoff)
     probe = BilateralState(state.theta_m, state.theta_s, state.thetadot_m,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .episodes import load_episode, validate_episode_dir
+from .episodes import EpisodeError, load_episode, validate_episode_dir
 from .sensing import (IdentificationError, identify_payload,
                       load_calibration_csv, marker_motion_magnitude,
                       save_payload)
@@ -84,27 +84,37 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
+def _read_episode_arg(args, read):
+    """Return (read(--episode dir), EXIT_OK), or (None, EXIT_USAGE) for a
+    missing directory and (None, EXIT_CRITERIA) for an invalid episode."""
     episode_dir = Path(args.episode)
     if not episode_dir.exists():
         print(f"error: episode directory not found: {episode_dir}", file=sys.stderr)
-        return EXIT_USAGE
-    violations = validate_episode_dir(episode_dir)
+        return None, EXIT_USAGE
+    try:
+        return read(episode_dir), EXIT_OK
+    except EpisodeError as exc:
+        print(f"violation: {exc}", file=sys.stderr)
+        return None, EXIT_CRITERIA
+
+
+def _cmd_validate(args) -> int:
+    violations, code = _read_episode_arg(args, validate_episode_dir)
+    if code != EXIT_OK:
+        return code
     if violations:
         for v in violations:
             print(f"violation: {v}")
-        print(f"{len(violations)} violation(s) in {episode_dir}")
+        print(f"{len(violations)} violation(s) in {args.episode}")
         return EXIT_CRITERIA
-    print(f"{episode_dir}: valid")
+    print(f"{args.episode}: valid")
     return EXIT_OK
 
 
 def _cmd_inspect(args) -> int:
-    episode_dir = Path(args.episode)
-    if not episode_dir.exists():
-        print(f"error: episode directory not found: {episode_dir}", file=sys.stderr)
-        return EXIT_USAGE
-    episode = load_episode(episode_dir)
+    episode, code = _read_episode_arg(args, load_episode)
+    if code != EXIT_OK:
+        return code
     start, end = episode.span()
     print(f"episode {episode.episode_id}  config_hash={episode.config_hash}")
     print(f"span: {start:.6f} .. {end:.6f} s")
@@ -195,13 +205,11 @@ def _cmd_plot_data(args) -> int:
         print(f"error: unknown figure kind {args.kind!r}; "
               f"choose from {', '.join(PLOT_KINDS)}", file=sys.stderr)
         return EXIT_USAGE
-    episode_dir = Path(args.episode)
-    if not episode_dir.exists():
-        print(f"error: episode directory not found: {episode_dir}", file=sys.stderr)
-        return EXIT_USAGE
-    out_dir = Path(args.out) if args.out else episode_dir
+    episode, code = _read_episode_arg(args, load_episode)
+    if code != EXIT_OK:
+        return code
+    out_dir = Path(args.out or args.episode)
     out_dir.mkdir(parents=True, exist_ok=True)
-    episode = load_episode(episode_dir)
     try:
         path = _PLOTTERS[args.kind](episode, out_dir)
     except KeyError as exc:

@@ -261,6 +261,9 @@ def plane_contact_force(plane: ContactPlane, p_ee: np.ndarray,
     return force, float(f_n)
 
 
+STEP_DT_MAX = 0.01   # s, largest plant step `step` accepts
+
+
 def step(model: ArmDynamicsModel, state: SimState, tau: np.ndarray,
          plane: Optional[ContactPlane] = None, dt: float = 1e-3,
          terms: Optional[DynTerms] = None, frames=None) -> SimState:
@@ -270,8 +273,8 @@ def step(model: ArmDynamicsModel, state: SimState, tau: np.ndarray,
     evaluation between the plant and a controller that compensates the bias;
     both must belong to the current state.
     """
-    if not 0.0 < dt <= 0.01:
-        raise ValueError("dt must be in (0, 0.01]")
+    if not 0.0 < dt <= STEP_DT_MAX:
+        raise ValueError(f"dt must be in (0, {STEP_DT_MAX}]")
     tau = np.asarray(tau, dtype=float).reshape(model.chain.dof)
     if not np.all(np.isfinite(tau)):
         raise SimulationFault(f"non-finite torque at t={state.time:.6f}")

@@ -11,6 +11,7 @@ is value-exact.
 import bisect
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -76,22 +77,24 @@ class Episode:
         self._rows = {s.name: [] for s in streams}
 
     def record(self, stream_name: str, t: float, values) -> None:
-        """Append one row; timestamps must be strictly increasing per stream."""
-        if stream_name not in self.streams:
+        """Append one row; timestamps must be finite and strictly increasing."""
+        spec = self.streams.get(stream_name)
+        if spec is None:
             raise EpisodeError(f"unknown stream {stream_name!r}")
-        times = self._times[stream_name]
-        if times and t <= times[-1]:
-            raise EpisodeError(
-                f"non-monotonic timestamp on {stream_name!r}: {t} after {times[-1]}")
-        spec = self.streams[stream_name]
-        values = list(values)
+        values = list(values) if spec.kind == "image_ref" \
+            else [float(v) for v in values]
         if len(values) != len(spec.schema):
             raise EpisodeError(
                 f"stream {stream_name!r}: expected {len(spec.schema)} values, "
                 f"got {len(values)}")
-        if spec.kind != "image_ref":
-            values = [float(v) for v in values]
-        times.append(float(t))
+        t = float(t)
+        if not math.isfinite(t):
+            raise EpisodeError(f"non-finite timestamp on {stream_name!r}: {t}")
+        times = self._times[stream_name]
+        if times and t <= times[-1]:
+            raise EpisodeError(
+                f"non-monotonic timestamp on {stream_name!r}: {t} after {times[-1]}")
+        times.append(t)
         self._rows[stream_name].append(values)
 
     def times(self, stream_name: str) -> np.ndarray:
@@ -162,10 +165,6 @@ def replay_actions(episode: Episode, chunk_len: int,
 # ---------------------------------------------------------------------------
 # persistence
 
-def _stream_filename(name: str) -> str:
-    return f"{name}.csv"
-
-
 def export_csv(episode: Episode, out_dir) -> list:
     """Write manifest + one CSV per stream; returns the files written."""
     out_dir = Path(out_dir)
@@ -183,110 +182,87 @@ def export_csv(episode: Episode, out_dir) -> list:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     for name, spec in episode.streams.items():
-        path = out_dir / _stream_filename(name)
+        path = out_dir / f"{name}.csv"
         files.append(path)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("t",) + spec.schema)
+            # rows hold floats or reference strings; str of a float is its repr
             for t, row in zip(episode._times[name], episode._rows[name]):
-                if spec.kind == "image_ref":
-                    writer.writerow([repr(t)] + [str(v) for v in row])
-                else:
-                    writer.writerow([repr(t)] + [repr(float(v)) for v in row])
+                writer.writerow([repr(t)] + [str(v) for v in row])
     return files
 
 
-def load_episode(episode_dir) -> Episode:
-    """Load and validate an exported episode directory."""
+def _read_episode(episode_dir, fail) -> Optional[Episode]:
+    """The one reader of an exported episode directory.
+
+    Each violation goes to `fail(message)`; if `fail` returns, the offending
+    manifest entry, stream or row is skipped. Row rules belong to
+    `Episode.record`, which every CSV row passes through.
+    """
     episode_dir = Path(episode_dir)
     manifest_path = episode_dir / MANIFEST_NAME
     if not manifest_path.exists():
-        raise EpisodeError(f"missing manifest: {manifest_path}")
+        fail(f"missing manifest: {manifest_path}")
+        return None
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise EpisodeError(f"corrupt manifest {manifest_path}: {exc}") from exc
+    except ValueError as exc:
+        fail(f"corrupt manifest {manifest_path}: {exc}")
+        return None
+    if not (isinstance(manifest, dict)
+            and isinstance(manifest.get("streams", []), list)):
+        fail("corrupt manifest: not an object with a 'streams' list")
+        return None
     for key in ("format_version", "episode_id", "streams"):
         if key not in manifest:
-            raise EpisodeError(f"corrupt manifest: missing {key!r}")
-    specs = [StreamSpec(s["name"], s["rate_hz"], tuple(s["schema"]), s["kind"])
-             for s in manifest["streams"]]
-    episode = Episode(manifest["episode_id"], specs,
+            fail(f"corrupt manifest: missing {key!r}")
+    specs = {}
+    for i, entry in enumerate(manifest.get("streams", [])):
+        try:
+            spec = StreamSpec(entry["name"], entry["rate_hz"], entry["schema"],
+                              entry["kind"])
+            if spec.name in specs:   # TypeError for an unhashable name
+                raise EpisodeError(f"duplicate stream name {spec.name!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            fail(f"corrupt manifest: stream entry {i}: {type(exc).__name__}: {exc}")
+            continue
+        specs[spec.name] = spec
+    episode = Episode(manifest.get("episode_id", ""), list(specs.values()),
                       manifest.get("start_time", 0.0),
                       manifest.get("config_hash", ""))
-    for spec in specs:
-        path = episode_dir / _stream_filename(spec.name)
+    for name, spec in specs.items():
+        path = episode_dir / f"{name}.csv"
         if not path.exists():
-            raise EpisodeError(f"stream {spec.name!r}: missing file {path}")
+            fail(f"stream {name!r}: missing file {path.name}")
+            continue
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(header) != ("t",) + spec.schema:
-                raise EpisodeError(f"stream {spec.name!r}: schema mismatch in {path}")
+                fail(f"stream {name!r}: schema mismatch in {path.name}")
+                continue
             for lineno, row in enumerate(reader, start=2):
-                if len(row) != 1 + len(spec.schema):
-                    raise EpisodeError(
-                        f"stream {spec.name!r}: row {lineno} has {len(row)} fields")
-                values = row[1:] if spec.kind == "image_ref" \
-                    else [float(v) for v in row[1:]]
-                episode.record(spec.name, float(row[0]), values)
+                try:
+                    # an empty line has no t and fails the field count
+                    episode.record(name, row[0] if row else "", row[1:])
+                except ValueError as exc:   # EpisodeError included
+                    fail(f"{path.name} row {lineno}: {exc}")
     return episode
+
+
+def _raise(message: str):
+    raise EpisodeError(message)
+
+
+def load_episode(episode_dir) -> Episode:
+    """Load an exported episode directory; raises EpisodeError if it is invalid."""
+    return _read_episode(episode_dir, _raise)
 
 
 def validate_episode_dir(episode_dir) -> list:
     """Structural check of an on-disk episode; returns violation strings."""
-    episode_dir = Path(episode_dir)
     violations = []
-    manifest_path = episode_dir / MANIFEST_NAME
-    if not manifest_path.exists():
-        return [f"missing manifest: {manifest_path}"]
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        return [f"corrupt manifest: {exc}"]
-    for key in ("format_version", "episode_id", "streams"):
-        if key not in manifest:
-            violations.append(f"manifest missing key {key!r}")
-    for entry in manifest.get("streams", []):
-        name = entry.get("name", "<unnamed>")
-        try:
-            spec = StreamSpec(name, entry.get("rate_hz", 0.0),
-                              tuple(entry.get("schema", ())), entry.get("kind", ""))
-        except EpisodeError as exc:
-            violations.append(str(exc))
-            continue
-        path = episode_dir / _stream_filename(name)
-        if not path.exists():
-            violations.append(f"stream {name!r}: missing file {path.name}")
-            continue
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != ("t",) + spec.schema:
-                violations.append(f"stream {name!r}: header mismatch")
-                continue
-            last_t = None
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 1 + len(spec.schema):
-                    violations.append(
-                        f"stream {name!r}: row {lineno}: field count "
-                        f"{len(row)} != {1 + len(spec.schema)}")
-                    continue
-                try:
-                    t = float(row[0])
-                except ValueError:
-                    violations.append(f"stream {name!r}: row {lineno}: bad timestamp")
-                    continue
-                if last_t is not None and t <= last_t:
-                    violations.append(
-                        f"stream {name!r}: row {lineno}: non-monotonic timestamp {t}")
-                last_t = t
-                if spec.kind != "image_ref":
-                    try:
-                        [float(v) for v in row[1:]]
-                    except ValueError:
-                        violations.append(
-                            f"stream {name!r}: row {lineno}: non-numeric value")
+    _read_episode(episode_dir, violations.append)
     return violations

@@ -19,7 +19,7 @@ import numpy as np
 
 from .compliance import ComplianceCommand
 from .dynamics import (ArmDynamicsModel, ContactPlane, SimState,
-                       inverse_dynamics_terms, step)
+                       STEP_DT_MAX, inverse_dynamics_terms, step)
 from .kinematics import ChainFrames, chain_frames, dls_step, pose_error
 
 
@@ -51,6 +51,8 @@ class ImpedanceConfig:
         for name in ("ik_damping", "dt", "qd_filter_cutoff"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+        if self.dt > STEP_DT_MAX:
+            raise ValueError(f"dt must be in (0, {STEP_DT_MAX}]")
 
 
 @dataclass

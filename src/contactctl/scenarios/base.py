@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from ..episodes import export_csv
+
 
 class ScenarioConfigError(ValueError):
     pass
@@ -154,6 +156,15 @@ class ScenarioReport:
             for name in sorted(self.metrics):
                 writer.writerow([name, repr(self.metrics[name])])
         return path
+
+
+def export_report_episode(report: ScenarioReport, episode, out_dir) -> None:
+    """Export a recorded episode to out_dir/episode_<variant>, named in the report."""
+    if episode is None or out_dir is None:
+        return
+    episode_dir = str(Path(out_dir) / f"episode_{report.variant}")
+    export_csv(episode, episode_dir)
+    report.episode_dir = episode_dir
 
 
 def load_report(path) -> ScenarioReport:

@@ -20,9 +20,10 @@ import numpy as np
 from ..bilateral import (BILATERAL_SCHEMA, BilateralState, GraspContactModel,
                          bilateral_record, estimate_internal_force,
                          step_bilateral)
-from ..episodes import Episode, StreamSpec, export_csv
-from .base import Criterion, ScenarioConfig, ScenarioReport, evaluate_criteria
-from .bottle import gripper_params_from
+from ..episodes import Episode, StreamSpec
+from .base import (Criterion, ScenarioConfig, ScenarioReport, evaluate_criteria,
+                   export_report_episode)
+from .bottle import bilateral_settings_from
 
 
 def intent_force(t: float, hold: float, wipe_amp: float, wipe_hz: float) -> float:
@@ -39,11 +40,10 @@ def intent_force(t: float, hold: float, wipe_amp: float, wipe_hz: float) -> floa
 
 
 def _run_setting(config: ScenarioConfig, a_actual, record_episode) -> tuple:
-    params = gripper_params_from(config)
+    params, dt = bilateral_settings_from(config, "quality")
     a_nominal = params.a
     if a_actual is not None:
         params = replace(params, a=a_actual)
-    dt = config.get_float("quality", "dt", 1e-3)
     duration = config.get_float("quality", "duration_s", 5.0)
     hold = config.get_float("quality", "hold_force", 8.0)
     wipe_amp = config.get_float("quality", "wipe_amp", 2.0)
@@ -121,8 +121,5 @@ def run_bilateral_signal_quality(config: ScenarioConfig, out_dir=None) -> Scenar
         evaluate_criteria(metrics, criteria), config.config_hash,
         notes=["signal-level proxy with a scripted force-intent operator "
                "model; not a human-subject comparison"])
-    if episode is not None and out_dir is not None:
-        episode_dir = str(out_dir / "episode_default")
-        export_csv(episode, episode_dir)
-        report.episode_dir = episode_dir
+    export_report_episode(report, episode, out_dir)
     return report

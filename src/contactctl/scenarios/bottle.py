@@ -12,30 +12,39 @@ pure aperture playback does.
 
 import numpy as np
 
-from ..bilateral import (BILATERAL_SCHEMA, BilateralState, GraspContactModel,
-                         GripperParams, angle_from_width, bilateral_record,
-                         estimate_internal_force, step_bilateral)
+from ..bilateral import (BILATERAL_DT_MAX, BILATERAL_SCHEMA, BilateralState,
+                         GraspContactModel, GripperParams, angle_from_width,
+                         bilateral_record, estimate_internal_force,
+                         step_bilateral)
 from ..dynamics import grasp_slip_check
-from ..episodes import Episode, StreamSpec, export_csv
-from .base import Criterion, ScenarioConfig, ScenarioReport, evaluate_criteria
+from ..episodes import Episode, StreamSpec
+from .base import (Criterion, ScenarioConfig, ScenarioConfigError, ScenarioReport,
+                   evaluate_criteria, export_report_episode)
 
 
-def gripper_params_from(config: ScenarioConfig) -> GripperParams:
-    return GripperParams(
-        k_tau=config.get_float("gripper", "k_tau", 0.05),
-        r_g=config.get_float("gripper", "r_g", 0.01),
-        kp=config.get_float("gripper", "kp", 5.0),
-        kd=config.get_float("gripper", "kd", 0.045),
-        b=config.get_float("gripper", "b", 1.0),
-        delta=config.get_float("gripper", "delta", 0.0),
-        a=config.get_float("gripper", "a", 2.0),
-        b_l=config.get_float("gripper", "b_l", 0.0),
-        motor_inertia=config.get_float("gripper", "motor_inertia", 1e-4),
-        filter_cutoff=config.get_float("gripper", "filter_cutoff", 20.0),
-        viscous=config.get_float("gripper", "viscous", 0.002),
-        w_max=config.get_float("gripper", "w_max", 0.10),
-        width_per_rad=config.get_float("gripper", "width_per_rad", 0.01),
-    )
+def bilateral_settings_from(config: ScenarioConfig, section: str) -> tuple:
+    """([gripper] GripperParams, [section] loop dt), checked before the loop."""
+    try:
+        dt = config.get_float(section, "dt", 1e-3)
+        if not 0.0 < dt <= BILATERAL_DT_MAX:
+            raise ValueError(f"[{section}] dt must be in (0, {BILATERAL_DT_MAX}]")
+        return GripperParams(
+            k_tau=config.get_float("gripper", "k_tau", 0.05),
+            r_g=config.get_float("gripper", "r_g", 0.01),
+            kp=config.get_float("gripper", "kp", 5.0),
+            kd=config.get_float("gripper", "kd", 0.045),
+            b=config.get_float("gripper", "b", 1.0),
+            delta=config.get_float("gripper", "delta", 0.0),
+            a=config.get_float("gripper", "a", 2.0),
+            b_l=config.get_float("gripper", "b_l", 0.0),
+            motor_inertia=config.get_float("gripper", "motor_inertia", 1e-4),
+            filter_cutoff=config.get_float("gripper", "filter_cutoff", 20.0),
+            viscous=config.get_float("gripper", "viscous", 0.002),
+            w_max=config.get_float("gripper", "w_max", 0.10),
+            width_per_rad=config.get_float("gripper", "width_per_rad", 0.01),
+        ), dt
+    except ValueError as exc:
+        raise ScenarioConfigError(f"{config.scenario_id}: {exc}") from exc
 
 
 def lift_accel(t: float, lift_start: float, ramp_s: float, cruise_s: float,
@@ -56,8 +65,7 @@ def lift_accel(t: float, lift_start: float, ramp_s: float, cruise_s: float,
 def run_bottle_pick(config: ScenarioConfig, use_grasp_force: bool,
                     out_dir=None) -> ScenarioReport:
     variant = "with_force" if use_grasp_force else "width_only"
-    params = gripper_params_from(config)
-    dt = config.get_float("bottle", "dt", 1e-3)
+    params, dt = bilateral_settings_from(config, "bottle")
     mass_nominal = config.get_float("bottle", "mass", 0.55)
     mu = config.get_float("bottle", "friction_mu", 0.5)
     width_nominal = config.get_float("bottle", "width", 0.065)
@@ -119,9 +127,7 @@ def run_bottle_pick(config: ScenarioConfig, use_grasp_force: bool,
                 theta_cmd += dt * rate
                 theta_cmd = min(max(theta_cmd, 0.0), theta_cmd_max)
             else:
-                theta_cmd = min(theta_width_only,
-                                theta_cmd + dt * config.get_float(
-                                    "bottle", "close_rate", 8.0))
+                theta_cmd = min(theta_width_only, theta_cmd + dt * close_rate_max)
             drive = op_kp * (theta_cmd - state.theta_m) - op_kd * state.thetadot_m
             state = step_bilateral(state, drive, contact, params, dt)
 
@@ -152,8 +158,5 @@ def run_bottle_pick(config: ScenarioConfig, use_grasp_force: bool,
                                    "2 mu F >= m (g + max(az, 0)), ties hold",
                                    "scripted grasp commands stand in for "
                                    "policy output; not a learned policy"])
-    if episode is not None and out_dir is not None:
-        episode_dir = str(out_dir / f"episode_{variant}")
-        export_csv(episode, episode_dir)
-        report.episode_dir = episode_dir
+    export_report_episode(report, episode, out_dir)
     return report

@@ -10,12 +10,13 @@ case over the Monte-Carlo trials.
 
 import numpy as np
 
-from ..episodes import Episode, StreamSpec, export_csv
+from ..episodes import Episode, StreamSpec
 from ..geometry import rotation_about_axis
 from ..sensing import (CalibrationSample, IdentificationError, Wrench,
                        WrenchFrameModel, compensate_wrench, gravity_model,
                        gravity_wrench, identify_payload)
-from .base import Criterion, ScenarioConfig, ScenarioReport, evaluate_criteria
+from .base import (Criterion, ScenarioConfig, ScenarioReport, evaluate_criteria,
+                   export_report_episode)
 
 WRENCH_SCHEMA = ("fx", "fy", "fz", "tx", "ty", "tz")
 
@@ -122,10 +123,7 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> ScenarioRe
         config.scenario_id, config.kind, "default", config.seed, mc_trials,
         metrics, {c.metric: c.describe() for c in criteria},
         evaluate_criteria(metrics, criteria), config.config_hash)
-    if episode is not None and out_dir is not None:
-        episode_dir = str(out_dir / "episode_default")
-        export_csv(episode, episode_dir)
-        report.episode_dir = episode_dir
+    export_report_episode(report, episode, out_dir)
     return report
 
 

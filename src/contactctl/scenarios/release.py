@@ -12,9 +12,10 @@ of the configured distribution, not sampling luck.
 
 import numpy as np
 
-from ..episodes import Episode, StreamSpec, export_csv
+from ..episodes import Episode, StreamSpec
 from ..sensing import MARKER_DIM
-from .base import Criterion, ScenarioConfig, ScenarioReport, evaluate_criteria
+from .base import (Criterion, ScenarioConfig, ScenarioReport, evaluate_criteria,
+                   export_report_episode)
 
 TACTILE_SCHEMA = tuple(f"m{i}" for i in range(MARKER_DIM))
 GRIP_SCHEMA = ("width", "inner_held", "outer_held")
@@ -135,8 +136,5 @@ def run_selective_release(config: ScenarioConfig, use_tactile: bool,
                             {c.metric: c.describe() for c in criteria},
                             evaluate_criteria(metrics, criteria),
                             config.config_hash, notes=notes)
-    if episode is not None and out_dir is not None:
-        episode_dir = str(out_dir / f"episode_{variant}")
-        export_csv(episode, episode_dir)
-        report.episode_dir = episode_dir
+    export_report_episode(report, episode, out_dir)
     return report

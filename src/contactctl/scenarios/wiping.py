@@ -19,13 +19,13 @@ from ..compliance import (ACTION_SCHEMA, ActionStep, RecedingHorizonScheduler,
                           StiffnessSchedule, interpolate_commands)
 from ..dynamics import (ContactPlane, PayloadSpec, SimState, load_arm_model,
                         read_ft_sensor)
-from ..episodes import Episode, StreamSpec, export_csv, replay_actions
+from ..episodes import Episode, StreamSpec, replay_actions
 from ..geometry import Pose, Rot6D, rotation_about_axis
 from ..impedance import ImpedanceConfig, ImpedanceExecutor
 from ..kinematics import solve_ik
 from ..sensing import IdentifiedPayload, WrenchFrameModel, compensate_wrench
 from .base import (Criterion, ScenarioConfig, ScenarioConfigError,
-                   ScenarioReport, evaluate_criteria)
+                   ScenarioReport, evaluate_criteria, export_report_episode)
 from .gravity import WRENCH_SCHEMA
 
 POSE_SCHEMA = ("px", "py", "pz", "r6_0", "r6_1", "r6_2", "r6_3", "r6_4", "r6_5")
@@ -182,10 +182,8 @@ def run_wiping(config: ScenarioConfig, use_wrench: bool, out_dir=None) -> Scenar
                             {c.metric: c.describe() for c in criteria},
                             evaluate_criteria(metrics, criteria),
                             config.config_hash, notes=notes)
+    export_report_episode(report, episode, out_dir)
     if episode is not None:
-        episode_dir = str(out_dir / f"episode_{variant}")
-        export_csv(episode, episode_dir)
-        report.episode_dir = episode_dir
         _write_diagnostics_csv(out_dir / f"diagnostics_{variant}.csv",
                                diagnostics_rows)
     return report

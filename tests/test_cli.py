@@ -68,16 +68,24 @@ def test_run_selective_release_pair_and_table(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "old, new",
-    [("[gains]\nk_min = 200", "[gains]\nk_min = 3000"),
-     ("ik_damping = 0.05", "ik_damping = 0")],
-    ids=["k_min_above_k_max", "zero_ik_damping"])
-def test_run_bad_gain_config_is_usage_error(tmp_path, capsys, old, new):
-    # a gain the controller cannot use is a config error, not a runtime fault
-    src = Path("configs/wiping.ini").read_text()
+    "config, old, new",
+    [("wiping", "[gains]\nk_min = 200", "[gains]\nk_min = 3000"),
+     ("wiping", "ik_damping = 0.05", "ik_damping = 0"),
+     ("wiping", "dt = 0.001", "dt = 0.02"),
+     ("bottle_pick", "dt = 0.001", "dt = 0.01"),
+     ("bilateral_quality", "dt = 0.001", "dt = 0.01"),
+     ("bottle_pick", "kp = 5.0", "kp = -1"),
+     ("bilateral_quality", "kp = 5.0", "kp = -1")],
+    ids=["k_min_above_k_max", "zero_ik_damping", "plant_dt_above_step_bound",
+         "bottle_dt_above_step_bound", "quality_dt_above_step_bound",
+         "bottle_negative_gripper_kp", "quality_negative_gripper_kp"])
+def test_run_bad_gain_config_is_usage_error(tmp_path, capsys, config, old, new):
+    # a gain or step the controller cannot use is a config error, not a
+    # runtime fault
+    src = Path(f"configs/{config}.ini").read_text()
     assert src.count(old) == 1
     chains = Path("configs/chains").resolve()
-    bad = tmp_path / "wiping.ini"
+    bad = tmp_path / f"{config}.ini"
     bad.write_text(src.replace(old, new)
                    .replace("chain = chains", f"chain = {chains}"))
     code = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "out"),
@@ -174,6 +182,11 @@ def test_validate_tampered_episode(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "gripper" in out and "non-monotonic" in out
+    # inspect and plot-data read the episode the same way
+    assert run_cli("inspect", "--episode", str(episode_dir)) == 1
+    assert "non-monotonic" in capsys.readouterr().err
+    assert run_cli("plot-data", "--episode", str(episode_dir), "--kind",
+                   "tactile-norm", "--out", str(tmp_path / "plots")) == 1
 
 
 def test_validate_missing_dir(tmp_path):

@@ -1,6 +1,10 @@
+import json
+import shutil
+
 import numpy as np
 import pytest
 
+from contactctl.cli import main
 from contactctl.compliance import ACTION_SCHEMA
 from contactctl.episodes import (Episode, EpisodeError, StreamSpec, export_csv,
                                  load_episode, replay_actions,
@@ -43,6 +47,10 @@ def test_record_rejects_non_monotonic():
     episode.record("pose", 0.002, [1.0, 2.0, 3.0])
     with pytest.raises(EpisodeError, match="non-monotonic"):
         episode.record("pose", 0.001, [4.0, 5.0, 6.0])
+    for t in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(EpisodeError, match="non-finite"):
+            episode.record("pose", t, [4.0, 5.0, 6.0])
+    assert episode.rows("pose") == [[1.0, 2.0, 3.0]]
 
 
 def test_record_rejects_unknown_stream_and_bad_arity():
@@ -287,3 +295,78 @@ def test_stream_spec_validation():
     with pytest.raises(EpisodeError):
         Episode("dup", [StreamSpec("a", 1.0, ("x",), "pose"),
                         StreamSpec("a", 1.0, ("x",), "pose")])
+
+
+# ---------------------------------------------------------------------------
+# one reader: load_episode raises exactly when validate_episode_dir reports
+
+GOLDEN = "tests/data/golden_episode"
+
+
+def _manifest_edit(change):
+    def edit(d):
+        path = d / "manifest.json"
+        manifest = json.loads(path.read_text())
+        change(manifest)
+        path.write_text(json.dumps(manifest))
+    return edit
+
+
+def _pose_row_edit(index, text):
+    """Replace line `index` of pose.csv (0 is the header) with `text`."""
+    def edit(d):
+        path = d / "pose.csv"
+        lines = path.read_text().splitlines()
+        lines[index] = text
+        path.write_text("\n".join(lines) + "\n")
+    return edit
+
+
+def _set_stream(index, key, value):
+    return _manifest_edit(lambda m: m["streams"][index].__setitem__(key, value))
+
+
+MALFORMED = {
+    "duplicate_stream_name": _manifest_edit(
+        lambda m: m["streams"].append(dict(m["streams"][0]))),
+    "stream_without_name": _manifest_edit(lambda m: m["streams"][0].pop("name")),
+    "rate_not_a_number": _set_stream(0, "rate_hz", "fast"),
+    "streams_not_a_list": _manifest_edit(lambda m: m.__setitem__("streams", 5)),
+    "stream_entry_not_an_object": _manifest_edit(
+        lambda m: m["streams"].__setitem__(0, "pose")),
+    "unhashable_stream_name": _set_stream(0, "name", ["pose"]),
+    "unknown_kind": _set_stream(0, "kind", "video"),
+    "missing_manifest_key": _manifest_edit(lambda m: m.pop("episode_id")),
+    "manifest_not_an_object": lambda d: (d / "manifest.json").write_text("[]"),
+    "corrupt_json": lambda d: (d / "manifest.json").write_text("{not json"),
+    "missing_stream_file": lambda d: (d / "pose.csv").unlink(),
+    "header_mismatch": _pose_row_edit(0, "t,px,py,qz"),
+    "bad_timestamp": _pose_row_edit(1, "zero,0.4,0.0,0.2"),
+    "bad_value": _pose_row_edit(1, "0.0,abc,0.0,0.2"),
+    "field_count": _pose_row_edit(2, "0.01,0.41,0.0"),
+    "empty_row": _pose_row_edit(2, ""),
+    "repeated_t": _pose_row_edit(2, "0.0,0.41,0.0,0.2"),
+    "nan_timestamp": _pose_row_edit(2, "nan,0.41,0.0,0.2"),
+    "inf_timestamp": _pose_row_edit(3, "inf,0.42,0.0,0.2"),
+}
+
+
+@pytest.mark.parametrize("edit", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_episode_load_and_validate_agree(tmp_path, edit):
+    episode_dir = tmp_path / "ep"
+    shutil.copytree(GOLDEN, episode_dir)
+    edit(episode_dir)
+    violations = validate_episode_dir(episode_dir)
+    assert violations
+    with pytest.raises(EpisodeError) as raised:
+        load_episode(episode_dir)
+    assert str(raised.value) == violations[0]
+    # the CLI reports an invalid episode as a validation failure, never a fault
+    for command in (["validate"], ["inspect"],
+                    ["plot-data", "--kind", "grasp-force", "--out", str(tmp_path / "plots")]):
+        assert main(command + ["--episode", str(episode_dir)]) == 1
+
+
+def test_golden_episode_load_and_validate_agree():
+    assert validate_episode_dir(GOLDEN) == []
+    load_episode(GOLDEN)
