@@ -115,9 +115,12 @@ def _cmd_inspect(args) -> int:
     episode, code = _read_episode_arg(args, load_episode)
     if code != EXIT_OK:
         return code
-    start, end = episode.span()
     print(f"episode {episode.episode_id}  config_hash={episode.config_hash}")
-    print(f"span: {start:.6f} .. {end:.6f} s")
+    try:
+        start, end = episode.span()
+        print(f"span: {start:.6f} .. {end:.6f} s")
+    except EpisodeError:   # no stream holds a row
+        print("span: empty")
     for name, spec in episode.streams.items():
         rows = len(episode.rows(name))
         print(f"  {name:12s} kind={spec.kind:9s} rate={spec.rate_hz:g} Hz "

@@ -17,7 +17,8 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .geometry import Pose, Rot6D, rotation_about_axis, rotation_log_between
+from .geometry import (Pose, Rot6D, pose_unchecked, rotation_about_axis,
+                       rotation_log_between)
 
 # serialized action-step layout (the policy/controller boundary)
 ACTION_SCHEMA = ("dx", "dy", "dz",
@@ -168,7 +169,7 @@ def interpolate_commands(prev: ComplianceCommand, nxt: ComplianceCommand,
     geodesic; frac = 1 returns `nxt` exactly. Keeps a staircase command
     stream from exciting the plant at the action rate.
     """
-    frac = float(np.clip(frac, 0.0, 1.0))
+    frac = min(1.0, max(0.0, float(frac)))
     rel = rotation_log_between(prev.virtual_target.rotation,
                                nxt.virtual_target.rotation)
     angle = np.linalg.norm(rel)
@@ -182,7 +183,9 @@ def interpolate_commands(prev: ComplianceCommand, nxt: ComplianceCommand,
     kp = (1.0 - frac) * prev.kp_diag + frac * nxt.kp_diag
     width = (1.0 - frac) * prev.gripper_target_width \
         + frac * nxt.gripper_target_width
-    return ComplianceCommand(Pose(rot, pos), kp, width, nxt.reference, nxt.held)
+    # a product of validated rotations needs no re-validation
+    return ComplianceCommand(pose_unchecked(rot, pos), kp, width, nxt.reference,
+                             nxt.held)
 
 
 class RecedingHorizonScheduler:

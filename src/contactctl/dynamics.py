@@ -1,26 +1,29 @@
 """Deterministic fixed-step rigid-body plant for a serial arm.
 
-Dynamics terms (M and the bias C qdot + g) come from recursive Newton-Euler
-passes over the chain; integration is semi-implicit Euler, which is
-symplectic and stays stable against the stiff penalty contact used for the
-surface tasks. Contact is a spring-damper on the plane normal plus
-tanh-regularized Coulomb friction, so trajectories are smooth and bitwise
-reproducible.
+Dynamics terms (M and the bias C qdot + g) come from one vectorised pass
+over the world-frame link Jacobians of a forward pass that the controller
+shares; integration is semi-implicit Euler, which is symplectic and stays
+stable against the stiff penalty contact used for the surface tasks.
+Contact is a spring-damper on the plane normal plus tanh-regularized Coulomb
+friction, so trajectories are smooth and bitwise reproducible.
 """
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .geometry import (GRAVITY_WORLD, Pose, Wrench, cross3,
-                       rotation_about_axis, skew)
-from .kinematics import ChainConfigError, ChainModel, chain_frames, load_chain
+from .geometry import GRAVITY_WORLD, Pose, Wrench, cross_rows, skew
+from .kinematics import (ChainConfigError, ChainFrames, ChainModel,
+                         chain_frames, load_chain)
 from .sensing import gravity_model
 
 _ZERO3 = np.zeros(3)
+# v @ _SKEW_BASIS is skew(v) flattened, for a stack of vectors v
+_SKEW_BASIS = np.stack([skew(e) for e in np.eye(3)]).reshape(3, 9)
 
 
 class SimulationFault(RuntimeError):
@@ -113,129 +116,88 @@ class BiasTerms:
     g_vec: np.ndarray
 
 
-def _joint_rotations(chain: ChainModel, q) -> list:
-    """Parent-to-link rotations (offset rotation times joint rotation)."""
-    return [link.offset.rotation @ rotation_about_axis(link.axis, q[i])
-            for i, link in enumerate(chain.links)]
-
-
-def _rnea_core(model: ArmDynamicsModel, rots: list, qdot, qddot,
-               gravity) -> np.ndarray:
-    """Recursive Newton-Euler inverse dynamics in link frames.
-
-    Returns the joint torques realizing (qdot, qddot) at the configuration
-    captured in `rots`; gravity enters through the base-acceleration trick.
-    """
-    chain = model.chain
-    n = chain.dof
-    w = _ZERO3
-    wd = _ZERO3
-    a = -np.asarray(gravity, dtype=float)
-    f_links = []
-    n_links = []
-    for i, link in enumerate(chain.links):
-        axis = link.axis
-        rt = rots[i].T
-        p_off = link.offset.translation
-        a = rt @ (a + cross3(wd, p_off) + cross3(w, cross3(w, p_off)))
-        w_par = rt @ w
-        wd_par = rt @ wd
-        qd_axis = qdot[i] * axis
-        w = w_par + qd_axis
-        wd = wd_par + cross3(w_par, qd_axis) + qddot[i] * axis
-        com = model.link_coms[i]
-        a_com = a + cross3(wd, com) + cross3(w, cross3(w, com))
-        inertia = model.link_inertias[i]
-        f_links.append(model.link_masses[i] * a_com)
-        n_links.append(inertia @ wd + cross3(w, inertia @ w))
-
-    tau = np.zeros(n)
-    f_child = _ZERO3
-    n_child = _ZERO3
-    for i in range(n - 1, -1, -1):
-        if i < n - 1:
-            rot_child = rots[i + 1]
-            p_child = chain.links[i + 1].offset.translation
-            f_down = rot_child @ f_child
-            n_down = rot_child @ n_child + cross3(p_child, f_down)
-            f_i = f_links[i] + f_down
-            n_i = n_links[i] + cross3(model.link_coms[i], f_links[i]) + n_down
-        else:
-            f_i = f_links[i]
-            n_i = n_links[i] + cross3(model.link_coms[i], f_links[i])
-        tau[i] = chain.links[i].axis @ n_i
-        f_child = f_i
-        n_child = n_i
-    return tau
-
-
 def bias_terms(model: ArmDynamicsModel, q: np.ndarray, qdot: np.ndarray) -> BiasTerms:
     """Coriolis/centrifugal generalized force C(q,qdot) qdot and gravity torque g(q)."""
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    rots = _joint_rotations(model.chain, q)
-    zero = np.zeros(model.chain.dof)
-    g_vec = _rnea_core(model, rots, zero, zero, model.gravity)
-    c_qdot = _rnea_core(model, rots, qdot, zero, _ZERO3)
+    frames = chain_frames(model.chain, q)
+    g_vec = inverse_dynamics_terms(model, q, np.zeros(model.chain.dof),
+                                   frames).bias
+    c_qdot = inverse_dynamics_terms(replace(model, gravity=_ZERO3), q, qdot,
+                                    frames).bias
     return BiasTerms(c_qdot, g_vec)
 
 
-def _mass_matrix_core(model: ArmDynamicsModel, rots: list) -> np.ndarray:
-    """All unit-acceleration Newton-Euler columns in one batched pass.
+def mass_matrix(model: ArmDynamicsModel, q: np.ndarray) -> np.ndarray:
+    """Joint-space inertia M(q)."""
+    return inverse_dynamics_terms(model, q, np.zeros(model.chain.dof)).mass_matrix
 
-    With zero velocity and zero gravity the recursion is linear in qddot, so
-    the n columns propagate together as (3, n) blocks.
+
+def inverse_dynamics_terms(model: ArmDynamicsModel, q, qdot,
+                           frames: Optional[ChainFrames] = None) -> DynTerms:
+    """M and the bias C qdot + g shared by the plant and the controller.
+
+    Both come in one vectorised pass from the world-frame quantities of a
+    forward pass (pass `frames` of q to reuse one). With the COM Jacobians
+    [Jv_i; Jw_i] of every link i,
+
+        M    = sum_i m_i Jv_i^T Jv_i + Jw_i^T I_i Jw_i,
+        bias = sum_i Jv_i^T f_i + Jw_i^T n_i,
+
+    where f_i and n_i are link i's Newton-Euler force and moment about its
+    COM at qddot = 0, with gravity entering as the base acceleration -g.
     """
     chain = model.chain
     n = chain.dof
-    wd = np.zeros((3, n))
-    a = np.zeros((3, n))
-    f_links, n_links = [], []
-    for i, link in enumerate(chain.links):
-        rt = rots[i].T
-        a = rt @ (a - skew(link.offset.translation) @ wd)
-        wd = rt @ wd
-        wd[:, i] += link.axis
-        a_com = a - skew(model.link_coms[i]) @ wd
-        f_links.append(model.link_masses[i] * a_com)
-        n_links.append(model.link_inertias[i] @ wd)
-
-    m = np.zeros((n, n))
-    f_child = None
-    n_child = None
-    for i in range(n - 1, -1, -1):
-        n_i = n_links[i] + skew(model.link_coms[i]) @ f_links[i]
-        f_i = f_links[i]
-        if f_child is not None:
-            f_down = rots[i + 1] @ f_child
-            f_i = f_i + f_down
-            n_i = n_i + rots[i + 1] @ n_child \
-                + skew(chain.links[i + 1].offset.translation) @ f_down
-        m[i, :] = chain.links[i].axis @ n_i
-        f_child = f_i
-        n_child = n_i
-    return (m + m.T) / 2.0
-
-
-def mass_matrix(model: ArmDynamicsModel, q: np.ndarray) -> np.ndarray:
-    """Joint-space inertia via unit-acceleration Newton-Euler columns."""
-    q = np.asarray(q, dtype=float)
-    return _mass_matrix_core(model, _joint_rotations(model.chain, q))
-
-
-def inverse_dynamics_terms(model: ArmDynamicsModel, q, qdot) -> DynTerms:
-    """M and the bias C qdot + g shared by the plant and the controller.
-
-    The bias is one Newton-Euler pass at zero acceleration with gravity, so C
-    and g never need to be formed apart here (bias_terms splits them).
-    """
     q = np.asarray(q, dtype=float).reshape(-1)
     qdot = np.asarray(qdot, dtype=float).reshape(-1)
-    if q.shape[0] != model.chain.dof or qdot.shape[0] != model.chain.dof:
+    if q.shape[0] != n or qdot.shape[0] != n:
         raise ValueError("q/qdot dimension mismatch")
-    rots = _joint_rotations(model.chain, q)
-    bias = _rnea_core(model, rots, qdot, np.zeros(model.chain.dof), model.gravity)
-    return DynTerms(_mass_matrix_core(model, rots), bias)
+    if frames is None:
+        frames = chain_frames(chain, q)
+    origins = frames.joint_origins
+    axes = frames.joint_axes
+    rots = frames.link_rotations
+    # running sums over the links inward of (and including) each link
+    inward, strictly_inward = _link_sums(n)
+    # columns: the vectors fixed in link i to the next joint origin and to the COM
+    segments = np.zeros((n, 3, 2))
+    segments[:-1, :, 0] = origins[1:] - origins[:-1]
+    segments[:, :, 1:] = rots @ model.link_coms[:, :, None]
+    inertias = rots @ model.link_inertias @ rots.transpose(0, 2, 1)
+
+    # jac[i, j] = [axis_j x (com_i - origin_j); axis_j] if joint j moves link i
+    jac = np.empty((n, n, 6))
+    coms = origins + segments[:, :, 1]
+    jac[:, :, :3] = cross_rows(axes, coms[:, None, :] - origins)
+    jac[:, :, 3:] = axes
+    jac *= inward[:, :, None]
+    jac_t = jac.transpose(1, 0, 2).reshape(n, 6 * n)
+    inertia_jac = np.empty((n, n, 6))
+    inertia_jac[:, :, :3] = model.link_masses[:, None, None] * jac[:, :, :3]
+    inertia_jac[:, :, 3:] = jac[:, :, 3:] @ inertias.transpose(0, 2, 1)
+    m = jac_t @ inertia_jac.transpose(1, 0, 2).reshape(n, 6 * n).T
+
+    # link angular velocity w and acceleration wd at qddot = 0, then the
+    # acceleration (wd x + w x w x) of every segment, summed inward to the COMs
+    spin = qdot[:, None] * axes
+    w = inward @ spin
+    wd = inward @ cross_rows(strictly_inward @ spin, spin)
+    w_x, wd_x = (np.stack((w, wd)) @ _SKEW_BASIS).reshape(2, n, 3, 3)
+    seg_acc = (wd_x + w_x @ w_x) @ segments
+    acc = strictly_inward @ seg_acc[:, :, 0] + seg_acc[:, :, 1] - model.gravity
+    inertia_w = inertias @ np.stack((w, wd), axis=2)
+    wrenches = np.empty((n, 6))
+    wrenches[:, :3] = model.link_masses[:, None] * acc
+    wrenches[:, 3:] = inertia_w[:, :, 1] + (w_x @ inertia_w[:, :, :1])[:, :, 0]
+    return DynTerms((m + m.T) / 2.0, jac_t @ wrenches.reshape(-1))
+
+
+@lru_cache(maxsize=16)
+def _link_sums(n: int) -> tuple:
+    """Lower-triangular ones with and without the diagonal, read-only."""
+    sums = (np.tri(n), np.tri(n, k=-1))
+    for a in sums:
+        a.flags.writeable = False
+    return sums
 
 
 def plane_contact_force(plane: ContactPlane, p_ee: np.ndarray,
@@ -289,7 +251,7 @@ def step(model: ArmDynamicsModel, state: SimState, tau: np.ndarray,
         f_contact, _ = plane_contact_force(plane, frames.ee_pose.translation, v_ee)
 
     if terms is None:
-        terms = inverse_dynamics_terms(model, state.q, state.qdot)
+        terms = inverse_dynamics_terms(model, state.q, state.qdot, frames)
     rhs = tau + j_lin.T @ f_contact - terms.bias
     qddot = np.linalg.solve(terms.mass_matrix, rhs)
     qdot_new = state.qdot + dt * qddot

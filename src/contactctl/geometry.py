@@ -37,6 +37,20 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
+_ROLL1 = np.array([1, 2, 0])
+_ROLL2 = np.array([2, 0, 1])
+
+
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products along the last axis of broadcastable (..., 3) arrays.
+
+    Bit-equal to np.cross and to cross3 row by row, at a fraction of
+    np.cross's per-call cost.
+    """
+    return a.take(_ROLL1, -1) * b.take(_ROLL2, -1) \
+        - a.take(_ROLL2, -1) * b.take(_ROLL1, -1)
+
+
 def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation about a unit axis."""
     x, y, z = axis

@@ -104,6 +104,13 @@ def build_operational_gains(kp_diag: np.ndarray,
                           np.diag(dp), np.diag(config.d_rot))
 
 
+def _diagonal(gain: np.ndarray) -> np.ndarray:
+    diag = gain.diagonal()
+    if np.count_nonzero(gain) != np.count_nonzero(diag):
+        raise ValueError("operational-space gains must be diagonal")
+    return diag
+
+
 def fold_to_joint_gains(j: np.ndarray, cart: CartesianGains,
                         kq_floor, kqd_floor) -> JointGains:
     """Fold operational-space gains through the Jacobian, plus diagonal floors.
@@ -115,10 +122,12 @@ def fold_to_joint_gains(j: np.ndarray, cart: CartesianGains,
     if j.ndim != 2 or j.shape[0] != 6:
         raise ValueError(f"Jacobian must be 6 x dof, got {j.shape}")
     dof = j.shape[1]
-    kq_floor = np.broadcast_to(np.asarray(kq_floor, dtype=float), (dof,)).copy()
-    kqd_floor = np.broadcast_to(np.asarray(kqd_floor, dtype=float), (dof,)).copy()
-    kq_p = j.T @ cart.stiffness_6x6() @ j + np.diag(kq_floor)
-    kq_d = j.T @ cart.damping_6x6() @ j + np.diag(kqd_floor)
+    kq_floor = np.full(dof, kq_floor, dtype=float)
+    kqd_floor = np.full(dof, kqd_floor, dtype=float)
+    # J^T diag(k) J as (J^T * k) @ J: the same bits as with the full 6x6 matrix
+    jt = j.T
+    kq_p = (jt * _diagonal(cart.stiffness_6x6())) @ j + np.diag(kq_floor)
+    kq_d = (jt * _diagonal(cart.damping_6x6())) @ j + np.diag(kqd_floor)
     # enforce exact symmetry against float round-off
     kq_p = (kq_p + kq_p.T) / 2.0
     kq_d = (kq_d + kq_d.T) / 2.0
@@ -180,7 +189,8 @@ class ImpedanceExecutor:
         shared by the controller and the plant. Returns the tick's result,
         the plant state after it, and the frames of `state`."""
         frames = chain_frames(self.chain, state.q)
-        terms = inverse_dynamics_terms(self.dyn_model, state.q, state.qdot)
+        terms = inverse_dynamics_terms(self.dyn_model, state.q, state.qdot,
+                                       frames)
         out = self.execute_tick(state, command, frames, terms.bias)
         next_state = step(self.dyn_model, state, out.tau, plane, self.config.dt,
                           terms=terms, frames=frames)
@@ -209,11 +219,12 @@ class ImpedanceExecutor:
         self._qdot_d_filtered += self._alpha * (qdot_d_raw - self._qdot_d_filtered)
         qdot_d = self._qdot_d_filtered.copy()
 
+        # clamp before building the gains: the clamp goes to the diagnostics,
+        # with no warning and no change to the process-wide warning filters
         kp = np.asarray(command.kp_diag, dtype=float)
-        stiffness_clamped = bool(np.any(kp < cfg.k_min) or np.any(kp > cfg.k_max))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StiffnessClampWarning)
-            cart = build_operational_gains(kp, cfg)
+        kp_clamped = np.clip(kp, cfg.k_min, cfg.k_max)
+        stiffness_clamped = bool(np.any(kp_clamped != kp))
+        cart = build_operational_gains(kp_clamped, cfg)
         gains = fold_to_joint_gains(j, cart, cfg.kq_floor, cfg.kqd_floor)
         tau = control_torque(gains, q_d, state.q, qdot_d, state.qdot, bias)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import (Pose, Rot6D, cross3, pose_unchecked,
+from .geometry import (Pose, Rot6D, cross_rows, pose_unchecked,
                        rotation_about_axis, rotation_log)
 
 DEFAULT_DAMPING = 0.05
@@ -83,11 +83,10 @@ class ChainFrames:
         all quantities in the world frame. Built once per forward pass and
         shared by every reader of these frames, so it is read-only.
         """
-        p_ee = self.ee_pose.translation
-        j = np.empty((6, len(self.joint_axes)))
-        for i, axis in enumerate(self.joint_axes):
-            j[:3, i] = cross3(axis, p_ee - self.joint_origins[i])
-            j[3:, i] = axis
+        axes = self.joint_axes
+        j = np.empty((6, len(axes)))
+        j[:3] = cross_rows(axes, self.ee_pose.translation - self.joint_origins).T
+        j[3:] = axes.T
         j.flags.writeable = False
         return j
 

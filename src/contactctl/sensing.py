@@ -20,7 +20,7 @@ import csv
 
 import numpy as np
 
-from .geometry import GRAVITY_WORLD, Pose, Rot6D, Wrench, skew
+from .geometry import GRAVITY_WORLD, Pose, Rot6D, Wrench, cross3, skew
 
 MARKER_DIM = 126   # 63 tactile markers x 2D offsets
 
@@ -82,7 +82,7 @@ def gravity_model(mass: float, com: np.ndarray, bias: np.ndarray,
     com = np.asarray(com, dtype=float).reshape(3)
     bias = np.asarray(bias, dtype=float).reshape(6)
     force = orientation.T @ (mass * np.asarray(gravity, dtype=float))
-    torque = np.cross(com, force)
+    torque = cross3(com, force)
     return Wrench(force + bias[:3], torque + bias[3:], "sensor")
 
 
@@ -148,7 +148,7 @@ def transform_wrench(wrench: Wrench, transform: Pose, frame: str,
     force = transform.rotation @ wrench.force
     torque = transform.rotation @ wrench.torque
     if not rotation_only:
-        torque = torque + np.cross(transform.translation, force)
+        torque = torque + cross3(transform.translation, force)
     return Wrench(force, torque, frame)
 
 

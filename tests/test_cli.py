@@ -1,4 +1,8 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +204,19 @@ def test_inspect_episode(capsys):
     assert "golden" in out and "pose" in out and "gripper" in out
 
 
+def test_header_only_episode_validates_and_inspects(tmp_path, capsys):
+    episode_dir = tmp_path / "empty"
+    shutil.copytree("tests/data/golden_episode", episode_dir)
+    for path in episode_dir.glob("*.csv"):
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+    assert run_cli("validate", "--episode", str(episode_dir)) == 0
+    capsys.readouterr()
+    assert run_cli("inspect", "--episode", str(episode_dir)) == 0
+    out = capsys.readouterr().out
+    assert "span: empty" in out
+    assert out.count("rows=0") == 2
+
+
 # ---------------------------------------------------------------------------
 # plot-data
 
@@ -283,6 +300,16 @@ def test_list_configs(capsys):
     for name in ("gravity_verification", "wiping", "bottle_pick",
                  "selective_release", "bilateral_quality"):
         assert name in out
+
+
+def test_python_m_contactctl_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "contactctl", "list",
+                           "--configs", "configs"],
+                          capture_output=True, text=True, timeout=120, cwd=root,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert "wiping" in proc.stdout and "bottle_pick" in proc.stdout
 
 
 def test_list_reports_renders_table(tmp_path, capsys):

@@ -272,6 +272,23 @@ def test_interpolate_commands_endpoints(rng):
     assert np.isclose(mid.gripper_target_width, 0.05)
 
 
+def test_interpolate_commands_clamps_frac(rng):
+    a = ComplianceCommand(Pose(random_rotation(rng), [0.0, 0.0, 0.0]),
+                          np.array([500.0, 600.0, 700.0]), 0.04, Pose.identity())
+    b = ComplianceCommand(Pose(random_rotation(rng), [0.1, 0.0, 0.0]),
+                          np.array([900.0, 800.0, 700.0]), 0.06, Pose.identity())
+    for frac, edge in ((-0.5, 0.0), (2.0, 1.0)):
+        got = interpolate_commands(a, b, frac)
+        want = interpolate_commands(a, b, edge)
+        assert np.array_equal(got.virtual_target.rotation, want.virtual_target.rotation)
+        assert np.array_equal(got.virtual_target.translation,
+                              want.virtual_target.translation)
+        assert np.array_equal(got.kp_diag, want.kp_diag)
+    for frac in np.linspace(0.0, 1.0, 7):
+        rot = interpolate_commands(a, b, frac).virtual_target.rotation
+        Pose(rot, np.zeros(3))   # raises unless orthonormal with det +1
+
+
 # ---------------------------------------------------------------------------
 # action serialization
 

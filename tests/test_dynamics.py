@@ -10,6 +10,7 @@ from contactctl.dynamics import (ArmDynamicsModel, ContactPlane,
 from contactctl.geometry import Pose, rotation_about_axis, rotation_log
 from contactctl.kinematics import ChainLink, ChainModel, chain_frames
 from conftest import random_chain
+import rnea_oracle
 
 
 def make_pendulum(length=1.0, mass=2.0):
@@ -119,6 +120,55 @@ def test_inverse_dynamics_terms_bundle(rng):
     assert np.allclose(terms.mass_matrix, mass_matrix(model, q))
     with pytest.raises(ValueError):
         inverse_dynamics_terms(model, q[:2], qdot)
+
+
+def assert_matches_oracle(got, want, tol=1e-12):
+    """Max-norm agreement within tol relative to the term's size (unit floor,
+    since C qdot of a one-joint arm is zero up to round-off)."""
+    assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
+
+def check_against_rnea_oracle(model, q, qdot):
+    dof = model.chain.dof
+    zero = np.zeros(dof)
+    terms = inverse_dynamics_terms(model, q, qdot)
+    split = bias_terms(model, q, qdot)
+    g_vec = rnea_oracle.rnea(model, q, zero, zero, model.gravity)
+    c_qdot = rnea_oracle.rnea(model, q, qdot, zero, np.zeros(3))
+    assert_matches_oracle(terms.mass_matrix, rnea_oracle.mass_matrix(model, q))
+    assert_matches_oracle(mass_matrix(model, q), rnea_oracle.mass_matrix(model, q))
+    assert_matches_oracle(terms.bias,
+                          rnea_oracle.rnea(model, q, qdot, zero, model.gravity))
+    assert_matches_oracle(split.g_vec, g_vec)
+    assert_matches_oracle(split.c_qdot, c_qdot)
+
+
+@pytest.mark.parametrize("dof", range(1, 7))
+def test_terms_match_link_frame_rnea_on_random_chains(rng, dof):
+    for _ in range(4):
+        model = random_model(rng, dof)
+        check_against_rnea_oracle(model, rng.uniform(-2.0, 2.0, dof),
+                                  rng.uniform(-2.0, 2.0, dof))
+
+
+@pytest.mark.parametrize("name", ["planar2", "planar3", "arm6"])
+def test_terms_match_link_frame_rnea_on_shipped_chains(rng, name):
+    model = load_arm_model(f"configs/chains/{name}.ini")
+    dof = model.chain.dof
+    for _ in range(4):
+        check_against_rnea_oracle(model, rng.uniform(-1.5, 1.5, dof),
+                                  rng.uniform(-2.0, 2.0, dof))
+
+
+def test_terms_from_shared_frames_are_bit_identical(rng):
+    for dof in (1, 3, 6):
+        model = random_model(rng, dof)
+        q = rng.uniform(-2.0, 2.0, dof)
+        qdot = rng.uniform(-2.0, 2.0, dof)
+        own = inverse_dynamics_terms(model, q, qdot)
+        shared = inverse_dynamics_terms(model, q, qdot, chain_frames(model.chain, q))
+        assert own.mass_matrix.tobytes() == shared.mass_matrix.tobytes()
+        assert own.bias.tobytes() == shared.bias.tobytes()
 
 
 def test_model_validation():

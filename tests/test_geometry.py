@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from contactctl.geometry import (GeometryError, Pose, Rot6D, cross3,
-                                 rotation_about_axis, rotation_log, skew)
+                                 cross_rows, rotation_about_axis, rotation_log,
+                                 skew)
 from conftest import random_rotation
 
 
@@ -48,6 +49,16 @@ def test_cross3_matches_numpy(rng):
     for _ in range(20):
         a, b = rng.normal(size=3), rng.normal(size=3)
         assert np.allclose(cross3(a, b), np.cross(a, b), atol=1e-15)
+
+
+def test_cross_rows_bit_equal_to_numpy(rng):
+    a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    assert cross_rows(a, b).tobytes() == np.cross(a, b).tobytes()
+    # broadcasting one vector against a batch, as the Jacobians do
+    c = rng.normal(size=(4, 2, 3))
+    assert cross_rows(a[0], c).tobytes() == np.cross(a[0], c).tobytes()
+    for row_a, row_b, row in zip(a, b, cross_rows(a, b)):
+        assert row.tobytes() == cross3(row_a, row_b).tobytes()
 
 
 def test_rot6d_round_trip_on_so3(rng):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,30 @@ def test_fold_identity_stiffness_matches_loop_oracle(rng):
             for b in range(dof):
                 expected[a, b] = sum(j[k, a] * j[k, b] for k in range(6))
         assert np.max(np.abs(gains.kq_p - expected)) < 1e-10
+
+
+def test_diagonal_fold_bit_equal_to_full_matrix_product(rng):
+    cfg = ImpedanceConfig()
+    cart = build_operational_gains(np.array([800.0, 900.0, 1000.0]), cfg)
+    planar = chain_frames(make_planar2(), [0.3, -0.7]).jacobian
+    for j in [rng.normal(size=(6, dof)) for dof in range(1, 7)] + [planar]:
+        dof = j.shape[1]
+        floor_p = rng.uniform(0.5, 2.0, dof)
+        floor_d = rng.uniform(0.05, 0.2, dof)
+        gains = fold_to_joint_gains(j, cart, floor_p, floor_d)
+        for got, full, floor in ((gains.kq_p, cart.stiffness_6x6(), floor_p),
+                                 (gains.kq_d, cart.damping_6x6(), floor_d)):
+            want = j.T @ full @ j + np.diag(floor)
+            want = (want + want.T) / 2.0
+            assert got.tobytes() == want.tobytes()
+
+
+def test_fold_rejects_non_diagonal_gains():
+    kx = np.eye(3)
+    kx[0, 1] = kx[1, 0] = 0.5
+    cart = CartesianGains(kx, np.eye(3), np.eye(3), np.eye(3))
+    with pytest.raises(ValueError, match="diagonal"):
+        fold_to_joint_gains(np.ones((6, 2)), cart, 1.0, 0.1)
 
 
 def test_fold_eigenvalues_at_least_floor(rng):
@@ -263,6 +289,39 @@ def test_executor_reports_stiffness_clamp():
                                 0.05, target)
     out, _, _ = executor.closed_loop_tick(state, command, None)
     assert out.diagnostics.stiffness_clamped
+
+
+def test_execute_tick_clamps_without_warning_or_filter_changes(monkeypatch):
+    # the warning filters are process-wide, so a tick must neither warn nor
+    # touch them: independent executors may run concurrently
+    model, executor, cfg = executor_setup()
+    q0 = np.array([0.4, 0.7])
+    state = SimState(q0.copy(), np.zeros(2))
+    frames = chain_frames(model.chain, q0)
+    bias = inverse_dynamics_terms(model, q0, np.zeros(2), frames).bias
+    command = ComplianceCommand(frames.ee_pose, np.array([1.0, 1000.0, 9000.0]),
+                                0.05, frames.ee_pose)
+    touched = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for name in ("catch_warnings", "simplefilter", "filterwarnings"):
+            monkeypatch.setattr(warnings, name,
+                                lambda *a, name=name, **k: touched.append(name))
+        out = executor.execute_tick(state, command, frames, bias)
+        monkeypatch.undo()
+    assert touched == []
+    assert out.diagnostics.stiffness_clamped
+    assert caught == []
+    # the same torque as with the command clamped up front
+    executor.reset()
+    clamped = ComplianceCommand(frames.ee_pose, np.array([cfg.k_min, 1000.0, cfg.k_max]),
+                                0.05, frames.ee_pose)
+    again = executor.execute_tick(state, clamped, frames, bias)
+    assert np.array_equal(out.tau, again.tau)
+    assert not again.diagnostics.stiffness_clamped
+    # a direct caller of build_operational_gains is still warned
+    with pytest.warns(StiffnessClampWarning):
+        build_operational_gains(command.kp_diag, cfg)
 
 
 def test_executor_single_code_path_in_contact_and_free_space():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from contactctl.geometry import Pose, rotation_about_axis, rotation_log
+from contactctl.geometry import cross3
 from contactctl.kinematics import (ChainConfigError, ChainLink, ChainModel,
-                                   dls_ik_step, forward_kinematics, jacobian,
+                                   chain_frames, dls_ik_step,
+                                   forward_kinematics, jacobian,
                                    load_chain, pose_error, solve_ik)
 from conftest import make_planar2, random_chain
 
@@ -85,6 +87,18 @@ def test_jacobian_single_link():
 def test_jacobian_shape(rng):
     chain = random_chain(rng, 4)
     assert jacobian(chain, rng.uniform(-1, 1, 4)).shape == (6, 4)
+
+
+def test_batched_jacobian_bit_equal_to_per_column_cross3(rng):
+    for dof in range(1, 7):
+        frames = chain_frames(random_chain(rng, dof), rng.uniform(-2, 2, dof))
+        expected = np.empty((6, dof))
+        for i, axis in enumerate(frames.joint_axes):
+            expected[:3, i] = cross3(axis, frames.ee_pose.translation
+                                     - frames.joint_origins[i])
+            expected[3:, i] = axis
+        assert frames.jacobian.tobytes() == expected.tobytes()
+        assert frames.jacobian.flags.c_contiguous
 
 
 def test_fk_jacobian_consistency_random_chains(rng):

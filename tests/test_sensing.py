@@ -44,6 +44,26 @@ def test_gravity_wrench_rotation_oracle(rng):
                        atol=1e-12)
 
 
+def test_gravity_model_and_transform_bit_equal_to_np_cross(rng):
+    for _ in range(10):
+        mass = rng.uniform(0.1, 2.0)
+        com = rng.normal(size=3) * 0.05
+        bias = rng.normal(size=6)
+        r = random_rotation(rng)
+        force = r.T @ (mass * np.array([0.0, 0.0, -9.81]))
+        grav = gravity_model(mass, com, bias, r)
+        assert grav.force.tobytes() == (force + bias[:3]).tobytes()
+        assert grav.torque.tobytes() == (np.cross(com, force) + bias[3:]).tobytes()
+
+        wrench = Wrench(rng.normal(size=3), rng.normal(size=3), "sensor")
+        transform = Pose(random_rotation(rng), rng.normal(size=3) * 0.1)
+        moved = transform_wrench(wrench, transform, "ee")
+        f = transform.rotation @ wrench.force
+        t = transform.rotation @ wrench.torque + np.cross(transform.translation, f)
+        assert moved.force.tobytes() == f.tobytes()
+        assert moved.torque.tobytes() == t.tobytes()
+
+
 def test_gravity_wrench_massless_is_bias():
     bias = np.array([0.1, -0.2, 0.3, 0.01, -0.02, 0.03])
     payload = IdentifiedPayload(0.0, [0.1, 0.2, 0.3], bias)
