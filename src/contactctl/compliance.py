@@ -10,6 +10,11 @@ the reference into a virtual target,
 
 so the impedance tracking error implicitly produces the commanded force.
 Force never switches a control mode; it only moves the target.
+
+A batched control loop executes the commands of T trials together:
+`stack_commands` gathers one command per trial into a command whose fields
+carry a leading trial axis, and `interpolate_commands` blends such stacks
+row by row.
 """
 
 from dataclasses import dataclass
@@ -17,8 +22,8 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .geometry import (Pose, Rot6D, pose_unchecked, rotation_about_axis,
-                       rotation_log_between)
+from .geometry import (Pose, Rot6D, as_vec3, dot_rows, pose_unchecked,
+                       rotation_about_axis, rotation_log_between)
 
 # serialized action-step layout (the policy/controller boundary)
 ACTION_SCHEMA = ("dx", "dy", "dz",
@@ -97,6 +102,8 @@ class StiffnessSchedule:
 
 @dataclass
 class ComplianceCommand:
+    """One command, or a stack of T with (T, ...) fields (see stack_commands)."""
+
     virtual_target: Pose
     kp_diag: np.ndarray          # N/m
     gripper_target_width: float  # m
@@ -104,7 +111,20 @@ class ComplianceCommand:
     held: bool = False           # emitted by a starved scheduler
 
     def __post_init__(self):
-        self.kp_diag = np.asarray(self.kp_diag, dtype=float).reshape(3)
+        self.kp_diag = as_vec3(self.kp_diag)
+
+
+def stack_commands(commands: list) -> ComplianceCommand:
+    """One command per trial, stacked along a leading trial axis."""
+    def poses(name):
+        return pose_unchecked(
+            np.stack([getattr(c, name).rotation for c in commands]),
+            np.stack([getattr(c, name).translation for c in commands]))
+    return ComplianceCommand(poses("virtual_target"),
+                             np.stack([c.kp_diag for c in commands]),
+                             np.array([c.gripper_target_width for c in commands]),
+                             poses("reference"),
+                             np.array([c.held for c in commands]))
 
 
 def schedule_stiffness(force: np.ndarray, sched: StiffnessSchedule) -> np.ndarray:
@@ -167,17 +187,22 @@ def interpolate_commands(prev: ComplianceCommand, nxt: ComplianceCommand,
 
     Positions and stiffness interpolate linearly, orientation along the
     geodesic; frac = 1 returns `nxt` exactly. Keeps a staircase command
-    stream from exciting the plant at the action rate.
+    stream from exciting the plant at the action rate. Stacked commands
+    blend row by row with one shared frac.
     """
     frac = min(1.0, max(0.0, float(frac)))
-    rel = rotation_log_between(prev.virtual_target.rotation,
-                               nxt.virtual_target.rotation)
-    angle = np.linalg.norm(rel)
-    if angle > 1e-12:
-        rot = prev.virtual_target.rotation @ rotation_about_axis(rel / angle,
-                                                                 frac * angle)
-    else:
-        rot = nxt.virtual_target.rotation
+    r_prev = prev.virtual_target.rotation
+    r_next = nxt.virtual_target.rotation
+    # equal orientations need no geodesic (their log is below 1e-12 anyway)
+    rot = r_next
+    if not (r_prev == r_next).all():
+        rel = rotation_log_between(r_prev, r_next)
+        angle = np.sqrt(dot_rows(rel, rel))
+        turning = angle > 1e-12
+        if turning.any():
+            axis = rel / np.where(turning, angle, 1.0)[..., None]
+            turned = r_prev @ rotation_about_axis(axis, frac * angle)
+            rot = np.where(turning[..., None, None], turned, r_next)
     pos = (1.0 - frac) * prev.virtual_target.translation \
         + frac * nxt.virtual_target.translation
     kp = (1.0 - frac) * prev.kp_diag + frac * nxt.kp_diag

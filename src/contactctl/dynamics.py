@@ -6,6 +6,11 @@ shares; integration is semi-implicit Euler, which is symplectic and stays
 stable against the stiff penalty contact used for the surface tasks.
 Contact is a spring-damper on the plane normal plus tanh-regularized Coulomb
 friction, so trajectories are smooth and bitwise reproducible.
+
+The plant takes a leading trial axis: a SimState with (T, n) joint arrays,
+a ContactPlane whose offset is a (T,) array, and (T, n) torques advance T
+independent trials in one call. Each row goes through the same operations
+as a single (n,) state, so its bits do not depend on the batch around it.
 """
 
 import configparser
@@ -16,14 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import GRAVITY_WORLD, Pose, Wrench, cross_rows, skew
+from .geometry import (GRAVITY_WORLD, Pose, Wrench, cross_rows, dot_rows,
+                       skew_rows)
 from .kinematics import (ChainConfigError, ChainFrames, ChainModel,
                          chain_frames, load_chain)
 from .sensing import gravity_model
 
 _ZERO3 = np.zeros(3)
-# v @ _SKEW_BASIS is skew(v) flattened, for a stack of vectors v
-_SKEW_BASIS = np.stack([skew(e) for e in np.eye(3)]).reshape(3, 9)
 
 
 class SimulationFault(RuntimeError):
@@ -57,7 +61,10 @@ class ArmDynamicsModel:
 
 @dataclass
 class ContactPlane:
-    """Penalty plane {x : normal . x = offset}; contact when normal . p < offset."""
+    """Penalty plane {x : normal . x = offset}; contact when normal . p < offset.
+
+    `offset` may be a (T,) array: one plane per row of a batched state.
+    """
 
     normal: np.ndarray
     offset: float
@@ -94,14 +101,25 @@ class PayloadSpec:
 
 @dataclass
 class SimState:
+    """Joint state (n,), or (T, n) for T trials stepped together in lockstep."""
+
     q: np.ndarray
     qdot: np.ndarray
     time: float = 0.0
-    contact_wrench_ee: Wrench = field(default_factory=lambda: Wrench.zero("ee"))
+    contact_wrench_ee: Optional[Wrench] = None   # default: zero, one per row
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float).reshape(-1)
-        self.qdot = np.asarray(self.qdot, dtype=float).reshape(-1)
+        self.q = np.atleast_1d(np.asarray(self.q, dtype=float))
+        self.qdot = np.atleast_1d(np.asarray(self.qdot, dtype=float))
+        if self.contact_wrench_ee is None:
+            zero = np.zeros(self.q.shape[:-1] + (3,))
+            self.contact_wrench_ee = Wrench(zero, zero, "ee")
+
+    def row(self, i: int) -> "SimState":
+        """Trial i of a batched state, as a single state (views, no copies)."""
+        wrench = self.contact_wrench_ee
+        return SimState(self.q[i], self.qdot[i], self.time,
+                        Wrench(wrench.force[i], wrench.torque[i], wrench.frame))
 
 
 @dataclass
@@ -119,7 +137,7 @@ class BiasTerms:
 def bias_terms(model: ArmDynamicsModel, q: np.ndarray, qdot: np.ndarray) -> BiasTerms:
     """Coriolis/centrifugal generalized force C(q,qdot) qdot and gravity torque g(q)."""
     frames = chain_frames(model.chain, q)
-    g_vec = inverse_dynamics_terms(model, q, np.zeros(model.chain.dof),
+    g_vec = inverse_dynamics_terms(model, q, np.zeros_like(frames.joint_axes[..., 0]),
                                    frames).bias
     c_qdot = inverse_dynamics_terms(replace(model, gravity=_ZERO3), q, qdot,
                                     frames).bias
@@ -128,7 +146,8 @@ def bias_terms(model: ArmDynamicsModel, q: np.ndarray, qdot: np.ndarray) -> Bias
 
 def mass_matrix(model: ArmDynamicsModel, q: np.ndarray) -> np.ndarray:
     """Joint-space inertia M(q)."""
-    return inverse_dynamics_terms(model, q, np.zeros(model.chain.dof)).mass_matrix
+    q = np.asarray(q, dtype=float)
+    return inverse_dynamics_terms(model, q, np.zeros(q.shape)).mass_matrix
 
 
 def inverse_dynamics_terms(model: ArmDynamicsModel, q, qdot,
@@ -144,51 +163,61 @@ def inverse_dynamics_terms(model: ArmDynamicsModel, q, qdot,
 
     where f_i and n_i are link i's Newton-Euler force and moment about its
     COM at qddot = 0, with gravity entering as the base acceleration -g.
+    q and qdot may carry leading trial axes, (..., n); so do M and the bias.
     """
     chain = model.chain
     n = chain.dof
-    q = np.asarray(q, dtype=float).reshape(-1)
-    qdot = np.asarray(qdot, dtype=float).reshape(-1)
-    if q.shape[0] != n or qdot.shape[0] != n:
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    qdot = np.atleast_1d(np.asarray(qdot, dtype=float))
+    if q.shape[-1] != n or qdot.shape != q.shape:
         raise ValueError("q/qdot dimension mismatch")
     if frames is None:
         frames = chain_frames(chain, q)
+    batch = q.shape[:-1]
     origins = frames.joint_origins
     axes = frames.joint_axes
     rots = frames.link_rotations
     # running sums over the links inward of (and including) each link
     inward, strictly_inward = _link_sums(n)
     # columns: the vectors fixed in link i to the next joint origin and to the COM
-    segments = np.zeros((n, 3, 2))
-    segments[:-1, :, 0] = origins[1:] - origins[:-1]
-    segments[:, :, 1:] = rots @ model.link_coms[:, :, None]
-    inertias = rots @ model.link_inertias @ rots.transpose(0, 2, 1)
+    segments = np.zeros(batch + (n, 3, 2))
+    segments[..., :-1, :, 0] = origins[..., 1:, :] - origins[..., :-1, :]
+    segments[..., :, :, 1:] = rots @ model.link_coms[:, :, None]
+    rots_t = rots.swapaxes(-1, -2)
+    inertias = rots @ model.link_inertias @ rots_t
 
     # jac[i, j] = [axis_j x (com_i - origin_j); axis_j] if joint j moves link i
-    jac = np.empty((n, n, 6))
-    coms = origins + segments[:, :, 1]
-    jac[:, :, :3] = cross_rows(axes, coms[:, None, :] - origins)
-    jac[:, :, 3:] = axes
+    jac = np.empty(batch + (n, n, 6))
+    coms = origins + segments[..., 1]
+    jac[..., :3] = cross_rows(axes[..., None, :, :],
+                              coms[..., :, None, :] - origins[..., None, :, :])
+    jac[..., 3:] = axes[..., None, :, :]
     jac *= inward[:, :, None]
-    jac_t = jac.transpose(1, 0, 2).reshape(n, 6 * n)
-    inertia_jac = np.empty((n, n, 6))
-    inertia_jac[:, :, :3] = model.link_masses[:, None, None] * jac[:, :, :3]
-    inertia_jac[:, :, 3:] = jac[:, :, 3:] @ inertias.transpose(0, 2, 1)
-    m = jac_t @ inertia_jac.transpose(1, 0, 2).reshape(n, 6 * n).T
+    jac_t = jac.swapaxes(-3, -2).reshape(batch + (n, 6 * n))
+    inertia_jac = np.empty(batch + (n, n, 6))
+    inertia_jac[..., :3] = model.link_masses[:, None, None] * jac[..., :3]
+    inertia_jac[..., 3:] = jac[..., 3:] @ inertias.swapaxes(-1, -2)
+    m = jac_t @ inertia_jac.swapaxes(-3, -2).reshape(batch + (n, 6 * n)) \
+        .swapaxes(-1, -2)
 
     # link angular velocity w and acceleration wd at qddot = 0, then the
     # acceleration (wd x + w x w x) of every segment, summed inward to the COMs
-    spin = qdot[:, None] * axes
+    spin = qdot[..., None] * axes
     w = inward @ spin
     wd = inward @ cross_rows(strictly_inward @ spin, spin)
-    w_x, wd_x = (np.stack((w, wd)) @ _SKEW_BASIS).reshape(2, n, 3, 3)
+    rates = np.empty(batch + (n, 3, 2))   # columns w, wd
+    rates[..., 0] = w
+    rates[..., 1] = wd
+    rates_x = skew_rows(rates.swapaxes(-1, -2))
+    w_x, wd_x = rates_x[..., 0, :, :], rates_x[..., 1, :, :]
     seg_acc = (wd_x + w_x @ w_x) @ segments
-    acc = strictly_inward @ seg_acc[:, :, 0] + seg_acc[:, :, 1] - model.gravity
-    inertia_w = inertias @ np.stack((w, wd), axis=2)
-    wrenches = np.empty((n, 6))
-    wrenches[:, :3] = model.link_masses[:, None] * acc
-    wrenches[:, 3:] = inertia_w[:, :, 1] + (w_x @ inertia_w[:, :, :1])[:, :, 0]
-    return DynTerms((m + m.T) / 2.0, jac_t @ wrenches.reshape(-1))
+    acc = strictly_inward @ seg_acc[..., 0] + seg_acc[..., 1] - model.gravity
+    inertia_w = inertias @ rates
+    wrenches = np.empty(batch + (n, 6))
+    wrenches[..., :3] = model.link_masses[:, None] * acc
+    wrenches[..., 3:] = inertia_w[..., 1] + (w_x @ inertia_w[..., :1])[..., 0]
+    bias = (jac_t @ wrenches.reshape(batch + (6 * n, 1)))[..., 0]
+    return DynTerms((m + m.swapaxes(-1, -2)) / 2.0, bias)
 
 
 @lru_cache(maxsize=16)
@@ -205,22 +234,28 @@ def plane_contact_force(plane: ContactPlane, p_ee: np.ndarray,
     """World-frame penalty contact force at the end-effector and its normal part.
 
     Zero whenever the point is on the free side of the plane; the normal
-    component is clamped nonnegative so the plane never pulls.
+    component is clamped nonnegative so the plane never pulls. Points and
+    velocities may be (..., 3) stacks; the branches become per-row masks.
     """
-    gap = plane.normal @ p_ee - plane.offset
-    if gap >= 0.0:
-        return np.zeros(3), 0.0
-    v_n = plane.normal @ v_ee
+    normal = plane.normal
+    gap = dot_rows(p_ee, normal) - plane.offset
+    v_n = dot_rows(v_ee, normal)
     f_n = -plane.stiffness * gap - plane.damping * v_n
-    if f_n <= 0.0:
-        return np.zeros(3), 0.0
-    force = f_n * plane.normal
+    f_n = np.where((gap < 0.0) & (f_n > 0.0), f_n, 0.0)
+    force = f_n[..., None] * normal
     if plane.friction_mu > 0.0:
-        v_t = v_ee - v_n * plane.normal
-        speed = np.linalg.norm(v_t)
-        if speed > 1e-12:
-            force = force - plane.friction_mu * f_n * np.tanh(speed / plane.v_eps) * (v_t / speed)
-    return force, float(f_n)
+        v_t = v_ee - v_n[..., None] * normal
+        speed = np.sqrt(dot_rows(v_t, v_t))
+        # no friction below a tangential speed of 1e-12 (nor off contact,
+        # where f_n = 0 already zeroes it)
+        slipping = speed > 1e-12
+        pressing = f_n
+        if not slipping.all():
+            speed = np.where(slipping, speed, 1.0)
+            pressing = np.where(slipping, f_n, 0.0)
+        drag = plane.friction_mu * pressing * np.tanh(speed / plane.v_eps)
+        force = force - drag[..., None] * (v_t / speed[..., None])
+    return force, f_n[()]
 
 
 STEP_DT_MAX = 0.01   # s, largest plant step `step` accepts
@@ -233,34 +268,40 @@ def step(model: ArmDynamicsModel, state: SimState, tau: np.ndarray,
 
     Pass `terms` and `frames` to share one inverse-dynamics/kinematics
     evaluation between the plant and a controller that compensates the bias;
-    both must belong to the current state.
+    both must belong to the current state. A batched state advances every
+    row at once.
     """
     if not 0.0 < dt <= STEP_DT_MAX:
         raise ValueError(f"dt must be in (0, {STEP_DT_MAX}]")
-    tau = np.asarray(tau, dtype=float).reshape(model.chain.dof)
-    if not np.all(np.isfinite(tau)):
+    tau = np.asarray(tau, dtype=float).reshape(state.q.shape)
+    if not np.isfinite(tau).all():
         raise SimulationFault(f"non-finite torque at t={state.time:.6f}")
 
     if frames is None:
         frames = chain_frames(model.chain, state.q)
-    j_lin = frames.jacobian[:3]
+    j_lin = frames.jacobian[..., :3, :]
 
-    f_contact = np.zeros(3)
-    if plane is not None:
-        v_ee = j_lin @ state.qdot
+    if plane is None:
+        f_contact = np.zeros(state.q.shape[:-1] + (3,))
+    else:
+        v_ee = (j_lin @ state.qdot[..., None])[..., 0]
         f_contact, _ = plane_contact_force(plane, frames.ee_pose.translation, v_ee)
 
     if terms is None:
         terms = inverse_dynamics_terms(model, state.q, state.qdot, frames)
-    rhs = tau + j_lin.T @ f_contact - terms.bias
-    qddot = np.linalg.solve(terms.mass_matrix, rhs)
+    rhs = tau + (j_lin.swapaxes(-1, -2) @ f_contact[..., None])[..., 0] \
+        - terms.bias
+    qddot = np.linalg.solve(terms.mass_matrix, rhs[..., None])[..., 0]
     qdot_new = state.qdot + dt * qddot
     q_new = state.q + dt * qdot_new
-    if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(qdot_new))):
+    # a non-finite qdot_new makes q_new non-finite too
+    if not np.isfinite(q_new).all():
         raise SimulationFault(
             f"state diverged at t={state.time:.6f}: q={state.q}, qdot={state.qdot}")
 
-    wrench_ee = Wrench(frames.ee_pose.rotation.T @ f_contact, np.zeros(3), "ee")
+    force_ee = (frames.ee_pose.rotation.swapaxes(-1, -2)
+                @ f_contact[..., None])[..., 0]
+    wrench_ee = Wrench(force_ee, np.zeros_like(force_ee), "ee")
     return SimState(q_new, qdot_new, state.time + dt, wrench_ee)
 
 

@@ -7,6 +7,11 @@ Conventions used throughout the library:
 - orientation errors are rotation-log (axis-angle) 3-vectors in radians,
 - a Wrench is a (force, torque) pair tagged with the frame it is
   expressed in.
+
+The rotation functions take a leading batch axis: (..., 3) vectors and
+(..., 3, 3) matrices give one result per row, computed with the same
+operations in the same order as for a single input, so a row's bits do not
+depend on the batch around it.
 """
 
 from dataclasses import dataclass
@@ -16,6 +21,8 @@ import numpy as np
 ORTHONORMAL_TOL = 1e-9
 
 GRAVITY_WORLD = np.array([0.0, 0.0, -9.81])
+
+_EYE3 = np.eye(3)
 
 
 class GeometryError(ValueError):
@@ -28,6 +35,10 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y],
                      [z, 0.0, -x],
                      [-y, x, 0.0]])
+
+
+# v @ _SKEW_BASIS is skew(v) flattened, for a stack of vectors v
+_SKEW_BASIS = np.stack([skew(e) for e in _EYE3]).reshape(3, 9)
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -51,59 +62,94 @@ def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         - a.take(_ROLL2, -1) * b.take(_ROLL1, -1)
 
 
-def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a unit axis."""
-    x, y, z = axis
-    c = np.cos(angle)
-    s = np.sin(angle)
-    t = 1.0 - c
-    return np.array([
-        [c + x * x * t, x * y * t - z * s, x * z * t + y * s],
-        [y * x * t + z * s, c + y * y * t, y * z * t - x * s],
-        [z * x * t - y * s, z * y * t + x * s, c + z * z * t],
-    ])
+def skew_rows(v: np.ndarray) -> np.ndarray:
+    """Skew matrices (..., 3, 3) of a stack of (..., 3) vectors."""
+    v = np.asarray(v, dtype=float)
+    return (v @ _SKEW_BASIS).reshape(v.shape + (3,))
+
+
+def rodrigues(cos: np.ndarray, sin: np.ndarray, skew_axis: np.ndarray,
+              outer_axis: np.ndarray) -> np.ndarray:
+    """R = c I + s [a]x + (1 - c) a a^T from the cosines and sines (...) of
+    the angles and the skew (..., 3, 3) and outer products of the axes.
+
+    Entry by entry this rounds exactly as the expanded textbook formula
+    (e.g. x y (1 - c) - z s off the diagonal).
+    """
+    c = cos[..., None, None]
+    return c * _EYE3 + sin[..., None, None] * skew_axis + (1.0 - c) * outer_axis
+
+
+def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis of broadcastable (..., k) arrays.
+
+    Each row goes through the same dot kernel as np.dot of that row alone,
+    whatever the batch around it.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def rotation_about_axis(axis: np.ndarray, angle) -> np.ndarray:
+    """Rodrigues rotation about unit axes: (..., 3) axes and (...) angles."""
+    axis = np.asarray(axis, dtype=float)
+    angle = np.asarray(angle, dtype=float)
+    return rodrigues(np.cos(angle), np.sin(angle), skew_rows(axis),
+                     axis[..., :, None] * axis[..., None, :])
+
+
+# flat (row-major) indices of R[2,1], R[0,2], R[1,0] and of their transposes
+_VEE_PLUS = np.array([7, 2, 3])
+_VEE_MINUS = np.array([5, 6, 1])
 
 
 def rotation_log(r: np.ndarray) -> np.ndarray:
-    """Axis-angle 3-vector of a rotation matrix.
+    """Axis-angle 3-vectors (..., 3) of rotation matrices (..., 3, 3).
 
     Stable near the identity (first-order skew extraction) and near pi,
     where the axis is recovered from the dominant column of (R + I)/2;
-    the sign of the axis is ambiguous at exactly pi, as it must be.
+    the sign of the axis is ambiguous at exactly pi, as it must be. The
+    branch is chosen per row.
     """
-    trace = r[0, 0] + r[1, 1] + r[2, 2]
-    cos_theta = min(1.0, max(-1.0, (trace - 1.0) / 2.0))
-    theta = np.arccos(cos_theta)
-    if theta < 1e-10:
-        # vee((R - R^T)/2) ~= theta * axis to first order
-        return np.array([r[2, 1] - r[1, 2],
-                         r[0, 2] - r[2, 0],
-                         r[1, 0] - r[0, 1]]) / 2.0
-    if np.pi - theta < 1e-6:
-        b = (r + np.eye(3)) / 2.0
-        k = int(np.argmax(np.diag(b)))
-        axis = b[:, k]
-        axis = axis / np.linalg.norm(axis)
-        return theta * axis
-    axis = np.array([r[2, 1] - r[1, 2],
-                     r[0, 2] - r[2, 0],
-                     r[1, 0] - r[0, 1]]) / (2.0 * np.sin(theta))
-    return theta * axis
+    r = np.asarray(r, dtype=float)
+    flat = r.reshape(r.shape[:-2] + (9,))
+    trace = flat[..., 0] + flat[..., 4] + flat[..., 8]
+    theta = np.arccos(np.minimum(np.maximum((trace - 1.0) / 2.0, -1.0), 1.0))
+    vee = flat.take(_VEE_PLUS, -1) - flat.take(_VEE_MINUS, -1)
+    # vee((R - R^T)/2) ~= theta * axis to first order near the identity;
+    # the batch's extreme angles tell whether any row needs a special branch
+    if theta.min() < 1e-10:
+        small = theta < 1e-10
+        axis = vee / np.where(small, 2.0, 2.0 * np.sin(theta))[..., None]
+        out = np.where(small[..., None], axis, theta[..., None] * axis)
+    else:
+        out = theta[..., None] * (vee / (2.0 * np.sin(theta))[..., None])
+    if np.pi - theta.max() < 1e-6:
+        near_pi = np.pi - theta < 1e-6
+        b = (r[near_pi] + _EYE3) / 2.0
+        k = np.argmax(np.diagonal(b, axis1=-2, axis2=-1), axis=-1)
+        axis = np.take_along_axis(b, k[:, None, None], axis=-1)[..., 0]
+        axis = axis / np.sqrt(dot_rows(axis, axis))[:, None]
+        out[near_pi] = theta[near_pi][:, None] * axis
+    return out
 
 
 def rotation_log_between(r_from: np.ndarray, r_to: np.ndarray) -> np.ndarray:
     """Axis-angle of the relative rotation r_from^T r_to, in the from-frame."""
-    return rotation_log(r_from.T @ r_to)
+    return rotation_log(np.asarray(r_from).swapaxes(-1, -2) @ r_to)
 
 
 def _check_rotation(r: np.ndarray, tol: float = ORTHONORMAL_TOL) -> None:
     if r.shape != (3, 3):
         raise GeometryError(f"rotation must be 3x3, got {r.shape}")
-    err = np.max(np.abs(r.T @ r - np.eye(3)))
-    if err > tol:
+    if not np.isfinite(r).all():
+        raise GeometryError("rotation has non-finite entries")
+    # written as `not ... <= tol` so that NaN can never pass
+    err = np.max(np.abs(r.T @ r - _EYE3))
+    if not err <= tol:
         raise GeometryError(f"rotation not orthonormal (|R^T R - I| = {err:.3e})")
-    if abs(np.linalg.det(r) - 1.0) > tol:
-        raise GeometryError(f"rotation determinant {np.linalg.det(r):.12f} != +1")
+    det = np.linalg.det(r)
+    if not abs(det - 1.0) <= tol:
+        raise GeometryError(f"rotation determinant {det:.12f} != +1")
 
 
 @dataclass
@@ -117,6 +163,8 @@ class Pose:
         self.rotation = np.asarray(self.rotation, dtype=float)
         self.translation = np.asarray(self.translation, dtype=float).reshape(3)
         _check_rotation(self.rotation)
+        if not np.all(np.isfinite(self.translation)):
+            raise GeometryError(f"pose translation not finite: {self.translation}")
 
     @staticmethod
     def identity() -> "Pose":
@@ -148,7 +196,8 @@ def pose_unchecked(rotation: np.ndarray, translation: np.ndarray) -> Pose:
     """Internal fast path: skip orthonormality validation.
 
     Only for rotations that are orthonormal by construction (products of
-    validated rotations); public callers should use Pose().
+    validated rotations); public callers should use Pose(). Also holds a
+    batch of poses: (..., 3, 3) rotations and (..., 3) translations.
     """
     p = object.__new__(Pose)
     p.rotation = rotation
@@ -199,20 +248,29 @@ class Rot6D:
         return Rot6D(values[:3], values[3:])
 
 
+def as_vec3(values) -> np.ndarray:
+    """A 3-vector, or a (..., 3) stack of them, as floats."""
+    values = np.asarray(values, dtype=float)
+    return values if values.ndim and values.shape[-1] == 3 else values.reshape(3)
+
+
 @dataclass
 class Wrench:
-    """6D force/torque with an explicit frame tag ('sensor', 'ee', 'world')."""
+    """6D force/torque with an explicit frame tag ('sensor', 'ee', 'world').
+
+    Force and torque are 3-vectors, or (..., 3) stacks for a batch of rows.
+    """
 
     force: np.ndarray
     torque: np.ndarray
     frame: str = "world"
 
     def __post_init__(self):
-        self.force = np.asarray(self.force, dtype=float).reshape(3)
-        self.torque = np.asarray(self.torque, dtype=float).reshape(3)
+        self.force = as_vec3(self.force)
+        self.torque = as_vec3(self.torque)
 
     def as_array(self) -> np.ndarray:
-        return np.concatenate([self.force, self.torque])
+        return np.concatenate([self.force, self.torque], axis=-1)
 
     @staticmethod
     def from_array(values: np.ndarray, frame: str = "world") -> "Wrench":

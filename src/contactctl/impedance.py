@@ -9,6 +9,11 @@ through the Jacobian into effective joint-space gains
 and executed as a joint PD torque with Coriolis/gravity compensation. The
 code path is identical in free space and in contact: contact changes only
 the plant, never a controller branch.
+
+Every function here takes a leading trial axis. An executor ticked with a
+batched state ((T, n) joints, (T, ...) command fields) advances T
+independent control loops in one pass, with one qdot_d filter per row;
+a single (n,) state runs through the same code.
 """
 
 import warnings
@@ -20,6 +25,7 @@ import numpy as np
 from .compliance import ComplianceCommand
 from .dynamics import (ArmDynamicsModel, ContactPlane, SimState,
                        STEP_DT_MAX, inverse_dynamics_terms, step)
+from .geometry import as_vec3, dot_rows
 from .kinematics import ChainFrames, chain_frames, dls_step, pose_error
 
 
@@ -48,33 +54,35 @@ class ImpedanceConfig:
         self.d_rot = np.asarray(self.d_rot, dtype=float).reshape(3)
         if not 0.0 <= self.k_min <= self.k_max:
             raise ValueError("need 0 <= k_min <= k_max")
-        for name in ("ik_damping", "dt", "qd_filter_cutoff"):
+        for name in ("m_eff", "ik_damping", "dt", "qd_filter_cutoff"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("zeta", "k_rot", "d_rot", "kq_floor", "kqd_floor"):
+            if not np.all(np.asarray(getattr(self, name)) >= 0.0):
+                raise ValueError(f"{name} must be nonnegative")
         if self.dt > STEP_DT_MAX:
             raise ValueError(f"dt must be in (0, {STEP_DT_MAX}]")
 
 
 @dataclass
 class CartesianGains:
-    """Diagonal operational-space gain blocks."""
+    """Diagonal operational-space gains, each a 3-vector or a (..., 3) stack."""
 
-    kp_trans: np.ndarray   # 3x3, N/m
-    k_rot: np.ndarray      # 3x3, N*m/rad
-    dp_trans: np.ndarray   # 3x3, N*s/m
-    d_rot: np.ndarray      # 3x3, N*m*s/rad
+    kp_trans: np.ndarray   # N/m
+    k_rot: np.ndarray      # N*m/rad
+    dp_trans: np.ndarray   # N*s/m
+    d_rot: np.ndarray      # N*m*s/rad
 
     def stiffness_6x6(self) -> np.ndarray:
-        kx = np.zeros((6, 6))
-        kx[:3, :3] = self.kp_trans
-        kx[3:, 3:] = self.k_rot
-        return kx
+        return _block_diagonal(self.kp_trans, self.k_rot)
 
     def damping_6x6(self) -> np.ndarray:
-        kxd = np.zeros((6, 6))
-        kxd[:3, :3] = self.dp_trans
-        kxd[3:, 3:] = self.d_rot
-        return kxd
+        return _block_diagonal(self.dp_trans, self.d_rot)
+
+
+def _block_diagonal(trans, rot) -> np.ndarray:
+    diag = np.concatenate(np.broadcast_arrays(trans, rot), axis=-1)
+    return diag[..., None] * np.eye(6)
 
 
 @dataclass
@@ -92,23 +100,16 @@ def build_operational_gains(kp_diag: np.ndarray,
     Translational damping follows the critical-damping rule per axis,
     D = 2 zeta sqrt(k m_eff); rotational gains come straight from config.
     Out-of-range stiffness entries are clamped with a StiffnessClampWarning.
+    `kp_diag` is a 3-vector or a (..., 3) stack, one row per trial.
     """
-    kp = np.asarray(kp_diag, dtype=float).reshape(3)
-    clamped = np.clip(kp, config.k_min, config.k_max)
-    if np.any(clamped != kp):
+    kp = as_vec3(kp_diag)
+    clamped = np.minimum(np.maximum(kp, config.k_min), config.k_max)
+    if (clamped != kp).any():
         warnings.warn(f"translational stiffness {kp} clamped to "
                       f"[{config.k_min}, {config.k_max}]", StiffnessClampWarning,
                       stacklevel=2)
     dp = 2.0 * config.zeta * np.sqrt(clamped * config.m_eff)
-    return CartesianGains(np.diag(clamped), np.diag(config.k_rot),
-                          np.diag(dp), np.diag(config.d_rot))
-
-
-def _diagonal(gain: np.ndarray) -> np.ndarray:
-    diag = gain.diagonal()
-    if np.count_nonzero(gain) != np.count_nonzero(diag):
-        raise ValueError("operational-space gains must be diagonal")
-    return diag
+    return CartesianGains(clamped, config.k_rot, dp, config.d_rot)
 
 
 def fold_to_joint_gains(j: np.ndarray, cart: CartesianGains,
@@ -116,36 +117,49 @@ def fold_to_joint_gains(j: np.ndarray, cart: CartesianGains,
     """Fold operational-space gains through the Jacobian, plus diagonal floors.
 
     Floors may be scalars or per-joint vectors; they keep the folded gains
-    strictly positive definite at singular configurations.
+    strictly positive definite at singular configurations. A (..., 6, n)
+    stack of Jacobians folds a matching stack of gains.
     """
     j = np.asarray(j, dtype=float)
-    if j.ndim != 2 or j.shape[0] != 6:
+    if j.ndim < 2 or j.shape[-2] != 6:
         raise ValueError(f"Jacobian must be 6 x dof, got {j.shape}")
-    dof = j.shape[1]
-    kq_floor = np.full(dof, kq_floor, dtype=float)
-    kqd_floor = np.full(dof, kqd_floor, dtype=float)
+    batch, dof = j.shape[:-2], j.shape[-1]
+    floors = np.empty((2, dof))
+    floors[0] = kq_floor
+    floors[1] = kqd_floor
+    # the stiffness and the damping diagonal, folded together
+    diagonals = np.empty(batch + (2, 6))
+    try:
+        diagonals[..., 0, :3] = cart.kp_trans
+        diagonals[..., 0, 3:] = cart.k_rot
+        diagonals[..., 1, :3] = cart.dp_trans
+        diagonals[..., 1, 3:] = cart.d_rot
+    except ValueError:
+        raise ValueError(
+            "operational-space gains must be diagonals: 3-vectors or stacks "
+            f"matching the Jacobian's batch {batch}") from None
     # J^T diag(k) J as (J^T * k) @ J: the same bits as with the full 6x6 matrix
-    jt = j.T
-    kq_p = (jt * _diagonal(cart.stiffness_6x6())) @ j + np.diag(kq_floor)
-    kq_d = (jt * _diagonal(cart.damping_6x6())) @ j + np.diag(kqd_floor)
+    jt = j.swapaxes(-1, -2)[..., None, :, :]
+    kq = (jt * diagonals[..., None, :]) @ j[..., None, :, :] \
+        + floors[:, :, None] * np.eye(dof)
     # enforce exact symmetry against float round-off
-    kq_p = (kq_p + kq_p.T) / 2.0
-    kq_d = (kq_d + kq_d.T) / 2.0
-    return JointGains(kq_p, kq_d, kq_floor, kqd_floor)
+    kq = (kq + kq.swapaxes(-1, -2)) / 2.0
+    return JointGains(kq[..., 0, :, :], kq[..., 1, :, :], floors[0], floors[1])
 
 
 def control_torque(gains: JointGains, q_d, q, qdot_d, qdot,
                    bias: np.ndarray) -> np.ndarray:
     """tau = Kq_p (q_d - q) + Kq_d (qdot_d - qdot) + bias, bias = C qdot + g."""
-    q_d = np.asarray(q_d, dtype=float)
-    q = np.asarray(q, dtype=float)
-    qdot_d = np.asarray(qdot_d, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    return gains.kq_p @ (q_d - q) + gains.kq_d @ (qdot_d - qdot) + bias
+    e = np.asarray(q_d, dtype=float) - np.asarray(q, dtype=float)
+    ed = np.asarray(qdot_d, dtype=float) - np.asarray(qdot, dtype=float)
+    return (gains.kq_p @ e[..., None])[..., 0] \
+        + (gains.kq_d @ ed[..., None])[..., 0] + bias
 
 
 @dataclass
 class TickDiagnostics:
+    """Per-tick controller facts; (T,) arrays for a batched tick."""
+
     error_norm: float            # ||xi|| toward the virtual target
     contact_force_norm: float    # from the plant's last contact wrench
     stiffness_clamped: bool
@@ -165,21 +179,23 @@ class ImpedanceExecutor:
     """Per-control-loop session: one DLS step, gain fold, and torque per tick.
 
     Holds the first-order filter state for the finite-difference target
-    velocity qdot_d; everything else is stateless. One executor per control
-    loop; independent executors may run concurrently.
+    velocity qdot_d, shaped like the states it is ticked with (one row per
+    trial of a batch); everything else is stateless. One executor per
+    control loop or batch of loops; independent executors may run
+    concurrently.
     """
 
     def __init__(self, dyn_model: ArmDynamicsModel, config: ImpedanceConfig):
         self.chain = dyn_model.chain
         self.dyn_model = dyn_model
         self.config = config
-        self._qdot_d_filtered = np.zeros(self.chain.dof)
+        self._qdot_d_filtered = None
         self._prev_q_d = None
         rc = 1.0 / (2.0 * np.pi * config.qd_filter_cutoff)
         self._alpha = config.dt / (config.dt + rc)
 
     def reset(self) -> None:
-        self._qdot_d_filtered[:] = 0.0
+        self._qdot_d_filtered = None
         self._prev_q_d = None
 
     def closed_loop_tick(self, state: SimState, command: ComplianceCommand,
@@ -207,31 +223,38 @@ class ImpedanceExecutor:
         # single DLS update per tick; solve_ik exists for initialization only
         q_d_raw = state.q + dls_step(j, xi, cfg.ik_damping)
         q_d = self.chain.clamp_to_limits(q_d_raw)
-        limits_clamped = bool(np.any(q_d != q_d_raw))
+        limits_clamped = (q_d != q_d_raw).any(axis=-1)
 
         # target velocity = finite difference of successive IK targets, so it
         # vanishes at steady state even when contact blocks the virtual target
         if self._prev_q_d is None:
-            qdot_d_raw = np.zeros(self.chain.dof)
+            self._qdot_d_filtered = np.zeros_like(q_d)
+            qdot_d_raw = np.zeros_like(q_d)
         else:
             qdot_d_raw = (q_d - self._prev_q_d) / cfg.dt
         self._prev_q_d = q_d.copy()
-        self._qdot_d_filtered += self._alpha * (qdot_d_raw - self._qdot_d_filtered)
+        self._qdot_d_filtered = self._qdot_d_filtered \
+            + self._alpha * (qdot_d_raw - self._qdot_d_filtered)
         qdot_d = self._qdot_d_filtered.copy()
 
         # clamp before building the gains: the clamp goes to the diagnostics,
         # with no warning and no change to the process-wide warning filters
         kp = np.asarray(command.kp_diag, dtype=float)
-        kp_clamped = np.clip(kp, cfg.k_min, cfg.k_max)
-        stiffness_clamped = bool(np.any(kp_clamped != kp))
+        kp_clamped = np.minimum(np.maximum(kp, cfg.k_min), cfg.k_max)
+        stiffness_clamped = (kp_clamped != kp).any(axis=-1)
         cart = build_operational_gains(kp_clamped, cfg)
         gains = fold_to_joint_gains(j, cart, cfg.kq_floor, cfg.kqd_floor)
         tau = control_torque(gains, q_d, state.q, qdot_d, state.qdot, bias)
 
         diag = TickDiagnostics(
-            error_norm=float(np.linalg.norm(xi)),
-            contact_force_norm=float(np.linalg.norm(state.contact_wrench_ee.force)),
+            error_norm=_norm_rows(xi),
+            contact_force_norm=_norm_rows(state.contact_wrench_ee.force),
             stiffness_clamped=stiffness_clamped,
             limits_clamped=limits_clamped,
         )
         return TickResult(tau, q_d, qdot_d, diag)
+
+
+def _norm_rows(x: np.ndarray):
+    """Euclidean norm of each row, as np.linalg.norm computes it alone."""
+    return np.sqrt(dot_rows(x, x))[()]

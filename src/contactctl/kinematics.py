@@ -5,6 +5,10 @@ offset transform from its parent frame and a unit rotation axis expressed in
 the joint's own frame; an optional tool offset places the end-effector after
 the last joint. Joint limits are enforced by the iterative solver, not by the
 single-step update.
+
+`chain_frames`, `ChainFrames.jacobian`, `pose_error` and `dls_step` take a
+leading trial axis: joint vectors (..., n) give frames, Jacobians (..., 6, n)
+and errors (..., 6) with the same leading axes, one row per trial.
 """
 
 import configparser
@@ -14,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import (Pose, Rot6D, cross_rows, pose_unchecked,
-                       rotation_about_axis, rotation_log)
+from .geometry import (Pose, Rot6D, cross_rows, pose_unchecked, rodrigues,
+                       rotation_log, skew_rows)
 
 DEFAULT_DAMPING = 0.05
 
@@ -63,16 +67,41 @@ class ChainModel:
         return len(self.links)
 
     def clamp_to_limits(self, q: np.ndarray) -> np.ndarray:
-        return np.clip(q, self.joint_limits[:, 0], self.joint_limits[:, 1])
+        limits = self.joint_limits
+        return np.minimum(np.maximum(q, limits[:, 0]), limits[:, 1])
+
+    @cached_property
+    def joint_terms(self) -> "_JointTerms":
+        """Constants of the forward pass, built once per chain (whose links
+        are not changed after its first use)."""
+        axes = np.array([link.axis for link in self.links])
+        offset_rotations = [None if np.array_equal(link.offset.rotation, np.eye(3))
+                            else link.offset.rotation for link in self.links]
+        return _JointTerms(axes, skew_rows(axes), axes[:, :, None] * axes[:, None, :],
+                           np.array([link.offset.translation for link in self.links]),
+                           offset_rotations)
+
+
+@dataclass
+class _JointTerms:
+    axes: np.ndarray              # (dof, 3) joint axes in the joint frames
+    skews: np.ndarray             # (dof, 3, 3) skew(axis)
+    outers: np.ndarray            # (dof, 3, 3) axis axis^T
+    offset_translations: np.ndarray   # (dof, 3)
+    offset_rotations: list        # per joint: 3x3, or None for the identity
 
 
 @dataclass
 class ChainFrames:
-    """World-frame quantities of every joint, computed in one forward pass."""
+    """World-frame quantities of every joint, computed in one forward pass.
 
-    joint_origins: np.ndarray    # (dof, 3)
-    joint_axes: np.ndarray       # (dof, 3) world-frame rotation axes
-    link_rotations: np.ndarray   # (dof, 3, 3) world rotation of each link frame
+    For a batch of joint vectors every array carries the batch's leading
+    axes, and `ee_pose` holds (..., 3, 3) rotations and (..., 3) positions.
+    """
+
+    joint_origins: np.ndarray    # (..., dof, 3)
+    joint_axes: np.ndarray       # (..., dof, 3) world-frame rotation axes
+    link_rotations: np.ndarray   # (..., dof, 3, 3) world rotation of each link frame
     ee_pose: Pose
 
     @cached_property
@@ -84,38 +113,48 @@ class ChainFrames:
         shared by every reader of these frames, so it is read-only.
         """
         axes = self.joint_axes
-        j = np.empty((6, len(axes)))
-        j[:3] = cross_rows(axes, self.ee_pose.translation - self.joint_origins).T
-        j[3:] = axes.T
+        lever = self.ee_pose.translation[..., None, :] - self.joint_origins
+        j = np.empty(axes.shape[:-2] + (6, axes.shape[-2]))
+        j[..., :3, :] = cross_rows(axes, lever).swapaxes(-1, -2)
+        j[..., 3:, :] = axes.swapaxes(-1, -2)
         j.flags.writeable = False
         return j
 
 
 def _check_q(chain: ChainModel, q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape[0] != chain.dof:
-        raise ChainConfigError(f"expected {chain.dof} joint values, got {q.shape[0]}")
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    if q.shape[-1] != chain.dof:
+        raise ChainConfigError(f"expected {chain.dof} joint values, got {q.shape[-1]}")
     return q
 
 
 def chain_frames(chain: ChainModel, q: np.ndarray) -> ChainFrames:
-    """Forward pass returning world joint origins, axes, and link rotations."""
+    """Forward pass returning world joint origins, axes, and link rotations.
+
+    The joint rotations of every joint (and row) come from one Rodrigues
+    evaluation; only the product down the chain loops over the joints.
+    """
     q = _check_q(chain, q)
-    n = chain.dof
-    origins = np.zeros((n, 3))
-    axes = np.zeros((n, 3))
-    rotations = np.zeros((n, 3, 3))
+    terms = chain.joint_terms
+    turns = rodrigues(np.cos(q), np.sin(q), terms.skews, terms.outers)
+    shape = q.shape + (3, 3)
+    # frame each joint turns in (parent link after the fixed offset), and link
+    turning = np.empty(shape)
+    rotations = np.empty(shape)
     r = np.eye(3)
-    p = np.zeros(3)
-    for i, link in enumerate(chain.links):
-        p = r @ link.offset.translation + p
-        r = r @ link.offset.rotation
-        origins[i] = p
-        axes[i] = r @ link.axis
-        r = r @ rotation_about_axis(link.axis, q[i])
-        rotations[i] = r
+    for i, offset in enumerate(terms.offset_rotations):
+        turning[..., i, :, :] = r if offset is None else r @ offset
+        r = np.matmul(turning[..., i, :, :], turns[..., i, :, :],
+                      out=rotations[..., i, :, :])
+    # origin_i = origin_{i-1} + R_{i-1} offset_i, with R_{-1} = I
+    steps = np.empty(q.shape + (3,))
+    steps[..., 0, :] = terms.offset_translations[0]
+    steps[..., 1:, :] = (rotations[..., :-1, :, :]
+                         @ terms.offset_translations[1:, :, None])[..., 0]
+    origins = np.cumsum(steps, axis=-2)
+    axes = (turning @ terms.axes[:, :, None])[..., 0]
     tool = chain.tool_offset
-    p_ee = r @ tool.translation + p
+    p_ee = r @ tool.translation + origins[..., -1, :]
     r_ee = r @ tool.rotation
     return ChainFrames(origins, axes, rotations, pose_unchecked(r_ee, p_ee))
 
@@ -132,10 +171,13 @@ def jacobian(chain: ChainModel, q: np.ndarray) -> np.ndarray:
 
 def pose_error(target: Pose, current: Pose) -> np.ndarray:
     """Task-space error 6-vector: [translation diff; rotation-log of R_t R_c^T]."""
-    xi = np.empty(6)
-    xi[:3] = target.translation - current.translation
-    xi[3:] = rotation_log(target.rotation @ current.rotation.T)
-    return xi
+    return np.concatenate(
+        (target.translation - current.translation,
+         rotation_log(target.rotation @ current.rotation.swapaxes(-1, -2))),
+        axis=-1)
+
+
+_DIAG6 = np.arange(6)
 
 
 def dls_step(j: np.ndarray, xi: np.ndarray, lam: float) -> np.ndarray:
@@ -145,9 +187,10 @@ def dls_step(j: np.ndarray, xi: np.ndarray, lam: float) -> np.ndarray:
     """
     if lam <= 0.0:
         raise ValueError("damping must be positive")
-    jjt = j @ j.T
-    jjt[np.diag_indices(6)] += lam * lam
-    return j.T @ np.linalg.solve(jjt, xi)
+    jt = j.swapaxes(-1, -2)
+    jjt = j @ jt
+    jjt[..., _DIAG6, _DIAG6] += lam * lam
+    return (jt @ np.linalg.solve(jjt, xi[..., None]))[..., 0]
 
 
 def dls_ik_step(chain: ChainModel, q: np.ndarray, target: Pose,

@@ -21,8 +21,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> list:
     if config.kind == "gravity_verification":
         return [run_gravity_verification(config, out_dir)]
     if config.kind == "wiping":
-        return [run_wiping(config, True, out_dir),
-                run_wiping(config, False, out_dir)]
+        return run_wiping(config, (True, False), out_dir)
     if config.kind == "bottle_pick":
         return [run_bottle_pick(config, True, out_dir),
                 run_bottle_pick(config, False, out_dir)]

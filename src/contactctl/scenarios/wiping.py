@@ -8,19 +8,26 @@ replays the same motion with zero force prediction against a surface that sits
 below its nominal height, so it never develops contact. A strip of surface
 cells is "erased" wherever the local normal force reaches the erase threshold
 during the pass; the residual-marking fraction is the task metric.
+
+Every (variant, trial) of a run is one row of a single batched rollout: the
+rows share the arm, the gains and the start pose, and differ in plane offset,
+rng and command stream, so one closed-loop tick per control step advances
+them all.
 """
 
 import csv
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
 from ..compliance import (ACTION_SCHEMA, ActionStep, RecedingHorizonScheduler,
-                          StiffnessSchedule, interpolate_commands)
-from ..dynamics import (ContactPlane, PayloadSpec, SimState, load_arm_model,
-                        read_ft_sensor)
+                          StiffnessSchedule, interpolate_commands,
+                          stack_commands)
+from ..dynamics import (ArmDynamicsModel, ContactPlane, PayloadSpec, SimState,
+                        load_arm_model, read_ft_sensor)
 from ..episodes import Episode, StreamSpec, replay_actions
-from ..geometry import Pose, Rot6D, rotation_about_axis
+from ..geometry import Pose, Rot6D, dot_rows, pose_unchecked, rotation_about_axis
 from ..impedance import ImpedanceConfig, ImpedanceExecutor
 from ..kinematics import solve_ik
 from ..sensing import IdentifiedPayload, WrenchFrameModel, compensate_wrench
@@ -76,55 +83,132 @@ def _scripted_actions(config: ScenarioConfig, start_rotation, force_target: floa
     return steps, labels, rate
 
 
-def run_wiping(config: ScenarioConfig, use_wrench: bool, out_dir=None) -> ScenarioReport:
-    variant = "with_wrench" if use_wrench else "no_wrench"
+@dataclass
+class WipingSetup:
+    """What every row of a wiping run shares: arm, gains, start, sensor."""
+
+    scenario_id: str
+    config_hash: str
+    model: ArmDynamicsModel
+    gains: ImpedanceConfig
+    schedule: StiffnessSchedule
+    plane: ContactPlane            # nominal plane; rows differ in offset
+    q0: np.ndarray                 # start pose IK solution
+    start_pose: Pose
+    dt: float
+    ticks_per_action: int
+    chunk_len: int
+    horizon: int
+    cell_edges: np.ndarray         # x edges of the erase cells
+    erase_threshold: float
+    payload: PayloadSpec
+    identified: IdentifiedPayload
+    frame_model: WrenchFrameModel
+    noise_sigma: float
+
+
+@dataclass
+class WipingRow:
+    """One (variant, trial) of a batched rollout."""
+
+    steps: list                    # ActionStep per command
+    labels: list                   # phase per command ("slide" is scored)
+    plane_offset: float
+    rng: np.random.Generator       # sensor noise of a recorded row
+    episode: Optional[Episode] = None   # set on rows that are recorded
+
+
+def wiping_setup(config: ScenarioConfig) -> WipingSetup:
+    """Parse the config and solve the start-pose IK once for all rows."""
     chain_path = config.resolve_path(config.get("plant", "chain"))
     model = load_arm_model(chain_path)
-    chain = model.chain
     dt = config.get_float("plant", "dt", 1e-3)
-    z_nominal = config.get_float("plant", "plane_offset", 0.0)
     try:
         imp_cfg = impedance_config_from(config)
         sched = stiffness_schedule_from(config)
-        # per-trial planes differ only in their offset
         nominal_plane = ContactPlane(config.get_vec("plant", "plane_normal", "0 0 1"),
-                                     z_nominal,
+                                     config.get_float("plant", "plane_offset", 0.0),
                                      config.get_float("plant", "plane_stiffness", 1e5),
                                      config.get_float("plant", "plane_damping", 200.0),
                                      config.get_float("plant", "plane_mu", 0.4))
     except ValueError as exc:
         raise ScenarioConfigError(f"{config.scenario_id}: {exc}") from exc
 
-    force_target = config.get_float("wiping", "force_target", 10.0) if use_wrench else 0.0
     x_start = config.get_float("wiping", "x_start", 0.40)
     stroke = config.get_float("wiping", "stroke", 0.24)
-    pitch = config.get_float("wiping", "tool_pitch", 0.7)
-    erase_threshold = config.get_float("wiping", "erase_threshold", 7.0)
     n_cells = config.get_int("wiping", "cells", 24)
-    surface_jitter = config.get_float("plant", "surface_jitter", 0.0005)
-    baseline_offset = config.get_float("wiping", "baseline_surface_offset", -0.002)
-    chunk_len = config.get_int("compliance", "chunk_len", 16)
-    horizon = config.get_int("compliance", "horizon", chunk_len)
-
-    start_rotation = rotation_about_axis(np.array([0.0, 1.0, 0.0]), pitch)
-    start_pose = Pose(start_rotation, [x_start, 0.0, z_nominal])
+    pitch = config.get_float("wiping", "tool_pitch", 0.7)
+    start_pose = Pose(rotation_about_axis(np.array([0.0, 1.0, 0.0]), pitch),
+                      [x_start, 0.0, nominal_plane.offset])
     q_guess = config.get_vec("wiping", "q_init_guess", "0.3 0.9 -0.5")
-    ik = solve_ik(chain, q_guess, start_pose, max_iters=300, tol=1e-8)
+    ik = solve_ik(model.chain, q_guess, start_pose, max_iters=300, tol=1e-8)
     if not ik.converged:
         raise ScenarioConfigError(
             f"start pose unreachable from q_init_guess (|xi| = {ik.error_norm:.3g})")
 
-    steps, labels, action_rate = _scripted_actions(config, start_rotation, force_target)
-    ticks_per_action = max(1, int(round(1.0 / (action_rate * dt))))
-
+    action_rate = config.get_float("wiping", "action_rate_hz", 20.0)
+    chunk_len = config.get_int("compliance", "chunk_len", 16)
     payload = PayloadSpec(config.get_float("sensor", "payload_mass", 0.2),
                           config.get_vec("sensor", "payload_com", "0 0 0.03"),
                           config.get_vec("sensor", "payload_bias", "0.2 -0.1 0.15 0.01 -0.02 0.005"))
-    identified = IdentifiedPayload(payload.mass, payload.com_in_sensor,
-                                   payload.sensor_bias)
-    frame_model = WrenchFrameModel()
-    noise_sigma = config.get_float("sensor", "noise_sigma", 0.02)
+    return WipingSetup(
+        config.scenario_id, config.config_hash, model, imp_cfg, sched,
+        nominal_plane, ik.q, start_pose, dt,
+        max(1, int(round(1.0 / (action_rate * dt)))),
+        chunk_len, config.get_int("compliance", "horizon", chunk_len),
+        np.linspace(x_start, x_start + stroke, n_cells + 1),
+        config.get_float("wiping", "erase_threshold", 7.0),
+        payload,
+        IdentifiedPayload(payload.mass, payload.com_in_sensor, payload.sensor_bias),
+        WrenchFrameModel(),
+        config.get_float("sensor", "noise_sigma", 0.02))
 
+
+def _variant(use_wrench: bool) -> str:
+    return "with_wrench" if use_wrench else "no_wrench"
+
+
+def run_wiping(config: ScenarioConfig, use_wrench, out_dir=None):
+    """Run wiping variants as one batch of (variant, trial) rows.
+
+    `use_wrench` is one variant flag, which returns that variant's report,
+    or a sequence of flags, which returns one report per flag. Trial 0 of
+    each variant is recorded when `out_dir` is given.
+    """
+    flags = [use_wrench] if isinstance(use_wrench, bool) else list(use_wrench)
+    setup = wiping_setup(config)
+    z_nominal = setup.plane.offset
+    surface_jitter = config.get_float("plant", "surface_jitter", 0.0005)
+    baseline_offset = config.get_float("wiping", "baseline_surface_offset", -0.002)
+    rows = []
+    for flag in flags:
+        force_target = config.get_float("wiping", "force_target", 10.0) if flag else 0.0
+        steps, labels, _ = _scripted_actions(config, setup.start_pose.rotation,
+                                             force_target)
+        for trial in range(config.trials):
+            rng = np.random.default_rng(config.seed * 1000 + trial)
+            if flag:
+                offset = z_nominal + rng.uniform(-surface_jitter, surface_jitter)
+            else:
+                offset = z_nominal + baseline_offset
+            episode = None
+            if trial == 0 and out_dir is not None:
+                episode = wiping_episode(setup, _variant(flag))
+            rows.append(WipingRow(steps, labels, offset, rng, episode))
+    results = rollout(setup, rows)
+
+    reports = []
+    for k, flag in enumerate(flags):
+        trials = results[k * config.trials:(k + 1) * config.trials]
+        reports.append(_report(config, flag, trials, out_dir))
+    return reports[0] if isinstance(use_wrench, bool) else reports
+
+
+def _report(config: ScenarioConfig, use_wrench: bool, trials: list,
+            out_dir) -> ScenarioReport:
+    variant = _variant(use_wrench)
+    force_target = config.get_float("wiping", "force_target", 10.0) if use_wrench else 0.0
+    baseline_offset = config.get_float("wiping", "baseline_surface_offset", -0.002)
     if use_wrench:
         criteria = [
             Criterion("mean_fz_min", ">=", force_target * (1.0 - config.get_float("criteria", "fz_tol_frac", 0.15))),
@@ -139,35 +223,13 @@ def run_wiping(config: ScenarioConfig, use_wrench: bool, out_dir=None) -> Scenar
             Criterion("success_rate_5pct", "==", 0.0),
         ]
 
-    mean_fzs, fracs, residuals = [], [], []
-    episode = None
-    diagnostics_rows = []
-    for trial in range(config.trials):
-        rng = np.random.default_rng(config.seed * 1000 + trial)
-        if use_wrench:
-            offset = z_nominal + rng.uniform(-surface_jitter, surface_jitter)
-        else:
-            offset = z_nominal + baseline_offset
-        plane = replace(nominal_plane, offset=offset)
-        record = (trial == 0 and out_dir is not None)
-        result = _run_trial(config, model, imp_cfg, sched, plane, ik.q, start_pose,
-                            steps, labels, ticks_per_action, dt, chunk_len, horizon,
-                            x_start, stroke, n_cells, erase_threshold,
-                            payload, identified, frame_model, noise_sigma, rng,
-                            record, variant)
-        mean_fzs.append(result["mean_fz"])
-        fracs.append(result["frac_above_floor"])
-        residuals.append(result["residual"])
-        if record:
-            episode = result["episode"]
-            diagnostics_rows = result["diagnostics"]
-
-    residuals = np.array(residuals)
+    mean_fzs = [t["mean_fz"] for t in trials]
+    residuals = np.array([t["residual"] for t in trials])
     metrics = {
         "mean_fz_min": float(np.min(mean_fzs)),
         "mean_fz_max": float(np.max(mean_fzs)),
         "mean_fz": float(np.mean(mean_fzs)),
-        "frac_above_floor_min": float(np.min(fracs)),
+        "frac_above_floor_min": float(np.min([t["frac_above_floor"] for t in trials])),
         "residual_max": float(np.max(residuals)),
         "success_rate_5pct": float(np.mean(residuals < 0.05) * 100.0),
         "success_rate_50pct": float(np.mean(residuals < 0.50) * 100.0),
@@ -182,10 +244,11 @@ def run_wiping(config: ScenarioConfig, use_wrench: bool, out_dir=None) -> Scenar
                             {c.metric: c.describe() for c in criteria},
                             evaluate_criteria(metrics, criteria),
                             config.config_hash, notes=notes)
+    episode = trials[0]["episode"]
     export_report_episode(report, episode, out_dir)
     if episode is not None:
         _write_diagnostics_csv(out_dir / f"diagnostics_{variant}.csv",
-                               diagnostics_rows)
+                               trials[0]["diagnostics"])
     return report
 
 
@@ -199,43 +262,63 @@ def _write_diagnostics_csv(path, rows) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def _run_trial(config, model, imp_cfg, sched, plane, q0, start_pose, steps, labels,
-               ticks_per_action, dt, chunk_len, horizon, x_start, stroke, n_cells,
-               erase_threshold, payload, identified, frame_model, noise_sigma,
-               rng, record, variant):
-    # route the scripted stream through the recorded-episode replay path
-    scratch = Episode("actions", [StreamSpec("action", 1.0 / (ticks_per_action * dt),
+def wiping_episode(setup: WipingSetup, variant: str) -> Episode:
+    """An empty episode with the streams a recorded row writes."""
+    action_hz = 1.0 / (setup.ticks_per_action * setup.dt)
+    return Episode(f"{setup.scenario_id}_{variant}",
+                   [StreamSpec("pose", 200.0, POSE_SCHEMA, "pose"),
+                    StreamSpec("wrench_raw", 1.0 / setup.dt, WRENCH_SCHEMA, "wrench"),
+                    StreamSpec("wrench_ee", 1.0 / setup.dt, WRENCH_SCHEMA, "wrench"),
+                    StreamSpec("action", action_hz, ACTION_SCHEMA, "action")],
+                   config_hash=setup.config_hash)
+
+
+def _scheduler(setup: WipingSetup, steps: list) -> RecedingHorizonScheduler:
+    """A row's command stream, routed through the recorded-episode replay path."""
+    ticks, dt = setup.ticks_per_action, setup.dt
+    scratch = Episode("actions", [StreamSpec("action", 1.0 / (ticks * dt),
                                              ACTION_SCHEMA, "action")])
     for i, action in enumerate(steps):
-        scratch.record("action", i * ticks_per_action * dt, action.as_array())
-    chunks = replay_actions(scratch, chunk_len)
-    scheduler = RecedingHorizonScheduler(chunks, horizon, start_pose, sched)
+        scratch.record("action", i * ticks * dt, action.as_array())
+    return RecedingHorizonScheduler(replay_actions(scratch, setup.chunk_len),
+                                    setup.horizon, setup.start_pose,
+                                    setup.schedule)
 
-    episode = None
-    if record:
-        episode = Episode(f"{config.scenario_id}_{variant}",
-                          [StreamSpec("pose", 200.0, POSE_SCHEMA, "pose"),
-                           StreamSpec("wrench_raw", 1.0 / dt, WRENCH_SCHEMA, "wrench"),
-                           StreamSpec("wrench_ee", 1.0 / dt, WRENCH_SCHEMA, "wrench"),
-                           StreamSpec("action", 1.0 / (ticks_per_action * dt),
-                                      ACTION_SCHEMA, "action")],
-                          config_hash=config.config_hash)
 
-    executor = ImpedanceExecutor(model, imp_cfg)
-    state = SimState(q0.copy(), np.zeros(model.chain.dof))
-    cell_edges = np.linspace(x_start, x_start + stroke, n_cells + 1)
-    cleared = np.zeros(n_cells, dtype=bool)
-    fz_sliding = []
-    diagnostics_rows = []
+def rollout(setup: WipingSetup, rows: list) -> list:
+    """Run every row in lockstep, one batched closed-loop tick per control step.
+
+    Returns per row its mean sliding normal force, the fraction of sliding
+    ticks at or above the erase threshold, the residual (uncleared) cell
+    fraction, and, for recorded rows, the episode and diagnostics rows. A
+    row's results do not depend on the other rows of the batch.
+    """
+    if len({len(row.steps) for row in rows}) != 1:
+        raise ValueError("a rollout needs rows with action streams of one length")
+    n_rows = len(rows)
+    n_cells = len(setup.cell_edges) - 1
+    ticks_per_action = setup.ticks_per_action
+    pose_stride = max(1, int(round(1.0 / (200.0 * setup.dt))))
+    plane = replace(setup.plane, offset=np.array([row.plane_offset for row in rows]))
+    executor = ImpedanceExecutor(setup.model, setup.gains)
+    state = SimState(np.tile(setup.q0, (n_rows, 1)),
+                     np.zeros((n_rows, setup.model.chain.dof)))
+    recorded = [(i, row) for i, row in enumerate(rows) if row.episode is not None]
+    diagnostics = {i: [] for i, _ in recorded}
+    cleared = np.zeros((n_rows, n_cells), dtype=bool)
+    fz_log, sliding_log = [], []
     tick = 0
-    pose_stride = max(1, int(round(1.0 / (200.0 * dt))))
 
     prev_command = None
-    for cmd_idx, command in enumerate(scheduler):
-        label = labels[cmd_idx] if cmd_idx < len(labels) else "retreat"
-        if record:
-            episode.record("action", state.time,
-                           steps[min(cmd_idx, len(steps) - 1)].as_array())
+    streams = zip(*[_scheduler(setup, row.steps) for row in rows])
+    for cmd_idx, row_commands in enumerate(streams):
+        command = stack_commands(row_commands)
+        sliding = np.array([cmd_idx < len(row.labels) and row.labels[cmd_idx] == "slide"
+                            for row in rows])
+        any_sliding = sliding.any()
+        for _, row in recorded:
+            row.episode.record("action", state.time,
+                               row.steps[min(cmd_idx, len(row.steps) - 1)].as_array())
         base = command if prev_command is None else prev_command
         for k in range(ticks_per_action):
             # upsample the 20 Hz command stream to the control rate
@@ -244,43 +327,57 @@ def _run_trial(config, model, imp_cfg, sched, plane, q0, start_pose, steps, labe
             out, new_state, frames = executor.closed_loop_tick(state, tick_command,
                                                                plane)
 
-            # contact force actually applied this step, mapped back to world
-            f_world = frames.ee_pose.rotation @ new_state.contact_wrench_ee.force
-            f_n = float(plane.normal @ f_world)
+            rotation = frames.ee_pose.rotation
             p_ee = frames.ee_pose.translation
-            if label == "slide":
-                fz_sliding.append(f_n)
-                if f_n >= erase_threshold:
-                    idx = int(np.searchsorted(cell_edges, p_ee[0], side="right")) - 1
-                    if 0 <= idx < n_cells:
-                        cleared[idx] = True
+            if any_sliding:
+                # contact force actually applied this step, mapped back to world
+                f_world = (rotation @ new_state.contact_wrench_ee.force[..., None])[..., 0]
+                f_n = dot_rows(f_world, plane.normal)
+                fz_log.append(f_n)
+                sliding_log.append(sliding)
+                idx = np.searchsorted(setup.cell_edges, p_ee[:, 0], side="right") - 1
+                erase = sliding & (f_n >= setup.erase_threshold) \
+                    & (idx >= 0) & (idx < n_cells)
+                cleared[erase, idx[erase]] = True
 
-            if record:
-                raw = read_ft_sensor(new_state, payload, frames.ee_pose,
-                                     noise_sigma, rng)
-                comp = compensate_wrench(raw, identified, frames.ee_pose.rotation,
-                                         frame_model)
-                episode.record("wrench_raw", new_state.time, raw.as_array())
-                episode.record("wrench_ee", new_state.time, comp.as_array())
-                if tick % pose_stride == 0:
-                    episode.record("pose", new_state.time,
-                                   np.concatenate([p_ee,
-                                                   Rot6D.encode(frames.ee_pose.rotation).as_array()]))
-                diagnostics_rows.append([new_state.time,
-                                         out.diagnostics.error_norm,
-                                         out.diagnostics.contact_force_norm,
-                                         float(out.diagnostics.stiffness_clamped),
-                                         float(out.diagnostics.limits_clamped)])
+            for i, row in recorded:
+                _record_tick(setup, row, new_state.row(i),
+                             pose_unchecked(rotation[i], p_ee[i]),
+                             tick % pose_stride == 0)
+                diag = out.diagnostics
+                diagnostics[i].append([new_state.time, diag.error_norm[i],
+                                       diag.contact_force_norm[i],
+                                       float(diag.stiffness_clamped[i]),
+                                       float(diag.limits_clamped[i])])
             state = new_state
             tick += 1
         prev_command = command
 
-    fz_sliding = np.array(fz_sliding)
-    return {
-        "mean_fz": float(fz_sliding.mean()) if fz_sliding.size else 0.0,
-        "frac_above_floor": float(np.mean(fz_sliding >= erase_threshold))
-        if fz_sliding.size else 0.0,
-        "residual": float(1.0 - cleared.mean()),
-        "episode": episode,
-        "diagnostics": diagnostics_rows,
-    }
+    fz_log = np.array(fz_log).reshape(-1, n_rows)
+    sliding_log = np.array(sliding_log).reshape(-1, n_rows)
+    results = []
+    for i, row in enumerate(rows):
+        fz = fz_log[sliding_log[:, i], i]
+        results.append({
+            "mean_fz": float(fz.mean()) if fz.size else 0.0,
+            "frac_above_floor": float(np.mean(fz >= setup.erase_threshold))
+            if fz.size else 0.0,
+            "residual": float(1.0 - cleared[i].mean()),
+            "episode": row.episode,
+            "diagnostics": diagnostics.get(i, []),
+        })
+    return results
+
+
+def _record_tick(setup: WipingSetup, row: WipingRow, state: SimState,
+                 ee_pose: Pose, record_pose: bool) -> None:
+    """Sensor readings (noise from the row's own rng) and pose of one row."""
+    raw = read_ft_sensor(state, setup.payload, ee_pose, setup.noise_sigma, row.rng)
+    comp = compensate_wrench(raw, setup.identified, ee_pose.rotation,
+                             setup.frame_model)
+    row.episode.record("wrench_raw", state.time, raw.as_array())
+    row.episode.record("wrench_ee", state.time, comp.as_array())
+    if record_pose:
+        row.episode.record("pose", state.time,
+                           np.concatenate([ee_pose.translation,
+                                           Rot6D.encode(ee_pose.rotation).as_array()]))

@@ -166,7 +166,7 @@ def test_criterion_07_controller_identities():
         gains = fold_to_joint_gains(j, cart, *floors)
         # independent dense oracle via explicit block expansion
         kx = np.zeros((6, 6))
-        kx[:3, :3] = np.diag(np.diag(cart.kp_trans))
+        kx[:3, :3] = np.diag(cart.kp_trans)
         kx[3:, 3:] = np.diag(cfg.k_rot)
         oracle = np.einsum("ka,kl,lb->ab", j, kx, j) + np.eye(dof) * floors[0]
         worst_fold = max(worst_fold, float(np.max(np.abs(gains.kq_p - oracle))))

@@ -79,10 +79,19 @@ def test_run_selective_release_pair_and_table(tmp_path, capsys):
      ("bottle_pick", "dt = 0.001", "dt = 0.01"),
      ("bilateral_quality", "dt = 0.001", "dt = 0.01"),
      ("bottle_pick", "kp = 5.0", "kp = -1"),
-     ("bilateral_quality", "kp = 5.0", "kp = -1")],
+     ("bilateral_quality", "kp = 5.0", "kp = -1"),
+     ("wiping", "m_eff = 2.0", "m_eff = -2"),
+     ("wiping", "m_eff = 2.0", "m_eff = 0"),
+     ("wiping", "zeta = 1.0", "zeta = -1"),
+     ("wiping", "k_rot = 50 50 50", "k_rot = 50 -50 50"),
+     ("wiping", "d_rot = 5 5 5", "d_rot = 5 5 -5"),
+     ("wiping", "kq_floor = 1.0", "kq_floor = -1"),
+     ("wiping", "kqd_floor = 0.1", "kqd_floor = -0.1")],
     ids=["k_min_above_k_max", "zero_ik_damping", "plant_dt_above_step_bound",
          "bottle_dt_above_step_bound", "quality_dt_above_step_bound",
-         "bottle_negative_gripper_kp", "quality_negative_gripper_kp"])
+         "bottle_negative_gripper_kp", "quality_negative_gripper_kp",
+         "negative_m_eff", "zero_m_eff", "negative_zeta", "negative_k_rot",
+         "negative_d_rot", "negative_kq_floor", "negative_kqd_floor"])
 def test_run_bad_gain_config_is_usage_error(tmp_path, capsys, config, old, new):
     # a gain or step the controller cannot use is a config error, not a
     # runtime fault

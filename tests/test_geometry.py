@@ -40,6 +40,26 @@ def test_rotation_log_identity_and_near_pi(rng):
             assert np.allclose(r_back, r, atol=1e-5)
 
 
+def test_rotation_log_batch_rows_equal_single_calls(rng):
+    # each row of a batch takes its own branch (identity, generic, near pi)
+    # and gets the bits the single call gives
+    rotations = [np.eye(3), rotation_about_axis([0.0, 0.0, 1.0], 1e-12),
+                 rotation_about_axis([1.0, 0.0, 0.0], np.pi),
+                 rotation_about_axis([0.0, 0.6, 0.8], np.pi - 1e-8)]
+    rotations += [random_rotation(rng) for _ in range(4)]
+    batch = rotation_log(np.stack(rotations))
+    assert batch.shape == (len(rotations), 3)
+    for r, row in zip(rotations, batch):
+        assert rotation_log(r).shape == (3,)
+        assert rotation_log(r).tobytes() == row.tobytes()
+    axes = rng.normal(size=(5, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = rng.uniform(-3.0, 3.0, 5)
+    stacked = rotation_about_axis(axes, angles)
+    for a, t, r in zip(axes, angles, stacked):
+        assert rotation_about_axis(a, t).tobytes() == r.tobytes()
+
+
 def test_skew_matches_cross(rng):
     a, b = rng.normal(size=3), rng.normal(size=3)
     assert np.allclose(skew(a) @ b, np.cross(a, b))
@@ -86,6 +106,19 @@ def test_pose_rejects_bad_rotation():
     flipped = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(GeometryError):
         Pose(flipped, np.zeros(3))
+
+
+def test_pose_rejects_non_finite_input():
+    # NaN compares false with every tolerance, so it must not slip through
+    with pytest.raises(GeometryError):
+        Pose(np.full((3, 3), np.nan), np.zeros(3))
+    for bad in (np.nan, np.inf, -np.inf):
+        rotation = np.eye(3)
+        rotation[1, 2] = bad
+        with pytest.raises(GeometryError):
+            Pose(rotation, np.zeros(3))
+        with pytest.raises(GeometryError):
+            Pose(np.eye(3), [bad, 0.0, 0.0])
 
 
 def test_pose_compose_inverse(rng):

@@ -7,7 +7,7 @@ from contactctl.compliance import ComplianceCommand
 from contactctl.dynamics import (ArmDynamicsModel, ContactPlane, SimState,
                                  bias_terms, inverse_dynamics_terms,
                                  load_arm_model, plane_contact_force, step)
-from contactctl.geometry import Pose, rotation_about_axis
+from contactctl.geometry import Pose, pose_unchecked, rotation_about_axis
 from contactctl.impedance import (CartesianGains, ImpedanceConfig,
                                   ImpedanceExecutor, JointGains,
                                   StiffnessClampWarning, build_operational_gains,
@@ -30,15 +30,15 @@ def planar2_model():
 def test_critical_damping_values():
     cfg = ImpedanceConfig(zeta=1.0, m_eff=2.0, k_min=0.0, k_max=5000.0)
     gains = build_operational_gains(np.array([1000.0, 1000.0, 500.0]), cfg)
-    assert np.allclose(np.diag(gains.dp_trans), [89.44, 89.44, 63.25], atol=1e-2)
-    assert np.allclose(np.diag(gains.kp_trans), [1000.0, 1000.0, 500.0])
+    assert np.allclose(gains.dp_trans, [89.44, 89.44, 63.25], atol=1e-2)
+    assert np.allclose(gains.kp_trans, [1000.0, 1000.0, 500.0])
 
 
 def test_zero_stiffness_zero_damping():
     cfg = ImpedanceConfig(k_min=0.0, k_max=100.0)
     gains = build_operational_gains(np.zeros(3), cfg)
-    assert np.allclose(np.diag(gains.kp_trans), 0.0)
-    assert np.allclose(np.diag(gains.dp_trans), 0.0)
+    assert np.allclose(gains.kp_trans, 0.0)
+    assert np.allclose(gains.dp_trans, 0.0)
 
 
 def test_block_diagonal_structure():
@@ -52,18 +52,28 @@ def test_block_diagonal_structure():
     assert np.allclose(kxd[3:, 3:], np.diag(cfg.d_rot))
 
 
-@pytest.mark.parametrize("field", ["ik_damping", "dt", "qd_filter_cutoff"])
+@pytest.mark.parametrize("field", ["ik_damping", "dt", "qd_filter_cutoff", "m_eff"])
 def test_config_rejects_nonpositive_timing_and_damping(field):
     for value in (0.0, -1.0):
         with pytest.raises(ValueError, match=field):
             ImpedanceConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("zeta", -1.0), ("k_rot", [50.0, -50.0, 50.0]), ("d_rot", [-5.0, 5.0, 5.0]),
+    ("kq_floor", -1.0), ("kqd_floor", -0.1), ("zeta", float("nan"))])
+def test_config_rejects_negative_gains(field, value):
+    with pytest.raises(ValueError, match=field):
+        ImpedanceConfig(**{field: value})
+    # zero is allowed: no damping, no rotational stiffness, no floor
+    ImpedanceConfig(**{field: np.zeros(3) if field in ("k_rot", "d_rot") else 0.0})
+
+
 def test_out_of_range_stiffness_clamped_with_warning():
     cfg = ImpedanceConfig(k_min=200.0, k_max=2000.0)
     with pytest.warns(StiffnessClampWarning):
         gains = build_operational_gains(np.array([100.0, 500.0, 9000.0]), cfg)
-    assert np.allclose(np.diag(gains.kp_trans), [200.0, 500.0, 2000.0])
+    assert np.allclose(gains.kp_trans, [200.0, 500.0, 2000.0])
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +88,7 @@ def test_fold_null_jacobian_gives_floor():
 
 
 def test_fold_identity_stiffness_matches_loop_oracle(rng):
-    cart = CartesianGains(np.eye(3), np.eye(3), np.zeros((3, 3)), np.zeros((3, 3)))
+    cart = CartesianGains(np.ones(3), np.ones(3), np.zeros(3), np.zeros(3))
     for _ in range(25):
         dof = int(rng.integers(1, 7))
         j = rng.normal(size=(6, dof))
@@ -335,3 +345,69 @@ def test_executor_single_code_path_in_contact_and_free_space():
     out_free, _, _ = executor.closed_loop_tick(free_state, command, None)
     assert out_free.diagnostics.code_path == "unified"
     assert f_n > 0.0   # contact case did make contact, same code path
+
+
+# ---------------------------------------------------------------------------
+# trial axis
+
+@pytest.mark.parametrize("name", ["planar3", "arm6"])
+def test_single_state_shapes_and_batched_rows(rng, name):
+    # a single (n,) state keeps the shapes it always had; a (T, n) batch gives
+    # every result a leading trial axis, and each row equals the single call
+    model = load_arm_model(f"configs/chains/{name}.ini")
+    chain, n, rows = model.chain, model.chain.dof, 3
+    cfg = ImpedanceConfig()
+    q = rng.uniform(-1.0, 1.0, (rows, n))
+    qdot = rng.normal(size=(rows, n))
+    ee = [chain_frames(chain, q[i]).ee_pose for i in range(rows)]
+    offsets = np.array([p.translation[2] + d for p, d in zip(ee, (0.01, -0.01, 0.0))])
+    kp = rng.uniform(100.0, 3000.0, (rows, 3))
+
+    def tick(qi, qdi, offset, kpi, target):
+        executor = ImpedanceExecutor(model, cfg)
+        plane = ContactPlane([0.0, 0.0, 1.0], offset, 2e4, 250.0, 0.4)
+        command = ComplianceCommand(target, kpi, 0.05, target)
+        state = SimState(qi, qdi)
+        first, state, _ = executor.closed_loop_tick(state, command, plane)
+        return (first,) + executor.closed_loop_tick(state, command, plane)
+
+    targets = [pose_unchecked(p.rotation, p.translation + 0.01) for p in ee]
+    singles = [tick(q[i], qdot[i], offsets[i], kp[i], targets[i]) for i in range(rows)]
+    batched = tick(q, qdot, offsets, kp,
+                   pose_unchecked(np.stack([t.rotation for t in targets]),
+                                  np.stack([t.translation for t in targets])))
+
+    first, out, state, frames = singles[0]
+    assert out.tau.shape == out.q_d.shape == out.qdot_d.shape == (n,)
+    assert state.q.shape == state.qdot.shape == (n,)
+    assert state.contact_wrench_ee.force.shape == (3,)
+    assert frames.jacobian.shape == (6, n)
+    assert frames.joint_origins.shape == frames.joint_axes.shape == (n, 3)
+    assert frames.link_rotations.shape == (n, 3, 3)
+    assert frames.ee_pose.rotation.shape == (3, 3)
+    for value in vars(out.diagnostics).values():
+        assert np.ndim(value) == 0
+    assert isinstance(out.diagnostics.error_norm, float)
+    terms = inverse_dynamics_terms(model, q[0], qdot[0])
+    assert terms.mass_matrix.shape == (n, n) and terms.bias.shape == (n,)
+    force, f_n = plane_contact_force(ContactPlane([0.0, 0.0, 1.0], 0.0, 1e4),
+                                     np.array([0.0, 0.0, -0.01]), np.zeros(3))
+    assert force.shape == (3,) and isinstance(f_n, float) and f_n == 100.0
+
+    b_first, b_out, b_state, b_frames = batched
+    assert b_out.tau.shape == (rows, n) and b_state.q.shape == (rows, n)
+    assert b_state.contact_wrench_ee.force.shape == (rows, 3)
+    assert b_frames.jacobian.shape == (rows, 6, n)
+    assert b_out.diagnostics.error_norm.shape == (rows,)
+    for i, (s_first, s_out, s_state, s_frames) in enumerate(singles):
+        for got, want in ((b_first.tau[i], s_first.tau), (b_out.tau[i], s_out.tau),
+                          (b_out.qdot_d[i], s_out.qdot_d),
+                          (b_state.q[i], s_state.q), (b_state.qdot[i], s_state.qdot),
+                          (b_state.contact_wrench_ee.force[i],
+                           s_state.contact_wrench_ee.force),
+                          (b_frames.jacobian[i], s_frames.jacobian)):
+            assert got.tobytes() == want.tobytes()
+        assert b_out.diagnostics.error_norm[i] == s_out.diagnostics.error_norm
+    # the rows straddle the plane: pressed into it, and clear of it
+    assert np.linalg.norm(b_state.contact_wrench_ee.force[0]) > 0.0
+    assert np.all(b_state.contact_wrench_ee.force[1] == 0.0)

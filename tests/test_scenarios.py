@@ -135,13 +135,9 @@ def test_wiping_replay_second_generation(tmp_path):
     # re-execute a recorded episode's action stream: the second-generation
     # contact-force trace must match the first within 5% RMS
     from contactctl.episodes import load_episode, replay_actions
-    from contactctl.scenarios.wiping import (_run_trial, _scripted_actions,
-                                             impedance_config_from,
-                                             stiffness_schedule_from)
-    from contactctl.dynamics import ContactPlane, PayloadSpec, load_arm_model
-    from contactctl.geometry import Pose, rotation_about_axis
-    from contactctl.kinematics import solve_ik
-    from contactctl.sensing import IdentifiedPayload, WrenchFrameModel
+    from contactctl.scenarios.wiping import (WipingRow, _scripted_actions,
+                                             rollout, wiping_episode,
+                                             wiping_setup)
 
     config = load("wiping", trials_override=1)
     report = run_wiping(config, True, tmp_path / "gen1")
@@ -150,36 +146,15 @@ def test_wiping_replay_second_generation(tmp_path):
     # generation 2: action list rebuilt from the recorded stream
     chunks = replay_actions(episode1, 16)
     steps2 = [s for c in chunks for s in c.steps]
-    rot = rotation_about_axis(np.array([0.0, 1.0, 0.0]),
-                              config.get_float("wiping", "tool_pitch", 0.7))
-    _, labels1, _ = _scripted_actions(config, rot, 10.0)
+    setup = wiping_setup(config)
+    _, labels1, _ = _scripted_actions(config, setup.start_pose.rotation, 10.0)
     labels2 = labels1 + ["retreat"] * (len(steps2) - len(labels1))
-
-    model = load_arm_model(config.resolve_path(config.get("plant", "chain")))
-    start = Pose(rot, [config.get_float("wiping", "x_start", 0.40), 0.0, 0.0])
-    ik = solve_ik(model.chain, config.get_vec("wiping", "q_init_guess"),
-                  start, max_iters=300, tol=1e-8)
     # same jittered plane and noise stream as the recorded trial (seed, trial 0)
     rng = np.random.default_rng(config.seed * 1000)
     jitter = config.get_float("plant", "surface_jitter", 0.0005)
     offset = rng.uniform(-jitter, jitter)
-    plane = ContactPlane(config.get_vec("plant", "plane_normal", "0 0 1"),
-                         offset,
-                         config.get_float("plant", "plane_stiffness", 2e4),
-                         config.get_float("plant", "plane_damping", 250.0),
-                         config.get_float("plant", "plane_mu", 0.4))
-    payload = PayloadSpec(config.get_float("sensor", "payload_mass", 0.2),
-                          config.get_vec("sensor", "payload_com", "0 0 0.03"),
-                          config.get_vec("sensor", "payload_bias",
-                                         "0.2 -0.1 0.15 0.01 -0.02 0.005"))
-    identified = IdentifiedPayload(payload.mass, payload.com_in_sensor,
-                                   payload.sensor_bias)
-    result = _run_trial(config, model, impedance_config_from(config),
-                        stiffness_schedule_from(config), plane, ik.q, start,
-                        steps2, labels2, 50, 1e-3, 16, 16, 0.40, 0.20, 20, 7.0,
-                        payload, identified, WrenchFrameModel(),
-                        config.get_float("sensor", "noise_sigma", 0.02), rng,
-                        True, "gen2")
+    row = WipingRow(steps2, labels2, offset, rng, wiping_episode(setup, "gen2"))
+    result, = rollout(setup, [row])
     episode2 = result["episode"]
     fz1 = episode1.values("wrench_ee")[:, 2]
     fz2 = episode2.values("wrench_ee")[:, 2]
@@ -190,6 +165,100 @@ def test_wiping_replay_second_generation(tmp_path):
     assert rms_diff / scale < 0.05
     assert abs(result["mean_fz"] - report.metrics["mean_fz"]) \
         / report.metrics["mean_fz"] < 0.05
+
+
+def test_wiping_rows_bitwise_independent_of_batch(monkeypatch):
+    # each (variant, trial) row of a batched rollout gives the same bits alone
+    # (batch of 1) as inside a mixed batch: both variants, rows in and out of
+    # contact, recorded and unrecorded rows, and a row whose orientation
+    # error sits at a half turn (rotation_log's near-pi branch)
+    from contactctl import kinematics
+    from contactctl.geometry import rotation_about_axis
+    from contactctl.scenarios.wiping import (WipingRow, _scripted_actions,
+                                             rollout, wiping_episode,
+                                             wiping_setup)
+
+    config = load("wiping", trials_override=1)
+    for key, value in (("settle_s", "0.1"), ("press_s", "0.2"),
+                       ("slide_s", "0.3"), ("retreat_s", "0.1")):
+        config.sections["wiping"][key] = value   # every phase, fewer ticks
+    setup = wiping_setup(config)
+    start = setup.start_pose.rotation
+    # planar3 turns about y only, so a half turn about x is never undone
+    half_turn = rotation_about_axis(np.array([1.0, 0.0, 0.0]), np.pi) @ start
+
+    def rows():
+        pressing, labels, _ = _scripted_actions(config, start, 10.0)
+        hovering, _, _ = _scripted_actions(config, start, 0.0)
+        flipped, _, _ = _scripted_actions(config, half_turn, 10.0)
+        return [WipingRow(pressing, labels, -0.0003, np.random.default_rng(1),
+                          wiping_episode(setup, "pressing")),
+                WipingRow(hovering, labels, -0.002, np.random.default_rng(2),
+                          wiping_episode(setup, "hovering")),
+                WipingRow(pressing, labels, 0.0004, np.random.default_rng(3)),
+                WipingRow(flipped, labels, 0.0, np.random.default_rng(4),
+                          wiping_episode(setup, "flipped"))]
+
+    near_pi = []
+    real_log = kinematics.rotation_log
+
+    def spy(r):
+        trace = np.trace(r, axis1=-2, axis2=-1)
+        near_pi.append(np.pi - np.arccos(np.clip((trace - 1.0) / 2.0, -1.0, 1.0))
+                       < 1e-6)
+        return real_log(r)
+
+    monkeypatch.setattr(kinematics, "rotation_log", spy)
+    together = rollout(setup, rows())
+    monkeypatch.undo()
+    assert np.all(np.array(near_pi)[:, 3]) and not np.any(np.array(near_pi)[:, :3])
+    assert together[0]["mean_fz"] > 1.0 and together[1]["mean_fz"] == 0.0
+
+    alone = [rollout(setup, [row])[0] for row in rows()]
+    for got, want in zip(together, alone):
+        for key in ("mean_fz", "frac_above_floor", "residual"):
+            assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes()
+        assert (got["episode"] is None) == (want["episode"] is None)
+        if got["episode"] is None:
+            continue
+        for name in got["episode"].streams:
+            assert len(got["episode"].times(name)) > 0
+            assert got["episode"].times(name).tobytes() \
+                == want["episode"].times(name).tobytes()
+            assert got["episode"].values(name).tobytes() \
+                == want["episode"].values(name).tobytes()
+        assert np.array(got["diagnostics"]).tobytes() \
+            == np.array(want["diagnostics"]).tobytes()
+
+
+def test_wiping_rollout_rejects_rows_of_unequal_length():
+    from contactctl.scenarios.wiping import (WipingRow, _scripted_actions,
+                                             rollout, wiping_setup)
+    config = load("wiping", trials_override=1)
+    setup = wiping_setup(config)
+    steps, labels, _ = _scripted_actions(config, setup.start_pose.rotation, 10.0)
+    rows = [WipingRow(steps, labels, 0.0, np.random.default_rng(0)),
+            WipingRow(steps[:-1], labels, 0.0, np.random.default_rng(1))]
+    with pytest.raises(ValueError, match="one length"):
+        rollout(setup, rows)
+
+
+def test_run_scenario_wiping_is_one_batch(monkeypatch):
+    # both variants run as one batched rollout, one report per variant
+    from contactctl.scenarios import wiping
+    batches = []
+    real = wiping.rollout
+
+    def counting(setup, rows):
+        batches.append(len(rows))
+        return real(setup, rows)
+
+    monkeypatch.setattr(wiping, "rollout", counting)
+    config = load("wiping", trials_override=1)
+    config.sections["wiping"]["slide_s"] = "0.2"
+    reports = run_scenario(config)
+    assert batches == [2]
+    assert [r.variant for r in reports] == ["with_wrench", "no_wrench"]
 
 
 # ---------------------------------------------------------------------------
