@@ -28,8 +28,6 @@ EXIT_CRITERIA = 1
 EXIT_USAGE = 2
 EXIT_FAULT = 3
 
-PLOT_KINDS = ("fz-wiping", "tactile-norm", "grasp-force", "gravity-comp")
-
 
 def _default_out_root() -> Path:
     return Path(os.environ.get(OUTPUT_ROOT_ENV, "out"))
@@ -206,7 +204,7 @@ _PLOTTERS = {
 def _cmd_plot_data(args) -> int:
     if args.kind not in _PLOTTERS:
         print(f"error: unknown figure kind {args.kind!r}; "
-              f"choose from {', '.join(PLOT_KINDS)}", file=sys.stderr)
+              f"choose from {', '.join(_PLOTTERS)}", file=sys.stderr)
         return EXIT_USAGE
     episode, code = _read_episode_arg(args, load_episode)
     if code != EXIT_OK:
@@ -288,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot = sub.add_parser("plot-data", help="emit plot-ready CSVs")
     p_plot.add_argument("--episode", required=True)
     p_plot.add_argument("--kind", required=True,
-                        help=f"one of {', '.join(PLOT_KINDS)}")
+                        help=f"one of {', '.join(_PLOTTERS)}")
     p_plot.add_argument("--out", help="output directory (default: episode dir)")
     p_plot.set_defaults(func=_cmd_plot_data)
 

@@ -96,7 +96,7 @@ class StiffnessSchedule:
     def __post_init__(self):
         if not 0.0 < self.k_min <= self.k_max:
             raise ComplianceError("need 0 < k_min <= k_max")
-        if self.f_sat <= 0.0:
+        if not self.f_sat > 0.0:
             raise ComplianceError("f_sat must be positive")
 
 
@@ -168,17 +168,6 @@ def compile_step(step: ActionStep, prev_ref: Pose,
     kp = schedule_stiffness(step.force, sched)
     target, _ = compile_virtual_target(ref, step.force, kp)
     return ComplianceCommand(target, kp, step.gripper_width, ref), ref
-
-
-def compile_chunk(chunk: ActionChunk, start_ref: Pose,
-                  sched: StiffnessSchedule) -> list:
-    """Compile every step of a chunk against a running reference pose."""
-    commands = []
-    ref = start_ref
-    for step in chunk.steps:
-        command, ref = compile_step(step, ref, sched)
-        commands.append(command)
-    return commands
 
 
 def interpolate_commands(prev: ComplianceCommand, nxt: ComplianceCommand,

@@ -14,7 +14,7 @@ as a single (n,) state, so its bits do not depend on the batch around it.
 """
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
@@ -27,7 +27,7 @@ from .kinematics import (ChainConfigError, ChainFrames, ChainModel,
                          chain_frames, load_chain)
 from .sensing import gravity_model
 
-_ZERO3 = np.zeros(3)
+FRICTION_V_EPS = 1e-3   # m/s, tanh regularization of Coulomb friction
 
 
 class SimulationFault(RuntimeError):
@@ -71,16 +71,16 @@ class ContactPlane:
     stiffness: float
     damping: float = 0.0
     friction_mu: float = 0.0
-    v_eps: float = 1e-3   # m/s, tanh regularization of Coulomb friction
 
     def __post_init__(self):
         self.normal = np.asarray(self.normal, dtype=float).reshape(3)
         norm = np.linalg.norm(self.normal)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError("plane normal must be a unit vector")
-        if self.stiffness <= 0.0:
+        # written as `not ...` so that NaN fails too
+        if not self.stiffness > 0.0:
             raise ValueError("plane stiffness must be positive")
-        if self.damping < 0.0 or self.friction_mu < 0.0:
+        if not (self.damping >= 0.0 and self.friction_mu >= 0.0):
             raise ValueError("plane damping and friction must be nonnegative")
 
 
@@ -126,28 +126,6 @@ class SimState:
 class DynTerms:
     mass_matrix: np.ndarray
     bias: np.ndarray    # C(q, qdot) qdot + g(q)
-
-
-@dataclass
-class BiasTerms:
-    c_qdot: np.ndarray
-    g_vec: np.ndarray
-
-
-def bias_terms(model: ArmDynamicsModel, q: np.ndarray, qdot: np.ndarray) -> BiasTerms:
-    """Coriolis/centrifugal generalized force C(q,qdot) qdot and gravity torque g(q)."""
-    frames = chain_frames(model.chain, q)
-    g_vec = inverse_dynamics_terms(model, q, np.zeros_like(frames.joint_axes[..., 0]),
-                                   frames).bias
-    c_qdot = inverse_dynamics_terms(replace(model, gravity=_ZERO3), q, qdot,
-                                    frames).bias
-    return BiasTerms(c_qdot, g_vec)
-
-
-def mass_matrix(model: ArmDynamicsModel, q: np.ndarray) -> np.ndarray:
-    """Joint-space inertia M(q)."""
-    q = np.asarray(q, dtype=float)
-    return inverse_dynamics_terms(model, q, np.zeros(q.shape)).mass_matrix
 
 
 def inverse_dynamics_terms(model: ArmDynamicsModel, q, qdot,
@@ -253,7 +231,7 @@ def plane_contact_force(plane: ContactPlane, p_ee: np.ndarray,
         if not slipping.all():
             speed = np.where(slipping, speed, 1.0)
             pressing = np.where(slipping, f_n, 0.0)
-        drag = plane.friction_mu * pressing * np.tanh(speed / plane.v_eps)
+        drag = plane.friction_mu * pressing * np.tanh(speed / FRICTION_V_EPS)
         force = force - drag[..., None] * (v_t / speed[..., None])
     return force, f_n[()]
 

@@ -135,20 +135,19 @@ class Episode:
         return AlignedFrame(t_query, samples)
 
 
-def replay_actions(episode: Episode, chunk_len: int,
-                   stream_name: str = "action") -> list:
-    """Partition the recorded action stream into fixed-length chunks.
+def replay_actions(episode: Episode, chunk_len: int) -> list:
+    """Partition the recorded "action" stream into fixed-length chunks.
 
     The final partial chunk is padded by repeating its last step and flagged.
     """
     if chunk_len < 1:
         raise EpisodeError("chunk_len must be >= 1")
-    if stream_name not in episode.streams:
-        raise EpisodeError(f"episode has no action stream {stream_name!r}")
-    spec = episode.streams[stream_name]
+    spec = episode.streams.get("action")
+    if spec is None:
+        raise EpisodeError("episode has no action stream 'action'")
     if spec.kind != "action" or spec.schema != ACTION_SCHEMA:
-        raise EpisodeError(f"stream {stream_name!r} does not carry actions")
-    rows = episode.values(stream_name)
+        raise EpisodeError("stream 'action' does not carry actions")
+    rows = episode.values("action")
     if rows.size == 0:
         raise EpisodeError("empty action stream")
     chunks = []

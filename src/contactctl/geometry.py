@@ -170,27 +170,6 @@ class Pose:
     def identity() -> "Pose":
         return Pose(np.eye(3), np.zeros(3))
 
-    def compose(self, other: "Pose") -> "Pose":
-        """self @ other: apply `other` in this pose's local frame."""
-        return Pose(self.rotation @ other.rotation,
-                    self.rotation @ other.translation + self.translation)
-
-    def inverse(self) -> "Pose":
-        rt = self.rotation.T
-        return Pose(rt, -rt @ self.translation)
-
-    def transform_point(self, p: np.ndarray) -> np.ndarray:
-        return self.rotation @ np.asarray(p, dtype=float) + self.translation
-
-    def as_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
-    def copy(self) -> "Pose":
-        return Pose(self.rotation.copy(), self.translation.copy())
-
 
 def pose_unchecked(rotation: np.ndarray, translation: np.ndarray) -> Pose:
     """Internal fast path: skip orthonormality validation.
@@ -276,7 +255,3 @@ class Wrench:
     def from_array(values: np.ndarray, frame: str = "world") -> "Wrench":
         values = np.asarray(values, dtype=float).reshape(6)
         return Wrench(values[:3], values[3:], frame)
-
-    @staticmethod
-    def zero(frame: str = "world") -> "Wrench":
-        return Wrench(np.zeros(3), np.zeros(3), frame)

@@ -1,8 +1,8 @@
 """Hybrid joint-space impedance execution.
 
-Operational-space gains are assembled as block-diagonal 6x6 matrices
-(translational stiffness scheduled per tick, rotational gains fixed), folded
-through the Jacobian into effective joint-space gains
+Operational-space gains are diagonal (translational stiffness scheduled per
+tick, rotational gains fixed), folded through the Jacobian into effective
+joint-space gains
 
     Kq_p = J^T Kx J + Kq_floor,      Kq_d = J^T Kxd J + Kqd_floor,
 
@@ -16,7 +16,6 @@ independent control loops in one pass, with one qdot_d filter per row;
 a single (n,) state runs through the same code.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,12 +24,8 @@ import numpy as np
 from .compliance import ComplianceCommand
 from .dynamics import (ArmDynamicsModel, ContactPlane, SimState,
                        STEP_DT_MAX, inverse_dynamics_terms, step)
-from .geometry import as_vec3, dot_rows
+from .geometry import as_vec3
 from .kinematics import ChainFrames, chain_frames, dls_step, pose_error
-
-
-class StiffnessClampWarning(UserWarning):
-    """Requested translational stiffness was outside [k_min, k_max]."""
 
 
 @dataclass
@@ -72,17 +67,7 @@ class CartesianGains:
     k_rot: np.ndarray      # N*m/rad
     dp_trans: np.ndarray   # N*s/m
     d_rot: np.ndarray      # N*m*s/rad
-
-    def stiffness_6x6(self) -> np.ndarray:
-        return _block_diagonal(self.kp_trans, self.k_rot)
-
-    def damping_6x6(self) -> np.ndarray:
-        return _block_diagonal(self.dp_trans, self.d_rot)
-
-
-def _block_diagonal(trans, rot) -> np.ndarray:
-    diag = np.concatenate(np.broadcast_arrays(trans, rot), axis=-1)
-    return diag[..., None] * np.eye(6)
+    stiffness_clamped: bool   # per row: kp_trans was clamped into [k_min, k_max]
 
 
 @dataclass
@@ -99,17 +84,16 @@ def build_operational_gains(kp_diag: np.ndarray,
 
     Translational damping follows the critical-damping rule per axis,
     D = 2 zeta sqrt(k m_eff); rotational gains come straight from config.
-    Out-of-range stiffness entries are clamped with a StiffnessClampWarning.
-    `kp_diag` is a 3-vector or a (..., 3) stack, one row per trial.
+    Out-of-range stiffness entries are clamped to [k_min, k_max], and the
+    gains say per row whether they were; nothing warns, so concurrent loops
+    never touch the process-wide warning filters. `kp_diag` is a 3-vector
+    or a (..., 3) stack, one row per trial.
     """
     kp = as_vec3(kp_diag)
     clamped = np.minimum(np.maximum(kp, config.k_min), config.k_max)
-    if (clamped != kp).any():
-        warnings.warn(f"translational stiffness {kp} clamped to "
-                      f"[{config.k_min}, {config.k_max}]", StiffnessClampWarning,
-                      stacklevel=2)
     dp = 2.0 * config.zeta * np.sqrt(clamped * config.m_eff)
-    return CartesianGains(clamped, config.k_rot, dp, config.d_rot)
+    return CartesianGains(clamped, config.k_rot, dp, config.d_rot,
+                          (clamped != kp).any(axis=-1))
 
 
 def fold_to_joint_gains(j: np.ndarray, cart: CartesianGains,
@@ -158,13 +142,11 @@ def control_torque(gains: JointGains, q_d, q, qdot_d, qdot,
 
 @dataclass
 class TickDiagnostics:
-    """Per-tick controller facts; (T,) arrays for a batched tick."""
+    """Per-tick controller facts; (T, ...) arrays for a batched tick."""
 
-    error_norm: float            # ||xi|| toward the virtual target
-    contact_force_norm: float    # from the plant's last contact wrench
+    xi: np.ndarray               # pose error toward the virtual target
     stiffness_clamped: bool
     limits_clamped: bool
-    code_path: str = "unified"   # single path by design; never branches on contact
 
 
 @dataclass
@@ -193,10 +175,6 @@ class ImpedanceExecutor:
         self._prev_q_d = None
         rc = 1.0 / (2.0 * np.pi * config.qd_filter_cutoff)
         self._alpha = config.dt / (config.dt + rc)
-
-    def reset(self) -> None:
-        self._qdot_d_filtered = None
-        self._prev_q_d = None
 
     def closed_loop_tick(self, state: SimState, command: ComplianceCommand,
                          plane: Optional[ContactPlane]
@@ -237,24 +215,8 @@ class ImpedanceExecutor:
             + self._alpha * (qdot_d_raw - self._qdot_d_filtered)
         qdot_d = self._qdot_d_filtered.copy()
 
-        # clamp before building the gains: the clamp goes to the diagnostics,
-        # with no warning and no change to the process-wide warning filters
-        kp = np.asarray(command.kp_diag, dtype=float)
-        kp_clamped = np.minimum(np.maximum(kp, cfg.k_min), cfg.k_max)
-        stiffness_clamped = (kp_clamped != kp).any(axis=-1)
-        cart = build_operational_gains(kp_clamped, cfg)
+        cart = build_operational_gains(command.kp_diag, cfg)
         gains = fold_to_joint_gains(j, cart, cfg.kq_floor, cfg.kqd_floor)
         tau = control_torque(gains, q_d, state.q, qdot_d, state.qdot, bias)
-
-        diag = TickDiagnostics(
-            error_norm=_norm_rows(xi),
-            contact_force_norm=_norm_rows(state.contact_wrench_ee.force),
-            stiffness_clamped=stiffness_clamped,
-            limits_clamped=limits_clamped,
-        )
-        return TickResult(tau, q_d, qdot_d, diag)
-
-
-def _norm_rows(x: np.ndarray):
-    """Euclidean norm of each row, as np.linalg.norm computes it alone."""
-    return np.sqrt(dot_rows(x, x))[()]
+        return TickResult(tau, q_d, qdot_d,
+                          TickDiagnostics(xi, cart.stiffness_clamped, limits_clamped))

@@ -36,14 +36,11 @@ class ChainLink:
 
     axis: np.ndarray
     offset: Pose
-    joint_type: str = "revolute"
 
     def __post_init__(self):
         self.axis = np.asarray(self.axis, dtype=float).reshape(3)
         if abs(np.linalg.norm(self.axis) - 1.0) > AXIS_UNIT_TOL:
             raise ChainConfigError(f"joint axis {self.axis} is not unit norm")
-        if self.joint_type != "revolute":
-            raise ChainConfigError(f"unsupported joint type {self.joint_type!r}")
 
 
 @dataclass
@@ -159,16 +156,6 @@ def chain_frames(chain: ChainModel, q: np.ndarray) -> ChainFrames:
     return ChainFrames(origins, axes, rotations, pose_unchecked(r_ee, p_ee))
 
 
-def forward_kinematics(chain: ChainModel, q: np.ndarray) -> Pose:
-    """End-effector pose as the composed product of link transforms."""
-    return chain_frames(chain, q).ee_pose
-
-
-def jacobian(chain: ChainModel, q: np.ndarray) -> np.ndarray:
-    """Geometric Jacobian at the end-effector, rows [linear; angular]."""
-    return chain_frames(chain, q).jacobian
-
-
 def pose_error(target: Pose, current: Pose) -> np.ndarray:
     """Task-space error 6-vector: [translation diff; rotation-log of R_t R_c^T]."""
     return np.concatenate(
@@ -191,16 +178,6 @@ def dls_step(j: np.ndarray, xi: np.ndarray, lam: float) -> np.ndarray:
     jjt = j @ jt
     jjt[..., _DIAG6, _DIAG6] += lam * lam
     return (jt @ np.linalg.solve(jjt, xi[..., None]))[..., 0]
-
-
-def dls_ik_step(chain: ChainModel, q: np.ndarray, target: Pose,
-                lam: float = DEFAULT_DAMPING) -> np.ndarray:
-    """One dls_step toward `target` from q.
-
-    The caller forms q_d = q + dq (and clamps to limits if it cares about them).
-    """
-    frames = chain_frames(chain, q)
-    return dls_step(frames.jacobian, pose_error(target, frames.ee_pose), lam)
 
 
 @dataclass

@@ -80,6 +80,8 @@ def load_scenario_config(path, seed_override: Optional[int] = None,
     sections = {name: dict(cfg[name]) for name in cfg.sections()}
     seed = seed_override if seed_override is not None else int(sec.get("seed", "0"))
     trials = trials_override if trials_override is not None else int(sec.get("trials", "10"))
+    if trials < 1:
+        raise ScenarioConfigError(f"{path}: trials must be >= 1, got {trials}")
     config_hash = hashlib.sha256(
         text.encode() + f"|seed={seed}|trials={trials}".encode()).hexdigest()[:16]
     return ScenarioConfig(sec["id"], sec["kind"], seed, trials, sections,

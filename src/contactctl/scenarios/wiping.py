@@ -80,7 +80,7 @@ def _scripted_actions(config: ScenarioConfig, start_rotation, force_target: floa
         for _ in range(n):
             steps.append(ActionStep([dx, 0.0, 0.0], rot6d, [0.0, 0.0, fz], width))
             labels.append(label)
-    return steps, labels, rate
+    return steps, labels
 
 
 @dataclass
@@ -101,6 +101,7 @@ class WipingSetup:
     horizon: int
     cell_edges: np.ndarray         # x edges of the erase cells
     erase_threshold: float
+    surface_jitter: float          # half-width of a row's plane offset draw
     payload: PayloadSpec
     identified: IdentifiedPayload
     frame_model: WrenchFrameModel
@@ -131,12 +132,25 @@ def wiping_setup(config: ScenarioConfig) -> WipingSetup:
                                      config.get_float("plant", "plane_stiffness", 1e5),
                                      config.get_float("plant", "plane_damping", 200.0),
                                      config.get_float("plant", "plane_mu", 0.4))
+        surface_jitter = config.get_float("plant", "surface_jitter", 0.0005)
+        action_rate = config.get_float("wiping", "action_rate_hz", 20.0)
+        n_cells = config.get_int("wiping", "cells", 24)
+        erase_threshold = config.get_float("wiping", "erase_threshold", 7.0)
+        chunk_len = config.get_int("compliance", "chunk_len", 16)
+        horizon = config.get_int("compliance", "horizon", chunk_len)
+        # each check is written so that NaN fails it
+        for ok, what in ((surface_jitter >= 0.0, "surface_jitter must be nonnegative"),
+                         (action_rate > 0.0, "action_rate_hz must be positive"),
+                         (n_cells >= 1, "cells must be >= 1"),
+                         (erase_threshold > 0.0, "erase_threshold must be positive"),
+                         (1 <= horizon <= chunk_len, "need 1 <= horizon <= chunk_len")):
+            if not ok:
+                raise ValueError(what)
     except ValueError as exc:
         raise ScenarioConfigError(f"{config.scenario_id}: {exc}") from exc
 
     x_start = config.get_float("wiping", "x_start", 0.40)
     stroke = config.get_float("wiping", "stroke", 0.24)
-    n_cells = config.get_int("wiping", "cells", 24)
     pitch = config.get_float("wiping", "tool_pitch", 0.7)
     start_pose = Pose(rotation_about_axis(np.array([0.0, 1.0, 0.0]), pitch),
                       [x_start, 0.0, nominal_plane.offset])
@@ -146,19 +160,15 @@ def wiping_setup(config: ScenarioConfig) -> WipingSetup:
         raise ScenarioConfigError(
             f"start pose unreachable from q_init_guess (|xi| = {ik.error_norm:.3g})")
 
-    action_rate = config.get_float("wiping", "action_rate_hz", 20.0)
-    chunk_len = config.get_int("compliance", "chunk_len", 16)
     payload = PayloadSpec(config.get_float("sensor", "payload_mass", 0.2),
                           config.get_vec("sensor", "payload_com", "0 0 0.03"),
                           config.get_vec("sensor", "payload_bias", "0.2 -0.1 0.15 0.01 -0.02 0.005"))
     return WipingSetup(
         config.scenario_id, config.config_hash, model, imp_cfg, sched,
         nominal_plane, ik.q, start_pose, dt,
-        max(1, int(round(1.0 / (action_rate * dt)))),
-        chunk_len, config.get_int("compliance", "horizon", chunk_len),
-        np.linspace(x_start, x_start + stroke, n_cells + 1),
-        config.get_float("wiping", "erase_threshold", 7.0),
-        payload,
+        max(1, int(round(1.0 / (action_rate * dt)))), chunk_len, horizon,
+        np.linspace(x_start, x_start + stroke, n_cells + 1), erase_threshold,
+        surface_jitter, payload,
         IdentifiedPayload(payload.mass, payload.com_in_sensor, payload.sensor_bias),
         WrenchFrameModel(),
         config.get_float("sensor", "noise_sigma", 0.02))
@@ -178,17 +188,17 @@ def run_wiping(config: ScenarioConfig, use_wrench, out_dir=None):
     flags = [use_wrench] if isinstance(use_wrench, bool) else list(use_wrench)
     setup = wiping_setup(config)
     z_nominal = setup.plane.offset
-    surface_jitter = config.get_float("plant", "surface_jitter", 0.0005)
     baseline_offset = config.get_float("wiping", "baseline_surface_offset", -0.002)
     rows = []
     for flag in flags:
         force_target = config.get_float("wiping", "force_target", 10.0) if flag else 0.0
-        steps, labels, _ = _scripted_actions(config, setup.start_pose.rotation,
-                                             force_target)
+        steps, labels = _scripted_actions(config, setup.start_pose.rotation,
+                                          force_target)
         for trial in range(config.trials):
             rng = np.random.default_rng(config.seed * 1000 + trial)
             if flag:
-                offset = z_nominal + rng.uniform(-surface_jitter, surface_jitter)
+                offset = z_nominal + rng.uniform(-setup.surface_jitter,
+                                                 setup.surface_jitter)
             else:
                 offset = z_nominal + baseline_offset
             episode = None
@@ -305,17 +315,18 @@ def rollout(setup: WipingSetup, rows: list) -> list:
                      np.zeros((n_rows, setup.model.chain.dof)))
     recorded = [(i, row) for i, row in enumerate(rows) if row.episode is not None]
     diagnostics = {i: [] for i, _ in recorded}
-    cleared = np.zeros((n_rows, n_cells), dtype=bool)
-    fz_log, sliding_log = [], []
+    streams = list(zip(*[_scheduler(setup, row.steps) for row in rows]))
+    # per tick and row: whether it slides, the tool's x and the normal force
+    sliding = np.repeat([[k < len(row.labels) and row.labels[k] == "slide"
+                          for row in rows] for k in range(len(streams))],
+                        ticks_per_action, axis=0)
+    x_log = np.empty(sliding.shape)
+    fz_log = np.empty(sliding.shape)
     tick = 0
 
     prev_command = None
-    streams = zip(*[_scheduler(setup, row.steps) for row in rows])
     for cmd_idx, row_commands in enumerate(streams):
         command = stack_commands(row_commands)
-        sliding = np.array([cmd_idx < len(row.labels) and row.labels[cmd_idx] == "slide"
-                            for row in rows])
-        any_sliding = sliding.any()
         for _, row in recorded:
             row.episode.record("action", state.time,
                                row.steps[min(cmd_idx, len(row.steps) - 1)].as_array())
@@ -329,35 +340,34 @@ def rollout(setup: WipingSetup, rows: list) -> list:
 
             rotation = frames.ee_pose.rotation
             p_ee = frames.ee_pose.translation
-            if any_sliding:
-                # contact force actually applied this step, mapped back to world
-                f_world = (rotation @ new_state.contact_wrench_ee.force[..., None])[..., 0]
-                f_n = dot_rows(f_world, plane.normal)
-                fz_log.append(f_n)
-                sliding_log.append(sliding)
-                idx = np.searchsorted(setup.cell_edges, p_ee[:, 0], side="right") - 1
-                erase = sliding & (f_n >= setup.erase_threshold) \
-                    & (idx >= 0) & (idx < n_cells)
-                cleared[erase, idx[erase]] = True
+            # contact force actually applied this step, mapped back to world
+            f_world = (rotation @ new_state.contact_wrench_ee.force[..., None])[..., 0]
+            fz_log[tick] = dot_rows(f_world, plane.normal)
+            x_log[tick] = p_ee[:, 0]
 
+            diag = out.diagnostics
+            force = state.contact_wrench_ee.force   # what the tick started from
             for i, row in recorded:
                 _record_tick(setup, row, new_state.row(i),
                              pose_unchecked(rotation[i], p_ee[i]),
                              tick % pose_stride == 0)
-                diag = out.diagnostics
-                diagnostics[i].append([new_state.time, diag.error_norm[i],
-                                       diag.contact_force_norm[i],
+                diagnostics[i].append([new_state.time,
+                                       np.sqrt(dot_rows(diag.xi[i], diag.xi[i])),
+                                       np.sqrt(dot_rows(force[i], force[i])),
                                        float(diag.stiffness_clamped[i]),
                                        float(diag.limits_clamped[i])])
             state = new_state
             tick += 1
         prev_command = command
 
-    fz_log = np.array(fz_log).reshape(-1, n_rows)
-    sliding_log = np.array(sliding_log).reshape(-1, n_rows)
+    cell = np.searchsorted(setup.cell_edges, x_log, side="right") - 1
+    erase = sliding & (fz_log >= setup.erase_threshold) & (cell >= 0) \
+        & (cell < n_cells)
+    cleared = np.zeros((n_rows, n_cells), dtype=bool)
+    cleared[np.nonzero(erase)[1], cell[erase]] = True
     results = []
     for i, row in enumerate(rows):
-        fz = fz_log[sliding_log[:, i], i]
+        fz = fz_log[sliding[:, i], i]
         results.append({
             "mean_fz": float(fz.mean()) if fz.size else 0.0,
             "frac_above_floor": float(np.mean(fz >= setup.erase_threshold))

@@ -36,10 +36,9 @@ class IdentificationError(ValueError):
 
 @dataclass
 class WrenchFrameModel:
-    """Fixed sensor-to-end-effector transform; optional rotation-only mode."""
+    """Fixed sensor-to-end-effector transform."""
 
     t_sensor_to_ee: Pose = field(default_factory=Pose.identity)
-    rotation_only: bool = False
 
 
 @dataclass
@@ -141,14 +140,11 @@ def identify_payload(samples: list) -> IdentifiedPayload:
     return IdentifiedPayload(max(mass, 0.0), com, bias, rms)
 
 
-def transform_wrench(wrench: Wrench, transform: Pose, frame: str,
-                     rotation_only: bool = False) -> Wrench:
+def transform_wrench(wrench: Wrench, transform: Pose, frame: str) -> Wrench:
     """Adjoint wrench map: rotate, then add the lever-arm torque of the
-    frame-origin shift (skipped in rotation-only mode)."""
+    frame-origin shift."""
     force = transform.rotation @ wrench.force
-    torque = transform.rotation @ wrench.torque
-    if not rotation_only:
-        torque = torque + cross3(transform.translation, force)
+    torque = transform.rotation @ wrench.torque + cross3(transform.translation, force)
     return Wrench(force, torque, frame)
 
 
@@ -158,7 +154,7 @@ def compensate_wrench(raw: Wrench, payload: IdentifiedPayload,
     """w_ee = adjoint(T_sensor_to_ee) (w_raw - w_grav)."""
     grav = gravity_wrench(payload, sensor_orientation)
     net = Wrench(raw.force - grav.force, raw.torque - grav.torque, "sensor")
-    return transform_wrench(net, frame.t_sensor_to_ee, "ee", frame.rotation_only)
+    return transform_wrench(net, frame.t_sensor_to_ee, "ee")
 
 
 def marker_motion_magnitude(frame) -> float:

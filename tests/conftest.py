@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from contactctl.dynamics import inverse_dynamics_terms
 from contactctl.geometry import Pose, Rot6D
-from contactctl.kinematics import ChainLink, ChainModel
+from contactctl.kinematics import ChainLink, ChainModel, chain_frames
 
 
 REPO_CONFIGS = "configs"
@@ -29,6 +32,16 @@ def random_chain(rng: np.random.Generator, dof: int) -> ChainModel:
         links.append(ChainLink(axis, offset))
     tool = Pose(random_rotation(rng), rng.uniform(-0.2, 0.2, 3))
     return ChainModel(links, [[-2.0 * np.pi, 2.0 * np.pi]] * dof, tool)
+
+
+def bias_split(model, q, qdot):
+    """(C(q, qdot) qdot, g(q)): the bias of inverse_dynamics_terms with the
+    joint velocity, and then gravity, switched off."""
+    frames = chain_frames(model.chain, q)
+    g_vec = inverse_dynamics_terms(model, q, np.zeros(np.shape(q)), frames).bias
+    c_qdot = inverse_dynamics_terms(replace(model, gravity=np.zeros(3)), q, qdot,
+                                    frames).bias
+    return c_qdot, g_vec
 
 
 @pytest.fixture

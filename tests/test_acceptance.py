@@ -8,10 +8,11 @@ import time
 
 import numpy as np
 
-from contactctl.compliance import (ActionChunk, ActionStep, StiffnessSchedule,
-                                   compile_chunk, compile_virtual_target,
-                                   integrate_reference, schedule_stiffness)
-from contactctl.dynamics import SimState, bias_terms, mass_matrix, step
+from contactctl.compliance import (ActionChunk, ActionStep,
+                                   RecedingHorizonScheduler, StiffnessSchedule,
+                                   compile_virtual_target, integrate_reference,
+                                   schedule_stiffness)
+from contactctl.dynamics import SimState, inverse_dynamics_terms, step
 from contactctl.episodes import Episode, StreamSpec, export_csv, load_episode
 from contactctl.geometry import Pose, Rot6D, rotation_about_axis
 from contactctl.impedance import (ImpedanceConfig, build_operational_gains,
@@ -19,13 +20,13 @@ from contactctl.impedance import (ImpedanceConfig, build_operational_gains,
 from contactctl.bilateral import (BilateralState, GraspContactModel,
                                   GripperParams, angle_from_width,
                                   master_torque, slave_torque, step_bilateral)
-from contactctl.kinematics import forward_kinematics, solve_ik
+from contactctl.kinematics import chain_frames, solve_ik
 from contactctl.scenarios import (load_scenario_config, run_bottle_pick,
                                   run_gravity_verification,
                                   run_selective_release, run_wiping)
 from contactctl.sensing import (CalibrationSample, gravity_model,
                                 identify_payload)
-from conftest import make_planar2, random_rotation
+from conftest import bias_split, make_planar2, random_rotation
 from test_dynamics import make_pendulum, potential_energy
 from test_kinematics import planar2_analytic_ik
 
@@ -142,7 +143,7 @@ def test_criterion_06_ik_oracle_equivalence():
         t0 = time.perf_counter()
         res = solve_ik(chain, q0, target, max_iters=200, tol=1e-6)
         times.append(time.perf_counter() - t0)
-        pos = forward_kinematics(chain, res.q).translation
+        pos = chain_frames(chain, res.q).ee_pose.translation
         worst = max(worst, float(np.linalg.norm(pos - np.array([x, y, 0.0]))))
         if not res.converged or worst >= 1e-4:
             break
@@ -236,13 +237,13 @@ def test_criterion_09_dynamics_sanity():
     worst = 0.0
     for _ in range(5000):
         state = step(model, state, np.array([0.0]), None, 1e-3)
-        m = mass_matrix(model, state.q)[0, 0]
+        m = inverse_dynamics_terms(model, state.q, np.zeros(1)).mass_matrix[0, 0]
         energy = 0.5 * m * state.qdot[0] ** 2 + potential_energy(model, state.q)
         worst = max(worst, abs(energy - e0))
     drift = worst / scale
 
     hold_state = SimState(np.array([0.35]), np.array([0.0]))
-    tau = bias_terms(model, hold_state.q, hold_state.qdot).g_vec
+    _, tau = bias_split(model, hold_state.q, hold_state.qdot)
     max_step_drift = 0.0
     for _ in range(1000):
         new = step(model, hold_state, tau, None, 1e-3)
@@ -268,7 +269,8 @@ def test_criterion_10_compliance_compiler():
     steps = [ActionStep(rng.uniform(-0.01, 0.01, 3),
                         Rot6D.encode(random_rotation(rng)), np.zeros(3), 0.05)
              for _ in range(64)]
-    commands = compile_chunk(ActionChunk(steps), start, sched)
+    commands = RecedingHorizonScheduler([ActionChunk(steps)], len(steps), start,
+                                        sched)
     ref = start
     transparent = True
     for s, cmd in zip(steps, commands):

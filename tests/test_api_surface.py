@@ -1,0 +1,56 @@
+"""Every public name in src/contactctl has a caller in src/.
+
+A public top-level function, class or method that nothing in the package
+names, outside its own definition, is an API kept alive only by tests. The
+documented file-format API and the CLI entry point are the exceptions.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "contactctl"
+
+# documented in docs/formats.md (payload and calibration files), and the
+# console-script entry point
+ALLOWED = {"sensing.load_payload", "sensing.save_calibration_csv", "cli.main"}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of public top-level defs and their methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) \
+                            and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def _uses(tree: ast.Module):
+    """(identifier, line) of every name and attribute read in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def test_every_public_name_has_a_caller_in_src():
+    modules = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        modules[module] = ast.parse(path.read_text(), str(path))
+    uses = [(module, name, line) for module, tree in modules.items()
+            for name, line in _uses(tree)]
+    unused = []
+    for module, tree in modules.items():
+        for qualname, node in _definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(used == name and not (where == module and line in own)
+                       for where, used, line in uses):
+                unused.append(f"{module}.{qualname}")
+    unused = sorted(set(unused) - ALLOWED)
+    assert unused == [], f"public names with no caller in src/: {unused}"

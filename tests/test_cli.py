@@ -86,12 +86,25 @@ def test_run_selective_release_pair_and_table(tmp_path, capsys):
      ("wiping", "k_rot = 50 50 50", "k_rot = 50 -50 50"),
      ("wiping", "d_rot = 5 5 5", "d_rot = 5 5 -5"),
      ("wiping", "kq_floor = 1.0", "kq_floor = -1"),
-     ("wiping", "kqd_floor = 0.1", "kqd_floor = -0.1")],
+     ("wiping", "kqd_floor = 0.1", "kqd_floor = -0.1"),
+     ("wiping", "plane_mu = 0.4", "plane_mu = nan"),
+     ("wiping", "plane_stiffness = 2e4", "plane_stiffness = nan"),
+     ("wiping", "plane_damping = 250", "plane_damping = nan"),
+     ("wiping", "erase_threshold = 7", "erase_threshold = nan"),
+     ("wiping", "cells = 20", "cells = 0"),
+     ("wiping", "f_sat = 20", "f_sat = nan"),
+     ("wiping", "action_rate_hz = 20", "action_rate_hz = 0"),
+     ("wiping", "chunk_len = 16", "chunk_len = 0"),
+     ("wiping", "horizon = 16", "horizon = 0"),
+     ("wiping", "surface_jitter = 0.0005", "surface_jitter = nan")],
     ids=["k_min_above_k_max", "zero_ik_damping", "plant_dt_above_step_bound",
          "bottle_dt_above_step_bound", "quality_dt_above_step_bound",
          "bottle_negative_gripper_kp", "quality_negative_gripper_kp",
          "negative_m_eff", "zero_m_eff", "negative_zeta", "negative_k_rot",
-         "negative_d_rot", "negative_kq_floor", "negative_kqd_floor"])
+         "negative_d_rot", "negative_kq_floor", "negative_kqd_floor",
+         "nan_plane_mu", "nan_plane_stiffness", "nan_plane_damping",
+         "nan_erase_threshold", "zero_cells", "nan_f_sat", "zero_action_rate",
+         "zero_chunk_len", "zero_horizon", "nan_surface_jitter"])
 def test_run_bad_gain_config_is_usage_error(tmp_path, capsys, config, old, new):
     # a gain or step the controller cannot use is a config error, not a
     # runtime fault
@@ -102,6 +115,24 @@ def test_run_bad_gain_config_is_usage_error(tmp_path, capsys, config, old, new):
     bad.write_text(src.replace(old, new)
                    .replace("chain = chains", f"chain = {chains}"))
     code = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "out"),
+                   "--quiet")
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", ["wiping", "bottle_pick"])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_run_trials_below_one_is_usage_error(tmp_path, capsys, config, trials):
+    # from --trials, and from the config file
+    code = run_cli("run", "--config", f"configs/{config}.ini", "--trials", trials,
+                   "--out", str(tmp_path / "cli"), "--quiet")
+    assert code == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+    src = Path(f"configs/{config}.ini").read_text()
+    assert src.count("trials = 10") == 1
+    bad = tmp_path / f"{config}.ini"
+    bad.write_text(src.replace("trials = 10", f"trials = {trials}"))
+    code = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "file"),
                    "--quiet")
     assert code == 2
     assert "error:" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import pytest
 from contactctl.compliance import (ACTION_SCHEMA, ActionChunk, ActionStep,
                                    ComplianceCommand, ComplianceError,
                                    RecedingHorizonScheduler, StiffnessSchedule,
-                                   compile_chunk, compile_virtual_target,
+                                   compile_virtual_target,
                                    integrate_reference, interpolate_commands,
                                    schedule_stiffness)
 from contactctl.geometry import Pose, Rot6D, rotation_about_axis
@@ -146,7 +146,7 @@ def test_compile_chunk_all_zero():
     sched = StiffnessSchedule(2000.0, 200.0, 20.0)
     start = Pose(np.eye(3), [0.3, 0.0, 0.1])
     chunk = ActionChunk([make_step() for _ in range(8)])
-    commands = compile_chunk(chunk, start, sched)
+    commands = list(RecedingHorizonScheduler([chunk], 8, start, sched))
     assert len(commands) == 8
     for cmd in commands:
         assert np.allclose(cmd.virtual_target.translation, start.translation)
@@ -157,8 +157,7 @@ def test_compile_chunk_constant_force():
     sched = StiffnessSchedule(2000.0, 200.0, 20.0)
     start = Pose(np.eye(3), [0.3, 0.0, 0.1])
     chunk = ActionChunk([make_step(force=(0.0, 0.0, 10.0)) for _ in range(4)])
-    commands = compile_chunk(chunk, start, sched)
-    for cmd in commands:
+    for cmd in RecedingHorizonScheduler([chunk], 4, start, sched):
         # k_z(10 N) = 1100, so the target sits 10/1100 m below the reference
         assert np.allclose(cmd.kp_diag, [2000.0, 2000.0, 1100.0])
         assert np.isclose(cmd.virtual_target.translation[2], 0.1 - 10.0 / 1100.0)
@@ -171,7 +170,7 @@ def test_zero_force_transparency_full_stream(rng):
     start = Pose(np.eye(3), [0.2, -0.1, 0.3])
     steps = [make_step(delta=rng.uniform(-0.01, 0.01, 3),
                        rotation=random_rotation(rng)) for _ in range(32)]
-    commands = compile_chunk(ActionChunk(steps), start, sched)
+    commands = RecedingHorizonScheduler([ActionChunk(steps)], 32, start, sched)
     ref = start
     for step, cmd in zip(steps, commands):
         ref = integrate_reference(ref, step)

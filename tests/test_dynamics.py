@@ -3,13 +3,12 @@ import pytest
 
 from contactctl.dynamics import (ArmDynamicsModel, ContactPlane,
                                  PayloadSpec, SimState, SimulationFault,
-                                 bias_terms, grasp_slip_check,
-                                 inverse_dynamics_terms, load_arm_model,
-                                 mass_matrix, plane_contact_force,
+                                 grasp_slip_check, inverse_dynamics_terms,
+                                 load_arm_model, plane_contact_force,
                                  read_ft_sensor, step)
 from contactctl.geometry import Pose, rotation_about_axis, rotation_log
 from contactctl.kinematics import ChainLink, ChainModel, chain_frames
-from conftest import random_chain
+from conftest import bias_split, random_chain
 import rnea_oracle
 
 
@@ -60,13 +59,13 @@ def kinetic_energy_fd(model, q, qdot, eps=1e-6):
 def test_no_velocity_no_coriolis(rng):
     model = random_model(rng, 3)
     q = rng.uniform(-1, 1, 3)
-    assert np.allclose(bias_terms(model, q, np.zeros(3)).c_qdot, 0.0, atol=1e-12)
+    assert np.allclose(bias_split(model, q, np.zeros(3))[0], 0.0, atol=1e-12)
 
 
 def test_pendulum_gravity_torque():
     model = make_pendulum(length=1.0, mass=2.0)
-    terms = bias_terms(model, np.array([0.0]), np.array([0.0]))
-    assert np.isclose(terms.g_vec[0], 2.0 * 9.81 * 0.5, atol=1e-12)
+    _, g_vec = bias_split(model, np.array([0.0]), np.array([0.0]))
+    assert np.isclose(g_vec[0], 2.0 * 9.81 * 0.5, atol=1e-12)
 
 
 def test_gravity_matches_potential_gradient(rng):
@@ -74,7 +73,7 @@ def test_gravity_matches_potential_gradient(rng):
         dof = int(rng.integers(1, 5))
         model = random_model(rng, dof)
         q = rng.uniform(-1.5, 1.5, dof)
-        g_vec = bias_terms(model, q, np.zeros(dof)).g_vec
+        _, g_vec = bias_split(model, q, np.zeros(dof))
         eps = 1e-6
         for i in range(dof):
             dq = np.zeros(dof)
@@ -90,7 +89,7 @@ def test_mass_matrix_matches_momentum_fd(rng):
         model = random_model(rng, dof)
         q = rng.uniform(-1.5, 1.5, dof)
         qdot = rng.uniform(-1.0, 1.0, dof)
-        m = mass_matrix(model, q)
+        m = inverse_dynamics_terms(model, q, np.zeros(dof)).mass_matrix
         # momentum p_i = dT/dqdot_i by central differences of the FD oracle
         eps = 1e-5
         for i in range(dof):
@@ -105,7 +104,8 @@ def test_mass_matrix_spd(rng):
     for _ in range(6):
         dof = int(rng.integers(1, 5))
         model = random_model(rng, dof)
-        m = mass_matrix(model, rng.uniform(-2, 2, dof))
+        m = inverse_dynamics_terms(model, rng.uniform(-2, 2, dof),
+                                   np.zeros(dof)).mass_matrix
         assert np.allclose(m, m.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(m) > 0.0)
 
@@ -115,9 +115,11 @@ def test_inverse_dynamics_terms_bundle(rng):
     q = rng.uniform(-1, 1, 3)
     qdot = rng.uniform(-1, 1, 3)
     terms = inverse_dynamics_terms(model, q, qdot)
-    ref = bias_terms(model, q, qdot)
-    assert np.allclose(terms.bias, ref.c_qdot + ref.g_vec, rtol=0.0, atol=1e-12)
-    assert np.allclose(terms.mass_matrix, mass_matrix(model, q))
+    c_qdot, g_vec = bias_split(model, q, qdot)
+    assert np.allclose(terms.bias, c_qdot + g_vec, rtol=0.0, atol=1e-12)
+    # M does not depend on the joint velocity
+    assert np.allclose(terms.mass_matrix,
+                       inverse_dynamics_terms(model, q, np.zeros(3)).mass_matrix)
     with pytest.raises(ValueError):
         inverse_dynamics_terms(model, q[:2], qdot)
 
@@ -132,15 +134,14 @@ def check_against_rnea_oracle(model, q, qdot):
     dof = model.chain.dof
     zero = np.zeros(dof)
     terms = inverse_dynamics_terms(model, q, qdot)
-    split = bias_terms(model, q, qdot)
-    g_vec = rnea_oracle.rnea(model, q, zero, zero, model.gravity)
-    c_qdot = rnea_oracle.rnea(model, q, qdot, zero, np.zeros(3))
+    at_rest = inverse_dynamics_terms(model, q, zero)
+    c_qdot, g_vec = bias_split(model, q, qdot)
     assert_matches_oracle(terms.mass_matrix, rnea_oracle.mass_matrix(model, q))
-    assert_matches_oracle(mass_matrix(model, q), rnea_oracle.mass_matrix(model, q))
+    assert_matches_oracle(at_rest.mass_matrix, rnea_oracle.mass_matrix(model, q))
     assert_matches_oracle(terms.bias,
                           rnea_oracle.rnea(model, q, qdot, zero, model.gravity))
-    assert_matches_oracle(split.g_vec, g_vec)
-    assert_matches_oracle(split.c_qdot, c_qdot)
+    assert_matches_oracle(g_vec, rnea_oracle.rnea(model, q, zero, zero, model.gravity))
+    assert_matches_oracle(c_qdot, rnea_oracle.rnea(model, q, qdot, zero, np.zeros(3)))
 
 
 @pytest.mark.parametrize("dof", range(1, 7))
@@ -185,7 +186,7 @@ def test_model_validation():
 def test_gravity_hold_static_equilibrium():
     model = make_pendulum()
     state = SimState(np.array([0.3]), np.array([0.0]))
-    tau = bias_terms(model, state.q, state.qdot).g_vec
+    _, tau = bias_split(model, state.q, state.qdot)
     for _ in range(100):
         new = step(model, state, tau, None, 1e-3)
         assert abs(new.q[0] - state.q[0]) < 1e-9
@@ -200,7 +201,7 @@ def test_pendulum_energy_drift():
     worst = 0.0
     for _ in range(5000):
         state = step(model, state, np.array([0.0]), None, 1e-3)
-        m = mass_matrix(model, state.q)[0, 0]
+        m = inverse_dynamics_terms(model, state.q, np.zeros(1)).mass_matrix[0, 0]
         energy = 0.5 * m * state.qdot[0] ** 2 + potential_energy(model, state.q)
         worst = max(worst, abs(energy - e0))
     assert worst / scale < 0.005
@@ -234,7 +235,7 @@ def test_determinism_bitwise(rng):
         state = SimState(np.array([0.1, 0.2, -0.1]), np.zeros(3))
         trace = []
         for i in range(400):
-            tau = bias_terms(model, state.q, state.qdot).g_vec * 0.98
+            tau = bias_split(model, state.q, state.qdot)[1] * 0.98
             state = step(model, state, tau, plane, 1e-3)
             trace.append(state.q.copy())
         return np.array(trace)
@@ -250,7 +251,7 @@ def test_passive_plant_energy_nonincreasing(rng):
     prev = None
     for _ in range(500):
         state = step(model, state, np.zeros(2), None, 1e-3)
-        m = mass_matrix(model, state.q)
+        m = inverse_dynamics_terms(model, state.q, np.zeros(2)).mass_matrix
         ke = 0.5 * state.qdot @ m @ state.qdot
         if prev is not None:
             assert ke <= prev * (1.0 + 1e-6)
@@ -352,5 +353,5 @@ def test_load_arm_model_planar3():
     model = load_arm_model("configs/chains/planar3.ini")
     assert model.chain.dof == 3
     assert np.all(model.link_masses > 0.0)
-    terms = bias_terms(model, np.zeros(3), np.zeros(3))
-    assert terms.g_vec.shape == (3,)
+    _, g_vec = bias_split(model, np.zeros(3), np.zeros(3))
+    assert g_vec.shape == (3,)

@@ -119,23 +119,3 @@ def test_pose_rejects_non_finite_input():
             Pose(rotation, np.zeros(3))
         with pytest.raises(GeometryError):
             Pose(np.eye(3), [bad, 0.0, 0.0])
-
-
-def test_pose_compose_inverse(rng):
-    for _ in range(20):
-        a = Pose(random_rotation(rng), rng.normal(size=3))
-        b = Pose(random_rotation(rng), rng.normal(size=3))
-        p = rng.normal(size=3)
-        assert np.allclose(a.compose(b).transform_point(p),
-                           a.transform_point(b.transform_point(p)), atol=1e-12)
-        ident = a.compose(a.inverse())
-        assert np.allclose(ident.rotation, np.eye(3), atol=1e-12)
-        assert np.allclose(ident.translation, 0.0, atol=1e-12)
-
-
-def test_pose_matrix_round_trip(rng):
-    a = Pose(random_rotation(rng), rng.normal(size=3))
-    m = a.as_matrix()
-    assert np.allclose(m[:3, :3], a.rotation)
-    assert np.allclose(m[:3, 3], a.translation)
-    assert np.allclose(m[3], [0, 0, 0, 1])

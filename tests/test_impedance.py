@@ -5,14 +5,14 @@ import pytest
 
 from contactctl.compliance import ComplianceCommand
 from contactctl.dynamics import (ArmDynamicsModel, ContactPlane, SimState,
-                                 bias_terms, inverse_dynamics_terms,
-                                 load_arm_model, plane_contact_force, step)
+                                 inverse_dynamics_terms, load_arm_model,
+                                 plane_contact_force, step)
 from contactctl.geometry import Pose, pose_unchecked, rotation_about_axis
 from contactctl.impedance import (CartesianGains, ImpedanceConfig,
                                   ImpedanceExecutor, JointGains,
-                                  StiffnessClampWarning, build_operational_gains,
-                                  control_torque, fold_to_joint_gains)
-from contactctl.kinematics import chain_frames, forward_kinematics, solve_ik
+                                  build_operational_gains, control_torque,
+                                  fold_to_joint_gains)
+from contactctl.kinematics import chain_frames, solve_ik
 from conftest import make_planar2
 
 
@@ -41,17 +41,6 @@ def test_zero_stiffness_zero_damping():
     assert np.allclose(gains.dp_trans, 0.0)
 
 
-def test_block_diagonal_structure():
-    cfg = ImpedanceConfig()
-    gains = build_operational_gains(np.array([500.0, 600.0, 700.0]), cfg)
-    kx = gains.stiffness_6x6()
-    kxd = gains.damping_6x6()
-    assert np.allclose(kx[:3, 3:], 0.0) and np.allclose(kx[3:, :3], 0.0)
-    assert np.allclose(kxd[:3, 3:], 0.0) and np.allclose(kxd[3:, :3], 0.0)
-    assert np.allclose(kx[3:, 3:], np.diag(cfg.k_rot))
-    assert np.allclose(kxd[3:, 3:], np.diag(cfg.d_rot))
-
-
 @pytest.mark.parametrize("field", ["ik_damping", "dt", "qd_filter_cutoff", "m_eff"])
 def test_config_rejects_nonpositive_timing_and_damping(field):
     for value in (0.0, -1.0):
@@ -69,11 +58,16 @@ def test_config_rejects_negative_gains(field, value):
     ImpedanceConfig(**{field: np.zeros(3) if field in ("k_rot", "d_rot") else 0.0})
 
 
-def test_out_of_range_stiffness_clamped_with_warning():
+def test_out_of_range_stiffness_clamped_and_flagged():
     cfg = ImpedanceConfig(k_min=200.0, k_max=2000.0)
-    with pytest.warns(StiffnessClampWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         gains = build_operational_gains(np.array([100.0, 500.0, 9000.0]), cfg)
     assert np.allclose(gains.kp_trans, [200.0, 500.0, 2000.0])
+    assert gains.stiffness_clamped
+    rows = build_operational_gains(np.array([[500.0, 600.0, 700.0],
+                                             [100.0, 500.0, 700.0]]), cfg)
+    assert rows.stiffness_clamped.tolist() == [False, True]
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +82,7 @@ def test_fold_null_jacobian_gives_floor():
 
 
 def test_fold_identity_stiffness_matches_loop_oracle(rng):
-    cart = CartesianGains(np.ones(3), np.ones(3), np.zeros(3), np.zeros(3))
+    cart = CartesianGains(np.ones(3), np.ones(3), np.zeros(3), np.zeros(3), False)
     for _ in range(25):
         dof = int(rng.integers(1, 7))
         j = rng.normal(size=(6, dof))
@@ -110,8 +104,9 @@ def test_diagonal_fold_bit_equal_to_full_matrix_product(rng):
         floor_p = rng.uniform(0.5, 2.0, dof)
         floor_d = rng.uniform(0.05, 0.2, dof)
         gains = fold_to_joint_gains(j, cart, floor_p, floor_d)
-        for got, full, floor in ((gains.kq_p, cart.stiffness_6x6(), floor_p),
-                                 (gains.kq_d, cart.damping_6x6(), floor_d)):
+        for got, trans, rot, floor in ((gains.kq_p, cart.kp_trans, cart.k_rot, floor_p),
+                                       (gains.kq_d, cart.dp_trans, cart.d_rot, floor_d)):
+            full = np.diag(np.concatenate([trans, rot]))
             want = j.T @ full @ j + np.diag(floor)
             want = (want + want.T) / 2.0
             assert got.tobytes() == want.tobytes()
@@ -120,7 +115,7 @@ def test_diagonal_fold_bit_equal_to_full_matrix_product(rng):
 def test_fold_rejects_non_diagonal_gains():
     kx = np.eye(3)
     kx[0, 1] = kx[1, 0] = 0.5
-    cart = CartesianGains(kx, np.eye(3), np.eye(3), np.eye(3))
+    cart = CartesianGains(kx, np.eye(3), np.eye(3), np.eye(3), False)
     with pytest.raises(ValueError, match="diagonal"):
         fold_to_joint_gains(np.ones((6, 2)), cart, 1.0, 0.1)
 
@@ -208,13 +203,13 @@ def test_execute_tick_identity_command():
     model, executor, _ = executor_setup()
     q0 = np.array([0.4, 0.7])
     state = SimState(q0.copy(), np.zeros(2))
-    target = forward_kinematics(model.chain, q0)
+    target = chain_frames(model.chain, q0).ee_pose
     command = ComplianceCommand(target, np.full(3, 1000.0), 0.05, target)
     out, _, _ = executor.closed_loop_tick(state, command, None)
-    hold = bias_terms(model, q0, np.zeros(2))
+    hold = inverse_dynamics_terms(model, q0, np.zeros(2)).bias
     assert np.allclose(out.q_d, q0, atol=1e-9)
-    assert np.allclose(out.tau, hold.c_qdot + hold.g_vec, atol=1e-6)
-    assert out.diagnostics.code_path == "unified"
+    assert np.allclose(out.tau, hold, atol=1e-6)
+    assert np.allclose(out.diagnostics.xi, 0.0, atol=1e-12)
 
 
 def test_execute_tick_rest_drift_with_shared_terms():
@@ -222,7 +217,7 @@ def test_execute_tick_rest_drift_with_shared_terms():
     model, executor, _ = executor_setup()
     q0 = np.array([0.4, 0.7])
     state = SimState(q0.copy(), np.zeros(2))
-    target = forward_kinematics(model.chain, q0)
+    target = chain_frames(model.chain, q0).ee_pose
     command = ComplianceCommand(target, np.full(3, 1000.0), 0.05, target)
     for _ in range(50):
         _, new_state, _ = executor.closed_loop_tick(state, command, None)
@@ -233,10 +228,10 @@ def test_execute_tick_rest_drift_with_shared_terms():
 def test_executor_error_norm_decreases_in_free_space():
     model, executor, _ = executor_setup()
     q0 = np.array([0.4, 0.7])
-    start = forward_kinematics(model.chain, q0)
+    start = chain_frames(model.chain, q0).ee_pose
     # a reachable pose about 5 cm away (2-dof arm: pose must come from FK)
     q_target = np.array([0.435, 0.73])
-    target = forward_kinematics(model.chain, q_target)
+    target = chain_frames(model.chain, q_target).ee_pose
     offset = np.linalg.norm(target.translation - start.translation)
     assert 0.03 < offset < 0.08
     command = ComplianceCommand(target, np.full(3, 1500.0), 0.05, target)
@@ -244,7 +239,7 @@ def test_executor_error_norm_decreases_in_free_space():
     norms = []
     for _ in range(1500):
         out, state, _ = executor.closed_loop_tick(state, command, None)
-        norms.append(out.diagnostics.error_norm)
+        norms.append(np.linalg.norm(out.diagnostics.xi))
     norms = np.array(norms)
     assert norms[-1] < 1e-3
     # monotone within a tight tolerance for discrete-time wobble
@@ -294,7 +289,7 @@ def test_executor_reports_stiffness_clamp():
     model, executor, _ = executor_setup()
     q0 = np.array([0.4, 0.7])
     state = SimState(q0.copy(), np.zeros(2))
-    target = forward_kinematics(model.chain, q0)
+    target = chain_frames(model.chain, q0).ee_pose
     command = ComplianceCommand(target, np.array([1.0, 1000.0, 1000.0]),
                                 0.05, target)
     out, _, _ = executor.closed_loop_tick(state, command, None)
@@ -323,15 +318,14 @@ def test_execute_tick_clamps_without_warning_or_filter_changes(monkeypatch):
     assert out.diagnostics.stiffness_clamped
     assert caught == []
     # the same torque as with the command clamped up front
-    executor.reset()
+    executor = ImpedanceExecutor(model, cfg)
     clamped = ComplianceCommand(frames.ee_pose, np.array([cfg.k_min, 1000.0, cfg.k_max]),
                                 0.05, frames.ee_pose)
     again = executor.execute_tick(state, clamped, frames, bias)
     assert np.array_equal(out.tau, again.tau)
     assert not again.diagnostics.stiffness_clamped
-    # a direct caller of build_operational_gains is still warned
-    with pytest.warns(StiffnessClampWarning):
-        build_operational_gains(command.kp_diag, cfg)
+    # the one clamp is build_operational_gains', which reports it in the gains
+    assert build_operational_gains(command.kp_diag, cfg).stiffness_clamped
 
 
 def test_executor_single_code_path_in_contact_and_free_space():
@@ -340,10 +334,9 @@ def test_executor_single_code_path_in_contact_and_free_space():
     assert state.contact_wrench_ee.frame == "ee"
     model, executor, _ = executor_setup()
     free_state = SimState(np.array([0.4, 0.7]), np.zeros(2))
-    target = forward_kinematics(model.chain, free_state.q)
+    target = chain_frames(model.chain, free_state.q).ee_pose
     command = ComplianceCommand(target, np.full(3, 1000.0), 0.05, target)
-    out_free, _, _ = executor.closed_loop_tick(free_state, command, None)
-    assert out_free.diagnostics.code_path == "unified"
+    executor.closed_loop_tick(free_state, command, None)
     assert f_n > 0.0   # contact case did make contact, same code path
 
 
@@ -385,9 +378,9 @@ def test_single_state_shapes_and_batched_rows(rng, name):
     assert frames.joint_origins.shape == frames.joint_axes.shape == (n, 3)
     assert frames.link_rotations.shape == (n, 3, 3)
     assert frames.ee_pose.rotation.shape == (3, 3)
-    for value in vars(out.diagnostics).values():
-        assert np.ndim(value) == 0
-    assert isinstance(out.diagnostics.error_norm, float)
+    assert out.diagnostics.xi.shape == (6,)
+    assert np.ndim(out.diagnostics.stiffness_clamped) == 0
+    assert np.ndim(out.diagnostics.limits_clamped) == 0
     terms = inverse_dynamics_terms(model, q[0], qdot[0])
     assert terms.mass_matrix.shape == (n, n) and terms.bias.shape == (n,)
     force, f_n = plane_contact_force(ContactPlane([0.0, 0.0, 1.0], 0.0, 1e4),
@@ -398,16 +391,17 @@ def test_single_state_shapes_and_batched_rows(rng, name):
     assert b_out.tau.shape == (rows, n) and b_state.q.shape == (rows, n)
     assert b_state.contact_wrench_ee.force.shape == (rows, 3)
     assert b_frames.jacobian.shape == (rows, 6, n)
-    assert b_out.diagnostics.error_norm.shape == (rows,)
+    assert b_out.diagnostics.xi.shape == (rows, 6)
+    assert b_out.diagnostics.stiffness_clamped.shape == (rows,)
     for i, (s_first, s_out, s_state, s_frames) in enumerate(singles):
         for got, want in ((b_first.tau[i], s_first.tau), (b_out.tau[i], s_out.tau),
                           (b_out.qdot_d[i], s_out.qdot_d),
+                          (b_out.diagnostics.xi[i], s_out.diagnostics.xi),
                           (b_state.q[i], s_state.q), (b_state.qdot[i], s_state.qdot),
                           (b_state.contact_wrench_ee.force[i],
                            s_state.contact_wrench_ee.force),
                           (b_frames.jacobian[i], s_frames.jacobian)):
             assert got.tobytes() == want.tobytes()
-        assert b_out.diagnostics.error_norm[i] == s_out.diagnostics.error_norm
     # the rows straddle the plane: pressed into it, and clear of it
     assert np.linalg.norm(b_state.contact_wrench_ee.force[0]) > 0.0
     assert np.all(b_state.contact_wrench_ee.force[1] == 0.0)

@@ -6,10 +6,15 @@ import pytest
 from contactctl.geometry import Pose, rotation_about_axis, rotation_log
 from contactctl.geometry import cross3
 from contactctl.kinematics import (ChainConfigError, ChainLink, ChainModel,
-                                   chain_frames, dls_ik_step,
-                                   forward_kinematics, jacobian,
-                                   load_chain, pose_error, solve_ik)
+                                   chain_frames, dls_step, load_chain,
+                                   pose_error, solve_ik)
 from conftest import make_planar2, random_chain
+
+
+def dls_ik_step(chain, q, target, lam):
+    """One dls_step toward `target` from q."""
+    frames = chain_frames(chain, q)
+    return dls_step(frames.jacobian, pose_error(target, frames.ee_pose), lam)
 
 
 def planar2_analytic_ik(x, y, l1=0.5, l2=0.5, elbow_down=True):
@@ -25,13 +30,13 @@ def planar2_analytic_ik(x, y, l1=0.5, l2=0.5, elbow_down=True):
 # forward kinematics
 
 def test_fk_straight_arm(planar2):
-    pose = forward_kinematics(planar2, [0.0, 0.0])
+    pose = chain_frames(planar2, [0.0, 0.0]).ee_pose
     assert np.allclose(pose.translation, [1.0, 0.0, 0.0], atol=1e-12)
     assert np.allclose(pose.rotation, np.eye(3), atol=1e-12)
 
 
 def test_fk_quarter_turn(planar2):
-    pose = forward_kinematics(planar2, [np.pi / 2, 0.0])
+    pose = chain_frames(planar2, [np.pi / 2, 0.0]).ee_pose
     assert np.allclose(pose.translation, [0.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -52,14 +57,14 @@ def test_fk_matches_composition_oracle(rng):
         tool[:3, :3] = chain.tool_offset.rotation
         tool[:3, 3] = chain.tool_offset.translation
         t = t @ tool
-        pose = forward_kinematics(chain, q)
+        pose = chain_frames(chain, q).ee_pose
         assert np.allclose(pose.rotation, t[:3, :3], atol=1e-12)
         assert np.allclose(pose.translation, t[:3, 3], atol=1e-12)
 
 
 def test_fk_dimension_mismatch(planar2):
     with pytest.raises(ChainConfigError):
-        forward_kinematics(planar2, [0.0, 0.0, 0.0])
+        chain_frames(planar2, [0.0, 0.0, 0.0]).ee_pose
 
 
 # ---------------------------------------------------------------------------
@@ -67,26 +72,26 @@ def test_fk_dimension_mismatch(planar2):
 
 def test_jacobian_finite_difference(planar2):
     q = np.array([0.0, 0.0])
-    j = jacobian(planar2, q)
+    j = chain_frames(planar2, q).jacobian
     eps = 1e-6
     for i in range(2):
         dq = np.zeros(2)
         dq[i] = eps
-        fd = (forward_kinematics(planar2, q + dq).translation
-              - forward_kinematics(planar2, q).translation) / eps
+        fd = (chain_frames(planar2, q + dq).ee_pose.translation
+              - chain_frames(planar2, q).ee_pose.translation) / eps
         assert np.allclose(j[:3, i], fd, atol=1e-5)
 
 
 def test_jacobian_single_link():
     chain = ChainModel([ChainLink(np.array([0.0, 0.0, 1.0]), Pose.identity())],
                        [[-np.pi, np.pi]], Pose(np.eye(3), [1.0, 0.0, 0.0]))
-    j = jacobian(chain, [0.0])
+    j = chain_frames(chain, [0.0]).jacobian
     assert np.allclose(j[:, 0], [0, 1, 0, 0, 0, 1], atol=1e-12)
 
 
 def test_jacobian_shape(rng):
     chain = random_chain(rng, 4)
-    assert jacobian(chain, rng.uniform(-1, 1, 4)).shape == (6, 4)
+    assert chain_frames(chain, rng.uniform(-1, 1, 4)).jacobian.shape == (6, 4)
 
 
 def test_batched_jacobian_bit_equal_to_per_column_cross3(rng):
@@ -109,12 +114,12 @@ def test_fk_jacobian_consistency_random_chains(rng):
         dof = int(rng.integers(1, 5))
         chain = random_chain(rng, dof)
         q = rng.uniform(-1.5, 1.5, dof)
-        j = jacobian(chain, q)
-        base = forward_kinematics(chain, q)
+        j = chain_frames(chain, q).jacobian
+        base = chain_frames(chain, q).ee_pose
         for i in range(dof):
             dq = np.zeros(dof)
             dq[i] = eps
-            moved = forward_kinematics(chain, q + dq)
+            moved = chain_frames(chain, q + dq).ee_pose
             fd = (moved.translation - base.translation) / eps
             assert np.max(np.abs(fd - j[:3, i])) < 1e-5   # 10 eps, eps = 1e-6
             fd_rot = rotation_log(moved.rotation @ base.rotation.T) / eps
@@ -125,7 +130,7 @@ def test_fk_jacobian_consistency_random_chains(rng):
 # pose error
 
 def test_pose_error_identity(planar2):
-    pose = forward_kinematics(planar2, [0.3, -0.4])
+    pose = chain_frames(planar2, [0.3, -0.4]).ee_pose
     assert np.allclose(pose_error(pose, pose), 0.0, atol=1e-12)
 
 
@@ -160,13 +165,13 @@ def test_pose_error_handles_pi_rotation():
 
 def test_dls_zero_error(planar2):
     q = np.array([0.5, 0.7])
-    target = forward_kinematics(planar2, q)
+    target = chain_frames(planar2, q).ee_pose
     assert np.allclose(dls_ik_step(planar2, q, target, 0.05), 0.0, atol=1e-12)
 
 
 def test_dls_damping_limit(planar2):
     q = np.array([0.2, 0.3])
-    target = forward_kinematics(planar2, [0.6, 0.9])
+    target = chain_frames(planar2, [0.6, 0.9]).ee_pose
     norms = [np.linalg.norm(dls_ik_step(planar2, q, target, lam))
              for lam in (0.01, 0.1, 1.0, 10.0, 1e3, 1e6)]
     assert all(a >= b for a, b in zip(norms, norms[1:]))
@@ -175,7 +180,7 @@ def test_dls_damping_limit(planar2):
 
 def test_dls_requires_positive_damping(planar2):
     with pytest.raises(ValueError):
-        dls_ik_step(planar2, [0.0, 0.0], Pose.identity(), 0.0)
+        dls_step(chain_frames(planar2, [0.0, 0.0]).jacobian, np.ones(6), 0.0)
 
 
 def test_dls_iteration_reaches_analytic_solution(planar2, rng):
@@ -187,12 +192,12 @@ def test_dls_iteration_reaches_analytic_solution(planar2, rng):
         target = Pose(rotation_about_axis(np.array([0.0, 0.0, 1.0]), q1 + q2),
                       [x, y, 0.0])
         # oracle self-check: analytic joints reproduce the target position
-        assert np.allclose(forward_kinematics(planar2, [q1, q2]).translation,
+        assert np.allclose(chain_frames(planar2, [q1, q2]).ee_pose.translation,
                            [x, y, 0.0], atol=1e-9)
         q = np.array([0.4, 0.9])
         for _ in range(200):
             q = q + dls_ik_step(planar2, q, target, 0.05)
-        reached = forward_kinematics(planar2, q).translation
+        reached = chain_frames(planar2, q).ee_pose.translation
         assert np.linalg.norm(reached - np.array([x, y, 0.0])) < 1e-4
 
 
@@ -205,10 +210,10 @@ def test_dls_descent_statistics(rng):
         dof = int(rng.integers(2, 5))
         chain = random_chain(rng, dof)
         q = rng.uniform(-1.2, 1.2, dof)
-        target = forward_kinematics(chain, q + rng.uniform(-0.2, 0.2, dof))
-        xi0 = np.linalg.norm(pose_error(target, forward_kinematics(chain, q)))
+        target = chain_frames(chain, q + rng.uniform(-0.2, 0.2, dof)).ee_pose
+        xi0 = np.linalg.norm(pose_error(target, chain_frames(chain, q).ee_pose))
         q1 = q + dls_ik_step(chain, q, target, 0.05)
-        xi1 = np.linalg.norm(pose_error(target, forward_kinematics(chain, q1)))
+        xi1 = np.linalg.norm(pose_error(target, chain_frames(chain, q1).ee_pose))
         if xi1 > xi0 + 1e-12:
             failures += 1
     assert failures <= trials * 0.05
@@ -219,16 +224,16 @@ def test_dls_descent_statistics(rng):
 
 def test_solve_ik_near_solution_converges_fast(planar2):
     q_true = np.array([0.6, 0.8])
-    target = forward_kinematics(planar2, q_true)
+    target = chain_frames(planar2, q_true).ee_pose
     result = solve_ik(planar2, q_true + 0.05, target, max_iters=50, tol=1e-8)
     assert result.converged and result.iterations <= 50
-    assert np.allclose(forward_kinematics(planar2, result.q).translation,
+    assert np.allclose(chain_frames(planar2, result.q).ee_pose.translation,
                        target.translation, atol=1e-6)
 
 
 def test_solve_ik_fixed_point(planar2):
     q0 = np.array([0.3, -0.5])
-    result = solve_ik(planar2, q0, forward_kinematics(planar2, q0), tol=1e-6)
+    result = solve_ik(planar2, q0, chain_frames(planar2, q0).ee_pose, tol=1e-6)
     assert result.converged and result.iterations <= 1
 
 
@@ -238,7 +243,7 @@ def test_solve_ik_unreachable_reports_and_stops_at_boundary(planar2):
                   1.5 * direction)   # beyond l1 + l2 = 1.0
     result = solve_ik(planar2, [0.3, 0.4], target, max_iters=300, tol=1e-6)
     assert not result.converged
-    reach = np.linalg.norm(forward_kinematics(planar2, result.q).translation)
+    reach = np.linalg.norm(chain_frames(planar2, result.q).ee_pose.translation)
     assert abs(reach - 1.0) < 1e-3
 
 
@@ -267,15 +272,15 @@ def test_load_chain_planar2_matches_fixture(planar2):
     loaded = load_chain("configs/chains/planar2.ini")
     assert loaded.dof == 2
     for q in ([0.0, 0.0], [0.7, -0.4]):
-        assert np.allclose(forward_kinematics(loaded, q).translation,
-                           forward_kinematics(planar2, q).translation,
+        assert np.allclose(chain_frames(loaded, q).ee_pose.translation,
+                           chain_frames(planar2, q).ee_pose.translation,
                            atol=1e-12)
 
 
 def test_load_chain_canonical_arm6():
     chain = load_chain("configs/chains/arm6.ini")
     assert chain.dof == 6
-    home = forward_kinematics(chain, np.zeros(6))
+    home = chain_frames(chain, np.zeros(6)).ee_pose
     assert np.allclose(home.translation, [0.0, 0.0, 1.14], atol=1e-9)
     assert np.allclose(home.rotation, np.eye(3), atol=1e-12)
 

@@ -147,7 +147,7 @@ def test_wiping_replay_second_generation(tmp_path):
     chunks = replay_actions(episode1, 16)
     steps2 = [s for c in chunks for s in c.steps]
     setup = wiping_setup(config)
-    _, labels1, _ = _scripted_actions(config, setup.start_pose.rotation, 10.0)
+    _, labels1 = _scripted_actions(config, setup.start_pose.rotation, 10.0)
     labels2 = labels1 + ["retreat"] * (len(steps2) - len(labels1))
     # same jittered plane and noise stream as the recorded trial (seed, trial 0)
     rng = np.random.default_rng(config.seed * 1000)
@@ -188,9 +188,9 @@ def test_wiping_rows_bitwise_independent_of_batch(monkeypatch):
     half_turn = rotation_about_axis(np.array([1.0, 0.0, 0.0]), np.pi) @ start
 
     def rows():
-        pressing, labels, _ = _scripted_actions(config, start, 10.0)
-        hovering, _, _ = _scripted_actions(config, start, 0.0)
-        flipped, _, _ = _scripted_actions(config, half_turn, 10.0)
+        pressing, labels = _scripted_actions(config, start, 10.0)
+        hovering, _ = _scripted_actions(config, start, 0.0)
+        flipped, _ = _scripted_actions(config, half_turn, 10.0)
         return [WipingRow(pressing, labels, -0.0003, np.random.default_rng(1),
                           wiping_episode(setup, "pressing")),
                 WipingRow(hovering, labels, -0.002, np.random.default_rng(2),
@@ -236,7 +236,7 @@ def test_wiping_rollout_rejects_rows_of_unequal_length():
                                              rollout, wiping_setup)
     config = load("wiping", trials_override=1)
     setup = wiping_setup(config)
-    steps, labels, _ = _scripted_actions(config, setup.start_pose.rotation, 10.0)
+    steps, labels = _scripted_actions(config, setup.start_pose.rotation, 10.0)
     rows = [WipingRow(steps, labels, 0.0, np.random.default_rng(0)),
             WipingRow(steps[:-1], labels, 0.0, np.random.default_rng(1))]
     with pytest.raises(ValueError, match="one length"):

@@ -167,14 +167,6 @@ def test_adjoint_lever_arm_oracle():
     assert np.allclose(out.torque, np.cross(lever, force), atol=1e-12)
 
 
-def test_rotation_only_mode_drops_lever():
-    frame = WrenchFrameModel(Pose(np.eye(3), [0.1, 0.0, 0.0]), rotation_only=True)
-    payload = IdentifiedPayload(0.0, np.zeros(3), np.zeros(6))
-    raw = Wrench(np.array([0.0, 0.0, 5.0]), np.zeros(3), "sensor")
-    out = compensate_wrench(raw, payload, np.eye(3), frame)
-    assert np.allclose(out.torque, 0.0, atol=1e-15)
-
-
 def test_frame_covariance_linearity(rng):
     # compensate-then-transform equals transform-both-then-subtract
     payload = IdentifiedPayload(0.4, [0.02, 0.01, -0.01],
