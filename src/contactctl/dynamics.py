@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (GRAVITY_WORLD, Pose, Wrench, cross_rows, dot_rows,
+from .geometry import (GRAVITY_WORLD, Wrench, cross_rows, dot_rows,
                        skew_rows)
 from .kinematics import (ChainConfigError, ChainFrames, ChainModel,
                          chain_frames, load_chain)
@@ -114,12 +114,6 @@ class SimState:
         if self.contact_wrench_ee is None:
             zero = np.zeros(self.q.shape[:-1] + (3,))
             self.contact_wrench_ee = Wrench(zero, zero, "ee")
-
-    def row(self, i: int) -> "SimState":
-        """Trial i of a batched state, as a single state (views, no copies)."""
-        wrench = self.contact_wrench_ee
-        return SimState(self.q[i], self.qdot[i], self.time,
-                        Wrench(wrench.force[i], wrench.torque[i], wrench.frame))
 
 
 @dataclass
@@ -283,25 +277,28 @@ def step(model: ArmDynamicsModel, state: SimState, tau: np.ndarray,
     return SimState(q_new, qdot_new, state.time + dt, wrench_ee)
 
 
-def read_ft_sensor(state: SimState, payload: PayloadSpec, ee_pose: Pose,
+def read_ft_sensor(contact: Wrench, payload: PayloadSpec, rotation: np.ndarray,
                    noise_sigma: float = 0.0,
                    rng: Optional[np.random.Generator] = None) -> Wrench:
     """Raw sensor-frame reading: contact wrench + payload gravity + bias + noise.
 
-    The sensor is collocated with the end-effector frame, so the contact
-    wrench maps straight through; payload weight enters via the identified-
-    payload gravity model with the end-effector orientation.
+    The sensor is collocated with the end-effector frame, so the end-effector
+    contact wrench maps straight through; payload weight enters via the
+    identified-payload gravity model with the end-effector orientation
+    `rotation`. A (N, 3) stack of contact wrenches with (N, 3, 3) rotations
+    gives N readings, whose noise is one (N, 6) draw: the same bits as N
+    readings in turn.
     """
     if noise_sigma < 0.0:
         raise ValueError("noise_sigma must be nonnegative")
     grav = gravity_model(payload.mass, payload.com_in_sensor, payload.sensor_bias,
-                         ee_pose.rotation)
-    raw = state.contact_wrench_ee.as_array() + grav.as_array()
+                         rotation)
+    raw = contact.as_array() + grav.as_array()
     if noise_sigma > 0.0:
         if rng is None:
             raise ValueError("seeded rng required when noise_sigma > 0")
-        raw = raw + rng.normal(0.0, noise_sigma, size=6)
-    return Wrench.from_array(raw, "sensor")
+        raw = raw + rng.normal(0.0, noise_sigma, size=raw.shape)
+    return Wrench(raw[..., :3], raw[..., 3:], "sensor")
 
 
 def load_arm_model(path) -> ArmDynamicsModel:

@@ -97,6 +97,45 @@ class Episode:
         times.append(t)
         self._rows[stream_name].append(values)
 
+    def record_block(self, stream_name: str, t, values) -> None:
+        """Append rows (n, columns) at times (n,) under `record`'s rules.
+
+        The block is checked whole before any row is stored, and a bad block
+        raises the EpisodeError that its first bad row would raise from
+        `record`. Reference (image_ref) streams take one row at a time.
+        """
+        spec = self.streams.get(stream_name)
+        if spec is None:
+            raise EpisodeError(f"unknown stream {stream_name!r}")
+        if spec.kind == "image_ref":
+            raise EpisodeError(f"stream {stream_name!r} holds references; "
+                               "record them one row at a time")
+        t = np.asarray(t, dtype=float).reshape(-1)
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2 or len(values) != len(t):
+            raise EpisodeError(f"stream {stream_name!r}: a block needs one row "
+                               "of values per timestamp")
+        if not len(t):
+            return
+        if values.shape[1] != len(spec.schema):
+            raise EpisodeError(
+                f"stream {stream_name!r}: expected {len(spec.schema)} values, "
+                f"got {values.shape[1]}")
+        times = self._times[stream_name]
+        before = np.empty_like(t)   # the time each row must come after
+        before[0] = times[-1] if times else -math.inf
+        before[1:] = t[:-1]
+        bad = ~(np.isfinite(t) & (t > before))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not math.isfinite(t[i]):
+                raise EpisodeError(
+                    f"non-finite timestamp on {stream_name!r}: {float(t[i])}")
+            raise EpisodeError(f"non-monotonic timestamp on {stream_name!r}: "
+                               f"{float(t[i])} after {float(before[i])}")
+        times.extend(t.tolist())
+        self._rows[stream_name].extend(values.tolist())
+
     def times(self, stream_name: str) -> np.ndarray:
         return np.array(self._times[stream_name])
 

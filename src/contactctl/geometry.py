@@ -215,7 +215,7 @@ class Rot6D:
         if n2 < 1e-8:
             raise GeometryError("degenerate 6D rotation: vectors near parallel")
         b2 = u2 / n2
-        b3 = np.cross(b1, b2)
+        b3 = cross3(b1, b2)
         return np.column_stack([b1, b2, b3])
 
     def as_array(self) -> np.ndarray:

@@ -43,21 +43,33 @@ class ScenarioConfig:
         return value
 
     def get_float(self, section: str, key: str, default=None) -> float:
-        return float(self.get(section, key, None if default is None else repr(default)))
+        text = self.get(section, key, None if default is None else repr(default))
+        return _parse(float, text, section, key)
 
     def get_int(self, section: str, key: str, default=None) -> int:
-        return int(self.get(section, key, None if default is None else str(default)))
+        text = self.get(section, key, None if default is None else str(default))
+        return _parse(int, text, section, key)
 
     def get_bool(self, section: str, key: str, default: bool = False) -> bool:
         return self.get(section, key, str(default)).strip().lower() in ("1", "true", "yes", "on")
 
     def get_vec(self, section: str, key: str, default: str = None) -> np.ndarray:
         text = self.get(section, key, default)
-        return np.array([float(v) for v in text.replace(",", " ").split()])
+        return np.array([_parse(float, v, section, key)
+                         for v in text.replace(",", " ").split()])
 
     def resolve_path(self, text: str) -> Path:
         p = Path(text)
         return p if p.is_absolute() else (self.base_dir / p).resolve()
+
+
+def _parse(kind, text: str, section: str, key: str):
+    """`kind(text)`, with a ValueError turned into a config error naming the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ScenarioConfigError(f"[{section}] {key}: {text!r} is not {what}") from None
 
 
 def load_scenario_config(path, seed_override: Optional[int] = None,
@@ -78,8 +90,10 @@ def load_scenario_config(path, seed_override: Optional[int] = None,
         if key not in sec:
             raise ScenarioConfigError(f"{path}: [scenario] missing {key!r}")
     sections = {name: dict(cfg[name]) for name in cfg.sections()}
-    seed = seed_override if seed_override is not None else int(sec.get("seed", "0"))
-    trials = trials_override if trials_override is not None else int(sec.get("trials", "10"))
+    seed = seed_override if seed_override is not None \
+        else _parse(int, sec.get("seed", "0"), "scenario", "seed")
+    trials = trials_override if trials_override is not None \
+        else _parse(int, sec.get("trials", "10"), "scenario", "trials")
     if trials < 1:
         raise ScenarioConfigError(f"{path}: trials must be >= 1, got {trials}")
     config_hash = hashlib.sha256(

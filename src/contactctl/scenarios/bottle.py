@@ -10,6 +10,8 @@ clearance against the nominal bottle, producing no squeeze at all, the way a
 pure aperture playback does.
 """
 
+import math
+
 import numpy as np
 
 from ..bilateral import (BILATERAL_DT_MAX, BILATERAL_SCHEMA, BilateralState,
@@ -74,6 +76,14 @@ def run_bottle_pick(config: ScenarioConfig, use_grasp_force: bool,
     width_clearance = config.get_float("bottle", "width_clearance", 0.001)
     mass_jitter = config.get_float("bottle", "mass_jitter_frac", 0.03)
     width_jitter = config.get_float("bottle", "width_jitter", 0.001)
+    # each check is written so that NaN and infinity fail it
+    for ok, what in ((0.0 <= mass_nominal < math.inf, "mass must be finite and >= 0"),
+                     (0.0 <= mu < math.inf, "friction_mu must be finite and >= 0"),
+                     (0.0 < contact_k < math.inf,
+                      "contact_stiffness must be finite and > 0"),
+                     (0.0 <= mass_jitter <= 1.0, "mass_jitter_frac must be in [0, 1]")):
+        if not ok:
+            raise ScenarioConfigError(f"{config.scenario_id}: [bottle] {what}")
 
     close_s = config.get_float("bottle", "close_s", 1.0)
     ramp_s = config.get_float("bottle", "lift_ramp_s", 0.3)

@@ -13,6 +13,14 @@ Every (variant, trial) of a run is one row of a single batched rollout: the
 rows share the arm, the gains and the start pose, and differ in plane offset,
 rng and command stream, so one closed-loop tick per control step advances
 them all.
+
+Recording stays out of the tick. The loop copies the recorded rows' states
+(end-effector pose, contact force, pose error, clamp flags) into
+preallocated (ticks, rows, ...) arrays. After it, each recorded row's
+sensor readings, noise included, are computed in one pass over all its
+ticks and written to its episode a stream at a time with
+`Episode.record_block`; the bytes are those of reading and recording tick
+by tick.
 """
 
 import csv
@@ -27,7 +35,7 @@ from ..compliance import (ACTION_SCHEMA, ActionStep, RecedingHorizonScheduler,
 from ..dynamics import (ArmDynamicsModel, ContactPlane, PayloadSpec, SimState,
                         load_arm_model, read_ft_sensor)
 from ..episodes import Episode, StreamSpec, replay_actions
-from ..geometry import Pose, Rot6D, dot_rows, pose_unchecked, rotation_about_axis
+from ..geometry import Pose, Rot6D, Wrench, dot_rows, rotation_about_axis
 from ..impedance import ImpedanceConfig, ImpedanceExecutor
 from ..kinematics import solve_ik
 from ..sensing import IdentifiedPayload, WrenchFrameModel, compensate_wrench
@@ -262,14 +270,13 @@ def _report(config: ScenarioConfig, use_wrench: bool, trials: list,
     return report
 
 
-def _write_diagnostics_csv(path, rows) -> None:
+def _write_diagnostics_csv(path, rows: np.ndarray) -> None:
     """Per-tick controller diagnostics alongside the recorded episode."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "error_norm", "contact_force_norm",
                          "stiffness_clamped", "limits_clamped"])
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows([repr(v) for v in row] for row in rows.tolist())
 
 
 def wiping_episode(setup: WipingSetup, variant: str) -> Episode:
@@ -288,11 +295,29 @@ def _scheduler(setup: WipingSetup, steps: list) -> RecedingHorizonScheduler:
     ticks, dt = setup.ticks_per_action, setup.dt
     scratch = Episode("actions", [StreamSpec("action", 1.0 / (ticks * dt),
                                              ACTION_SCHEMA, "action")])
-    for i, action in enumerate(steps):
-        scratch.record("action", i * ticks * dt, action.as_array())
+    scratch.record_block("action", np.arange(len(steps)) * ticks * dt,
+                         [action.as_array() for action in steps])
     return RecedingHorizonScheduler(replay_actions(scratch, setup.chunk_len),
                                     setup.horizon, setup.start_pose,
                                     setup.schedule)
+
+
+@dataclass
+class RecordLog:
+    """What recording reads of the recorded rows, logged per tick.
+
+    Arrays are (ticks, R, ...) over the R recorded rows; `time` is the plant
+    time after each tick and `start_time` the time before the first.
+    """
+
+    start_time: float
+    start_force: np.ndarray    # (R, 3) contact force before the first tick
+    time: np.ndarray           # (ticks,)
+    rotation: np.ndarray       # end-effector rotation at the start of a tick
+    translation: np.ndarray    # end-effector position at the start of a tick
+    force: np.ndarray          # end-effector contact force after the tick
+    xi: np.ndarray             # the tick's pose error
+    clamped: np.ndarray        # (ticks, R, 2): stiffness and joint-limit clamps
 
 
 def rollout(setup: WipingSetup, rows: list) -> list:
@@ -300,21 +325,20 @@ def rollout(setup: WipingSetup, rows: list) -> list:
 
     Returns per row its mean sliding normal force, the fraction of sliding
     ticks at or above the erase threshold, the residual (uncleared) cell
-    fraction, and, for recorded rows, the episode and diagnostics rows. A
-    row's results do not depend on the other rows of the batch.
+    fraction, and, for recorded rows, the episode and the (ticks, 5)
+    diagnostics. A row's results do not depend on the other rows of the
+    batch. The tick loop only logs the recorded rows' states; their sensor
+    readings and episode rows are computed after it.
     """
     if len({len(row.steps) for row in rows}) != 1:
         raise ValueError("a rollout needs rows with action streams of one length")
     n_rows = len(rows)
     n_cells = len(setup.cell_edges) - 1
     ticks_per_action = setup.ticks_per_action
-    pose_stride = max(1, int(round(1.0 / (200.0 * setup.dt))))
     plane = replace(setup.plane, offset=np.array([row.plane_offset for row in rows]))
     executor = ImpedanceExecutor(setup.model, setup.gains)
     state = SimState(np.tile(setup.q0, (n_rows, 1)),
                      np.zeros((n_rows, setup.model.chain.dof)))
-    recorded = [(i, row) for i, row in enumerate(rows) if row.episode is not None]
-    diagnostics = {i: [] for i, _ in recorded}
     streams = list(zip(*[_scheduler(setup, row.steps) for row in rows]))
     # per tick and row: whether it slides, the tool's x and the normal force
     sliding = np.repeat([[k < len(row.labels) and row.labels[k] == "slide"
@@ -322,14 +346,19 @@ def rollout(setup: WipingSetup, rows: list) -> list:
                         ticks_per_action, axis=0)
     x_log = np.empty(sliding.shape)
     fz_log = np.empty(sliding.shape)
+    recorded = np.array([i for i, row in enumerate(rows)
+                         if row.episode is not None], dtype=int)
+    n_ticks, n_rec = len(sliding), len(recorded)
+    log = RecordLog(state.time, state.contact_wrench_ee.force[recorded],
+                    np.empty(n_ticks), np.empty((n_ticks, n_rec, 3, 3)),
+                    np.empty((n_ticks, n_rec, 3)), np.empty((n_ticks, n_rec, 3)),
+                    np.empty((n_ticks, n_rec, 6)),
+                    np.empty((n_ticks, n_rec, 2), dtype=bool))
     tick = 0
 
     prev_command = None
-    for cmd_idx, row_commands in enumerate(streams):
+    for row_commands in streams:
         command = stack_commands(row_commands)
-        for _, row in recorded:
-            row.episode.record("action", state.time,
-                               row.steps[min(cmd_idx, len(row.steps) - 1)].as_array())
         base = command if prev_command is None else prev_command
         for k in range(ticks_per_action):
             # upsample the 20 Hz command stream to the control rate
@@ -341,21 +370,19 @@ def rollout(setup: WipingSetup, rows: list) -> list:
             rotation = frames.ee_pose.rotation
             p_ee = frames.ee_pose.translation
             # contact force actually applied this step, mapped back to world
-            f_world = (rotation @ new_state.contact_wrench_ee.force[..., None])[..., 0]
+            force = new_state.contact_wrench_ee.force
+            f_world = (rotation @ force[..., None])[..., 0]
             fz_log[tick] = dot_rows(f_world, plane.normal)
             x_log[tick] = p_ee[:, 0]
 
             diag = out.diagnostics
-            force = state.contact_wrench_ee.force   # what the tick started from
-            for i, row in recorded:
-                _record_tick(setup, row, new_state.row(i),
-                             pose_unchecked(rotation[i], p_ee[i]),
-                             tick % pose_stride == 0)
-                diagnostics[i].append([new_state.time,
-                                       np.sqrt(dot_rows(diag.xi[i], diag.xi[i])),
-                                       np.sqrt(dot_rows(force[i], force[i])),
-                                       float(diag.stiffness_clamped[i]),
-                                       float(diag.limits_clamped[i])])
+            log.time[tick] = new_state.time
+            log.rotation[tick] = rotation[recorded]
+            log.translation[tick] = p_ee[recorded]
+            log.force[tick] = force[recorded]
+            log.xi[tick] = diag.xi[recorded]
+            log.clamped[tick, :, 0] = diag.stiffness_clamped[recorded]
+            log.clamped[tick, :, 1] = diag.limits_clamped[recorded]
             state = new_state
             tick += 1
         prev_command = command
@@ -365,6 +392,8 @@ def rollout(setup: WipingSetup, rows: list) -> list:
         & (cell < n_cells)
     cleared = np.zeros((n_rows, n_cells), dtype=bool)
     cleared[np.nonzero(erase)[1], cell[erase]] = True
+    diagnostics = {i: _record(setup, rows[i], log, r, len(streams))
+                   for r, i in enumerate(recorded.tolist())}
     results = []
     for i, row in enumerate(rows):
         fz = fz_log[sliding[:, i], i]
@@ -374,20 +403,40 @@ def rollout(setup: WipingSetup, rows: list) -> list:
             if fz.size else 0.0,
             "residual": float(1.0 - cleared[i].mean()),
             "episode": row.episode,
-            "diagnostics": diagnostics.get(i, []),
+            "diagnostics": diagnostics.get(i),
         })
     return results
 
 
-def _record_tick(setup: WipingSetup, row: WipingRow, state: SimState,
-                 ee_pose: Pose, record_pose: bool) -> None:
-    """Sensor readings (noise from the row's own rng) and pose of one row."""
-    raw = read_ft_sensor(state, setup.payload, ee_pose, setup.noise_sigma, row.rng)
-    comp = compensate_wrench(raw, setup.identified, ee_pose.rotation,
-                             setup.frame_model)
-    row.episode.record("wrench_raw", state.time, raw.as_array())
-    row.episode.record("wrench_ee", state.time, comp.as_array())
-    if record_pose:
-        row.episode.record("pose", state.time,
-                           np.concatenate([ee_pose.translation,
-                                           Rot6D.encode(ee_pose.rotation).as_array()]))
+def _record(setup: WipingSetup, row: WipingRow, log: RecordLog, r: int,
+            n_commands: int) -> np.ndarray:
+    """Write recorded row r's episode from the log; return its diagnostics.
+
+    The sensor noise comes from the row's own rng, one reading per tick, as
+    if each had been read inside the loop.
+    """
+    episode, t = row.episode, log.time
+    rotation, p_ee = log.rotation[:, r], log.translation[:, r]
+    # the plant's contact is a point force at the end effector: no torque
+    contact = Wrench(log.force[:, r], np.zeros_like(log.force[:, r]), "ee")
+    raw = read_ft_sensor(contact, setup.payload, rotation, setup.noise_sigma,
+                         row.rng)
+    comp = compensate_wrench(raw, setup.identified, rotation, setup.frame_model)
+    # each command is recorded at the time its first tick starts
+    starts = np.concatenate(([log.start_time], t[:-1]))[::setup.ticks_per_action]
+    last = len(row.steps) - 1
+    episode.record_block("action", starts,
+                         [row.steps[min(k, last)].as_array()
+                          for k in range(n_commands)])
+    episode.record_block("wrench_raw", t, raw.as_array())
+    episode.record_block("wrench_ee", t, comp.as_array())
+    stride = max(1, int(round(1.0 / (200.0 * setup.dt))))
+    episode.record_block("pose", t[::stride], np.concatenate(
+        [p_ee[::stride], rotation[::stride, :, :2].swapaxes(-1, -2)
+         .reshape(-1, 6)], axis=1))   # rot6d: the first two columns
+
+    xi = log.xi[:, r]
+    force = np.concatenate((log.start_force[r][None], log.force[:-1, r]))
+    return np.column_stack([t, np.sqrt(dot_rows(xi, xi)),
+                            np.sqrt(dot_rows(force, force)),
+                            log.clamped[:, r]])

@@ -11,6 +11,10 @@ so a single least-squares solve recovers all ten parameters. Compensation
 subtracts the fitted gravity wrench and maps the remainder into the
 end-effector frame with the full adjoint wrench transform (rotation plus
 lever-arm torque).
+
+Gravity, compensation and the wrench transform take a leading axis: a
+(..., 3, 3) stack of orientations and (..., 3) wrench stacks give one result
+per row, with the same bits as one call per row.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +24,7 @@ import csv
 
 import numpy as np
 
-from .geometry import GRAVITY_WORLD, Pose, Rot6D, Wrench, cross3, skew
+from .geometry import GRAVITY_WORLD, Pose, Rot6D, Wrench, cross_rows, skew
 
 MARKER_DIM = 126   # 63 tactile markers x 2D offsets
 
@@ -80,8 +84,8 @@ def gravity_model(mass: float, com: np.ndarray, bias: np.ndarray,
     orientation = np.asarray(orientation, dtype=float)
     com = np.asarray(com, dtype=float).reshape(3)
     bias = np.asarray(bias, dtype=float).reshape(6)
-    force = orientation.T @ (mass * np.asarray(gravity, dtype=float))
-    torque = cross3(com, force)
+    force = orientation.swapaxes(-1, -2) @ (mass * np.asarray(gravity, dtype=float))
+    torque = cross_rows(com, force)
     return Wrench(force + bias[:3], torque + bias[3:], "sensor")
 
 
@@ -143,8 +147,10 @@ def identify_payload(samples: list) -> IdentifiedPayload:
 def transform_wrench(wrench: Wrench, transform: Pose, frame: str) -> Wrench:
     """Adjoint wrench map: rotate, then add the lever-arm torque of the
     frame-origin shift."""
-    force = transform.rotation @ wrench.force
-    torque = transform.rotation @ wrench.torque + cross3(transform.translation, force)
+    rotation = transform.rotation
+    force = (rotation @ wrench.force[..., None])[..., 0]
+    torque = (rotation @ wrench.torque[..., None])[..., 0] \
+        + cross_rows(transform.translation, force)
     return Wrench(force, torque, frame)
 
 

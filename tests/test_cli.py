@@ -96,7 +96,18 @@ def test_run_selective_release_pair_and_table(tmp_path, capsys):
      ("wiping", "action_rate_hz = 20", "action_rate_hz = 0"),
      ("wiping", "chunk_len = 16", "chunk_len = 0"),
      ("wiping", "horizon = 16", "horizon = 0"),
-     ("wiping", "surface_jitter = 0.0005", "surface_jitter = nan")],
+     ("wiping", "surface_jitter = 0.0005", "surface_jitter = nan"),
+     ("bottle_pick", "mass = 0.55", "mass = nan"),
+     ("bottle_pick", "mass = 0.55", "mass = -0.1"),
+     ("bottle_pick", "mass = 0.55", "mass = inf"),
+     ("bottle_pick", "friction_mu = 0.5", "friction_mu = nan"),
+     ("bottle_pick", "friction_mu = 0.5", "friction_mu = -0.5"),
+     ("bottle_pick", "contact_stiffness = 5000", "contact_stiffness = nan"),
+     ("bottle_pick", "contact_stiffness = 5000", "contact_stiffness = 0"),
+     ("bottle_pick", "contact_stiffness = 5000", "contact_stiffness = inf"),
+     ("bottle_pick", "mass_jitter_frac = 0.03", "mass_jitter_frac = nan"),
+     ("bottle_pick", "mass_jitter_frac = 0.03", "mass_jitter_frac = 1.5"),
+     ("bottle_pick", "mass_jitter_frac = 0.03", "mass_jitter_frac = -0.03")],
     ids=["k_min_above_k_max", "zero_ik_damping", "plant_dt_above_step_bound",
          "bottle_dt_above_step_bound", "quality_dt_above_step_bound",
          "bottle_negative_gripper_kp", "quality_negative_gripper_kp",
@@ -104,7 +115,11 @@ def test_run_selective_release_pair_and_table(tmp_path, capsys):
          "negative_d_rot", "negative_kq_floor", "negative_kqd_floor",
          "nan_plane_mu", "nan_plane_stiffness", "nan_plane_damping",
          "nan_erase_threshold", "zero_cells", "nan_f_sat", "zero_action_rate",
-         "zero_chunk_len", "zero_horizon", "nan_surface_jitter"])
+         "zero_chunk_len", "zero_horizon", "nan_surface_jitter",
+         "nan_bottle_mass", "negative_bottle_mass", "inf_bottle_mass",
+         "nan_bottle_mu", "negative_bottle_mu", "nan_bottle_stiffness",
+         "zero_bottle_stiffness", "inf_bottle_stiffness", "nan_mass_jitter",
+         "mass_jitter_above_one", "negative_mass_jitter"])
 def test_run_bad_gain_config_is_usage_error(tmp_path, capsys, config, old, new):
     # a gain or step the controller cannot use is a config error, not a
     # runtime fault
@@ -136,6 +151,30 @@ def test_run_trials_below_one_is_usage_error(tmp_path, capsys, config, trials):
                    "--quiet")
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, old, new, key",
+    [("bottle_pick", "trials = 10", "trials = ten", "[scenario] trials"),
+     ("bottle_pick", "seed = 11", "seed = 1.5", "[scenario] seed"),
+     ("wiping", "x_start = 0.40", "x_start = abc", "[wiping] x_start"),
+     ("wiping", "cells = 20", "cells = 2O", "[wiping] cells"),
+     ("wiping", "k_rot = 50 50 50", "k_rot = 50 fifty 50", "[gains] k_rot")],
+    ids=["trials", "seed", "get_float", "get_int", "get_vec"])
+def test_run_non_numeric_config_value_is_usage_error(tmp_path, capsys, config,
+                                                     old, new, key):
+    # a value that is not a number is a config error naming its key, not a
+    # runtime fault
+    src = Path(f"configs/{config}.ini").read_text()
+    assert src.count(old) == 1
+    chains = Path("configs/chains").resolve()
+    bad = tmp_path / f"{config}.ini"
+    bad.write_text(src.replace(old, new)
+                   .replace("chain = chains", f"chain = {chains}"))
+    code = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "out"),
+                   "--quiet")
+    assert code == 2
+    assert key in capsys.readouterr().err
 
 
 def test_run_failure_exit_code(tmp_path):

@@ -273,7 +273,7 @@ def test_step_rejects_bad_input():
 def test_ft_sensor_payload_on_axis():
     payload = PayloadSpec(0.5, [0.0, 0.0, 0.05], np.zeros(6))
     state = SimState(np.zeros(1), np.zeros(1))
-    raw = read_ft_sensor(state, payload, Pose.identity())
+    raw = read_ft_sensor(state.contact_wrench_ee, payload, np.eye(3))
     assert np.allclose(raw.force, [0.0, 0.0, -4.905], atol=1e-12)
     assert np.allclose(raw.torque, 0.0, atol=1e-12)
 
@@ -281,7 +281,7 @@ def test_ft_sensor_payload_on_axis():
 def test_ft_sensor_off_axis_torque():
     payload = PayloadSpec(0.5, [0.05, 0.0, 0.0], np.zeros(6))
     state = SimState(np.zeros(1), np.zeros(1))
-    raw = read_ft_sensor(state, payload, Pose.identity())
+    raw = read_ft_sensor(state.contact_wrench_ee, payload, np.eye(3))
     assert np.allclose(raw.torque, [0.0, 0.24525, 0.0], atol=1e-6)
 
 
@@ -292,18 +292,19 @@ def test_ft_sensor_rotated_frame_oracle(rng):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         r = rotation_about_axis(axis, rng.uniform(-np.pi, np.pi))
-        raw = read_ft_sensor(state, payload, Pose(r, np.zeros(3)))
+        raw = read_ft_sensor(state.contact_wrench_ee, payload, r)
         assert np.allclose(raw.force, r.T @ np.array([0.0, 0.0, -0.7 * 9.81]),
                            atol=1e-12)
 
 
 def test_ft_sensor_affine_in_mass():
     state = SimState(np.zeros(1), np.zeros(1))
-    pose = Pose(rotation_about_axis(np.array([1.0, 0, 0]), 0.7), np.zeros(3))
+    rotation = rotation_about_axis(np.array([1.0, 0, 0]), 0.7)
     readings = []
     for mass in (0.0, 0.5, 1.0):
         payload = PayloadSpec(mass, [0.01, 0.02, 0.03], np.array([1, 2, 3, 4, 5, 6.0]))
-        readings.append(read_ft_sensor(state, payload, pose).as_array())
+        readings.append(read_ft_sensor(state.contact_wrench_ee, payload,
+                                       rotation).as_array())
     r0, r1, r2 = readings
     assert np.allclose(r2 - r1, r1 - r0, atol=1e-12)
 
@@ -311,13 +312,13 @@ def test_ft_sensor_affine_in_mass():
 def test_ft_sensor_noise_is_seeded():
     payload = PayloadSpec(0.5, np.zeros(3), np.zeros(6))
     state = SimState(np.zeros(1), np.zeros(1))
-    a = read_ft_sensor(state, payload, Pose.identity(), 0.1,
+    a = read_ft_sensor(state.contact_wrench_ee, payload, np.eye(3), 0.1,
                        np.random.default_rng(5)).as_array()
-    b = read_ft_sensor(state, payload, Pose.identity(), 0.1,
+    b = read_ft_sensor(state.contact_wrench_ee, payload, np.eye(3), 0.1,
                        np.random.default_rng(5)).as_array()
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        read_ft_sensor(state, payload, Pose.identity(), 0.1, None)
+        read_ft_sensor(state.contact_wrench_ee, payload, np.eye(3), 0.1, None)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contactctl.cli import main
 from contactctl.compliance import ACTION_SCHEMA
@@ -79,6 +80,71 @@ def test_record_rate_counting_oracle():
             episode.record(name, i / rate, values)
     for name, (rate, _w, _k) in rates.items():
         assert abs(len(episode.rows(name)) - rate * duration) <= 1
+
+
+_TIMES = st.one_of(st.sampled_from([0.0, 0.001, 0.002, 0.5, 1.0, -1.0,
+                                     float("nan"), float("inf"), float("-inf")]),
+                   st.floats(-2.0, 2.0))
+
+
+@st.composite
+def record_blocks(draw):
+    """An earlier row or none, then a block: stream, times, values."""
+    earlier = draw(st.lists(st.floats(-2.0, 2.0), max_size=1))
+    stream = draw(st.sampled_from(["pose", "wrench", "no_such_stream"]))
+    times = draw(st.lists(_TIMES, min_size=1, max_size=6))
+    width = draw(st.sampled_from([3, 6, 2]))
+    values = draw(st.lists(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                                    min_size=width, max_size=width),
+                           min_size=len(times), max_size=len(times)))
+    return earlier, stream, times, np.array(values, dtype=float).reshape(-1, width)
+
+
+def _state(episode):
+    # repr tells -0.0 from 0.0 and compares NaN equal to NaN
+    return repr((episode._times, episode._rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_blocks())
+def test_record_block_equals_record_loop(case):
+    # a block leaves what a loop of record calls leaves, or raises the error
+    # of the loop's first bad row and stores nothing
+    earlier, stream, times, values = case
+
+    def outcome(write):
+        episode = basic_episode()
+        for t in earlier:
+            episode.record("pose", t, [0.0, 0.0, 0.0])
+        before = _state(episode)
+        try:
+            write(episode)
+        except EpisodeError as exc:
+            return str(exc), before, _state(episode)
+        return None, before, _state(episode)
+
+    def loop(episode):
+        for t, row in zip(times, values):
+            episode.record(stream, t, row)
+
+    want, _, loop_state = outcome(loop)
+    got, before, block_state = outcome(
+        lambda episode: episode.record_block(stream, times, values))
+    assert got == want
+    assert block_state == (before if want else loop_state)
+
+
+def test_record_block_rejects_mismatched_and_reference_blocks():
+    episode = basic_episode()
+    with pytest.raises(EpisodeError, match="one row of values per timestamp"):
+        episode.record_block("pose", [0.0, 0.1], np.zeros((3, 3)))
+    with pytest.raises(EpisodeError, match="one row of values per timestamp"):
+        episode.record_block("pose", [0.0, 0.1, 0.2], np.zeros(3))
+    refs = Episode("refs", [StreamSpec("rgb", 30.0, ("path",), "image_ref")])
+    with pytest.raises(EpisodeError, match="one row at a time"):
+        refs.record_block("rgb", [0.0], [["a.png"]])
+    episode.record_block("pose", [], np.zeros((0, 3)))
+    assert episode.rows("pose") == []
 
 
 # ---------------------------------------------------------------------------

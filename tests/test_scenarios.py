@@ -1,8 +1,12 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from contactctl.cli import main
 from contactctl.scenarios import (load_scenario_config, run_bottle_pick,
                                   run_gravity_verification,
                                   run_selective_release, run_scenario,
@@ -229,6 +233,21 @@ def test_wiping_rows_bitwise_independent_of_batch(monkeypatch):
                 == want["episode"].values(name).tobytes()
         assert np.array(got["diagnostics"]).tobytes() \
             == np.array(want["diagnostics"]).tobytes()
+
+
+@pytest.mark.parametrize("seed", ["1", "7"])
+def test_wiping_trial_outputs_keep_their_bytes(tmp_path, seed):
+    # sha256 of every exported episode file and diagnostics CSV of a one-trial
+    # wiping run, as written when each tick sensed and recorded its own rows
+    want = json.loads(Path("tests/data/wiping_trial1_sha256.json").read_text())
+    assert main(["run", "--config", "configs/wiping.ini", "--trials", "1",
+                 "--seed", seed, "--out", str(tmp_path), "--quiet"]) == 0
+    got = {str(path.relative_to(tmp_path)):
+           hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(tmp_path.rglob("*"))
+           if path.parent.name.startswith("episode_")
+           or path.name.startswith("diagnostics_")}
+    assert got == want[seed]
 
 
 def test_wiping_rollout_rejects_rows_of_unequal_length():

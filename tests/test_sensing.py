@@ -64,6 +64,27 @@ def test_gravity_model_and_transform_bit_equal_to_np_cross(rng):
         assert moved.torque.tobytes() == t.tobytes()
 
 
+def test_sensing_rows_of_a_stack_equal_single_calls(rng):
+    # a (N, ...) stack of orientations and wrenches gives, row by row, the
+    # bits of one call per row; the stacked noise is the per-row draws
+    from contactctl.dynamics import PayloadSpec, read_ft_sensor
+    n = 50
+    rotations = np.array([random_rotation(rng) for _ in range(n)])
+    contact = Wrench(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)), "ee")
+    spec = PayloadSpec(0.3, rng.normal(size=3) * 0.05, rng.normal(size=6))
+    payload = IdentifiedPayload(0.31, rng.normal(size=3) * 0.05, rng.normal(size=6))
+    frame = WrenchFrameModel(Pose(random_rotation(rng), rng.normal(size=3) * 0.1))
+    raw = read_ft_sensor(contact, spec, rotations, 0.02, np.random.default_rng(9))
+    comp = compensate_wrench(raw, payload, rotations, frame)
+    noise = np.random.default_rng(9)
+    for i in range(n):
+        raw_i = read_ft_sensor(Wrench(contact.force[i], contact.torque[i], "ee"),
+                               spec, rotations[i], 0.02, noise)
+        comp_i = compensate_wrench(raw_i, payload, rotations[i], frame)
+        assert raw.as_array()[i].tobytes() == raw_i.as_array().tobytes()
+        assert comp.as_array()[i].tobytes() == comp_i.as_array().tobytes()
+
+
 def test_gravity_wrench_massless_is_bias():
     bias = np.array([0.1, -0.2, 0.3, 0.01, -0.02, 0.03])
     payload = IdentifiedPayload(0.0, [0.1, 0.2, 0.3], bias)
