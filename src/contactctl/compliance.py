@@ -11,14 +11,13 @@ the reference into a virtual target,
 so the impedance tracking error implicitly produces the commanded force.
 Force never switches a control mode; it only moves the target.
 
-A batched control loop executes the commands of T trials together:
-`stack_commands` gathers one command per trial into a command whose fields
-carry a leading trial axis, and `interpolate_commands` blends such stacks
-row by row.
+A command's fields may carry leading axes. `interpolate_commands` blends
+such stacks entry by entry, so a batched control loop can upsample every
+command stream to the control rate in one call before it starts ticking.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -66,7 +65,6 @@ class ActionStep:
 @dataclass
 class ActionChunk:
     steps: list
-    padded: bool = False   # last chunk of a stream, padded by repeating its end
 
     def __post_init__(self):
         if len(self.steps) < 1:
@@ -74,14 +72,6 @@ class ActionChunk:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def as_array(self) -> np.ndarray:
-        return np.stack([s.as_array() for s in self.steps])
-
-    @staticmethod
-    def from_array(values: np.ndarray, padded: bool = False) -> "ActionChunk":
-        values = np.asarray(values, dtype=float)
-        return ActionChunk([ActionStep.from_array(row) for row in values], padded)
 
 
 @dataclass
@@ -102,29 +92,13 @@ class StiffnessSchedule:
 
 @dataclass
 class ComplianceCommand:
-    """One command, or a stack of T with (T, ...) fields (see stack_commands)."""
+    """One command, or a stack of them with (..., 3, 3) and (..., 3) fields."""
 
     virtual_target: Pose
     kp_diag: np.ndarray          # N/m
-    gripper_target_width: float  # m
-    reference: Pose              # pre-displacement reference, for diagnostics
-    held: bool = False           # emitted by a starved scheduler
 
     def __post_init__(self):
         self.kp_diag = as_vec3(self.kp_diag)
-
-
-def stack_commands(commands: list) -> ComplianceCommand:
-    """One command per trial, stacked along a leading trial axis."""
-    def poses(name):
-        return pose_unchecked(
-            np.stack([getattr(c, name).rotation for c in commands]),
-            np.stack([getattr(c, name).translation for c in commands]))
-    return ComplianceCommand(poses("virtual_target"),
-                             np.stack([c.kp_diag for c in commands]),
-                             np.array([c.gripper_target_width for c in commands]),
-                             poses("reference"),
-                             np.array([c.held for c in commands]))
 
 
 def schedule_stiffness(force: np.ndarray, sched: StiffnessSchedule) -> np.ndarray:
@@ -167,19 +141,21 @@ def compile_step(step: ActionStep, prev_ref: Pose,
     ref = integrate_reference(prev_ref, step)
     kp = schedule_stiffness(step.force, sched)
     target, _ = compile_virtual_target(ref, step.force, kp)
-    return ComplianceCommand(target, kp, step.gripper_width, ref), ref
+    return ComplianceCommand(target, kp), ref
 
 
 def interpolate_commands(prev: ComplianceCommand, nxt: ComplianceCommand,
-                         frac: float) -> ComplianceCommand:
+                         frac: float | np.ndarray) -> ComplianceCommand:
     """Blend two successive commands for execution at a faster control rate.
 
     Positions and stiffness interpolate linearly, orientation along the
     geodesic; frac = 1 returns `nxt` exactly. Keeps a staircase command
     stream from exciting the plant at the action rate. Stacked commands
-    blend row by row with one shared frac.
+    blend entry by entry, with one shared frac or a frac per entry (an
+    array shaped like the stack); each entry gets the bits of blending it
+    alone.
     """
-    frac = min(1.0, max(0.0, float(frac)))
+    frac = np.clip(frac, 0.0, 1.0)
     r_prev = prev.virtual_target.rotation
     r_next = nxt.virtual_target.rotation
     # equal orientations need no geodesic (their log is below 1e-12 anyway)
@@ -192,14 +168,12 @@ def interpolate_commands(prev: ComplianceCommand, nxt: ComplianceCommand,
             axis = rel / np.where(turning, angle, 1.0)[..., None]
             turned = r_prev @ rotation_about_axis(axis, frac * angle)
             rot = np.where(turning[..., None, None], turned, r_next)
-    pos = (1.0 - frac) * prev.virtual_target.translation \
-        + frac * nxt.virtual_target.translation
-    kp = (1.0 - frac) * prev.kp_diag + frac * nxt.kp_diag
-    width = (1.0 - frac) * prev.gripper_target_width \
-        + frac * nxt.gripper_target_width
+    vec_frac = frac[..., None]
+    pos = (1.0 - vec_frac) * prev.virtual_target.translation \
+        + vec_frac * nxt.virtual_target.translation
+    kp = (1.0 - vec_frac) * prev.kp_diag + vec_frac * nxt.kp_diag
     # a product of validated rotations needs no re-validation
-    return ComplianceCommand(pose_unchecked(rot, pos), kp, width, nxt.reference,
-                             nxt.held)
+    return ComplianceCommand(pose_unchecked(rot, pos), kp)
 
 
 class RecedingHorizonScheduler:
@@ -207,24 +181,17 @@ class RecedingHorizonScheduler:
 
     The integrated reference pose carries across chunk boundaries, so the
     compiled command stream never jumps by more than one step's delta at a
-    seam. If the chunk stream is exhausted while more commands are requested
-    (`min_commands`), the last command is re-emitted with held=True and the
-    scheduler reports starved=True. Single-producer, single-consumer: one
-    scheduler feeds one control loop.
+    seam.
     """
 
     def __init__(self, chunks: Iterable, execute_horizon: int, start_ref: Pose,
-                 sched: StiffnessSchedule, min_commands: Optional[int] = None):
+                 sched: StiffnessSchedule):
         if execute_horizon < 1:
             raise ComplianceError("execute_horizon must be >= 1")
         self._chunks = iter(chunks)
         self.horizon = execute_horizon
         self._ref = start_ref
         self._sched = sched
-        self._min_commands = min_commands
-        self.starved = False
-        self._emitted = 0
-        self._last: Optional[ComplianceCommand] = None
 
     def __iter__(self) -> Iterator[ComplianceCommand]:
         for chunk in self._chunks:
@@ -233,17 +200,4 @@ class RecedingHorizonScheduler:
                     f"execute_horizon {self.horizon} exceeds chunk length {len(chunk)}")
             for step in chunk.steps[:self.horizon]:
                 command, self._ref = compile_step(step, self._ref, self._sched)
-                self._last = command
-                self._emitted += 1
                 yield command
-        if self._min_commands is not None and self._emitted < self._min_commands:
-            self.starved = True
-            if self._last is None:
-                raise ComplianceError("starved scheduler with no command to hold")
-            while self._emitted < self._min_commands:
-                held = ComplianceCommand(self._last.virtual_target,
-                                         self._last.kp_diag.copy(),
-                                         self._last.gripper_target_width,
-                                         self._last.reference, held=True)
-                self._emitted += 1
-                yield held

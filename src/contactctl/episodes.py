@@ -177,7 +177,7 @@ class Episode:
 def replay_actions(episode: Episode, chunk_len: int) -> list:
     """Partition the recorded "action" stream into fixed-length chunks.
 
-    The final partial chunk is padded by repeating its last step and flagged.
+    The final partial chunk is padded by repeating its last step.
     """
     if chunk_len < 1:
         raise EpisodeError("chunk_len must be >= 1")
@@ -192,11 +192,10 @@ def replay_actions(episode: Episode, chunk_len: int) -> list:
     chunks = []
     for start in range(0, len(rows), chunk_len):
         block = rows[start:start + chunk_len]
-        padded = len(block) < chunk_len
-        if padded:
+        if len(block) < chunk_len:
             pad = np.repeat(block[-1:], chunk_len - len(block), axis=0)
             block = np.vstack([block, pad])
-        chunks.append(ActionChunk([ActionStep.from_array(r) for r in block], padded))
+        chunks.append(ActionChunk([ActionStep.from_array(r) for r in block]))
     return chunks
 
 

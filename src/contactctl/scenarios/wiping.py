@@ -12,7 +12,9 @@ during the pass; the residual-marking fraction is the task metric.
 Every (variant, trial) of a run is one row of a single batched rollout: the
 rows share the arm, the gains and the start pose, and differ in plane offset,
 rng and command stream, so one closed-loop tick per control step advances
-them all.
+them all. Rows with equal action streams share one compiled command stream.
+Each distinct stream is compiled once before the loop and upsampled to the
+control rate in one call, and a tick reads its rows' targets by stream index.
 
 Recording stays out of the tick. The loop copies the recorded rows' states
 (end-effector pose, contact force, pose error, clamp flags) into
@@ -29,13 +31,14 @@ from typing import Optional
 
 import numpy as np
 
-from ..compliance import (ACTION_SCHEMA, ActionStep, RecedingHorizonScheduler,
-                          StiffnessSchedule, interpolate_commands,
-                          stack_commands)
+from ..compliance import (ACTION_SCHEMA, ActionStep, ComplianceCommand,
+                          RecedingHorizonScheduler, StiffnessSchedule,
+                          interpolate_commands)
 from ..dynamics import (ArmDynamicsModel, ContactPlane, PayloadSpec, SimState,
                         load_arm_model, read_ft_sensor)
 from ..episodes import Episode, StreamSpec, replay_actions
-from ..geometry import Pose, Rot6D, Wrench, dot_rows, rotation_about_axis
+from ..geometry import (Pose, Rot6D, Wrench, dot_rows, pose_unchecked,
+                        rotation_about_axis)
 from ..impedance import ImpedanceConfig, ImpedanceExecutor
 from ..kinematics import solve_ik
 from ..sensing import IdentifiedPayload, WrenchFrameModel, compensate_wrench
@@ -83,6 +86,8 @@ def _scripted_actions(config: ScenarioConfig, start_rotation, force_target: floa
     width = config.get_float("wiping", "gripper_width", 0.05)
     steps, labels = [], []
     for label, duration, fz, dx_total in phases:
+        if not duration >= 0.0:   # NaN fails too
+            raise ValueError(f"{label}_s must be nonnegative")
         n = max(1, int(round(duration * rate)))
         dx = dx_total / n
         for _ in range(n):
@@ -103,6 +108,8 @@ class WipingSetup:
     plane: ContactPlane            # nominal plane; rows differ in offset
     q0: np.ndarray                 # start pose IK solution
     start_pose: Pose
+    scripts: dict                  # variant flag -> (action steps, phase labels)
+    baseline_offset: float         # no-wrench surface offset from nominal
     dt: float
     ticks_per_action: int
     chunk_len: int
@@ -146,40 +153,53 @@ def wiping_setup(config: ScenarioConfig) -> WipingSetup:
         erase_threshold = config.get_float("wiping", "erase_threshold", 7.0)
         chunk_len = config.get_int("compliance", "chunk_len", 16)
         horizon = config.get_int("compliance", "horizon", chunk_len)
+        baseline_offset = config.get_float("wiping", "baseline_surface_offset", -0.002)
+        noise_sigma = config.get_float("sensor", "noise_sigma", 0.02)
+        payload = PayloadSpec(config.get_float("sensor", "payload_mass", 0.2),
+                              config.get_vec("sensor", "payload_com", "0 0 0.03"),
+                              config.get_vec("sensor", "payload_bias",
+                                             "0.2 -0.1 0.15 0.01 -0.02 0.005"))
         # each check is written so that NaN fails it
         for ok, what in ((surface_jitter >= 0.0, "surface_jitter must be nonnegative"),
                          (action_rate > 0.0, "action_rate_hz must be positive"),
                          (n_cells >= 1, "cells must be >= 1"),
                          (erase_threshold > 0.0, "erase_threshold must be positive"),
-                         (1 <= horizon <= chunk_len, "need 1 <= horizon <= chunk_len")):
+                         (1 <= horizon <= chunk_len, "need 1 <= horizon <= chunk_len"),
+                         (np.isfinite(baseline_offset),
+                          "baseline_surface_offset must be finite"),
+                         (noise_sigma >= 0.0, "noise_sigma must be nonnegative"),
+                         (payload.mass >= 0.0, "payload_mass must be nonnegative"),
+                         (np.isfinite(payload.com_in_sensor).all(),
+                          "payload_com must be finite"),
+                         (np.isfinite(payload.sensor_bias).all(),
+                          "payload_bias must be finite")):
             if not ok:
                 raise ValueError(what)
+        x_start = config.get_float("wiping", "x_start", 0.40)
+        stroke = config.get_float("wiping", "stroke", 0.24)
+        pitch = config.get_float("wiping", "tool_pitch", 0.7)
+        start_pose = Pose(rotation_about_axis(np.array([0.0, 1.0, 0.0]), pitch),
+                          [x_start, 0.0, nominal_plane.offset])
+        force_target = config.get_float("wiping", "force_target", 10.0)
+        scripts = {flag: _scripted_actions(config, start_pose.rotation,
+                                           force_target if flag else 0.0)
+                   for flag in (True, False)}
     except ValueError as exc:
         raise ScenarioConfigError(f"{config.scenario_id}: {exc}") from exc
 
-    x_start = config.get_float("wiping", "x_start", 0.40)
-    stroke = config.get_float("wiping", "stroke", 0.24)
-    pitch = config.get_float("wiping", "tool_pitch", 0.7)
-    start_pose = Pose(rotation_about_axis(np.array([0.0, 1.0, 0.0]), pitch),
-                      [x_start, 0.0, nominal_plane.offset])
     q_guess = config.get_vec("wiping", "q_init_guess", "0.3 0.9 -0.5")
     ik = solve_ik(model.chain, q_guess, start_pose, max_iters=300, tol=1e-8)
     if not ik.converged:
         raise ScenarioConfigError(
             f"start pose unreachable from q_init_guess (|xi| = {ik.error_norm:.3g})")
-
-    payload = PayloadSpec(config.get_float("sensor", "payload_mass", 0.2),
-                          config.get_vec("sensor", "payload_com", "0 0 0.03"),
-                          config.get_vec("sensor", "payload_bias", "0.2 -0.1 0.15 0.01 -0.02 0.005"))
     return WipingSetup(
         config.scenario_id, config.config_hash, model, imp_cfg, sched,
-        nominal_plane, ik.q, start_pose, dt,
+        nominal_plane, ik.q, start_pose, scripts, baseline_offset, dt,
         max(1, int(round(1.0 / (action_rate * dt)))), chunk_len, horizon,
         np.linspace(x_start, x_start + stroke, n_cells + 1), erase_threshold,
         surface_jitter, payload,
         IdentifiedPayload(payload.mass, payload.com_in_sensor, payload.sensor_bias),
-        WrenchFrameModel(),
-        config.get_float("sensor", "noise_sigma", 0.02))
+        WrenchFrameModel(), noise_sigma)
 
 
 def _variant(use_wrench: bool) -> str:
@@ -196,19 +216,16 @@ def run_wiping(config: ScenarioConfig, use_wrench, out_dir=None):
     flags = [use_wrench] if isinstance(use_wrench, bool) else list(use_wrench)
     setup = wiping_setup(config)
     z_nominal = setup.plane.offset
-    baseline_offset = config.get_float("wiping", "baseline_surface_offset", -0.002)
     rows = []
     for flag in flags:
-        force_target = config.get_float("wiping", "force_target", 10.0) if flag else 0.0
-        steps, labels = _scripted_actions(config, setup.start_pose.rotation,
-                                          force_target)
+        steps, labels = setup.scripts[flag]
         for trial in range(config.trials):
             rng = np.random.default_rng(config.seed * 1000 + trial)
             if flag:
                 offset = z_nominal + rng.uniform(-setup.surface_jitter,
                                                  setup.surface_jitter)
             else:
-                offset = z_nominal + baseline_offset
+                offset = z_nominal + setup.baseline_offset
             episode = None
             if trial == 0 and out_dir is not None:
                 episode = wiping_episode(setup, _variant(flag))
@@ -290,16 +307,38 @@ def wiping_episode(setup: WipingSetup, variant: str) -> Episode:
                    config_hash=setup.config_hash)
 
 
-def _scheduler(setup: WipingSetup, steps: list) -> RecedingHorizonScheduler:
-    """A row's command stream, routed through the recorded-episode replay path."""
+def _compiled(setup: WipingSetup, actions: np.ndarray) -> list:
+    """A command stream, compiled through the recorded-episode replay path."""
     ticks, dt = setup.ticks_per_action, setup.dt
     scratch = Episode("actions", [StreamSpec("action", 1.0 / (ticks * dt),
                                              ACTION_SCHEMA, "action")])
-    scratch.record_block("action", np.arange(len(steps)) * ticks * dt,
-                         [action.as_array() for action in steps])
-    return RecedingHorizonScheduler(replay_actions(scratch, setup.chunk_len),
-                                    setup.horizon, setup.start_pose,
-                                    setup.schedule)
+    scratch.record_block("action", np.arange(len(actions)) * ticks * dt, actions)
+    return list(RecedingHorizonScheduler(replay_actions(scratch, setup.chunk_len),
+                                         setup.horizon, setup.start_pose,
+                                         setup.schedule))
+
+
+def _control_targets(setup: WipingSetup, streams: list) -> ComplianceCommand:
+    """The (ticks, S) stack of control-rate targets of S action streams.
+
+    Each stream is compiled once. Tick k of command c blends command c - 1
+    (c itself for the first command) into c by (k + 1) / ticks_per_action,
+    which upsamples the action-rate stream to the control rate.
+    """
+    commands = list(zip(*[_compiled(setup, actions) for actions in streams]))
+    rotation = np.array([[c.virtual_target.rotation for c in cs] for cs in commands])
+    translation = np.array([[c.virtual_target.translation for c in cs]
+                            for cs in commands])
+    kp = np.array([[c.kp_diag for c in cs] for cs in commands])
+    per = setup.ticks_per_action
+    now = np.repeat(np.arange(len(commands)), per)
+    frac = np.tile(np.arange(1, per + 1) / per, len(commands))
+
+    def at(index):
+        return ComplianceCommand(pose_unchecked(rotation[index], translation[index]),
+                                 kp[index])
+    return interpolate_commands(at(np.maximum(now - 1, 0)), at(now),
+                                np.repeat(frac[:, None], len(streams), axis=1))
 
 
 @dataclass
@@ -339,10 +378,19 @@ def rollout(setup: WipingSetup, rows: list) -> list:
     executor = ImpedanceExecutor(setup.model, setup.gains)
     state = SimState(np.tile(setup.q0, (n_rows, 1)),
                      np.zeros((n_rows, setup.model.chain.dof)))
-    streams = list(zip(*[_scheduler(setup, row.steps) for row in rows]))
+    actions = [np.array([step.as_array() for step in row.steps]) for row in rows]
+    # rows whose action streams are bitwise equal share one compiled stream
+    distinct = {}   # action bytes -> (stream index, actions)
+    stream_of_row = np.array([distinct.setdefault(a.tobytes(), (len(distinct), a))[0]
+                              for a in actions])
+    target = _control_targets(setup, [a for _, a in distinct.values()])
+    rotation_t = target.virtual_target.rotation
+    translation_t = target.virtual_target.translation
+    kp_t = target.kp_diag
+    n_commands = len(kp_t) // ticks_per_action
     # per tick and row: whether it slides, the tool's x and the normal force
     sliding = np.repeat([[k < len(row.labels) and row.labels[k] == "slide"
-                          for row in rows] for k in range(len(streams))],
+                          for row in rows] for k in range(n_commands)],
                         ticks_per_action, axis=0)
     x_log = np.empty(sliding.shape)
     fz_log = np.empty(sliding.shape)
@@ -354,45 +402,37 @@ def rollout(setup: WipingSetup, rows: list) -> list:
                     np.empty((n_ticks, n_rec, 3)), np.empty((n_ticks, n_rec, 3)),
                     np.empty((n_ticks, n_rec, 6)),
                     np.empty((n_ticks, n_rec, 2), dtype=bool))
-    tick = 0
+    for tick in range(n_ticks):
+        command = ComplianceCommand(
+            pose_unchecked(rotation_t[tick, stream_of_row],
+                           translation_t[tick, stream_of_row]),
+            kp_t[tick, stream_of_row])
+        out, new_state, frames = executor.closed_loop_tick(state, command, plane)
 
-    prev_command = None
-    for row_commands in streams:
-        command = stack_commands(row_commands)
-        base = command if prev_command is None else prev_command
-        for k in range(ticks_per_action):
-            # upsample the 20 Hz command stream to the control rate
-            tick_command = interpolate_commands(base, command,
-                                                (k + 1) / ticks_per_action)
-            out, new_state, frames = executor.closed_loop_tick(state, tick_command,
-                                                               plane)
+        rotation = frames.ee_pose.rotation
+        p_ee = frames.ee_pose.translation
+        # contact force actually applied this step, mapped back to world
+        force = new_state.contact_wrench_ee.force
+        f_world = (rotation @ force[..., None])[..., 0]
+        fz_log[tick] = dot_rows(f_world, plane.normal)
+        x_log[tick] = p_ee[:, 0]
 
-            rotation = frames.ee_pose.rotation
-            p_ee = frames.ee_pose.translation
-            # contact force actually applied this step, mapped back to world
-            force = new_state.contact_wrench_ee.force
-            f_world = (rotation @ force[..., None])[..., 0]
-            fz_log[tick] = dot_rows(f_world, plane.normal)
-            x_log[tick] = p_ee[:, 0]
-
-            diag = out.diagnostics
-            log.time[tick] = new_state.time
-            log.rotation[tick] = rotation[recorded]
-            log.translation[tick] = p_ee[recorded]
-            log.force[tick] = force[recorded]
-            log.xi[tick] = diag.xi[recorded]
-            log.clamped[tick, :, 0] = diag.stiffness_clamped[recorded]
-            log.clamped[tick, :, 1] = diag.limits_clamped[recorded]
-            state = new_state
-            tick += 1
-        prev_command = command
+        diag = out.diagnostics
+        log.time[tick] = new_state.time
+        log.rotation[tick] = rotation[recorded]
+        log.translation[tick] = p_ee[recorded]
+        log.force[tick] = force[recorded]
+        log.xi[tick] = diag.xi[recorded]
+        log.clamped[tick, :, 0] = diag.stiffness_clamped[recorded]
+        log.clamped[tick, :, 1] = diag.limits_clamped[recorded]
+        state = new_state
 
     cell = np.searchsorted(setup.cell_edges, x_log, side="right") - 1
     erase = sliding & (fz_log >= setup.erase_threshold) & (cell >= 0) \
         & (cell < n_cells)
     cleared = np.zeros((n_rows, n_cells), dtype=bool)
     cleared[np.nonzero(erase)[1], cell[erase]] = True
-    diagnostics = {i: _record(setup, rows[i], log, r, len(streams))
+    diagnostics = {i: _record(setup, rows[i], actions[i], log, r)
                    for r, i in enumerate(recorded.tolist())}
     results = []
     for i, row in enumerate(rows):
@@ -408,8 +448,8 @@ def rollout(setup: WipingSetup, rows: list) -> list:
     return results
 
 
-def _record(setup: WipingSetup, row: WipingRow, log: RecordLog, r: int,
-            n_commands: int) -> np.ndarray:
+def _record(setup: WipingSetup, row: WipingRow, actions: np.ndarray,
+            log: RecordLog, r: int) -> np.ndarray:
     """Write recorded row r's episode from the log; return its diagnostics.
 
     The sensor noise comes from the row's own rng, one reading per tick, as
@@ -424,10 +464,9 @@ def _record(setup: WipingSetup, row: WipingRow, log: RecordLog, r: int,
     comp = compensate_wrench(raw, setup.identified, rotation, setup.frame_model)
     # each command is recorded at the time its first tick starts
     starts = np.concatenate(([log.start_time], t[:-1]))[::setup.ticks_per_action]
-    last = len(row.steps) - 1
+    # a padded stream records its last action again
     episode.record_block("action", starts,
-                         [row.steps[min(k, last)].as_array()
-                          for k in range(n_commands)])
+                         actions[np.minimum(np.arange(len(starts)), len(actions) - 1)])
     episode.record_block("wrench_raw", t, raw.as_array())
     episode.record_block("wrench_ee", t, comp.as_array())
     stride = max(1, int(round(1.0 / (200.0 * setup.dt))))

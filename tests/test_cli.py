@@ -107,7 +107,22 @@ def test_run_selective_release_pair_and_table(tmp_path, capsys):
      ("bottle_pick", "contact_stiffness = 5000", "contact_stiffness = inf"),
      ("bottle_pick", "mass_jitter_frac = 0.03", "mass_jitter_frac = nan"),
      ("bottle_pick", "mass_jitter_frac = 0.03", "mass_jitter_frac = 1.5"),
-     ("bottle_pick", "mass_jitter_frac = 0.03", "mass_jitter_frac = -0.03")],
+     ("bottle_pick", "mass_jitter_frac = 0.03", "mass_jitter_frac = -0.03"),
+     ("wiping", "noise_sigma = 0.02", "noise_sigma = nan"),
+     ("wiping", "noise_sigma = 0.02", "noise_sigma = -1"),
+     ("wiping", "payload_mass = 0.2", "payload_mass = nan"),
+     ("wiping", "payload_mass = 0.2", "payload_mass = -1"),
+     ("wiping", "payload_com = 0 0 0.03", "payload_com = 0 nan 0.03"),
+     ("wiping", "payload_bias = 0.2 -0.1 0.15", "payload_bias = 0.2 -0.1 nan"),
+     ("wiping", "force_target = 10", "force_target = nan"),
+     ("wiping", "stroke = 0.20", "stroke = nan"),
+     ("wiping", "press_s = 0.4", "press_s = nan"),
+     ("wiping", "settle_s = 0.3", "settle_s = -1"),
+     ("wiping", "gripper_width = 0.05", "gripper_width = -1"),
+     ("wiping", "tool_pitch = 0.7", "tool_pitch = nan"),
+     ("wiping", "x_start = 0.40", "x_start = nan"),
+     ("wiping", "baseline_surface_offset = -0.002",
+      "baseline_surface_offset = nan")],
     ids=["k_min_above_k_max", "zero_ik_damping", "plant_dt_above_step_bound",
          "bottle_dt_above_step_bound", "quality_dt_above_step_bound",
          "bottle_negative_gripper_kp", "quality_negative_gripper_kp",
@@ -119,7 +134,11 @@ def test_run_selective_release_pair_and_table(tmp_path, capsys):
          "nan_bottle_mass", "negative_bottle_mass", "inf_bottle_mass",
          "nan_bottle_mu", "negative_bottle_mu", "nan_bottle_stiffness",
          "zero_bottle_stiffness", "inf_bottle_stiffness", "nan_mass_jitter",
-         "mass_jitter_above_one", "negative_mass_jitter"])
+         "mass_jitter_above_one", "negative_mass_jitter", "nan_noise_sigma",
+         "negative_noise_sigma", "nan_payload_mass", "negative_payload_mass",
+         "nan_payload_com", "nan_payload_bias", "nan_force_target", "nan_stroke",
+         "nan_press_s", "negative_settle_s", "negative_gripper_width",
+         "nan_tool_pitch", "nan_x_start", "nan_baseline_surface_offset"])
 def test_run_bad_gain_config_is_usage_error(tmp_path, capsys, config, old, new):
     # a gain or step the controller cannot use is a config error, not a
     # runtime fault

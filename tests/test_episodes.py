@@ -213,13 +213,11 @@ def test_replay_exact_division():
     chunks = replay_actions(action_episode(32), 16)
     assert len(chunks) == 2
     assert all(len(c) == 16 for c in chunks)
-    assert not any(c.padded for c in chunks)
 
 
 def test_replay_remainder_padded():
     chunks = replay_actions(action_episode(33), 16)
     assert len(chunks) == 3
-    assert chunks[-1].padded and not chunks[0].padded
     last = chunks[-1]
     assert np.array_equal(last.steps[0].as_array(), last.steps[-1].as_array())
 

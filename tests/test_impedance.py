@@ -204,7 +204,7 @@ def test_execute_tick_identity_command():
     q0 = np.array([0.4, 0.7])
     state = SimState(q0.copy(), np.zeros(2))
     target = chain_frames(model.chain, q0).ee_pose
-    command = ComplianceCommand(target, np.full(3, 1000.0), 0.05, target)
+    command = ComplianceCommand(target, np.full(3, 1000.0))
     out, _, _ = executor.closed_loop_tick(state, command, None)
     hold = inverse_dynamics_terms(model, q0, np.zeros(2)).bias
     assert np.allclose(out.q_d, q0, atol=1e-9)
@@ -218,7 +218,7 @@ def test_execute_tick_rest_drift_with_shared_terms():
     q0 = np.array([0.4, 0.7])
     state = SimState(q0.copy(), np.zeros(2))
     target = chain_frames(model.chain, q0).ee_pose
-    command = ComplianceCommand(target, np.full(3, 1000.0), 0.05, target)
+    command = ComplianceCommand(target, np.full(3, 1000.0))
     for _ in range(50):
         _, new_state, _ = executor.closed_loop_tick(state, command, None)
         assert np.max(np.abs(new_state.q - state.q)) < 1e-9
@@ -234,7 +234,7 @@ def test_executor_error_norm_decreases_in_free_space():
     target = chain_frames(model.chain, q_target).ee_pose
     offset = np.linalg.norm(target.translation - start.translation)
     assert 0.03 < offset < 0.08
-    command = ComplianceCommand(target, np.full(3, 1500.0), 0.05, target)
+    command = ComplianceCommand(target, np.full(3, 1500.0))
     state = SimState(q0.copy(), np.zeros(2))
     norms = []
     for _ in range(1500):
@@ -257,8 +257,7 @@ def wiping_rig(kp_z, plane_stiffness=2e4, depth=0.01):
     assert ik.converged
     plane = ContactPlane([0.0, 0.0, 1.0], 0.0, plane_stiffness, 250.0, 0.0)
     target = Pose(rot, [0.45, 0.0, -depth])
-    command = ComplianceCommand(target, np.array([2000.0, 2000.0, kp_z]),
-                                0.05, surface)
+    command = ComplianceCommand(target, np.array([2000.0, 2000.0, kp_z]))
     state = SimState(ik.q.copy(), np.zeros(3))
     for _ in range(1500):
         _, state, _ = executor.closed_loop_tick(state, command, plane)
@@ -290,8 +289,7 @@ def test_executor_reports_stiffness_clamp():
     q0 = np.array([0.4, 0.7])
     state = SimState(q0.copy(), np.zeros(2))
     target = chain_frames(model.chain, q0).ee_pose
-    command = ComplianceCommand(target, np.array([1.0, 1000.0, 1000.0]),
-                                0.05, target)
+    command = ComplianceCommand(target, np.array([1.0, 1000.0, 1000.0]))
     out, _, _ = executor.closed_loop_tick(state, command, None)
     assert out.diagnostics.stiffness_clamped
 
@@ -304,8 +302,7 @@ def test_execute_tick_clamps_without_warning_or_filter_changes(monkeypatch):
     state = SimState(q0.copy(), np.zeros(2))
     frames = chain_frames(model.chain, q0)
     bias = inverse_dynamics_terms(model, q0, np.zeros(2), frames).bias
-    command = ComplianceCommand(frames.ee_pose, np.array([1.0, 1000.0, 9000.0]),
-                                0.05, frames.ee_pose)
+    command = ComplianceCommand(frames.ee_pose, np.array([1.0, 1000.0, 9000.0]))
     touched = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -319,8 +316,7 @@ def test_execute_tick_clamps_without_warning_or_filter_changes(monkeypatch):
     assert caught == []
     # the same torque as with the command clamped up front
     executor = ImpedanceExecutor(model, cfg)
-    clamped = ComplianceCommand(frames.ee_pose, np.array([cfg.k_min, 1000.0, cfg.k_max]),
-                                0.05, frames.ee_pose)
+    clamped = ComplianceCommand(frames.ee_pose, np.array([cfg.k_min, 1000.0, cfg.k_max]))
     again = executor.execute_tick(state, clamped, frames, bias)
     assert np.array_equal(out.tau, again.tau)
     assert not again.diagnostics.stiffness_clamped
@@ -335,7 +331,7 @@ def test_executor_single_code_path_in_contact_and_free_space():
     model, executor, _ = executor_setup()
     free_state = SimState(np.array([0.4, 0.7]), np.zeros(2))
     target = chain_frames(model.chain, free_state.q).ee_pose
-    command = ComplianceCommand(target, np.full(3, 1000.0), 0.05, target)
+    command = ComplianceCommand(target, np.full(3, 1000.0))
     executor.closed_loop_tick(free_state, command, None)
     assert f_n > 0.0   # contact case did make contact, same code path
 
@@ -359,7 +355,7 @@ def test_single_state_shapes_and_batched_rows(rng, name):
     def tick(qi, qdi, offset, kpi, target):
         executor = ImpedanceExecutor(model, cfg)
         plane = ContactPlane([0.0, 0.0, 1.0], offset, 2e4, 250.0, 0.4)
-        command = ComplianceCommand(target, kpi, 0.05, target)
+        command = ComplianceCommand(target, kpi)
         state = SimState(qi, qdi)
         first, state, _ = executor.closed_loop_tick(state, command, plane)
         return (first,) + executor.closed_loop_tick(state, command, plane)

@@ -262,6 +262,33 @@ def test_wiping_rollout_rejects_rows_of_unequal_length():
         rollout(setup, rows)
 
 
+def test_wiping_compiles_each_distinct_stream_once(monkeypatch):
+    # the 20 rows of the shipped run share two action streams (one per
+    # variant), so 2 x 48 commands are compiled, all before the first tick
+    from contactctl import compliance
+    from contactctl.impedance import ImpedanceExecutor
+    calls = []
+    real = compliance.compile_step
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    class FirstTick(Exception):
+        pass
+
+    def first_tick(*args):
+        raise FirstTick
+
+    monkeypatch.setattr(compliance, "compile_step", spy)
+    monkeypatch.setattr(ImpedanceExecutor, "closed_loop_tick", first_tick)
+    config = load("wiping")
+    assert config.trials == 10
+    with pytest.raises(FirstTick):
+        run_wiping(config, (True, False))
+    assert len(calls) == 96
+
+
 def test_run_scenario_wiping_is_one_batch(monkeypatch):
     # both variants run as one batched rollout, one report per variant
     from contactctl.scenarios import wiping
