@@ -18,7 +18,7 @@ torque; integration is semi-implicit Euler.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 
@@ -43,10 +43,12 @@ class GripperParams:
     width_per_rad: float = 0.01  # m/rad transmission ratio (defaults to r_g)
 
     def __post_init__(self):
-        if min(self.k_tau, self.r_g, self.a, self.kp, self.filter_cutoff,
-               self.motor_inertia, self.width_per_rad) <= 0.0:
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise ValueError("gripper parameters must be finite")
+        if not min(self.k_tau, self.r_g, self.a, self.kp, self.filter_cutoff,
+                   self.motor_inertia, self.width_per_rad) > 0.0:
             raise ValueError("k_tau, r_g, a, Kp, cutoff, inertia, width_per_rad must be positive")
-        if self.kd < 0.0 or self.viscous < 0.0:
+        if not (self.kd >= 0.0 and self.viscous >= 0.0):
             raise ValueError("Kd and viscous friction must be nonnegative")
 
 

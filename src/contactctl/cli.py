@@ -244,7 +244,8 @@ def _cmd_list(args) -> int:
     for path in sorted(configs_dir.glob("*.ini")):
         try:
             config = load_scenario_config(path)
-        except ScenarioConfigError:
+        except ScenarioConfigError as exc:
+            print(f"skipped {path}: {exc}", file=sys.stderr)
             continue
         found = True
         print(f"{config.scenario_id:22s} kind={config.kind:20s} "

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+from . import bilateral_quality, bottle, gravity, release, wiping
 from .base import (Criterion, ScenarioConfig, ScenarioConfigError,
                    ScenarioReport, evaluate_criteria, load_report,
                    load_scenario_config, render_comparison)
@@ -11,8 +12,10 @@ from .gravity import run_gravity_verification
 from .release import run_selective_release
 from .wiping import run_wiping
 
-SCENARIO_KINDS = ("gravity_verification", "wiping", "bottle_pick",
-                  "selective_release", "bilateral_quality")
+# each kind's module declares its config KEYS, and the row_ticks of a config
+# with the TICKS_SET_BY keys it reads; load_scenario_config checks both
+KINDS = {"gravity_verification": gravity, "wiping": wiping, "bottle_pick": bottle,
+         "selective_release": release, "bilateral_quality": bilateral_quality}
 
 
 def run_scenario(config: ScenarioConfig, out_dir=None) -> list:
@@ -31,7 +34,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> list:
     if config.kind == "bilateral_quality":
         return [run_bilateral_signal_quality(config, out_dir)]
     raise ScenarioConfigError(
-        f"unknown scenario kind {config.kind!r}; expected one of {SCENARIO_KINDS}")
+        f"unknown scenario kind {config.kind!r}; expected one of {tuple(KINDS)}")
 
 
 _TABLE_LAYOUT = {
@@ -74,7 +77,7 @@ def summary_table(reports: list) -> str:
 
 __all__ = [
     "Criterion", "ScenarioConfig", "ScenarioConfigError", "ScenarioReport",
-    "SCENARIO_KINDS", "evaluate_criteria", "load_report",
+    "KINDS", "evaluate_criteria", "load_report",
     "load_scenario_config", "render_comparison", "run_bilateral_signal_quality",
     "run_bottle_pick", "run_gravity_verification", "run_scenario",
     "run_selective_release", "run_wiping", "summary_table",

@@ -10,6 +10,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -23,6 +24,71 @@ class ScenarioConfigError(ValueError):
     pass
 
 
+TICKS_MAX = 1_000_000   # control ticks one row may run: 1 000 s at 1 kHz
+DOF = "dof"             # type of a vector with one number per chain joint
+_WHAT = {int: "an integer", float: "a number", bool: "a boolean"}
+
+
+@dataclass(frozen=True)
+class Key:
+    """A declared config key.
+
+    `type` is float, int, bool, str, a vector length, or DOF. `default` is
+    INI text, a (section, key) pair whose value an absent key takes, or None
+    for a required key. `range` is "finite", "> a", ">= a" or an interval
+    such as "(0, 0.005]"; every number must also be finite.
+    """
+
+    section: str
+    name: str
+    type: object
+    default: object = None
+    range: str = "finite"
+
+    def parse(self, text: str):
+        """The value `text` gives this key, checked against its type and range."""
+        where = f"[{self.section}] {self.name}"
+        if self.type is str:
+            return text
+        scalar = self.type in (int, float)
+        try:
+            if self.type is bool:
+                return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+            numbers = [self.type(text)] if scalar \
+                else [float(v) for v in text.replace(",", " ").split()]
+        except (KeyError, ValueError):
+            what = _WHAT.get(self.type, "a list of numbers")
+            raise ScenarioConfigError(f"{where}: {text!r} is not {what}") from None
+        if not (scalar or numbers and self.type in (DOF, len(numbers))):
+            raise ScenarioConfigError(f"{where} needs {self.type} numbers, got {len(numbers)}")
+        if not all(_within(x, self.range) for x in numbers):
+            words = f"in {self.range}" if self.range[0] in "([" else self.range
+            raise ScenarioConfigError(f"{where} must be {words}, got {text!r}")
+        return numbers[0] if scalar else np.array(numbers)
+
+
+SCENARIO_KEYS = (
+    Key("scenario", "id", str),
+    Key("scenario", "kind", str),
+    Key("scenario", "seed", int, "0", ">= 0"),   # numpy seeds are nonnegative
+    Key("scenario", "trials", int, "10", ">= 1"),
+)
+
+
+def _within(x, range_: str) -> bool:
+    """Whether x is finite and in `range_` (see Key); NaN never is."""
+    if not (isinstance(x, int) or math.isfinite(x)):   # an int of any size is finite
+        return False
+    if range_ == "finite":
+        return True
+    if range_[0] == ">":
+        op, low = range_.split()
+        return x >= float(low) if op == ">=" else x > float(low)
+    low, high = (float(v) for v in range_[1:-1].split(","))
+    return (x >= low if range_[0] == "[" else x > low) \
+        and (x <= high if range_[-1] == "]" else x < high)
+
+
 @dataclass
 class ScenarioConfig:
     scenario_id: str
@@ -32,48 +98,47 @@ class ScenarioConfig:
     sections: dict
     config_hash: str
     base_dir: Path
+    keys: dict                  # (section, key) -> the kind's declared Key
     path: Optional[Path] = None
 
-    def get(self, section: str, key: str, default=None) -> str:
-        value = self.sections.get(section, {}).get(key)
-        if value is None:
-            if default is None:
+    def value(self, section: str, key: str):
+        """The parsed value of a declared key, or its declared default."""
+        entry = self.keys[section, key]
+        text = self.sections.get(section, {}).get(key)
+        if text is None:
+            if isinstance(entry.default, tuple):
+                return self.value(*entry.default)
+            if entry.default is None:
                 raise ScenarioConfigError(f"missing [{section}] {key}")
-            return default
-        return value
+            text = entry.default
+        return entry.parse(text)
 
-    def get_float(self, section: str, key: str, default=None) -> float:
-        text = self.get(section, key, None if default is None else repr(default))
-        return _parse(float, text, section, key)
+    def values(self, section: str) -> dict:
+        """Every declared key of a section, by name, parsed."""
+        return {key: self.value(section, key) for sec, key in self.keys if sec == section}
 
-    def get_int(self, section: str, key: str, default=None) -> int:
-        text = self.get(section, key, None if default is None else str(default))
-        return _parse(int, text, section, key)
-
-    def get_bool(self, section: str, key: str, default: bool = False) -> bool:
-        return self.get(section, key, str(default)).strip().lower() in ("1", "true", "yes", "on")
-
-    def get_vec(self, section: str, key: str, default: str = None) -> np.ndarray:
-        text = self.get(section, key, default)
-        return np.array([_parse(float, v, section, key)
-                         for v in text.replace(",", " ").split()])
+    def build(self, make, *args, **kwargs):
+        """make(*args, **kwargs), its ValueError turned into a config error."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            raise ScenarioConfigError(f"{self.scenario_id}: {exc}") from None
 
     def resolve_path(self, text: str) -> Path:
         p = Path(text)
         return p if p.is_absolute() else (self.base_dir / p).resolve()
 
 
-def _parse(kind, text: str, section: str, key: str):
-    """`kind(text)`, with a ValueError turned into a config error naming the key."""
-    try:
-        return kind(text)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ScenarioConfigError(f"[{section}] {key}: {text!r} is not {what}") from None
-
-
 def load_scenario_config(path, seed_override: Optional[int] = None,
                          trials_override: Optional[int] = None) -> ScenarioConfig:
+    """Read a scenario config and check all of it against its kind's keys.
+
+    An undeclared section or key, a value outside its type or range, or a
+    row of more than TICKS_MAX control ticks is a ScenarioConfigError, raised
+    before anything runs.
+    """
+    from . import KINDS   # the scenario modules, which import this one
+
     path = Path(path)
     if not path.exists():
         raise ScenarioConfigError(f"scenario config not found: {path}")
@@ -83,23 +148,41 @@ def load_scenario_config(path, seed_override: Optional[int] = None,
         cfg.read_string(text)
     except configparser.Error as exc:
         raise ScenarioConfigError(f"{path}: {exc}") from exc
-    if "scenario" not in cfg:
-        raise ScenarioConfigError(f"{path}: missing [scenario] section")
-    sec = cfg["scenario"]
-    for key in ("id", "kind"):
-        if key not in sec:
-            raise ScenarioConfigError(f"{path}: [scenario] missing {key!r}")
     sections = {name: dict(cfg[name]) for name in cfg.sections()}
-    seed = seed_override if seed_override is not None \
-        else _parse(int, sec.get("seed", "0"), "scenario", "seed")
-    trials = trials_override if trials_override is not None \
-        else _parse(int, sec.get("trials", "10"), "scenario", "trials")
-    if trials < 1:
-        raise ScenarioConfigError(f"{path}: trials must be >= 1, got {trials}")
-    config_hash = hashlib.sha256(
-        text.encode() + f"|seed={seed}|trials={trials}".encode()).hexdigest()[:16]
-    return ScenarioConfig(sec["id"], sec["kind"], seed, trials, sections,
-                          config_hash, path.parent.resolve(), path)
+    scenario = sections.setdefault("scenario", {})
+    kind = KINDS.get(scenario.get("kind"))
+    if kind is None:
+        raise ScenarioConfigError(f"[scenario] kind must be one of "
+                                  f"{', '.join(KINDS)}, got {scenario.get('kind')!r}")
+    for key, override in (("seed", seed_override), ("trials", trials_override)):
+        if override is not None:
+            scenario[key] = str(override)
+    keys = {(entry.section, entry.name): entry for entry in kind.KEYS}
+    for section, entries in sections.items():
+        for key in entries:
+            if (section, key) not in keys:
+                raise ScenarioConfigError(
+                    f"[{section}] {key} is not a {scenario['kind']} config key")
+    config = ScenarioConfig(None, scenario["kind"], None, None, sections, None,
+                            path.parent.resolve(), keys, path)
+    for section, key in keys:
+        config.value(section, key)
+    config.scenario_id = config.value("scenario", "id")
+    config.seed = config.value("scenario", "seed")
+    config.trials = config.value("scenario", "trials")
+    config.config_hash = hashlib.sha256(
+        text.encode() + f"|seed={config.seed}|trials={config.trials}".encode()
+    ).hexdigest()[:16]
+    try:
+        ticks = kind.row_ticks(config)
+    except ArithmeticError:   # a step count that overflows
+        ticks = math.inf
+    if not 1 <= ticks <= TICKS_MAX:
+        raise ScenarioConfigError(
+            f"a row would run {ticks:.6g} control ticks, set by "
+            f"{', '.join(f'[{s}] {k}' for s, k in kind.TICKS_SET_BY)}; "
+            f"need 1 to {TICKS_MAX}")
+    return config
 
 
 @dataclass

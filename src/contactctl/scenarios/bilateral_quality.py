@@ -21,9 +21,41 @@ from ..bilateral import (BILATERAL_SCHEMA, BilateralState, GraspContactModel,
                          bilateral_record, estimate_internal_force,
                          step_bilateral)
 from ..episodes import Episode, StreamSpec
-from .base import (Criterion, ScenarioConfig, ScenarioReport, evaluate_criteria,
-                   export_report_episode)
-from .bottle import bilateral_settings_from
+from .base import (SCENARIO_KEYS, Criterion, Key, ScenarioConfig, ScenarioReport,
+                   evaluate_criteria, export_report_episode)
+from .bottle import BILATERAL_DT, GRIPPER_KEYS, gripper_params
+
+KEYS = SCENARIO_KEYS + GRIPPER_KEYS + (
+    Key("quality", "dt", float, "0.001", BILATERAL_DT),
+    Key("quality", "duration_s", float, "5.0", ">= 0"),
+    Key("quality", "hold_force", float, "8.0"),
+    Key("quality", "wipe_amp", float, "2.0"),
+    Key("quality", "wipe_hz", float, "0.8"),
+    Key("quality", "object_width", float, "0.06", "> 0"),
+    Key("quality", "contact_stiffness", float, "5000.0", "> 0"),
+    Key("quality", "operator_servo_gain", float, "60.0", ">= 0"),
+    Key("quality", "close_rate", float, "8.0", ">= 0"),
+    Key("quality", "operator_kp", float, "8.0", ">= 0"),
+    Key("quality", "operator_kd", float, "0.1", ">= 0"),
+    Key("quality", "overclose", float, "0.004"),
+    Key("quality", "start_clearance", float, "0.002"),
+    # these replace [gripper] a, so GripperParams checks them
+    Key("quality", "a_open_loop", float, "1000000000000.0"),
+    Key("quality", "a_infinite", float, "1000000000.0"),
+    Key("criteria", "infinite_gap_pct", float, "1.0", ">= 0"),
+)
+TICKS_SET_BY = (("quality", "duration_s"), ("quality", "dt"))
+
+
+def row_ticks(config: ScenarioConfig) -> int:
+    return int(round(config.value("quality", "duration_s") / config.value("quality", "dt")))
+
+
+def _divisor_settings(config: ScenarioConfig) -> list:
+    """GripperParams at the nominal, open-loop and infinite divisors."""
+    params = gripper_params(config)
+    return [params] + [config.build(replace, params, a=config.value("quality", key))
+                       for key in ("a_open_loop", "a_infinite")]
 
 
 def intent_force(t: float, hold: float, wipe_amp: float, wipe_hz: float) -> float:
@@ -39,27 +71,17 @@ def intent_force(t: float, hold: float, wipe_amp: float, wipe_hz: float) -> floa
     return 0.0
 
 
-def _run_setting(config: ScenarioConfig, a_actual, record_episode) -> tuple:
-    params, dt = bilateral_settings_from(config, "quality")
-    a_nominal = params.a
-    if a_actual is not None:
-        params = replace(params, a=a_actual)
-    duration = config.get_float("quality", "duration_s", 5.0)
-    hold = config.get_float("quality", "hold_force", 8.0)
-    wipe_amp = config.get_float("quality", "wipe_amp", 2.0)
-    wipe_hz = config.get_float("quality", "wipe_hz", 0.8)
-    width_obj = config.get_float("quality", "object_width", 0.06)
-    contact = GraspContactModel(width_obj,
-                                config.get_float("quality", "contact_stiffness", 5000.0))
-    servo_gain = config.get_float("quality", "operator_servo_gain", 60.0)
-    rate_max = config.get_float("quality", "close_rate", 8.0)
-    op_kp = config.get_float("quality", "operator_kp", 8.0)
-    op_kd = config.get_float("quality", "operator_kd", 0.10)
-    theta_max = (params.w_max - width_obj + config.get_float(
-        "quality", "overclose", 0.004)) / params.width_per_rad
+def _run_setting(config: ScenarioConfig, quality: dict, params, a_nominal: float,
+                 record_episode) -> tuple:
+    dt, hold, wipe_amp = quality["dt"], quality["hold_force"], quality["wipe_amp"]
+    wipe_hz, width_obj = quality["wipe_hz"], quality["object_width"]
+    contact = GraspContactModel(width_obj, quality["contact_stiffness"])
+    servo_gain, rate_max = quality["operator_servo_gain"], quality["close_rate"]
+    op_kp, op_kd = quality["operator_kp"], quality["operator_kd"]
+    theta_max = (params.w_max - width_obj + quality["overclose"]) / params.width_per_rad
 
     # start hovering just above the object, as a demonstrator would
-    width_start = width_obj + config.get_float("quality", "start_clearance", 0.002)
+    width_start = width_obj + quality["start_clearance"]
     theta0 = (params.w_max - width_start) / params.width_per_rad
     state = BilateralState(theta_m=theta0,
                            theta_s=params.b * theta0 - params.delta)
@@ -71,8 +93,7 @@ def _run_setting(config: ScenarioConfig, a_actual, record_episode) -> tuple:
                           [StreamSpec("gripper", 1.0 / dt, BILATERAL_SCHEMA,
                                       "gripper")],
                           config_hash=config.config_hash)
-    n_steps = int(round(duration / dt))
-    for i in range(n_steps):
+    for i in range(row_ticks(config)):
         t = i * dt
         f_intent = intent_force(t, hold, wipe_amp, wipe_hz)
         # the operator decodes force from what the master actually renders
@@ -94,12 +115,12 @@ def _run_setting(config: ScenarioConfig, a_actual, record_episode) -> tuple:
 
 def run_bilateral_signal_quality(config: ScenarioConfig, out_dir=None) -> ScenarioReport:
     record = "quality_bilateral" if out_dir is not None else None
-    rms_bilateral, episode = _run_setting(config, None, record)
+    quality = config.values("quality")
+    nominal, open_loop, infinite_a = _divisor_settings(config)
+    rms_bilateral, episode = _run_setting(config, quality, nominal, nominal.a, record)
     # open-loop baseline: reflection divisor so large nothing is rendered
-    rms_open_loop, _ = _run_setting(
-        config, config.get_float("quality", "a_open_loop", 1e12), None)
-    rms_infinite_a, _ = _run_setting(
-        config, config.get_float("quality", "a_infinite", 1e9), None)
+    rms_open_loop, _ = _run_setting(config, quality, open_loop, nominal.a, None)
+    rms_infinite_a, _ = _run_setting(config, quality, infinite_a, nominal.a, None)
 
     metrics = {
         "rms_bilateral": rms_bilateral,
@@ -113,7 +134,7 @@ def run_bilateral_signal_quality(config: ScenarioConfig, out_dir=None) -> Scenar
     criteria = [
         Criterion("improvement_ratio", ">", 1.0),
         Criterion("infinite_vs_open_gap_pct", "<=",
-                  config.get_float("criteria", "infinite_gap_pct", 1.0)),
+                  config.value("criteria", "infinite_gap_pct")),
     ]
     report = ScenarioReport(
         config.scenario_id, config.kind, "default", config.seed, 1, metrics,

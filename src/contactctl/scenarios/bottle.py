@@ -10,8 +10,6 @@ clearance against the nominal bottle, producing no squeeze at all, the way a
 pure aperture playback does.
 """
 
-import math
-
 import numpy as np
 
 from ..bilateral import (BILATERAL_DT_MAX, BILATERAL_SCHEMA, BilateralState,
@@ -20,33 +18,59 @@ from ..bilateral import (BILATERAL_DT_MAX, BILATERAL_SCHEMA, BilateralState,
                          step_bilateral)
 from ..dynamics import grasp_slip_check
 from ..episodes import Episode, StreamSpec
-from .base import (Criterion, ScenarioConfig, ScenarioConfigError, ScenarioReport,
+from .base import (SCENARIO_KEYS, Criterion, Key, ScenarioConfig, ScenarioReport,
                    evaluate_criteria, export_report_episode)
 
+# GripperParams's fields, which it checks
+GRIPPER_KEYS = (
+    Key("gripper", "k_tau", float, "0.05"),
+    Key("gripper", "r_g", float, "0.01"),
+    Key("gripper", "kp", float, "5.0"),
+    Key("gripper", "kd", float, "0.045"),
+    Key("gripper", "b", float, "1.0"),
+    Key("gripper", "delta", float, "0.0"),
+    Key("gripper", "a", float, "2.0"),
+    Key("gripper", "b_l", float, "0.0"),
+    Key("gripper", "motor_inertia", float, "0.0001"),
+    Key("gripper", "filter_cutoff", float, "20.0"),
+    Key("gripper", "viscous", float, "0.002"),
+    Key("gripper", "w_max", float, "0.1"),
+    Key("gripper", "width_per_rad", float, "0.01"),
+)
+BILATERAL_DT = f"(0, {BILATERAL_DT_MAX}]"
 
-def bilateral_settings_from(config: ScenarioConfig, section: str) -> tuple:
-    """([gripper] GripperParams, [section] loop dt), checked before the loop."""
-    try:
-        dt = config.get_float(section, "dt", 1e-3)
-        if not 0.0 < dt <= BILATERAL_DT_MAX:
-            raise ValueError(f"[{section}] dt must be in (0, {BILATERAL_DT_MAX}]")
-        return GripperParams(
-            k_tau=config.get_float("gripper", "k_tau", 0.05),
-            r_g=config.get_float("gripper", "r_g", 0.01),
-            kp=config.get_float("gripper", "kp", 5.0),
-            kd=config.get_float("gripper", "kd", 0.045),
-            b=config.get_float("gripper", "b", 1.0),
-            delta=config.get_float("gripper", "delta", 0.0),
-            a=config.get_float("gripper", "a", 2.0),
-            b_l=config.get_float("gripper", "b_l", 0.0),
-            motor_inertia=config.get_float("gripper", "motor_inertia", 1e-4),
-            filter_cutoff=config.get_float("gripper", "filter_cutoff", 20.0),
-            viscous=config.get_float("gripper", "viscous", 0.002),
-            w_max=config.get_float("gripper", "w_max", 0.10),
-            width_per_rad=config.get_float("gripper", "width_per_rad", 0.01),
-        ), dt
-    except ValueError as exc:
-        raise ScenarioConfigError(f"{config.scenario_id}: {exc}") from exc
+KEYS = SCENARIO_KEYS + GRIPPER_KEYS + (
+    Key("bottle", "dt", float, "0.001", BILATERAL_DT),
+    Key("bottle", "mass", float, "0.55", ">= 0"),
+    Key("bottle", "friction_mu", float, "0.5", ">= 0"),
+    Key("bottle", "width", float, "0.065", "> 0"),
+    Key("bottle", "contact_stiffness", float, "5000.0", "> 0"),
+    Key("bottle", "force_command", float, "10.0"),
+    Key("bottle", "width_clearance", float, "0.001"),
+    Key("bottle", "mass_jitter_frac", float, "0.03", "[0, 1]"),
+    Key("bottle", "width_jitter", float, "0.001", ">= 0"),
+    Key("bottle", "close_s", float, "1.0", ">= 0"),
+    Key("bottle", "lift_ramp_s", float, "0.3", ">= 0"),
+    Key("bottle", "lift_cruise_s", float, "0.6", ">= 0"),
+    Key("bottle", "hold_s", float, "0.5", ">= 0"),
+    Key("bottle", "lift_accel", float, "1.0"),
+    Key("bottle", "operator_servo_gain", float, "100.0", ">= 0"),
+    Key("bottle", "operator_kp", float, "8.0", ">= 0"),
+    Key("bottle", "operator_kd", float, "0.1", ">= 0"),
+    Key("bottle", "close_rate", float, "8.0", ">= 0"),
+)
+TICKS_SET_BY = (("bottle", "close_s"), ("bottle", "lift_ramp_s"),
+                ("bottle", "lift_cruise_s"), ("bottle", "hold_s"), ("bottle", "dt"))
+
+
+def gripper_params(config: ScenarioConfig) -> GripperParams:
+    return config.build(GripperParams, **config.values("gripper"))
+
+
+def row_ticks(config: ScenarioConfig) -> int:
+    bottle = config.values("bottle")
+    return int(round((bottle["close_s"] + 2.0 * bottle["lift_ramp_s"]
+                      + bottle["lift_cruise_s"] + bottle["hold_s"]) / bottle["dt"]))
 
 
 def lift_accel(t: float, lift_start: float, ramp_s: float, cruise_s: float,
@@ -67,36 +91,15 @@ def lift_accel(t: float, lift_start: float, ramp_s: float, cruise_s: float,
 def run_bottle_pick(config: ScenarioConfig, use_grasp_force: bool,
                     out_dir=None) -> ScenarioReport:
     variant = "with_force" if use_grasp_force else "width_only"
-    params, dt = bilateral_settings_from(config, "bottle")
-    mass_nominal = config.get_float("bottle", "mass", 0.55)
-    mu = config.get_float("bottle", "friction_mu", 0.5)
-    width_nominal = config.get_float("bottle", "width", 0.065)
-    contact_k = config.get_float("bottle", "contact_stiffness", 5000.0)
-    force_cmd = config.get_float("bottle", "force_command", 10.0)
-    width_clearance = config.get_float("bottle", "width_clearance", 0.001)
-    mass_jitter = config.get_float("bottle", "mass_jitter_frac", 0.03)
-    width_jitter = config.get_float("bottle", "width_jitter", 0.001)
-    # each check is written so that NaN and infinity fail it
-    for ok, what in ((0.0 <= mass_nominal < math.inf, "mass must be finite and >= 0"),
-                     (0.0 <= mu < math.inf, "friction_mu must be finite and >= 0"),
-                     (0.0 < contact_k < math.inf,
-                      "contact_stiffness must be finite and > 0"),
-                     (0.0 <= mass_jitter <= 1.0, "mass_jitter_frac must be in [0, 1]")):
-        if not ok:
-            raise ScenarioConfigError(f"{config.scenario_id}: [bottle] {what}")
-
-    close_s = config.get_float("bottle", "close_s", 1.0)
-    ramp_s = config.get_float("bottle", "lift_ramp_s", 0.3)
-    cruise_s = config.get_float("bottle", "lift_cruise_s", 0.6)
-    hold_s = config.get_float("bottle", "hold_s", 0.5)
-    accel = config.get_float("bottle", "lift_accel", 1.0)
-    duration = close_s + 2.0 * ramp_s + cruise_s + hold_s
-
+    params = gripper_params(config)
+    bottle, n_steps = config.values("bottle"), row_ticks(config)
+    dt, mu, accel = bottle["dt"], bottle["friction_mu"], bottle["lift_accel"]
+    ramp_s, cruise_s = bottle["lift_ramp_s"], bottle["lift_cruise_s"]
     # operator force servo: close until the felt force reaches the command
-    servo_gain = config.get_float("bottle", "operator_servo_gain", 100.0)
-    close_rate_max = config.get_float("bottle", "close_rate", 8.0)
-    op_kp = config.get_float("bottle", "operator_kp", 8.0)
-    op_kd = config.get_float("bottle", "operator_kd", 0.10)
+    force_cmd, servo_gain = bottle["force_command"], bottle["operator_servo_gain"]
+    close_rate_max = bottle["close_rate"]
+    op_kp, op_kd = bottle["operator_kp"], bottle["operator_kd"]
+    mass_jitter = bottle["mass_jitter_frac"]
 
     if use_grasp_force:
         criteria = [Criterion("success_rate", "==", 100.0),
@@ -109,10 +112,11 @@ def run_bottle_pick(config: ScenarioConfig, use_grasp_force: bool,
     episode = None
     for trial in range(config.trials):
         rng = np.random.default_rng(config.seed * 1000 + trial)
-        mass = mass_nominal * (1.0 + rng.uniform(-mass_jitter, mass_jitter)) \
-            if mass_nominal > 0.0 else 0.0
-        width_obj = width_nominal + rng.uniform(-width_jitter, width_jitter)
-        contact = GraspContactModel(width_obj, contact_k)
+        mass = bottle["mass"] * (1.0 + rng.uniform(-mass_jitter, mass_jitter)) \
+            if bottle["mass"] > 0.0 else 0.0
+        width_obj = bottle["width"] + rng.uniform(-bottle["width_jitter"],
+                                                  bottle["width_jitter"])
+        contact = GraspContactModel(width_obj, bottle["contact_stiffness"])
 
         record = (trial == 0 and out_dir is not None)
         if record:
@@ -124,10 +128,10 @@ def run_bottle_pick(config: ScenarioConfig, use_grasp_force: bool,
         state = BilateralState()
         theta_cmd = 0.0
         theta_cmd_max = angle_from_width(width_obj - 0.01, params)
-        theta_width_only = angle_from_width(width_nominal + width_clearance, params)
+        theta_width_only = angle_from_width(bottle["width"] + bottle["width_clearance"],
+                                            params)
         slipped = False
-        lift_start = close_s
-        n_steps = int(round(duration / dt))
+        lift_start = bottle["close_s"]
         for i in range(n_steps):
             t = i * dt
             if use_grasp_force:
@@ -156,7 +160,7 @@ def run_bottle_pick(config: ScenarioConfig, use_grasp_force: bool,
     metrics = {
         "success_rate": float(np.mean(successes) * 100.0),
         "slippage_rate": float(np.mean(slips) * 100.0),
-        "object_mass_nominal": mass_nominal,
+        "object_mass_nominal": bottle["mass"],
         "friction_mu": mu,
     }
     report = ScenarioReport(config.scenario_id, config.kind, variant,

@@ -15,10 +15,35 @@ from ..geometry import rotation_about_axis
 from ..sensing import (CalibrationSample, IdentificationError, Wrench,
                        WrenchFrameModel, compensate_wrench, gravity_model,
                        gravity_wrench, identify_payload)
-from .base import (Criterion, ScenarioConfig, ScenarioReport, evaluate_criteria,
-                   export_report_episode)
+from .base import (SCENARIO_KEYS, Criterion, Key, ScenarioConfig, ScenarioReport,
+                   evaluate_criteria, export_report_episode)
 
 WRENCH_SCHEMA = ("fx", "fy", "fz", "tx", "ty", "tz")
+
+KEYS = SCENARIO_KEYS + (
+    Key("gravity", "n_poses", int, "10", ">= 1"),
+    Key("gravity", "hold_s", float, "1.0", ">= 0"),
+    Key("gravity", "sample_rate_hz", float, "100.0", "> 0"),
+    Key("gravity", "noise_sigma", float, "0.05", ">= 0"),
+    Key("gravity", "target_force_span", float, "6.7", ">= 0"),
+    Key("gravity", "mc_trials", int, ("scenario", "trials"), ">= 1"),
+    Key("gravity", "payload_com", 3, "0.01 0.02 0.05"),
+    Key("gravity", "payload_bias", 6, "0.3 -0.2 0.1 0.05 -0.03 0.02"),
+    Key("gravity", "degenerate_poses", bool, "false"),
+    Key("criteria", "compensated_span_max", float, "0.5", ">= 0"),
+    Key("criteria", "residual_rms_max", float, "0.15", ">= 0"),
+)
+TICKS_SET_BY = (("gravity", "n_poses"), ("gravity", "hold_s"),
+                ("gravity", "sample_rate_hz"))
+
+
+def _hold_samples(gravity: dict) -> int:
+    return max(1, int(round(gravity["hold_s"] * gravity["sample_rate_hz"])))
+
+
+def row_ticks(config: ScenarioConfig) -> int:
+    """The samples of a trial, which stand in for its control ticks."""
+    return config.value("gravity", "n_poses") * _hold_samples(config.values("gravity"))
 
 
 def calibration_orientations(n_poses: int = 10) -> list:
@@ -49,29 +74,22 @@ def _per_axis_span(values: np.ndarray) -> float:
 
 
 def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> ScenarioReport:
-    n_poses = config.get_int("gravity", "n_poses", 10)
-    hold_s = config.get_float("gravity", "hold_s", 1.0)
-    rate = config.get_float("gravity", "sample_rate_hz", 100.0)
-    sigma = config.get_float("gravity", "noise_sigma", 0.05)
-    target_span = config.get_float("gravity", "target_force_span", 6.7)
-    mc_trials = config.get_int("gravity", "mc_trials", config.trials)
-    com = config.get_vec("gravity", "payload_com", "0.01 0.02 0.05")
-    bias = config.get_vec("gravity", "payload_bias", "0.3 -0.2 0.1 0.05 -0.03 0.02")
-    degenerate = config.get_bool("gravity", "degenerate_poses", False)
+    gravity = config.values("gravity")
+    n_poses, mc_trials = gravity["n_poses"], gravity["mc_trials"]
+    sigma, target_span = gravity["noise_sigma"], gravity["target_force_span"]
 
     # raw per-axis span covers [-m g, +m g] across the axis-aligned poses
     mass = target_span / (2.0 * 9.81)
-    if degenerate:
+    if gravity["degenerate_poses"]:
         orientations = [np.eye(3)] * n_poses
     else:
         orientations = calibration_orientations(n_poses)
-    n_hold = max(1, int(round(hold_s * rate)))
+    n_hold = _hold_samples(gravity)
 
     criteria = [
         Criterion("compensated_span_max", "<",
-                  config.get_float("criteria", "compensated_span_max", 0.5)),
-        Criterion("residual_rms_max", "<",
-                  config.get_float("criteria", "residual_rms_max", 0.15)),
+                  config.value("criteria", "compensated_span_max")),
+        Criterion("residual_rms_max", "<", config.value("criteria", "residual_rms_max")),
         Criterion("raw_span_mean", ">=", target_span - 0.4),
         Criterion("raw_span_mean", "<=", target_span + 0.4),
     ]
@@ -84,7 +102,8 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> ScenarioRe
         averaged = []
         per_pose_raw = []
         for r in orientations:
-            true = gravity_model(mass, com, bias, r).as_array()
+            true = gravity_model(mass, gravity["payload_com"], gravity["payload_bias"],
+                                 r).as_array()
             block = true[None, :] + (rng.normal(0.0, sigma, (n_hold, 6))
                                      if sigma > 0.0 else 0.0)
             per_pose_raw.append((r, block))
@@ -111,7 +130,7 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> ScenarioRe
 
         if trial == 0 and out_dir is not None:
             episode = _record_episode(config, per_pose_raw, payload, frame,
-                                      rate)
+                                      gravity["sample_rate_hz"])
 
     metrics = {
         "raw_span_mean": float(np.mean(raw_spans)),

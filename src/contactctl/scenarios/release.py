@@ -14,11 +14,32 @@ import numpy as np
 
 from ..episodes import Episode, StreamSpec
 from ..sensing import MARKER_DIM
-from .base import (Criterion, ScenarioConfig, ScenarioReport, evaluate_criteria,
-                   export_report_episode)
+from .base import (SCENARIO_KEYS, Criterion, Key, ScenarioConfig, ScenarioReport,
+                   evaluate_criteria, export_report_episode)
 
 TACTILE_SCHEMA = tuple(f"m{i}" for i in range(MARKER_DIM))
 GRIP_SCHEMA = ("width", "inner_held", "outer_held")
+
+KEYS = SCENARIO_KEYS + (
+    Key("release", "dt", float, "0.01", "> 0"),
+    Key("release", "duration_s", float, "6.0", ">= 0"),
+    Key("release", "open_rate", float, "0.002", ">= 0"),      # m/s
+    Key("release", "inner_width_lo", float, "0.06"),
+    Key("release", "inner_width_hi", float, "0.07"),
+    Key("release", "outer_gap", float, "0.006"),   # <= 0: degenerate, reported
+    Key("release", "fixed_width", float, "0.062"),
+    Key("release", "start_margin", float, "0.004"),
+    Key("release", "tactile_inner", float, "6.0"),
+    Key("release", "tactile_outer", float, "4.0"),
+    Key("release", "tactile_sigma", float, "0.3", ">= 0"),
+    Key("release", "tactile_rate_hz", float, "30.0", "> 0"),
+    Key("release", "drop_fraction", float, "0.6"),
+)
+TICKS_SET_BY = (("release", "duration_s"), ("release", "dt"))
+
+
+def row_ticks(config: ScenarioConfig) -> int:
+    return int(round(config.value("release", "duration_s") / config.value("release", "dt")))
 
 
 def _tactile_vector(norm_target: float, rng: np.random.Generator) -> np.ndarray:
@@ -31,19 +52,10 @@ def _tactile_vector(norm_target: float, rng: np.random.Generator) -> np.ndarray:
 def run_selective_release(config: ScenarioConfig, use_tactile: bool,
                           out_dir=None) -> ScenarioReport:
     variant = "with_tactile" if use_tactile else "fixed_width"
-    dt = config.get_float("release", "dt", 0.01)
-    duration = config.get_float("release", "duration_s", 6.0)
-    open_rate = config.get_float("release", "open_rate", 0.002)     # m/s
-    w_lo = config.get_float("release", "inner_width_lo", 0.060)
-    w_hi = config.get_float("release", "inner_width_hi", 0.070)
-    gap = config.get_float("release", "outer_gap", 0.006)
-    w_fixed = config.get_float("release", "fixed_width", 0.062)
-    start_margin = config.get_float("release", "start_margin", 0.004)
-    c_inner = config.get_float("release", "tactile_inner", 6.0)
-    c_outer = config.get_float("release", "tactile_outer", 4.0)
-    tactile_sigma = config.get_float("release", "tactile_sigma", 0.3)
-    tactile_rate = config.get_float("release", "tactile_rate_hz", 30.0)
-    drop_fraction = config.get_float("release", "drop_fraction", 0.6)
+    release, n_steps = config.values("release"), row_ticks(config)
+    dt, open_rate, gap = release["dt"], release["open_rate"], release["outer_gap"]
+    w_fixed, c_inner = release["fixed_width"], release["tactile_inner"]
+    tactile_rate, drop = release["tactile_rate_hz"], release["drop_fraction"] * c_inner
 
     degenerate = gap <= 0.0
     if use_tactile:
@@ -55,7 +67,8 @@ def run_selective_release(config: ScenarioConfig, use_tactile: bool,
 
     # stratified inner widths; trial order shuffled by seed
     quantiles = (np.arange(config.trials) + 0.5) / config.trials
-    widths_inner = w_lo + quantiles * (w_hi - w_lo)
+    widths_inner = release["inner_width_lo"] + quantiles * (
+        release["inner_width_hi"] - release["inner_width_lo"])
     order = np.random.default_rng(config.seed).permutation(config.trials)
     widths_inner = widths_inner[order]
 
@@ -65,7 +78,7 @@ def run_selective_release(config: ScenarioConfig, use_tactile: bool,
         rng = np.random.default_rng(config.seed * 1000 + trial + 1)
         w_inner = float(widths_inner[trial])
         w_outer = w_inner + gap
-        width = w_inner - start_margin
+        width = w_inner - release["start_margin"]
         inner_held = True
         outer_held = True
         holding = False
@@ -83,7 +96,6 @@ def run_selective_release(config: ScenarioConfig, use_tactile: bool,
                                           "gripper")],
                               config_hash=config.config_hash)
 
-        n_steps = int(round(duration / dt))
         for i in range(n_steps):
             t = i * dt
             # plant: release thresholds on the opening width
@@ -95,8 +107,9 @@ def run_selective_release(config: ScenarioConfig, use_tactile: bool,
 
             if t >= next_tactile:
                 next_tactile += tactile_period
-                norm_true = c_inner * inner_held + c_outer * outer_held
-                norm_measured = max(0.0, norm_true + rng.normal(0.0, tactile_sigma))
+                norm_true = c_inner * inner_held + release["tactile_outer"] * outer_held
+                norm_measured = max(0.0, norm_true
+                                    + rng.normal(0.0, release["tactile_sigma"]))
                 if record:
                     episode.record("tactile", t + dt,
                                    _tactile_vector(norm_measured, rng))
@@ -105,7 +118,7 @@ def run_selective_release(config: ScenarioConfig, use_tactile: bool,
 
             if use_tactile:
                 if not holding and baseline_norm is not None \
-                        and norm_measured < baseline_norm - drop_fraction * c_inner:
+                        and norm_measured < baseline_norm - drop:
                     holding = True   # separation detected: stop opening
                 if not holding:
                     width += open_rate * dt

@@ -42,53 +42,108 @@ from ..geometry import (Pose, Rot6D, Wrench, dot_rows, pose_unchecked,
 from ..impedance import ImpedanceConfig, ImpedanceExecutor
 from ..kinematics import solve_ik
 from ..sensing import IdentifiedPayload, WrenchFrameModel, compensate_wrench
-from .base import (Criterion, ScenarioConfig, ScenarioConfigError,
-                   ScenarioReport, evaluate_criteria, export_report_episode)
+from .base import (DOF, SCENARIO_KEYS, Criterion, Key, ScenarioConfig,
+                   ScenarioConfigError, ScenarioReport, evaluate_criteria,
+                   export_report_episode)
 from .gravity import WRENCH_SCHEMA
 
 POSE_SCHEMA = ("px", "py", "pz", "r6_0", "r6_1", "r6_2", "r6_3", "r6_4", "r6_5")
 
 
-def impedance_config_from(config: ScenarioConfig) -> ImpedanceConfig:
-    return ImpedanceConfig(
-        k_min=config.get_float("gains", "k_min", 200.0),
-        k_max=config.get_float("gains", "k_max", 2000.0),
-        zeta=config.get_float("gains", "zeta", 1.0),
-        m_eff=config.get_float("gains", "m_eff", 2.0),
-        k_rot=config.get_vec("gains", "k_rot", "50 50 50"),
-        d_rot=config.get_vec("gains", "d_rot", "5 5 5"),
-        kq_floor=config.get_float("gains", "kq_floor", 1.0),
-        kqd_floor=config.get_float("gains", "kqd_floor", 0.1),
-        ik_damping=config.get_float("gains", "ik_damping", 0.05),
-        dt=config.get_float("plant", "dt", 1e-3),
-        qd_filter_cutoff=config.get_float("gains", "qd_filter_cutoff", 20.0),
-    )
+KEYS = SCENARIO_KEYS + (
+    Key("plant", "chain", str),
+    Key("plant", "dt", float, "0.001"),              # ImpedanceConfig checks it
+    # ContactPlane checks these
+    Key("plant", "plane_normal", 3, "0 0 1"),
+    Key("plant", "plane_offset", float, "0.0"),
+    Key("plant", "plane_stiffness", float, "100000.0"),
+    Key("plant", "plane_damping", float, "200.0"),
+    Key("plant", "plane_mu", float, "0.4"),
+    Key("plant", "surface_jitter", float, "0.0005", ">= 0"),
+    # ImpedanceConfig's fields, which it checks
+    Key("gains", "k_min", float, "200.0"),
+    Key("gains", "k_max", float, "2000.0"),
+    Key("gains", "zeta", float, "1.0"),
+    Key("gains", "m_eff", float, "2.0"),
+    Key("gains", "k_rot", 3, "50 50 50"),
+    Key("gains", "d_rot", 3, "5 5 5"),
+    Key("gains", "kq_floor", float, "1.0"),
+    Key("gains", "kqd_floor", float, "0.1"),
+    Key("gains", "ik_damping", float, "0.05"),
+    Key("gains", "qd_filter_cutoff", float, "20.0"),
+    # StiffnessSchedule checks these
+    Key("compliance", "k_max", float, "2000.0"),
+    Key("compliance", "k_min", float, "200.0"),
+    Key("compliance", "f_sat", float, "20.0"),
+    Key("compliance", "per_axis", bool, "true"),
+    Key("compliance", "chunk_len", int, "16", ">= 1"),
+    Key("compliance", "horizon", int, ("compliance", "chunk_len"), ">= 1"),
+    Key("wiping", "force_target", float, "10.0"),
+    Key("wiping", "x_start", float, "0.4"),
+    Key("wiping", "stroke", float, "0.24"),
+    Key("wiping", "tool_pitch", float, "0.7"),
+    Key("wiping", "q_init_guess", DOF, "0.3 0.9 -0.5"),
+    Key("wiping", "action_rate_hz", float, "20.0", "> 0"),
+    Key("wiping", "settle_s", float, "0.4", ">= 0"),
+    Key("wiping", "press_s", float, "0.5", ">= 0"),
+    Key("wiping", "slide_s", float, "1.6", ">= 0"),
+    Key("wiping", "retreat_s", float, "0.3", ">= 0"),
+    Key("wiping", "cells", int, "24", ">= 1"),
+    Key("wiping", "erase_threshold", float, "7.0", "> 0"),
+    Key("wiping", "baseline_surface_offset", float, "-0.002"),
+    Key("wiping", "gripper_width", float, "0.05", ">= 0"),
+    Key("sensor", "payload_mass", float, "0.2", ">= 0"),
+    Key("sensor", "payload_com", 3, "0 0 0.03"),
+    Key("sensor", "payload_bias", 6, "0.2 -0.1 0.15 0.01 -0.02 0.005"),
+    Key("sensor", "noise_sigma", float, "0.02", ">= 0"),
+    Key("criteria", "fz_tol_frac", float, "0.15", ">= 0"),
+    Key("criteria", "fz_floor_frac", float, "0.95", "[0, 1]"),
+    Key("criteria", "residual_max", float, "0.05", "[0, 1]"),
+    Key("criteria", "baseline_force_max", float, "1.0", ">= 0"),
+)
+PHASES = ("settle", "press", "slide", "retreat")
+TICKS_SET_BY = tuple(("wiping", f"{phase}_s") for phase in PHASES) \
+    + (("wiping", "action_rate_hz"), ("plant", "dt"))
 
 
-def stiffness_schedule_from(config: ScenarioConfig) -> StiffnessSchedule:
-    return StiffnessSchedule(
-        k_max=config.get_float("compliance", "k_max", 2000.0),
-        k_min=config.get_float("compliance", "k_min", 200.0),
-        f_sat=config.get_float("compliance", "f_sat", 20.0),
-        per_axis=config.get_bool("compliance", "per_axis", True),
-    )
+def _controller(config: ScenarioConfig) -> tuple:
+    """Gains, stiffness schedule and nominal plane, each checked by its class."""
+    plant, compliance = config.values("plant"), config.values("compliance")
+    gains = config.build(ImpedanceConfig, dt=plant["dt"], **config.values("gains"))
+    schedule = config.build(StiffnessSchedule, compliance["k_max"], compliance["k_min"],
+                            compliance["f_sat"], compliance["per_axis"])
+    plane = config.build(ContactPlane, plant["plane_normal"], plant["plane_offset"],
+                         plant["plane_stiffness"], plant["plane_damping"],
+                         plant["plane_mu"])
+    return gains, schedule, plane
+
+
+def _script(config: ScenarioConfig) -> tuple:
+    """The action rate, the stroke, and each phase's command count."""
+    rate = config.value("wiping", "action_rate_hz")
+    return rate, config.value("wiping", "stroke"), \
+        [max(1, int(round(config.value("wiping", f"{phase}_s") * rate)))
+         for phase in PHASES]
+
+
+def _ticks_per_action(rate: float, dt: float) -> int:
+    return max(1, int(round(1.0 / (rate * dt))))
+
+
+def row_ticks(config: ScenarioConfig) -> int:
+    rate, _, commands = _script(config)
+    return _ticks_per_action(rate, config.value("plant", "dt")) * sum(commands)
 
 
 def _scripted_actions(config: ScenarioConfig, start_rotation, force_target: float):
     """Action rows for settle -> press -> slide -> retreat, at the action rate."""
-    rate = config.get_float("wiping", "action_rate_hz", 20.0)
-    stroke = config.get_float("wiping", "stroke", 0.24)
-    phases = [("settle", config.get_float("wiping", "settle_s", 0.4), 0.0, 0.0),
-              ("press", config.get_float("wiping", "press_s", 0.5), force_target, 0.0),
-              ("slide", config.get_float("wiping", "slide_s", 1.6), force_target, stroke),
-              ("retreat", config.get_float("wiping", "retreat_s", 0.3), 0.0, 0.0)]
+    _, stroke, commands = _script(config)
     rot6d = Rot6D.encode(start_rotation)
-    width = config.get_float("wiping", "gripper_width", 0.05)
+    width = config.value("wiping", "gripper_width")
     steps, labels = [], []
-    for label, duration, fz, dx_total in phases:
-        if not duration >= 0.0:   # NaN fails too
-            raise ValueError(f"{label}_s must be nonnegative")
-        n = max(1, int(round(duration * rate)))
+    for label, n, fz, dx_total in zip(PHASES, commands,
+                                      (0.0, force_target, force_target, 0.0),
+                                      (0.0, 0.0, stroke, 0.0)):
         dx = dx_total / n
         for _ in range(n):
             steps.append(ActionStep([dx, 0.0, 0.0], rot6d, [0.0, 0.0, fz], width))
@@ -109,6 +164,7 @@ class WipingSetup:
     q0: np.ndarray                 # start pose IK solution
     start_pose: Pose
     scripts: dict                  # variant flag -> (action steps, phase labels)
+    force_target: float            # normal force the wrench variant presses with
     baseline_offset: float         # no-wrench surface offset from nominal
     dt: float
     ticks_per_action: int
@@ -136,70 +192,42 @@ class WipingRow:
 
 def wiping_setup(config: ScenarioConfig) -> WipingSetup:
     """Parse the config and solve the start-pose IK once for all rows."""
-    chain_path = config.resolve_path(config.get("plant", "chain"))
-    model = load_arm_model(chain_path)
-    dt = config.get_float("plant", "dt", 1e-3)
-    try:
-        imp_cfg = impedance_config_from(config)
-        sched = stiffness_schedule_from(config)
-        nominal_plane = ContactPlane(config.get_vec("plant", "plane_normal", "0 0 1"),
-                                     config.get_float("plant", "plane_offset", 0.0),
-                                     config.get_float("plant", "plane_stiffness", 1e5),
-                                     config.get_float("plant", "plane_damping", 200.0),
-                                     config.get_float("plant", "plane_mu", 0.4))
-        surface_jitter = config.get_float("plant", "surface_jitter", 0.0005)
-        action_rate = config.get_float("wiping", "action_rate_hz", 20.0)
-        n_cells = config.get_int("wiping", "cells", 24)
-        erase_threshold = config.get_float("wiping", "erase_threshold", 7.0)
-        chunk_len = config.get_int("compliance", "chunk_len", 16)
-        horizon = config.get_int("compliance", "horizon", chunk_len)
-        baseline_offset = config.get_float("wiping", "baseline_surface_offset", -0.002)
-        noise_sigma = config.get_float("sensor", "noise_sigma", 0.02)
-        payload = PayloadSpec(config.get_float("sensor", "payload_mass", 0.2),
-                              config.get_vec("sensor", "payload_com", "0 0 0.03"),
-                              config.get_vec("sensor", "payload_bias",
-                                             "0.2 -0.1 0.15 0.01 -0.02 0.005"))
-        # each check is written so that NaN fails it
-        for ok, what in ((surface_jitter >= 0.0, "surface_jitter must be nonnegative"),
-                         (action_rate > 0.0, "action_rate_hz must be positive"),
-                         (n_cells >= 1, "cells must be >= 1"),
-                         (erase_threshold > 0.0, "erase_threshold must be positive"),
-                         (1 <= horizon <= chunk_len, "need 1 <= horizon <= chunk_len"),
-                         (np.isfinite(baseline_offset),
-                          "baseline_surface_offset must be finite"),
-                         (noise_sigma >= 0.0, "noise_sigma must be nonnegative"),
-                         (payload.mass >= 0.0, "payload_mass must be nonnegative"),
-                         (np.isfinite(payload.com_in_sensor).all(),
-                          "payload_com must be finite"),
-                         (np.isfinite(payload.sensor_bias).all(),
-                          "payload_bias must be finite")):
-            if not ok:
-                raise ValueError(what)
-        x_start = config.get_float("wiping", "x_start", 0.40)
-        stroke = config.get_float("wiping", "stroke", 0.24)
-        pitch = config.get_float("wiping", "tool_pitch", 0.7)
-        start_pose = Pose(rotation_about_axis(np.array([0.0, 1.0, 0.0]), pitch),
-                          [x_start, 0.0, nominal_plane.offset])
-        force_target = config.get_float("wiping", "force_target", 10.0)
-        scripts = {flag: _scripted_actions(config, start_pose.rotation,
-                                           force_target if flag else 0.0)
-                   for flag in (True, False)}
-    except ValueError as exc:
-        raise ScenarioConfigError(f"{config.scenario_id}: {exc}") from exc
+    gains, schedule, plane = _controller(config)
+    chunk_len = config.value("compliance", "chunk_len")
+    if config.value("compliance", "horizon") > chunk_len:
+        raise ScenarioConfigError("[compliance] horizon must be <= chunk_len")
+    rate, stroke, _ = _script(config)
+    x_start = config.value("wiping", "x_start")
+    start_pose = Pose(rotation_about_axis(np.array([0.0, 1.0, 0.0]),
+                                          config.value("wiping", "tool_pitch")),
+                      [x_start, 0.0, plane.offset])
+    force_target = config.value("wiping", "force_target")
+    scripts = {flag: _scripted_actions(config, start_pose.rotation,
+                                       force_target if flag else 0.0)
+               for flag in (True, False)}
+    payload = PayloadSpec(config.value("sensor", "payload_mass"),
+                          config.value("sensor", "payload_com"),
+                          config.value("sensor", "payload_bias"))
 
-    q_guess = config.get_vec("wiping", "q_init_guess", "0.3 0.9 -0.5")
+    model = config.build(load_arm_model, config.resolve_path(config.value("plant", "chain")))
+    q_guess = config.value("wiping", "q_init_guess")
+    if len(q_guess) != model.chain.dof:
+        raise ScenarioConfigError(f"[wiping] q_init_guess needs {model.chain.dof} "
+                                  f"numbers, got {len(q_guess)}")
     ik = solve_ik(model.chain, q_guess, start_pose, max_iters=300, tol=1e-8)
     if not ik.converged:
         raise ScenarioConfigError(
             f"start pose unreachable from q_init_guess (|xi| = {ik.error_norm:.3g})")
     return WipingSetup(
-        config.scenario_id, config.config_hash, model, imp_cfg, sched,
-        nominal_plane, ik.q, start_pose, scripts, baseline_offset, dt,
-        max(1, int(round(1.0 / (action_rate * dt)))), chunk_len, horizon,
-        np.linspace(x_start, x_start + stroke, n_cells + 1), erase_threshold,
-        surface_jitter, payload,
+        config.scenario_id, config.config_hash, model, gains, schedule, plane, ik.q,
+        start_pose, scripts, force_target,
+        config.value("wiping", "baseline_surface_offset"), gains.dt,
+        _ticks_per_action(rate, gains.dt), chunk_len, config.value("compliance", "horizon"),
+        np.linspace(x_start, x_start + stroke, config.value("wiping", "cells") + 1),
+        config.value("wiping", "erase_threshold"),
+        config.value("plant", "surface_jitter"), payload,
         IdentifiedPayload(payload.mass, payload.com_in_sensor, payload.sensor_bias),
-        WrenchFrameModel(), noise_sigma)
+        WrenchFrameModel(), config.value("sensor", "noise_sigma"))
 
 
 def _variant(use_wrench: bool) -> str:
@@ -235,26 +263,26 @@ def run_wiping(config: ScenarioConfig, use_wrench, out_dir=None):
     reports = []
     for k, flag in enumerate(flags):
         trials = results[k * config.trials:(k + 1) * config.trials]
-        reports.append(_report(config, flag, trials, out_dir))
+        reports.append(_report(config, setup, flag, trials, out_dir))
     return reports[0] if isinstance(use_wrench, bool) else reports
 
 
-def _report(config: ScenarioConfig, use_wrench: bool, trials: list,
-            out_dir) -> ScenarioReport:
+def _report(config: ScenarioConfig, setup: WipingSetup, use_wrench: bool,
+            trials: list, out_dir) -> ScenarioReport:
     variant = _variant(use_wrench)
-    force_target = config.get_float("wiping", "force_target", 10.0) if use_wrench else 0.0
-    baseline_offset = config.get_float("wiping", "baseline_surface_offset", -0.002)
     if use_wrench:
+        tol = config.value("criteria", "fz_tol_frac")
         criteria = [
-            Criterion("mean_fz_min", ">=", force_target * (1.0 - config.get_float("criteria", "fz_tol_frac", 0.15))),
-            Criterion("mean_fz_max", "<=", force_target * (1.0 + config.get_float("criteria", "fz_tol_frac", 0.15))),
-            Criterion("frac_above_floor_min", ">=", config.get_float("criteria", "fz_floor_frac", 0.95)),
-            Criterion("residual_max", "<", config.get_float("criteria", "residual_max", 0.05)),
+            Criterion("mean_fz_min", ">=", setup.force_target * (1.0 - tol)),
+            Criterion("mean_fz_max", "<=", setup.force_target * (1.0 + tol)),
+            Criterion("frac_above_floor_min", ">=",
+                      config.value("criteria", "fz_floor_frac")),
+            Criterion("residual_max", "<", config.value("criteria", "residual_max")),
             Criterion("success_rate_5pct", "==", 100.0),
         ]
     else:
         criteria = [
-            Criterion("mean_fz_max", "<", config.get_float("criteria", "baseline_force_max", 1.0)),
+            Criterion("mean_fz_max", "<", config.value("criteria", "baseline_force_max")),
             Criterion("success_rate_5pct", "==", 0.0),
         ]
 
@@ -272,7 +300,8 @@ def _report(config: ScenarioConfig, use_wrench: bool, trials: list,
     notes = []
     if not use_wrench:
         notes.append("scripted no-wrench baseline tracks the nominal surface "
-                     f"height with the surface offset by {baseline_offset*1000:+.1f} mm; "
+                     f"height with the surface offset by "
+                     f"{setup.baseline_offset*1000:+.1f} mm; "
                      "it is a position-playback proxy, not a learned policy")
     report = ScenarioReport(config.scenario_id, config.kind, variant,
                             config.seed, config.trials, metrics,

@@ -236,6 +236,15 @@ def test_params_validation():
         GripperParams(kd=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [("kd", math.nan), ("k_tau", math.nan),
+                                          ("viscous", math.nan), ("b", math.nan),
+                                          ("delta", math.inf)])
+def test_params_reject_non_finite(field, value):
+    # each of these once passed the checks and diverged in the loop
+    with pytest.raises(ValueError):
+        GripperParams(**{field: value})
+
+
 def test_bilateral_record_schema():
     row = bilateral_record(BilateralState(), PARAMS)
     assert len(row) == len(BILATERAL_SCHEMA)

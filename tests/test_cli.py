@@ -178,12 +178,41 @@ def test_run_trials_below_one_is_usage_error(tmp_path, capsys, config, trials):
      ("bottle_pick", "seed = 11", "seed = 1.5", "[scenario] seed"),
      ("wiping", "x_start = 0.40", "x_start = abc", "[wiping] x_start"),
      ("wiping", "cells = 20", "cells = 2O", "[wiping] cells"),
-     ("wiping", "k_rot = 50 50 50", "k_rot = 50 fifty 50", "[gains] k_rot")],
-    ids=["trials", "seed", "get_float", "get_int", "get_vec"])
+     ("wiping", "k_rot = 50 50 50", "k_rot = 50 fifty 50", "[gains] k_rot"),
+     ("wiping", "fz_tol_frac = 0.15", "fz_tol_frac = nan", "[criteria] fz_tol_frac"),
+     ("wiping", "plane_stiffness = 2e4", "plane_stifness = 2e7",
+      "[plant] plane_stifness"),
+     ("wiping", "slide_s = 1.3", "slide_s = 1e9", "[wiping] slide_s"),
+     ("bottle_pick", "hold_s = 0.5", "hold_s = nan", "[bottle] hold_s"),
+     ("bottle_pick", "dt = 0.001", "dt_typo = 0.001", "[bottle] dt_typo"),
+     ("selective_release", "dt = 0.01", "dt = 0", "[release] dt"),
+     ("selective_release", "tactile_rate_hz = 30", "tactile_rate_hz = 0",
+      "[release] tactile_rate_hz"),
+     ("selective_release", "duration_s = 6.0", "duration_s = nan",
+      "[release] duration_s"),
+     ("gravity_verification", "n_poses = 10", "n_poses = 0", "[gravity] n_poses"),
+     ("gravity_verification", "sample_rate_hz = 100", "sample_rate_hz = 0",
+      "[gravity] sample_rate_hz"),
+     ("gravity_verification", "payload_com = 0.01 0.02 0.05", "payload_com = 1 2",
+      "[gravity] payload_com"),
+     ("gravity_verification", "residual_rms_max = 0.15", "residual_rms_max = nan",
+      "[criteria] residual_rms_max"),
+     ("bilateral_quality", "duration_s = 5.0", "duration_s = -1",
+      "[quality] duration_s"),
+     ("wiping", "chains/planar3.ini", "chains/absent.ini", "absent.ini"),
+     ("bottle_pick", "seed = 11", "seed = -1", "[scenario] seed")],
+    ids=["trials", "seed", "get_float", "get_int", "get_vec", "nan_criterion",
+         "misspelt_key", "phase_too_long", "nan_hold_s", "unknown_bottle_key",
+         "zero_release_dt", "zero_tactile_rate", "nan_release_duration",
+         "zero_poses", "zero_sample_rate", "short_payload_com",
+         "nan_residual_criterion", "negative_quality_duration", "absent_chain",
+         "negative_seed"])
 def test_run_non_numeric_config_value_is_usage_error(tmp_path, capsys, config,
                                                      old, new, key):
-    # a value that is not a number is a config error naming its key, not a
-    # runtime fault
+    # a value that is not a number, that lies outside its declared range, or
+    # that makes a row too long to run, and a key its kind does not declare,
+    # are config errors naming the key, not runtime faults or criteria
+    # failures
     src = Path(f"configs/{config}.ini").read_text()
     assert src.count(old) == 1
     chains = Path("configs/chains").resolve()
@@ -398,6 +427,19 @@ def test_list_configs(capsys):
     for name in ("gravity_verification", "wiping", "bottle_pick",
                  "selective_release", "bilateral_quality"):
         assert name in out
+
+
+def test_list_names_configs_it_skips(tmp_path, capsys):
+    # a config that fails to load is named on stderr, not silently left out
+    shutil.copy("configs/selective_release.ini", tmp_path / "good.ini")
+    (tmp_path / "typo.ini").write_text(
+        Path("configs/selective_release.ini").read_text()
+        .replace("dt = 0.01", "dt_typo = 0.01"))
+    assert run_cli("list", "--configs", str(tmp_path)) == 0
+    captured = capsys.readouterr()
+    assert "good.ini" in captured.out and "typo.ini" not in captured.out
+    assert f"skipped {tmp_path / 'typo.ini'}: " in captured.err
+    assert "[release] dt_typo" in captured.err
 
 
 def test_python_m_contactctl_runs_the_cli():

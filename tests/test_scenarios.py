@@ -155,7 +155,7 @@ def test_wiping_replay_second_generation(tmp_path):
     labels2 = labels1 + ["retreat"] * (len(steps2) - len(labels1))
     # same jittered plane and noise stream as the recorded trial (seed, trial 0)
     rng = np.random.default_rng(config.seed * 1000)
-    jitter = config.get_float("plant", "surface_jitter", 0.0005)
+    jitter = config.value("plant", "surface_jitter")
     offset = rng.uniform(-jitter, jitter)
     row = WipingRow(steps2, labels2, offset, rng, wiping_episode(setup, "gen2"))
     result, = rollout(setup, [row])
