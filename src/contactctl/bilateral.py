@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
+import numpy as np
+
 
 class BilateralFault(RuntimeError):
     """Non-finite state while stepping the gripper loop."""
@@ -54,6 +56,8 @@ class GripperParams:
 
 @dataclass
 class BilateralState:
+    """Both motors' state; `bilateral_record` also takes (n,) array fields."""
+
     theta_m: float = 0.0
     theta_s: float = 0.0
     thetadot_m: float = 0.0
@@ -126,9 +130,8 @@ def step_bilateral(state: BilateralState, master_drive_torque: float,
         raise ValueError(f"dt must be in (0, {BILATERAL_DT_MAX}]")
     tau_s = slave_torque(state, params)
     tau_filtered = low_pass(state.tau_s_filtered, tau_s, dt, params.filter_cutoff)
-    probe = BilateralState(state.theta_m, state.theta_s, state.thetadot_m,
-                           state.thetadot_s, tau_filtered, state.current_s)
-    tau_m = master_torque(probe, params)
+    # master_torque of the state with its filter advanced
+    tau_m = -tau_filtered / params.a + params.b_l * state.thetadot_m
 
     width = width_from_angle(state.theta_s, params)
     f_contact = grasp_contact_force(width, contact)
@@ -142,8 +145,10 @@ def step_bilateral(state: BilateralState, master_drive_torque: float,
     theta_m = state.theta_m + dt * thetadot_m
     theta_s = state.theta_s + dt * thetadot_s
 
-    values = (theta_m, theta_s, thetadot_m, thetadot_s, tau_filtered)
-    if not all(math.isfinite(v) for v in values):
+    if not (math.isfinite(theta_m) and math.isfinite(theta_s)
+            and math.isfinite(thetadot_m) and math.isfinite(thetadot_s)
+            and math.isfinite(tau_filtered)):
+        values = (theta_m, theta_s, thetadot_m, thetadot_s, tau_filtered)
         raise BilateralFault(f"bilateral state diverged: {values}")
     return BilateralState(theta_m, theta_s, thetadot_m, thetadot_s,
                           tau_filtered, tau_s / params.k_tau)
@@ -154,10 +159,14 @@ BILATERAL_SCHEMA = ("theta_m", "theta_s", "tau_s", "tau_s_filtered",
                     "tau_m", "current", "f_int", "width")
 
 
-def bilateral_record(state: BilateralState, params: GripperParams) -> list:
-    """One episode row matching BILATERAL_SCHEMA."""
+def bilateral_record(state: BilateralState, params: GripperParams) -> np.ndarray:
+    """Episode rows matching BILATERAL_SCHEMA.
+
+    A state of floats gives one row of 8; a state whose fields are (n,)
+    arrays gives (n, 8) rows, each with the bits of its own scalar call.
+    """
     tau_s = slave_torque(state, params)
-    return [state.theta_m, state.theta_s, tau_s, state.tau_s_filtered,
-            master_torque(state, params), state.current_s,
-            estimate_internal_force(state.current_s, params),
-            width_from_angle(state.theta_s, params)]
+    return np.stack([state.theta_m, state.theta_s, tau_s, state.tau_s_filtered,
+                     master_torque(state, params), state.current_s,
+                     estimate_internal_force(state.current_s, params),
+                     width_from_angle(state.theta_s, params)], axis=-1)

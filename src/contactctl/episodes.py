@@ -221,13 +221,36 @@ def export_csv(episode: Episode, out_dir) -> list:
     for name, spec in episode.streams.items():
         path = out_dir / f"{name}.csv"
         files.append(path)
+        times, rows = episode._times[name], episode._rows[name]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("t",) + spec.schema)
-            # rows hold floats or reference strings; str of a float is its repr
-            for t, row in zip(episode._times[name], episode._rows[name]):
-                writer.writerow([repr(t)] + [str(v) for v in row])
+            if spec.kind == "image_ref":
+                # reference strings may need csv quoting
+                writer.writerows([repr(t)] + [str(v) for v in row]
+                                 for t, row in zip(times, rows))
+            else:
+                write_float_rows(fh, rows, times)
     return files
+
+
+CSV_CHUNK_ROWS = 256   # rows formatted per write
+
+
+def write_float_rows(fh, rows, times=None) -> None:
+    """Write rows of floats as CSV lines, the bytes csv.writer writes for them.
+
+    A line is the repr of the row's time (when `times` is given) and of each
+    value, joined by "," and ended by "\r\n"; no repr of a float needs csv
+    quoting. Rows are formatted column by column, CSV_CHUNK_ROWS at a time,
+    so the text of a whole table is never held at once.
+    """
+    for start in range(0, len(rows), CSV_CHUNK_ROWS):
+        stop = start + CSV_CHUNK_ROWS
+        columns = [map(repr, column) for column in zip(*rows[start:stop])]
+        if times is not None:
+            columns.insert(0, map(repr, times[start:stop]))
+        fh.writelines([",".join(line) + "\r\n" for line in zip(*columns)])
 
 
 def _read_episode(episode_dir, fail) -> Optional[Episode]:

@@ -17,13 +17,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..bilateral import (BILATERAL_SCHEMA, BilateralState, GraspContactModel,
-                         bilateral_record, estimate_internal_force,
-                         step_bilateral)
-from ..episodes import Episode, StreamSpec
+from ..bilateral import (BilateralState, GraspContactModel,
+                         estimate_internal_force, step_bilateral)
 from .base import (SCENARIO_KEYS, Criterion, Key, ScenarioConfig, ScenarioReport,
                    evaluate_criteria, export_report_episode)
-from .bottle import BILATERAL_DT, GRIPPER_KEYS, gripper_params
+from .bottle import (BILATERAL_DT, GRIPPER_KEYS, STATE_COLUMNS, gripper_episode,
+                     gripper_params)
 
 KEYS = SCENARIO_KEYS + GRIPPER_KEYS + (
     Key("quality", "dt", float, "0.001", BILATERAL_DT),
@@ -87,13 +86,9 @@ def _run_setting(config: ScenarioConfig, quality: dict, params, a_nominal: float
                            theta_s=params.b * theta0 - params.delta)
     theta_cmd = theta0
     f_trace, f_ref = [], []
-    episode = None
-    if record_episode is not None:
-        episode = Episode(record_episode,
-                          [StreamSpec("gripper", 1.0 / dt, BILATERAL_SCHEMA,
-                                      "gripper")],
-                          config_hash=config.config_hash)
-    for i in range(row_ticks(config)):
+    n_steps = row_ticks(config)
+    log = np.empty((n_steps, STATE_COLUMNS)) if record_episode is not None else None
+    for i in range(n_steps):
         t = i * dt
         f_intent = intent_force(t, hold, wipe_amp, wipe_hz)
         # the operator decodes force from what the master actually renders
@@ -106,9 +101,12 @@ def _run_setting(config: ScenarioConfig, quality: dict, params, a_nominal: float
         state = step_bilateral(state, drive, contact, params, dt)
         f_trace.append(max(0.0, estimate_internal_force(state.current_s, params)))
         f_ref.append(intent_force(t + dt, hold, wipe_amp, wipe_hz))
-        if episode is not None:
-            episode.record("gripper", t + dt, bilateral_record(state, params))
+        if log is not None:
+            log[i] = (state.theta_m, state.theta_s, state.thetadot_m,
+                      state.thetadot_s, state.tau_s_filtered, state.current_s)
 
+    episode = None if log is None else \
+        gripper_episode(record_episode, config, log, params, dt)
     rms = float(np.sqrt(np.mean((np.array(f_trace) - np.array(f_ref)) ** 2)))
     return rms, episode
 

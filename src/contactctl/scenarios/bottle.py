@@ -10,6 +10,8 @@ clearance against the nominal bottle, producing no squeeze at all, the way a
 pure aperture playback does.
 """
 
+from dataclasses import fields
+
 import numpy as np
 
 from ..bilateral import (BILATERAL_DT_MAX, BILATERAL_SCHEMA, BilateralState,
@@ -67,6 +69,24 @@ def gripper_params(config: ScenarioConfig) -> GripperParams:
     return config.build(GripperParams, **config.values("gripper"))
 
 
+STATE_COLUMNS = len(fields(BilateralState))
+
+
+def gripper_episode(episode_id: str, config: ScenarioConfig, log: np.ndarray,
+                    params: GripperParams, dt: float) -> Episode:
+    """The gripper stream of a recorded bilateral row.
+
+    `log[i]` holds the BilateralState fields, in order, after step i, which
+    is recorded at t = (i + 1) dt.
+    """
+    episode = Episode(episode_id, [StreamSpec("gripper", 1.0 / dt, BILATERAL_SCHEMA,
+                                              "gripper")],
+                      config_hash=config.config_hash)
+    episode.record_block("gripper", np.arange(len(log)) * dt + dt,
+                         bilateral_record(BilateralState(*log.T), params))
+    return episode
+
+
 def row_ticks(config: ScenarioConfig) -> int:
     bottle = config.values("bottle")
     return int(round((bottle["close_s"] + 2.0 * bottle["lift_ramp_s"]
@@ -119,11 +139,7 @@ def run_bottle_pick(config: ScenarioConfig, use_grasp_force: bool,
         contact = GraspContactModel(width_obj, bottle["contact_stiffness"])
 
         record = (trial == 0 and out_dir is not None)
-        if record:
-            episode = Episode(f"{config.scenario_id}_{variant}",
-                              [StreamSpec("gripper", 1.0 / dt, BILATERAL_SCHEMA,
-                                          "gripper")],
-                              config_hash=config.config_hash)
+        log = np.empty((n_steps, STATE_COLUMNS)) if record else None
 
         state = BilateralState()
         theta_cmd = 0.0
@@ -152,8 +168,12 @@ def run_bottle_pick(config: ScenarioConfig, use_grasp_force: bool,
                 if grasp_slip_check(f_int, mass, mu, accel_z):
                     slipped = True   # latches: the bottle is gone
             if record:
-                episode.record("gripper", t + dt, bilateral_record(state, params))
+                log[i] = (state.theta_m, state.theta_s, state.thetadot_m,
+                          state.thetadot_s, state.tau_s_filtered, state.current_s)
 
+        if record:
+            episode = gripper_episode(f"{config.scenario_id}_{variant}",
+                                      config, log, params, dt)
         successes.append(not slipped)
         slips.append(slipped)
 

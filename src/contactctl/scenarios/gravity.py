@@ -8,6 +8,8 @@ compensated. Reported: raw span, compensated span, and fit residual, worst
 case over the Monte-Carlo trials.
 """
 
+from itertools import accumulate, repeat
+
 import numpy as np
 
 from ..episodes import Episode, StreamSpec
@@ -81,9 +83,9 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> ScenarioRe
     # raw per-axis span covers [-m g, +m g] across the axis-aligned poses
     mass = target_span / (2.0 * 9.81)
     if gravity["degenerate_poses"]:
-        orientations = [np.eye(3)] * n_poses
+        orientations = np.array([np.eye(3)] * n_poses)
     else:
-        orientations = calibration_orientations(n_poses)
+        orientations = np.array(calibration_orientations(n_poses))
     n_hold = _hold_samples(gravity)
 
     criteria = [
@@ -94,21 +96,18 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> ScenarioRe
         Criterion("raw_span_mean", "<=", target_span + 0.4),
     ]
 
-    frame = WrenchFrameModel()
+    # the noise-free reading at each pose, the same in every trial
+    true = gravity_model(mass, gravity["payload_com"], gravity["payload_bias"],
+                         orientations).as_array()
     raw_spans, comp_spans, residual_maxes = [], [], []
     episode = None
     for trial in range(mc_trials):
         rng = np.random.default_rng(config.seed * 1000 + trial)
-        averaged = []
-        per_pose_raw = []
-        for r in orientations:
-            true = gravity_model(mass, gravity["payload_com"], gravity["payload_bias"],
-                                 r).as_array()
-            block = true[None, :] + (rng.normal(0.0, sigma, (n_hold, 6))
+        # (poses, samples, 6): one draw gives the bits of one draw per pose
+        blocks = true[:, None, :] + (rng.normal(0.0, sigma, (n_poses, n_hold, 6))
                                      if sigma > 0.0 else 0.0)
-            per_pose_raw.append((r, block))
-            averaged.append(CalibrationSample(r, Wrench.from_array(
-                block.mean(axis=0), "sensor")))
+        averaged = [CalibrationSample(r, Wrench.from_array(mean, "sensor"))
+                    for r, mean in zip(orientations, blocks.mean(axis=1))]
         try:
             payload = identify_payload(averaged)
         except IdentificationError as exc:
@@ -118,18 +117,16 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> ScenarioRe
                 False, config.config_hash,
                 notes=[f"identification failed: {exc}"])
         # with an identity sensor-to-ee transform, compensating a whole pose
-        # block is the block minus the fitted gravity wrench at that pose
-        comp_blocks = []
-        for r, block in per_pose_raw:
-            grav_hat = gravity_wrench(payload, r).as_array()
-            comp_blocks.append(block[:, :3] - grav_hat[None, :3])
+        # block is the block minus the fitted gravity force at that pose
+        grav_hat = gravity_wrench(payload, orientations).force
         raw_spans.append(_per_axis_span(
             np.array([s.wrench.force for s in averaged])))
-        comp_spans.append(_per_axis_span(np.vstack(comp_blocks)))
+        comp_spans.append(_per_axis_span(
+            (blocks[:, :, :3] - grav_hat[:, None, :]).reshape(-1, 3)))
         residual_maxes.append(float(payload.residual_rms.max()))
 
         if trial == 0 and out_dir is not None:
-            episode = _record_episode(config, per_pose_raw, payload, frame,
+            episode = _record_episode(config, orientations, blocks, payload,
                                       gravity["sample_rate_hz"])
 
     metrics = {
@@ -146,17 +143,19 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> ScenarioRe
     return report
 
 
-def _record_episode(config, per_pose_raw, payload, frame, rate) -> Episode:
+def _record_episode(config, orientations, blocks, payload, rate) -> Episode:
+    """Raw and compensated readings of the (poses, samples, 6) blocks, in
+    pose order."""
     episode = Episode(f"{config.scenario_id}_default",
                       [StreamSpec("wrench_raw", rate, WRENCH_SCHEMA, "wrench"),
                        StreamSpec("wrench_ee", rate, WRENCH_SCHEMA, "wrench")],
                       config_hash=config.config_hash)
-    t = 0.0
-    for r, block in per_pose_raw:
-        for row in block:
-            comp = compensate_wrench(Wrench.from_array(row, "sensor"),
-                                     payload, r, frame)
-            episode.record("wrench_raw", t, row)
-            episode.record("wrench_ee", t, comp.as_array())
-            t += 1.0 / rate
+    raw = blocks.reshape(-1, 6)
+    rows_r = np.repeat(orientations, blocks.shape[1], axis=0)
+    comp = compensate_wrench(Wrench(raw[:, :3], raw[:, 3:], "sensor"), payload,
+                             rows_r, WrenchFrameModel())
+    # sample times advance by a running sum, 0, 1/rate, 2/rate, ...
+    t = list(accumulate(repeat(1.0 / rate, len(raw) - 1), initial=0.0))
+    episode.record_block("wrench_raw", t, raw)
+    episode.record_block("wrench_ee", t, comp.as_array())
     return episode

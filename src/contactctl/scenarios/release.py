@@ -89,12 +89,8 @@ def run_selective_release(config: ScenarioConfig, use_tactile: bool,
 
         record = (trial == 0 and out_dir is not None)
         if record:
-            episode = Episode(f"{config.scenario_id}_{variant}",
-                              [StreamSpec("tactile", tactile_rate, TACTILE_SCHEMA,
-                                          "tactile"),
-                               StreamSpec("gripper", 1.0 / dt, GRIP_SCHEMA,
-                                          "gripper")],
-                              config_hash=config.config_hash)
+            tactile_t, tactile_rows = [], []
+            grip_rows = np.empty((n_steps, len(GRIP_SCHEMA)))
 
         for i in range(n_steps):
             t = i * dt
@@ -111,8 +107,9 @@ def run_selective_release(config: ScenarioConfig, use_tactile: bool,
                 norm_measured = max(0.0, norm_true
                                     + rng.normal(0.0, release["tactile_sigma"]))
                 if record:
-                    episode.record("tactile", t + dt,
-                                   _tactile_vector(norm_measured, rng))
+                    # draws from rng, so it must stay in this order
+                    tactile_t.append(t + dt)
+                    tactile_rows.append(_tactile_vector(norm_measured, rng))
                 if baseline_norm is None:
                     baseline_norm = norm_measured
 
@@ -126,9 +123,18 @@ def run_selective_release(config: ScenarioConfig, use_tactile: bool,
                 width = min(w_fixed, width + open_rate * dt)
 
             if record:
-                episode.record("gripper", t + dt,
-                               [width, float(inner_held), float(outer_held)])
+                grip_rows[i] = (width, inner_held, outer_held)
 
+        if record:
+            episode = Episode(f"{config.scenario_id}_{variant}",
+                              [StreamSpec("tactile", tactile_rate, TACTILE_SCHEMA,
+                                          "tactile"),
+                               StreamSpec("gripper", 1.0 / dt, GRIP_SCHEMA,
+                                          "gripper")],
+                              config_hash=config.config_hash)
+            episode.record_block("tactile", tactile_t,
+                                 np.reshape(tactile_rows, (-1, MARKER_DIM)))
+            episode.record_block("gripper", np.arange(n_steps) * dt + dt, grip_rows)
         selective.append((not inner_held) and outer_held)
         both_retained.append(inner_held and outer_held)
 

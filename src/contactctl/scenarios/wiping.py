@@ -36,7 +36,7 @@ from ..compliance import (ACTION_SCHEMA, ActionStep, ComplianceCommand,
                           interpolate_commands)
 from ..dynamics import (ArmDynamicsModel, ContactPlane, PayloadSpec, SimState,
                         load_arm_model, read_ft_sensor)
-from ..episodes import Episode, StreamSpec, replay_actions
+from ..episodes import Episode, StreamSpec, replay_actions, write_float_rows
 from ..geometry import (Pose, Rot6D, Wrench, dot_rows, pose_unchecked,
                         rotation_about_axis)
 from ..impedance import ImpedanceConfig, ImpedanceExecutor
@@ -319,10 +319,9 @@ def _report(config: ScenarioConfig, setup: WipingSetup, use_wrench: bool,
 def _write_diagnostics_csv(path, rows: np.ndarray) -> None:
     """Per-tick controller diagnostics alongside the recorded episode."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "error_norm", "contact_force_norm",
-                         "stiffness_clamped", "limits_clamped"])
-        writer.writerows([repr(v) for v in row] for row in rows.tolist())
+        csv.writer(fh).writerow(["t", "error_norm", "contact_force_norm",
+                                 "stiffness_clamped", "limits_clamped"])
+        write_float_rows(fh, rows.tolist())
 
 
 def wiping_episode(setup: WipingSetup, variant: str) -> Episode:

@@ -137,9 +137,8 @@ def identify_payload(samples: list) -> IdentifiedPayload:
     bias = np.concatenate([theta[1:4], theta[7:10]])
     com = theta[4:7] / mass if abs(mass) > 1e-12 else np.zeros(3)
 
-    residuals = np.array([(s.wrench.as_array()
-                           - gravity_model(mass, com, bias, s.orientation).as_array())
-                          for s in samples])
+    residuals = np.array([s.wrench.as_array() for s in samples]) - gravity_model(
+        mass, com, bias, np.array([s.orientation for s in samples])).as_array()
     rms = np.sqrt(np.mean(residuals ** 2, axis=0))
     return IdentifiedPayload(max(mass, 0.0), com, bias, rms)
 

@@ -222,11 +222,34 @@ def test_filter_bounded_by_history():
         assert abs(state.tau_s_filtered) <= max_raw + 1e-12
 
 
-def test_step_bilateral_validates():
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["theta_m", "theta_s", "thetadot_m",
+                                   "thetadot_s", "tau_s_filtered"])
+def test_step_bilateral_validates(field, value):
     with pytest.raises(ValueError):
         step_bilateral(BilateralState(), 0.0, None, PARAMS, 0.01)
-    with pytest.raises(BilateralFault):
-        step_bilateral(BilateralState(theta_m=np.nan), 0.0, None, PARAMS, 1e-3)
+    # a non-finite field makes the value checked after the step non-finite
+    with pytest.raises(BilateralFault, match="bilateral state diverged"):
+        step_bilateral(BilateralState(**{field: value}), 0.0, None, PARAMS, 1e-3)
+
+
+BIG = 1.7976931348623157e308   # the largest float
+
+
+# with no position scaling, no damping and a tiny Kp, one angle can overflow
+# while every other new value stays finite
+ISOLATING = GripperParams(kp=1e-300, kd=0.0, b=0.0, viscous=0.0)
+
+
+@pytest.mark.parametrize("state, bad", [
+    (BilateralState(theta_m=BIG, thetadot_m=1e300), 0),
+    (BilateralState(theta_s=BIG, thetadot_s=1e300), 1),
+])
+def test_step_bilateral_faults_on_one_overflowing_angle(state, bad):
+    with pytest.raises(BilateralFault) as fault:
+        step_bilateral(state, 0.0, None, ISOLATING, 1e-3)
+    values = [float(v) for v in str(fault.value).split(": ", 1)[1].strip("()").split(",")]
+    assert [math.isfinite(v) for v in values] == [i != bad for i in range(5)]
 
 
 def test_params_validation():
@@ -249,6 +272,18 @@ def test_bilateral_record_schema():
     row = bilateral_record(BilateralState(), PARAMS)
     assert len(row) == len(BILATERAL_SCHEMA)
     assert row[-1] == pytest.approx(PARAMS.w_max)   # width at zero angle
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_bilateral_record_of_a_stack_equals_scalar_calls(rng, n):
+    # a state of (n,) arrays gives, row by row, the bits of one call per state
+    params = GripperParams(b=1.3, delta=0.02, b_l=0.01, kd=0.07)
+    log = rng.normal(size=(n, 6)) * 10.0 ** rng.integers(-8, 8, (n, 6))
+    rows = bilateral_record(BilateralState(*log.T), params)
+    assert rows.shape == (n, len(BILATERAL_SCHEMA))
+    for i, fields_i in enumerate(log.tolist()):
+        assert rows[i].tobytes() == np.array(
+            bilateral_record(BilateralState(*fields_i), params)).tobytes()
 
 
 def test_width_angle_round_trip():

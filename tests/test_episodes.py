@@ -1,15 +1,19 @@
+import io
 import json
+import math
 import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import episode_csv_oracle
+from contactctl import episodes
 from contactctl.cli import main
 from contactctl.compliance import ACTION_SCHEMA
 from contactctl.episodes import (Episode, EpisodeError, StreamSpec, export_csv,
                                  load_episode, replay_actions,
-                                 validate_episode_dir)
+                                 validate_episode_dir, write_float_rows)
 
 
 def basic_episode():
@@ -260,6 +264,58 @@ def test_export_load_value_exact(tmp_path, rng):
     for name in ("pose", "wrench"):
         assert np.array_equal(loaded.times(name), episode.times(name))
         assert np.array_equal(loaded.values(name), episode.values(name))
+
+
+# values whose repr is easy to get wrong, then any float at all
+AWKWARD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308 / 3.0, 1e16, -1e16, 1e-5, 1e22, 0.1]
+CSV_FLOATS = st.one_of(st.sampled_from(AWKWARD_FLOATS), st.floats())
+# csv must quote the comma, the quote and the line breaks
+REF_TEXT = st.text(alphabet=st.sampled_from('ab/.0 ,"\n\r'), max_size=8)
+
+
+@st.composite
+def export_streams(draw):
+    """(kind, schema, times, rows) of one stream to export."""
+    kind = draw(st.sampled_from(["wrench", "tactile", "image_ref"]))
+    columns = draw(st.sampled_from([1, 2, 6, 126]))
+    # the header goes through csv quoting too
+    schema = (draw(REF_TEXT),) + tuple(f"c{i}" for i in range(1, columns))
+    times = sorted(draw(st.lists(st.floats(-1e6, 1e6), unique=True, max_size=12)))
+    value = REF_TEXT if kind == "image_ref" else CSV_FLOATS
+    rows = [draw(st.lists(value, min_size=columns, max_size=columns))
+            for _ in times]
+    return kind, schema, times, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(export_streams(), st.sampled_from([1, 2, 5, 1024]))
+def test_export_csv_writes_the_csv_writer_bytes(tmp_path_factory, case, chunk):
+    # the column-wise writer gives csv.writer's bytes for every stream, at
+    # every chunk size, quoting included for reference strings
+    kind, schema, times, rows = case
+    spec = StreamSpec("s", 10.0, schema, kind)
+    episode = Episode("oracle", [spec])
+    for t, row in zip(times, rows):
+        episode.record("s", t, row)
+    out = tmp_path_factory.mktemp("export")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(episodes, "CSV_CHUNK_ROWS", chunk)
+        export_csv(episode, out)
+    assert (out / "s.csv").read_bytes() == episode_csv_oracle.stream_csv_bytes(
+        spec, episode._times["s"], episode._rows["s"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: st.lists(
+    st.lists(CSV_FLOATS, min_size=k, max_size=k), max_size=9)),
+    st.sampled_from([1, 4, 1024]))
+def test_write_float_rows_writes_the_csv_writer_bytes(rows, chunk):
+    buf = io.StringIO(newline="")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(episodes, "CSV_CHUNK_ROWS", chunk)
+        write_float_rows(buf, rows)
+    assert buf.getvalue().encode() == episode_csv_oracle.rows_csv_bytes(rows)
 
 
 def test_export_load_image_refs(tmp_path):

@@ -250,6 +250,33 @@ def test_wiping_trial_outputs_keep_their_bytes(tmp_path, seed):
     assert got == want[seed]
 
 
+# (config, --trials) of the gripper scenarios, at the benchmark's trial counts
+GRIPPER_RUNS = (("bottle_pick", "10"), ("selective_release", "10"),
+                ("bilateral_quality", "1"), ("gravity_verification", "100"))
+
+
+def gripper_output_hashes(out, seed) -> dict:
+    """sha256 of every file the gripper runs write under `out`.
+
+    A report names its episode directory, so the output root is written as
+    "<out>" in it before hashing.
+    """
+    for name, trials in GRIPPER_RUNS:
+        assert main(["run", "--config", f"configs/{name}.ini", "--trials", trials,
+                     "--seed", seed, "--out", str(out / name), "--quiet"]) == 0
+    return {path.relative_to(out).as_posix(): hashlib.sha256(
+                path.read_bytes().replace(str(out).encode(), b"<out>")).hexdigest()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("seed", ["1", "7"])
+def test_gripper_outputs_keep_their_bytes(tmp_path, seed):
+    # as written when each recorded step went through Episode.record and each
+    # CSV row through csv.writer
+    want = json.loads(Path("tests/data/gripper_sha256.json").read_text())
+    assert gripper_output_hashes(tmp_path, seed) == want[seed]
+
+
 def test_wiping_rollout_rejects_rows_of_unequal_length():
     from contactctl.scenarios.wiping import (WipingRow, _scripted_actions,
                                              rollout, wiping_setup)
