@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .episodes import EpisodeError, load_episode, validate_episode_dir
+from .episodes import (EpisodeError, load_episode, validate_episode_dir,
+                       write_float_rows)
 from .sensing import (IdentificationError, identify_payload,
                       load_calibration_csv, marker_motion_magnitude,
                       save_payload)
@@ -126,73 +127,60 @@ def _cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def _write_plot_csv(path: Path, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def _plot_fz_wiping(episode, out_dir: Path) -> Path:
+def _plot_fz_wiping(episode) -> tuple:
     for required in ("wrench_raw", "wrench_ee", "pose"):
         if required not in episode.streams:
             raise KeyError(required)
     rows = []
-    times = episode.times("wrench_raw")
+    times = episode.times("wrench_raw").tolist()
     raw = episode.values("wrench_raw")
     comp = episode.values("wrench_ee")
     from .geometry import Rot6D
+    decoded = {}   # pose sample time -> rotation; one pose serves several rows
     for i, t in enumerate(times):
-        frame = episode.align(float(t), ["pose"])
-        pose_row = frame.samples["pose"].values
-        r_ee = Rot6D.from_array(pose_row[3:9]).decode()
+        pose = episode.align(t, ["pose"]).samples["pose"]
+        if pose.source_t not in decoded:
+            decoded[pose.source_t] = Rot6D.from_array(pose.values[3:9]).decode()
+        r_ee = decoded[pose.source_t]
         fz_raw = float((r_ee @ raw[i, :3])[2])
         fz_comp = float((r_ee @ comp[i, :3])[2])
         rows.append([t, fz_raw, fz_comp])
-    path = out_dir / "fz_wiping.csv"
-    _write_plot_csv(path, ["t", "fz_raw", "fz_compensated"], rows)
-    return path
+    return "fz_wiping", ["t", "fz_raw", "fz_compensated"], rows
 
 
-def _plot_tactile_norm(episode, out_dir: Path) -> Path:
+def _plot_tactile_norm(episode) -> tuple:
     if "tactile" not in episode.streams:
         raise KeyError("tactile")
-    rows = [[t, marker_motion_magnitude(np.asarray(row))]
-            for t, row in zip(episode.times("tactile"), episode.rows("tactile"))]
-    path = out_dir / "tactile_norm.csv"
-    _write_plot_csv(path, ["t", "marker_norm"], rows)
-    return path
+    rows = [[t, marker_motion_magnitude(np.asarray(row))] for t, row
+            in zip(episode.times("tactile").tolist(), episode.rows("tactile"))]
+    return "tactile_norm", ["t", "marker_norm"], rows
 
 
-def _plot_grasp_force(episode, out_dir: Path) -> Path:
+def _plot_grasp_force(episode) -> tuple:
     if "gripper" not in episode.streams:
         raise KeyError("gripper")
     spec = episode.streams["gripper"]
     if "f_int" not in spec.schema:
         raise KeyError("gripper.f_int")
     idx = spec.schema.index("f_int")
-    rows = [[t, row[idx]]
-            for t, row in zip(episode.times("gripper"), episode.rows("gripper"))]
-    path = out_dir / "grasp_force.csv"
-    _write_plot_csv(path, ["t", "f_int"], rows)
-    return path
+    rows = [[t, row[idx]] for t, row
+            in zip(episode.times("gripper").tolist(), episode.rows("gripper"))]
+    return "grasp_force", ["t", "f_int"], rows
 
 
-def _plot_gravity_comp(episode, out_dir: Path) -> Path:
+def _plot_gravity_comp(episode) -> tuple:
     for required in ("wrench_raw", "wrench_ee"):
         if required not in episode.streams:
             raise KeyError(required)
-    raw = episode.values("wrench_raw")
-    comp = episode.values("wrench_ee")
-    rows = [[t, *raw[i, :3], *comp[i, :3]]
-            for i, t in enumerate(episode.times("wrench_raw"))]
-    path = out_dir / "gravity_comp.csv"
-    _write_plot_csv(path, ["t", "fx_raw", "fy_raw", "fz_raw",
-                           "fx_comp", "fy_comp", "fz_comp"], rows)
-    return path
+    rows = np.column_stack([episode.times("wrench_raw"),
+                            episode.values("wrench_raw")[:, :3],
+                            episode.values("wrench_ee")[:, :3]]).tolist()
+    return "gravity_comp", ["t", "fx_raw", "fy_raw", "fz_raw",
+                            "fx_comp", "fy_comp", "fz_comp"], rows
 
 
+# figure kind -> plotter returning (file stem, header, rows of Python floats,
+# since numpy 2 reprs a float64 as "np.float64(...)")
 _PLOTTERS = {
     "fz-wiping": _plot_fz_wiping,
     "tactile-norm": _plot_tactile_norm,
@@ -212,10 +200,14 @@ def _cmd_plot_data(args) -> int:
     out_dir = Path(args.out or args.episode)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        path = _PLOTTERS[args.kind](episode, out_dir)
+        name, header, rows = _PLOTTERS[args.kind](episode)
     except KeyError as exc:
         print(f"error: episode is missing stream {exc}", file=sys.stderr)
         return EXIT_CRITERIA
+    path = out_dir / f"{name}.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        write_float_rows(fh, rows)
     print(f"wrote {path}")
     return EXIT_OK
 

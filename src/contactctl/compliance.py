@@ -1,6 +1,6 @@
-"""Compliance compiler: policy action steps to controller-facing commands.
+"""Compliance compiler: policy action rows to controller-facing commands.
 
-An action step carries an end-effector translation delta, an absolute target
+An action row carries an end-effector translation delta, an absolute target
 orientation in the 6D encoding, a predicted Cartesian interaction force, and
 a gripper width. Compilation integrates the reference pose, schedules the
 diagonal translational stiffness down as predicted force grows, and displaces
@@ -11,9 +11,10 @@ the reference into a virtual target,
 so the impedance tracking error implicitly produces the commanded force.
 Force never switches a control mode; it only moves the target.
 
-A command's fields may carry leading axes. `interpolate_commands` blends
-such stacks entry by entry, so a batched control loop can upsample every
-command stream to the control rate in one call before it starts ticking.
+Action streams are (..., n, 13) arrays, and `compile_step` compiles them
+into one command stack. `interpolate_commands` blends such stacks entry by
+entry, so a batched control loop can upsample every command stream to the
+control rate in one call before it starts ticking.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .geometry import (Pose, Rot6D, as_vec3, dot_rows, pose_unchecked,
+from .geometry import (GeometryError, Pose, Rot6D, as_vec3, check_rotations,
+                       decode_rot6d_rows, dot_rows, pose_unchecked,
                        rotation_about_axis, rotation_log_between)
 
 # serialized action-step layout (the policy/controller boundary)
@@ -102,46 +104,42 @@ class ComplianceCommand:
 
 
 def schedule_stiffness(force: np.ndarray, sched: StiffnessSchedule) -> np.ndarray:
-    """Per-axis stiffness, monotonically non-increasing in predicted force."""
-    force = np.asarray(force, dtype=float).reshape(3)
-    if not np.all(np.isfinite(force)):
+    """Per-axis stiffness of (..., 3) forces, non-increasing in predicted force."""
+    force = as_vec3(force)
+    if not np.isfinite(force).all():
         raise ComplianceError("non-finite force")
     if sched.per_axis:
         load = np.abs(force)
     else:
-        load = np.full(3, np.linalg.norm(force))
+        load = np.repeat(np.sqrt(dot_rows(force, force))[..., None], 3, axis=-1)
     frac = np.minimum(load / sched.f_sat, 1.0)
     return sched.k_max - (sched.k_max - sched.k_min) * frac
 
 
-def compile_virtual_target(ref_pose: Pose, force: np.ndarray,
-                           kp_diag: np.ndarray) -> tuple[Pose, np.ndarray]:
-    """Displace the reference position by Kp^-1 f; rotation stays the reference's."""
-    force = np.asarray(force, dtype=float).reshape(3)
-    kp = np.asarray(kp_diag, dtype=float).reshape(3)
-    delta_p = np.zeros(3)
-    for i in range(3):
-        if kp[i] > 0.0:
-            delta_p[i] = force[i] / kp[i]
-        elif force[i] != 0.0:
-            raise ComplianceError(
-                f"zero stiffness on axis {i} with nonzero force {force[i]}")
-    target = Pose(ref_pose.rotation.copy(), ref_pose.translation - delta_p)
-    return target, delta_p
+def compile_step(actions: np.ndarray, start: Pose,
+                 sched: StiffnessSchedule) -> ComplianceCommand:
+    """One command per row of (..., n, 13) action streams, executed in row
+    order from the `start` reference.
 
-
-def integrate_reference(prev_ref: Pose, step: ActionStep) -> Pose:
-    """Advance the reference: translation accumulates deltas, rotation is the
-    step's absolute 6D-encoded orientation."""
-    return Pose(step.rot6d.decode(), prev_ref.translation + step.delta_xyz)
-
-
-def compile_step(step: ActionStep, prev_ref: Pose,
-                 sched: StiffnessSchedule) -> tuple[ComplianceCommand, Pose]:
-    ref = integrate_reference(prev_ref, step)
-    kp = schedule_stiffness(step.force, sched)
-    target, _ = compile_virtual_target(ref, step.force, kp)
-    return ComplianceCommand(target, kp), ref
+    The reference translation accumulates the rows' deltas from the start's,
+    the reference rotation is each row's absolute 6D orientation, and the
+    target sits Kp^-1 f from the reference. A row gets the bits, and fails
+    the checks, of compiling the stream one row at a time.
+    """
+    actions = np.atleast_2d(np.asarray(actions, dtype=float))
+    if actions.shape[-1] != len(ACTION_SCHEMA):
+        raise ComplianceError(f"action rows need 13 columns, got {actions.shape[-1]}")
+    rotation = decode_rot6d_rows(actions[..., 3:6], actions[..., 6:9])
+    check_rotations(rotation)
+    first = np.broadcast_to(start.translation, actions.shape[:-2] + (1, 3))
+    ref = np.cumsum(np.concatenate([first, actions[..., :3]], axis=-2),
+                    axis=-2)[..., 1:, :]
+    force = actions[..., 9:12]
+    kp = schedule_stiffness(force, sched)
+    target = ref - force / kp
+    if not np.isfinite(target).all():
+        raise GeometryError("pose translation not finite")
+    return ComplianceCommand(pose_unchecked(rotation, target), kp)
 
 
 def interpolate_commands(prev: ComplianceCommand, nxt: ComplianceCommand,
@@ -177,27 +175,24 @@ def interpolate_commands(prev: ComplianceCommand, nxt: ComplianceCommand,
 
 
 class RecedingHorizonScheduler:
-    """Consume a prefix of each chunk, then switch to the next.
+    """Execute a prefix of each chunk, then switch to the next.
 
-    The integrated reference pose carries across chunk boundaries, so the
-    compiled command stream never jumps by more than one step's delta at a
-    seam.
+    Iterating yields (index in the replayed stream, row) for the first
+    `horizon` rows of each (chunk_len, 13) chunk, chunks laid end to end.
     """
 
-    def __init__(self, chunks: Iterable, execute_horizon: int, start_ref: Pose,
-                 sched: StiffnessSchedule):
-        if execute_horizon < 1:
-            raise ComplianceError("execute_horizon must be >= 1")
+    def __init__(self, chunks: Iterable, horizon: int):
+        if horizon < 1:
+            raise ComplianceError("horizon must be >= 1")
         self._chunks = iter(chunks)
-        self.horizon = execute_horizon
-        self._ref = start_ref
-        self._sched = sched
+        self.horizon = horizon
 
-    def __iter__(self) -> Iterator[ComplianceCommand]:
+    def __iter__(self) -> Iterator[tuple]:
+        start = 0
         for chunk in self._chunks:
             if self.horizon > len(chunk):
                 raise ComplianceError(
-                    f"execute_horizon {self.horizon} exceeds chunk length {len(chunk)}")
-            for step in chunk.steps[:self.horizon]:
-                command, self._ref = compile_step(step, self._ref, self._sched)
-                yield command
+                    f"horizon {self.horizon} exceeds chunk length {len(chunk)}")
+            for k in range(self.horizon):
+                yield start + k, chunk[k]
+            start += len(chunk)

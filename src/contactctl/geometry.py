@@ -42,7 +42,8 @@ _SKEW_BASIS = np.stack([skew(e) for e in _EYE3]).reshape(3, 9)
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3-vector cross product without np.cross's axis-handling overhead."""
+    """3-vector cross product without np.cross's axis-handling overhead;
+    of (3, ...) stacks too, component first."""
     a0, a1, a2 = a
     b0, b1, b2 = b
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
@@ -138,18 +139,17 @@ def rotation_log_between(r_from: np.ndarray, r_to: np.ndarray) -> np.ndarray:
     return rotation_log(np.asarray(r_from).swapaxes(-1, -2) @ r_to)
 
 
-def _check_rotation(r: np.ndarray, tol: float = ORTHONORMAL_TOL) -> None:
-    if r.shape != (3, 3):
-        raise GeometryError(f"rotation must be 3x3, got {r.shape}")
+def check_rotations(r: np.ndarray) -> None:
+    """Raise GeometryError unless every matrix of a (..., 3, 3) stack is
+    finite, orthonormal and of determinant +1."""
     if not np.isfinite(r).all():
         raise GeometryError("rotation has non-finite entries")
-    # written as `not ... <= tol` so that NaN can never pass
-    err = np.max(np.abs(r.T @ r - _EYE3))
-    if not err <= tol:
-        raise GeometryError(f"rotation not orthonormal (|R^T R - I| = {err:.3e})")
-    det = np.linalg.det(r)
-    if not abs(det - 1.0) <= tol:
-        raise GeometryError(f"rotation determinant {det:.12f} != +1")
+    err = np.abs(r.swapaxes(-1, -2) @ r - _EYE3).max(axis=(-2, -1))
+    if not (err <= ORTHONORMAL_TOL).all():
+        raise GeometryError(f"rotation not orthonormal (|R^T R - I| = {err.max():.3e})")
+    det_err = np.abs(np.linalg.det(r) - 1.0)
+    if not (det_err <= ORTHONORMAL_TOL).all():
+        raise GeometryError(f"rotation determinant off +1 by {det_err.max():.3e}")
 
 
 @dataclass
@@ -162,7 +162,9 @@ class Pose:
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=float)
         self.translation = np.asarray(self.translation, dtype=float).reshape(3)
-        _check_rotation(self.rotation)
+        if self.rotation.shape != (3, 3):
+            raise GeometryError(f"rotation must be 3x3, got {self.rotation.shape}")
+        check_rotations(self.rotation)
         if not np.all(np.isfinite(self.translation)):
             raise GeometryError(f"pose translation not finite: {self.translation}")
 
@@ -182,6 +184,25 @@ def pose_unchecked(rotation: np.ndarray, translation: np.ndarray) -> Pose:
     p.rotation = rotation
     p.translation = translation
     return p
+
+
+def decode_rot6d_rows(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """Rotations (..., 3, 3), by Gram-Schmidt, of 6D encodings given as their
+    two (..., 3) vectors; a row gets the bits of decoding it alone. Raises
+    GeometryError if any first vector is near zero or any pair near parallel.
+    """
+    n1 = np.sqrt(dot_rows(a1, a1))
+    if (n1 < 1e-8).any():
+        raise GeometryError("degenerate 6D rotation: first vector near zero")
+    b1 = a1 / n1[..., None]
+    u2 = a2 - dot_rows(b1, a2)[..., None] * b1
+    n2 = np.sqrt(dot_rows(u2, u2))
+    if (n2 < 1e-8).any():
+        raise GeometryError("degenerate 6D rotation: vectors near parallel")
+    b2 = u2 / n2[..., None]
+    out = np.empty(b1.shape + (3,))   # columns b1, b2, b1 x b2
+    out[..., 0], out[..., 1], out[..., 2] = b1, b2, cross3(b1.T, b2.T).T
+    return out
 
 
 @dataclass
@@ -206,17 +227,7 @@ class Rot6D:
         return Rot6D(rotation[:, 0].copy(), rotation[:, 1].copy())
 
     def decode(self) -> np.ndarray:
-        n1 = np.linalg.norm(self.a1)
-        if n1 < 1e-8:
-            raise GeometryError("degenerate 6D rotation: first vector near zero")
-        b1 = self.a1 / n1
-        u2 = self.a2 - (b1 @ self.a2) * b1
-        n2 = np.linalg.norm(u2)
-        if n2 < 1e-8:
-            raise GeometryError("degenerate 6D rotation: vectors near parallel")
-        b2 = u2 / n2
-        b3 = cross3(b1, b2)
-        return np.column_stack([b1, b2, b3])
+        return decode_rot6d_rows(self.a1, self.a2)
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.a1, self.a2])

@@ -71,9 +71,8 @@ def intent_force(t: float, hold: float, wipe_amp: float, wipe_hz: float) -> floa
 
 
 def _run_setting(config: ScenarioConfig, quality: dict, params, a_nominal: float,
-                 record_episode) -> tuple:
-    dt, hold, wipe_amp = quality["dt"], quality["hold_force"], quality["wipe_amp"]
-    wipe_hz, width_obj = quality["wipe_hz"], quality["object_width"]
+                 f_intent: list, f_ref: np.ndarray, record_episode) -> tuple:
+    dt, width_obj = quality["dt"], quality["object_width"]
     contact = GraspContactModel(width_obj, quality["contact_stiffness"])
     servo_gain, rate_max = quality["operator_servo_gain"], quality["close_rate"]
     op_kp, op_kd = quality["operator_kp"], quality["operator_kd"]
@@ -85,29 +84,26 @@ def _run_setting(config: ScenarioConfig, quality: dict, params, a_nominal: float
     state = BilateralState(theta_m=theta0,
                            theta_s=params.b * theta0 - params.delta)
     theta_cmd = theta0
-    f_trace, f_ref = [], []
-    n_steps = row_ticks(config)
+    f_trace = []
+    n_steps = len(f_intent)
     log = np.empty((n_steps, STATE_COLUMNS)) if record_episode is not None else None
     for i in range(n_steps):
-        t = i * dt
-        f_intent = intent_force(t, hold, wipe_amp, wipe_hz)
         # the operator decodes force from what the master actually renders
         rendered = state.tau_s_filtered / params.a
         felt = rendered * a_nominal / params.r_g
-        rate = servo_gain * params.r_g * (f_intent - felt)
+        rate = servo_gain * params.r_g * (f_intent[i] - felt)
         rate = min(max(rate, -rate_max), rate_max)
         theta_cmd = min(max(theta_cmd + dt * rate, 0.0), theta_max)
         drive = op_kp * (theta_cmd - state.theta_m) - op_kd * state.thetadot_m
         state = step_bilateral(state, drive, contact, params, dt)
         f_trace.append(max(0.0, estimate_internal_force(state.current_s, params)))
-        f_ref.append(intent_force(t + dt, hold, wipe_amp, wipe_hz))
         if log is not None:
             log[i] = (state.theta_m, state.theta_s, state.thetadot_m,
                       state.thetadot_s, state.tau_s_filtered, state.current_s)
 
     episode = None if log is None else \
         gripper_episode(record_episode, config, log, params, dt)
-    rms = float(np.sqrt(np.mean((np.array(f_trace) - np.array(f_ref)) ** 2)))
+    rms = float(np.sqrt(np.mean((np.array(f_trace) - f_ref) ** 2)))
     return rms, episode
 
 
@@ -115,10 +111,17 @@ def run_bilateral_signal_quality(config: ScenarioConfig, out_dir=None) -> Scenar
     record = "quality_bilateral" if out_dir is not None else None
     quality = config.values("quality")
     nominal, open_loop, infinite_a = _divisor_settings(config)
-    rms_bilateral, episode = _run_setting(config, quality, nominal, nominal.a, record)
+    dt, steps = quality["dt"], range(row_ticks(config))
+    profile = (quality["hold_force"], quality["wipe_amp"], quality["wipe_hz"])
+    # the intent each step acts on (at its start) and is scored against (at its end)
+    intent = ([intent_force(i * dt, *profile) for i in steps],
+              np.array([intent_force(i * dt + dt, *profile) for i in steps]))
+    rms_bilateral, episode = _run_setting(config, quality, nominal, nominal.a,
+                                          *intent, record)
     # open-loop baseline: reflection divisor so large nothing is rendered
-    rms_open_loop, _ = _run_setting(config, quality, open_loop, nominal.a, None)
-    rms_infinite_a, _ = _run_setting(config, quality, infinite_a, nominal.a, None)
+    rms_open_loop, _ = _run_setting(config, quality, open_loop, nominal.a, *intent, None)
+    rms_infinite_a, _ = _run_setting(config, quality, infinite_a, nominal.a,
+                                     *intent, None)
 
     metrics = {
         "rms_bilateral": rms_bilateral,

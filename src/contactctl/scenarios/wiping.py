@@ -2,10 +2,11 @@
 
 A scripted action stream (settle, press, slide, retreat) is recorded, chunked,
 compiled through the compliance pipeline, and executed by the impedance
-controller against the rigid-body plant. The wrench-aware variant carries a
-constant normal-force target during press and slide; the baseline variant
-replays the same motion with zero force prediction against a surface that sits
-below its nominal height, so it never develops contact. A strip of surface
+controller against the rigid-body plant; each chunk executes its first
+`horizon` rows, which are the rows recorded and scored. The wrench-aware
+variant carries a constant normal-force target during press and slide; the
+baseline variant replays the same motion with zero force prediction against a
+surface that sits below its nominal height, so it never develops contact. A strip of surface
 cells is "erased" wherever the local normal force reaches the erase threshold
 during the pass; the residual-marking fraction is the task metric.
 
@@ -13,8 +14,9 @@ Every (variant, trial) of a run is one row of a single batched rollout: the
 rows share the arm, the gains and the start pose, and differ in plane offset,
 rng and command stream, so one closed-loop tick per control step advances
 them all. Rows with equal action streams share one compiled command stream.
-Each distinct stream is compiled once before the loop and upsampled to the
-control rate in one call, and a tick reads its rows' targets by stream index.
+The executed rows of every distinct stream are compiled in one call before
+the loop and upsampled to the control rate in one more, and a tick reads its
+rows' targets by stream index.
 
 Recording stays out of the tick. The loop copies the recorded rows' states
 (end-effector pose, contact force, pose error, clamp flags) into
@@ -31,9 +33,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..compliance import (ACTION_SCHEMA, ActionStep, ComplianceCommand,
+from ..compliance import (ACTION_SCHEMA, ComplianceCommand,
                           RecedingHorizonScheduler, StiffnessSchedule,
-                          interpolate_commands)
+                          compile_step, interpolate_commands)
 from ..dynamics import (ArmDynamicsModel, ContactPlane, PayloadSpec, SimState,
                         load_arm_model, read_ft_sensor)
 from ..episodes import Episode, StreamSpec, replay_actions, write_float_rows
@@ -136,19 +138,17 @@ def row_ticks(config: ScenarioConfig) -> int:
 
 
 def _scripted_actions(config: ScenarioConfig, start_rotation, force_target: float):
-    """Action rows for settle -> press -> slide -> retreat, at the action rate."""
+    """(n, 13) action rows for settle -> press -> slide -> retreat, and phases."""
     _, stroke, commands = _script(config)
-    rot6d = Rot6D.encode(start_rotation)
+    rot6d = Rot6D.encode(start_rotation).as_array().tolist()
     width = config.value("wiping", "gripper_width")
-    steps, labels = [], []
+    rows, labels = [], []
     for label, n, fz, dx_total in zip(PHASES, commands,
                                       (0.0, force_target, force_target, 0.0),
                                       (0.0, 0.0, stroke, 0.0)):
-        dx = dx_total / n
-        for _ in range(n):
-            steps.append(ActionStep([dx, 0.0, 0.0], rot6d, [0.0, 0.0, fz], width))
-            labels.append(label)
-    return steps, labels
+        rows += [[dx_total / n, 0.0, 0.0, *rot6d, 0.0, 0.0, fz, width]] * n
+        labels += [label] * n
+    return np.array(rows), labels
 
 
 @dataclass
@@ -163,7 +163,7 @@ class WipingSetup:
     plane: ContactPlane            # nominal plane; rows differ in offset
     q0: np.ndarray                 # start pose IK solution
     start_pose: Pose
-    scripts: dict                  # variant flag -> (action steps, phase labels)
+    scripts: dict                  # variant flag -> (action rows, phase labels)
     force_target: float            # normal force the wrench variant presses with
     baseline_offset: float         # no-wrench surface offset from nominal
     dt: float
@@ -183,8 +183,8 @@ class WipingSetup:
 class WipingRow:
     """One (variant, trial) of a batched rollout."""
 
-    steps: list                    # ActionStep per command
-    labels: list                   # phase per command ("slide" is scored)
+    actions: np.ndarray            # (n, 13) action rows
+    labels: list                   # phase per action row ("slide" is scored)
     plane_offset: float
     rng: np.random.Generator       # sensor noise of a recorded row
     episode: Optional[Episode] = None   # set on rows that are recorded
@@ -246,7 +246,7 @@ def run_wiping(config: ScenarioConfig, use_wrench, out_dir=None):
     z_nominal = setup.plane.offset
     rows = []
     for flag in flags:
-        steps, labels = setup.scripts[flag]
+        actions, labels = setup.scripts[flag]
         for trial in range(config.trials):
             rng = np.random.default_rng(config.seed * 1000 + trial)
             if flag:
@@ -257,7 +257,7 @@ def run_wiping(config: ScenarioConfig, use_wrench, out_dir=None):
             episode = None
             if trial == 0 and out_dir is not None:
                 episode = wiping_episode(setup, _variant(flag))
-            rows.append(WipingRow(steps, labels, offset, rng, episode))
+            rows.append(WipingRow(actions, labels, offset, rng, episode))
     results = rollout(setup, rows)
 
     reports = []
@@ -335,38 +335,36 @@ def wiping_episode(setup: WipingSetup, variant: str) -> Episode:
                    config_hash=setup.config_hash)
 
 
-def _compiled(setup: WipingSetup, actions: np.ndarray) -> list:
-    """A command stream, compiled through the recorded-episode replay path."""
-    ticks, dt = setup.ticks_per_action, setup.dt
-    scratch = Episode("actions", [StreamSpec("action", 1.0 / (ticks * dt),
-                                             ACTION_SCHEMA, "action")])
-    scratch.record_block("action", np.arange(len(actions)) * ticks * dt, actions)
-    return list(RecedingHorizonScheduler(replay_actions(scratch, setup.chunk_len),
-                                         setup.horizon, setup.start_pose,
-                                         setup.schedule))
+def _executed(setup: WipingSetup, actions: np.ndarray) -> tuple:
+    """The indices in the replayed stream, and the rows, that an action
+    stream executes, through the recorded-episode replay path."""
+    scratch = Episode("actions", [StreamSpec("action", 1.0, ACTION_SCHEMA, "action")])
+    scratch.record_block("action", np.arange(len(actions)), actions)
+    chunks = [np.array([step.as_array() for step in chunk.steps])
+              for chunk in replay_actions(scratch, setup.chunk_len)]
+    return tuple(zip(*RecedingHorizonScheduler(chunks, setup.horizon)))
 
 
-def _control_targets(setup: WipingSetup, streams: list) -> ComplianceCommand:
-    """The (ticks, S) stack of control-rate targets of S action streams.
+def _control_targets(setup: WipingSetup, streams: list) -> tuple:
+    """The executed row indices of S action streams of one length, and the
+    (S, ticks) stack of their control-rate targets, compiled in one call.
 
-    Each stream is compiled once. Tick k of command c blends command c - 1
-    (c itself for the first command) into c by (k + 1) / ticks_per_action,
-    which upsamples the action-rate stream to the control rate.
+    Tick k of command c blends command c - 1 (c itself for the first) into c
+    by (k + 1) / ticks_per_action, upsampling to the control rate.
     """
-    commands = list(zip(*[_compiled(setup, actions) for actions in streams]))
-    rotation = np.array([[c.virtual_target.rotation for c in cs] for cs in commands])
-    translation = np.array([[c.virtual_target.translation for c in cs]
-                            for cs in commands])
-    kp = np.array([[c.kp_diag for c in cs] for cs in commands])
+    index, rows = zip(*[_executed(setup, actions) for actions in streams])
+    executed = np.array(index[0])   # one for all streams of one length
+    compiled = compile_step(np.array(rows), setup.start_pose, setup.schedule)
     per = setup.ticks_per_action
-    now = np.repeat(np.arange(len(commands)), per)
-    frac = np.tile(np.arange(1, per + 1) / per, len(commands))
+    now = np.repeat(np.arange(len(executed)), per)
+    frac = np.tile(np.arange(1, per + 1) / per, len(executed))
 
-    def at(index):
-        return ComplianceCommand(pose_unchecked(rotation[index], translation[index]),
-                                 kp[index])
-    return interpolate_commands(at(np.maximum(now - 1, 0)), at(now),
-                                np.repeat(frac[:, None], len(streams), axis=1))
+    def at(k):
+        target = compiled.virtual_target
+        return ComplianceCommand(pose_unchecked(target.rotation[:, k],
+                                                target.translation[:, k]),
+                                 compiled.kp_diag[:, k])
+    return executed, interpolate_commands(at(np.maximum(now - 1, 0)), at(now), frac)
 
 
 @dataclass
@@ -397,7 +395,7 @@ def rollout(setup: WipingSetup, rows: list) -> list:
     batch. The tick loop only logs the recorded rows' states; their sensor
     readings and episode rows are computed after it.
     """
-    if len({len(row.steps) for row in rows}) != 1:
+    if len({len(row.actions) for row in rows}) != 1:
         raise ValueError("a rollout needs rows with action streams of one length")
     n_rows = len(rows)
     n_cells = len(setup.cell_edges) - 1
@@ -406,19 +404,18 @@ def rollout(setup: WipingSetup, rows: list) -> list:
     executor = ImpedanceExecutor(setup.model, setup.gains)
     state = SimState(np.tile(setup.q0, (n_rows, 1)),
                      np.zeros((n_rows, setup.model.chain.dof)))
-    actions = [np.array([step.as_array() for step in row.steps]) for row in rows]
     # rows whose action streams are bitwise equal share one compiled stream
     distinct = {}   # action bytes -> (stream index, actions)
-    stream_of_row = np.array([distinct.setdefault(a.tobytes(), (len(distinct), a))[0]
-                              for a in actions])
-    target = _control_targets(setup, [a for _, a in distinct.values()])
+    stream_of_row = np.array([distinct.setdefault(row.actions.tobytes(),
+                                                  (len(distinct), row.actions))[0]
+                              for row in rows])
+    executed, target = _control_targets(setup, [a for _, a in distinct.values()])
     rotation_t = target.virtual_target.rotation
     translation_t = target.virtual_target.translation
     kp_t = target.kp_diag
-    n_commands = len(kp_t) // ticks_per_action
     # per tick and row: whether it slides, the tool's x and the normal force
     sliding = np.repeat([[k < len(row.labels) and row.labels[k] == "slide"
-                          for row in rows] for k in range(n_commands)],
+                          for row in rows] for k in executed.tolist()],
                         ticks_per_action, axis=0)
     x_log = np.empty(sliding.shape)
     fz_log = np.empty(sliding.shape)
@@ -432,9 +429,9 @@ def rollout(setup: WipingSetup, rows: list) -> list:
                     np.empty((n_ticks, n_rec, 2), dtype=bool))
     for tick in range(n_ticks):
         command = ComplianceCommand(
-            pose_unchecked(rotation_t[tick, stream_of_row],
-                           translation_t[tick, stream_of_row]),
-            kp_t[tick, stream_of_row])
+            pose_unchecked(rotation_t[stream_of_row, tick],
+                           translation_t[stream_of_row, tick]),
+            kp_t[stream_of_row, tick])
         out, new_state, frames = executor.closed_loop_tick(state, command, plane)
 
         rotation = frames.ee_pose.rotation
@@ -460,7 +457,7 @@ def rollout(setup: WipingSetup, rows: list) -> list:
         & (cell < n_cells)
     cleared = np.zeros((n_rows, n_cells), dtype=bool)
     cleared[np.nonzero(erase)[1], cell[erase]] = True
-    diagnostics = {i: _record(setup, rows[i], actions[i], log, r)
+    diagnostics = {i: _record(setup, rows[i], executed, log, r)
                    for r, i in enumerate(recorded.tolist())}
     results = []
     for i, row in enumerate(rows):
@@ -476,7 +473,7 @@ def rollout(setup: WipingSetup, rows: list) -> list:
     return results
 
 
-def _record(setup: WipingSetup, row: WipingRow, actions: np.ndarray,
+def _record(setup: WipingSetup, row: WipingRow, executed: np.ndarray,
             log: RecordLog, r: int) -> np.ndarray:
     """Write recorded row r's episode from the log; return its diagnostics.
 
@@ -490,11 +487,11 @@ def _record(setup: WipingSetup, row: WipingRow, actions: np.ndarray,
     raw = read_ft_sensor(contact, setup.payload, rotation, setup.noise_sigma,
                          row.rng)
     comp = compensate_wrench(raw, setup.identified, rotation, setup.frame_model)
-    # each command is recorded at the time its first tick starts
+    # each command's executed row is recorded at the time its first tick
+    # starts; a padding row repeats the stream's last row
     starts = np.concatenate(([log.start_time], t[:-1]))[::setup.ticks_per_action]
-    # a padded stream records its last action again
     episode.record_block("action", starts,
-                         actions[np.minimum(np.arange(len(starts)), len(actions) - 1)])
+                         row.actions[np.minimum(executed, len(row.actions) - 1)])
     episode.record_block("wrench_raw", t, raw.as_array())
     episode.record_block("wrench_ee", t, comp.as_array())
     stride = max(1, int(round(1.0 / (200.0 * setup.dt))))

@@ -24,6 +24,7 @@ import csv
 
 import numpy as np
 
+from .episodes import write_float_rows
 from .geometry import GRAVITY_WORLD, Pose, Rot6D, Wrench, cross_rows, skew
 
 MARKER_DIM = 126   # 63 tactile markers x 2D offsets
@@ -174,14 +175,12 @@ def marker_motion_magnitude(frame) -> float:
 
 def save_calibration_csv(path, samples: list) -> None:
     """Rows: rot6d (6 columns) then raw wrench (6 columns)."""
+    rows = [np.concatenate([Rot6D.encode(s.orientation).as_array(), s.wrench.as_array()])
+            for s in samples]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r6_0", "r6_1", "r6_2", "r6_3", "r6_4", "r6_5",
-                         "fx", "fy", "fz", "tx", "ty", "tz"])
-        for s in samples:
-            row = np.concatenate([Rot6D.encode(s.orientation).as_array(),
-                                  s.wrench.as_array()])
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(["r6_0", "r6_1", "r6_2", "r6_3", "r6_4", "r6_5",
+                                 "fx", "fy", "fz", "tx", "ty", "tz"])
+        write_float_rows(fh, np.array(rows).tolist())
 
 
 def load_calibration_csv(path) -> list:

@@ -25,3 +25,14 @@ def rows_csv_bytes(rows) -> bytes:
     buf = io.StringIO(newline="")
     csv.writer(buf).writerows([repr(v) for v in row] for row in rows)
     return buf.getvalue().encode()
+
+
+def float_table_bytes(header, rows) -> bytes:
+    """csv.writer's bytes for a header and rows of numbers, each value
+    written as repr(float(v))."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue().encode()

@@ -8,10 +8,9 @@ import time
 
 import numpy as np
 
-from contactctl.compliance import (ActionChunk, ActionStep,
-                                   RecedingHorizonScheduler, StiffnessSchedule,
-                                   compile_virtual_target, integrate_reference,
-                                   schedule_stiffness)
+import compliance_oracle
+from contactctl.compliance import (ActionStep, RecedingHorizonScheduler,
+                                   StiffnessSchedule, compile_step)
 from contactctl.dynamics import SimState, inverse_dynamics_terms, step
 from contactctl.episodes import Episode, StreamSpec, export_csv, load_episode
 from contactctl.geometry import Pose, Rot6D, rotation_about_axis
@@ -258,26 +257,28 @@ def test_criterion_09_dynamics_sanity():
 def test_criterion_10_compliance_compiler():
     rng = np.random.default_rng(21)
     sched = StiffnessSchedule(2000.0, 200.0, 20.0)
-    worst = 0.0
-    for _ in range(1000):
-        f = rng.uniform(-40.0, 40.0, 3)
-        kp = schedule_stiffness(f, sched)
-        _, delta = compile_virtual_target(Pose.identity(), f, kp)
-        worst = max(worst, float(np.max(np.abs(kp * delta - f))))
+    # force reconstruction: rows without a delta hold the reference at the origin
+    held = np.zeros((1000, 13))
+    held[:, 3:9] = Rot6D.encode(np.eye(3)).as_array()
+    held[:, 9:12] = rng.uniform(-40.0, 40.0, (1000, 3))
+    command = compile_step(held, Pose.identity(), sched)
+    delta = -command.virtual_target.translation
+    worst = float(np.max(np.abs(command.kp_diag * delta - held[:, 9:12])))
     # zero-force transparency on a full command stream
     start = Pose(np.eye(3), [0.3, 0.0, 0.2])
-    steps = [ActionStep(rng.uniform(-0.01, 0.01, 3),
-                        Rot6D.encode(random_rotation(rng)), np.zeros(3), 0.05)
-             for _ in range(64)]
-    commands = RecedingHorizonScheduler([ActionChunk(steps)], len(steps), start,
-                                        sched)
+    stream = np.array([np.concatenate([rng.uniform(-0.01, 0.01, 3),
+                                       Rot6D.encode(random_rotation(rng)).as_array(),
+                                       np.zeros(3), [0.05]])
+                       for _ in range(64)])
+    _, rows = zip(*RecedingHorizonScheduler([stream], len(stream)))
+    command = compile_step(np.array(rows), start, sched)
     ref = start
     transparent = True
-    for s, cmd in zip(steps, commands):
-        ref = integrate_reference(ref, s)
-        transparent &= bool(np.array_equal(cmd.virtual_target.translation,
+    for i, row in enumerate(stream):
+        ref = compliance_oracle.integrate_reference(ref, ActionStep.from_array(row))
+        transparent &= bool(np.array_equal(command.virtual_target.translation[i],
                                            ref.translation))
-        transparent &= bool(np.all(cmd.kp_diag == sched.k_max))
+        transparent &= bool(np.all(command.kp_diag[i] == sched.k_max))
     ok = worst < 1e-12 and transparent
     report("10 compliance-compiler", ok,
            f"force reconstruction err={worst:.2e} (<1e-12) on 1000 inputs; "

@@ -5,15 +5,21 @@ perfbench/tracing.py wraps public contactctl names by module and attribute
 path, and silently skips a name that is gone. A skipped probe drops its
 `.calls` and `.self_share` metrics from the traced result line, which then
 no longer matches the `per_layer` list of BENCHMARK.json. Removing or
-renaming a probed name therefore needs a benchmark change first. These
-tests read perfbench/tracing.py and BENCHMARK.json and change neither.
+renaming a probed name therefore needs a benchmark change first. The
+same holds for what the benchmark's operations read of contactctl's
+results, such as the replayed action chunks. These tests read perfbench/
+and BENCHMARK.json and change neither.
 """
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import contactctl.cli  # noqa: F401  (imports every module a probe names)
+from contactctl.compliance import ACTION_SCHEMA
+from contactctl.episodes import (Episode, StreamSpec, export_csv, load_episode,
+                                 replay_actions)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,3 +56,27 @@ def test_traced_metric_names_match_benchmark_json():
     declared = [metric["name"] for metric in
                 json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     assert sorted(reported) == sorted(declared)
+
+
+def test_replay_passes_the_episode_io_check(tmp_path, monkeypatch):
+    # perfbench's episode_io operation reads the replayed action stream back
+    # through ActionChunk.steps and ActionStep.as_array, and counts the
+    # operation failed otherwise. This is that check on its synthetic data,
+    # so a change to what replay_actions returns fails here first.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for n in (bench.EPISODE_ROWS, 1234):   # whole chunks, then a padded one
+        data = bench.synthetic_episode_data(5, 0, n)
+        actions = data["action"]
+        episode = Episode("synthetic", [StreamSpec("action", 20.0, ACTION_SCHEMA,
+                                                   "action")])
+        for k, row in enumerate(actions):
+            episode.record("action", float(data["t"][k * bench.ACTION_STRIDE]), row)
+        export_csv(episode, tmp_path / str(n))
+        chunks = replay_actions(load_episode(tmp_path / str(n)), bench.CHUNK_LEN)
+        assert len(chunks) == math.ceil(len(actions) / bench.CHUNK_LEN)
+        replayed = [s.as_array().tolist() for c in chunks for s in c.steps]
+        assert replayed[:len(actions)] == actions.tolist()

@@ -8,9 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import episode_csv_oracle
+from contactctl import cli
 from contactctl.cli import main
-from contactctl.episodes import load_episode
+from contactctl.episodes import Episode, StreamSpec, export_csv, load_episode
+from contactctl.geometry import Rot6D
 from contactctl.sensing import load_payload
+from conftest import random_rotation
 
 
 GOLDEN_CAL = "tests/data/calibration_golden.csv"
@@ -402,6 +406,38 @@ def test_plot_data_fz_wiping(tmp_path):
     diag = (tmp_path / "diagnostics_with_wrench.csv").read_text().splitlines()
     assert diag[0] == "t,error_norm,contact_force_norm,stiffness_clamped,limits_clamped"
     assert len(diag) == len(data) + 1   # one row per control tick
+
+
+def test_plot_data_writes_the_csv_writer_bytes(tmp_path, rng):
+    # every figure kind writes the bytes csv.writer writes for its plotter's
+    # rows, each value as repr(float(v)); a numpy float left in a row would
+    # be written as "np.float64(...)" in numpy 2
+    wrench = ("fx", "fy", "fz", "tx", "ty", "tz")
+    episode = Episode("plots", [
+        StreamSpec("pose", 200.0, ("px", "py", "pz") + tuple(f"r6_{i}" for i in range(6)),
+                   "pose"),
+        StreamSpec("wrench_raw", 1000.0, wrench, "wrench"),
+        StreamSpec("wrench_ee", 1000.0, wrench, "wrench"),
+        StreamSpec("tactile", 30.0, tuple(f"m{i}" for i in range(126)), "tactile"),
+        StreamSpec("gripper", 100.0, ("width", "f_int"), "gripper")])
+    t = np.arange(50) / 1000.0
+    episode.record_block("pose", t[::5], np.hstack([
+        rng.normal(size=(10, 3)),
+        [Rot6D.encode(random_rotation(rng)).as_array() for _ in range(10)]]))
+    raw = rng.normal(size=(50, 6))
+    raw[3] = [-0.0, 1.0, 2.0, 0.0, 3.0, -4.0]   # signed zero, integral values
+    episode.record_block("wrench_raw", t, raw)
+    episode.record_block("wrench_ee", t, rng.normal(size=(50, 6)))
+    episode.record_block("tactile", t[::10], rng.normal(size=(5, 126)))
+    episode.record_block("gripper", t[::5], np.column_stack([np.zeros(10), t[::5] * 1e3]))
+    export_csv(episode, tmp_path / "ep")
+    loaded = load_episode(tmp_path / "ep")
+    for kind, plotter in cli._PLOTTERS.items():
+        assert run_cli("plot-data", "--episode", str(tmp_path / "ep"), "--kind", kind,
+                       "--out", str(tmp_path / "plots")) == 0
+        name, header, rows = plotter(loaded)
+        assert (tmp_path / "plots" / f"{name}.csv").read_bytes() \
+            == episode_csv_oracle.float_table_bytes(header, rows)
 
 
 def test_plot_data_unknown_kind(tmp_path, capsys):

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import compliance_oracle
 from contactctl.compliance import (ACTION_SCHEMA, ActionChunk, ActionStep,
                                    ComplianceCommand, ComplianceError,
                                    RecedingHorizonScheduler, StiffnessSchedule,
-                                   compile_virtual_target,
-                                   integrate_reference, interpolate_commands,
+                                   compile_step, interpolate_commands,
                                    schedule_stiffness)
-from contactctl.geometry import Pose, Rot6D, pose_unchecked, rotation_about_axis
+from contactctl.episodes import Episode, StreamSpec, replay_actions
+from contactctl.geometry import (GeometryError, Pose, Rot6D, pose_unchecked,
+                                 rotation_about_axis)
 from conftest import random_rotation
+from test_geometry import near_parallel_rows
 
 
 def make_step(delta=(0.0, 0.0, 0.0), rotation=None, force=(0.0, 0.0, 0.0),
@@ -16,6 +20,11 @@ def make_step(delta=(0.0, 0.0, 0.0), rotation=None, force=(0.0, 0.0, 0.0),
     rotation = np.eye(3) if rotation is None else rotation
     return ActionStep(np.asarray(delta, dtype=float), Rot6D.encode(rotation),
                       np.asarray(force, dtype=float), width)
+
+
+def make_row(delta=(0.0, 0.0, 0.0), rotation=None, force=(0.0, 0.0, 0.0),
+             width=0.05):
+    return make_step(delta, rotation, force, width).as_array()
 
 
 # ---------------------------------------------------------------------------
@@ -67,40 +76,44 @@ def test_schedule_validation():
 # virtual target
 
 def test_virtual_target_arithmetic_example():
-    ref = Pose(np.eye(3), [0.4, 0.0, 0.2])
-    target, delta = compile_virtual_target(ref, np.array([0.0, 0.0, 10.0]),
-                                           np.array([1000.0, 1000.0, 500.0]))
-    assert np.allclose(delta, [0.0, 0.0, 0.02])
-    assert np.allclose(target.translation, [0.4, 0.0, 0.18])
-    assert np.allclose(target.rotation, ref.rotation)
+    sched = StiffnessSchedule(2000.0, 200.0, 20.0)
+    start = Pose(np.eye(3), [0.4, 0.0, 0.2])
+    command = compile_step([make_row(force=(0.0, 0.0, 10.0))], start, sched)
+    delta = start.translation - command.virtual_target.translation[0]
+    assert np.allclose(command.kp_diag, [2000.0, 2000.0, 1100.0])
+    assert np.allclose(delta, [0.0, 0.0, 10.0 / 1100.0])
+    assert np.allclose(command.virtual_target.translation, [0.4, 0.0, 0.2 - 10.0 / 1100.0])
+    assert np.allclose(command.virtual_target.rotation, start.rotation)
 
 
 def test_virtual_target_zero_force_identity(rng):
-    ref = Pose(random_rotation(rng), rng.normal(size=3))
-    target, delta = compile_virtual_target(ref, np.zeros(3),
-                                           np.array([500.0, 600.0, 700.0]))
-    assert np.allclose(delta, 0.0)
-    assert np.array_equal(target.translation, ref.translation)
+    start = Pose(random_rotation(rng), rng.normal(size=3))
+    command = compile_step([make_row(rotation=start.rotation)], start,
+                           StiffnessSchedule(700.0, 500.0, 20.0))
+    assert np.array_equal(command.virtual_target.translation[0], start.translation)
 
 
 def test_virtual_target_inverse_consistency(rng):
-    for _ in range(100):
-        kp = rng.uniform(100.0, 3000.0, 3)
-        f = rng.uniform(-30.0, 30.0, 3)
-        ref = Pose(random_rotation(rng), rng.normal(size=3))
-        _, delta = compile_virtual_target(ref, f, kp)
-        assert np.max(np.abs(kp * delta - f)) < 1e-12
+    # rows with no delta hold the reference at the start pose
+    sched = StiffnessSchedule(3000.0, 100.0, 25.0)
+    start = Pose(random_rotation(rng), rng.normal(size=3))
+    f = rng.uniform(-30.0, 30.0, (100, 3))
+    command = compile_step([make_row(rotation=random_rotation(rng), force=fi)
+                            for fi in f], start, sched)
+    delta = start.translation - command.virtual_target.translation
+    assert np.max(np.abs(command.kp_diag * delta - f)) < 1e-12
 
 
-def test_virtual_target_zero_stiffness_error():
-    ref = Pose.identity()
-    with pytest.raises(ComplianceError):
-        compile_virtual_target(ref, np.array([0.0, 0.0, 1.0]),
-                               np.array([100.0, 100.0, 0.0]))
-    # zero force on the zero-stiffness axis is fine
-    target, _ = compile_virtual_target(ref, np.array([1.0, 0.0, 0.0]),
-                                       np.array([100.0, 100.0, 0.0]))
-    assert np.allclose(target.translation, [-0.01, 0.0, 0.0])
+def test_bounded_displacement(rng):
+    # within the saturation range the displacement cannot exceed f_sat / k_min
+    sched = StiffnessSchedule(2000.0, 200.0, 20.0)
+    bound = sched.f_sat / sched.k_min
+    forces = np.vstack([rng.uniform(-sched.f_sat, sched.f_sat, (200, 3)),
+                        np.full(3, sched.f_sat)])
+    command = compile_step([make_row(force=f) for f in forces], Pose.identity(), sched)
+    delta = -command.virtual_target.translation
+    assert np.max(np.abs(delta[:-1])) <= bound + 1e-12
+    assert np.allclose(np.abs(delta[-1]), bound)   # bound is attained exactly
 
 
 # ---------------------------------------------------------------------------
@@ -108,35 +121,129 @@ def test_virtual_target_zero_stiffness_error():
 
 def test_integrate_reference_identity_step():
     ref = Pose(rotation_about_axis(np.array([0.0, 0.0, 1.0]), 0.3), [1.0, 2.0, 3.0])
-    out = integrate_reference(ref, make_step(rotation=ref.rotation))
-    assert np.allclose(out.translation, ref.translation)
-    assert np.allclose(out.rotation, ref.rotation, atol=1e-12)
+    out = compile_step([make_row(rotation=ref.rotation)], ref,
+                       StiffnessSchedule()).virtual_target
+    assert np.allclose(out.translation[0], ref.translation)
+    assert np.allclose(out.rotation[0], ref.rotation, atol=1e-12)
 
 
 def test_integrate_reference_additivity():
-    ref = Pose.identity()
-    step = make_step(delta=(0.01, 0.0, 0.0))
-    for _ in range(10):
-        ref = integrate_reference(ref, step)
-    assert np.allclose(ref.translation, [0.10, 0.0, 0.0], atol=1e-12)
+    rows = [make_row(delta=(0.01, 0.0, 0.0))] * 10
+    out = compile_step(rows, Pose.identity(), StiffnessSchedule()).virtual_target
+    assert np.allclose(out.translation[-1], [0.10, 0.0, 0.0], atol=1e-12)
 
 
 def test_integrate_reference_random_walk_matches_single_shot(rng):
     # oracle: translation is the sum of deltas; rotation is the last absolute
-    ref = Pose.identity()
     deltas = rng.uniform(-0.02, 0.02, (100, 3))
     rotations = [random_rotation(rng) for _ in range(100)]
-    for delta, rot in zip(deltas, rotations):
-        ref = integrate_reference(ref, make_step(delta=delta, rotation=rot))
-    assert np.allclose(ref.translation, deltas.sum(axis=0), atol=1e-12)
-    assert np.allclose(ref.rotation, rotations[-1], atol=1e-9)
+    rows = [make_row(delta=d, rotation=r) for d, r in zip(deltas, rotations)]
+    out = compile_step(rows, Pose.identity(), StiffnessSchedule()).virtual_target
+    assert np.allclose(out.translation[-1], deltas.sum(axis=0), atol=1e-12)
+    assert np.allclose(out.rotation[-1], rotations[-1], atol=1e-9)
 
 
-def test_integrate_reference_degenerate_rotation():
-    step = ActionStep(np.zeros(3), Rot6D(np.zeros(3), np.array([0.0, 1.0, 0.0])),
-                      np.zeros(3), 0.05)
-    with pytest.raises(Exception):
-        integrate_reference(Pose.identity(), step)
+def test_compile_step_rejects_what_the_per_step_path_rejects():
+    good = make_row()
+    cases = {
+        "degenerate 6D rotation: first vector near zero": (3, 6, [0.0, 0.0, 0.0]),
+        "degenerate 6D rotation: vectors near parallel": (6, 9, [2.0, 0.0, 0.0]),
+        "non-finite force": (9, 12, [0.0, np.nan, 0.0]),
+        "pose translation not finite": (0, 3, [np.inf, 0.0, 0.0]),
+    }
+    for message, (lo, hi, values) in cases.items():
+        bad = good.copy()
+        bad[lo:hi] = values
+        rows = np.array([good, good, bad, good])
+        for raw in (rows, rows[None]):
+            with pytest.raises(ValueError, match=message):
+                compile_step(raw, Pose.identity(), StiffnessSchedule())
+        with pytest.raises(ValueError, match=message):
+            ref = Pose.identity()
+            for row in rows:
+                step = object.__new__(ActionStep)   # skip ActionStep's own checks
+                step.delta_xyz, step.rot6d = row[:3], Rot6D.from_array(row[3:9])
+                step.force, step.gripper_width = row[9:12], row[12]
+                _, ref = compliance_oracle.compile_one(step, ref, StiffnessSchedule())
+    with pytest.raises(ComplianceError, match="13 columns"):
+        compile_step(np.zeros((4, 12)), Pose.identity(), StiffnessSchedule())
+
+
+def test_compile_step_checks_each_decoded_rotation(rng):
+    # near-parallel 6D vectors can decode to a non-orthonormal matrix; the
+    # per-step path rejects it when it builds the reference Pose
+    rows = np.array([make_row()] * 5)
+    rows[3, 3:9] = near_parallel_rows(rng, 1)[0]
+    step = ActionStep.from_array(rows[3])
+    with pytest.raises(GeometryError) as per_step:
+        compliance_oracle.integrate_reference(Pose.identity(), step)
+    with pytest.raises(GeometryError) as one_pass:
+        compile_step(rows, Pose.identity(), StiffnessSchedule())
+    assert str(one_pass.value).split(" (")[0] == str(per_step.value).split(" (")[0]
+
+
+# ---------------------------------------------------------------------------
+# one pass against the per-step oracle
+
+def chunks_of(rows, chunk_len):
+    """The replayed ActionChunks and their (chunk_len, 13) arrays."""
+    episode = Episode("acts", [StreamSpec("action", 20.0, ACTION_SCHEMA, "action")])
+    episode.record_block("action", np.arange(len(rows)) / 20.0, rows)
+    chunks = replay_actions(episode, chunk_len)
+    return chunks, [np.array([s.as_array() for s in c.steps]) for c in chunks]
+
+
+@st.composite
+def action_streams(draw):
+    n = draw(st.integers(1, 64))
+    chunk_len = draw(st.integers(1, 20))
+    horizon = draw(st.integers(1, chunk_len))
+    per_axis = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, chunk_len, horizon, per_axis, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(action_streams())
+def test_one_pass_compile_equals_per_step_oracle(case):
+    n, chunk_len, horizon, per_axis, seed = case
+    rng = np.random.default_rng(seed)
+    rows = np.column_stack([rng.uniform(-0.02, 0.02, (n, 3)), rng.normal(size=(n, 6)),
+                            rng.uniform(-40.0, 40.0, (n, 3)), rng.uniform(0.0, 0.1, n)])
+    start = Pose(random_rotation(rng), rng.normal(size=3))
+    sched = StiffnessSchedule(rng.uniform(500.0, 3000.0), rng.uniform(50.0, 500.0),
+                              rng.uniform(5.0, 30.0), per_axis)
+    chunks, arrays = chunks_of(rows, chunk_len)
+    index, executed = zip(*RecedingHorizonScheduler(arrays, horizon))
+    got = compile_step(np.array(executed), start, sched)
+    want = compliance_oracle.compile_chunks(chunks, horizon, start, sched)
+    assert len(want) == len(index) == -(-n // chunk_len) * horizon
+    assert list(index) == [c * chunk_len + k for c in range(len(chunks))
+                           for k in range(horizon)]
+    for i, command in enumerate(want):
+        assert got.virtual_target.rotation[i].tobytes() \
+            == command.virtual_target.rotation.tobytes()
+        assert got.virtual_target.translation[i].tobytes() \
+            == command.virtual_target.translation.tobytes()
+        assert got.kp_diag[i].tobytes() == command.kp_diag.tobytes()
+
+
+def test_compile_step_rows_of_a_stack_equal_single_streams(rng):
+    # a (S, n, 13) stack compiles each stream as it compiles alone
+    sched = StiffnessSchedule(per_axis=False)
+    streams = np.concatenate([rng.uniform(-0.02, 0.02, (3, 10, 3)),
+                              rng.normal(size=(3, 10, 6)),
+                              rng.uniform(-40.0, 40.0, (3, 10, 3)),
+                              np.full((3, 10, 1), 0.05)], axis=-1)
+    start = Pose(random_rotation(rng), rng.normal(size=3))
+    got = compile_step(streams, start, sched)
+    for s, stream in enumerate(streams):
+        want = compile_step(stream, start, sched)
+        assert got.virtual_target.rotation[s].tobytes() \
+            == want.virtual_target.rotation.tobytes()
+        assert got.virtual_target.translation[s].tobytes() \
+            == want.virtual_target.translation.tobytes()
+        assert got.kp_diag[s].tobytes() == want.kp_diag.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -145,22 +252,23 @@ def test_integrate_reference_degenerate_rotation():
 def test_compile_chunk_all_zero():
     sched = StiffnessSchedule(2000.0, 200.0, 20.0)
     start = Pose(np.eye(3), [0.3, 0.0, 0.1])
-    chunk = ActionChunk([make_step() for _ in range(8)])
-    commands = list(RecedingHorizonScheduler([chunk], 8, start, sched))
-    assert len(commands) == 8
-    for cmd in commands:
-        assert np.allclose(cmd.virtual_target.translation, start.translation)
-        assert np.allclose(cmd.kp_diag, 2000.0)
+    chunk = np.array([make_row() for _ in range(8)])
+    _, rows = zip(*RecedingHorizonScheduler([chunk], 8))
+    command = compile_step(np.array(rows), start, sched)
+    assert len(command.kp_diag) == 8
+    assert np.allclose(command.virtual_target.translation, start.translation)
+    assert np.allclose(command.kp_diag, 2000.0)
 
 
 def test_compile_chunk_constant_force():
     sched = StiffnessSchedule(2000.0, 200.0, 20.0)
     start = Pose(np.eye(3), [0.3, 0.0, 0.1])
-    chunk = ActionChunk([make_step(force=(0.0, 0.0, 10.0)) for _ in range(4)])
-    for cmd in RecedingHorizonScheduler([chunk], 4, start, sched):
-        # k_z(10 N) = 1100, so the target sits 10/1100 m below the reference
-        assert np.allclose(cmd.kp_diag, [2000.0, 2000.0, 1100.0])
-        assert np.isclose(cmd.virtual_target.translation[2], 0.1 - 10.0 / 1100.0)
+    chunk = np.array([make_row(force=(0.0, 0.0, 10.0)) for _ in range(4)])
+    _, rows = zip(*RecedingHorizonScheduler([chunk], 4))
+    command = compile_step(np.array(rows), start, sched)
+    # k_z(10 N) = 1100, so the target sits 10/1100 m below the reference
+    assert np.allclose(command.kp_diag, [2000.0, 2000.0, 1100.0])
+    assert np.allclose(command.virtual_target.translation[:, 2], 0.1 - 10.0 / 1100.0)
 
 
 def test_zero_force_transparency_full_stream(rng):
@@ -169,69 +277,53 @@ def test_zero_force_transparency_full_stream(rng):
     start = Pose(np.eye(3), [0.2, -0.1, 0.3])
     steps = [make_step(delta=rng.uniform(-0.01, 0.01, 3),
                        rotation=random_rotation(rng)) for _ in range(32)]
-    commands = RecedingHorizonScheduler([ActionChunk(steps)], 32, start, sched)
+    _, rows = zip(*RecedingHorizonScheduler(
+        [np.array([s.as_array() for s in steps])], 32))
+    command = compile_step(np.array(rows), start, sched)
     ref = start
-    for step, cmd in zip(steps, commands):
-        ref = integrate_reference(ref, step)
-        assert np.array_equal(cmd.virtual_target.translation, ref.translation)
-        assert np.allclose(cmd.kp_diag, sched.k_max)
-
-
-def test_bounded_displacement(rng):
-    # within the saturation range the displacement cannot exceed f_sat / k_min
-    sched = StiffnessSchedule(2000.0, 200.0, 20.0)
-    bound = sched.f_sat / sched.k_min
-    for _ in range(200):
-        f = rng.uniform(-sched.f_sat, sched.f_sat, 3)
-        kp = schedule_stiffness(f, sched)
-        _, delta = compile_virtual_target(Pose.identity(), f, kp)
-        assert np.max(np.abs(delta)) <= bound + 1e-12
-    _, delta = compile_virtual_target(Pose.identity(), np.full(3, sched.f_sat),
-                                      schedule_stiffness(np.full(3, sched.f_sat),
-                                                         sched))
-    assert np.allclose(np.abs(delta), bound)   # bound is attained exactly
+    for i, step in enumerate(steps):
+        ref = compliance_oracle.integrate_reference(ref, step)
+        assert np.array_equal(command.virtual_target.translation[i], ref.translation)
+        assert np.allclose(command.kp_diag[i], sched.k_max)
 
 
 # ---------------------------------------------------------------------------
 # receding-horizon scheduling
 
 def chunk_of(n, dx=0.01, force=(0.0, 0.0, 0.0)):
-    return ActionChunk([make_step(delta=(dx, 0.0, 0.0), force=force)
-                        for _ in range(n)])
+    return np.array([make_row(delta=(dx, 0.0, 0.0), force=force) for _ in range(n)])
 
 
 def test_scheduler_consumes_horizon_prefix():
-    sched = StiffnessSchedule()
     chunks = [chunk_of(16), chunk_of(16), chunk_of(16)]
-    scheduler = RecedingHorizonScheduler(chunks, 8, Pose.identity(), sched)
-    commands = list(scheduler)
-    assert len(commands) == 24   # 8 per chunk
+    executed = list(RecedingHorizonScheduler(chunks, 8))
+    assert len(executed) == 24   # 8 per chunk
+    assert [i for i, _ in executed] == [*range(0, 8), *range(16, 24), *range(32, 40)]
 
 
 def test_scheduler_full_horizon_emits_everything():
-    sched = StiffnessSchedule()
-    scheduler = RecedingHorizonScheduler([chunk_of(5)], 5, Pose.identity(), sched)
-    commands = list(scheduler)
-    assert len(commands) == 5
+    _, rows = zip(*RecedingHorizonScheduler([chunk_of(5)], 5))
+    command = compile_step(np.array(rows), Pose.identity(), StiffnessSchedule())
+    assert len(rows) == 5
     # with zero force the target is the reference
-    assert np.isclose(commands[-1].virtual_target.translation[0], 0.05)
+    assert np.isclose(command.virtual_target.translation[-1, 0], 0.05)
 
 
 def test_scheduler_reference_continuity_at_seams():
-    sched = StiffnessSchedule()
     chunks = [chunk_of(16, dx=0.005), chunk_of(16, dx=0.005)]
-    scheduler = RecedingHorizonScheduler(chunks, 8, Pose.identity(), sched)
-    commands = list(scheduler)
-    positions = np.array([c.virtual_target.translation for c in commands])
+    _, rows = zip(*RecedingHorizonScheduler(chunks, 8))
+    command = compile_step(np.array(rows), Pose.identity(), StiffnessSchedule())
+    positions = command.virtual_target.translation
     steps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
     assert np.max(steps) <= 0.005 + 1e-12   # no jump at the seam
 
 
 def test_scheduler_rejects_long_horizon():
-    sched = StiffnessSchedule()
-    scheduler = RecedingHorizonScheduler([chunk_of(4)], 8, Pose.identity(), sched)
+    scheduler = RecedingHorizonScheduler([chunk_of(4)], 8)
     with pytest.raises(ComplianceError):
         list(scheduler)
+    with pytest.raises(ComplianceError):
+        RecedingHorizonScheduler([chunk_of(4)], 0)
 
 
 # ---------------------------------------------------------------------------

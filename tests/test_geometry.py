@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from contactctl.geometry import (GeometryError, Pose, Rot6D, cross3,
-                                 cross_rows, rotation_about_axis, rotation_log,
-                                 skew)
+from contactctl.geometry import (GeometryError, Pose, Rot6D, check_rotations,
+                                 cross3, cross_rows, decode_rot6d_rows,
+                                 rotation_about_axis, rotation_log, skew)
 from conftest import random_rotation
 
 
@@ -79,6 +79,8 @@ def test_cross_rows_bit_equal_to_numpy(rng):
     assert cross_rows(a[0], c).tobytes() == np.cross(a[0], c).tobytes()
     for row_a, row_b, row in zip(a, b, cross_rows(a, b)):
         assert row.tobytes() == cross3(row_a, row_b).tobytes()
+    # cross3 of component-first stacks
+    assert cross3(c.T, c[::-1].T).T.tobytes() == cross_rows(c, c[::-1]).tobytes()
 
 
 def test_rot6d_round_trip_on_so3(rng):
@@ -92,6 +94,57 @@ def test_rot6d_degenerate_inputs():
         Rot6D(np.zeros(3), np.array([0.0, 1.0, 0.0])).decode()
     with pytest.raises(GeometryError):
         Rot6D(np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0])).decode()
+
+
+def near_parallel_rows(rng, count):
+    """6D rows whose vectors pass decode's parallel test but decode to a
+    matrix that fails the orthonormality check."""
+    found = []
+    while len(found) < count:
+        a1 = rng.normal(size=3)
+        a2 = a1 * rng.uniform(0.5, 2.0) + rng.normal(size=3) * 1.5e-8
+        try:
+            Pose(Rot6D(a1, a2).decode(), np.zeros(3))
+        except GeometryError as exc:
+            if "parallel" not in str(exc):
+                found.append(np.concatenate([a1, a2]))
+    return np.array(found)
+
+
+def test_rot6d_rows_equal_single_decodes(rng):
+    # each row of a stack decodes to the bits of Rot6D.decode and of the
+    # Gram-Schmidt formula on that row alone
+    a1, a2 = rng.normal(size=(2, 4, 25, 3))
+    got = decode_rot6d_rows(a1, a2)
+    for i, j in np.ndindex(4, 25):
+        b1 = a1[i, j] / np.linalg.norm(a1[i, j])
+        u2 = a2[i, j] - (b1 @ a2[i, j]) * b1
+        b2 = u2 / np.linalg.norm(u2)
+        want = np.column_stack([b1, b2, np.cross(b1, b2)])
+        assert got[i, j].tobytes() == want.tobytes()
+        assert got[i, j].tobytes() == Rot6D(a1[i, j], a2[i, j]).decode().tobytes()
+
+
+def test_rot6d_rows_reject_what_single_decodes_reject(rng):
+    a1, a2 = rng.normal(size=(2, 6, 3))
+    for bad_a1, bad_a2 in ((np.zeros(3), a2[0]), (a1[0], 2.0 * a1[0])):
+        rows_a1, rows_a2 = a1.copy(), a2.copy()
+        rows_a1[4], rows_a2[4] = bad_a1, bad_a2
+        with pytest.raises(GeometryError) as single:
+            Rot6D(bad_a1, bad_a2).decode()
+        with pytest.raises(GeometryError) as rows:
+            decode_rot6d_rows(rows_a1, rows_a2)
+        assert str(rows.value) == str(single.value)
+    # near-parallel rows decode, and the rotation check rejects each of them
+    # alone and in a stack
+    near = near_parallel_rows(rng, 3)
+    for row in near:
+        with pytest.raises(GeometryError, match="not orthonormal|determinant"):
+            check_rotations(Rot6D(row[:3], row[3:]).decode())
+    stack = np.concatenate([np.concatenate([a1, a2], axis=1), near])
+    with pytest.raises(GeometryError, match="not orthonormal|determinant"):
+        check_rotations(decode_rot6d_rows(stack[:, :3], stack[:, 3:]))
+    check_rotations(decode_rot6d_rows(a1, a2))
 
 
 def test_rot6d_array_round_trip(rng):

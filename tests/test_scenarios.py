@@ -147,17 +147,17 @@ def test_wiping_replay_second_generation(tmp_path):
     report = run_wiping(config, True, tmp_path / "gen1")
     episode1 = load_episode(report.episode_dir)
 
-    # generation 2: action list rebuilt from the recorded stream
+    # generation 2: action rows rebuilt from the recorded stream
     chunks = replay_actions(episode1, 16)
-    steps2 = [s for c in chunks for s in c.steps]
+    actions2 = np.array([s.as_array() for c in chunks for s in c.steps])
     setup = wiping_setup(config)
     _, labels1 = _scripted_actions(config, setup.start_pose.rotation, 10.0)
-    labels2 = labels1 + ["retreat"] * (len(steps2) - len(labels1))
+    labels2 = labels1 + ["retreat"] * (len(actions2) - len(labels1))
     # same jittered plane and noise stream as the recorded trial (seed, trial 0)
     rng = np.random.default_rng(config.seed * 1000)
     jitter = config.value("plant", "surface_jitter")
     offset = rng.uniform(-jitter, jitter)
-    row = WipingRow(steps2, labels2, offset, rng, wiping_episode(setup, "gen2"))
+    row = WipingRow(actions2, labels2, offset, rng, wiping_episode(setup, "gen2"))
     result, = rollout(setup, [row])
     episode2 = result["episode"]
     fz1 = episode1.values("wrench_ee")[:, 2]
@@ -291,11 +291,12 @@ def test_wiping_rollout_rejects_rows_of_unequal_length():
 
 def test_wiping_compiles_each_distinct_stream_once(monkeypatch):
     # the 20 rows of the shipped run share two action streams (one per
-    # variant), so 2 x 48 commands are compiled, all before the first tick
-    from contactctl import compliance
+    # variant), whose 2 x 48 executed rows are compiled in one call before
+    # the first tick
     from contactctl.impedance import ImpedanceExecutor
+    from contactctl.scenarios import wiping
     calls = []
-    real = compliance.compile_step
+    real = wiping.compile_step
 
     def spy(*args):
         calls.append(args)
@@ -307,13 +308,52 @@ def test_wiping_compiles_each_distinct_stream_once(monkeypatch):
     def first_tick(*args):
         raise FirstTick
 
-    monkeypatch.setattr(compliance, "compile_step", spy)
+    monkeypatch.setattr(wiping, "compile_step", spy)
     monkeypatch.setattr(ImpedanceExecutor, "closed_loop_tick", first_tick)
     config = load("wiping")
     assert config.trials == 10
     with pytest.raises(FirstTick):
         run_wiping(config, (True, False))
-    assert len(calls) == 96
+    assert len(calls) == 1
+    assert np.shape(calls[0][0]) == (2, 48, 13)
+
+
+def horizon_8_config():
+    config = load("wiping", trials_override=1)
+    config.sections["compliance"]["horizon"] = "8"
+    return config
+
+
+def test_wiping_records_the_executed_rows(tmp_path):
+    # with horizon 8 of chunk_len 16, command k executes row
+    # (k // 8) * 16 + k % 8 of the replayed stream, and the episode records
+    # it; at the full horizon every row of the padded stream is recorded
+    from contactctl.episodes import load_episode
+    padded = load_episode(run_wiping(load("wiping", trials_override=1), True,
+                                     tmp_path / "h16").episode_dir).values("action")
+    recorded = load_episode(run_wiping(horizon_8_config(), True,
+                                       tmp_path / "h8").episode_dir).values("action")
+    executed = [(k // 8) * 16 + k % 8 for k in range(len(padded) // 2)]
+    assert recorded.tobytes() == padded[executed].tobytes()
+    # commands 8-13 run slide rows 16-21, where stream rows 8-13 are press rows
+    assert np.all(padded[8:14, 0] == 0.0) and np.all(recorded[8:14, 0] > 0.0)
+
+
+def test_wiping_scores_the_executed_rows():
+    # only rows that no command executes are labelled "slide": nothing is scored
+    from contactctl.scenarios.wiping import (WipingRow, _scripted_actions,
+                                             rollout, wiping_setup)
+    config = horizon_8_config()
+    setup = wiping_setup(config)
+    actions, labels = _scripted_actions(config, setup.start_pose.rotation, 10.0)
+    skipped = ["slide" if k % 16 >= 8 else "press" for k in range(len(labels))]
+    result, = rollout(setup, [WipingRow(actions, skipped, 0.0,
+                                        np.random.default_rng(0))])
+    assert result["mean_fz"] == 0.0 and result["frac_above_floor"] == 0.0
+    executed = ["slide" if k % 16 < 8 else "press" for k in range(len(labels))]
+    result, = rollout(setup, [WipingRow(actions, executed, 0.0,
+                                        np.random.default_rng(0))])
+    assert result["mean_fz"] > 1.0
 
 
 def test_run_scenario_wiping_is_one_batch(monkeypatch):

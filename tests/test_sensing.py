@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from contactctl.geometry import Pose, Wrench, rotation_about_axis
+import episode_csv_oracle
+from contactctl.geometry import Pose, Rot6D, Wrench, rotation_about_axis
 from contactctl.sensing import (CalibrationSample, IdentificationError,
                                 IdentifiedPayload, TactileFrame,
                                 WrenchFrameModel, compensate_wrench,
@@ -255,6 +256,20 @@ def test_calibration_csv_round_trip(tmp_path, rng):
     for a, b in zip(samples, loaded):
         assert np.allclose(a.orientation, b.orientation, atol=1e-12)
         assert np.array_equal(a.wrench.as_array(), b.wrench.as_array())
+
+
+def test_calibration_csv_bytes_are_the_csv_writer_bytes(tmp_path, rng):
+    samples = synthetic_samples(0.3, np.array([0.0, 0.01, 0.04]), np.zeros(6),
+                                spread_orientations(6, rng), 0.01, rng)
+    samples.append(CalibrationSample(np.eye(3), Wrench(np.array([-0.0, 1.0, 2.0]),
+                                                       np.zeros(3), "sensor")))
+    path = tmp_path / "cal.csv"
+    save_calibration_csv(path, samples)
+    rows = [np.concatenate([Rot6D.encode(s.orientation).as_array(), s.wrench.as_array()])
+            for s in samples]
+    assert path.read_bytes() == episode_csv_oracle.float_table_bytes(
+        ["r6_0", "r6_1", "r6_2", "r6_3", "r6_4", "r6_5",
+         "fx", "fy", "fz", "tx", "ty", "tz"], rows)
 
 
 def test_calibration_csv_errors(tmp_path):
