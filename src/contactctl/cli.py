@@ -60,7 +60,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     try:
-        samples = load_calibration_csv(args.samples)
+        orientations, readings = load_calibration_csv(args.samples)
     except FileNotFoundError:
         print(f"error: samples file not found: {args.samples}", file=sys.stderr)
         return EXIT_USAGE
@@ -68,12 +68,12 @@ def _cmd_calibrate(args) -> int:
         print(f"error: cannot parse {args.samples}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        payload = identify_payload(samples)
+        payload = identify_payload(orientations, readings)
     except IdentificationError as exc:
         print(f"identification failed: {exc}", file=sys.stderr)
         return EXIT_CRITERIA
     save_payload(args.out, payload)
-    print(f"identified payload from {len(samples)} poses:")
+    print(f"identified payload from {len(readings)} poses:")
     print(f"  mass      = {payload.mass:.6f} kg")
     print(f"  com       = {payload.com[0]:.6f} {payload.com[1]:.6f} "
           f"{payload.com[2]:.6f} m")
@@ -151,9 +151,9 @@ def _plot_fz_wiping(episode) -> tuple:
 def _plot_tactile_norm(episode) -> tuple:
     if "tactile" not in episode.streams:
         raise KeyError("tactile")
-    rows = [[t, marker_motion_magnitude(np.asarray(row))] for t, row
-            in zip(episode.times("tactile").tolist(), episode.rows("tactile"))]
-    return "tactile_norm", ["t", "marker_norm"], rows
+    rows = np.column_stack([episode.times("tactile"),
+                            marker_motion_magnitude(episode.values("tactile"))])
+    return "tactile_norm", ["t", "marker_norm"], rows.tolist()
 
 
 def _plot_grasp_force(episode) -> tuple:
@@ -203,6 +203,10 @@ def _cmd_plot_data(args) -> int:
         name, header, rows = _PLOTTERS[args.kind](episode)
     except KeyError as exc:
         print(f"error: episode is missing stream {exc}", file=sys.stderr)
+        return EXIT_CRITERIA
+    except ValueError as exc:   # e.g. a stream too narrow or starting too late
+        print(f"error: episode cannot make the {args.kind} figure: {exc}",
+              file=sys.stderr)
         return EXIT_CRITERIA
     path = out_dir / f"{name}.csv"
     with open(path, "w", newline="") as fh:

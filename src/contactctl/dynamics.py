@@ -25,7 +25,7 @@ from .geometry import (GRAVITY_WORLD, Wrench, cross_rows, dot_rows,
                        skew_rows)
 from .kinematics import (ChainConfigError, ChainFrames, ChainModel,
                          chain_frames, load_chain)
-from .sensing import gravity_model
+from .sensing import Payload, gravity_model
 
 FRICTION_V_EPS = 1e-3   # m/s, tanh regularization of Coulomb friction
 
@@ -82,21 +82,6 @@ class ContactPlane:
             raise ValueError("plane stiffness must be positive")
         if not (self.damping >= 0.0 and self.friction_mu >= 0.0):
             raise ValueError("plane damping and friction must be nonnegative")
-
-
-@dataclass
-class PayloadSpec:
-    """Ground-truth payload rigidly attached at the F/T sensor."""
-
-    mass: float
-    com_in_sensor: np.ndarray
-    sensor_bias: np.ndarray
-
-    def __post_init__(self):
-        self.com_in_sensor = np.asarray(self.com_in_sensor, dtype=float).reshape(3)
-        self.sensor_bias = np.asarray(self.sensor_bias, dtype=float).reshape(6)
-        if self.mass < 0.0:
-            raise ValueError("payload mass must be nonnegative")
 
 
 @dataclass
@@ -277,22 +262,21 @@ def step(model: ArmDynamicsModel, state: SimState, tau: np.ndarray,
     return SimState(q_new, qdot_new, state.time + dt, wrench_ee)
 
 
-def read_ft_sensor(contact: Wrench, payload: PayloadSpec, rotation: np.ndarray,
+def read_ft_sensor(contact: Wrench, payload: Payload, rotation: np.ndarray,
                    noise_sigma: float = 0.0,
                    rng: Optional[np.random.Generator] = None) -> Wrench:
     """Raw sensor-frame reading: contact wrench + payload gravity + bias + noise.
 
     The sensor is collocated with the end-effector frame, so the end-effector
     contact wrench maps straight through; payload weight enters via the
-    identified-payload gravity model with the end-effector orientation
+    payload gravity model with the end-effector orientation
     `rotation`. A (N, 3) stack of contact wrenches with (N, 3, 3) rotations
     gives N readings, whose noise is one (N, 6) draw: the same bits as N
     readings in turn.
     """
     if noise_sigma < 0.0:
         raise ValueError("noise_sigma must be nonnegative")
-    grav = gravity_model(payload.mass, payload.com_in_sensor, payload.sensor_bias,
-                         rotation)
+    grav = gravity_model(payload.mass, payload.com, payload.bias, rotation)
     raw = contact.as_array() + grav.as_array()
     if noise_sigma > 0.0:
         if rng is None:

@@ -146,7 +146,10 @@ class Episode:
         """Numeric streams as a (rows, columns) array."""
         if self.streams[stream_name].kind == "image_ref":
             raise EpisodeError(f"stream {stream_name!r} holds references, not numbers")
-        return np.array(self._rows[stream_name], dtype=float)
+        rows = self._rows[stream_name]
+        # reshaped so that a stream without rows is (0, columns) too
+        return np.array(rows, dtype=float).reshape(
+            len(rows), len(self.streams[stream_name].schema))
 
     def span(self) -> tuple:
         starts = [t[0] for t in self._times.values() if t]

@@ -74,8 +74,6 @@ class CartesianGains:
 class JointGains:
     kq_p: np.ndarray
     kq_d: np.ndarray
-    kq_floor: np.ndarray
-    kqd_floor: np.ndarray
 
 
 def build_operational_gains(kp_diag: np.ndarray,
@@ -128,7 +126,7 @@ def fold_to_joint_gains(j: np.ndarray, cart: CartesianGains,
         + floors[:, :, None] * np.eye(dof)
     # enforce exact symmetry against float round-off
     kq = (kq + kq.swapaxes(-1, -2)) / 2.0
-    return JointGains(kq[..., 0, :, :], kq[..., 1, :, :], floors[0], floors[1])
+    return JointGains(kq[..., 0, :, :], kq[..., 1, :, :])
 
 
 def control_torque(gains: JointGains, q_d, q, qdot_d, qdot,

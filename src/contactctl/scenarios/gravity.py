@@ -14,9 +14,8 @@ import numpy as np
 
 from ..episodes import Episode, StreamSpec
 from ..geometry import rotation_about_axis
-from ..sensing import (CalibrationSample, IdentificationError, Wrench,
-                       WrenchFrameModel, compensate_wrench, gravity_model,
-                       gravity_wrench, identify_payload)
+from ..sensing import (IdentificationError, Wrench, WrenchFrameModel,
+                       compensate_wrench, gravity_model, identify_payload)
 from .base import (SCENARIO_KEYS, Criterion, Key, ScenarioConfig, ScenarioReport,
                    evaluate_criteria, export_report_episode)
 
@@ -106,10 +105,9 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> ScenarioRe
         # (poses, samples, 6): one draw gives the bits of one draw per pose
         blocks = true[:, None, :] + (rng.normal(0.0, sigma, (n_poses, n_hold, 6))
                                      if sigma > 0.0 else 0.0)
-        averaged = [CalibrationSample(r, Wrench.from_array(mean, "sensor"))
-                    for r, mean in zip(orientations, blocks.mean(axis=1))]
+        averaged = blocks.mean(axis=1)
         try:
-            payload = identify_payload(averaged)
+            payload = identify_payload(orientations, averaged)
         except IdentificationError as exc:
             return ScenarioReport(
                 config.scenario_id, config.kind, "default", config.seed,
@@ -118,9 +116,9 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> ScenarioRe
                 notes=[f"identification failed: {exc}"])
         # with an identity sensor-to-ee transform, compensating a whole pose
         # block is the block minus the fitted gravity force at that pose
-        grav_hat = gravity_wrench(payload, orientations).force
-        raw_spans.append(_per_axis_span(
-            np.array([s.wrench.force for s in averaged])))
+        grav_hat = gravity_model(payload.mass, payload.com, payload.bias,
+                                 orientations).force
+        raw_spans.append(_per_axis_span(averaged[:, :3]))
         comp_spans.append(_per_axis_span(
             (blocks[:, :, :3] - grav_hat[:, None, :]).reshape(-1, 3)))
         residual_maxes.append(float(payload.residual_rms.max()))

@@ -36,14 +36,14 @@ import numpy as np
 from ..compliance import (ACTION_SCHEMA, ComplianceCommand,
                           RecedingHorizonScheduler, StiffnessSchedule,
                           compile_step, interpolate_commands)
-from ..dynamics import (ArmDynamicsModel, ContactPlane, PayloadSpec, SimState,
+from ..dynamics import (ArmDynamicsModel, ContactPlane, SimState,
                         load_arm_model, read_ft_sensor)
 from ..episodes import Episode, StreamSpec, replay_actions, write_float_rows
 from ..geometry import (Pose, Rot6D, Wrench, dot_rows, pose_unchecked,
                         rotation_about_axis)
 from ..impedance import ImpedanceConfig, ImpedanceExecutor
 from ..kinematics import solve_ik
-from ..sensing import IdentifiedPayload, WrenchFrameModel, compensate_wrench
+from ..sensing import Payload, WrenchFrameModel, compensate_wrench
 from .base import (DOF, SCENARIO_KEYS, Criterion, Key, ScenarioConfig,
                    ScenarioConfigError, ScenarioReport, evaluate_criteria,
                    export_report_episode)
@@ -173,8 +173,7 @@ class WipingSetup:
     cell_edges: np.ndarray         # x edges of the erase cells
     erase_threshold: float
     surface_jitter: float          # half-width of a row's plane offset draw
-    payload: PayloadSpec
-    identified: IdentifiedPayload
+    payload: Payload
     frame_model: WrenchFrameModel
     noise_sigma: float
 
@@ -205,9 +204,9 @@ def wiping_setup(config: ScenarioConfig) -> WipingSetup:
     scripts = {flag: _scripted_actions(config, start_pose.rotation,
                                        force_target if flag else 0.0)
                for flag in (True, False)}
-    payload = PayloadSpec(config.value("sensor", "payload_mass"),
-                          config.value("sensor", "payload_com"),
-                          config.value("sensor", "payload_bias"))
+    payload = Payload(config.value("sensor", "payload_mass"),
+                      config.value("sensor", "payload_com"),
+                      config.value("sensor", "payload_bias"))
 
     model = config.build(load_arm_model, config.resolve_path(config.value("plant", "chain")))
     q_guess = config.value("wiping", "q_init_guess")
@@ -225,9 +224,8 @@ def wiping_setup(config: ScenarioConfig) -> WipingSetup:
         _ticks_per_action(rate, gains.dt), chunk_len, config.value("compliance", "horizon"),
         np.linspace(x_start, x_start + stroke, config.value("wiping", "cells") + 1),
         config.value("wiping", "erase_threshold"),
-        config.value("plant", "surface_jitter"), payload,
-        IdentifiedPayload(payload.mass, payload.com_in_sensor, payload.sensor_bias),
-        WrenchFrameModel(), config.value("sensor", "noise_sigma"))
+        config.value("plant", "surface_jitter"), payload, WrenchFrameModel(),
+        config.value("sensor", "noise_sigma"))
 
 
 def _variant(use_wrench: bool) -> str:
@@ -486,7 +484,7 @@ def _record(setup: WipingSetup, row: WipingRow, executed: np.ndarray,
     contact = Wrench(log.force[:, r], np.zeros_like(log.force[:, r]), "ee")
     raw = read_ft_sensor(contact, setup.payload, rotation, setup.noise_sigma,
                          row.rng)
-    comp = compensate_wrench(raw, setup.identified, rotation, setup.frame_model)
+    comp = compensate_wrench(raw, setup.payload, rotation, setup.frame_model)
     # each command's executed row is recorded at the time its first tick
     # starts; a padding row repeats the stream's last row
     starts = np.concatenate(([log.start_time], t[:-1]))[::setup.ticks_per_action]

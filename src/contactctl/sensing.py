@@ -25,7 +25,7 @@ import csv
 import numpy as np
 
 from .episodes import write_float_rows
-from .geometry import GRAVITY_WORLD, Pose, Rot6D, Wrench, cross_rows, skew
+from .geometry import GRAVITY_WORLD, Pose, Rot6D, Wrench, cross_rows, dot_rows
 
 MARKER_DIM = 126   # 63 tactile markers x 2D offsets
 
@@ -47,7 +47,11 @@ class WrenchFrameModel:
 
 
 @dataclass
-class IdentifiedPayload:
+class Payload:
+    """A rigid payload at the F/T sensor: mass, center of mass and constant
+    bias in the sensor frame, plus the per-axis fit residual when it was
+    identified from calibration readings."""
+
     mass: float
     com: np.ndarray
     bias: np.ndarray
@@ -58,24 +62,7 @@ class IdentifiedPayload:
         self.bias = np.asarray(self.bias, dtype=float).reshape(6)
         self.residual_rms = np.asarray(self.residual_rms, dtype=float).reshape(6)
         if self.mass < 0.0:
-            raise ValueError("identified mass must be nonnegative")
-
-
-@dataclass
-class TactileFrame:
-    marker_offsets: np.ndarray
-
-    def __post_init__(self):
-        self.marker_offsets = np.asarray(self.marker_offsets, dtype=float).reshape(-1)
-        if self.marker_offsets.shape[0] != MARKER_DIM:
-            raise ValueError(
-                f"tactile frame must have {MARKER_DIM} values, got {self.marker_offsets.shape[0]}")
-
-
-@dataclass
-class CalibrationSample:
-    orientation: np.ndarray   # 3x3 sensor orientation in the world frame
-    wrench: Wrench            # raw sensor reading
+            raise ValueError("payload mass must be nonnegative")
 
 
 def gravity_model(mass: float, com: np.ndarray, bias: np.ndarray,
@@ -90,37 +77,29 @@ def gravity_model(mass: float, com: np.ndarray, bias: np.ndarray,
     return Wrench(force + bias[:3], torque + bias[3:], "sensor")
 
 
-def gravity_wrench(payload: IdentifiedPayload, sensor_orientation: np.ndarray) -> Wrench:
-    """Pose-dependent gravity bias predicted by an identified payload."""
-    return gravity_model(payload.mass, payload.com, payload.bias, sensor_orientation)
+def identify_payload(orientations: np.ndarray, readings: np.ndarray) -> Payload:
+    """Least-squares fit of {mass, com, bias} to static calibration readings.
 
-
-def identify_payload(samples: list) -> IdentifiedPayload:
-    """Least-squares fit of {mass, com, bias} to static calibration samples.
-
-    Raises IdentificationError when the pose set leaves parameter directions
+    `orientations` is a (P, 3, 3) stack of sensor orientations in the world
+    frame and `readings` the (P, 6) raw wrenches taken there. Raises
+    IdentificationError when the pose set leaves parameter directions
     unobservable (e.g. all poses at one orientation), naming the deficient
     subspace.
     """
-    if len(samples) < 4:
+    orientations = np.asarray(orientations, dtype=float)
+    readings = np.asarray(readings, dtype=float)
+    if len(orientations) < 4:
         raise IdentificationError("need at least 4 calibration poses")
-    rows = []
-    rhs = []
-    for sample in samples:
-        r = np.asarray(sample.orientation, dtype=float)
-        u = r.T @ GRAVITY_WORLD
-        force_block = np.zeros((3, 10))
-        force_block[:, 0] = u
-        force_block[:, 1:4] = np.eye(3)
-        torque_block = np.zeros((3, 10))
-        torque_block[:, 4:7] = -skew(u)
-        torque_block[:, 7:10] = np.eye(3)
-        rows.append(force_block)
-        rows.append(torque_block)
-        rhs.append(sample.wrench.force)
-        rhs.append(sample.wrench.torque)
-    a = np.vstack(rows)
-    b = np.concatenate(rhs)
+    u = orientations.swapaxes(-1, -2) @ GRAVITY_WORLD
+    x, y, z = u.T
+    zero = np.full_like(x, -0.0)   # negating skew(u)'s 0.0 diagonal gives -0.0
+    neg_skew = np.stack([zero, z, -y, -z, zero, x, y, -x, zero], axis=-1)
+    # per pose: force rows [u, I, 0, 0], torque rows [0, 0, -skew(u), I]
+    a = np.zeros((len(u), 6, 10))
+    a[:, :3, 0] = u
+    a[:, :3, 1:4] = a[:, 3:, 7:10] = np.eye(3)
+    a[:, 3:, 4:7] = neg_skew.reshape(-1, 3, 3)
+    a = a.reshape(-1, 10)
 
     _, sing, vt = np.linalg.svd(a, full_matrices=False)
     rank = int(np.sum(sing > sing[0] * 1e-8))
@@ -133,15 +112,14 @@ def identify_payload(samples: list) -> IdentifiedPayload:
             "rank-deficient calibration pose set; unobservable directions involve: "
             + ", ".join(involved))
 
-    theta, *_ = np.linalg.lstsq(a, b, rcond=None)
+    theta, *_ = np.linalg.lstsq(a, readings.reshape(-1), rcond=None)
     mass = float(theta[0])
     bias = np.concatenate([theta[1:4], theta[7:10]])
     com = theta[4:7] / mass if abs(mass) > 1e-12 else np.zeros(3)
 
-    residuals = np.array([s.wrench.as_array() for s in samples]) - gravity_model(
-        mass, com, bias, np.array([s.orientation for s in samples])).as_array()
+    residuals = readings - gravity_model(mass, com, bias, orientations).as_array()
     rms = np.sqrt(np.mean(residuals ** 2, axis=0))
-    return IdentifiedPayload(max(mass, 0.0), com, bias, rms)
+    return Payload(max(mass, 0.0), com, bias, rms)
 
 
 def transform_wrench(wrench: Wrench, transform: Pose, frame: str) -> Wrench:
@@ -154,38 +132,46 @@ def transform_wrench(wrench: Wrench, transform: Pose, frame: str) -> Wrench:
     return Wrench(force, torque, frame)
 
 
-def compensate_wrench(raw: Wrench, payload: IdentifiedPayload,
+def compensate_wrench(raw: Wrench, payload: Payload,
                       sensor_orientation: np.ndarray,
                       frame: WrenchFrameModel) -> Wrench:
     """w_ee = adjoint(T_sensor_to_ee) (w_raw - w_grav)."""
-    grav = gravity_wrench(payload, sensor_orientation)
+    grav = gravity_model(payload.mass, payload.com, payload.bias, sensor_orientation)
     net = Wrench(raw.force - grav.force, raw.torque - grav.torque, "sensor")
     return transform_wrench(net, frame.t_sensor_to_ee, "ee")
 
 
-def marker_motion_magnitude(frame) -> float:
-    """L2 norm of the 126-dimensional tactile marker offset vector."""
-    offsets = frame.marker_offsets if isinstance(frame, TactileFrame) \
-        else TactileFrame(frame).marker_offsets
-    return float(np.linalg.norm(offsets))
+def marker_motion_magnitude(offsets: np.ndarray) -> np.ndarray:
+    """L2 norms of (..., 126) tactile marker offset vectors, one per row;
+    each row gets the bits of np.linalg.norm of that row alone."""
+    offsets = np.asarray(offsets, dtype=float)
+    if offsets.shape[-1:] != (MARKER_DIM,):
+        raise ValueError(f"tactile frame must have {MARKER_DIM} values, "
+                         f"got shape {offsets.shape}")
+    return np.sqrt(dot_rows(offsets, offsets))
 
 
 # ---------------------------------------------------------------------------
 # calibration sample and payload files
 
-def save_calibration_csv(path, samples: list) -> None:
+def save_calibration_csv(path, orientations: np.ndarray, readings: np.ndarray) -> None:
     """Rows: rot6d (6 columns) then raw wrench (6 columns)."""
-    rows = [np.concatenate([Rot6D.encode(s.orientation).as_array(), s.wrench.as_array()])
-            for s in samples]
+    orientations = np.asarray(orientations, dtype=float)
+    rows = np.concatenate([orientations[:, :, 0], orientations[:, :, 1],
+                           np.asarray(readings, dtype=float)], axis=1)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["r6_0", "r6_1", "r6_2", "r6_3", "r6_4", "r6_5",
                                  "fx", "fy", "fz", "tx", "ty", "tz"])
-        write_float_rows(fh, np.array(rows).tolist())
+        write_float_rows(fh, rows.tolist())
 
 
-def load_calibration_csv(path) -> list:
+def load_calibration_csv(path) -> tuple:
+    """(orientations (P, 3, 3), readings (P, 6)) of a calibration file.
+
+    Every value must be a finite number; an error names its line.
+    """
     path = Path(path)
-    samples = []
+    orientations, readings = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -194,17 +180,22 @@ def load_calibration_csv(path) -> list:
         if len(header) != 12:
             raise IdentificationError(f"{path}: expected 12 columns, got {len(header)}")
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != 12:
-                raise IdentificationError(f"{path}:{lineno}: expected 12 values")
-            values = np.array([float(v) for v in row])
-            samples.append(CalibrationSample(Rot6D.from_array(values[:6]).decode(),
-                                             Wrench.from_array(values[6:], "sensor")))
-    if not samples:
+            try:
+                if len(row) != 12:
+                    raise ValueError("expected 12 values")
+                values = np.array([float(v) for v in row])
+                if not np.isfinite(values).all():
+                    raise ValueError("values must be finite")
+                orientations.append(Rot6D.from_array(values[:6]).decode())
+            except ValueError as exc:
+                raise IdentificationError(f"{path}:{lineno}: {exc}") from None
+            readings.append(values[6:])
+    if not readings:
         raise IdentificationError(f"{path}: no calibration rows")
-    return samples
+    return np.array(orientations), np.array(readings)
 
 
-def save_payload(path, payload: IdentifiedPayload) -> None:
+def save_payload(path, payload: Payload) -> None:
     cfg = configparser.ConfigParser()
     cfg["payload"] = {
         "mass": repr(payload.mass),
@@ -216,12 +207,12 @@ def save_payload(path, payload: IdentifiedPayload) -> None:
         cfg.write(fh)
 
 
-def load_payload(path) -> IdentifiedPayload:
+def load_payload(path) -> Payload:
     cfg = configparser.ConfigParser()
     if not cfg.read(path):
         raise FileNotFoundError(f"payload file not found: {path}")
     sec = cfg["payload"]
-    return IdentifiedPayload(
+    return Payload(
         float(sec["mass"]),
         np.array([float(v) for v in sec["com"].split()]),
         np.array([float(v) for v in sec["bias"].split()]),

@@ -23,8 +23,7 @@ from contactctl.kinematics import chain_frames, solve_ik
 from contactctl.scenarios import (load_scenario_config, run_bottle_pick,
                                   run_gravity_verification,
                                   run_selective_release, run_wiping)
-from contactctl.sensing import (CalibrationSample, gravity_model,
-                                identify_payload)
+from contactctl.sensing import gravity_model, identify_payload
 from conftest import bias_split, make_planar2, random_rotation
 from test_dynamics import make_pendulum, potential_energy
 from test_kinematics import planar2_analytic_ik
@@ -53,11 +52,10 @@ def test_criterion_02_identification_round_trip():
     rng = np.random.default_rng(9)
     mass, com = 0.342, np.array([0.01, 0.02, 0.05])
     bias = np.array([0.3, -0.2, 0.1, 0.04, -0.02, 0.01])
-    orientations = [random_rotation(rng) for _ in range(10)]
-    samples = [CalibrationSample(r, gravity_model(mass, com, bias, r))
-               for r in orientations]
+    orientations = np.array([random_rotation(rng) for _ in range(10)])
+    readings = gravity_model(mass, com, bias, orientations).as_array()
     t0 = time.perf_counter()
-    payload = identify_payload(samples)
+    payload = identify_payload(orientations, readings)
     elapsed = time.perf_counter() - t0
     rel = max(abs(payload.mass - mass) / mass,
               np.max(np.abs(payload.com - com)) / np.max(np.abs(com)),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -18,6 +19,8 @@ from conftest import random_rotation
 
 
 GOLDEN_CAL = "tests/data/calibration_golden.csv"
+# sha256 of the payload file `calibrate` writes from GOLDEN_CAL: the fit's bits
+GOLDEN_PAYLOAD_SHA256 = "1bfe77b566c97ecc59f2b9d6b9cc38055f19936a4f5877008df357f3d6fb1024"
 
 
 def run_cli(*args):
@@ -254,6 +257,29 @@ def test_calibrate_golden_fixture(tmp_path, capsys):
     assert np.allclose(payload.bias, [0.3, -0.2, 0.1, 0.0, 0.0, 0.0], atol=1e-9)
 
 
+def test_calibrate_golden_fixture_keeps_its_bytes(tmp_path):
+    out_path = tmp_path / "payload.ini"
+    assert run_cli("calibrate", "--samples", GOLDEN_CAL, "--out", str(out_path)) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GOLDEN_PAYLOAD_SHA256
+
+
+@pytest.mark.parametrize("line,column,value", [
+    (3, "fz", "nan"), (5, "fz", "inf"), (4, "r6_0", "nan"), (6, "tx", "abc")])
+def test_calibrate_bad_sample_is_usage_error_naming_its_line(tmp_path, capsys,
+                                                             line, column, value):
+    lines = Path(GOLDEN_CAL).read_text().splitlines()
+    row = lines[line - 1].split(",")
+    row[lines[0].split(",").index(column)] = value
+    lines[line - 1] = ",".join(row)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    out_path = tmp_path / "p.ini"
+    code = run_cli("calibrate", "--samples", str(path), "--out", str(out_path))
+    assert code == 2
+    assert f"{path}:{line}:" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_calibrate_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -263,13 +289,11 @@ def test_calibrate_empty_file(tmp_path, capsys):
 
 
 def test_calibrate_rank_deficient(tmp_path, capsys):
-    from contactctl.sensing import CalibrationSample, gravity_model, save_calibration_csv
-    samples = [CalibrationSample(np.eye(3),
-                                 gravity_model(0.3, [0.01, 0, 0], np.zeros(6),
-                                               np.eye(3)))
-               for _ in range(6)]
+    from contactctl.sensing import gravity_model, save_calibration_csv
+    orients = np.array([np.eye(3)] * 6)
     path = tmp_path / "flat.csv"
-    save_calibration_csv(path, samples)
+    save_calibration_csv(path, orients, gravity_model(0.3, [0.01, 0, 0], np.zeros(6),
+                                                      orients).as_array())
     code = run_cli("calibrate", "--samples", str(path),
                    "--out", str(tmp_path / "p.ini"))
     assert code == 1
@@ -278,16 +302,14 @@ def test_calibrate_rank_deficient(tmp_path, capsys):
 
 def test_calibrate_minimum_four_poses(tmp_path):
     from contactctl.geometry import rotation_about_axis
-    from contactctl.sensing import CalibrationSample, gravity_model, save_calibration_csv
+    from contactctl.sensing import gravity_model, save_calibration_csv
     x, y = np.array([1.0, 0, 0]), np.array([0.0, 1.0, 0])
-    orients = [np.eye(3), rotation_about_axis(x, np.pi / 2),
-               rotation_about_axis(y, np.pi / 2),
-               rotation_about_axis(x, np.pi / 4) @ rotation_about_axis(y, np.pi / 3)]
-    samples = [CalibrationSample(r, gravity_model(0.4, [0.01, 0.02, 0.03],
-                                                  np.zeros(6), r))
-               for r in orients]
+    orients = np.array([np.eye(3), rotation_about_axis(x, np.pi / 2),
+                        rotation_about_axis(y, np.pi / 2),
+                        rotation_about_axis(x, np.pi / 4) @ rotation_about_axis(y, np.pi / 3)])
     path = tmp_path / "four.csv"
-    save_calibration_csv(path, samples)
+    save_calibration_csv(path, orients, gravity_model(0.4, [0.01, 0.02, 0.03],
+                                                      np.zeros(6), orients).as_array())
     code = run_cli("calibrate", "--samples", str(path),
                    "--out", str(tmp_path / "p.ini"))
     assert code == 0
@@ -438,6 +460,58 @@ def test_plot_data_writes_the_csv_writer_bytes(tmp_path, rng):
         name, header, rows = plotter(loaded)
         assert (tmp_path / "plots" / f"{name}.csv").read_bytes() \
             == episode_csv_oracle.float_table_bytes(header, rows)
+
+
+def test_plot_data_tactile_of_wrong_width_is_criteria_failure(tmp_path, capsys):
+    episode = Episode("narrow", [StreamSpec("tactile", 30.0,
+                                            tuple(f"m{i}" for i in range(125)),
+                                            "tactile")])
+    episode.record_block("tactile", [0.0, 0.1], np.ones((2, 125)))
+    export_csv(episode, tmp_path / "ep")
+    assert run_cli("validate", "--episode", str(tmp_path / "ep")) == 0
+    capsys.readouterr()
+    code = run_cli("plot-data", "--episode", str(tmp_path / "ep"),
+                   "--kind", "tactile-norm", "--out", str(tmp_path / "plots"))
+    assert code == 1
+    assert "126" in capsys.readouterr().err
+    assert not (tmp_path / "plots" / "tactile_norm.csv").exists()
+
+
+@pytest.mark.parametrize("kind,streams,header", [
+    ("tactile-norm", [StreamSpec("tactile", 30.0, tuple(f"m{i}" for i in range(126)),
+                                 "tactile")], "t,marker_norm"),
+    ("gravity-comp", [StreamSpec(name, 100.0, ("fx", "fy", "fz", "tx", "ty", "tz"),
+                                 "wrench") for name in ("wrench_raw", "wrench_ee")],
+     "t,fx_raw,fy_raw,fz_raw,fx_comp,fy_comp,fz_comp")])
+def test_plot_data_of_header_only_streams_writes_the_header(tmp_path, kind, streams,
+                                                            header):
+    export_csv(Episode("empty", streams), tmp_path / "ep")
+    assert run_cli("plot-data", "--episode", str(tmp_path / "ep"), "--kind", kind,
+                   "--out", str(tmp_path / "plots")) == 0
+    (written,) = (tmp_path / "plots").iterdir()
+    assert written.read_text().splitlines() == [header]
+
+
+def test_plot_data_wrench_before_first_pose_is_criteria_failure(tmp_path, capsys):
+    wrench = ("fx", "fy", "fz", "tx", "ty", "tz")
+    episode = Episode("late_pose", [
+        StreamSpec("pose", 200.0, ("px", "py", "pz") + tuple(f"r6_{i}" for i in range(6)),
+                   "pose"),
+        StreamSpec("wrench_raw", 1000.0, wrench, "wrench"),
+        StreamSpec("wrench_ee", 1000.0, wrench, "wrench")])
+    t = np.arange(10) / 1000.0
+    episode.record_block("pose", t[5:], np.tile([0.0, 0.0, 0.0, 1.0, 0.0, 0.0,
+                                                 0.0, 1.0, 0.0], (5, 1)))
+    episode.record_block("wrench_raw", t, np.ones((10, 6)))
+    episode.record_block("wrench_ee", t, np.ones((10, 6)))
+    export_csv(episode, tmp_path / "ep")
+    assert run_cli("validate", "--episode", str(tmp_path / "ep")) == 0
+    capsys.readouterr()
+    code = run_cli("plot-data", "--episode", str(tmp_path / "ep"),
+                   "--kind", "fz-wiping", "--out", str(tmp_path / "plots"))
+    assert code == 1
+    assert "precedes first sample" in capsys.readouterr().err
+    assert not (tmp_path / "plots" / "fz_wiping.csv").exists()
 
 
 def test_plot_data_unknown_kind(tmp_path, capsys):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from contactctl.dynamics import (ArmDynamicsModel, ContactPlane,
-                                 PayloadSpec, SimState, SimulationFault,
+                                 SimState, SimulationFault,
                                  grasp_slip_check, inverse_dynamics_terms,
                                  load_arm_model, plane_contact_force,
                                  read_ft_sensor, step)
 from contactctl.geometry import Pose, rotation_about_axis, rotation_log
 from contactctl.kinematics import ChainLink, ChainModel, chain_frames
+from contactctl.sensing import Payload
 from conftest import bias_split, random_chain
 import rnea_oracle
 
@@ -271,7 +272,7 @@ def test_step_rejects_bad_input():
 # F/T sensor
 
 def test_ft_sensor_payload_on_axis():
-    payload = PayloadSpec(0.5, [0.0, 0.0, 0.05], np.zeros(6))
+    payload = Payload(0.5, [0.0, 0.0, 0.05], np.zeros(6))
     state = SimState(np.zeros(1), np.zeros(1))
     raw = read_ft_sensor(state.contact_wrench_ee, payload, np.eye(3))
     assert np.allclose(raw.force, [0.0, 0.0, -4.905], atol=1e-12)
@@ -279,14 +280,14 @@ def test_ft_sensor_payload_on_axis():
 
 
 def test_ft_sensor_off_axis_torque():
-    payload = PayloadSpec(0.5, [0.05, 0.0, 0.0], np.zeros(6))
+    payload = Payload(0.5, [0.05, 0.0, 0.0], np.zeros(6))
     state = SimState(np.zeros(1), np.zeros(1))
     raw = read_ft_sensor(state.contact_wrench_ee, payload, np.eye(3))
     assert np.allclose(raw.torque, [0.0, 0.24525, 0.0], atol=1e-6)
 
 
 def test_ft_sensor_rotated_frame_oracle(rng):
-    payload = PayloadSpec(0.7, np.zeros(3), np.zeros(6))
+    payload = Payload(0.7, np.zeros(3), np.zeros(6))
     state = SimState(np.zeros(1), np.zeros(1))
     for _ in range(10):
         axis = rng.normal(size=3)
@@ -302,7 +303,7 @@ def test_ft_sensor_affine_in_mass():
     rotation = rotation_about_axis(np.array([1.0, 0, 0]), 0.7)
     readings = []
     for mass in (0.0, 0.5, 1.0):
-        payload = PayloadSpec(mass, [0.01, 0.02, 0.03], np.array([1, 2, 3, 4, 5, 6.0]))
+        payload = Payload(mass, [0.01, 0.02, 0.03], np.array([1, 2, 3, 4, 5, 6.0]))
         readings.append(read_ft_sensor(state.contact_wrench_ee, payload,
                                        rotation).as_array())
     r0, r1, r2 = readings
@@ -310,7 +311,7 @@ def test_ft_sensor_affine_in_mass():
 
 
 def test_ft_sensor_noise_is_seeded():
-    payload = PayloadSpec(0.5, np.zeros(3), np.zeros(6))
+    payload = Payload(0.5, np.zeros(3), np.zeros(6))
     state = SimState(np.zeros(1), np.zeros(1))
     a = read_ft_sensor(state.contact_wrench_ee, payload, np.eye(3), 0.1,
                        np.random.default_rng(5)).as_array()

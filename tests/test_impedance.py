@@ -154,8 +154,7 @@ def test_fold_rejects_bad_jacobian():
 # control torque
 
 def test_zero_error_returns_compensation_exactly(rng):
-    gains = JointGains(np.diag([100.0, 80.0]), np.diag([10.0, 8.0]),
-                       np.ones(2), np.full(2, 0.1))
+    gains = JointGains(np.diag([100.0, 80.0]), np.diag([10.0, 8.0]))
     q = rng.normal(size=2)
     qdot = rng.normal(size=2)
     bias = rng.normal(size=2)
@@ -164,8 +163,7 @@ def test_zero_error_returns_compensation_exactly(rng):
 
 
 def test_unit_error_diagonal_gain():
-    gains = JointGains(np.diag([100.0, 50.0]), np.zeros((2, 2)),
-                       np.zeros(2), np.zeros(2))
+    gains = JointGains(np.diag([100.0, 50.0]), np.zeros((2, 2)))
     tau = control_torque(gains, [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
                          np.zeros(2))
     assert np.allclose(tau, [100.0, 0.0])
