@@ -16,6 +16,7 @@ import numpy as np
 
 from .episodes import (EpisodeError, load_episode, validate_episode_dir,
                        write_float_rows)
+from .geometry import GeometryError, decode_rot6d_rows
 from .sensing import (IdentificationError, identify_payload,
                       load_calibration_csv, marker_motion_magnitude,
                       save_payload)
@@ -131,21 +132,33 @@ def _plot_fz_wiping(episode) -> tuple:
     for required in ("wrench_raw", "wrench_ee", "pose"):
         if required not in episode.streams:
             raise KeyError(required)
-    rows = []
-    times = episode.times("wrench_raw").tolist()
+    header = ["t", "fz_raw", "fz_compensated"]
+    t = episode.times("wrench_raw")
     raw = episode.values("wrench_raw")
     comp = episode.values("wrench_ee")
-    from .geometry import Rot6D
-    decoded = {}   # pose sample time -> rotation; one pose serves several rows
-    for i, t in enumerate(times):
-        pose = episode.align(t, ["pose"]).samples["pose"]
-        if pose.source_t not in decoded:
-            decoded[pose.source_t] = Rot6D.from_array(pose.values[3:9]).decode()
-        r_ee = decoded[pose.source_t]
-        fz_raw = float((r_ee @ raw[i, :3])[2])
-        fz_comp = float((r_ee @ comp[i, :3])[2])
-        rows.append([t, fz_raw, fz_comp])
-    return "fz_wiping", ["t", "fz_raw", "fz_compensated"], rows
+    if not len(t):
+        return "fz_wiping", header, []
+    episode.align(float(t[0]), ["pose"])   # raises if no pose comes first
+    if len(comp) < len(t):
+        raise ValueError(f"wrench_ee has fewer rows ({len(comp)}) than "
+                         f"wrench_raw ({len(t)})")
+    pose = episode.values("pose")
+    if pose.shape[1] < 9:
+        raise ValueError(f"pose has {pose.shape[1]} columns, fewer than the 9 of "
+                         "a position and a 6D rotation")
+    # each wrench row takes the last pose at or before it (zero-order hold)
+    held = np.searchsorted(episode.times("pose"), t, side="right") - 1
+    used, row_pose = np.unique(held, return_inverse=True)
+    r6 = pose[used, 3:9]
+    try:
+        rotations = decode_rot6d_rows(r6[:, :3], r6[:, 3:])
+    except GeometryError:
+        for a in r6:   # the first bad pose in time order names its own fault
+            decode_rot6d_rows(a[:3], a[3:])
+        raise
+    forces = np.stack([raw[:, :3], comp[:len(t), :3]])[..., None]
+    fz = (rotations[row_pose] @ forces)[..., 2, 0]   # a row's bits of r @ f alone
+    return "fz_wiping", header, np.column_stack([t, fz[0], fz[1]]).tolist()
 
 
 def _plot_tactile_norm(episode) -> tuple:

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -237,7 +238,7 @@ def export_csv(episode: Episode, out_dir) -> list:
     return files
 
 
-CSV_CHUNK_ROWS = 256   # rows formatted per write
+CSV_CHUNK_ROWS = 256   # rows formatted per write, and lines parsed per loadtxt
 
 
 def write_float_rows(fh, rows, times=None) -> None:
@@ -261,7 +262,7 @@ def _read_episode(episode_dir, fail) -> Optional[Episode]:
 
     Each violation goes to `fail(message)`; if `fail` returns, the offending
     manifest entry, stream or row is skipped. Row rules belong to
-    `Episode.record`, which every CSV row passes through.
+    `Episode.record` and `Episode.record_block`.
     """
     episode_dir = Path(episode_dir)
     manifest_path = episode_dir / MANIFEST_NAME
@@ -300,19 +301,72 @@ def _read_episode(episode_dir, fail) -> Optional[Episode]:
         if not path.exists():
             fail(f"stream {name!r}: missing file {path.name}")
             continue
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != ("t",) + spec.schema:
-                fail(f"stream {name!r}: schema mismatch in {path.name}")
-                continue
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    # an empty line has no t and fails the field count
-                    episode.record(name, row[0] if row else "", row[1:])
-                except ValueError as exc:   # EpisodeError included
-                    fail(f"{path.name} row {lineno}: {exc}")
+        _read_stream(episode, spec, path, fail)
     return episode
+
+
+def _read_stream(episode: Episode, spec: StreamSpec, path: Path, fail) -> None:
+    """Record the rows of one stream's CSV into `episode`.
+
+    A numeric stream is parsed in blocks and stored with one `record_block`.
+    A stream that fails that, and every `image_ref` stream, is read row by
+    row through `record`, so each bad row goes to `fail` with its line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != ("t",) + spec.schema:
+            fail(f"stream {spec.name!r}: schema mismatch in {path.name}")
+            return
+        if spec.kind != "image_ref":
+            block = _parse_float_lines(fh, 1 + len(spec.schema))
+            if block is not None:
+                try:
+                    episode.record_block(spec.name, block[:, 0], block[:, 1:])
+                    return
+                except EpisodeError:
+                    pass
+            fh.seek(0)   # re-read the stream from its header, row by row
+            reader = csv.reader(fh)
+            next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                # an empty line has no t and fails the field count
+                episode.record(spec.name, row[0] if row else "", row[1:])
+            except ValueError as exc:   # EpisodeError included
+                fail(f"{path.name} row {lineno}: {exc}")
+
+
+# loadtxt skips a blank line, and strips these as spaces where float() fails
+_BLANK_LINES = frozenset(("\r\n", "\n", "\r"))
+_LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_float_lines(fh, columns: int) -> Optional[np.ndarray]:
+    """The rest of `fh` as a (rows, columns) array, parsed CSV_CHUNK_ROWS
+    lines at a time, or None unless each line is `columns` fields that
+    csv.reader and float() read to the same values.
+
+    A chunk that loadtxt could read differently from them is not parsed: one
+    with a blank line, a space that float() rejects, or a line longer than
+    csv's field limit (csv.reader raises on it).
+    """
+    limit = csv.field_size_limit()
+    blocks = []
+    while lines := list(islice(fh, CSV_CHUNK_ROWS)):
+        text = "".join(lines)
+        if not _BLANK_LINES.isdisjoint(lines) \
+                or any(c in text for c in _LOADTXT_ONLY_SPACES) \
+                or (len(text) > limit and max(map(len, lines)) > limit):
+            return None
+        try:
+            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:   # a field float() may still read, or a ragged row
+            return None
+        if block.shape != (len(lines), columns):
+            return None
+        blocks.append(block)
+    return np.concatenate(blocks) if blocks else np.empty((0, columns))
 
 
 def _raise(message: str):

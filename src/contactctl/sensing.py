@@ -61,7 +61,7 @@ class Payload:
         self.com = np.asarray(self.com, dtype=float).reshape(3)
         self.bias = np.asarray(self.bias, dtype=float).reshape(6)
         self.residual_rms = np.asarray(self.residual_rms, dtype=float).reshape(6)
-        if self.mass < 0.0:
+        if not self.mass >= 0.0:   # NaN fails too
             raise ValueError("payload mass must be nonnegative")
 
 

@@ -1,9 +1,13 @@
-"""Reference writer for exported stream CSVs: one csv.writer row per sample.
+"""Reference writer and reader for exported stream CSVs, one row at a time.
 
-This is how `export_csv` wrote a stream before it formatted numeric columns
-itself. Every row goes through csv.writer with the repr of its time and the
-str of each value (for a float, str is its repr), so the bytes are whatever
-the csv module's quoting and "\\r\\n" line ends make of them.
+The writer is how `export_csv` wrote a stream before it formatted numeric
+columns itself. Every row goes through csv.writer with the repr of its time
+and the str of each value (for a float, str is its repr), so the bytes are
+whatever the csv module's quoting and "\\r\\n" line ends make of them.
+
+The reader is how `load_episode` and `validate_episode_dir` read a stream
+before numeric streams were parsed in blocks: every csv.reader row goes
+through `Episode.record`, and each row it rejects is reported with its line.
 """
 
 import csv
@@ -36,3 +40,20 @@ def float_table_bytes(header, rows) -> bytes:
     for row in rows:
         writer.writerow([repr(float(v)) for v in row])
     return buf.getvalue().encode()
+
+
+def read_stream_rows(episode, spec, path, fail) -> None:
+    """Record a stream's CSV into `episode` row by row; a drop-in for
+    `episodes._read_stream`."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != ("t",) + spec.schema:
+            fail(f"stream {spec.name!r}: schema mismatch in {path.name}")
+            return
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                # an empty line has no t and fails the field count
+                episode.record(spec.name, row[0] if row else "", row[1:])
+            except ValueError as exc:   # EpisodeError included
+                fail(f"{path.name} row {lineno}: {exc}")

@@ -1,0 +1,28 @@
+"""Reference fz-wiping plotter: one wrench row at a time.
+
+This is how `contactctl plot-data --kind fz-wiping` computed its rows before
+it worked on whole streams: each `wrench_raw` row takes the pose that
+`Episode.align` holds at its time, decodes that pose's 6D rotation once,
+and multiplies the rotation by the raw and the compensated force of the
+row, pairing `wrench_ee` rows with `wrench_raw` rows by index.
+"""
+
+from contactctl.geometry import Rot6D
+
+
+def fz_wiping_rows(episode) -> list:
+    """Rows [t, fz_raw, fz_compensated] of Python floats."""
+    rows = []
+    times = episode.times("wrench_raw").tolist()
+    raw = episode.values("wrench_raw")
+    comp = episode.values("wrench_ee")
+    decoded = {}   # pose sample time -> rotation; one pose serves several rows
+    for i, t in enumerate(times):
+        pose = episode.align(t, ["pose"]).samples["pose"]
+        if pose.source_t not in decoded:
+            decoded[pose.source_t] = Rot6D.from_array(pose.values[3:9]).decode()
+        r_ee = decoded[pose.source_t]
+        fz_raw = float((r_ee @ raw[i, :3])[2])
+        fz_comp = float((r_ee @ comp[i, :3])[2])
+        rows.append([t, fz_raw, fz_comp])
+    return rows

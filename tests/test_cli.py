@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import episode_csv_oracle
+import plot_oracle
 from contactctl import cli
 from contactctl.cli import main
 from contactctl.episodes import Episode, StreamSpec, export_csv, load_episode
@@ -512,6 +515,146 @@ def test_plot_data_wrench_before_first_pose_is_criteria_failure(tmp_path, capsys
     assert code == 1
     assert "precedes first sample" in capsys.readouterr().err
     assert not (tmp_path / "plots" / "fz_wiping.csv").exists()
+
+
+POSE_SCHEMA = ("px", "py", "pz") + tuple(f"r6_{i}" for i in range(6))
+WRENCH_SCHEMA = ("fx", "fy", "fz", "tx", "ty", "tz")
+
+
+def fz_episode(pose_t, pose, raw_t, raw, comp_t, comp) -> Episode:
+    """An episode with the three streams fz-wiping reads, from (times, rows)."""
+    episode = Episode("fz", [StreamSpec("pose", 200.0, POSE_SCHEMA, "pose"),
+                             StreamSpec("wrench_raw", 1000.0, WRENCH_SCHEMA, "wrench"),
+                             StreamSpec("wrench_ee", 1000.0, WRENCH_SCHEMA, "wrench")])
+    for name, t, rows, width in (("pose", pose_t, pose, 9), ("wrench_raw", raw_t, raw, 6),
+                                 ("wrench_ee", comp_t, comp, 6)):
+        episode.record_block(name, t, np.reshape(np.asarray(rows, dtype=float),
+                                                 (len(t), width)))
+    return episode
+
+
+def _fz_outcome(plot, episode):
+    """float.hex of a plotter's rows, or the exception it raises."""
+    try:
+        with np.errstate(all="ignore"):   # inf and nan wrench values
+            return [[v.hex() for v in row] for row in plot(episode)]
+    except Exception as exc:   # the oracle's exception, whatever it is
+        return (type(exc).__name__, str(exc))
+
+
+def _new_fz_rows(episode):
+    name, header, rows = cli._plot_fz_wiping(episode)
+    assert (name, header) == ("fz_wiping", ["t", "fz_raw", "fz_compensated"])
+    return rows
+
+
+VEC3 = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)
+WRENCH_VALUE = st.one_of(st.floats(-1e3, 1e3),
+                         st.sampled_from([math.nan, math.inf, -0.0, 1e300]))
+
+
+@st.composite
+def pose_rows(draw):
+    """A pose row whose 6D rotation may be degenerate either way."""
+    a1 = draw(VEC3)
+    kind = draw(st.sampled_from(["free", "free", "free", "zero", "parallel"]))
+    if kind == "zero":
+        a1 = [0.0, 0.0, draw(st.sampled_from([0.0, 1e-9]))]
+    a2 = [-2.5 * v for v in a1] if kind == "parallel" else draw(VEC3)
+    return [0.0, 0.0, 0.0] + a1 + a2
+
+
+@st.composite
+def fz_streams(draw):
+    """Arguments of fz_episode; wrench_ee has at least wrench_raw's rows."""
+    ticks = st.lists(st.integers(0, 60), unique=True)
+    pose_t = sorted(draw(ticks.filter(bool)))[:8]
+    raw_t = sorted(draw(ticks))[:30]
+    comp_n = len(raw_t) + draw(st.integers(0, 2))
+    wrench = st.lists(WRENCH_VALUE, min_size=6, max_size=6)
+    return ([t / 1000.0 for t in pose_t], [draw(pose_rows()) for _ in pose_t],
+            [t / 1000.0 for t in raw_t], [draw(wrench) for _ in raw_t],
+            [t / 1000.0 for t in range(comp_n)], [draw(wrench) for _ in range(comp_n)])
+
+
+@settings(max_examples=75, deadline=None)
+@given(fz_streams())
+def test_fz_wiping_gets_the_per_row_oracle_bits(streams):
+    # the same bits, or the same error, as one wrench row at a time: the
+    # hold, the first degenerate pose's message and each product
+    episode = fz_episode(*streams)
+    assert _fz_outcome(_new_fz_rows, episode) \
+        == _fz_outcome(plot_oracle.fz_wiping_rows, episode)
+
+
+def test_fz_wiping_of_a_long_episode_gets_the_per_row_oracle_bits(rng):
+    n = 4000
+    poses = [Rot6D.encode(random_rotation(rng)).as_array() for _ in range(n // 5)]
+    t = np.arange(n) / 1000.0
+    scale = 10.0 ** rng.integers(-3, 4, (n, 1))   # forces over seven decades
+    episode = fz_episode(t[::5] - 2e-4, np.hstack([rng.normal(size=(n // 5, 3)), poses]),
+                         t, rng.normal(0.0, 5.0, (n, 6)),
+                         t, rng.normal(0.0, 5.0, (n, 6)) * scale)
+    assert _fz_outcome(_new_fz_rows, episode) \
+        == _fz_outcome(plot_oracle.fz_wiping_rows, episode)
+
+
+@pytest.mark.parametrize("comp_rows", [3, 1, 5, 8])
+def test_plot_data_fz_wiping_pairs_wrench_rows_by_index(tmp_path, capsys, comp_rows):
+    # wrench_ee row i goes with wrench_raw row i; a wrench_ee stream with
+    # fewer rows cannot make the figure, and a longer one has rows left over
+    t = np.arange(8) / 1000.0
+    identity = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+    episode = fz_episode(t[:1], [identity], t[:5], np.arange(30.0).reshape(5, 6),
+                         t[:comp_rows], -np.arange(comp_rows * 6.0).reshape(comp_rows, 6))
+    export_csv(episode, tmp_path / "ep")
+    code = run_cli("plot-data", "--episode", str(tmp_path / "ep"),
+                   "--kind", "fz-wiping", "--out", str(tmp_path / "plots"))
+    written = tmp_path / "plots" / "fz_wiping.csv"
+    if comp_rows < 5:
+        assert code == 1
+        assert f"wrench_ee has fewer rows ({comp_rows}) than wrench_raw (5)" \
+            in capsys.readouterr().err
+        assert not written.exists()
+    else:
+        assert code == 0
+        assert written.read_bytes() == episode_csv_oracle.float_table_bytes(
+            ["t", "fz_raw", "fz_compensated"], plot_oracle.fz_wiping_rows(episode))
+        assert written.read_text().splitlines()[-1] == "0.004,26.0,-26.0"
+
+
+def test_plot_data_fz_wiping_of_a_narrow_pose_is_criteria_failure(tmp_path, capsys):
+    t = np.arange(2) / 1000.0
+    episode = Episode("narrow", [
+        StreamSpec("pose", 200.0, ("px", "py", "pz"), "pose"),
+        StreamSpec("wrench_raw", 1000.0, WRENCH_SCHEMA, "wrench"),
+        StreamSpec("wrench_ee", 1000.0, WRENCH_SCHEMA, "wrench")])
+    episode.record_block("pose", t, np.ones((2, 3)))
+    for name in ("wrench_raw", "wrench_ee"):
+        episode.record_block(name, t, np.ones((2, 6)))
+    export_csv(episode, tmp_path / "ep")
+    code = run_cli("plot-data", "--episode", str(tmp_path / "ep"),
+                   "--kind", "fz-wiping", "--out", str(tmp_path / "plots"))
+    assert code == 1
+    assert "pose has 3 columns, fewer than the 9" in capsys.readouterr().err
+
+
+def test_plot_data_fz_wiping_names_the_first_degenerate_pose(tmp_path, capsys):
+    # a near-parallel pose before a pose with a zero first vector: the
+    # earlier pose names its own fault, as a row-by-row decode would
+    t = np.arange(3) / 1000.0
+    poses = [[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+             [0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 2.0, 4.0, 6.0],
+             [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]]
+    episode = fz_episode(t, poses, t, np.ones((3, 6)), t, np.ones((3, 6)))
+    export_csv(episode, tmp_path / "ep")
+    code = run_cli("plot-data", "--episode", str(tmp_path / "ep"),
+                   "--kind", "fz-wiping", "--out", str(tmp_path / "plots"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "vectors near parallel" in err and "first vector near zero" not in err
+    assert _fz_outcome(_new_fz_rows, episode) \
+        == _fz_outcome(plot_oracle.fz_wiping_rows, episode)
 
 
 def test_plot_data_unknown_kind(tmp_path, capsys):

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -490,3 +491,154 @@ def test_malformed_episode_load_and_validate_agree(tmp_path, edit):
 def test_golden_episode_load_and_validate_agree():
     assert validate_episode_dir(GOLDEN) == []
     load_episode(GOLDEN)
+
+
+# ---------------------------------------------------------------------------
+# block reader against the row-by-row oracle
+
+FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def _edit_field(change, field=None):
+    """A line edit that changes one field (the last one by default)."""
+    def edit(line):
+        fields = line.split(",")
+        k = len(fields) - 1 if field is None else min(field, len(fields) - 1)
+        fields[k] = change(fields[k])
+        return [",".join(fields)]
+    return edit
+
+
+# line -> the lines that replace it; each is a way a hand-edited CSV can
+# differ from an exported one
+LINE_EDITS = {
+    "blank_before": lambda line: ["", line],
+    "blank": lambda line: [""],
+    "spaces_only": lambda line: ["  "],
+    "comment_line": lambda line: ["# a comment", line],
+    "comment_tail": lambda line: [line + " # note"],
+    "quoted": _edit_field(lambda f: f'"{f}"'),
+    "underscore": _edit_field(lambda f: "1_000"),
+    "digit_underscore": _edit_field(lambda f: f.replace("0", "0_0", 1)),
+    "full_width": _edit_field(lambda f: f.translate(FULL_WIDTH)),
+    "spaces": _edit_field(lambda f: f" {f} "),
+    "unit_separator": _edit_field(lambda f: f + "\x1f"),
+    "em_space": _edit_field(lambda f: "\u2003" + f),
+    "trailing_comma": lambda line: [line + ","],
+    "ragged_short": lambda line: [line.rsplit(",", 1)[0]],
+    "ragged_long": lambda line: [line + ",1.0"],
+    "value_nan": _edit_field(lambda f: "nan"),
+    "value_inf": _edit_field(lambda f: "-inf"),
+    "t_nan": _edit_field(lambda f: "nan", 0),
+    "t_inf": _edit_field(lambda f: "inf", 0),
+    "t_minus_inf": _edit_field(lambda f: "-inf", 0),
+    "t_back": _edit_field(lambda f: "-1e300", 0),
+    "t_text": _edit_field(lambda f: "zero", 0),
+    "duplicate": lambda line: [line, line],
+    "long_field": _edit_field(lambda f: "0" * 131072 + f),   # csv.reader raises
+}
+
+
+def _edit_stream(path, edits):
+    """Apply (body line index, edit name) pairs to a stream CSV's body."""
+    header, *body = path.read_bytes().decode().split("\r\n")[:-1]
+    for index, name in edits:
+        if body:
+            i = index % len(body)
+            body[i:i + 1] = LINE_EDITS[name](body[i])
+    path.write_bytes("".join(line + "\r\n" for line in [header] + body).encode())
+
+
+def _read_outcome(episode_dir):
+    """What load_episode and validate_episode_dir make of a directory:
+    the times and rows of each stream (float.hex) or the exception, and
+    the violations or the exception."""
+    try:
+        episode = load_episode(episode_dir)
+        loaded = {name: ([t.hex() for t in episode.times(name).tolist()],
+                         [[v.hex() for v in row] for row in episode.rows(name)])
+                  for name in episode.streams}
+    except Exception as exc:   # the oracle's exception, whatever it is
+        loaded = (type(exc).__name__, str(exc))
+    try:
+        violations = validate_episode_dir(episode_dir)
+    except Exception as exc:
+        violations = (type(exc).__name__, str(exc))
+    return loaded, violations
+
+
+def _oracle_outcome(episode_dir):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(episodes, "_read_stream", episode_csv_oracle.read_stream_rows)
+        return _read_outcome(episode_dir)
+
+
+@st.composite
+def edited_episodes(draw):
+    """(streams, edits): two numeric streams of exported rows, and the
+    (stream, body line, edit) list to apply to their CSVs."""
+    streams = []
+    for name in ("s0", "s1"):
+        columns = draw(st.sampled_from([1, 3]))
+        n = draw(st.sampled_from([0, 1, 2, 3, 6, 9]))
+        times = sorted(draw(st.lists(st.floats(-1e6, 1e6), unique=True,
+                                     min_size=n, max_size=n)))
+        rows = [draw(st.lists(CSV_FLOATS, min_size=columns, max_size=columns))
+                for _ in times]
+        streams.append((StreamSpec(name, 100.0, tuple(f"c{i}" for i in range(columns)),
+                                   "wrench"), times, rows))
+    edits = draw(st.lists(st.tuples(st.sampled_from(["s0", "s1"]), st.integers(0, 8),
+                                    st.sampled_from(sorted(LINE_EDITS))), max_size=3))
+    return streams, edits
+
+
+@settings(max_examples=100, deadline=None)
+@given(edited_episodes(), st.sampled_from([1, 2, 4, 256]))
+def test_block_reader_matches_the_row_oracle(tmp_path_factory, case, chunk):
+    # the block parse keeps the row reader's values, its first error and its
+    # violation list, at every chunk size, on whatever a CSV's lines hold
+    streams, edits = case
+    episode = Episode("edited", [spec for spec, _, _ in streams])
+    for spec, times, rows in streams:
+        for t, row in zip(times, rows):
+            episode.record(spec.name, t, row)
+    out = tmp_path_factory.mktemp("edited")
+    export_csv(episode, out)
+    for name in ("s0", "s1"):
+        _edit_stream(out / f"{name}.csv",
+                     [(index, edit) for stream, index, edit in edits if stream == name])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(episodes, "CSV_CHUNK_ROWS", chunk)
+        got = _read_outcome(out)
+    assert got == _oracle_outcome(out)
+
+
+@pytest.mark.parametrize("line", [257, 258])
+@pytest.mark.parametrize("edit", ["blank", "quoted", "full_width", "unit_separator",
+                                  "ragged_short", "t_nan", "t_back", "long_field"])
+def test_block_reader_matches_the_row_oracle_at_the_chunk_edge(tmp_path, line, edit):
+    # lines 2-257 are the first CSV_CHUNK_ROWS-line chunk of a body
+    assert episodes.CSV_CHUNK_ROWS == 256
+    episode = Episode("edge", [StreamSpec("s", 100.0, ("a", "b"), "wrench")])
+    t = np.arange(300) / 100.0
+    episode.record_block("s", t, np.column_stack([np.sin(t), t * 1e-3]))
+    export_csv(episode, tmp_path)
+    _edit_stream(tmp_path / "s.csv", [(line - 2, edit)])
+    assert _read_outcome(tmp_path) == _oracle_outcome(tmp_path)
+
+
+@pytest.mark.parametrize("body", ["", "\r\n", "\r\n\r\n", "0.0,1.0\r\n\r\n"])
+def test_reading_a_stream_emits_no_warning(tmp_path, body):
+    # numpy's loadtxt warns on a chunk without data; no warning may escape
+    export_csv(Episode("quiet", [StreamSpec("pose", 10.0, ("x",), "pose")]), tmp_path)
+    (tmp_path / "pose.csv").write_bytes(("t,x\r\n" + body).encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        violations = validate_episode_dir(tmp_path)
+        if violations:
+            with pytest.raises(EpisodeError):
+                load_episode(tmp_path)
+        else:
+            assert load_episode(tmp_path).rows("pose") == []
+    assert violations == _oracle_outcome(tmp_path)[1]
+    assert bool(violations) == (body != "")   # every non-empty body has a blank line

@@ -354,6 +354,15 @@ def test_calibration_csv_errors(tmp_path):
         load_calibration_csv(short)
 
 
+@pytest.mark.parametrize("mass", ["nan", "-0.5"])
+def test_payload_file_with_nan_or_negative_mass_is_rejected(tmp_path, mass):
+    path = tmp_path / "payload.ini"
+    save_payload(path, Payload(0.342, np.zeros(3), np.zeros(6)))
+    path.write_text(path.read_text().replace("mass = 0.342", f"mass = {mass}"))
+    with pytest.raises(ValueError, match="payload mass must be nonnegative"):
+        load_payload(path)
+
+
 def test_payload_file_round_trip(tmp_path):
     payload = Payload(0.342, [0.01, 0.02, 0.05],
                       np.array([0.3, -0.2, 0.1, 0.0, 0.0, 0.0]),
