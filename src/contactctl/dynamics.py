@@ -21,8 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (GRAVITY_WORLD, Wrench, cross_rows, dot_rows,
-                       skew_rows)
+from .geometry import GRAVITY_WORLD, cross_rows, dot_rows, skew_rows
 from .kinematics import (ChainConfigError, ChainFrames, ChainModel,
                          chain_frames, load_chain)
 from .sensing import Payload, gravity_model
@@ -91,14 +90,14 @@ class SimState:
     q: np.ndarray
     qdot: np.ndarray
     time: float = 0.0
-    contact_wrench_ee: Optional[Wrench] = None   # default: zero, one per row
+    # end-effector-frame contact force (..., 3); a point contact has no torque
+    contact_force_ee: Optional[np.ndarray] = None   # default: zero, one per row
 
     def __post_init__(self):
         self.q = np.atleast_1d(np.asarray(self.q, dtype=float))
         self.qdot = np.atleast_1d(np.asarray(self.qdot, dtype=float))
-        if self.contact_wrench_ee is None:
-            zero = np.zeros(self.q.shape[:-1] + (3,))
-            self.contact_wrench_ee = Wrench(zero, zero, "ee")
+        if self.contact_force_ee is None:
+            self.contact_force_ee = np.zeros(self.q.shape[:-1] + (3,))
 
 
 @dataclass
@@ -232,7 +231,7 @@ def step(model: ArmDynamicsModel, state: SimState, tau: np.ndarray,
         raise ValueError(f"dt must be in (0, {STEP_DT_MAX}]")
     tau = np.asarray(tau, dtype=float).reshape(state.q.shape)
     if not np.isfinite(tau).all():
-        raise SimulationFault(f"non-finite torque at t={state.time:.6f}")
+        raise _fault("non-finite torque", state, tau, np.isfinite(tau))
 
     if frames is None:
         frames = chain_frames(model.chain, state.q)
@@ -253,36 +252,46 @@ def step(model: ArmDynamicsModel, state: SimState, tau: np.ndarray,
     q_new = state.q + dt * qdot_new
     # a non-finite qdot_new makes q_new non-finite too
     if not np.isfinite(q_new).all():
-        raise SimulationFault(
-            f"state diverged at t={state.time:.6f}: q={state.q}, qdot={state.qdot}")
+        raise _fault("state diverged", state, tau, np.isfinite(q_new))
 
     force_ee = (frames.ee_pose.rotation.swapaxes(-1, -2)
                 @ f_contact[..., None])[..., 0]
-    wrench_ee = Wrench(force_ee, np.zeros_like(force_ee), "ee")
-    return SimState(q_new, qdot_new, state.time + dt, wrench_ee)
+    return SimState(q_new, qdot_new, state.time + dt, force_ee)
 
 
-def read_ft_sensor(contact: Wrench, payload: Payload, rotation: np.ndarray,
+def _fault(what: str, state: SimState, tau: np.ndarray,
+           finite: np.ndarray) -> SimulationFault:
+    """A fault at the state's time with the q, qdot and tau of the faulting
+    row: in a (T, n) batch, the first row where `finite` is not all true."""
+    q, qdot, where = state.q, state.qdot, ""
+    if q.ndim > 1:
+        i = int(np.argmin(finite.all(axis=-1)))
+        where = f" in row {i} of {len(q)}"
+        q, qdot, tau = q[i], qdot[i], tau[i]
+    return SimulationFault(f"{what}{where} at t={state.time:.6f}: "
+                           f"q={q}, qdot={qdot}, tau={tau}")
+
+
+def read_ft_sensor(contact: np.ndarray, payload: Payload, rotation: np.ndarray,
                    noise_sigma: float = 0.0,
-                   rng: Optional[np.random.Generator] = None) -> Wrench:
-    """Raw sensor-frame reading: contact wrench + payload gravity + bias + noise.
+                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """Raw sensor-frame readings (..., 6): contact + payload gravity + bias + noise.
 
-    The sensor is collocated with the end-effector frame, so the end-effector
-    contact wrench maps straight through; payload weight enters via the
-    payload gravity model with the end-effector orientation
-    `rotation`. A (N, 3) stack of contact wrenches with (N, 3, 3) rotations
+    The sensor is collocated with the end-effector frame, so the (..., 6)
+    end-effector contact wrench maps straight through; payload weight enters
+    via the payload gravity model with the end-effector orientation
+    `rotation`. A (N, 6) stack of contact wrenches with (N, 3, 3) rotations
     gives N readings, whose noise is one (N, 6) draw: the same bits as N
     readings in turn.
     """
     if noise_sigma < 0.0:
         raise ValueError("noise_sigma must be nonnegative")
-    grav = gravity_model(payload.mass, payload.com, payload.bias, rotation)
-    raw = contact.as_array() + grav.as_array()
+    raw = contact + gravity_model(payload.mass, payload.com, payload.bias, rotation)
     if noise_sigma > 0.0:
         if rng is None:
             raise ValueError("seeded rng required when noise_sigma > 0")
         raw = raw + rng.normal(0.0, noise_sigma, size=raw.shape)
-    return Wrench(raw[..., :3], raw[..., 3:], "sensor")
+    return raw
 
 
 def load_arm_model(path) -> ArmDynamicsModel:

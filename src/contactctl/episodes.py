@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 from typing import Optional
 
@@ -310,11 +310,16 @@ def _read_stream(episode: Episode, spec: StreamSpec, path: Path, fail) -> None:
 
     A numeric stream is parsed in blocks and stored with one `record_block`.
     A stream that fails that, and every `image_ref` stream, is read row by
-    row through `record`, so each bad row goes to `fail` with its line.
+    row through `record`, so each bad row goes to `fail` with its line; so
+    does a row csv cannot read (say, a field over csv.field_size_limit()).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            fail(f"{path.name} row 1: {exc}")
+            return
         if header is None or tuple(header) != ("t",) + spec.schema:
             fail(f"stream {spec.name!r}: schema mismatch in {path.name}")
             return
@@ -329,11 +334,14 @@ def _read_stream(episode: Episode, spec: StreamSpec, path: Path, fail) -> None:
             fh.seek(0)   # re-read the stream from its header, row by row
             reader = csv.reader(fh)
             next(reader)
-        for lineno, row in enumerate(reader, start=2):
+        for lineno in count(2):
             try:
+                row = next(reader, None)
+                if row is None:
+                    return
                 # an empty line has no t and fails the field count
                 episode.record(spec.name, row[0] if row else "", row[1:])
-            except ValueError as exc:   # EpisodeError included
+            except (csv.Error, ValueError) as exc:   # EpisodeError included
                 fail(f"{path.name} row {lineno}: {exc}")
 
 

@@ -1,12 +1,12 @@
-"""Rotation, rigid-transform, and wrench primitives.
+"""Rotation and rigid-transform primitives.
 
 Conventions used throughout the library:
 - rotations are 3x3 orthonormal matrices with det = +1,
 - a Pose maps points from its local frame into the parent frame
   (p_parent = R @ p_local + t),
 - orientation errors are rotation-log (axis-angle) 3-vectors in radians,
-- a Wrench is a (force, torque) pair tagged with the frame it is
-  expressed in.
+- a wrench is a (..., 6) float array, force then torque; the function that
+  returns it says which frame it is expressed in.
 
 The rotation functions take a leading batch axis: (..., 3) vectors and
 (..., 3, 3) matrices give one result per row, computed with the same
@@ -243,26 +243,3 @@ def as_vec3(values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     return values if values.ndim and values.shape[-1] == 3 else values.reshape(3)
 
-
-@dataclass
-class Wrench:
-    """6D force/torque with an explicit frame tag ('sensor', 'ee', 'world').
-
-    Force and torque are 3-vectors, or (..., 3) stacks for a batch of rows.
-    """
-
-    force: np.ndarray
-    torque: np.ndarray
-    frame: str = "world"
-
-    def __post_init__(self):
-        self.force = as_vec3(self.force)
-        self.torque = as_vec3(self.torque)
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.force, self.torque], axis=-1)
-
-    @staticmethod
-    def from_array(values: np.ndarray, frame: str = "world") -> "Wrench":
-        values = np.asarray(values, dtype=float).reshape(6)
-        return Wrench(values[:3], values[3:], frame)

@@ -59,100 +59,80 @@ class ImpedanceConfig:
             raise ValueError(f"dt must be in (0, {STEP_DT_MAX}]")
 
 
-@dataclass
-class CartesianGains:
-    """Diagonal operational-space gains, each a 3-vector or a (..., 3) stack."""
-
-    kp_trans: np.ndarray   # N/m
-    k_rot: np.ndarray      # N*m/rad
-    dp_trans: np.ndarray   # N*s/m
-    d_rot: np.ndarray      # N*m*s/rad
-    stiffness_clamped: bool   # per row: kp_trans was clamped into [k_min, k_max]
-
-
-@dataclass
-class JointGains:
-    kq_p: np.ndarray
-    kq_d: np.ndarray
-
-
 def build_operational_gains(kp_diag: np.ndarray,
-                            config: ImpedanceConfig) -> CartesianGains:
+                            config: ImpedanceConfig) -> tuple:
     """Diagonal Cartesian gains from a scheduled translational stiffness.
 
+    Returns the (..., 2, 6) stiffness and damping diagonals, translation
+    then rotation, and per row whether the stiffness was clamped.
     Translational damping follows the critical-damping rule per axis,
     D = 2 zeta sqrt(k m_eff); rotational gains come straight from config.
-    Out-of-range stiffness entries are clamped to [k_min, k_max], and the
-    gains say per row whether they were; nothing warns, so concurrent loops
-    never touch the process-wide warning filters. `kp_diag` is a 3-vector
-    or a (..., 3) stack, one row per trial.
+    Out-of-range stiffness entries are clamped to [k_min, k_max]; nothing
+    warns, so concurrent loops never touch the process-wide warning filters.
+    `kp_diag` is a 3-vector or a (..., 3) stack, one row per trial.
     """
     kp = as_vec3(kp_diag)
     clamped = np.minimum(np.maximum(kp, config.k_min), config.k_max)
-    dp = 2.0 * config.zeta * np.sqrt(clamped * config.m_eff)
-    return CartesianGains(clamped, config.k_rot, dp, config.d_rot,
-                          (clamped != kp).any(axis=-1))
+    gains = np.empty(kp.shape[:-1] + (2, 6))
+    gains[..., 0, :3] = clamped
+    gains[..., 0, 3:] = config.k_rot
+    gains[..., 1, :3] = 2.0 * config.zeta * np.sqrt(clamped * config.m_eff)
+    gains[..., 1, 3:] = config.d_rot
+    return gains, (clamped != kp).any(axis=-1)
 
 
-def fold_to_joint_gains(j: np.ndarray, cart: CartesianGains,
-                        kq_floor, kqd_floor) -> JointGains:
+def fold_to_joint_gains(j: np.ndarray, gains: np.ndarray,
+                        kq_floor, kqd_floor) -> np.ndarray:
     """Fold operational-space gains through the Jacobian, plus diagonal floors.
 
-    Floors may be scalars or per-joint vectors; they keep the folded gains
-    strictly positive definite at singular configurations. A (..., 6, n)
-    stack of Jacobians folds a matching stack of gains.
+    `gains` holds the (..., 2, 6) stiffness and damping diagonals of
+    `build_operational_gains`; the result is the (..., 2, n, n) stack
+    [Kq_p; Kq_d]. Floors may be scalars or per-joint vectors; they keep the
+    folded gains strictly positive definite at singular configurations. A
+    (..., 6, n) stack of Jacobians folds a matching stack of gains.
     """
     j = np.asarray(j, dtype=float)
     if j.ndim < 2 or j.shape[-2] != 6:
         raise ValueError(f"Jacobian must be 6 x dof, got {j.shape}")
     batch, dof = j.shape[:-2], j.shape[-1]
+    gains = np.asarray(gains, dtype=float)
+    lead = gains.shape[:-2]
+    if gains.shape[-2:] != (2, 6) or len(lead) > len(batch) or any(
+            g not in (1, b) for g, b in zip(lead[::-1], batch[::-1])):
+        raise ValueError(
+            "operational-space gains must be diagonals: (2, 6) arrays or "
+            f"stacks matching the Jacobian's batch {batch}")
     floors = np.empty((2, dof))
     floors[0] = kq_floor
     floors[1] = kqd_floor
-    # the stiffness and the damping diagonal, folded together
-    diagonals = np.empty(batch + (2, 6))
-    try:
-        diagonals[..., 0, :3] = cart.kp_trans
-        diagonals[..., 0, 3:] = cart.k_rot
-        diagonals[..., 1, :3] = cart.dp_trans
-        diagonals[..., 1, 3:] = cart.d_rot
-    except ValueError:
-        raise ValueError(
-            "operational-space gains must be diagonals: 3-vectors or stacks "
-            f"matching the Jacobian's batch {batch}") from None
     # J^T diag(k) J as (J^T * k) @ J: the same bits as with the full 6x6 matrix
     jt = j.swapaxes(-1, -2)[..., None, :, :]
-    kq = (jt * diagonals[..., None, :]) @ j[..., None, :, :] \
+    kq = (jt * gains[..., None, :]) @ j[..., None, :, :] \
         + floors[:, :, None] * np.eye(dof)
     # enforce exact symmetry against float round-off
-    kq = (kq + kq.swapaxes(-1, -2)) / 2.0
-    return JointGains(kq[..., 0, :, :], kq[..., 1, :, :])
+    return (kq + kq.swapaxes(-1, -2)) / 2.0
 
 
-def control_torque(gains: JointGains, q_d, q, qdot_d, qdot,
+def control_torque(gains: np.ndarray, q_d, q, qdot_d, qdot,
                    bias: np.ndarray) -> np.ndarray:
-    """tau = Kq_p (q_d - q) + Kq_d (qdot_d - qdot) + bias, bias = C qdot + g."""
+    """tau = Kq_p (q_d - q) + Kq_d (qdot_d - qdot) + bias, bias = C qdot + g,
+    with `gains` the (..., 2, n, n) stack [Kq_p; Kq_d]."""
     e = np.asarray(q_d, dtype=float) - np.asarray(q, dtype=float)
     ed = np.asarray(qdot_d, dtype=float) - np.asarray(qdot, dtype=float)
-    return (gains.kq_p @ e[..., None])[..., 0] \
-        + (gains.kq_d @ ed[..., None])[..., 0] + bias
-
-
-@dataclass
-class TickDiagnostics:
-    """Per-tick controller facts; (T, ...) arrays for a batched tick."""
-
-    xi: np.ndarray               # pose error toward the virtual target
-    stiffness_clamped: bool
-    limits_clamped: bool
+    return (gains[..., 0, :, :] @ e[..., None])[..., 0] \
+        + (gains[..., 1, :, :] @ ed[..., None])[..., 0] + bias
 
 
 @dataclass
 class TickResult:
+    """A tick's torque, joint targets and controller facts, (T, ...) if batched."""
+
     tau: np.ndarray
     q_d: np.ndarray
     qdot_d: np.ndarray
-    diagnostics: TickDiagnostics
+    xi: np.ndarray                  # pose error toward the virtual target
+    stiffness_clamped: np.ndarray   # per row
+    limits_clamped: np.ndarray      # per row
 
 
 class ImpedanceExecutor:
@@ -213,8 +193,7 @@ class ImpedanceExecutor:
             + self._alpha * (qdot_d_raw - self._qdot_d_filtered)
         qdot_d = self._qdot_d_filtered.copy()
 
-        cart = build_operational_gains(command.kp_diag, cfg)
+        cart, stiffness_clamped = build_operational_gains(command.kp_diag, cfg)
         gains = fold_to_joint_gains(j, cart, cfg.kq_floor, cfg.kqd_floor)
         tau = control_torque(gains, q_d, state.q, qdot_d, state.qdot, bias)
-        return TickResult(tau, q_d, qdot_d,
-                          TickDiagnostics(xi, cart.stiffness_clamped, limits_clamped))
+        return TickResult(tau, q_d, qdot_d, xi, stiffness_clamped, limits_clamped)

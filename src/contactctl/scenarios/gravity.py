@@ -13,9 +13,9 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from ..episodes import Episode, StreamSpec
-from ..geometry import rotation_about_axis
-from ..sensing import (IdentificationError, Wrench, WrenchFrameModel,
-                       compensate_wrench, gravity_model, identify_payload)
+from ..geometry import Pose, rotation_about_axis
+from ..sensing import (IdentificationError, compensate_wrench, gravity_model,
+                       identify_payload)
 from .base import (SCENARIO_KEYS, Criterion, Key, ScenarioConfig, ScenarioReport,
                    evaluate_criteria, export_report_episode)
 
@@ -97,7 +97,7 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> ScenarioRe
 
     # the noise-free reading at each pose, the same in every trial
     true = gravity_model(mass, gravity["payload_com"], gravity["payload_bias"],
-                         orientations).as_array()
+                         orientations)
     raw_spans, comp_spans, residual_maxes = [], [], []
     episode = None
     for trial in range(mc_trials):
@@ -117,7 +117,7 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> ScenarioRe
         # with an identity sensor-to-ee transform, compensating a whole pose
         # block is the block minus the fitted gravity force at that pose
         grav_hat = gravity_model(payload.mass, payload.com, payload.bias,
-                                 orientations).force
+                                 orientations)[:, :3]
         raw_spans.append(_per_axis_span(averaged[:, :3]))
         comp_spans.append(_per_axis_span(
             (blocks[:, :, :3] - grav_hat[:, None, :]).reshape(-1, 3)))
@@ -150,10 +150,9 @@ def _record_episode(config, orientations, blocks, payload, rate) -> Episode:
                       config_hash=config.config_hash)
     raw = blocks.reshape(-1, 6)
     rows_r = np.repeat(orientations, blocks.shape[1], axis=0)
-    comp = compensate_wrench(Wrench(raw[:, :3], raw[:, 3:], "sensor"), payload,
-                             rows_r, WrenchFrameModel())
+    comp = compensate_wrench(raw, payload, rows_r, Pose.identity())
     # sample times advance by a running sum, 0, 1/rate, 2/rate, ...
     t = list(accumulate(repeat(1.0 / rate, len(raw) - 1), initial=0.0))
     episode.record_block("wrench_raw", t, raw)
-    episode.record_block("wrench_ee", t, comp.as_array())
+    episode.record_block("wrench_ee", t, comp)
     return episode

@@ -39,11 +39,11 @@ from ..compliance import (ACTION_SCHEMA, ComplianceCommand,
 from ..dynamics import (ArmDynamicsModel, ContactPlane, SimState,
                         load_arm_model, read_ft_sensor)
 from ..episodes import Episode, StreamSpec, replay_actions, write_float_rows
-from ..geometry import (Pose, Rot6D, Wrench, dot_rows, pose_unchecked,
+from ..geometry import (Pose, Rot6D, dot_rows, pose_unchecked,
                         rotation_about_axis)
 from ..impedance import ImpedanceConfig, ImpedanceExecutor
 from ..kinematics import solve_ik
-from ..sensing import Payload, WrenchFrameModel, compensate_wrench
+from ..sensing import Payload, compensate_wrench
 from .base import (DOF, SCENARIO_KEYS, Criterion, Key, ScenarioConfig,
                    ScenarioConfigError, ScenarioReport, evaluate_criteria,
                    export_report_episode)
@@ -174,7 +174,6 @@ class WipingSetup:
     erase_threshold: float
     surface_jitter: float          # half-width of a row's plane offset draw
     payload: Payload
-    frame_model: WrenchFrameModel
     noise_sigma: float
 
 
@@ -224,7 +223,7 @@ def wiping_setup(config: ScenarioConfig) -> WipingSetup:
         _ticks_per_action(rate, gains.dt), chunk_len, config.value("compliance", "horizon"),
         np.linspace(x_start, x_start + stroke, config.value("wiping", "cells") + 1),
         config.value("wiping", "erase_threshold"),
-        config.value("plant", "surface_jitter"), payload, WrenchFrameModel(),
+        config.value("plant", "surface_jitter"), payload,
         config.value("sensor", "noise_sigma"))
 
 
@@ -420,7 +419,7 @@ def rollout(setup: WipingSetup, rows: list) -> list:
     recorded = np.array([i for i, row in enumerate(rows)
                          if row.episode is not None], dtype=int)
     n_ticks, n_rec = len(sliding), len(recorded)
-    log = RecordLog(state.time, state.contact_wrench_ee.force[recorded],
+    log = RecordLog(state.time, state.contact_force_ee[recorded],
                     np.empty(n_ticks), np.empty((n_ticks, n_rec, 3, 3)),
                     np.empty((n_ticks, n_rec, 3)), np.empty((n_ticks, n_rec, 3)),
                     np.empty((n_ticks, n_rec, 6)),
@@ -435,19 +434,18 @@ def rollout(setup: WipingSetup, rows: list) -> list:
         rotation = frames.ee_pose.rotation
         p_ee = frames.ee_pose.translation
         # contact force actually applied this step, mapped back to world
-        force = new_state.contact_wrench_ee.force
+        force = new_state.contact_force_ee
         f_world = (rotation @ force[..., None])[..., 0]
         fz_log[tick] = dot_rows(f_world, plane.normal)
         x_log[tick] = p_ee[:, 0]
 
-        diag = out.diagnostics
         log.time[tick] = new_state.time
         log.rotation[tick] = rotation[recorded]
         log.translation[tick] = p_ee[recorded]
         log.force[tick] = force[recorded]
-        log.xi[tick] = diag.xi[recorded]
-        log.clamped[tick, :, 0] = diag.stiffness_clamped[recorded]
-        log.clamped[tick, :, 1] = diag.limits_clamped[recorded]
+        log.xi[tick] = out.xi[recorded]
+        log.clamped[tick, :, 0] = out.stiffness_clamped[recorded]
+        log.clamped[tick, :, 1] = out.limits_clamped[recorded]
         state = new_state
 
     cell = np.searchsorted(setup.cell_edges, x_log, side="right") - 1
@@ -481,17 +479,18 @@ def _record(setup: WipingSetup, row: WipingRow, executed: np.ndarray,
     episode, t = row.episode, log.time
     rotation, p_ee = log.rotation[:, r], log.translation[:, r]
     # the plant's contact is a point force at the end effector: no torque
-    contact = Wrench(log.force[:, r], np.zeros_like(log.force[:, r]), "ee")
+    contact = np.concatenate([log.force[:, r], np.zeros((len(t), 3))], axis=1)
     raw = read_ft_sensor(contact, setup.payload, rotation, setup.noise_sigma,
                          row.rng)
-    comp = compensate_wrench(raw, setup.payload, rotation, setup.frame_model)
+    # the sensor sits at the end effector
+    comp = compensate_wrench(raw, setup.payload, rotation, Pose.identity())
     # each command's executed row is recorded at the time its first tick
     # starts; a padding row repeats the stream's last row
     starts = np.concatenate(([log.start_time], t[:-1]))[::setup.ticks_per_action]
     episode.record_block("action", starts,
                          row.actions[np.minimum(executed, len(row.actions) - 1)])
-    episode.record_block("wrench_raw", t, raw.as_array())
-    episode.record_block("wrench_ee", t, comp.as_array())
+    episode.record_block("wrench_raw", t, raw)
+    episode.record_block("wrench_ee", t, comp)
     stride = max(1, int(round(1.0 / (200.0 * setup.dt))))
     episode.record_block("pose", t[::stride], np.concatenate(
         [p_ee[::stride], rotation[::stride, :, :2].swapaxes(-1, -2)

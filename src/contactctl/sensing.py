@@ -12,9 +12,10 @@ subtracts the fitted gravity wrench and maps the remainder into the
 end-effector frame with the full adjoint wrench transform (rotation plus
 lever-arm torque).
 
-Gravity, compensation and the wrench transform take a leading axis: a
-(..., 3, 3) stack of orientations and (..., 3) wrench stacks give one result
-per row, with the same bits as one call per row.
+Wrenches are (..., 6) arrays, force then torque. Gravity, compensation and
+the wrench transform take a leading axis: a (..., 3, 3) stack of
+orientations and (..., 6) wrench stacks give one result per row, with the
+same bits as one call per row.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ import csv
 import numpy as np
 
 from .episodes import write_float_rows
-from .geometry import GRAVITY_WORLD, Pose, Rot6D, Wrench, cross_rows, dot_rows
+from .geometry import GRAVITY_WORLD, Pose, Rot6D, cross_rows, dot_rows
 
 MARKER_DIM = 126   # 63 tactile markers x 2D offsets
 
@@ -37,13 +38,6 @@ _PARAM_NAMES = ("mass",
 
 class IdentificationError(ValueError):
     """Calibration pose set does not determine the payload parameters."""
-
-
-@dataclass
-class WrenchFrameModel:
-    """Fixed sensor-to-end-effector transform."""
-
-    t_sensor_to_ee: Pose = field(default_factory=Pose.identity)
 
 
 @dataclass
@@ -66,15 +60,14 @@ class Payload:
 
 
 def gravity_model(mass: float, com: np.ndarray, bias: np.ndarray,
-                  orientation: np.ndarray,
-                  gravity: np.ndarray = GRAVITY_WORLD) -> Wrench:
-    """Sensor-frame wrench a rigid payload induces at orientation R."""
+                  orientation: np.ndarray) -> np.ndarray:
+    """Sensor-frame wrench (..., 6) a rigid payload induces at orientation R."""
     orientation = np.asarray(orientation, dtype=float)
     com = np.asarray(com, dtype=float).reshape(3)
     bias = np.asarray(bias, dtype=float).reshape(6)
-    force = orientation.swapaxes(-1, -2) @ (mass * np.asarray(gravity, dtype=float))
+    force = orientation.swapaxes(-1, -2) @ (mass * GRAVITY_WORLD)
     torque = cross_rows(com, force)
-    return Wrench(force + bias[:3], torque + bias[3:], "sensor")
+    return np.concatenate([force + bias[:3], torque + bias[3:]], axis=-1)
 
 
 def identify_payload(orientations: np.ndarray, readings: np.ndarray) -> Payload:
@@ -117,28 +110,28 @@ def identify_payload(orientations: np.ndarray, readings: np.ndarray) -> Payload:
     bias = np.concatenate([theta[1:4], theta[7:10]])
     com = theta[4:7] / mass if abs(mass) > 1e-12 else np.zeros(3)
 
-    residuals = readings - gravity_model(mass, com, bias, orientations).as_array()
+    residuals = readings - gravity_model(mass, com, bias, orientations)
     rms = np.sqrt(np.mean(residuals ** 2, axis=0))
     return Payload(max(mass, 0.0), com, bias, rms)
 
 
-def transform_wrench(wrench: Wrench, transform: Pose, frame: str) -> Wrench:
-    """Adjoint wrench map: rotate, then add the lever-arm torque of the
-    frame-origin shift."""
+def transform_wrench(wrench: np.ndarray, transform: Pose) -> np.ndarray:
+    """Adjoint wrench map of (..., 6) wrenches: rotate, then add the
+    lever-arm torque of the frame-origin shift."""
     rotation = transform.rotation
-    force = (rotation @ wrench.force[..., None])[..., 0]
-    torque = (rotation @ wrench.torque[..., None])[..., 0] \
+    force = (rotation @ wrench[..., :3, None])[..., 0]
+    torque = (rotation @ wrench[..., 3:, None])[..., 0] \
         + cross_rows(transform.translation, force)
-    return Wrench(force, torque, frame)
+    return np.concatenate([force, torque], axis=-1)
 
 
-def compensate_wrench(raw: Wrench, payload: Payload,
+def compensate_wrench(raw: np.ndarray, payload: Payload,
                       sensor_orientation: np.ndarray,
-                      frame: WrenchFrameModel) -> Wrench:
-    """w_ee = adjoint(T_sensor_to_ee) (w_raw - w_grav)."""
+                      sensor_to_ee: Pose) -> np.ndarray:
+    """End-effector wrench adjoint(T_sensor_to_ee) (w_raw - w_grav) of
+    (..., 6) sensor-frame readings."""
     grav = gravity_model(payload.mass, payload.com, payload.bias, sensor_orientation)
-    net = Wrench(raw.force - grav.force, raw.torque - grav.torque, "sensor")
-    return transform_wrench(net, frame.t_sensor_to_ee, "ee")
+    return transform_wrench(raw - grav, sensor_to_ee)
 
 
 def marker_motion_magnitude(offsets: np.ndarray) -> np.ndarray:

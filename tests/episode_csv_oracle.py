@@ -7,7 +7,8 @@ whatever the csv module's quoting and "\\r\\n" line ends make of them.
 
 The reader is how `load_episode` and `validate_episode_dir` read a stream
 before numeric streams were parsed in blocks: every csv.reader row goes
-through `Episode.record`, and each row it rejects is reported with its line.
+through `Episode.record`, and each row it rejects is reported with its line,
+as is each line csv.reader itself cannot read (a field over its size limit).
 """
 
 import csv
@@ -47,11 +48,24 @@ def read_stream_rows(episode, spec, path, fail) -> None:
     `episodes._read_stream`."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            fail(f"{path.name} row 1: {exc}")
+            return
         if header is None or tuple(header) != ("t",) + spec.schema:
             fail(f"stream {spec.name!r}: schema mismatch in {path.name}")
             return
-        for lineno, row in enumerate(reader, start=2):
+        lineno = 1
+        while True:
+            lineno += 1
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                fail(f"{path.name} row {lineno}: {exc}")
+                continue
             try:
                 # an empty line has no t and fails the field count
                 episode.record(spec.name, row[0] if row else "", row[1:])

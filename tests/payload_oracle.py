@@ -52,6 +52,6 @@ def identify_payload(orientations, readings) -> Payload:
     com = theta[4:7] / mass if abs(mass) > 1e-12 else np.zeros(3)
 
     residuals = np.asarray(readings, dtype=float) - gravity_model(
-        mass, com, bias, np.asarray(orientations, dtype=float)).as_array()
+        mass, com, bias, np.asarray(orientations, dtype=float))
     rms = np.sqrt(np.mean(residuals ** 2, axis=0))
     return Payload(max(mass, 0.0), com, bias, rms)

@@ -296,7 +296,7 @@ def test_calibrate_rank_deficient(tmp_path, capsys):
     orients = np.array([np.eye(3)] * 6)
     path = tmp_path / "flat.csv"
     save_calibration_csv(path, orients, gravity_model(0.3, [0.01, 0, 0], np.zeros(6),
-                                                      orients).as_array())
+                                                      orients))
     code = run_cli("calibrate", "--samples", str(path),
                    "--out", str(tmp_path / "p.ini"))
     assert code == 1
@@ -312,7 +312,7 @@ def test_calibrate_minimum_four_poses(tmp_path):
                         rotation_about_axis(x, np.pi / 4) @ rotation_about_axis(y, np.pi / 3)])
     path = tmp_path / "four.csv"
     save_calibration_csv(path, orients, gravity_model(0.4, [0.01, 0.02, 0.03],
-                                                      np.zeros(6), orients).as_array())
+                                                      np.zeros(6), orients))
     code = run_cli("calibrate", "--samples", str(path),
                    "--out", str(tmp_path / "p.ini"))
     assert code == 0

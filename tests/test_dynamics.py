@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from contactctl.dynamics import (ArmDynamicsModel, ContactPlane,
                                  SimState, SimulationFault,
@@ -228,6 +229,48 @@ def test_contact_complementarity(rng):
             assert f_n >= 0.0
 
 
+def _vectors(low, high, rows):
+    return st.lists(st.floats(low, high), min_size=3 * rows, max_size=3 * rows) \
+        .map(lambda v: np.reshape(v, (-1, 3)))
+
+
+@st.composite
+def contact_cases(draw):
+    """(plane, points, velocities): a unit-normal plane and 1-4 rows."""
+    normal = draw(_vectors(-1.0, 1.0, 1))[0]
+    assume(np.linalg.norm(normal) > 0.1)
+    plane = ContactPlane(normal / np.linalg.norm(normal), draw(st.floats(-1.0, 1.0)),
+                         draw(st.floats(1.0, 1e6)), draw(st.floats(0.0, 1e3)),
+                         draw(st.sampled_from([0.0, 0.01, 0.3, 2.0])))
+    rows = draw(st.integers(1, 4))
+    return plane, draw(_vectors(-1.0, 1.0, rows)), draw(_vectors(-10.0, 10.0, rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(contact_cases())
+def test_friction_opposes_slip_within_the_coulomb_cone(case):
+    # per row: the tangential force points against the tangential velocity,
+    # is at most mu f_n, and the whole force is zero off contact
+    plane, points, velocities = case
+    force, f_n = plane_contact_force(plane, points, velocities)
+    n, mu = plane.normal, plane.friction_mu
+    for p, v, f, fn in zip(points, velocities, force, np.atleast_1d(f_n)):
+        tol = 1e-12 * fn
+        assert fn >= 0.0
+        if p @ n - plane.offset >= 0.0 or fn == 0.0:
+            assert fn == 0.0 and np.all(f == 0.0)
+            continue
+        f_t = f - fn * n
+        v_t = v - (v @ n) * n
+        speed = np.linalg.norm(v_t)
+        assert np.linalg.norm(f_t) <= mu * fn * (1.0 + 1e-12)
+        if speed == 0.0:
+            continue
+        along = f_t @ v_t / speed
+        assert along <= tol
+        assert np.linalg.norm(f_t - along * v_t / speed) <= tol
+
+
 def test_determinism_bitwise(rng):
     model = random_model(np.random.default_rng(7), 3)
     plane = ContactPlane([0.0, 0.0, 1.0], -0.2, 5e3, 50.0, 0.3)
@@ -264,62 +307,73 @@ def test_step_rejects_bad_input():
     state = SimState(np.array([0.0]), np.array([0.0]))
     with pytest.raises(ValueError):
         step(model, state, np.zeros(1), None, 0.02)
-    with pytest.raises(SimulationFault):
+    with pytest.raises(SimulationFault, match=r"^non-finite torque at t=0\.000000"):
         step(model, state, np.array([np.nan]), None, 1e-3)
+
+
+def test_batched_fault_names_the_first_bad_row():
+    # only the faulting row's state goes into the message, not the whole batch
+    state = SimState(np.array([[0.1], [0.2], [0.3]]), np.zeros((3, 1)))
+    with pytest.raises(SimulationFault) as raised:
+        step(make_pendulum(), state, np.array([[0.0], [np.nan], [1.0]]))
+    assert str(raised.value) == ("non-finite torque in row 1 of 3 at t=0.000000: "
+                                 "q=[0.2], qdot=[0.], tau=[nan]")
+    # a light pendulum's acceleration overflows under the largest torque
+    with pytest.raises(SimulationFault) as raised:
+        step(make_pendulum(mass=0.1), state, np.array([[0.0], [1e308], [1.0]]))
+    assert str(raised.value) == ("state diverged in row 1 of 3 at t=0.000000: "
+                                 "q=[0.2], qdot=[0.], tau=[1.e+308]")
 
 
 # ---------------------------------------------------------------------------
 # F/T sensor
 
+NO_CONTACT = np.zeros(6)   # the end-effector wrench of a state out of contact
+
+
 def test_ft_sensor_payload_on_axis():
     payload = Payload(0.5, [0.0, 0.0, 0.05], np.zeros(6))
-    state = SimState(np.zeros(1), np.zeros(1))
-    raw = read_ft_sensor(state.contact_wrench_ee, payload, np.eye(3))
-    assert np.allclose(raw.force, [0.0, 0.0, -4.905], atol=1e-12)
-    assert np.allclose(raw.torque, 0.0, atol=1e-12)
+    raw = read_ft_sensor(NO_CONTACT, payload, np.eye(3))
+    assert np.allclose(raw[:3], [0.0, 0.0, -4.905], atol=1e-12)
+    assert np.allclose(raw[3:], 0.0, atol=1e-12)
 
 
 def test_ft_sensor_off_axis_torque():
     payload = Payload(0.5, [0.05, 0.0, 0.0], np.zeros(6))
-    state = SimState(np.zeros(1), np.zeros(1))
-    raw = read_ft_sensor(state.contact_wrench_ee, payload, np.eye(3))
-    assert np.allclose(raw.torque, [0.0, 0.24525, 0.0], atol=1e-6)
+    raw = read_ft_sensor(NO_CONTACT, payload, np.eye(3))
+    assert np.allclose(raw[3:], [0.0, 0.24525, 0.0], atol=1e-6)
 
 
 def test_ft_sensor_rotated_frame_oracle(rng):
     payload = Payload(0.7, np.zeros(3), np.zeros(6))
-    state = SimState(np.zeros(1), np.zeros(1))
     for _ in range(10):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         r = rotation_about_axis(axis, rng.uniform(-np.pi, np.pi))
-        raw = read_ft_sensor(state.contact_wrench_ee, payload, r)
-        assert np.allclose(raw.force, r.T @ np.array([0.0, 0.0, -0.7 * 9.81]),
+        raw = read_ft_sensor(NO_CONTACT, payload, r)
+        assert np.allclose(raw[:3], r.T @ np.array([0.0, 0.0, -0.7 * 9.81]),
                            atol=1e-12)
 
 
 def test_ft_sensor_affine_in_mass():
-    state = SimState(np.zeros(1), np.zeros(1))
     rotation = rotation_about_axis(np.array([1.0, 0, 0]), 0.7)
     readings = []
     for mass in (0.0, 0.5, 1.0):
         payload = Payload(mass, [0.01, 0.02, 0.03], np.array([1, 2, 3, 4, 5, 6.0]))
-        readings.append(read_ft_sensor(state.contact_wrench_ee, payload,
-                                       rotation).as_array())
+        readings.append(read_ft_sensor(NO_CONTACT, payload, rotation))
     r0, r1, r2 = readings
     assert np.allclose(r2 - r1, r1 - r0, atol=1e-12)
 
 
 def test_ft_sensor_noise_is_seeded():
     payload = Payload(0.5, np.zeros(3), np.zeros(6))
-    state = SimState(np.zeros(1), np.zeros(1))
-    a = read_ft_sensor(state.contact_wrench_ee, payload, np.eye(3), 0.1,
-                       np.random.default_rng(5)).as_array()
-    b = read_ft_sensor(state.contact_wrench_ee, payload, np.eye(3), 0.1,
-                       np.random.default_rng(5)).as_array()
+    a = read_ft_sensor(NO_CONTACT, payload, np.eye(3), 0.1,
+                       np.random.default_rng(5))
+    b = read_ft_sensor(NO_CONTACT, payload, np.eye(3), 0.1,
+                       np.random.default_rng(5))
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        read_ft_sensor(state.contact_wrench_ee, payload, np.eye(3), 0.1, None)
+        read_ft_sensor(NO_CONTACT, payload, np.eye(3), 0.1, None)
 
 
 # ---------------------------------------------------------------------------

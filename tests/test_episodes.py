@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -469,6 +470,9 @@ MALFORMED = {
     "repeated_t": _pose_row_edit(2, "0.0,0.41,0.0,0.2"),
     "nan_timestamp": _pose_row_edit(2, "nan,0.41,0.0,0.2"),
     "inf_timestamp": _pose_row_edit(3, "inf,0.42,0.0,0.2"),
+    # a field over csv.field_size_limit(), which csv.reader raises on
+    "oversize_field": _pose_row_edit(2, "0.01," + "1" * 131073 + ",0.0,0.2"),
+    "oversize_header_field": _pose_row_edit(0, "t,px,py," + "z" * 131073),
 }
 
 
@@ -486,6 +490,17 @@ def test_malformed_episode_load_and_validate_agree(tmp_path, edit):
     for command in (["validate"], ["inspect"],
                     ["plot-data", "--kind", "grasp-force", "--out", str(tmp_path / "plots")]):
         assert main(command + ["--episode", str(episode_dir)]) == 1
+
+
+@pytest.mark.parametrize("edit, row", [("oversize_field", 3),
+                                       ("oversize_header_field", 1)])
+def test_oversize_field_is_a_violation_naming_its_row(tmp_path, edit, row):
+    assert csv.field_size_limit() == 131072
+    episode_dir = tmp_path / "ep"
+    shutil.copytree(GOLDEN, episode_dir)
+    MALFORMED[edit](episode_dir)
+    assert validate_episode_dir(episode_dir) == [
+        f"pose.csv row {row}: field larger than field limit (131072)"]
 
 
 def test_golden_episode_load_and_validate_agree():
@@ -535,7 +550,7 @@ LINE_EDITS = {
     "t_back": _edit_field(lambda f: "-1e300", 0),
     "t_text": _edit_field(lambda f: "zero", 0),
     "duplicate": lambda line: [line, line],
-    "long_field": _edit_field(lambda f: "0" * 131072 + f),   # csv.reader raises
+    "long_field": _edit_field(lambda f: "0" * 131072 + f),   # csv.reader rejects it
 }
 
 

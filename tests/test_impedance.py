@@ -8,8 +8,7 @@ from contactctl.dynamics import (ArmDynamicsModel, ContactPlane, SimState,
                                  inverse_dynamics_terms, load_arm_model,
                                  plane_contact_force, step)
 from contactctl.geometry import Pose, pose_unchecked, rotation_about_axis
-from contactctl.impedance import (CartesianGains, ImpedanceConfig,
-                                  ImpedanceExecutor, JointGains,
+from contactctl.impedance import (ImpedanceConfig, ImpedanceExecutor,
                                   build_operational_gains, control_torque,
                                   fold_to_joint_gains)
 from contactctl.kinematics import chain_frames, solve_ik
@@ -29,16 +28,16 @@ def planar2_model():
 
 def test_critical_damping_values():
     cfg = ImpedanceConfig(zeta=1.0, m_eff=2.0, k_min=0.0, k_max=5000.0)
-    gains = build_operational_gains(np.array([1000.0, 1000.0, 500.0]), cfg)
-    assert np.allclose(gains.dp_trans, [89.44, 89.44, 63.25], atol=1e-2)
-    assert np.allclose(gains.kp_trans, [1000.0, 1000.0, 500.0])
+    gains, _ = build_operational_gains(np.array([1000.0, 1000.0, 500.0]), cfg)
+    assert np.allclose(gains[1, :3], [89.44, 89.44, 63.25], atol=1e-2)
+    assert np.allclose(gains[0, :3], [1000.0, 1000.0, 500.0])
 
 
 def test_zero_stiffness_zero_damping():
     cfg = ImpedanceConfig(k_min=0.0, k_max=100.0)
-    gains = build_operational_gains(np.zeros(3), cfg)
-    assert np.allclose(gains.kp_trans, 0.0)
-    assert np.allclose(gains.dp_trans, 0.0)
+    gains, _ = build_operational_gains(np.zeros(3), cfg)
+    assert np.allclose(gains[0, :3], 0.0)
+    assert np.allclose(gains[1, :3], 0.0)
 
 
 @pytest.mark.parametrize("field", ["ik_damping", "dt", "qd_filter_cutoff", "m_eff"])
@@ -62,12 +61,13 @@ def test_out_of_range_stiffness_clamped_and_flagged():
     cfg = ImpedanceConfig(k_min=200.0, k_max=2000.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gains = build_operational_gains(np.array([100.0, 500.0, 9000.0]), cfg)
-    assert np.allclose(gains.kp_trans, [200.0, 500.0, 2000.0])
-    assert gains.stiffness_clamped
-    rows = build_operational_gains(np.array([[500.0, 600.0, 700.0],
-                                             [100.0, 500.0, 700.0]]), cfg)
-    assert rows.stiffness_clamped.tolist() == [False, True]
+        gains, clamped = build_operational_gains(np.array([100.0, 500.0, 9000.0]),
+                                                 cfg)
+    assert np.allclose(gains[0, :3], [200.0, 500.0, 2000.0])
+    assert clamped
+    _, rows_clamped = build_operational_gains(np.array([[500.0, 600.0, 700.0],
+                                                        [100.0, 500.0, 700.0]]), cfg)
+    assert rows_clamped.tolist() == [False, True]
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +75,14 @@ def test_out_of_range_stiffness_clamped_and_flagged():
 
 def test_fold_null_jacobian_gives_floor():
     cfg = ImpedanceConfig()
-    cart = build_operational_gains(np.array([1000.0, 1000.0, 1000.0]), cfg)
+    cart, _ = build_operational_gains(np.array([1000.0, 1000.0, 1000.0]), cfg)
     gains = fold_to_joint_gains(np.zeros((6, 3)), cart, 2.5, 0.3)
-    assert np.allclose(gains.kq_p, np.diag([2.5] * 3))
-    assert np.allclose(gains.kq_d, np.diag([0.3] * 3))
+    assert np.allclose(gains[0], np.diag([2.5] * 3))
+    assert np.allclose(gains[1], np.diag([0.3] * 3))
 
 
 def test_fold_identity_stiffness_matches_loop_oracle(rng):
-    cart = CartesianGains(np.ones(3), np.ones(3), np.zeros(3), np.zeros(3), False)
+    cart = np.array([np.ones(6), np.zeros(6)])   # unit stiffness, no damping
     for _ in range(25):
         dof = int(rng.integers(1, 7))
         j = rng.normal(size=(6, dof))
@@ -92,21 +92,21 @@ def test_fold_identity_stiffness_matches_loop_oracle(rng):
         for a in range(dof):
             for b in range(dof):
                 expected[a, b] = sum(j[k, a] * j[k, b] for k in range(6))
-        assert np.max(np.abs(gains.kq_p - expected)) < 1e-10
+        assert np.max(np.abs(gains[0] - expected)) < 1e-10
 
 
 def test_diagonal_fold_bit_equal_to_full_matrix_product(rng):
     cfg = ImpedanceConfig()
-    cart = build_operational_gains(np.array([800.0, 900.0, 1000.0]), cfg)
+    cart, _ = build_operational_gains(np.array([800.0, 900.0, 1000.0]), cfg)
     planar = chain_frames(make_planar2(), [0.3, -0.7]).jacobian
     for j in [rng.normal(size=(6, dof)) for dof in range(1, 7)] + [planar]:
         dof = j.shape[1]
         floor_p = rng.uniform(0.5, 2.0, dof)
         floor_d = rng.uniform(0.05, 0.2, dof)
         gains = fold_to_joint_gains(j, cart, floor_p, floor_d)
-        for got, trans, rot, floor in ((gains.kq_p, cart.kp_trans, cart.k_rot, floor_p),
-                                       (gains.kq_d, cart.dp_trans, cart.d_rot, floor_d)):
-            full = np.diag(np.concatenate([trans, rot]))
+        for got, diagonal, floor in ((gains[0], cart[0], floor_p),
+                                     (gains[1], cart[1], floor_d)):
+            full = np.diag(diagonal)
             want = j.T @ full @ j + np.diag(floor)
             want = (want + want.T) / 2.0
             assert got.tobytes() == want.tobytes()
@@ -115,37 +115,41 @@ def test_diagonal_fold_bit_equal_to_full_matrix_product(rng):
 def test_fold_rejects_non_diagonal_gains():
     kx = np.eye(3)
     kx[0, 1] = kx[1, 0] = 0.5
-    cart = CartesianGains(kx, np.eye(3), np.eye(3), np.eye(3), False)
     with pytest.raises(ValueError, match="diagonal"):
-        fold_to_joint_gains(np.ones((6, 2)), cart, 1.0, 0.1)
+        fold_to_joint_gains(np.ones((6, 2)), np.stack([kx, np.eye(3)]), 1.0, 0.1)
+    # diagonals of a batch the Jacobian does not have
+    with pytest.raises(ValueError, match="diagonal"):
+        fold_to_joint_gains(np.ones((6, 2)), np.ones((3, 2, 6)), 1.0, 0.1)
+    with pytest.raises(ValueError, match="diagonal"):
+        fold_to_joint_gains(np.ones((4, 6, 2)), np.ones((3, 2, 6)), 1.0, 0.1)
 
 
 def test_fold_eigenvalues_at_least_floor(rng):
     cfg = ImpedanceConfig()
-    cart = build_operational_gains(np.array([800.0, 900.0, 1000.0]), cfg)
+    cart, _ = build_operational_gains(np.array([800.0, 900.0, 1000.0]), cfg)
     for _ in range(10):
         j = rng.normal(size=(6, 4))
         gains = fold_to_joint_gains(j, cart, 1.0, 0.1)
-        assert np.min(np.linalg.eigvalsh(gains.kq_p)) >= 1.0 - 1e-9
-        assert np.min(np.linalg.eigvalsh(gains.kq_d)) >= 0.1 - 1e-9
+        assert np.min(np.linalg.eigvalsh(gains[0])) >= 1.0 - 1e-9
+        assert np.min(np.linalg.eigvalsh(gains[1])) >= 0.1 - 1e-9
 
 
 def test_fold_symmetry_psd_random(rng):
     cfg = ImpedanceConfig()
     for _ in range(50):
         kp = rng.uniform(cfg.k_min, cfg.k_max, 3)
-        cart = build_operational_gains(kp, cfg)
+        cart, _ = build_operational_gains(kp, cfg)
         dof = int(rng.integers(1, 8))
         j = rng.normal(size=(6, dof))
         gains = fold_to_joint_gains(j, cart, cfg.kq_floor, cfg.kqd_floor)
-        assert np.array_equal(gains.kq_p, gains.kq_p.T)
+        assert np.array_equal(gains[0], gains[0].T)
         x = rng.normal(size=dof)
-        assert x @ gains.kq_p @ x >= 0.0
+        assert x @ gains[0] @ x >= 0.0
 
 
 def test_fold_rejects_bad_jacobian():
     cfg = ImpedanceConfig()
-    cart = build_operational_gains(np.full(3, 500.0), cfg)
+    cart, _ = build_operational_gains(np.full(3, 500.0), cfg)
     with pytest.raises(ValueError):
         fold_to_joint_gains(np.zeros((5, 3)), cart, 1.0, 0.1)
 
@@ -154,7 +158,7 @@ def test_fold_rejects_bad_jacobian():
 # control torque
 
 def test_zero_error_returns_compensation_exactly(rng):
-    gains = JointGains(np.diag([100.0, 80.0]), np.diag([10.0, 8.0]))
+    gains = np.stack([np.diag([100.0, 80.0]), np.diag([10.0, 8.0])])
     q = rng.normal(size=2)
     qdot = rng.normal(size=2)
     bias = rng.normal(size=2)
@@ -163,7 +167,7 @@ def test_zero_error_returns_compensation_exactly(rng):
 
 
 def test_unit_error_diagonal_gain():
-    gains = JointGains(np.diag([100.0, 50.0]), np.zeros((2, 2)))
+    gains = np.stack([np.diag([100.0, 50.0]), np.zeros((2, 2))])
     tau = control_torque(gains, [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
                          np.zeros(2))
     assert np.allclose(tau, [100.0, 0.0])
@@ -179,7 +183,7 @@ def test_closed_loop_converges_to_constant_target():
     for _ in range(2000):   # 2 s
         frames = chain_frames(chain, state.q)
         terms = inverse_dynamics_terms(model, state.q, state.qdot)
-        cart = build_operational_gains(np.full(3, 1500.0), cfg)
+        cart, _ = build_operational_gains(np.full(3, 1500.0), cfg)
         gains = fold_to_joint_gains(frames.jacobian, cart, 3.0, 0.5)
         tau = control_torque(gains, q_d, state.q, np.zeros(2), state.qdot,
                              terms.bias)
@@ -207,7 +211,7 @@ def test_execute_tick_identity_command():
     hold = inverse_dynamics_terms(model, q0, np.zeros(2)).bias
     assert np.allclose(out.q_d, q0, atol=1e-9)
     assert np.allclose(out.tau, hold, atol=1e-6)
-    assert np.allclose(out.diagnostics.xi, 0.0, atol=1e-12)
+    assert np.allclose(out.xi, 0.0, atol=1e-12)
 
 
 def test_execute_tick_rest_drift_with_shared_terms():
@@ -237,7 +241,7 @@ def test_executor_error_norm_decreases_in_free_space():
     norms = []
     for _ in range(1500):
         out, state, _ = executor.closed_loop_tick(state, command, None)
-        norms.append(np.linalg.norm(out.diagnostics.xi))
+        norms.append(np.linalg.norm(out.xi))
     norms = np.array(norms)
     assert norms[-1] < 1e-3
     # monotone within a tight tolerance for discrete-time wobble
@@ -289,7 +293,7 @@ def test_executor_reports_stiffness_clamp():
     target = chain_frames(model.chain, q0).ee_pose
     command = ComplianceCommand(target, np.array([1.0, 1000.0, 1000.0]))
     out, _, _ = executor.closed_loop_tick(state, command, None)
-    assert out.diagnostics.stiffness_clamped
+    assert out.stiffness_clamped
 
 
 def test_execute_tick_clamps_without_warning_or_filter_changes(monkeypatch):
@@ -310,22 +314,21 @@ def test_execute_tick_clamps_without_warning_or_filter_changes(monkeypatch):
         out = executor.execute_tick(state, command, frames, bias)
         monkeypatch.undo()
     assert touched == []
-    assert out.diagnostics.stiffness_clamped
+    assert out.stiffness_clamped
     assert caught == []
     # the same torque as with the command clamped up front
     executor = ImpedanceExecutor(model, cfg)
     clamped = ComplianceCommand(frames.ee_pose, np.array([cfg.k_min, 1000.0, cfg.k_max]))
     again = executor.execute_tick(state, clamped, frames, bias)
     assert np.array_equal(out.tau, again.tau)
-    assert not again.diagnostics.stiffness_clamped
-    # the one clamp is build_operational_gains', which reports it in the gains
-    assert build_operational_gains(command.kp_diag, cfg).stiffness_clamped
+    assert not again.stiffness_clamped
+    # the one clamp is build_operational_gains', which reports it with the gains
+    assert build_operational_gains(command.kp_diag, cfg)[1]
 
 
 def test_executor_single_code_path_in_contact_and_free_space():
     # identical diagnostics structure whether or not the plant is in contact
     f_n, _, state = wiping_rig(1100.0)
-    assert state.contact_wrench_ee.frame == "ee"
     model, executor, _ = executor_setup()
     free_state = SimState(np.array([0.4, 0.7]), np.zeros(2))
     target = chain_frames(model.chain, free_state.q).ee_pose
@@ -367,14 +370,14 @@ def test_single_state_shapes_and_batched_rows(rng, name):
     first, out, state, frames = singles[0]
     assert out.tau.shape == out.q_d.shape == out.qdot_d.shape == (n,)
     assert state.q.shape == state.qdot.shape == (n,)
-    assert state.contact_wrench_ee.force.shape == (3,)
+    assert state.contact_force_ee.shape == (3,)
     assert frames.jacobian.shape == (6, n)
     assert frames.joint_origins.shape == frames.joint_axes.shape == (n, 3)
     assert frames.link_rotations.shape == (n, 3, 3)
     assert frames.ee_pose.rotation.shape == (3, 3)
-    assert out.diagnostics.xi.shape == (6,)
-    assert np.ndim(out.diagnostics.stiffness_clamped) == 0
-    assert np.ndim(out.diagnostics.limits_clamped) == 0
+    assert out.xi.shape == (6,)
+    assert np.ndim(out.stiffness_clamped) == 0
+    assert np.ndim(out.limits_clamped) == 0
     terms = inverse_dynamics_terms(model, q[0], qdot[0])
     assert terms.mass_matrix.shape == (n, n) and terms.bias.shape == (n,)
     force, f_n = plane_contact_force(ContactPlane([0.0, 0.0, 1.0], 0.0, 1e4),
@@ -383,19 +386,18 @@ def test_single_state_shapes_and_batched_rows(rng, name):
 
     b_first, b_out, b_state, b_frames = batched
     assert b_out.tau.shape == (rows, n) and b_state.q.shape == (rows, n)
-    assert b_state.contact_wrench_ee.force.shape == (rows, 3)
+    assert b_state.contact_force_ee.shape == (rows, 3)
     assert b_frames.jacobian.shape == (rows, 6, n)
-    assert b_out.diagnostics.xi.shape == (rows, 6)
-    assert b_out.diagnostics.stiffness_clamped.shape == (rows,)
+    assert b_out.xi.shape == (rows, 6)
+    assert b_out.stiffness_clamped.shape == (rows,)
     for i, (s_first, s_out, s_state, s_frames) in enumerate(singles):
         for got, want in ((b_first.tau[i], s_first.tau), (b_out.tau[i], s_out.tau),
                           (b_out.qdot_d[i], s_out.qdot_d),
-                          (b_out.diagnostics.xi[i], s_out.diagnostics.xi),
+                          (b_out.xi[i], s_out.xi),
                           (b_state.q[i], s_state.q), (b_state.qdot[i], s_state.qdot),
-                          (b_state.contact_wrench_ee.force[i],
-                           s_state.contact_wrench_ee.force),
+                          (b_state.contact_force_ee[i], s_state.contact_force_ee),
                           (b_frames.jacobian[i], s_frames.jacobian)):
             assert got.tobytes() == want.tobytes()
     # the rows straddle the plane: pressed into it, and clear of it
-    assert np.linalg.norm(b_state.contact_wrench_ee.force[0]) > 0.0
-    assert np.all(b_state.contact_wrench_ee.force[1] == 0.0)
+    assert np.linalg.norm(b_state.contact_force_ee[0]) > 0.0
+    assert np.all(b_state.contact_force_ee[1] == 0.0)

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import episode_csv_oracle
 import payload_oracle
-from contactctl.geometry import Pose, Rot6D, Wrench, rotation_about_axis
+from contactctl.geometry import Pose, Rot6D, rotation_about_axis
 from contactctl.sensing import (IdentificationError, Payload,
-                                WrenchFrameModel, compensate_wrench,
-                                gravity_model, identify_payload,
+                                compensate_wrench, gravity_model,
+                                identify_payload,
                                 load_calibration_csv, load_payload,
                                 marker_motion_magnitude, save_calibration_csv,
                                 save_payload, transform_wrench)
@@ -20,7 +20,7 @@ def synthetic_readings(mass, com, bias, orientations, sigma=0.0, rng=None):
     """(orientations, readings): the payload's wrench at each pose, plus one
     (P, 6) noise draw."""
     orientations = np.array(orientations)
-    readings = gravity_model(mass, com, bias, orientations).as_array()
+    readings = gravity_model(mass, com, bias, orientations)
     if sigma > 0.0:
         readings = readings + rng.normal(0.0, sigma, readings.shape)
     return orientations, readings
@@ -47,14 +47,14 @@ AXIS_ALIGNED = [m for m in (np.diag(signs)[list(perm)]
 
 def test_gravity_model_identity_orientation():
     w = gravity_model(0.5, [0.0, 0.0, 0.05], np.zeros(6), np.eye(3))
-    assert np.allclose(w.force, [0.0, 0.0, -4.905], atol=1e-12)
-    assert np.allclose(w.torque, 0.0, atol=1e-12)
+    assert np.allclose(w[:3], [0.0, 0.0, -4.905], atol=1e-12)
+    assert np.allclose(w[3:], 0.0, atol=1e-12)
 
 
 def test_gravity_model_rotation_oracle(rng):
     r = rotation_about_axis(np.array([1.0, 0.0, 0.0]), np.pi / 2)
     w = gravity_model(0.5, np.zeros(3), np.zeros(6), r)
-    assert np.allclose(w.force, r.T @ np.array([0.0, 0.0, -0.5 * 9.81]),
+    assert np.allclose(w[:3], r.T @ np.array([0.0, 0.0, -0.5 * 9.81]),
                        atol=1e-12)
 
 
@@ -66,16 +66,16 @@ def test_gravity_model_and_transform_bit_equal_to_np_cross(rng):
         r = random_rotation(rng)
         force = r.T @ (mass * np.array([0.0, 0.0, -9.81]))
         grav = gravity_model(mass, com, bias, r)
-        assert grav.force.tobytes() == (force + bias[:3]).tobytes()
-        assert grav.torque.tobytes() == (np.cross(com, force) + bias[3:]).tobytes()
+        assert grav[:3].tobytes() == (force + bias[:3]).tobytes()
+        assert grav[3:].tobytes() == (np.cross(com, force) + bias[3:]).tobytes()
 
-        wrench = Wrench(rng.normal(size=3), rng.normal(size=3), "sensor")
+        wrench = rng.normal(size=6)
         transform = Pose(random_rotation(rng), rng.normal(size=3) * 0.1)
-        moved = transform_wrench(wrench, transform, "ee")
-        f = transform.rotation @ wrench.force
-        t = transform.rotation @ wrench.torque + np.cross(transform.translation, f)
-        assert moved.force.tobytes() == f.tobytes()
-        assert moved.torque.tobytes() == t.tobytes()
+        moved = transform_wrench(wrench, transform)
+        f = transform.rotation @ wrench[:3]
+        t = transform.rotation @ wrench[3:] + np.cross(transform.translation, f)
+        assert moved[:3].tobytes() == f.tobytes()
+        assert moved[3:].tobytes() == t.tobytes()
 
 
 def test_sensing_rows_of_a_stack_equal_single_calls(rng):
@@ -84,26 +84,26 @@ def test_sensing_rows_of_a_stack_equal_single_calls(rng):
     from contactctl.dynamics import read_ft_sensor
     n = 50
     rotations = np.array([random_rotation(rng) for _ in range(n)])
-    contact = Wrench(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)), "ee")
+    contact = np.concatenate([rng.normal(size=(n, 3)), rng.normal(size=(n, 3))],
+                             axis=1)
     spec = Payload(0.3, rng.normal(size=3) * 0.05, rng.normal(size=6))
     payload = Payload(0.31, rng.normal(size=3) * 0.05, rng.normal(size=6))
-    frame = WrenchFrameModel(Pose(random_rotation(rng), rng.normal(size=3) * 0.1))
+    sensor_to_ee = Pose(random_rotation(rng), rng.normal(size=3) * 0.1)
     raw = read_ft_sensor(contact, spec, rotations, 0.02, np.random.default_rng(9))
-    comp = compensate_wrench(raw, payload, rotations, frame)
+    comp = compensate_wrench(raw, payload, rotations, sensor_to_ee)
     noise = np.random.default_rng(9)
     for i in range(n):
-        raw_i = read_ft_sensor(Wrench(contact.force[i], contact.torque[i], "ee"),
-                               spec, rotations[i], 0.02, noise)
-        comp_i = compensate_wrench(raw_i, payload, rotations[i], frame)
-        assert raw.as_array()[i].tobytes() == raw_i.as_array().tobytes()
-        assert comp.as_array()[i].tobytes() == comp_i.as_array().tobytes()
+        raw_i = read_ft_sensor(contact[i], spec, rotations[i], 0.02, noise)
+        comp_i = compensate_wrench(raw_i, payload, rotations[i], sensor_to_ee)
+        assert raw[i].tobytes() == raw_i.tobytes()
+        assert comp[i].tobytes() == comp_i.tobytes()
 
 
 def test_gravity_model_massless_is_bias():
     bias = np.array([0.1, -0.2, 0.3, 0.01, -0.02, 0.03])
     w = gravity_model(0.0, [0.1, 0.2, 0.3], bias,
                       random_rotation(np.random.default_rng(2)))
-    assert np.allclose(w.as_array(), bias, atol=1e-15)
+    assert np.allclose(w, bias, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def test_identify_residual_matches_recomputation(rng):
     orientations, readings = synthetic_readings(
         mass, com, bias, spread_orientations(8, rng), 0.03, rng)
     payload = identify_payload(orientations, readings)
-    errs = np.array([w - predicted(payload, r).as_array()
+    errs = np.array([w - predicted(payload, r)
                      for r, w in zip(orientations, readings)])
     assert np.allclose(payload.residual_rms, np.sqrt(np.mean(errs ** 2, axis=0)),
                        atol=1e-12)
@@ -206,34 +206,30 @@ def test_identify_gets_the_per_pose_oracle_bits(calibration):
 def test_compensation_round_trip(rng):
     payload = Payload(0.45, [0.01, -0.03, 0.06],
                       np.array([0.2, -0.1, 0.3, 0.02, 0.01, -0.03]))
-    frame = WrenchFrameModel()
     for _ in range(20):
         r = random_rotation(rng)
         w_true = rng.normal(size=6)
-        raw = Wrench.from_array(predicted(payload, r).as_array() + w_true,
-                                "sensor")
-        out = compensate_wrench(raw, payload, r, frame)
-        assert np.max(np.abs(out.as_array() - w_true)) < 1e-9
-        assert out.frame == "ee"
+        raw = predicted(payload, r) + w_true
+        out = compensate_wrench(raw, payload, r, Pose.identity())
+        assert np.max(np.abs(out - w_true)) < 1e-9
 
 
 def test_compensation_identity_transform_is_subtraction(rng):
     payload = Payload(0.3, [0.0, 0.01, 0.02], np.zeros(6))
     r = random_rotation(rng)
-    raw = Wrench.from_array(rng.normal(size=6), "sensor")
-    out = compensate_wrench(raw, payload, r, WrenchFrameModel())
-    expected = raw.as_array() - predicted(payload, r).as_array()
-    assert np.allclose(out.as_array(), expected, atol=1e-12)
+    raw = rng.normal(size=6)
+    out = compensate_wrench(raw, payload, r, Pose.identity())
+    expected = raw - predicted(payload, r)
+    assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_adjoint_lever_arm_oracle():
     lever = np.array([0.1, 0.0, 0.0])
-    frame = WrenchFrameModel(Pose(np.eye(3), lever))
     force = np.array([0.0, 0.0, 5.0])
-    out = transform_wrench(Wrench(force, np.zeros(3), "sensor"),
-                           frame.t_sensor_to_ee, "ee")
-    assert np.allclose(out.force, force)
-    assert np.allclose(out.torque, np.cross(lever, force), atol=1e-12)
+    out = transform_wrench(np.concatenate([force, np.zeros(3)]),
+                           Pose(np.eye(3), lever))
+    assert np.allclose(out[:3], force)
+    assert np.allclose(out[3:], np.cross(lever, force), atol=1e-12)
 
 
 def test_frame_covariance_linearity(rng):
@@ -241,12 +237,11 @@ def test_frame_covariance_linearity(rng):
     payload = Payload(0.4, [0.02, 0.01, -0.01],
                       np.array([0.1, 0.0, -0.2, 0.0, 0.01, 0.0]))
     transform = Pose(random_rotation(rng), rng.normal(size=3) * 0.1)
-    frame = WrenchFrameModel(transform)
     r = random_rotation(rng)
-    raw = Wrench.from_array(rng.normal(size=6), "sensor")
-    a = compensate_wrench(raw, payload, r, frame).as_array()
-    raw_t = transform_wrench(raw, transform, "ee").as_array()
-    grav_t = transform_wrench(predicted(payload, r), transform, "ee").as_array()
+    raw = rng.normal(size=6)
+    a = compensate_wrench(raw, payload, r, transform)
+    raw_t = transform_wrench(raw, transform)
+    grav_t = transform_wrench(predicted(payload, r), transform)
     assert np.allclose(a, raw_t - grav_t, atol=1e-12)
 
 
@@ -262,8 +257,8 @@ def test_pose_variation_reduction():
         mass, com, bias, calibration_orientations(10), sigma, rng)
     payload = identify_payload(orientations, readings)
     raw_forces = readings[:, :3]
-    comp_forces = compensate_wrench(Wrench(readings[:, :3], readings[:, 3:], "sensor"),
-                                    payload, orientations, WrenchFrameModel()).force
+    comp_forces = compensate_wrench(readings, payload, orientations,
+                                    Pose.identity())[:, :3]
     raw_span = np.max(raw_forces.max(axis=0) - raw_forces.min(axis=0))
     comp_span = np.max(comp_forces.max(axis=0) - comp_forces.min(axis=0))
     assert raw_span > 6.0
