@@ -90,8 +90,7 @@ class SimState:
     q: np.ndarray
     qdot: np.ndarray
     time: float = 0.0
-    # end-effector-frame contact force (..., 3); a point contact has no torque
-    contact_force_ee: Optional[np.ndarray] = None   # default: zero, one per row
+    contact_force_ee: Optional[np.ndarray] = None   # (..., 3) in the ee frame; default zero
 
     def __post_init__(self):
         self.q = np.atleast_1d(np.asarray(self.q, dtype=float))
@@ -266,8 +265,7 @@ def _fault(what: str, state: SimState, tau: np.ndarray,
     q, qdot, where = state.q, state.qdot, ""
     if q.ndim > 1:
         i = int(np.argmin(finite.all(axis=-1)))
-        where = f" in row {i} of {len(q)}"
-        q, qdot, tau = q[i], qdot[i], tau[i]
+        q, qdot, tau, where = q[i], qdot[i], tau[i], f" in row {i} of {len(q)}"
     return SimulationFault(f"{what}{where} at t={state.time:.6f}: "
                            f"q={q}, qdot={qdot}, tau={tau}")
 
@@ -277,12 +275,11 @@ def read_ft_sensor(contact: np.ndarray, payload: Payload, rotation: np.ndarray,
                    rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Raw sensor-frame readings (..., 6): contact + payload gravity + bias + noise.
 
-    The sensor is collocated with the end-effector frame, so the (..., 6)
-    end-effector contact wrench maps straight through; payload weight enters
-    via the payload gravity model with the end-effector orientation
-    `rotation`. A (N, 6) stack of contact wrenches with (N, 3, 3) rotations
-    gives N readings, whose noise is one (N, 6) draw: the same bits as N
-    readings in turn.
+    The sensor is collocated with the end effector, so the (..., 6) contact
+    wrench maps straight through, plus the payload's gravity model at the
+    end-effector orientation `rotation`. (N, 6) contact wrenches with
+    (N, 3, 3) rotations give N readings whose noise is one (N, 6) draw: the
+    same bits as N readings in turn.
     """
     if noise_sigma < 0.0:
         raise ValueError("noise_sigma must be nonnegative")

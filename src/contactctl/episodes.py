@@ -337,11 +337,15 @@ def _read_stream(episode: Episode, spec: StreamSpec, path: Path, fail) -> None:
         for lineno in count(2):
             try:
                 row = next(reader, None)
-                if row is None:
-                    return
+            except csv.Error as exc:
+                fail(f"{path.name} row {lineno}: {exc}")
+                continue
+            if row is None:
+                return
+            try:
                 # an empty line has no t and fails the field count
                 episode.record(spec.name, row[0] if row else "", row[1:])
-            except (csv.Error, ValueError) as exc:   # EpisodeError included
+            except ValueError as exc:   # EpisodeError included
                 fail(f"{path.name} row {lineno}: {exc}")
 
 

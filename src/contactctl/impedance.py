@@ -96,9 +96,7 @@ def fold_to_joint_gains(j: np.ndarray, gains: np.ndarray,
         raise ValueError(f"Jacobian must be 6 x dof, got {j.shape}")
     batch, dof = j.shape[:-2], j.shape[-1]
     gains = np.asarray(gains, dtype=float)
-    lead = gains.shape[:-2]
-    if gains.shape[-2:] != (2, 6) or len(lead) > len(batch) or any(
-            g not in (1, b) for g, b in zip(lead[::-1], batch[::-1])):
+    if gains.shape[-2:] != (2, 6) or gains.shape[:-2] not in ((), batch):
         raise ValueError(
             "operational-space gains must be diagonals: (2, 6) arrays or "
             f"stacks matching the Jacobian's batch {batch}")

@@ -478,11 +478,10 @@ def _record(setup: WipingSetup, row: WipingRow, executed: np.ndarray,
     """
     episode, t = row.episode, log.time
     rotation, p_ee = log.rotation[:, r], log.translation[:, r]
-    # the plant's contact is a point force at the end effector: no torque
+    # a point contact force (no torque) at the end effector, where the sensor sits
     contact = np.concatenate([log.force[:, r], np.zeros((len(t), 3))], axis=1)
     raw = read_ft_sensor(contact, setup.payload, rotation, setup.noise_sigma,
                          row.rng)
-    # the sensor sits at the end effector
     comp = compensate_wrench(raw, setup.payload, rotation, Pose.identity())
     # each command's executed row is recorded at the time its first tick
     # starts; a padding row repeats the stream's last row

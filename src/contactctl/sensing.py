@@ -13,9 +13,8 @@ end-effector frame with the full adjoint wrench transform (rotation plus
 lever-arm torque).
 
 Wrenches are (..., 6) arrays, force then torque. Gravity, compensation and
-the wrench transform take a leading axis: a (..., 3, 3) stack of
-orientations and (..., 6) wrench stacks give one result per row, with the
-same bits as one call per row.
+the wrench transform give one result per row of (..., 3, 3) orientation and
+(..., 6) wrench stacks, with the same bits as one call per row.
 """
 
 from dataclasses import dataclass, field
@@ -125,8 +124,7 @@ def transform_wrench(wrench: np.ndarray, transform: Pose) -> np.ndarray:
     return np.concatenate([force, torque], axis=-1)
 
 
-def compensate_wrench(raw: np.ndarray, payload: Payload,
-                      sensor_orientation: np.ndarray,
+def compensate_wrench(raw: np.ndarray, payload: Payload, sensor_orientation: np.ndarray,
                       sensor_to_ee: Pose) -> np.ndarray:
     """End-effector wrench adjoint(T_sensor_to_ee) (w_raw - w_grav) of
     (..., 6) sensor-frame readings."""

@@ -503,6 +503,34 @@ def test_oversize_field_is_a_violation_naming_its_row(tmp_path, edit, row):
         f"pose.csv row {row}: field larger than field limit (131072)"]
 
 
+# over 8 KiB of rows, so the bytes after them are decoded after the header
+MANY_ROWS = b"".join(b"%d.0,2.0\r\n" % i for i in range(1, 1000))
+
+
+@pytest.mark.parametrize("kind, body", [
+    ("image_ref", b"0.0,a.png\r\n0.1,b.png\xc3"),   # truncated UTF-8 at the end
+    ("image_ref", MANY_ROWS + b"1000.0,\xe9.png\r\n1001.0,c.png\r\n"),   # invalid byte
+    # a blank line sends the stream to the row reader before the block
+    # parse decodes the end of the file
+    ("wrench", b"0.0,1.0\r\n\r\n" + MANY_ROWS + b"\xc3"),
+], ids=["image_ref_truncated", "image_ref_invalid", "row_path_truncated"])
+def test_undecodable_stream_ends_the_read_as_in_the_oracle(tmp_path, kind, body):
+    # a decode error is not a csv row error: once the decoder fails, every
+    # later read fails the same way, so reporting it per row never ends
+    export_csv(Episode("bytes", [StreamSpec("s", 10.0, ("v",), kind)]), tmp_path)
+    (tmp_path / "s.csv").write_bytes(b"t,v\r\n" + body)
+    violations = []
+
+    def fail(message):
+        violations.append(message)
+        assert len(violations) < 10, violations[:3]
+    try:
+        episodes._read_episode(tmp_path, fail)
+    except UnicodeDecodeError:
+        pass
+    assert _read_outcome(tmp_path) == _oracle_outcome(tmp_path)
+
+
 def test_golden_episode_load_and_validate_agree():
     assert validate_episode_dir(GOLDEN) == []
     load_episode(GOLDEN)
