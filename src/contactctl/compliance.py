@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .geometry import (GeometryError, Pose, Rot6D, as_vec3, check_rotations,
+from .geometry import (GeometryError, Pose, as_vec3, check_rotations,
                        decode_rot6d_rows, dot_rows, pose_unchecked,
                        rotation_about_axis, rotation_log_between)
 
@@ -39,29 +39,27 @@ class ComplianceError(ValueError):
 @dataclass
 class ActionStep:
     delta_xyz: np.ndarray       # m, reference translation increment
-    rot6d: Rot6D                # absolute target orientation
+    rot6d: np.ndarray           # absolute target orientation, 6D encoding
     force: np.ndarray           # N, predicted interaction force
     gripper_width: float        # m
 
     def __post_init__(self):
         self.delta_xyz = np.asarray(self.delta_xyz, dtype=float).reshape(3)
+        self.rot6d = np.asarray(self.rot6d, dtype=float).reshape(6)
         self.force = np.asarray(self.force, dtype=float).reshape(3)
-        values = np.concatenate([self.delta_xyz, self.rot6d.as_array(),
-                                 self.force, [self.gripper_width]])
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(self.as_array())):
             raise ComplianceError("non-finite action step")
         if self.gripper_width < 0.0:
             raise ComplianceError("gripper width must be nonnegative")
 
     def as_array(self) -> np.ndarray:
-        return np.concatenate([self.delta_xyz, self.rot6d.as_array(),
-                               self.force, [self.gripper_width]])
+        return np.concatenate([self.delta_xyz, self.rot6d, self.force,
+                               [self.gripper_width]])
 
     @staticmethod
     def from_array(values: np.ndarray) -> "ActionStep":
         values = np.asarray(values, dtype=float).reshape(len(ACTION_SCHEMA))
-        return ActionStep(values[0:3], Rot6D.from_array(values[3:9]),
-                          values[9:12], float(values[12]))
+        return ActionStep(values[0:3], values[3:9], values[9:12], float(values[12]))
 
 
 @dataclass
@@ -92,17 +90,6 @@ class StiffnessSchedule:
             raise ComplianceError("f_sat must be positive")
 
 
-@dataclass
-class ComplianceCommand:
-    """One command, or a stack of them with (..., 3, 3) and (..., 3) fields."""
-
-    virtual_target: Pose
-    kp_diag: np.ndarray          # N/m
-
-    def __post_init__(self):
-        self.kp_diag = as_vec3(self.kp_diag)
-
-
 def schedule_stiffness(force: np.ndarray, sched: StiffnessSchedule) -> np.ndarray:
     """Per-axis stiffness of (..., 3) forces, non-increasing in predicted force."""
     force = as_vec3(force)
@@ -117,9 +104,11 @@ def schedule_stiffness(force: np.ndarray, sched: StiffnessSchedule) -> np.ndarra
 
 
 def compile_step(actions: np.ndarray, start: Pose,
-                 sched: StiffnessSchedule) -> ComplianceCommand:
+                 sched: StiffnessSchedule) -> tuple:
     """One command per row of (..., n, 13) action streams, executed in row
-    order from the `start` reference.
+    order from the `start` reference: the (target, kp) pair of the virtual
+    targets, a Pose of (..., n, 3, 3) rotations and (..., n, 3) positions,
+    and the (..., n, 3) diagonal stiffness in N/m.
 
     The reference translation accumulates the rows' deltas from the start's,
     the reference rotation is each row's absolute 6D orientation, and the
@@ -139,12 +128,13 @@ def compile_step(actions: np.ndarray, start: Pose,
     target = ref - force / kp
     if not np.isfinite(target).all():
         raise GeometryError("pose translation not finite")
-    return ComplianceCommand(pose_unchecked(rotation, target), kp)
+    return pose_unchecked(rotation, target), kp
 
 
-def interpolate_commands(prev: ComplianceCommand, nxt: ComplianceCommand,
-                         frac: float | np.ndarray) -> ComplianceCommand:
-    """Blend two successive commands for execution at a faster control rate.
+def interpolate_commands(prev: tuple, nxt: tuple,
+                         frac: float | np.ndarray) -> tuple:
+    """Blend two successive (target, kp) commands for execution at a faster
+    control rate.
 
     Positions and stiffness interpolate linearly, orientation along the
     geodesic; frac = 1 returns `nxt` exactly. Keeps a staircase command
@@ -153,9 +143,10 @@ def interpolate_commands(prev: ComplianceCommand, nxt: ComplianceCommand,
     array shaped like the stack); each entry gets the bits of blending it
     alone.
     """
+    (target_prev, kp_prev), (target_next, kp_next) = prev, nxt
     frac = np.clip(frac, 0.0, 1.0)
-    r_prev = prev.virtual_target.rotation
-    r_next = nxt.virtual_target.rotation
+    r_prev = target_prev.rotation
+    r_next = target_next.rotation
     # equal orientations need no geodesic (their log is below 1e-12 anyway)
     rot = r_next
     if not (r_prev == r_next).all():
@@ -167,11 +158,11 @@ def interpolate_commands(prev: ComplianceCommand, nxt: ComplianceCommand,
             turned = r_prev @ rotation_about_axis(axis, frac * angle)
             rot = np.where(turning[..., None, None], turned, r_next)
     vec_frac = frac[..., None]
-    pos = (1.0 - vec_frac) * prev.virtual_target.translation \
-        + vec_frac * nxt.virtual_target.translation
-    kp = (1.0 - vec_frac) * prev.kp_diag + vec_frac * nxt.kp_diag
+    pos = (1.0 - vec_frac) * target_prev.translation \
+        + vec_frac * target_next.translation
+    kp = (1.0 - vec_frac) * kp_prev + vec_frac * kp_next
     # a product of validated rotations needs no re-validation
-    return ComplianceCommand(pose_unchecked(rot, pos), kp)
+    return pose_unchecked(rot, pos), kp
 
 
 class RecedingHorizonScheduler:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import GRAVITY_WORLD, cross_rows, dot_rows, skew_rows
 from .kinematics import (ChainConfigError, ChainFrames, ChainModel,
-                         chain_frames, load_chain)
+                         _parse_vector, chain_frames, load_chain)
 from .sensing import Payload, gravity_model
 
 FRICTION_V_EPS = 1e-3   # m/s, tanh regularization of Coulomb friction
@@ -49,7 +49,7 @@ class ArmDynamicsModel:
         self.link_coms = np.asarray(self.link_coms, dtype=float).reshape(n, 3)
         self.link_inertias = np.asarray(self.link_inertias, dtype=float).reshape(n, 3, 3)
         self.gravity = np.asarray(self.gravity, dtype=float).reshape(3)
-        if np.any(self.link_masses <= 0.0):
+        if not np.all(self.link_masses > 0.0):   # NaN fails too
             raise ValueError("link masses must be positive")
         for i, inertia in enumerate(self.link_inertias):
             if np.max(np.abs(inertia - inertia.T)) > 1e-9:
@@ -99,15 +99,10 @@ class SimState:
             self.contact_force_ee = np.zeros(self.q.shape[:-1] + (3,))
 
 
-@dataclass
-class DynTerms:
-    mass_matrix: np.ndarray
-    bias: np.ndarray    # C(q, qdot) qdot + g(q)
-
-
 def inverse_dynamics_terms(model: ArmDynamicsModel, q, qdot,
-                           frames: Optional[ChainFrames] = None) -> DynTerms:
-    """M and the bias C qdot + g shared by the plant and the controller.
+                           frames: Optional[ChainFrames] = None) -> tuple:
+    """The pair (M, bias), with bias = C qdot + g, shared by the plant and
+    the controller.
 
     Both come in one vectorised pass from the world-frame quantities of a
     forward pass (pass `frames` of q to reuse one). With the COM Jacobians
@@ -172,7 +167,7 @@ def inverse_dynamics_terms(model: ArmDynamicsModel, q, qdot,
     wrenches[..., :3] = model.link_masses[:, None] * acc
     wrenches[..., 3:] = inertia_w[..., 1] + (w_x @ inertia_w[..., :1])[..., 0]
     bias = (jac_t @ wrenches.reshape(batch + (6 * n, 1)))[..., 0]
-    return DynTerms((m + m.swapaxes(-1, -2)) / 2.0, bias)
+    return (m + m.swapaxes(-1, -2)) / 2.0, bias
 
 
 @lru_cache(maxsize=16)
@@ -218,13 +213,13 @@ STEP_DT_MAX = 0.01   # s, largest plant step `step` accepts
 
 def step(model: ArmDynamicsModel, state: SimState, tau: np.ndarray,
          plane: Optional[ContactPlane] = None, dt: float = 1e-3,
-         terms: Optional[DynTerms] = None, frames=None) -> SimState:
+         terms: Optional[tuple] = None, frames=None) -> SimState:
     """Advance one semi-implicit Euler step: M qdd + C qd + g = tau + J^T f_c.
 
-    Pass `terms` and `frames` to share one inverse-dynamics/kinematics
-    evaluation between the plant and a controller that compensates the bias;
-    both must belong to the current state. A batched state advances every
-    row at once.
+    Pass `terms`, the (M, bias) pair of `inverse_dynamics_terms`, and
+    `frames` to share one inverse-dynamics/kinematics evaluation between the
+    plant and a controller that compensates the bias; both must belong to
+    the current state. A batched state advances every row at once.
     """
     if not 0.0 < dt <= STEP_DT_MAX:
         raise ValueError(f"dt must be in (0, {STEP_DT_MAX}]")
@@ -244,9 +239,9 @@ def step(model: ArmDynamicsModel, state: SimState, tau: np.ndarray,
 
     if terms is None:
         terms = inverse_dynamics_terms(model, state.q, state.qdot, frames)
-    rhs = tau + (j_lin.swapaxes(-1, -2) @ f_contact[..., None])[..., 0] \
-        - terms.bias
-    qddot = np.linalg.solve(terms.mass_matrix, rhs[..., None])[..., 0]
+    mass_matrix, bias = terms
+    rhs = tau + (j_lin.swapaxes(-1, -2) @ f_contact[..., None])[..., 0] - bias
+    qddot = np.linalg.solve(mass_matrix, rhs[..., None])[..., 0]
     qdot_new = state.qdot + dt * qddot
     q_new = state.q + dt * qdot_new
     # a non-finite qdot_new makes q_new non-finite too
@@ -298,13 +293,14 @@ def load_arm_model(path) -> ArmDynamicsModel:
     cfg.read(Path(path))
     masses, coms, inertias = [], [], []
     for i in range(1, chain.dof + 1):
-        sec = cfg[f"joint.{i}"]
+        name = f"joint.{i}"
+        sec = cfg[name]
         if "mass" not in sec:
-            raise ChainConfigError(f"{path} [joint.{i}]: missing mass for dynamics")
-        masses.append(float(sec["mass"]))
-        coms.append([float(v) for v in sec.get("com", "0 0 0").split()])
-        diag = [float(v) for v in sec.get("inertia_diag", "1e-3 1e-3 1e-3").split()]
-        inertias.append(np.diag(diag))
+            raise ChainConfigError(f"{path} [{name}]: missing mass for dynamics")
+        masses.append(_parse_vector(sec["mass"], 1, f"{name} mass")[0])
+        coms.append(_parse_vector(sec.get("com", "0 0 0"), 3, f"{name} com"))
+        inertias.append(np.diag(_parse_vector(sec.get("inertia_diag", "1e-3 1e-3 1e-3"),
+                                              3, f"{name} inertia_diag")))
     return ArmDynamicsModel(chain, np.array(masses), np.array(coms),
                             np.array(inertias))
 

@@ -219,14 +219,14 @@ def export_csv(episode: Episode, out_dir) -> list:
                      "schema": list(s.schema)} for s in episode.streams.values()],
     }
     files = [out_dir / MANIFEST_NAME]
-    with open(files[0], "w") as fh:
+    with open(files[0], "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     for name, spec in episode.streams.items():
         path = out_dir / f"{name}.csv"
         files.append(path)
         times, rows = episode._times[name], episode._rows[name]
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(("t",) + spec.schema)
             if spec.kind == "image_ref":
@@ -270,7 +270,7 @@ def _read_episode(episode_dir, fail) -> Optional[Episode]:
         fail(f"missing manifest: {manifest_path}")
         return None
     try:
-        with open(manifest_path) as fh:
+        with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except ValueError as exc:
         fail(f"corrupt manifest {manifest_path}: {exc}")
@@ -312,41 +312,49 @@ def _read_stream(episode: Episode, spec: StreamSpec, path: Path, fail) -> None:
     A stream that fails that, and every `image_ref` stream, is read row by
     row through `record`, so each bad row goes to `fail` with its line; so
     does a row csv cannot read (say, a field over csv.field_size_limit()).
+    Bytes that are not UTF-8 end the read with one violation naming the
+    file, after the rows before them.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-        except csv.Error as exc:
-            fail(f"{path.name} row 1: {exc}")
-            return
-        if header is None or tuple(header) != ("t",) + spec.schema:
-            fail(f"stream {spec.name!r}: schema mismatch in {path.name}")
-            return
-        if spec.kind != "image_ref":
-            block = _parse_float_lines(fh, 1 + len(spec.schema))
-            if block is not None:
-                try:
-                    episode.record_block(spec.name, block[:, 0], block[:, 1:])
-                    return
-                except EpisodeError:
-                    pass
-            fh.seek(0)   # re-read the stream from its header, row by row
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            next(reader)
-        for lineno in count(2):
             try:
-                row = next(reader, None)
+                header = next(reader, None)
             except csv.Error as exc:
-                fail(f"{path.name} row {lineno}: {exc}")
-                continue
-            if row is None:
+                fail(f"{path.name} row 1: {exc}")
                 return
-            try:
-                # an empty line has no t and fails the field count
-                episode.record(spec.name, row[0] if row else "", row[1:])
-            except ValueError as exc:   # EpisodeError included
-                fail(f"{path.name} row {lineno}: {exc}")
+            if header is None or tuple(header) != ("t",) + spec.schema:
+                fail(f"stream {spec.name!r}: schema mismatch in {path.name}")
+                return
+            if spec.kind != "image_ref":
+                try:
+                    block = _parse_float_lines(fh, 1 + len(spec.schema))
+                except UnicodeDecodeError:   # the row reader reports it in order
+                    block = None
+                if block is not None:
+                    try:
+                        episode.record_block(spec.name, block[:, 0], block[:, 1:])
+                        return
+                    except EpisodeError:
+                        pass
+                fh.seek(0)   # re-read the stream from its header, row by row
+                reader = csv.reader(fh)
+                next(reader)
+            for lineno in count(2):
+                try:
+                    row = next(reader, None)
+                except csv.Error as exc:
+                    fail(f"{path.name} row {lineno}: {exc}")
+                    continue
+                if row is None:
+                    return
+                try:
+                    # an empty line has no t and fails the field count
+                    episode.record(spec.name, row[0] if row else "", row[1:])
+                except ValueError as exc:   # EpisodeError included
+                    fail(f"{path.name} row {lineno}: {exc}")
+    except UnicodeDecodeError as exc:
+        fail(f"{path.name}: not UTF-8 text: {exc}")
 
 
 # loadtxt skips a blank line, and strips these as spaces where float() fails

@@ -205,37 +205,12 @@ def decode_rot6d_rows(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class Rot6D:
-    """Continuous 6-number rotation encoding: the first two matrix columns.
-
-    Decoding Gram-Schmidt-orthonormalizes, so any pair of non-degenerate
-    vectors yields a valid rotation; encode/decode round-trips exactly on
-    orthonormal input.
-    """
-
-    a1: np.ndarray
-    a2: np.ndarray
-
-    def __post_init__(self):
-        self.a1 = np.asarray(self.a1, dtype=float).reshape(3)
-        self.a2 = np.asarray(self.a2, dtype=float).reshape(3)
-
-    @staticmethod
-    def encode(rotation: np.ndarray) -> "Rot6D":
-        rotation = np.asarray(rotation, dtype=float)
-        return Rot6D(rotation[:, 0].copy(), rotation[:, 1].copy())
-
-    def decode(self) -> np.ndarray:
-        return decode_rot6d_rows(self.a1, self.a2)
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.a1, self.a2])
-
-    @staticmethod
-    def from_array(values: np.ndarray) -> "Rot6D":
-        values = np.asarray(values, dtype=float).reshape(6)
-        return Rot6D(values[:3], values[3:])
+def encode_rot6d_rows(r: np.ndarray) -> np.ndarray:
+    """6D encodings (..., 6) of rotations (..., 3, 3): the first two columns,
+    one after the other. `decode_rot6d_rows` inverts it exactly on
+    orthonormal input."""
+    r = np.asarray(r, dtype=float)
+    return r[..., :, :2].swapaxes(-1, -2).reshape(r.shape[:-2] + (6,))
 
 
 def as_vec3(values) -> np.ndarray:

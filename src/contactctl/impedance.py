@@ -11,9 +11,11 @@ code path is identical in free space and in contact: contact changes only
 the plant, never a controller branch.
 
 Every function here takes a leading trial axis. An executor ticked with a
-batched state ((T, n) joints, (T, ...) command fields) advances T
+batched state ((T, n) joints, (T, ...) targets and gains) advances T
 independent control loops in one pass, with one qdot_d filter per row;
-a single (n,) state runs through the same code.
+a single (n,) state runs through the same code. The operational gains
+depend only on the commanded stiffness, so a caller that knows its command
+streams builds them for every tick at once, before the loop.
 """
 
 from dataclasses import dataclass, field
@@ -21,10 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .compliance import ComplianceCommand
 from .dynamics import (ArmDynamicsModel, ContactPlane, SimState,
                        STEP_DT_MAX, inverse_dynamics_terms, step)
-from .geometry import as_vec3
+from .geometry import Pose, as_vec3
 from .kinematics import ChainFrames, chain_frames, dls_step, pose_error
 
 
@@ -82,31 +83,28 @@ def build_operational_gains(kp_diag: np.ndarray,
 
 
 def fold_to_joint_gains(j: np.ndarray, gains: np.ndarray,
-                        kq_floor, kqd_floor) -> np.ndarray:
+                        floors: np.ndarray) -> np.ndarray:
     """Fold operational-space gains through the Jacobian, plus diagonal floors.
 
     `gains` holds the (..., 2, 6) stiffness and damping diagonals of
     `build_operational_gains`; the result is the (..., 2, n, n) stack
-    [Kq_p; Kq_d]. Floors may be scalars or per-joint vectors; they keep the
-    folded gains strictly positive definite at singular configurations. A
-    (..., 6, n) stack of Jacobians folds a matching stack of gains.
+    [Kq_p; Kq_d]. `floors` is the (2, n, n) stack of diagonal matrices
+    [Kq_floor; Kqd_floor], which keeps the folded gains strictly positive
+    definite at singular configurations. A (..., 6, n) stack of Jacobians
+    folds a matching stack of gains.
     """
     j = np.asarray(j, dtype=float)
     if j.ndim < 2 or j.shape[-2] != 6:
         raise ValueError(f"Jacobian must be 6 x dof, got {j.shape}")
-    batch, dof = j.shape[:-2], j.shape[-1]
+    batch = j.shape[:-2]
     gains = np.asarray(gains, dtype=float)
     if gains.shape[-2:] != (2, 6) or gains.shape[:-2] not in ((), batch):
         raise ValueError(
             "operational-space gains must be diagonals: (2, 6) arrays or "
             f"stacks matching the Jacobian's batch {batch}")
-    floors = np.empty((2, dof))
-    floors[0] = kq_floor
-    floors[1] = kqd_floor
     # J^T diag(k) J as (J^T * k) @ J: the same bits as with the full 6x6 matrix
     jt = j.swapaxes(-1, -2)[..., None, :, :]
-    kq = (jt * gains[..., None, :]) @ j[..., None, :, :] \
-        + floors[:, :, None] * np.eye(dof)
+    kq = (jt * gains[..., None, :]) @ j[..., None, :, :] + floors
     # enforce exact symmetry against float round-off
     return (kq + kq.swapaxes(-1, -2)) / 2.0
 
@@ -129,7 +127,6 @@ class TickResult:
     q_d: np.ndarray
     qdot_d: np.ndarray
     xi: np.ndarray                  # pose error toward the virtual target
-    stiffness_clamped: np.ndarray   # per row
     limits_clamped: np.ndarray      # per row
 
 
@@ -151,8 +148,11 @@ class ImpedanceExecutor:
         self._prev_q_d = None
         rc = 1.0 / (2.0 * np.pi * config.qd_filter_cutoff)
         self._alpha = config.dt / (config.dt + rc)
+        # [Kq_floor; Kqd_floor] for fold_to_joint_gains
+        self._floors = np.multiply.outer([config.kq_floor, config.kqd_floor],
+                                         np.eye(self.chain.dof))
 
-    def closed_loop_tick(self, state: SimState, command: ComplianceCommand,
+    def closed_loop_tick(self, state: SimState, target: Pose, gains: np.ndarray,
                          plane: Optional[ContactPlane]
                          ) -> tuple[TickResult, SimState, ChainFrames]:
         """One control step: one forward pass and one dynamics evaluation
@@ -161,17 +161,18 @@ class ImpedanceExecutor:
         frames = chain_frames(self.chain, state.q)
         terms = inverse_dynamics_terms(self.dyn_model, state.q, state.qdot,
                                        frames)
-        out = self.execute_tick(state, command, frames, terms.bias)
+        out = self.execute_tick(state, target, gains, frames, terms[1])
         next_state = step(self.dyn_model, state, out.tau, plane, self.config.dt,
                           terms=terms, frames=frames)
         return out, next_state, frames
 
-    def execute_tick(self, state: SimState, command: ComplianceCommand,
+    def execute_tick(self, state: SimState, target: Pose, gains: np.ndarray,
                      frames: ChainFrames, bias: np.ndarray) -> TickResult:
-        """Controller half of a tick, given the frames and the bias
-        C qdot + g of `state`."""
+        """Controller half of a tick toward the virtual `target` with the
+        (..., 2, 6) operational `gains` of `build_operational_gains`, given
+        the frames and the bias C qdot + g of `state`."""
         cfg = self.config
-        xi = pose_error(command.virtual_target, frames.ee_pose)
+        xi = pose_error(target, frames.ee_pose)
         j = frames.jacobian
 
         # single DLS update per tick; solve_ik exists for initialization only
@@ -191,7 +192,6 @@ class ImpedanceExecutor:
             + self._alpha * (qdot_d_raw - self._qdot_d_filtered)
         qdot_d = self._qdot_d_filtered.copy()
 
-        cart, stiffness_clamped = build_operational_gains(command.kp_diag, cfg)
-        gains = fold_to_joint_gains(j, cart, cfg.kq_floor, cfg.kqd_floor)
-        tau = control_torque(gains, q_d, state.q, qdot_d, state.qdot, bias)
-        return TickResult(tau, q_d, qdot_d, xi, stiffness_clamped, limits_clamped)
+        joint_gains = fold_to_joint_gains(j, gains, self._floors)
+        tau = control_torque(joint_gains, q_d, state.q, qdot_d, state.qdot, bias)
+        return TickResult(tau, q_d, qdot_d, xi, limits_clamped)

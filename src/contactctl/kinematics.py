@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import (Pose, Rot6D, cross_rows, pose_unchecked, rodrigues,
-                       rotation_log, skew_rows)
+from .geometry import (Pose, cross_rows, decode_rot6d_rows, pose_unchecked,
+                       rodrigues, rotation_log, skew_rows)
 
 DEFAULT_DAMPING = 0.05
 
@@ -39,7 +39,8 @@ class ChainLink:
 
     def __post_init__(self):
         self.axis = np.asarray(self.axis, dtype=float).reshape(3)
-        if abs(np.linalg.norm(self.axis) - 1.0) > AXIS_UNIT_TOL:
+        # written as `not ...` so that a non-finite axis fails too
+        if not abs(np.linalg.norm(self.axis) - 1.0) <= AXIS_UNIT_TOL:
             raise ChainConfigError(f"joint axis {self.axis} is not unit norm")
 
 
@@ -56,7 +57,8 @@ class ChainModel:
         if len(self.links) < 1:
             raise ChainConfigError("chain needs at least one joint")
         self.joint_limits = np.asarray(self.joint_limits, dtype=float).reshape(len(self.links), 2)
-        if np.any(self.joint_limits[:, 0] >= self.joint_limits[:, 1]):
+        # written as `not ...` so that NaN limits fail too
+        if not np.all(self.joint_limits[:, 0] < self.joint_limits[:, 1]):
             raise ChainConfigError("joint limits must satisfy min < max")
 
     @property
@@ -239,15 +241,18 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
     if len(parts) != n:
         raise ChainConfigError(f"{what}: expected {n} numbers, got {len(parts)}")
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ChainConfigError(f"{what}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise ChainConfigError(f"{what}: non-finite value in {text.strip()!r}")
+    return values
 
 
 def _parse_pose(section, prefix: str, what: str) -> Pose:
     trans = _parse_vector(section.get(f"{prefix}translation", "0 0 0"), 3, what)
     rot6d = _parse_vector(section.get(f"{prefix}rot6d", "1 0 0 0 1 0"), 6, what)
-    return Pose(Rot6D.from_array(rot6d).decode(), trans)
+    return Pose(decode_rot6d_rows(rot6d[:3], rot6d[3:]), trans)
 
 
 def load_chain(path) -> ChainModel:

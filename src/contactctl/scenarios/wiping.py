@@ -15,11 +15,12 @@ rows share the arm, the gains and the start pose, and differ in plane offset,
 rng and command stream, so one closed-loop tick per control step advances
 them all. Rows with equal action streams share one compiled command stream.
 The executed rows of every distinct stream are compiled in one call before
-the loop and upsampled to the control rate in one more, and a tick reads its
-rows' targets by stream index.
+the loop, upsampled to the control rate in one more, and given their
+operational gains in a third, and a tick reads its rows' targets and gains
+by stream index.
 
 Recording stays out of the tick. The loop copies the recorded rows' states
-(end-effector pose, contact force, pose error, clamp flags) into
+(end-effector pose, contact force, pose error, joint-limit clamps) into
 preallocated (ticks, rows, ...) arrays. After it, each recorded row's
 sensor readings, noise included, are computed in one pass over all its
 ticks and written to its episode a stream at a time with
@@ -33,15 +34,15 @@ from typing import Optional
 
 import numpy as np
 
-from ..compliance import (ACTION_SCHEMA, ComplianceCommand,
-                          RecedingHorizonScheduler, StiffnessSchedule,
-                          compile_step, interpolate_commands)
+from ..compliance import (ACTION_SCHEMA, RecedingHorizonScheduler,
+                          StiffnessSchedule, compile_step, interpolate_commands)
 from ..dynamics import (ArmDynamicsModel, ContactPlane, SimState,
                         load_arm_model, read_ft_sensor)
 from ..episodes import Episode, StreamSpec, replay_actions, write_float_rows
-from ..geometry import (Pose, Rot6D, dot_rows, pose_unchecked,
+from ..geometry import (Pose, dot_rows, encode_rot6d_rows, pose_unchecked,
                         rotation_about_axis)
-from ..impedance import ImpedanceConfig, ImpedanceExecutor
+from ..impedance import (ImpedanceConfig, ImpedanceExecutor,
+                         build_operational_gains)
 from ..kinematics import solve_ik
 from ..sensing import Payload, compensate_wrench
 from .base import (DOF, SCENARIO_KEYS, Criterion, Key, ScenarioConfig,
@@ -140,7 +141,7 @@ def row_ticks(config: ScenarioConfig) -> int:
 def _scripted_actions(config: ScenarioConfig, start_rotation, force_target: float):
     """(n, 13) action rows for settle -> press -> slide -> retreat, and phases."""
     _, stroke, commands = _script(config)
-    rot6d = Rot6D.encode(start_rotation).as_array().tolist()
+    rot6d = encode_rot6d_rows(start_rotation).tolist()
     width = config.value("wiping", "gripper_width")
     rows, labels = [], []
     for label, n, fz, dx_total in zip(PHASES, commands,
@@ -344,23 +345,21 @@ def _executed(setup: WipingSetup, actions: np.ndarray) -> tuple:
 
 def _control_targets(setup: WipingSetup, streams: list) -> tuple:
     """The executed row indices of S action streams of one length, and the
-    (S, ticks) stack of their control-rate targets, compiled in one call.
+    (target, kp) pair of their control-rate commands, (S, ticks) stacks
+    compiled in one call.
 
     Tick k of command c blends command c - 1 (c itself for the first) into c
     by (k + 1) / ticks_per_action, upsampling to the control rate.
     """
     index, rows = zip(*[_executed(setup, actions) for actions in streams])
     executed = np.array(index[0])   # one for all streams of one length
-    compiled = compile_step(np.array(rows), setup.start_pose, setup.schedule)
+    target, kp = compile_step(np.array(rows), setup.start_pose, setup.schedule)
     per = setup.ticks_per_action
     now = np.repeat(np.arange(len(executed)), per)
     frac = np.tile(np.arange(1, per + 1) / per, len(executed))
 
     def at(k):
-        target = compiled.virtual_target
-        return ComplianceCommand(pose_unchecked(target.rotation[:, k],
-                                                target.translation[:, k]),
-                                 compiled.kp_diag[:, k])
+        return pose_unchecked(target.rotation[:, k], target.translation[:, k]), kp[:, k]
     return executed, interpolate_commands(at(np.maximum(now - 1, 0)), at(now), frac)
 
 
@@ -406,10 +405,8 @@ def rollout(setup: WipingSetup, rows: list) -> list:
     stream_of_row = np.array([distinct.setdefault(row.actions.tobytes(),
                                                   (len(distinct), row.actions))[0]
                               for row in rows])
-    executed, target = _control_targets(setup, [a for _, a in distinct.values()])
-    rotation_t = target.virtual_target.rotation
-    translation_t = target.virtual_target.translation
-    kp_t = target.kp_diag
+    executed, (target, kp) = _control_targets(setup, [a for _, a in distinct.values()])
+    gains, stiffness_clamped = build_operational_gains(kp, setup.gains)
     # per tick and row: whether it slides, the tool's x and the normal force
     sliding = np.repeat([[k < len(row.labels) and row.labels[k] == "slide"
                           for row in rows] for k in executed.tolist()],
@@ -425,11 +422,10 @@ def rollout(setup: WipingSetup, rows: list) -> list:
                     np.empty((n_ticks, n_rec, 6)),
                     np.empty((n_ticks, n_rec, 2), dtype=bool))
     for tick in range(n_ticks):
-        command = ComplianceCommand(
-            pose_unchecked(rotation_t[stream_of_row, tick],
-                           translation_t[stream_of_row, tick]),
-            kp_t[stream_of_row, tick])
-        out, new_state, frames = executor.closed_loop_tick(state, command, plane)
+        out, new_state, frames = executor.closed_loop_tick(
+            state, pose_unchecked(target.rotation[stream_of_row, tick],
+                                  target.translation[stream_of_row, tick]),
+            gains[stream_of_row, tick], plane)
 
         rotation = frames.ee_pose.rotation
         p_ee = frames.ee_pose.translation
@@ -444,9 +440,9 @@ def rollout(setup: WipingSetup, rows: list) -> list:
         log.translation[tick] = p_ee[recorded]
         log.force[tick] = force[recorded]
         log.xi[tick] = out.xi[recorded]
-        log.clamped[tick, :, 0] = out.stiffness_clamped[recorded]
         log.clamped[tick, :, 1] = out.limits_clamped[recorded]
         state = new_state
+    log.clamped[:, :, 0] = stiffness_clamped[stream_of_row[recorded]].T
 
     cell = np.searchsorted(setup.cell_edges, x_log, side="right") - 1
     erase = sliding & (fz_log >= setup.erase_threshold) & (cell >= 0) \
@@ -492,8 +488,7 @@ def _record(setup: WipingSetup, row: WipingRow, executed: np.ndarray,
     episode.record_block("wrench_ee", t, comp)
     stride = max(1, int(round(1.0 / (200.0 * setup.dt))))
     episode.record_block("pose", t[::stride], np.concatenate(
-        [p_ee[::stride], rotation[::stride, :, :2].swapaxes(-1, -2)
-         .reshape(-1, 6)], axis=1))   # rot6d: the first two columns
+        [p_ee[::stride], encode_rot6d_rows(rotation[::stride])], axis=1))
 
     xi = log.xi[:, r]
     force = np.concatenate((log.start_force[r][None], log.force[:-1, r]))

@@ -25,7 +25,8 @@ import csv
 import numpy as np
 
 from .episodes import write_float_rows
-from .geometry import GRAVITY_WORLD, Pose, Rot6D, cross_rows, dot_rows
+from .geometry import (GRAVITY_WORLD, Pose, cross_rows, decode_rot6d_rows,
+                       dot_rows, encode_rot6d_rows)
 
 MARKER_DIM = 126   # 63 tactile markers x 2D offsets
 
@@ -147,8 +148,7 @@ def marker_motion_magnitude(offsets: np.ndarray) -> np.ndarray:
 
 def save_calibration_csv(path, orientations: np.ndarray, readings: np.ndarray) -> None:
     """Rows: rot6d (6 columns) then raw wrench (6 columns)."""
-    orientations = np.asarray(orientations, dtype=float)
-    rows = np.concatenate([orientations[:, :, 0], orientations[:, :, 1],
+    rows = np.concatenate([encode_rot6d_rows(orientations),
                            np.asarray(readings, dtype=float)], axis=1)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["r6_0", "r6_1", "r6_2", "r6_3", "r6_4", "r6_5",
@@ -177,7 +177,7 @@ def load_calibration_csv(path) -> tuple:
                 values = np.array([float(v) for v in row])
                 if not np.isfinite(values).all():
                     raise ValueError("values must be finite")
-                orientations.append(Rot6D.from_array(values[:6]).decode())
+                orientations.append(decode_rot6d_rows(values[:3], values[3:6]))
             except ValueError as exc:
                 raise IdentificationError(f"{path}:{lineno}: {exc}") from None
             readings.append(values[6:])

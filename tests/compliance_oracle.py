@@ -10,9 +10,8 @@ target is displaced by Kp^-1 f. Every pose is built, and so checked, as a
 
 import numpy as np
 
-from contactctl.compliance import (ActionStep, ComplianceCommand, ComplianceError,
-                                   StiffnessSchedule)
-from contactctl.geometry import Pose
+from contactctl.compliance import ActionStep, ComplianceError, StiffnessSchedule
+from contactctl.geometry import Pose, decode_rot6d_rows
 
 
 def schedule_stiffness(force: np.ndarray, sched: StiffnessSchedule) -> np.ndarray:
@@ -47,15 +46,17 @@ def compile_virtual_target(ref_pose: Pose, force: np.ndarray,
 def integrate_reference(prev_ref: Pose, step: ActionStep) -> Pose:
     """Advance the reference: translation accumulates deltas, rotation is the
     step's absolute 6D-encoded orientation."""
-    return Pose(step.rot6d.decode(), prev_ref.translation + step.delta_xyz)
+    return Pose(decode_rot6d_rows(step.rot6d[:3], step.rot6d[3:]),
+                prev_ref.translation + step.delta_xyz)
 
 
 def compile_one(step: ActionStep, prev_ref: Pose, sched: StiffnessSchedule) -> tuple:
-    """(command, reference) of one step compiled from the previous reference."""
+    """((target, kp) command, reference) of one step compiled from the
+    previous reference."""
     ref = integrate_reference(prev_ref, step)
     kp = schedule_stiffness(step.force, sched)
     target, _ = compile_virtual_target(ref, step.force, kp)
-    return ComplianceCommand(target, kp), ref
+    return (target, kp), ref
 
 
 def compile_chunks(chunks: list, horizon: int, start: Pose,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from contactctl.dynamics import inverse_dynamics_terms
-from contactctl.geometry import Pose, Rot6D
+from contactctl.geometry import Pose, decode_rot6d_rows
 from contactctl.kinematics import ChainLink, ChainModel, chain_frames
 
 
@@ -20,7 +20,7 @@ def make_planar2(l1: float = 0.5, l2: float = 0.5) -> ChainModel:
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    return Rot6D(rng.normal(size=3), rng.normal(size=3)).decode()
+    return decode_rot6d_rows(rng.normal(size=3), rng.normal(size=3))
 
 
 def random_chain(rng: np.random.Generator, dof: int) -> ChainModel:
@@ -38,9 +38,9 @@ def bias_split(model, q, qdot):
     """(C(q, qdot) qdot, g(q)): the bias of inverse_dynamics_terms with the
     joint velocity, and then gravity, switched off."""
     frames = chain_frames(model.chain, q)
-    g_vec = inverse_dynamics_terms(model, q, np.zeros(np.shape(q)), frames).bias
+    g_vec = inverse_dynamics_terms(model, q, np.zeros(np.shape(q)), frames)[1]
     c_qdot = inverse_dynamics_terms(replace(model, gravity=np.zeros(3)), q, qdot,
-                                    frames).bias
+                                    frames)[1]
     return c_qdot, g_vec
 
 

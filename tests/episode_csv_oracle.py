@@ -9,6 +9,7 @@ The reader is how `load_episode` and `validate_episode_dir` read a stream
 before numeric streams were parsed in blocks: every csv.reader row goes
 through `Episode.record`, and each row it rejects is reported with its line,
 as is each line csv.reader itself cannot read (a field over its size limit).
+Text that is not UTF-8 ends the read with one violation.
 """
 
 import csv
@@ -45,13 +46,17 @@ def float_table_bytes(header, rows) -> bytes:
 
 def read_stream_rows(episode, spec, path, fail) -> None:
     """Record a stream's CSV into `episode` row by row; a drop-in for
-    `episodes._read_stream`."""
-    with open(path, newline="") as fh:
+    `episodes._read_stream`. Bytes that are not UTF-8 end the read with one
+    violation naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
         except csv.Error as exc:
             fail(f"{path.name} row 1: {exc}")
+            return
+        except UnicodeDecodeError as exc:
+            fail(f"{path.name}: not UTF-8 text: {exc}")
             return
         if header is None or tuple(header) != ("t",) + spec.schema:
             fail(f"stream {spec.name!r}: schema mismatch in {path.name}")
@@ -66,6 +71,9 @@ def read_stream_rows(episode, spec, path, fail) -> None:
             except csv.Error as exc:
                 fail(f"{path.name} row {lineno}: {exc}")
                 continue
+            except UnicodeDecodeError as exc:
+                fail(f"{path.name}: not UTF-8 text: {exc}")
+                return
             try:
                 # an empty line has no t and fails the field count
                 episode.record(spec.name, row[0] if row else "", row[1:])

@@ -7,7 +7,9 @@ and multiplies the rotation by the raw and the compensated force of the
 row, pairing `wrench_ee` rows with `wrench_raw` rows by index.
 """
 
-from contactctl.geometry import Rot6D
+import numpy as np
+
+from contactctl.geometry import decode_rot6d_rows
 
 
 def fz_wiping_rows(episode) -> list:
@@ -20,7 +22,8 @@ def fz_wiping_rows(episode) -> list:
     for i, t in enumerate(times):
         pose = episode.align(t, ["pose"]).samples["pose"]
         if pose.source_t not in decoded:
-            decoded[pose.source_t] = Rot6D.from_array(pose.values[3:9]).decode()
+            r6 = np.asarray(pose.values[3:9], dtype=float)
+            decoded[pose.source_t] = decode_rot6d_rows(r6[:3], r6[3:])
         r_ee = decoded[pose.source_t]
         fz_raw = float((r_ee @ raw[i, :3])[2])
         fz_comp = float((r_ee @ comp[i, :3])[2])

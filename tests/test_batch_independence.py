@@ -9,7 +9,7 @@ result with the unbatched call byte for byte.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from contactctl.compliance import ComplianceCommand, interpolate_commands
+from contactctl.compliance import interpolate_commands
 from contactctl.dynamics import (ArmDynamicsModel, ContactPlane, SimState,
                                  inverse_dynamics_terms, plane_contact_force,
                                  step)
@@ -88,7 +88,7 @@ def test_inverse_dynamics_terms_row_equals_single(case):
     q, qdot = states(rng, rows, dof)
     got = inverse_dynamics_terms(model, q, qdot)
     want = inverse_dynamics_terms(model, q[i], qdot[i])
-    assert_same_bits([(got.mass_matrix[i], want.mass_matrix), (got.bias[i], want.bias)])
+    assert_same_bits([(got[0][i], want[0]), (got[1][i], want[1])])   # M, bias
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
@@ -140,21 +140,18 @@ def test_interpolate_commands_row_equals_single(case):
     r_next[same] = r_prev[same]
 
     def command(rotation):
-        return ComplianceCommand(pose_unchecked(rotation, rng.normal(size=(rows, 3))),
-                                 rng.uniform(200.0, 2000.0, (rows, 3)))
+        return (pose_unchecked(rotation, rng.normal(size=(rows, 3))),
+                rng.uniform(200.0, 2000.0, (rows, 3)))
     prev, nxt = command(r_prev), command(r_next)
     frac = rng.uniform(0.0, 1.0, rows)
-    got = interpolate_commands(prev, nxt, frac)
+    got, got_kp = interpolate_commands(prev, nxt, frac)
 
-    def single(c):
-        return ComplianceCommand(pose_unchecked(c.virtual_target.rotation[i],
-                                                c.virtual_target.translation[i]),
-                                 c.kp_diag[i])
-    want = interpolate_commands(single(prev), single(nxt), frac[i])
-    assert_same_bits([(got.virtual_target.rotation[i], want.virtual_target.rotation),
-                      (got.virtual_target.translation[i],
-                       want.virtual_target.translation),
-                      (got.kp_diag[i], want.kp_diag)])
+    def single(command):
+        target, kp = command
+        return pose_unchecked(target.rotation[i], target.translation[i]), kp[i]
+    want, want_kp = interpolate_commands(single(prev), single(nxt), frac[i])
+    assert_same_bits([(got.rotation[i], want.rotation),
+                      (got.translation[i], want.translation), (got_kp[i], want_kp)])
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
@@ -167,18 +164,17 @@ def test_execute_tick_row_equals_single(case):
     q, qdot = states(rng, rows, dof)
     q_next, qdot_next = states(rng, rows, dof)
     targets = pose_unchecked(rotations(rng, rows), rng.uniform(-0.5, 0.5, (rows, 3)))
-    kp = rng.uniform(100.0, 3000.0, (rows, 3))
+    gains, _ = build_operational_gains(rng.uniform(100.0, 3000.0, (rows, 3)), cfg)
     batched, alone = ImpedanceExecutor(model, cfg), ImpedanceExecutor(model, cfg)
     for qk, qdk in ((q, qdot), (q_next, qdot_next)):
         frames = chain_frames(model.chain, qk)
-        bias = inverse_dynamics_terms(model, qk, qdk, frames).bias
-        got = batched.execute_tick(SimState(qk, qdk), ComplianceCommand(targets, kp),
-                                   frames, bias)
+        _, bias = inverse_dynamics_terms(model, qk, qdk, frames)
+        got = batched.execute_tick(SimState(qk, qdk), targets, gains, frames, bias)
         frames = chain_frames(model.chain, qk[i])
-        bias = inverse_dynamics_terms(model, qk[i], qdk[i], frames).bias
+        _, bias = inverse_dynamics_terms(model, qk[i], qdk[i], frames)
         target = pose_unchecked(targets.rotation[i], targets.translation[i])
-        want = alone.execute_tick(SimState(qk[i], qdk[i]),
-                                  ComplianceCommand(target, kp[i]), frames, bias)
+        want = alone.execute_tick(SimState(qk[i], qdk[i]), target, gains[i], frames,
+                                  bias)
         assert_same_bits([(got.tau[i], want.tau), (got.q_d[i], want.q_d),
                           (got.qdot_d[i], want.qdot_d), (got.xi[i], want.xi),
                           (got.limits_clamped[i], want.limits_clamped)])

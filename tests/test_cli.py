@@ -16,7 +16,7 @@ import plot_oracle
 from contactctl import cli
 from contactctl.cli import main
 from contactctl.episodes import Episode, StreamSpec, export_csv, load_episode
-from contactctl.geometry import Rot6D
+from contactctl.geometry import encode_rot6d_rows
 from contactctl.sensing import load_payload
 from conftest import random_rotation
 
@@ -235,6 +235,36 @@ def test_run_non_numeric_config_value_is_usage_error(tmp_path, capsys, config,
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("mass = 1.6", "mass = nan", "joint.2 mass"),
+    ("axis = 0 1 0", "axis = nan 1 0", "joint.2 axis"),
+    ("limits = -2.8 2.8", "limits = nan nan", "joint.2 limits"),
+    ("com = 0.16 0 0", "com = 0.16 0", "joint.2 com"),
+    ("inertia_diag = 0.002 0.034 0.034", "inertia_diag = 0.002 0.034 inf",
+     "joint.2 inertia_diag")],
+    ids=["nan_mass", "nan_axis", "nan_limits", "short_com", "inf_inertia"])
+def test_run_bad_arm_file_value_is_usage_error_naming_joint_and_key(
+        tmp_path, capsys, old, new, key):
+    # a value of the arm file that is not a finite number, or a vector of
+    # the wrong length, is a config error naming its joint and key, not a
+    # runtime fault or an unreachable start pose
+    chain = Path("configs/chains/planar3.ini").read_text()
+    head, joint2 = chain.split("[joint.2]")
+    joint2, tail = joint2.split("[joint.3]")
+    assert joint2.count(old) == 1
+    bad_chain = tmp_path / "planar3.ini"
+    bad_chain.write_text(f"{head}[joint.2]{joint2.replace(old, new)}[joint.3]{tail}")
+    src = Path("configs/wiping.ini").read_text()
+    assert src.count("chains/planar3.ini") == 1
+    bad = tmp_path / "wiping.ini"
+    bad.write_text(src.replace("chains/planar3.ini", str(bad_chain)))
+    code = run_cli("run", "--config", str(bad), "--trials", "1",
+                   "--out", str(tmp_path / "out"), "--quiet")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err and "unreachable" not in err
+
+
 def test_run_failure_exit_code(tmp_path):
     # impossible criterion: baseline forced to require selective success
     src = Path("configs/selective_release.ini").read_text()
@@ -448,7 +478,7 @@ def test_plot_data_writes_the_csv_writer_bytes(tmp_path, rng):
     t = np.arange(50) / 1000.0
     episode.record_block("pose", t[::5], np.hstack([
         rng.normal(size=(10, 3)),
-        [Rot6D.encode(random_rotation(rng)).as_array() for _ in range(10)]]))
+        [encode_rot6d_rows(random_rotation(rng)) for _ in range(10)]]))
     raw = rng.normal(size=(50, 6))
     raw[3] = [-0.0, 1.0, 2.0, 0.0, 3.0, -4.0]   # signed zero, integral values
     episode.record_block("wrench_raw", t, raw)
@@ -589,7 +619,7 @@ def test_fz_wiping_gets_the_per_row_oracle_bits(streams):
 
 def test_fz_wiping_of_a_long_episode_gets_the_per_row_oracle_bits(rng):
     n = 4000
-    poses = [Rot6D.encode(random_rotation(rng)).as_array() for _ in range(n // 5)]
+    poses = [encode_rot6d_rows(random_rotation(rng)) for _ in range(n // 5)]
     t = np.arange(n) / 1000.0
     scale = 10.0 ** rng.integers(-3, 4, (n, 1))   # forces over seven decades
     episode = fz_episode(t[::5] - 2e-4, np.hstack([rng.normal(size=(n // 5, 3)), poses]),

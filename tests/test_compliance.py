@@ -4,13 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 import compliance_oracle
 from contactctl.compliance import (ACTION_SCHEMA, ActionChunk, ActionStep,
-                                   ComplianceCommand, ComplianceError,
-                                   RecedingHorizonScheduler, StiffnessSchedule,
-                                   compile_step, interpolate_commands,
-                                   schedule_stiffness)
+                                   ComplianceError, RecedingHorizonScheduler,
+                                   StiffnessSchedule, compile_step,
+                                   interpolate_commands, schedule_stiffness)
 from contactctl.episodes import Episode, StreamSpec, replay_actions
-from contactctl.geometry import (GeometryError, Pose, Rot6D, pose_unchecked,
-                                 rotation_about_axis)
+from contactctl.geometry import (GeometryError, Pose, encode_rot6d_rows,
+                                 pose_unchecked, rotation_about_axis)
 from conftest import random_rotation
 from test_geometry import near_parallel_rows
 
@@ -18,7 +17,7 @@ from test_geometry import near_parallel_rows
 def make_step(delta=(0.0, 0.0, 0.0), rotation=None, force=(0.0, 0.0, 0.0),
               width=0.05):
     rotation = np.eye(3) if rotation is None else rotation
-    return ActionStep(np.asarray(delta, dtype=float), Rot6D.encode(rotation),
+    return ActionStep(np.asarray(delta, dtype=float), encode_rot6d_rows(rotation),
                       np.asarray(force, dtype=float), width)
 
 
@@ -78,19 +77,19 @@ def test_schedule_validation():
 def test_virtual_target_arithmetic_example():
     sched = StiffnessSchedule(2000.0, 200.0, 20.0)
     start = Pose(np.eye(3), [0.4, 0.0, 0.2])
-    command = compile_step([make_row(force=(0.0, 0.0, 10.0))], start, sched)
-    delta = start.translation - command.virtual_target.translation[0]
-    assert np.allclose(command.kp_diag, [2000.0, 2000.0, 1100.0])
+    target, kp = compile_step([make_row(force=(0.0, 0.0, 10.0))], start, sched)
+    delta = start.translation - target.translation[0]
+    assert np.allclose(kp, [2000.0, 2000.0, 1100.0])
     assert np.allclose(delta, [0.0, 0.0, 10.0 / 1100.0])
-    assert np.allclose(command.virtual_target.translation, [0.4, 0.0, 0.2 - 10.0 / 1100.0])
-    assert np.allclose(command.virtual_target.rotation, start.rotation)
+    assert np.allclose(target.translation, [0.4, 0.0, 0.2 - 10.0 / 1100.0])
+    assert np.allclose(target.rotation, start.rotation)
 
 
 def test_virtual_target_zero_force_identity(rng):
     start = Pose(random_rotation(rng), rng.normal(size=3))
-    command = compile_step([make_row(rotation=start.rotation)], start,
+    target, kp = compile_step([make_row(rotation=start.rotation)], start,
                            StiffnessSchedule(700.0, 500.0, 20.0))
-    assert np.array_equal(command.virtual_target.translation[0], start.translation)
+    assert np.array_equal(target.translation[0], start.translation)
 
 
 def test_virtual_target_inverse_consistency(rng):
@@ -98,10 +97,10 @@ def test_virtual_target_inverse_consistency(rng):
     sched = StiffnessSchedule(3000.0, 100.0, 25.0)
     start = Pose(random_rotation(rng), rng.normal(size=3))
     f = rng.uniform(-30.0, 30.0, (100, 3))
-    command = compile_step([make_row(rotation=random_rotation(rng), force=fi)
+    target, kp = compile_step([make_row(rotation=random_rotation(rng), force=fi)
                             for fi in f], start, sched)
-    delta = start.translation - command.virtual_target.translation
-    assert np.max(np.abs(command.kp_diag * delta - f)) < 1e-12
+    delta = start.translation - target.translation
+    assert np.max(np.abs(kp * delta - f)) < 1e-12
 
 
 def test_bounded_displacement(rng):
@@ -110,8 +109,8 @@ def test_bounded_displacement(rng):
     bound = sched.f_sat / sched.k_min
     forces = np.vstack([rng.uniform(-sched.f_sat, sched.f_sat, (200, 3)),
                         np.full(3, sched.f_sat)])
-    command = compile_step([make_row(force=f) for f in forces], Pose.identity(), sched)
-    delta = -command.virtual_target.translation
+    target, kp = compile_step([make_row(force=f) for f in forces], Pose.identity(), sched)
+    delta = -target.translation
     assert np.max(np.abs(delta[:-1])) <= bound + 1e-12
     assert np.allclose(np.abs(delta[-1]), bound)   # bound is attained exactly
 
@@ -122,14 +121,14 @@ def test_bounded_displacement(rng):
 def test_integrate_reference_identity_step():
     ref = Pose(rotation_about_axis(np.array([0.0, 0.0, 1.0]), 0.3), [1.0, 2.0, 3.0])
     out = compile_step([make_row(rotation=ref.rotation)], ref,
-                       StiffnessSchedule()).virtual_target
+                       StiffnessSchedule())[0]
     assert np.allclose(out.translation[0], ref.translation)
     assert np.allclose(out.rotation[0], ref.rotation, atol=1e-12)
 
 
 def test_integrate_reference_additivity():
     rows = [make_row(delta=(0.01, 0.0, 0.0))] * 10
-    out = compile_step(rows, Pose.identity(), StiffnessSchedule()).virtual_target
+    out = compile_step(rows, Pose.identity(), StiffnessSchedule())[0]
     assert np.allclose(out.translation[-1], [0.10, 0.0, 0.0], atol=1e-12)
 
 
@@ -138,7 +137,7 @@ def test_integrate_reference_random_walk_matches_single_shot(rng):
     deltas = rng.uniform(-0.02, 0.02, (100, 3))
     rotations = [random_rotation(rng) for _ in range(100)]
     rows = [make_row(delta=d, rotation=r) for d, r in zip(deltas, rotations)]
-    out = compile_step(rows, Pose.identity(), StiffnessSchedule()).virtual_target
+    out = compile_step(rows, Pose.identity(), StiffnessSchedule())[0]
     assert np.allclose(out.translation[-1], deltas.sum(axis=0), atol=1e-12)
     assert np.allclose(out.rotation[-1], rotations[-1], atol=1e-9)
 
@@ -162,7 +161,7 @@ def test_compile_step_rejects_what_the_per_step_path_rejects():
             ref = Pose.identity()
             for row in rows:
                 step = object.__new__(ActionStep)   # skip ActionStep's own checks
-                step.delta_xyz, step.rot6d = row[:3], Rot6D.from_array(row[3:9])
+                step.delta_xyz, step.rot6d = row[:3], row[3:9]
                 step.force, step.gripper_width = row[9:12], row[12]
                 _, ref = compliance_oracle.compile_one(step, ref, StiffnessSchedule())
     with pytest.raises(ComplianceError, match="13 columns"):
@@ -220,12 +219,11 @@ def test_one_pass_compile_equals_per_step_oracle(case):
     assert len(want) == len(index) == -(-n // chunk_len) * horizon
     assert list(index) == [c * chunk_len + k for c in range(len(chunks))
                            for k in range(horizon)]
-    for i, command in enumerate(want):
-        assert got.virtual_target.rotation[i].tobytes() \
-            == command.virtual_target.rotation.tobytes()
-        assert got.virtual_target.translation[i].tobytes() \
-            == command.virtual_target.translation.tobytes()
-        assert got.kp_diag[i].tobytes() == command.kp_diag.tobytes()
+    got_target, got_kp = got
+    for i, (target, kp) in enumerate(want):
+        assert got_target.rotation[i].tobytes() == target.rotation.tobytes()
+        assert got_target.translation[i].tobytes() == target.translation.tobytes()
+        assert got_kp[i].tobytes() == kp.tobytes()
 
 
 def test_compile_step_rows_of_a_stack_equal_single_streams(rng):
@@ -236,14 +234,12 @@ def test_compile_step_rows_of_a_stack_equal_single_streams(rng):
                               rng.uniform(-40.0, 40.0, (3, 10, 3)),
                               np.full((3, 10, 1), 0.05)], axis=-1)
     start = Pose(random_rotation(rng), rng.normal(size=3))
-    got = compile_step(streams, start, sched)
+    got_target, got_kp = compile_step(streams, start, sched)
     for s, stream in enumerate(streams):
-        want = compile_step(stream, start, sched)
-        assert got.virtual_target.rotation[s].tobytes() \
-            == want.virtual_target.rotation.tobytes()
-        assert got.virtual_target.translation[s].tobytes() \
-            == want.virtual_target.translation.tobytes()
-        assert got.kp_diag[s].tobytes() == want.kp_diag.tobytes()
+        target, kp = compile_step(stream, start, sched)
+        assert got_target.rotation[s].tobytes() == target.rotation.tobytes()
+        assert got_target.translation[s].tobytes() == target.translation.tobytes()
+        assert got_kp[s].tobytes() == kp.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +250,10 @@ def test_compile_chunk_all_zero():
     start = Pose(np.eye(3), [0.3, 0.0, 0.1])
     chunk = np.array([make_row() for _ in range(8)])
     _, rows = zip(*RecedingHorizonScheduler([chunk], 8))
-    command = compile_step(np.array(rows), start, sched)
-    assert len(command.kp_diag) == 8
-    assert np.allclose(command.virtual_target.translation, start.translation)
-    assert np.allclose(command.kp_diag, 2000.0)
+    target, kp = compile_step(np.array(rows), start, sched)
+    assert len(kp) == 8
+    assert np.allclose(target.translation, start.translation)
+    assert np.allclose(kp, 2000.0)
 
 
 def test_compile_chunk_constant_force():
@@ -265,10 +261,10 @@ def test_compile_chunk_constant_force():
     start = Pose(np.eye(3), [0.3, 0.0, 0.1])
     chunk = np.array([make_row(force=(0.0, 0.0, 10.0)) for _ in range(4)])
     _, rows = zip(*RecedingHorizonScheduler([chunk], 4))
-    command = compile_step(np.array(rows), start, sched)
+    target, kp = compile_step(np.array(rows), start, sched)
     # k_z(10 N) = 1100, so the target sits 10/1100 m below the reference
-    assert np.allclose(command.kp_diag, [2000.0, 2000.0, 1100.0])
-    assert np.allclose(command.virtual_target.translation[:, 2], 0.1 - 10.0 / 1100.0)
+    assert np.allclose(kp, [2000.0, 2000.0, 1100.0])
+    assert np.allclose(target.translation[:, 2], 0.1 - 10.0 / 1100.0)
 
 
 def test_zero_force_transparency_full_stream(rng):
@@ -279,12 +275,12 @@ def test_zero_force_transparency_full_stream(rng):
                        rotation=random_rotation(rng)) for _ in range(32)]
     _, rows = zip(*RecedingHorizonScheduler(
         [np.array([s.as_array() for s in steps])], 32))
-    command = compile_step(np.array(rows), start, sched)
+    target, kp = compile_step(np.array(rows), start, sched)
     ref = start
     for i, step in enumerate(steps):
         ref = compliance_oracle.integrate_reference(ref, step)
-        assert np.array_equal(command.virtual_target.translation[i], ref.translation)
-        assert np.allclose(command.kp_diag[i], sched.k_max)
+        assert np.array_equal(target.translation[i], ref.translation)
+        assert np.allclose(kp[i], sched.k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +299,17 @@ def test_scheduler_consumes_horizon_prefix():
 
 def test_scheduler_full_horizon_emits_everything():
     _, rows = zip(*RecedingHorizonScheduler([chunk_of(5)], 5))
-    command = compile_step(np.array(rows), Pose.identity(), StiffnessSchedule())
+    target, kp = compile_step(np.array(rows), Pose.identity(), StiffnessSchedule())
     assert len(rows) == 5
     # with zero force the target is the reference
-    assert np.isclose(command.virtual_target.translation[-1, 0], 0.05)
+    assert np.isclose(target.translation[-1, 0], 0.05)
 
 
 def test_scheduler_reference_continuity_at_seams():
     chunks = [chunk_of(16, dx=0.005), chunk_of(16, dx=0.005)]
     _, rows = zip(*RecedingHorizonScheduler(chunks, 8))
-    command = compile_step(np.array(rows), Pose.identity(), StiffnessSchedule())
-    positions = command.virtual_target.translation
+    target, kp = compile_step(np.array(rows), Pose.identity(), StiffnessSchedule())
+    positions = target.translation
     steps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
     assert np.max(steps) <= 0.005 + 1e-12   # no jump at the seam
 
@@ -331,34 +327,27 @@ def test_scheduler_rejects_long_horizon():
 
 def test_interpolate_commands_endpoints(rng):
     sched = StiffnessSchedule()
-    a = ComplianceCommand(Pose(random_rotation(rng), [0.0, 0.0, 0.0]),
-                          np.array([500.0, 600.0, 700.0]))
-    b = ComplianceCommand(Pose(random_rotation(rng), [0.1, 0.0, 0.0]),
-                          np.array([900.0, 800.0, 700.0]))
-    end = interpolate_commands(a, b, 1.0)
-    assert np.allclose(end.virtual_target.translation,
-                       b.virtual_target.translation)
-    assert np.allclose(end.virtual_target.rotation, b.virtual_target.rotation,
-                       atol=1e-9)
-    mid = interpolate_commands(a, b, 0.5)
-    assert np.allclose(mid.virtual_target.translation, [0.05, 0.0, 0.0])
-    assert np.allclose(mid.kp_diag, [700.0, 700.0, 700.0])
+    a = (Pose(random_rotation(rng), [0.0, 0.0, 0.0]), np.array([500.0, 600.0, 700.0]))
+    b = (Pose(random_rotation(rng), [0.1, 0.0, 0.0]), np.array([900.0, 800.0, 700.0]))
+    end, _ = interpolate_commands(a, b, 1.0)
+    assert np.allclose(end.translation, b[0].translation)
+    assert np.allclose(end.rotation, b[0].rotation, atol=1e-9)
+    mid, mid_kp = interpolate_commands(a, b, 0.5)
+    assert np.allclose(mid.translation, [0.05, 0.0, 0.0])
+    assert np.allclose(mid_kp, [700.0, 700.0, 700.0])
 
 
 def test_interpolate_commands_clamps_frac(rng):
-    a = ComplianceCommand(Pose(random_rotation(rng), [0.0, 0.0, 0.0]),
-                          np.array([500.0, 600.0, 700.0]))
-    b = ComplianceCommand(Pose(random_rotation(rng), [0.1, 0.0, 0.0]),
-                          np.array([900.0, 800.0, 700.0]))
+    a = (Pose(random_rotation(rng), [0.0, 0.0, 0.0]), np.array([500.0, 600.0, 700.0]))
+    b = (Pose(random_rotation(rng), [0.1, 0.0, 0.0]), np.array([900.0, 800.0, 700.0]))
     for frac, edge in ((-0.5, 0.0), (2.0, 1.0)):
-        got = interpolate_commands(a, b, frac)
-        want = interpolate_commands(a, b, edge)
-        assert np.array_equal(got.virtual_target.rotation, want.virtual_target.rotation)
-        assert np.array_equal(got.virtual_target.translation,
-                              want.virtual_target.translation)
-        assert np.array_equal(got.kp_diag, want.kp_diag)
+        got, got_kp = interpolate_commands(a, b, frac)
+        want, want_kp = interpolate_commands(a, b, edge)
+        assert np.array_equal(got.rotation, want.rotation)
+        assert np.array_equal(got.translation, want.translation)
+        assert np.array_equal(got_kp, want_kp)
     for frac in np.linspace(0.0, 1.0, 7):
-        rot = interpolate_commands(a, b, frac).virtual_target.rotation
+        rot = interpolate_commands(a, b, frac)[0].rotation
         Pose(rot, np.zeros(3))   # raises unless orthonormal with det +1
 
 
@@ -371,28 +360,25 @@ def test_interpolate_commands_array_frac_matches_scalar_calls(rng):
     def stack():
         rotation = np.array([[random_rotation(rng) for _ in range(s)]
                              for _ in range(k)])
-        return ComplianceCommand(pose_unchecked(rotation, rng.normal(size=(k, s, 3))),
-                                 rng.uniform(200.0, 2000.0, (k, s, 3)))
+        return (pose_unchecked(rotation, rng.normal(size=(k, s, 3))),
+                rng.uniform(200.0, 2000.0, (k, s, 3)))
 
     prev, nxt = stack(), stack()
-    nxt.virtual_target.rotation[0, 0] = prev.virtual_target.rotation[0, 0]
+    nxt[0].rotation[0, 0] = prev[0].rotation[0, 0]
     frac = rng.uniform(-0.2, 1.2, (k, s))
-    got = interpolate_commands(prev, nxt, frac)
+    got, got_kp = interpolate_commands(prev, nxt, frac)
 
     def entry(command, i, j):
-        return ComplianceCommand(Pose(command.virtual_target.rotation[i, j],
-                                      command.virtual_target.translation[i, j]),
-                                 command.kp_diag[i, j])
+        target, kp = command
+        return Pose(target.rotation[i, j], target.translation[i, j]), kp[i, j]
 
     for i in range(k):
         for j in range(s):
-            want = interpolate_commands(entry(prev, i, j), entry(nxt, i, j),
-                                        float(frac[i, j]))
-            assert got.virtual_target.rotation[i, j].tobytes() \
-                == want.virtual_target.rotation.tobytes()
-            assert got.virtual_target.translation[i, j].tobytes() \
-                == want.virtual_target.translation.tobytes()
-            assert got.kp_diag[i, j].tobytes() == want.kp_diag.tobytes()
+            want, want_kp = interpolate_commands(entry(prev, i, j), entry(nxt, i, j),
+                                                 float(frac[i, j]))
+            assert got.rotation[i, j].tobytes() == want.rotation.tobytes()
+            assert got.translation[i, j].tobytes() == want.translation.tobytes()
+            assert got_kp[i, j].tobytes() == want_kp.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +397,7 @@ def test_action_step_validation():
     with pytest.raises(ComplianceError):
         make_step(width=-0.01)
     with pytest.raises(ComplianceError):
-        ActionStep(np.array([np.nan, 0, 0]), Rot6D.encode(np.eye(3)),
+        ActionStep(np.array([np.nan, 0, 0]), encode_rot6d_rows(np.eye(3)),
                    np.zeros(3), 0.05)
     with pytest.raises(ComplianceError):
         ActionChunk([])

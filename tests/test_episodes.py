@@ -473,6 +473,9 @@ MALFORMED = {
     # a field over csv.field_size_limit(), which csv.reader raises on
     "oversize_field": _pose_row_edit(2, "0.01," + "1" * 131073 + ",0.0,0.2"),
     "oversize_header_field": _pose_row_edit(0, "t,px,py," + "z" * 131073),
+    # a truncated UTF-8 sequence
+    "undecodable_stream": lambda d: (d / "pose.csv").write_bytes(
+        (d / "pose.csv").read_bytes() + b"\xc3"),
 }
 
 
@@ -513,10 +516,15 @@ MANY_ROWS = b"".join(b"%d.0,2.0\r\n" % i for i in range(1, 1000))
     # a blank line sends the stream to the row reader before the block
     # parse decodes the end of the file
     ("wrench", b"0.0,1.0\r\n\r\n" + MANY_ROWS + b"\xc3"),
-], ids=["image_ref_truncated", "image_ref_invalid", "row_path_truncated"])
+    # a bad row in the block the decoder fails in, and a file decoded whole
+    ("wrench", MANY_ROWS + b"1000.0,x\r\n1001.0,2.0\r\n\xc3"),
+    ("wrench", b"0.0,x\r\n1.0,2.0\r\n\xc3"),
+], ids=["image_ref_truncated", "image_ref_invalid", "row_path_truncated",
+        "block_path_bad_row_then_truncated", "small_truncated"])
 def test_undecodable_stream_ends_the_read_as_in_the_oracle(tmp_path, kind, body):
     # a decode error is not a csv row error: once the decoder fails, every
-    # later read fails the same way, so reporting it per row never ends
+    # later read fails the same way, so it ends the stream's read with one
+    # violation naming the file, after those of the rows before it
     export_csv(Episode("bytes", [StreamSpec("s", 10.0, ("v",), kind)]), tmp_path)
     (tmp_path / "s.csv").write_bytes(b"t,v\r\n" + body)
     violations = []
@@ -524,10 +532,9 @@ def test_undecodable_stream_ends_the_read_as_in_the_oracle(tmp_path, kind, body)
     def fail(message):
         violations.append(message)
         assert len(violations) < 10, violations[:3]
-    try:
-        episodes._read_episode(tmp_path, fail)
-    except UnicodeDecodeError:
-        pass
+    episodes._read_episode(tmp_path, fail)
+    assert [v for v in violations if "UTF-8" in v] == violations[-1:]
+    assert violations[-1].startswith("s.csv: not UTF-8 text: 'utf-8' codec can't decode")
     assert _read_outcome(tmp_path) == _oracle_outcome(tmp_path)
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from contactctl.geometry import (GeometryError, Pose, Rot6D, check_rotations,
-                                 cross3, cross_rows, decode_rot6d_rows,
+from contactctl.geometry import (GeometryError, Pose, check_rotations, cross3,
+                                 cross_rows, decode_rot6d_rows, encode_rot6d_rows,
                                  rotation_about_axis, rotation_log, skew)
 from conftest import random_rotation
 
@@ -86,14 +86,15 @@ def test_cross_rows_bit_equal_to_numpy(rng):
 def test_rot6d_round_trip_on_so3(rng):
     for _ in range(200):
         r = random_rotation(rng)
-        assert np.max(np.abs(Rot6D.encode(r).decode() - r)) < 1e-9
+        r6 = encode_rot6d_rows(r)
+        assert np.max(np.abs(decode_rot6d_rows(r6[:3], r6[3:]) - r)) < 1e-9
 
 
 def test_rot6d_degenerate_inputs():
     with pytest.raises(GeometryError):
-        Rot6D(np.zeros(3), np.array([0.0, 1.0, 0.0])).decode()
+        decode_rot6d_rows(np.zeros(3), np.array([0.0, 1.0, 0.0]))
     with pytest.raises(GeometryError):
-        Rot6D(np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0])).decode()
+        decode_rot6d_rows(np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]))
 
 
 def near_parallel_rows(rng, count):
@@ -104,7 +105,7 @@ def near_parallel_rows(rng, count):
         a1 = rng.normal(size=3)
         a2 = a1 * rng.uniform(0.5, 2.0) + rng.normal(size=3) * 1.5e-8
         try:
-            Pose(Rot6D(a1, a2).decode(), np.zeros(3))
+            Pose(decode_rot6d_rows(a1, a2), np.zeros(3))
         except GeometryError as exc:
             if "parallel" not in str(exc):
                 found.append(np.concatenate([a1, a2]))
@@ -112,8 +113,8 @@ def near_parallel_rows(rng, count):
 
 
 def test_rot6d_rows_equal_single_decodes(rng):
-    # each row of a stack decodes to the bits of Rot6D.decode and of the
-    # Gram-Schmidt formula on that row alone
+    # each row of a stack decodes to the bits of decoding it alone and of
+    # the Gram-Schmidt formula on that row
     a1, a2 = rng.normal(size=(2, 4, 25, 3))
     got = decode_rot6d_rows(a1, a2)
     for i, j in np.ndindex(4, 25):
@@ -122,7 +123,7 @@ def test_rot6d_rows_equal_single_decodes(rng):
         b2 = u2 / np.linalg.norm(u2)
         want = np.column_stack([b1, b2, np.cross(b1, b2)])
         assert got[i, j].tobytes() == want.tobytes()
-        assert got[i, j].tobytes() == Rot6D(a1[i, j], a2[i, j]).decode().tobytes()
+        assert got[i, j].tobytes() == decode_rot6d_rows(a1[i, j], a2[i, j]).tobytes()
 
 
 def test_rot6d_rows_reject_what_single_decodes_reject(rng):
@@ -131,7 +132,7 @@ def test_rot6d_rows_reject_what_single_decodes_reject(rng):
         rows_a1, rows_a2 = a1.copy(), a2.copy()
         rows_a1[4], rows_a2[4] = bad_a1, bad_a2
         with pytest.raises(GeometryError) as single:
-            Rot6D(bad_a1, bad_a2).decode()
+            decode_rot6d_rows(bad_a1, bad_a2)
         with pytest.raises(GeometryError) as rows:
             decode_rot6d_rows(rows_a1, rows_a2)
         assert str(rows.value) == str(single.value)
@@ -140,17 +141,25 @@ def test_rot6d_rows_reject_what_single_decodes_reject(rng):
     near = near_parallel_rows(rng, 3)
     for row in near:
         with pytest.raises(GeometryError, match="not orthonormal|determinant"):
-            check_rotations(Rot6D(row[:3], row[3:]).decode())
+            check_rotations(decode_rot6d_rows(row[:3], row[3:]))
     stack = np.concatenate([np.concatenate([a1, a2], axis=1), near])
     with pytest.raises(GeometryError, match="not orthonormal|determinant"):
         check_rotations(decode_rot6d_rows(stack[:, :3], stack[:, 3:]))
     check_rotations(decode_rot6d_rows(a1, a2))
 
 
-def test_rot6d_array_round_trip(rng):
-    r6 = Rot6D(rng.normal(size=3), rng.normal(size=3))
-    again = Rot6D.from_array(r6.as_array())
-    assert np.allclose(again.a1, r6.a1) and np.allclose(again.a2, r6.a2)
+def test_rot6d_rows_encode_the_first_two_columns(rng):
+    # each row of a stack encodes to its first and then its second column,
+    # and decodes back to the bits of the decode of those two vectors
+    r = np.array([[random_rotation(rng) for _ in range(5)] for _ in range(4)])
+    got = encode_rot6d_rows(r)
+    assert got.shape == (4, 5, 6)
+    for i, j in np.ndindex(4, 5):
+        want = np.concatenate([r[i, j, :, 0], r[i, j, :, 1]])
+        assert got[i, j].tobytes() == want.tobytes()
+        assert got[i, j].tobytes() == encode_rot6d_rows(r[i, j]).tobytes()
+    assert decode_rot6d_rows(got[..., :3], got[..., 3:]).tobytes() \
+        == decode_rot6d_rows(r[..., :, 0], r[..., :, 1]).tobytes()
 
 
 def test_pose_rejects_bad_rotation():

@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from contactctl.compliance import ComplianceCommand
 from contactctl.dynamics import (ArmDynamicsModel, ContactPlane, SimState,
                                  inverse_dynamics_terms, load_arm_model,
                                  plane_contact_force, step)
@@ -21,6 +20,13 @@ def planar2_model():
                          np.diag([0.002, 0.022, 0.022])])
     return ArmDynamicsModel(chain, [1.5, 1.0],
                             [[0.25, 0.0, 0.0], [0.25, 0.0, 0.0]], inertias)
+
+
+def floor_stack(kq_floor, kqd_floor, dof):
+    """The (2, dof, dof) floors [Kq_floor; Kqd_floor] of scalar or per-joint
+    floors."""
+    return np.stack([np.diag(np.broadcast_to(kq_floor, dof)),
+                     np.diag(np.broadcast_to(kqd_floor, dof))])
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +82,7 @@ def test_out_of_range_stiffness_clamped_and_flagged():
 def test_fold_null_jacobian_gives_floor():
     cfg = ImpedanceConfig()
     cart, _ = build_operational_gains(np.array([1000.0, 1000.0, 1000.0]), cfg)
-    gains = fold_to_joint_gains(np.zeros((6, 3)), cart, 2.5, 0.3)
+    gains = fold_to_joint_gains(np.zeros((6, 3)), cart, floor_stack(2.5, 0.3, 3))
     assert np.allclose(gains[0], np.diag([2.5] * 3))
     assert np.allclose(gains[1], np.diag([0.3] * 3))
 
@@ -86,7 +92,7 @@ def test_fold_identity_stiffness_matches_loop_oracle(rng):
     for _ in range(25):
         dof = int(rng.integers(1, 7))
         j = rng.normal(size=(6, dof))
-        gains = fold_to_joint_gains(j, cart, 0.0, 0.0)
+        gains = fold_to_joint_gains(j, cart, floor_stack(0.0, 0.0, dof))
         # independent oracle: explicit triple loop over J^T J
         expected = np.zeros((dof, dof))
         for a in range(dof):
@@ -103,7 +109,7 @@ def test_diagonal_fold_bit_equal_to_full_matrix_product(rng):
         dof = j.shape[1]
         floor_p = rng.uniform(0.5, 2.0, dof)
         floor_d = rng.uniform(0.05, 0.2, dof)
-        gains = fold_to_joint_gains(j, cart, floor_p, floor_d)
+        gains = fold_to_joint_gains(j, cart, floor_stack(floor_p, floor_d, dof))
         for got, diagonal, floor in ((gains[0], cart[0], floor_p),
                                      (gains[1], cart[1], floor_d)):
             full = np.diag(diagonal)
@@ -116,12 +122,14 @@ def test_fold_rejects_non_diagonal_gains():
     kx = np.eye(3)
     kx[0, 1] = kx[1, 0] = 0.5
     with pytest.raises(ValueError, match="diagonal"):
-        fold_to_joint_gains(np.ones((6, 2)), np.stack([kx, np.eye(3)]), 1.0, 0.1)
+        fold_to_joint_gains(np.ones((6, 2)), np.stack([kx, np.eye(3)]),
+                            floor_stack(1.0, 0.1, 2))
     # diagonals of a batch the Jacobian does not have
     with pytest.raises(ValueError, match="diagonal"):
-        fold_to_joint_gains(np.ones((6, 2)), np.ones((3, 2, 6)), 1.0, 0.1)
+        fold_to_joint_gains(np.ones((6, 2)), np.ones((3, 2, 6)), floor_stack(1.0, 0.1, 2))
     with pytest.raises(ValueError, match="diagonal"):
-        fold_to_joint_gains(np.ones((4, 6, 2)), np.ones((3, 2, 6)), 1.0, 0.1)
+        fold_to_joint_gains(np.ones((4, 6, 2)), np.ones((3, 2, 6)),
+                            floor_stack(1.0, 0.1, 2))
 
 
 def test_fold_eigenvalues_at_least_floor(rng):
@@ -129,7 +137,7 @@ def test_fold_eigenvalues_at_least_floor(rng):
     cart, _ = build_operational_gains(np.array([800.0, 900.0, 1000.0]), cfg)
     for _ in range(10):
         j = rng.normal(size=(6, 4))
-        gains = fold_to_joint_gains(j, cart, 1.0, 0.1)
+        gains = fold_to_joint_gains(j, cart, floor_stack(1.0, 0.1, 4))
         assert np.min(np.linalg.eigvalsh(gains[0])) >= 1.0 - 1e-9
         assert np.min(np.linalg.eigvalsh(gains[1])) >= 0.1 - 1e-9
 
@@ -141,7 +149,7 @@ def test_fold_symmetry_psd_random(rng):
         cart, _ = build_operational_gains(kp, cfg)
         dof = int(rng.integers(1, 8))
         j = rng.normal(size=(6, dof))
-        gains = fold_to_joint_gains(j, cart, cfg.kq_floor, cfg.kqd_floor)
+        gains = fold_to_joint_gains(j, cart, floor_stack(cfg.kq_floor, cfg.kqd_floor, dof))
         assert np.array_equal(gains[0], gains[0].T)
         x = rng.normal(size=dof)
         assert x @ gains[0] @ x >= 0.0
@@ -151,7 +159,7 @@ def test_fold_rejects_bad_jacobian():
     cfg = ImpedanceConfig()
     cart, _ = build_operational_gains(np.full(3, 500.0), cfg)
     with pytest.raises(ValueError):
-        fold_to_joint_gains(np.zeros((5, 3)), cart, 1.0, 0.1)
+        fold_to_joint_gains(np.zeros((5, 3)), cart, floor_stack(1.0, 0.1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +192,9 @@ def test_closed_loop_converges_to_constant_target():
         frames = chain_frames(chain, state.q)
         terms = inverse_dynamics_terms(model, state.q, state.qdot)
         cart, _ = build_operational_gains(np.full(3, 1500.0), cfg)
-        gains = fold_to_joint_gains(frames.jacobian, cart, 3.0, 0.5)
+        gains = fold_to_joint_gains(frames.jacobian, cart, floor_stack(3.0, 0.5, 2))
         tau = control_torque(gains, q_d, state.q, np.zeros(2), state.qdot,
-                             terms.bias)
+                             terms[1])
         state = step(model, state, tau, None, dt, terms=terms, frames=frames)
     assert np.linalg.norm(state.q - q_d) < 1e-3
 
@@ -206,9 +214,9 @@ def test_execute_tick_identity_command():
     q0 = np.array([0.4, 0.7])
     state = SimState(q0.copy(), np.zeros(2))
     target = chain_frames(model.chain, q0).ee_pose
-    command = ComplianceCommand(target, np.full(3, 1000.0))
-    out, _, _ = executor.closed_loop_tick(state, command, None)
-    hold = inverse_dynamics_terms(model, q0, np.zeros(2)).bias
+    gains, _ = build_operational_gains(np.full(3, 1000.0), executor.config)
+    out, _, _ = executor.closed_loop_tick(state, target, gains, None)
+    _, hold = inverse_dynamics_terms(model, q0, np.zeros(2))
     assert np.allclose(out.q_d, q0, atol=1e-9)
     assert np.allclose(out.tau, hold, atol=1e-6)
     assert np.allclose(out.xi, 0.0, atol=1e-12)
@@ -220,9 +228,9 @@ def test_execute_tick_rest_drift_with_shared_terms():
     q0 = np.array([0.4, 0.7])
     state = SimState(q0.copy(), np.zeros(2))
     target = chain_frames(model.chain, q0).ee_pose
-    command = ComplianceCommand(target, np.full(3, 1000.0))
+    gains, _ = build_operational_gains(np.full(3, 1000.0), executor.config)
     for _ in range(50):
-        _, new_state, _ = executor.closed_loop_tick(state, command, None)
+        _, new_state, _ = executor.closed_loop_tick(state, target, gains, None)
         assert np.max(np.abs(new_state.q - state.q)) < 1e-9
         state = new_state
 
@@ -236,11 +244,11 @@ def test_executor_error_norm_decreases_in_free_space():
     target = chain_frames(model.chain, q_target).ee_pose
     offset = np.linalg.norm(target.translation - start.translation)
     assert 0.03 < offset < 0.08
-    command = ComplianceCommand(target, np.full(3, 1500.0))
+    gains, _ = build_operational_gains(np.full(3, 1500.0), executor.config)
     state = SimState(q0.copy(), np.zeros(2))
     norms = []
     for _ in range(1500):
-        out, state, _ = executor.closed_loop_tick(state, command, None)
+        out, state, _ = executor.closed_loop_tick(state, target, gains, None)
         norms.append(np.linalg.norm(out.xi))
     norms = np.array(norms)
     assert norms[-1] < 1e-3
@@ -259,10 +267,10 @@ def wiping_rig(kp_z, plane_stiffness=2e4, depth=0.01):
     assert ik.converged
     plane = ContactPlane([0.0, 0.0, 1.0], 0.0, plane_stiffness, 250.0, 0.0)
     target = Pose(rot, [0.45, 0.0, -depth])
-    command = ComplianceCommand(target, np.array([2000.0, 2000.0, kp_z]))
+    gains, _ = build_operational_gains(np.array([2000.0, 2000.0, kp_z]), cfg)
     state = SimState(ik.q.copy(), np.zeros(3))
     for _ in range(1500):
-        _, state, _ = executor.closed_loop_tick(state, command, plane)
+        _, state, _ = executor.closed_loop_tick(state, target, gains, plane)
     frames = chain_frames(model.chain, state.q)
     _, f_n = plane_contact_force(plane, frames.ee_pose.translation, np.zeros(3))
     return f_n, frames.ee_pose.translation[2], state
@@ -291,9 +299,10 @@ def test_executor_reports_stiffness_clamp():
     q0 = np.array([0.4, 0.7])
     state = SimState(q0.copy(), np.zeros(2))
     target = chain_frames(model.chain, q0).ee_pose
-    command = ComplianceCommand(target, np.array([1.0, 1000.0, 1000.0]))
-    out, _, _ = executor.closed_loop_tick(state, command, None)
-    assert out.stiffness_clamped
+    gains, clamped = build_operational_gains(np.array([1.0, 1000.0, 1000.0]),
+                                             executor.config)
+    executor.closed_loop_tick(state, target, gains, None)
+    assert clamped
 
 
 def test_execute_tick_clamps_without_warning_or_filter_changes(monkeypatch):
@@ -303,27 +312,26 @@ def test_execute_tick_clamps_without_warning_or_filter_changes(monkeypatch):
     q0 = np.array([0.4, 0.7])
     state = SimState(q0.copy(), np.zeros(2))
     frames = chain_frames(model.chain, q0)
-    bias = inverse_dynamics_terms(model, q0, np.zeros(2), frames).bias
-    command = ComplianceCommand(frames.ee_pose, np.array([1.0, 1000.0, 9000.0]))
+    _, bias = inverse_dynamics_terms(model, q0, np.zeros(2), frames)
     touched = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for name in ("catch_warnings", "simplefilter", "filterwarnings"):
             monkeypatch.setattr(warnings, name,
                                 lambda *a, name=name, **k: touched.append(name))
-        out = executor.execute_tick(state, command, frames, bias)
+        # the one clamp is build_operational_gains', which reports it with the gains
+        gains, clamped = build_operational_gains(np.array([1.0, 1000.0, 9000.0]), cfg)
+        out = executor.execute_tick(state, frames.ee_pose, gains, frames, bias)
         monkeypatch.undo()
     assert touched == []
-    assert out.stiffness_clamped
+    assert clamped
     assert caught == []
     # the same torque as with the command clamped up front
     executor = ImpedanceExecutor(model, cfg)
-    clamped = ComplianceCommand(frames.ee_pose, np.array([cfg.k_min, 1000.0, cfg.k_max]))
-    again = executor.execute_tick(state, clamped, frames, bias)
+    gains, clamped = build_operational_gains(np.array([cfg.k_min, 1000.0, cfg.k_max]), cfg)
+    again = executor.execute_tick(state, frames.ee_pose, gains, frames, bias)
     assert np.array_equal(out.tau, again.tau)
-    assert not again.stiffness_clamped
-    # the one clamp is build_operational_gains', which reports it with the gains
-    assert build_operational_gains(command.kp_diag, cfg)[1]
+    assert not clamped
 
 
 def test_executor_single_code_path_in_contact_and_free_space():
@@ -332,8 +340,8 @@ def test_executor_single_code_path_in_contact_and_free_space():
     model, executor, _ = executor_setup()
     free_state = SimState(np.array([0.4, 0.7]), np.zeros(2))
     target = chain_frames(model.chain, free_state.q).ee_pose
-    command = ComplianceCommand(target, np.full(3, 1000.0))
-    executor.closed_loop_tick(free_state, command, None)
+    gains, _ = build_operational_gains(np.full(3, 1000.0), executor.config)
+    executor.closed_loop_tick(free_state, target, gains, None)
     assert f_n > 0.0   # contact case did make contact, same code path
 
 
@@ -356,10 +364,10 @@ def test_single_state_shapes_and_batched_rows(rng, name):
     def tick(qi, qdi, offset, kpi, target):
         executor = ImpedanceExecutor(model, cfg)
         plane = ContactPlane([0.0, 0.0, 1.0], offset, 2e4, 250.0, 0.4)
-        command = ComplianceCommand(target, kpi)
+        gains, _ = build_operational_gains(kpi, cfg)
         state = SimState(qi, qdi)
-        first, state, _ = executor.closed_loop_tick(state, command, plane)
-        return (first,) + executor.closed_loop_tick(state, command, plane)
+        first, state, _ = executor.closed_loop_tick(state, target, gains, plane)
+        return (first,) + executor.closed_loop_tick(state, target, gains, plane)
 
     targets = [pose_unchecked(p.rotation, p.translation + 0.01) for p in ee]
     singles = [tick(q[i], qdot[i], offsets[i], kp[i], targets[i]) for i in range(rows)]
@@ -376,10 +384,10 @@ def test_single_state_shapes_and_batched_rows(rng, name):
     assert frames.link_rotations.shape == (n, 3, 3)
     assert frames.ee_pose.rotation.shape == (3, 3)
     assert out.xi.shape == (6,)
-    assert np.ndim(out.stiffness_clamped) == 0
+    assert np.ndim(build_operational_gains(kp[0], cfg)[1]) == 0
     assert np.ndim(out.limits_clamped) == 0
-    terms = inverse_dynamics_terms(model, q[0], qdot[0])
-    assert terms.mass_matrix.shape == (n, n) and terms.bias.shape == (n,)
+    mass_matrix, bias = inverse_dynamics_terms(model, q[0], qdot[0])
+    assert mass_matrix.shape == (n, n) and bias.shape == (n,)
     force, f_n = plane_contact_force(ContactPlane([0.0, 0.0, 1.0], 0.0, 1e4),
                                      np.array([0.0, 0.0, -0.01]), np.zeros(3))
     assert force.shape == (3,) and isinstance(f_n, float) and f_n == 100.0
@@ -389,7 +397,7 @@ def test_single_state_shapes_and_batched_rows(rng, name):
     assert b_state.contact_force_ee.shape == (rows, 3)
     assert b_frames.jacobian.shape == (rows, 6, n)
     assert b_out.xi.shape == (rows, 6)
-    assert b_out.stiffness_clamped.shape == (rows,)
+    assert build_operational_gains(kp, cfg)[1].shape == (rows,)
     for i, (s_first, s_out, s_state, s_frames) in enumerate(singles):
         for got, want in ((b_first.tau[i], s_first.tau), (b_out.tau[i], s_out.tau),
                           (b_out.qdot_d[i], s_out.qdot_d),
