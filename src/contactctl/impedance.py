@@ -148,9 +148,9 @@ class ImpedanceExecutor:
         self._prev_q_d = None
         rc = 1.0 / (2.0 * np.pi * config.qd_filter_cutoff)
         self._alpha = config.dt / (config.dt + rc)
-        # [Kq_floor; Kqd_floor] for fold_to_joint_gains
-        self._floors = np.multiply.outer([config.kq_floor, config.kqd_floor],
-                                         np.eye(self.chain.dof))
+        floors = np.empty((2, self.chain.dof))   # [Kq_floor; Kqd_floor] diagonals
+        floors[0], floors[1] = config.kq_floor, config.kqd_floor
+        self._floors = floors[:, :, None] * np.eye(self.chain.dof)
 
     def closed_loop_tick(self, state: SimState, target: Pose, gains: np.ndarray,
                          plane: Optional[ContactPlane]

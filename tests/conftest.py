@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from contactctl.dynamics import inverse_dynamics_terms
+from contactctl.dynamics import ArmDynamicsModel, inverse_dynamics_terms
 from contactctl.geometry import Pose, decode_rot6d_rows
 from contactctl.kinematics import ChainLink, ChainModel, chain_frames
 
@@ -32,6 +32,14 @@ def random_chain(rng: np.random.Generator, dof: int) -> ChainModel:
         links.append(ChainLink(axis, offset))
     tool = Pose(random_rotation(rng), rng.uniform(-0.2, 0.2, 3))
     return ChainModel(links, [[-2.0 * np.pi, 2.0 * np.pi]] * dof, tool)
+
+
+def random_model(rng, dof):
+    chain = random_chain(rng, dof)
+    masses = rng.uniform(0.5, 2.5, dof)
+    coms = rng.uniform(-0.1, 0.1, (dof, 3))
+    inertias = np.array([np.diag(rng.uniform(0.01, 0.05, 3)) for _ in range(dof)])
+    return ArmDynamicsModel(chain, masses, coms, inertias)
 
 
 def bias_split(model, q, qdot):

@@ -10,14 +10,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from contactctl.compliance import interpolate_commands
-from contactctl.dynamics import (ArmDynamicsModel, ContactPlane, SimState,
-                                 inverse_dynamics_terms, plane_contact_force,
-                                 step)
+from contactctl.dynamics import (ContactPlane, SimState, inverse_dynamics_terms,
+                                 plane_contact_force, step)
 from contactctl.geometry import pose_unchecked
 from contactctl.impedance import (ImpedanceConfig, ImpedanceExecutor,
                                   build_operational_gains)
 from contactctl.kinematics import chain_frames
-from conftest import random_chain, random_rotation
+from conftest import random_chain, random_model, random_rotation
 
 EXAMPLES = 50
 
@@ -29,12 +28,6 @@ def batches(draw):
     rows = draw(st.integers(1, 16))
     return (np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
             draw(st.integers(1, 6)), rows, draw(st.integers(0, rows - 1)))
-
-
-def random_model(rng, dof):
-    return ArmDynamicsModel(random_chain(rng, dof), rng.uniform(0.5, 2.5, dof),
-                            rng.uniform(-0.1, 0.1, (dof, 3)),
-                            [np.diag(rng.uniform(0.01, 0.05, 3)) for _ in range(dof)])
 
 
 def states(rng, rows, dof):

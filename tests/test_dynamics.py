@@ -10,7 +10,7 @@ from contactctl.dynamics import (ArmDynamicsModel, ContactPlane,
 from contactctl.geometry import Pose, rotation_about_axis, rotation_log
 from contactctl.kinematics import ChainLink, ChainModel, chain_frames
 from contactctl.sensing import Payload
-from conftest import bias_split, random_chain
+from conftest import bias_split, random_model
 import rnea_oracle
 
 
@@ -20,14 +20,6 @@ def make_pendulum(length=1.0, mass=2.0):
     chain = ChainModel(links, [[-10.0, 10.0]], Pose(np.eye(3), [length, 0, 0]))
     inertia = np.diag([1e-6, mass * length ** 2 / 12.0, mass * length ** 2 / 12.0])
     return ArmDynamicsModel(chain, [mass], [[length / 2.0, 0.0, 0.0]], [inertia])
-
-
-def random_model(rng, dof):
-    chain = random_chain(rng, dof)
-    masses = rng.uniform(0.5, 2.5, dof)
-    coms = rng.uniform(-0.1, 0.1, (dof, 3))
-    inertias = np.array([np.diag(rng.uniform(0.01, 0.05, 3)) for _ in range(dof)])
-    return ArmDynamicsModel(chain, masses, coms, inertias)
 
 
 def potential_energy(model, q):
