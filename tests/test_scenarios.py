@@ -235,19 +235,26 @@ def test_wiping_rows_bitwise_independent_of_batch(monkeypatch):
             == np.array(want["diagnostics"]).tobytes()
 
 
+def output_hashes(out) -> dict:
+    """sha256 of every file under `out`.
+
+    A report names its episode directory, so the output root is written as
+    "<out>" in it before hashing.
+    """
+    return {path.relative_to(out).as_posix(): hashlib.sha256(
+                path.read_bytes().replace(str(out).encode(), b"<out>")).hexdigest()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
 @pytest.mark.parametrize("seed", ["1", "7"])
 def test_wiping_trial_outputs_keep_their_bytes(tmp_path, seed):
-    # sha256 of every exported episode file and diagnostics CSV of a one-trial
-    # wiping run, as written when each tick sensed and recorded its own rows
+    # sha256 of every file a one-trial wiping run writes: the episode files
+    # and diagnostics CSVs as written when each tick sensed and recorded its
+    # own rows, and the reports, metrics CSVs and summary table
     want = json.loads(Path("tests/data/wiping_trial1_sha256.json").read_text())
     assert main(["run", "--config", "configs/wiping.ini", "--trials", "1",
                  "--seed", seed, "--out", str(tmp_path), "--quiet"]) == 0
-    got = {str(path.relative_to(tmp_path)):
-           hashlib.sha256(path.read_bytes()).hexdigest()
-           for path in sorted(tmp_path.rglob("*"))
-           if path.parent.name.startswith("episode_")
-           or path.name.startswith("diagnostics_")}
-    assert got == want[seed]
+    assert output_hashes(tmp_path) == want[seed]
 
 
 # (config, --trials) of the gripper scenarios, at the benchmark's trial counts
@@ -256,17 +263,11 @@ GRIPPER_RUNS = (("bottle_pick", "10"), ("selective_release", "10"),
 
 
 def gripper_output_hashes(out, seed) -> dict:
-    """sha256 of every file the gripper runs write under `out`.
-
-    A report names its episode directory, so the output root is written as
-    "<out>" in it before hashing.
-    """
+    """sha256 of every file the gripper runs write under `out`."""
     for name, trials in GRIPPER_RUNS:
         assert main(["run", "--config", f"configs/{name}.ini", "--trials", trials,
                      "--seed", seed, "--out", str(out / name), "--quiet"]) == 0
-    return {path.relative_to(out).as_posix(): hashlib.sha256(
-                path.read_bytes().replace(str(out).encode(), b"<out>")).hexdigest()
-            for path in sorted(out.rglob("*")) if path.is_file()}
+    return output_hashes(out)
 
 
 @pytest.mark.parametrize("seed", ["1", "7"])
