@@ -20,8 +20,8 @@ from .geometry import GeometryError, decode_rot6d_rows
 from .sensing import (IdentificationError, identify_payload,
                       load_calibration_csv, marker_motion_magnitude,
                       save_payload)
-from .scenarios import (ScenarioConfigError, load_report, load_scenario_config,
-                        run_scenario, summary_table)
+from .scenarios import (KINDS, ScenarioConfigError, load_report,
+                        load_scenario_config, run_scenario, summary_table)
 
 OUTPUT_ROOT_ENV = "CONTACTCTL_OUT"
 
@@ -239,6 +239,10 @@ def _cmd_list(args) -> int:
         by_scenario = {}
         for path in paths:
             rep = load_report(path)
+            if rep.variant not in getattr(KINDS.get(rep.kind), "VARIANTS", ()):
+                print(f"skipped {path}: {rep.kind} has no variant {rep.variant!r}",
+                      file=sys.stderr)
+                continue
             by_scenario.setdefault((rep.scenario_id, rep.kind), []).append(rep)
         for (scenario_id, _kind), reps in sorted(by_scenario.items()):
             print(f"== {scenario_id} ==")

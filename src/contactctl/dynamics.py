@@ -13,17 +13,16 @@ independent trials in one call. Each row goes through the same operations
 as a single (n,) state, so its bits do not depend on the batch around it.
 """
 
-import configparser
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .geometry import GRAVITY_WORLD, cross_rows, dot_rows, skew_rows
 from .kinematics import (ChainConfigError, ChainFrames, ChainModel,
-                         _parse_vector, chain_frames, load_chain)
+                         _parse_vector, _read_chain_file, chain_frames,
+                         load_chain)
 from .sensing import Payload, gravity_model
 
 FRICTION_V_EPS = 1e-3   # m/s, tanh regularization of Coulomb friction
@@ -289,12 +288,10 @@ def read_ft_sensor(contact: np.ndarray, payload: Payload, rotation: np.ndarray,
 def load_arm_model(path) -> ArmDynamicsModel:
     """Chain config plus per-joint inertial keys (mass, com, inertia_diag)."""
     chain = load_chain(path)
-    cfg = configparser.ConfigParser()
-    cfg.read(Path(path))
+    _, joints = _read_chain_file(path)   # the sections load_chain read
     masses, coms, inertias = [], [], []
-    for i in range(1, chain.dof + 1):
-        name = f"joint.{i}"
-        sec = cfg[name]
+    for sec in joints:
+        name = sec.name
         if "mass" not in sec:
             raise ChainConfigError(f"{path} [{name}]: missing mass for dynamics")
         masses.append(_parse_vector(sec["mass"], 1, f"{name} mass")[0])

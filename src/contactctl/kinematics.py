@@ -255,8 +255,12 @@ def _parse_pose(section, prefix: str, what: str) -> Pose:
     return Pose(decode_rot6d_rows(rot6d[:3], rot6d[3:]), trans)
 
 
-def load_chain(path) -> ChainModel:
-    """Load a chain from a key-value config file (see docs/formats.md)."""
+def _read_chain_file(path) -> tuple:
+    """The parsed chain file and its joint sections, [joint.1] to [joint.N].
+
+    Joints are numbered 1, 2, ... without gaps, repeats or leading zeros; a
+    [joint.*] section outside that list is a ChainConfigError naming it.
+    """
     path = Path(path)
     if not path.exists():
         raise ChainConfigError(f"chain config not found: {path}")
@@ -267,14 +271,26 @@ def load_chain(path) -> ChainModel:
         raise ChainConfigError(f"{path}: {exc}") from exc
     if "chain" not in cfg:
         raise ChainConfigError(f"{path}: missing [chain] section")
-    joint_sections = sorted((s for s in cfg.sections() if s.startswith("joint.")),
-                            key=lambda s: int(s.split(".", 1)[1]))
-    if not joint_sections:
+    found = [s for s in cfg.sections() if s.startswith("joint.")]
+    if not found:
         raise ChainConfigError(f"{path}: no [joint.N] sections")
+    names = [f"joint.{i}" for i in range(1, len(found) + 1)]
+    for name in found:
+        if name not in names:
+            raise ChainConfigError(
+                f"{path} [{name}]: the {len(found)} joint sections must be "
+                f"[joint.1] to [joint.{len(found)}], numbered without gaps, "
+                f"repeats or leading zeros")
+    return cfg, [cfg[name] for name in names]
+
+
+def load_chain(path) -> ChainModel:
+    """Load a chain from a key-value config file (see docs/formats.md)."""
+    cfg, joints = _read_chain_file(path)
     links = []
     limits = []
-    for name in joint_sections:
-        sec = cfg[name]
+    for sec in joints:
+        name = sec.name
         if "axis" not in sec:
             raise ChainConfigError(f"{path} [{name}]: missing axis")
         axis = _parse_vector(sec["axis"], 3, f"{name} axis")
@@ -284,4 +300,5 @@ def load_chain(path) -> ChainModel:
         links.append(ChainLink(axis / norm, _parse_pose(sec, "offset_", f"{name} offset")))
         limits.append(_parse_vector(sec.get("limits", "-6.2832 6.2832"), 2, f"{name} limits"))
     tool = _parse_pose(cfg["chain"], "tool_", "tool offset")
-    return ChainModel(links, np.array(limits), tool, cfg["chain"].get("name", path.stem))
+    return ChainModel(links, np.array(limits), tool,
+                      cfg["chain"].get("name", Path(path).stem))

@@ -206,10 +206,6 @@ class Criterion:
         return f"{self.op} {self.value:g}"
 
 
-def evaluate_criteria(metrics: dict, criteria: list) -> bool:
-    return all(c.check(metrics) for c in criteria)
-
-
 @dataclass
 class ScenarioReport:
     scenario_id: str
@@ -257,13 +253,25 @@ class ScenarioReport:
         return path
 
 
-def export_report_episode(report: ScenarioReport, episode, out_dir) -> None:
-    """Export a recorded episode to out_dir/episode_<variant>, named in the report."""
-    if episode is None or out_dir is None:
-        return
-    episode_dir = str(Path(out_dir) / f"episode_{report.variant}")
-    export_csv(episode, episode_dir)
-    report.episode_dir = episode_dir
+def build_report(config: ScenarioConfig, variant: str, metrics: dict,
+                 criteria: list, notes=(), episode=None, out_dir=None,
+                 trials: Optional[int] = None) -> ScenarioReport:
+    """The report of one variant of a run.
+
+    Success is that every declared criterion holds; a metric that is absent
+    fails its criterion. A recorded episode is exported to
+    out_dir/episode_<variant> and named in the report. `trials` defaults to
+    the config's.
+    """
+    report = ScenarioReport(config.scenario_id, config.kind, variant, config.seed,
+                            config.trials if trials is None else trials, metrics,
+                            {c.metric: c.describe() for c in criteria},
+                            all(c.check(metrics) for c in criteria),
+                            config.config_hash, list(notes))
+    if episode is not None:
+        report.episode_dir = str(Path(out_dir) / f"episode_{variant}")
+        export_csv(episode, report.episode_dir)
+    return report
 
 
 def load_report(path) -> ScenarioReport:

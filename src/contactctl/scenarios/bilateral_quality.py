@@ -19,8 +19,7 @@ import numpy as np
 
 from ..bilateral import (BilateralState, GraspContactModel,
                          estimate_internal_force, step_bilateral)
-from .base import (SCENARIO_KEYS, Criterion, Key, ScenarioConfig, ScenarioReport,
-                   evaluate_criteria, export_report_episode)
+from .base import SCENARIO_KEYS, Criterion, Key, ScenarioConfig, build_report
 from .bottle import (BILATERAL_DT, GRIPPER_KEYS, STATE_COLUMNS, gripper_episode,
                      gripper_params)
 
@@ -44,6 +43,8 @@ KEYS = SCENARIO_KEYS + GRIPPER_KEYS + (
     Key("criteria", "infinite_gap_pct", float, "1.0", ">= 0"),
 )
 TICKS_SET_BY = (("quality", "duration_s"), ("quality", "dt"))
+VARIANTS = {"default": "default"}
+TABLE = None
 
 
 def row_ticks(config: ScenarioConfig) -> int:
@@ -107,7 +108,7 @@ def _run_setting(config: ScenarioConfig, quality: dict, params, a_nominal: float
     return rms, episode
 
 
-def run_bilateral_signal_quality(config: ScenarioConfig, out_dir=None) -> ScenarioReport:
+def run_bilateral_signal_quality(config: ScenarioConfig, out_dir=None) -> list:
     record = "quality_bilateral" if out_dir is not None else None
     quality = config.values("quality")
     nominal, open_loop, infinite_a = _divisor_settings(config)
@@ -137,11 +138,10 @@ def run_bilateral_signal_quality(config: ScenarioConfig, out_dir=None) -> Scenar
         Criterion("infinite_vs_open_gap_pct", "<=",
                   config.value("criteria", "infinite_gap_pct")),
     ]
-    report = ScenarioReport(
-        config.scenario_id, config.kind, "default", config.seed, 1, metrics,
-        {c.metric: c.describe() for c in criteria},
-        evaluate_criteria(metrics, criteria), config.config_hash,
-        notes=["signal-level proxy with a scripted force-intent operator "
-               "model; not a human-subject comparison"])
-    export_report_episode(report, episode, out_dir)
-    return report
+    return [build_report(config, "default", metrics, criteria,
+                         ["signal-level proxy with a scripted force-intent "
+                          "operator model; not a human-subject comparison"],
+                         episode, out_dir, trials=1)]
+
+
+RUNNER = run_bilateral_signal_quality.__name__

@@ -20,8 +20,7 @@ from ..bilateral import (BILATERAL_DT_MAX, BILATERAL_SCHEMA, BilateralState,
                          step_bilateral)
 from ..dynamics import grasp_slip_check
 from ..episodes import Episode, StreamSpec
-from .base import (SCENARIO_KEYS, Criterion, Key, ScenarioConfig, ScenarioReport,
-                   evaluate_criteria, export_report_episode)
+from .base import SCENARIO_KEYS, Criterion, Key, ScenarioConfig, build_report
 
 # GripperParams's fields, which it checks
 GRIPPER_KEYS = (
@@ -63,6 +62,9 @@ KEYS = SCENARIO_KEYS + GRIPPER_KEYS + (
 )
 TICKS_SET_BY = (("bottle", "close_s"), ("bottle", "lift_ramp_s"),
                 ("bottle", "lift_cruise_s"), ("bottle", "hold_s"), ("bottle", "dt"))
+VARIANTS = {"with_force": "with grasping force", "width_only": "width-only"}
+TABLE = ("force-sensitive pick-and-place", {"success rate": "success_rate",
+                                           "slippage rate": "slippage_rate"})
 
 
 def gripper_params(config: ScenarioConfig) -> GripperParams:
@@ -108,9 +110,7 @@ def lift_accel(t: float, lift_start: float, ramp_s: float, cruise_s: float,
     return 0.0
 
 
-def run_bottle_pick(config: ScenarioConfig, use_grasp_force: bool,
-                    out_dir=None) -> ScenarioReport:
-    variant = "with_force" if use_grasp_force else "width_only"
+def run_bottle_pick(config: ScenarioConfig, out_dir=None) -> list:
     params = gripper_params(config)
     bottle, n_steps = config.values("bottle"), row_ticks(config)
     dt, mu, accel = bottle["dt"], bottle["friction_mu"], bottle["lift_accel"]
@@ -120,77 +120,74 @@ def run_bottle_pick(config: ScenarioConfig, use_grasp_force: bool,
     close_rate_max = bottle["close_rate"]
     op_kp, op_kd = bottle["operator_kp"], bottle["operator_kd"]
     mass_jitter = bottle["mass_jitter_frac"]
+    theta_width_only = angle_from_width(bottle["width"] + bottle["width_clearance"],
+                                        params)
+    lift_start = bottle["close_s"]
 
-    if use_grasp_force:
-        criteria = [Criterion("success_rate", "==", 100.0),
-                    Criterion("slippage_rate", "==", 0.0)]
-    else:
-        criteria = [Criterion("success_rate", "==", 0.0),
-                    Criterion("slippage_rate", "==", 100.0)]
+    reports = []
+    for variant in VARIANTS:
+        force_aware = variant == "with_force"
+        successes, slips = [], []
+        episode = None
+        for trial in range(config.trials):
+            rng = np.random.default_rng(config.seed * 1000 + trial)
+            mass = bottle["mass"] * (1.0 + rng.uniform(-mass_jitter, mass_jitter)) \
+                if bottle["mass"] > 0.0 else 0.0
+            width_obj = bottle["width"] + rng.uniform(-bottle["width_jitter"],
+                                                      bottle["width_jitter"])
+            contact = GraspContactModel(width_obj, bottle["contact_stiffness"])
 
-    successes, slips = [], []
-    episode = None
-    for trial in range(config.trials):
-        rng = np.random.default_rng(config.seed * 1000 + trial)
-        mass = bottle["mass"] * (1.0 + rng.uniform(-mass_jitter, mass_jitter)) \
-            if bottle["mass"] > 0.0 else 0.0
-        width_obj = bottle["width"] + rng.uniform(-bottle["width_jitter"],
-                                                  bottle["width_jitter"])
-        contact = GraspContactModel(width_obj, bottle["contact_stiffness"])
+            record = (trial == 0 and out_dir is not None)
+            log = np.empty((n_steps, STATE_COLUMNS)) if record else None
 
-        record = (trial == 0 and out_dir is not None)
-        log = np.empty((n_steps, STATE_COLUMNS)) if record else None
+            state = BilateralState()
+            theta_cmd = 0.0
+            theta_cmd_max = angle_from_width(width_obj - 0.01, params)
+            slipped = False
+            for i in range(n_steps):
+                t = i * dt
+                if force_aware:
+                    felt = estimate_internal_force(state.current_s, params)
+                    rate = servo_gain * params.r_g * (force_cmd - felt)
+                    rate = min(max(rate, -close_rate_max), close_rate_max)
+                    theta_cmd += dt * rate
+                    theta_cmd = min(max(theta_cmd, 0.0), theta_cmd_max)
+                else:
+                    theta_cmd = min(theta_width_only, theta_cmd + dt * close_rate_max)
+                drive = op_kp * (theta_cmd - state.theta_m) - op_kd * state.thetadot_m
+                state = step_bilateral(state, drive, contact, params, dt)
 
-        state = BilateralState()
-        theta_cmd = 0.0
-        theta_cmd_max = angle_from_width(width_obj - 0.01, params)
-        theta_width_only = angle_from_width(bottle["width"] + bottle["width_clearance"],
-                                            params)
-        slipped = False
-        lift_start = bottle["close_s"]
-        for i in range(n_steps):
-            t = i * dt
-            if use_grasp_force:
-                felt = estimate_internal_force(state.current_s, params)
-                rate = servo_gain * params.r_g * (force_cmd - felt)
-                rate = min(max(rate, -close_rate_max), close_rate_max)
-                theta_cmd += dt * rate
-                theta_cmd = min(max(theta_cmd, 0.0), theta_cmd_max)
-            else:
-                theta_cmd = min(theta_width_only, theta_cmd + dt * close_rate_max)
-            drive = op_kp * (theta_cmd - state.theta_m) - op_kd * state.thetadot_m
-            state = step_bilateral(state, drive, contact, params, dt)
+                if t >= lift_start and not slipped:
+                    # a non-positive estimate means no squeeze, not a pulling grasp
+                    f_int = max(0.0, estimate_internal_force(state.current_s, params))
+                    accel_z = lift_accel(t, lift_start, ramp_s, cruise_s, accel)
+                    if grasp_slip_check(f_int, mass, mu, accel_z):
+                        slipped = True   # latches: the bottle is gone
+                if record:
+                    log[i] = (state.theta_m, state.theta_s, state.thetadot_m,
+                              state.thetadot_s, state.tau_s_filtered, state.current_s)
 
-            if t >= lift_start and not slipped:
-                # a non-positive estimate means no squeeze, not a pulling grasp
-                f_int = max(0.0, estimate_internal_force(state.current_s, params))
-                accel_z = lift_accel(t, lift_start, ramp_s, cruise_s, accel)
-                if grasp_slip_check(f_int, mass, mu, accel_z):
-                    slipped = True   # latches: the bottle is gone
             if record:
-                log[i] = (state.theta_m, state.theta_s, state.thetadot_m,
-                          state.thetadot_s, state.tau_s_filtered, state.current_s)
+                episode = gripper_episode(f"{config.scenario_id}_{variant}",
+                                          config, log, params, dt)
+            successes.append(not slipped)
+            slips.append(slipped)
 
-        if record:
-            episode = gripper_episode(f"{config.scenario_id}_{variant}",
-                                      config, log, params, dt)
-        successes.append(not slipped)
-        slips.append(slipped)
+        metrics = {
+            "success_rate": float(np.mean(successes) * 100.0),
+            "slippage_rate": float(np.mean(slips) * 100.0),
+            "object_mass_nominal": bottle["mass"],
+            "friction_mu": mu,
+        }
+        criteria = [Criterion("success_rate", "==", 100.0 if force_aware else 0.0),
+                    Criterion("slippage_rate", "==", 0.0 if force_aware else 100.0)]
+        reports.append(build_report(
+            config, variant, metrics, criteria,
+            ["slip model: two-finger friction inequality "
+             "2 mu F >= m (g + max(az, 0)), ties hold",
+             "scripted grasp commands stand in for "
+             "policy output; not a learned policy"], episode, out_dir))
+    return reports
 
-    metrics = {
-        "success_rate": float(np.mean(successes) * 100.0),
-        "slippage_rate": float(np.mean(slips) * 100.0),
-        "object_mass_nominal": bottle["mass"],
-        "friction_mu": mu,
-    }
-    report = ScenarioReport(config.scenario_id, config.kind, variant,
-                            config.seed, config.trials, metrics,
-                            {c.metric: c.describe() for c in criteria},
-                            evaluate_criteria(metrics, criteria),
-                            config.config_hash,
-                            notes=["slip model: two-finger friction inequality "
-                                   "2 mu F >= m (g + max(az, 0)), ties hold",
-                                   "scripted grasp commands stand in for "
-                                   "policy output; not a learned policy"])
-    export_report_episode(report, episode, out_dir)
-    return report
+
+RUNNER = run_bottle_pick.__name__

@@ -16,8 +16,7 @@ from ..episodes import Episode, StreamSpec
 from ..geometry import Pose, rotation_about_axis
 from ..sensing import (IdentificationError, compensate_wrench, gravity_model,
                        identify_payload)
-from .base import (SCENARIO_KEYS, Criterion, Key, ScenarioConfig, ScenarioReport,
-                   evaluate_criteria, export_report_episode)
+from .base import SCENARIO_KEYS, Criterion, Key, ScenarioConfig, build_report
 
 WRENCH_SCHEMA = ("fx", "fy", "fz", "tx", "ty", "tz")
 
@@ -36,6 +35,8 @@ KEYS = SCENARIO_KEYS + (
 )
 TICKS_SET_BY = (("gravity", "n_poses"), ("gravity", "hold_s"),
                 ("gravity", "sample_rate_hz"))
+VARIANTS = {"default": "default"}
+TABLE = None
 
 
 def _hold_samples(gravity: dict) -> int:
@@ -74,7 +75,7 @@ def _per_axis_span(values: np.ndarray) -> float:
     return float(np.max(values.max(axis=0) - values.min(axis=0)))
 
 
-def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> ScenarioReport:
+def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> list:
     gravity = config.values("gravity")
     n_poses, mc_trials = gravity["n_poses"], gravity["mc_trials"]
     sigma, target_span = gravity["noise_sigma"], gravity["target_force_span"]
@@ -109,11 +110,8 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> ScenarioRe
         try:
             payload = identify_payload(orientations, averaged)
         except IdentificationError as exc:
-            return ScenarioReport(
-                config.scenario_id, config.kind, "default", config.seed,
-                mc_trials, {}, {c.metric: c.describe() for c in criteria},
-                False, config.config_hash,
-                notes=[f"identification failed: {exc}"])
+            return [build_report(config, "default", {}, criteria,
+                                 [f"identification failed: {exc}"], trials=mc_trials)]
         # with an identity sensor-to-ee transform, compensating a whole pose
         # block is the block minus the fitted gravity force at that pose
         grav_hat = gravity_model(payload.mass, payload.com, payload.bias,
@@ -133,12 +131,11 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> ScenarioRe
         "residual_rms_max": float(np.max(residual_maxes)),
         "payload_mass_true": mass,
     }
-    report = ScenarioReport(
-        config.scenario_id, config.kind, "default", config.seed, mc_trials,
-        metrics, {c.metric: c.describe() for c in criteria},
-        evaluate_criteria(metrics, criteria), config.config_hash)
-    export_report_episode(report, episode, out_dir)
-    return report
+    return [build_report(config, "default", metrics, criteria, (), episode, out_dir,
+                         trials=mc_trials)]
+
+
+RUNNER = run_gravity_verification.__name__
 
 
 def _record_episode(config, orientations, blocks, payload, rate) -> Episode:

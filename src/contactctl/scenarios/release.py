@@ -14,8 +14,7 @@ import numpy as np
 
 from ..episodes import Episode, StreamSpec
 from ..sensing import MARKER_DIM
-from .base import (SCENARIO_KEYS, Criterion, Key, ScenarioConfig, ScenarioReport,
-                   evaluate_criteria, export_report_episode)
+from .base import SCENARIO_KEYS, Criterion, Key, ScenarioConfig, build_report
 
 TACTILE_SCHEMA = tuple(f"m{i}" for i in range(MARKER_DIM))
 GRIP_SCHEMA = ("width", "inner_held", "outer_held")
@@ -36,6 +35,9 @@ KEYS = SCENARIO_KEYS + (
     Key("release", "drop_fraction", float, "0.6"),
 )
 TICKS_SET_BY = (("release", "duration_s"), ("release", "dt"))
+VARIANTS = {"with_tactile": "with tactile", "fixed_width": "fixed width"}
+TABLE = ("selective release", {"selective success": "selective_rate",
+                               "both retained": "both_retained_rate"})
 
 
 def row_ticks(config: ScenarioConfig) -> int:
@@ -49,21 +51,19 @@ def _tactile_vector(norm_target: float, rng: np.random.Generator) -> np.ndarray:
     return norm_target * direction
 
 
-def run_selective_release(config: ScenarioConfig, use_tactile: bool,
-                          out_dir=None) -> ScenarioReport:
-    variant = "with_tactile" if use_tactile else "fixed_width"
+def run_selective_release(config: ScenarioConfig, out_dir=None) -> list:
     release, n_steps = config.values("release"), row_ticks(config)
     dt, open_rate, gap = release["dt"], release["open_rate"], release["outer_gap"]
     w_fixed, c_inner = release["fixed_width"], release["tactile_inner"]
     tactile_rate, drop = release["tactile_rate_hz"], release["drop_fraction"] * c_inner
+    tactile_period = 1.0 / tactile_rate
 
-    degenerate = gap <= 0.0
-    if use_tactile:
-        criteria = [Criterion("selective_rate", "==", 100.0),
-                    Criterion("both_retained_rate", "==", 0.0)]
-    else:
-        criteria = [Criterion("selective_rate", "<=", 30.0),
-                    Criterion("both_retained_rate", ">=", 70.0)]
+    notes = ["synthetic tactile stream and scripted release controller stand "
+             "in for policy output; not a learned policy"]
+    if gap <= 0.0:
+        # selective release is then impossible, so the declared criteria fail
+        notes.append("degenerate config: inner and outer release widths "
+                     "coincide; selective release is impossible")
 
     # stratified inner widths; trial order shuffled by seed
     quantiles = (np.arange(config.trials) + 0.5) / config.trials
@@ -72,88 +72,89 @@ def run_selective_release(config: ScenarioConfig, use_tactile: bool,
     order = np.random.default_rng(config.seed).permutation(config.trials)
     widths_inner = widths_inner[order]
 
-    selective, both_retained = [], []
-    episode = None
-    for trial in range(config.trials):
-        rng = np.random.default_rng(config.seed * 1000 + trial + 1)
-        w_inner = float(widths_inner[trial])
-        w_outer = w_inner + gap
-        width = w_inner - release["start_margin"]
-        inner_held = True
-        outer_held = True
-        holding = False
-        baseline_norm = None
-        tactile_period = 1.0 / tactile_rate
-        next_tactile = 0.0
-        norm_measured = None
+    reports = []
+    for variant in VARIANTS:
+        tactile_gated = variant == "with_tactile"
+        selective, both_retained = [], []
+        episode = None
+        for trial in range(config.trials):
+            rng = np.random.default_rng(config.seed * 1000 + trial + 1)
+            w_inner = float(widths_inner[trial])
+            w_outer = w_inner + gap
+            width = w_inner - release["start_margin"]
+            inner_held = True
+            outer_held = True
+            holding = False
+            baseline_norm = None
+            next_tactile = 0.0
+            norm_measured = None
 
-        record = (trial == 0 and out_dir is not None)
-        if record:
-            tactile_t, tactile_rows = [], []
-            grip_rows = np.empty((n_steps, len(GRIP_SCHEMA)))
+            record = (trial == 0 and out_dir is not None)
+            if record:
+                tactile_t, tactile_rows = [], []
+                grip_rows = np.empty((n_steps, len(GRIP_SCHEMA)))
 
-        for i in range(n_steps):
-            t = i * dt
-            # plant: release thresholds on the opening width
-            if inner_held and width >= w_inner:
-                inner_held = False
-            if outer_held and width >= w_outer:
-                outer_held = False
-                inner_held = False
+            for i in range(n_steps):
+                t = i * dt
+                # plant: release thresholds on the opening width
+                if inner_held and width >= w_inner:
+                    inner_held = False
+                if outer_held and width >= w_outer:
+                    outer_held = False
+                    inner_held = False
 
-            if t >= next_tactile:
-                next_tactile += tactile_period
-                norm_true = c_inner * inner_held + release["tactile_outer"] * outer_held
-                norm_measured = max(0.0, norm_true
-                                    + rng.normal(0.0, release["tactile_sigma"]))
+                if t >= next_tactile:
+                    next_tactile += tactile_period
+                    norm_true = c_inner * inner_held + release["tactile_outer"] * outer_held
+                    norm_measured = max(0.0, norm_true
+                                        + rng.normal(0.0, release["tactile_sigma"]))
+                    if record:
+                        # draws from rng, so it must stay in this order
+                        tactile_t.append(t + dt)
+                        tactile_rows.append(_tactile_vector(norm_measured, rng))
+                    if baseline_norm is None:
+                        baseline_norm = norm_measured
+
+                if tactile_gated:
+                    if not holding and baseline_norm is not None \
+                            and norm_measured < baseline_norm - drop:
+                        holding = True   # separation detected: stop opening
+                    if not holding:
+                        width += open_rate * dt
+                elif width < w_fixed:
+                    width = min(w_fixed, width + open_rate * dt)
+
                 if record:
-                    # draws from rng, so it must stay in this order
-                    tactile_t.append(t + dt)
-                    tactile_rows.append(_tactile_vector(norm_measured, rng))
-                if baseline_norm is None:
-                    baseline_norm = norm_measured
-
-            if use_tactile:
-                if not holding and baseline_norm is not None \
-                        and norm_measured < baseline_norm - drop:
-                    holding = True   # separation detected: stop opening
-                if not holding:
-                    width += open_rate * dt
-            elif width < w_fixed:
-                width = min(w_fixed, width + open_rate * dt)
+                    grip_rows[i] = (width, inner_held, outer_held)
 
             if record:
-                grip_rows[i] = (width, inner_held, outer_held)
+                episode = Episode(f"{config.scenario_id}_{variant}",
+                                  [StreamSpec("tactile", tactile_rate, TACTILE_SCHEMA,
+                                              "tactile"),
+                                   StreamSpec("gripper", 1.0 / dt, GRIP_SCHEMA,
+                                              "gripper")],
+                                  config_hash=config.config_hash)
+                episode.record_block("tactile", tactile_t,
+                                     np.reshape(tactile_rows, (-1, MARKER_DIM)))
+                episode.record_block("gripper", np.arange(n_steps) * dt + dt, grip_rows)
+            selective.append((not inner_held) and outer_held)
+            both_retained.append(inner_held and outer_held)
 
-        if record:
-            episode = Episode(f"{config.scenario_id}_{variant}",
-                              [StreamSpec("tactile", tactile_rate, TACTILE_SCHEMA,
-                                          "tactile"),
-                               StreamSpec("gripper", 1.0 / dt, GRIP_SCHEMA,
-                                          "gripper")],
-                              config_hash=config.config_hash)
-            episode.record_block("tactile", tactile_t,
-                                 np.reshape(tactile_rows, (-1, MARKER_DIM)))
-            episode.record_block("gripper", np.arange(n_steps) * dt + dt, grip_rows)
-        selective.append((not inner_held) and outer_held)
-        both_retained.append(inner_held and outer_held)
+        metrics = {
+            "selective_rate": float(np.mean(selective) * 100.0),
+            "both_retained_rate": float(np.mean(both_retained) * 100.0),
+            "both_released_rate": float(
+                100.0 - np.mean(selective) * 100.0 - np.mean(both_retained) * 100.0),
+        }
+        if tactile_gated:
+            criteria = [Criterion("selective_rate", "==", 100.0),
+                        Criterion("both_retained_rate", "==", 0.0)]
+        else:
+            criteria = [Criterion("selective_rate", "<=", 30.0),
+                        Criterion("both_retained_rate", ">=", 70.0)]
+        reports.append(build_report(config, variant, metrics, criteria, notes,
+                                    episode, out_dir))
+    return reports
 
-    metrics = {
-        "selective_rate": float(np.mean(selective) * 100.0),
-        "both_retained_rate": float(np.mean(both_retained) * 100.0),
-        "both_released_rate": float(
-            100.0 - np.mean(selective) * 100.0 - np.mean(both_retained) * 100.0),
-    }
-    notes = ["synthetic tactile stream and scripted release controller stand "
-             "in for policy output; not a learned policy"]
-    if degenerate:
-        # selective release is then impossible, so the declared criteria fail
-        notes.append("degenerate config: inner and outer release widths "
-                     "coincide; selective release is impossible")
-    report = ScenarioReport(config.scenario_id, config.kind, variant,
-                            config.seed, config.trials, metrics,
-                            {c.metric: c.describe() for c in criteria},
-                            evaluate_criteria(metrics, criteria),
-                            config.config_hash, notes=notes)
-    export_report_episode(report, episode, out_dir)
-    return report
+
+RUNNER = run_selective_release.__name__

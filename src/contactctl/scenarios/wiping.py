@@ -46,8 +46,7 @@ from ..impedance import (ImpedanceConfig, ImpedanceExecutor,
 from ..kinematics import solve_ik
 from ..sensing import Payload, compensate_wrench
 from .base import (DOF, SCENARIO_KEYS, Criterion, Key, ScenarioConfig,
-                   ScenarioConfigError, ScenarioReport, evaluate_criteria,
-                   export_report_episode)
+                   ScenarioConfigError, ScenarioReport, build_report)
 from .gravity import WRENCH_SCHEMA
 
 POSE_SCHEMA = ("px", "py", "pz", "r6_0", "r6_1", "r6_2", "r6_3", "r6_4", "r6_5")
@@ -107,6 +106,9 @@ KEYS = SCENARIO_KEYS + (
 PHASES = ("settle", "press", "slide", "retreat")
 TICKS_SET_BY = tuple(("wiping", f"{phase}_s") for phase in PHASES) \
     + (("wiping", "action_rate_hz"), ("plant", "dt"))
+VARIANTS = {"with_wrench": "with wrench", "no_wrench": "without wrench"}
+TABLE = ("surface erasing", {"success@5% residual": "success_rate_5pct",
+                             "success@50% residual": "success_rate_50pct"})
 
 
 def _controller(config: ScenarioConfig) -> tuple:
@@ -164,7 +166,7 @@ class WipingSetup:
     plane: ContactPlane            # nominal plane; rows differ in offset
     q0: np.ndarray                 # start pose IK solution
     start_pose: Pose
-    scripts: dict                  # variant flag -> (action rows, phase labels)
+    scripts: dict                  # variant -> (action rows, phase labels)
     force_target: float            # normal force the wrench variant presses with
     baseline_offset: float         # no-wrench surface offset from nominal
     dt: float
@@ -201,9 +203,10 @@ def wiping_setup(config: ScenarioConfig) -> WipingSetup:
                                           config.value("wiping", "tool_pitch")),
                       [x_start, 0.0, plane.offset])
     force_target = config.value("wiping", "force_target")
-    scripts = {flag: _scripted_actions(config, start_pose.rotation,
-                                       force_target if flag else 0.0)
-               for flag in (True, False)}
+    scripts = {variant: _scripted_actions(
+                   config, start_pose.rotation,
+                   force_target if variant == "with_wrench" else 0.0)
+               for variant in VARIANTS}
     payload = Payload(config.value("sensor", "payload_mass"),
                       config.value("sensor", "payload_com"),
                       config.value("sensor", "payload_bias"))
@@ -228,47 +231,41 @@ def wiping_setup(config: ScenarioConfig) -> WipingSetup:
         config.value("sensor", "noise_sigma"))
 
 
-def _variant(use_wrench: bool) -> str:
-    return "with_wrench" if use_wrench else "no_wrench"
+def run_wiping(config: ScenarioConfig, out_dir=None) -> list:
+    """Run every variant as one batch of (variant, trial) rows.
 
-
-def run_wiping(config: ScenarioConfig, use_wrench, out_dir=None):
-    """Run wiping variants as one batch of (variant, trial) rows.
-
-    `use_wrench` is one variant flag, which returns that variant's report,
-    or a sequence of flags, which returns one report per flag. Trial 0 of
-    each variant is recorded when `out_dir` is given.
+    Returns one report per variant. Trial 0 of each variant is recorded
+    when `out_dir` is given.
     """
-    flags = [use_wrench] if isinstance(use_wrench, bool) else list(use_wrench)
     setup = wiping_setup(config)
     z_nominal = setup.plane.offset
     rows = []
-    for flag in flags:
-        actions, labels = setup.scripts[flag]
+    for variant in VARIANTS:
+        actions, labels = setup.scripts[variant]
         for trial in range(config.trials):
             rng = np.random.default_rng(config.seed * 1000 + trial)
-            if flag:
+            if variant == "with_wrench":
                 offset = z_nominal + rng.uniform(-setup.surface_jitter,
                                                  setup.surface_jitter)
             else:
                 offset = z_nominal + setup.baseline_offset
             episode = None
             if trial == 0 and out_dir is not None:
-                episode = wiping_episode(setup, _variant(flag))
+                episode = wiping_episode(setup, variant)
             rows.append(WipingRow(actions, labels, offset, rng, episode))
     results = rollout(setup, rows)
-
-    reports = []
-    for k, flag in enumerate(flags):
-        trials = results[k * config.trials:(k + 1) * config.trials]
-        reports.append(_report(config, setup, flag, trials, out_dir))
-    return reports[0] if isinstance(use_wrench, bool) else reports
+    return [_report(config, setup, variant,
+                    results[k * config.trials:(k + 1) * config.trials], out_dir)
+            for k, variant in enumerate(VARIANTS)]
 
 
-def _report(config: ScenarioConfig, setup: WipingSetup, use_wrench: bool,
+RUNNER = run_wiping.__name__
+
+
+def _report(config: ScenarioConfig, setup: WipingSetup, variant: str,
             trials: list, out_dir) -> ScenarioReport:
-    variant = _variant(use_wrench)
-    if use_wrench:
+    notes = []
+    if variant == "with_wrench":
         tol = config.value("criteria", "fz_tol_frac")
         criteria = [
             Criterion("mean_fz_min", ">=", setup.force_target * (1.0 - tol)),
@@ -283,6 +280,10 @@ def _report(config: ScenarioConfig, setup: WipingSetup, use_wrench: bool,
             Criterion("mean_fz_max", "<", config.value("criteria", "baseline_force_max")),
             Criterion("success_rate_5pct", "==", 0.0),
         ]
+        notes.append("scripted no-wrench baseline tracks the nominal surface "
+                     f"height with the surface offset by "
+                     f"{setup.baseline_offset*1000:+.1f} mm; "
+                     "it is a position-playback proxy, not a learned policy")
 
     mean_fzs = [t["mean_fz"] for t in trials]
     residuals = np.array([t["residual"] for t in trials])
@@ -295,19 +296,8 @@ def _report(config: ScenarioConfig, setup: WipingSetup, use_wrench: bool,
         "success_rate_5pct": float(np.mean(residuals < 0.05) * 100.0),
         "success_rate_50pct": float(np.mean(residuals < 0.50) * 100.0),
     }
-    notes = []
-    if not use_wrench:
-        notes.append("scripted no-wrench baseline tracks the nominal surface "
-                     f"height with the surface offset by "
-                     f"{setup.baseline_offset*1000:+.1f} mm; "
-                     "it is a position-playback proxy, not a learned policy")
-    report = ScenarioReport(config.scenario_id, config.kind, variant,
-                            config.seed, config.trials, metrics,
-                            {c.metric: c.describe() for c in criteria},
-                            evaluate_criteria(metrics, criteria),
-                            config.config_hash, notes=notes)
     episode = trials[0]["episode"]
-    export_report_episode(report, episode, out_dir)
+    report = build_report(config, variant, metrics, criteria, notes, episode, out_dir)
     if episode is not None:
         _write_diagnostics_csv(out_dir / f"diagnostics_{variant}.csv",
                                trials[0]["diagnostics"])

@@ -37,7 +37,7 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 def test_criterion_01_gravity_compensation():
     config = load_scenario_config("configs/gravity_verification.ini")
     t0 = time.perf_counter()
-    result = run_gravity_verification(config)
+    result, = run_gravity_verification(config)
     elapsed = time.perf_counter() - t0
     m = result.metrics
     ok = (m["compensated_span_max"] < 0.5 and m["residual_rms_max"] < 0.15
@@ -68,8 +68,7 @@ def test_criterion_02_identification_round_trip():
 def test_criterion_03_wiping_force_regulation():
     config = load_scenario_config("configs/wiping.ini")
     t0 = time.perf_counter()
-    with_wrench = run_wiping(config, True)
-    without = run_wiping(config, False)
+    with_wrench, without = run_wiping(config)
     elapsed = time.perf_counter() - t0
     mw = with_wrench.metrics
     mo = without.metrics
@@ -92,8 +91,7 @@ def test_criterion_03_wiping_force_regulation():
 def test_criterion_04_bottle_pick_slip():
     config = load_scenario_config("configs/bottle_pick.ini")
     t0 = time.perf_counter()
-    force = run_bottle_pick(config, True)
-    width = run_bottle_pick(config, False)
+    force, width = run_bottle_pick(config)
     elapsed = time.perf_counter() - t0
     ok = (force.metrics["success_rate"] == 100.0
           and force.metrics["slippage_rate"] == 0.0
@@ -110,8 +108,7 @@ def test_criterion_04_bottle_pick_slip():
 def test_criterion_05_selective_release():
     config = load_scenario_config("configs/selective_release.ini")
     t0 = time.perf_counter()
-    tactile = run_selective_release(config, True)
-    fixed = run_selective_release(config, False)
+    tactile, fixed = run_selective_release(config)
     elapsed = time.perf_counter() - t0
     ok = (tactile.metrics["selective_rate"] == 100.0
           and tactile.metrics["both_retained_rate"] == 0.0

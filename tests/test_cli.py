@@ -252,17 +252,41 @@ def test_run_bad_arm_file_value_is_usage_error_naming_joint_and_key(
     head, joint2 = chain.split("[joint.2]")
     joint2, tail = joint2.split("[joint.3]")
     assert joint2.count(old) == 1
+    code = run_wiping_on_chain(
+        tmp_path, f"{head}[joint.2]{joint2.replace(old, new)}[joint.3]{tail}")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err and "unreachable" not in err
+
+
+def run_wiping_on_chain(tmp_path, chain_text: str) -> int:
+    """The exit code of a one-trial wiping run on an arm file of this text."""
     bad_chain = tmp_path / "planar3.ini"
-    bad_chain.write_text(f"{head}[joint.2]{joint2.replace(old, new)}[joint.3]{tail}")
+    bad_chain.write_text(chain_text)
     src = Path("configs/wiping.ini").read_text()
     assert src.count("chains/planar3.ini") == 1
     bad = tmp_path / "wiping.ini"
     bad.write_text(src.replace("chains/planar3.ini", str(bad_chain)))
-    code = run_cli("run", "--config", str(bad), "--trials", "1",
+    return run_cli("run", "--config", str(bad), "--trials", "1",
                    "--out", str(tmp_path / "out"), "--quiet")
-    assert code == 2
-    err = capsys.readouterr().err
-    assert key in err and "unreachable" not in err
+
+
+@pytest.mark.parametrize("edit, section", [
+    (lambda chain, joint2: chain.replace("[joint.3]", "[joint.4]"), "[joint.4]"),
+    (lambda chain, joint2: chain.replace("[joint.2]", "[joint.02]"), "[joint.02]"),
+    (lambda chain, joint2: chain.replace("[joint.3]", f"[joint.02]{joint2}[joint.3]"),
+     "[joint.02]")],
+    ids=["gap", "leading_zero", "repeated_number"])
+def test_run_misnumbered_arm_joint_is_usage_error_naming_its_section(
+        tmp_path, capsys, edit, section):
+    # the chain and the dynamics read the same joint sections, [joint.1] to
+    # [joint.N]; any other [joint.*] section is a config error naming it
+    chain = Path("configs/chains/planar3.ini").read_text()
+    joint2 = chain.split("[joint.2]")[1].split("[joint.3]")[0]
+    bad = edit(chain, joint2)
+    assert bad != chain and bad.count(section) == 1
+    assert run_wiping_on_chain(tmp_path, bad) == 2
+    assert section in capsys.readouterr().err
 
 
 def test_run_failure_exit_code(tmp_path):
@@ -733,6 +757,29 @@ def test_python_m_contactctl_runs_the_cli():
                           env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert proc.returncode == 0, proc.stderr
     assert "wiping" in proc.stdout and "bottle_pick" in proc.stdout
+
+
+def test_list_reports_prints_the_summary_that_run_writes(tmp_path, capsys):
+    # the report files sort by name, width_only before with_force; the table
+    # lists the variants in the order run wrote them to summary.txt
+    assert run_cli("run", "--config", "configs/bottle_pick.ini",
+                   "--out", str(tmp_path / "r"), "--trials", "2", "--quiet") == 0
+    capsys.readouterr()
+    assert run_cli("list", "--reports", str(tmp_path)) == 0
+    assert (tmp_path / "r" / "summary.txt").read_text() in capsys.readouterr().out
+
+
+def test_list_reports_names_a_report_of_no_declared_variant(tmp_path, capsys):
+    assert run_cli("run", "--config", "configs/gravity_verification.ini",
+                   "--out", str(tmp_path), "--trials", "2", "--quiet") == 0
+    report = json.loads((tmp_path / "report_default.json").read_text())
+    report["variant"] = "other"
+    (tmp_path / "report_other.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    assert run_cli("list", "--reports", str(tmp_path)) == 0
+    captured = capsys.readouterr()
+    assert "[default]" in captured.out and "[other]" not in captured.out
+    assert f"skipped {tmp_path / 'report_other.json'}: " in captured.err
 
 
 def test_list_reports_renders_table(tmp_path, capsys):

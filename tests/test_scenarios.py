@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from contactctl.cli import main
-from contactctl.scenarios import (load_scenario_config, run_bottle_pick,
+from contactctl.scenarios import (KINDS, load_scenario_config, run_bottle_pick,
                                   run_gravity_verification,
                                   run_selective_release, run_scenario,
                                   run_wiping, summary_table)
-from contactctl.scenarios.base import Criterion, ScenarioConfigError, evaluate_criteria
+from contactctl.scenarios.base import Criterion, ScenarioConfigError, build_report
 from contactctl.scenarios.bilateral_quality import run_bilateral_signal_quality
 from contactctl.scenarios.gravity import calibration_orientations
 
@@ -43,10 +43,14 @@ def test_missing_config_raises():
 
 
 def test_criteria_are_pure_functions():
+    config = load("gravity_verification")
     crits = [Criterion("a", ">=", 1.0), Criterion("b", "<", 0.5)]
-    assert evaluate_criteria({"a": 1.0, "b": 0.4}, crits)
-    assert not evaluate_criteria({"a": 0.9, "b": 0.4}, crits)
-    assert not evaluate_criteria({"a": 1.0}, crits)   # missing metric fails
+
+    def success(metrics):
+        return build_report(config, "default", metrics, crits).success
+    assert success({"a": 1.0, "b": 0.4})
+    assert not success({"a": 0.9, "b": 0.4})
+    assert not success({"a": 1.0})   # missing metric fails
 
 
 def test_calibration_orientations_distinct():
@@ -64,7 +68,7 @@ def test_gravity_noise_free_exact():
     config = load("gravity_verification")
     config.sections["gravity"]["noise_sigma"] = "0.0"
     config.sections["gravity"]["mc_trials"] = "1"
-    report = run_gravity_verification(config)
+    report, = run_gravity_verification(config)
     assert report.metrics["compensated_span_max"] < 1e-6
     assert report.metrics["residual_rms_max"] < 1e-9
 
@@ -73,7 +77,7 @@ def test_gravity_degenerate_poses_surfaced():
     config = load("gravity_verification")
     config.sections["gravity"]["degenerate_poses"] = "true"
     config.sections["gravity"]["mc_trials"] = "1"
-    report = run_gravity_verification(config)
+    report, = run_gravity_verification(config)
     assert not report.success
     assert any("identification failed" in n for n in report.notes)
 
@@ -81,8 +85,8 @@ def test_gravity_degenerate_poses_surfaced():
 def test_gravity_reproducible_bit_exact():
     config = load("gravity_verification")
     config.sections["gravity"]["mc_trials"] = "5"
-    a = run_gravity_verification(config)
-    b = run_gravity_verification(config)
+    a, = run_gravity_verification(config)
+    b, = run_gravity_verification(config)
     assert a.metrics == b.metrics
 
 
@@ -91,8 +95,8 @@ def test_gravity_seed_changes_noise_metrics_only():
     config_b = load("gravity_verification", seed_override=2)
     config_a.sections["gravity"]["mc_trials"] = "3"
     config_b.sections["gravity"]["mc_trials"] = "3"
-    a = run_gravity_verification(config_a)
-    b = run_gravity_verification(config_b)
+    a, = run_gravity_verification(config_a)
+    b, = run_gravity_verification(config_b)
     assert a.metrics["compensated_span_max"] != b.metrics["compensated_span_max"]
     assert a.metrics["payload_mass_true"] == b.metrics["payload_mass_true"]
 
@@ -102,7 +106,7 @@ def test_gravity_seed_changes_noise_metrics_only():
 
 def test_wiping_single_trial_passes_core_metrics():
     config = load("wiping", trials_override=1)
-    report = run_wiping(config, True)
+    report, _ = run_wiping(config)
     assert report.metrics["mean_fz_min"] >= 8.5
     assert report.metrics["mean_fz_max"] <= 11.5
     assert report.metrics["frac_above_floor_min"] >= 0.95
@@ -114,7 +118,7 @@ def test_wiping_single_trial_passes_core_metrics():
 
 def test_wiping_baseline_misses_surface():
     config = load("wiping", trials_override=1)
-    report = run_wiping(config, False)
+    _, report = run_wiping(config)
     assert report.metrics["mean_fz_max"] < 1.0
     assert report.metrics["success_rate_5pct"] == 0.0
     assert report.metrics["residual_max"] == 1.0
@@ -124,14 +128,14 @@ def test_wiping_stiffer_plane_same_force():
     # compliance absorbs a doubled surface stiffness
     config = load("wiping", trials_override=1)
     config.sections["plant"]["plane_stiffness"] = "4e4"
-    report = run_wiping(config, True)
+    report, _ = run_wiping(config)
     assert abs(report.metrics["mean_fz"] - 10.0) / 10.0 < 0.15
 
 
 def test_wiping_deterministic():
     config = load("wiping", trials_override=1)
-    a = run_wiping(config, True)
-    b = run_wiping(config, True)
+    a, _ = run_wiping(config)
+    b, _ = run_wiping(config)
     assert a.metrics == b.metrics
 
 
@@ -144,7 +148,7 @@ def test_wiping_replay_second_generation(tmp_path):
                                              wiping_setup)
 
     config = load("wiping", trials_override=1)
-    report = run_wiping(config, True, tmp_path / "gen1")
+    report, _ = run_wiping(config, tmp_path / "gen1")
     episode1 = load_episode(report.episode_dir)
 
     # generation 2: action rows rebuilt from the recorded stream
@@ -314,7 +318,7 @@ def test_wiping_compiles_each_distinct_stream_once(monkeypatch):
     config = load("wiping")
     assert config.trials == 10
     with pytest.raises(FirstTick):
-        run_wiping(config, (True, False))
+        run_wiping(config)
     assert len(calls) == 1
     assert np.shape(calls[0][0]) == (2, 48, 13)
 
@@ -330,10 +334,10 @@ def test_wiping_records_the_executed_rows(tmp_path):
     # (k // 8) * 16 + k % 8 of the replayed stream, and the episode records
     # it; at the full horizon every row of the padded stream is recorded
     from contactctl.episodes import load_episode
-    padded = load_episode(run_wiping(load("wiping", trials_override=1), True,
-                                     tmp_path / "h16").episode_dir).values("action")
-    recorded = load_episode(run_wiping(horizon_8_config(), True,
-                                       tmp_path / "h8").episode_dir).values("action")
+    padded = load_episode(run_wiping(load("wiping", trials_override=1),
+                                     tmp_path / "h16")[0].episode_dir).values("action")
+    recorded = load_episode(run_wiping(horizon_8_config(),
+                                       tmp_path / "h8")[0].episode_dir).values("action")
     executed = [(k // 8) * 16 + k % 8 for k in range(len(padded) // 2)]
     assert recorded.tobytes() == padded[executed].tobytes()
     # commands 8-13 run slide rows 16-21, where stream rows 8-13 are press rows
@@ -381,22 +385,21 @@ def test_run_scenario_wiping_is_one_batch(monkeypatch):
 def test_bottle_massless_both_variants_succeed():
     config = load("bottle_pick", trials_override=3)
     config.sections["bottle"]["mass"] = "0.0"
-    for flag in (True, False):
-        report = run_bottle_pick(config, flag)
+    for report in run_bottle_pick(config):
         assert report.metrics["slippage_rate"] == 0.0
 
 
 def test_release_degenerate_flagged():
     config = load("selective_release", trials_override=3)
     config.sections["release"]["outer_gap"] = "0.0"
-    report = run_selective_release(config, True)
+    report, _ = run_selective_release(config)
     assert not report.success
     assert any("degenerate" in n for n in report.notes)
 
 
 def test_release_baseline_exact_split():
     config = load("selective_release")
-    report = run_selective_release(config, False)
+    _, report = run_selective_release(config)
     assert report.metrics["selective_rate"] == 20.0
     assert report.metrics["both_retained_rate"] == 80.0
 
@@ -405,7 +408,7 @@ def test_quality_zero_motion_profile():
     config = load("bilateral_quality")
     config.sections["quality"]["hold_force"] = "0.0"
     config.sections["quality"]["wipe_amp"] = "0.0"
-    report = run_bilateral_signal_quality(config)
+    report, = run_bilateral_signal_quality(config)
     assert report.metrics["rms_bilateral"] < 1e-9
     assert report.metrics["rms_no_reflection"] < 1e-9
 
@@ -420,9 +423,46 @@ def test_run_scenario_dispatch_unknown_kind():
         run_scenario(config)
 
 
+# each kind's runner by the name the benchmark's tracer rebinds on its module
+RUNNERS = {"gravity_verification": "run_gravity_verification", "wiping": "run_wiping",
+           "bottle_pick": "run_bottle_pick", "selective_release": "run_selective_release",
+           "bilateral_quality": "run_bilateral_signal_quality"}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_scenario_calls_the_runner_bound_on_the_kind_module(monkeypatch, kind):
+    # run_scenario looks the runner up on its module when called, so a runner
+    # rebound there (by a spy or a tracer) is the one that runs
+    assert set(RUNNERS) == set(KINDS)
+    calls = []
+
+    def spy(config, out_dir=None):
+        calls.append((config, out_dir))
+        return ["spied"]
+
+    monkeypatch.setattr(KINDS[kind], RUNNERS[kind], spy)
+    config = load(kind)
+    assert run_scenario(config, "out") == ["spied"]
+    assert calls == [(config, Path("out"))]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_kind_reports_its_declared_variants_in_order(kind):
+    config = load(kind, trials_override=1)
+    if kind == "wiping":
+        config.sections["wiping"]["slide_s"] = "0.2"
+    reports = run_scenario(config)
+    variants = KINDS[kind].VARIANTS
+    assert [rep.variant for rep in reports] == list(variants)
+    table = summary_table(reports)
+    assert summary_table(reports[::-1]) == table   # rows in declared order
+    for label in variants.values():
+        assert label in table
+
+
 def test_summary_table_shape():
     config = load("bottle_pick", trials_override=2)
-    reports = [run_bottle_pick(config, True), run_bottle_pick(config, False)]
+    reports = run_bottle_pick(config)
     table = summary_table(reports)
     assert "with grasping force" in table
     assert "width-only" in table
