@@ -250,13 +250,16 @@ def output_hashes(out) -> dict:
             for path in sorted(out.rglob("*")) if path.is_file()}
 
 
-@pytest.mark.parametrize("seed", ["1", "7"])
-def test_wiping_trial_outputs_keep_their_bytes(tmp_path, seed):
-    # sha256 of every file a one-trial wiping run writes: the episode files
-    # and diagnostics CSVs as written when each tick sensed and recorded its
-    # own rows, and the reports, metrics CSVs and summary table
-    want = json.loads(Path("tests/data/wiping_trial1_sha256.json").read_text())
-    assert main(["run", "--config", "configs/wiping.ini", "--trials", "1",
+@pytest.mark.parametrize(("seed", "trials"),
+                         [("1", "1"), ("7", "1"), ("1", "3"), ("7", "3")],
+                         ids=["1", "7", "1-trials3", "7-trials3"])
+def test_wiping_trial_outputs_keep_their_bytes(tmp_path, seed, trials):
+    # sha256 of every file a wiping run writes: the episode files and
+    # diagnostics CSVs as written when each tick sensed and recorded its own
+    # rows, and the reports, metrics CSVs and summary table; three trials
+    # pin each (variant, trial) row's place in the scores
+    want = json.loads(Path(f"tests/data/wiping_trial{trials}_sha256.json").read_text())
+    assert main(["run", "--config", "configs/wiping.ini", "--trials", trials,
                  "--seed", seed, "--out", str(tmp_path), "--quiet"]) == 0
     assert output_hashes(tmp_path) == want[seed]
 
