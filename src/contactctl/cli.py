@@ -54,8 +54,8 @@ def _cmd_run(args) -> int:
             print("\n".join(report.summary_lines()))
     table = summary_table(reports)
     (out_dir / "summary.txt").write_text(table + "\n")
-    if not args.quiet:
-        print(table)
+    if not args.quiet and KINDS[config.kind].TABLE is not None:
+        print(table)   # without one, the table is the lines printed above
     return EXIT_OK if all(r.success for r in reports) else EXIT_CRITERIA
 
 
@@ -236,16 +236,16 @@ def _cmd_list(args) -> int:
         if not paths:
             print(f"no reports under {reports_dir}")
             return EXIT_OK
-        by_scenario = {}
+        by_run = {}   # one table per directory, as `run` wrote it
         for path in paths:
             rep = load_report(path)
             if rep.variant not in getattr(KINDS.get(rep.kind), "VARIANTS", ()):
                 print(f"skipped {path}: {rep.kind} has no variant {rep.variant!r}",
                       file=sys.stderr)
                 continue
-            by_scenario.setdefault((rep.scenario_id, rep.kind), []).append(rep)
-        for (scenario_id, _kind), reps in sorted(by_scenario.items()):
-            print(f"== {scenario_id} ==")
+            by_run.setdefault((path.parent, rep.scenario_id, rep.kind), []).append(rep)
+        for (directory, scenario_id, _kind), reps in sorted(by_run.items()):
+            print(f"== {scenario_id} in {directory} ==")
             print(summary_table(reps))
             print()
         return EXIT_OK

@@ -33,6 +33,17 @@ def run_cli(*args):
 # ---------------------------------------------------------------------------
 # run
 
+@pytest.mark.parametrize("config", ["gravity_verification", "bilateral_quality"])
+def test_run_prints_each_report_once(tmp_path, capsys, config):
+    # a kind without a comparison table prints its report lines once; its
+    # summary.txt holds those same lines
+    assert run_cli("run", "--config", f"configs/{config}.ini",
+                   "--out", str(tmp_path), "--trials", "1") == 0
+    out = capsys.readouterr().out
+    assert out.count(f"scenario {config} [default]") == 1
+    assert out.endswith((tmp_path / "summary.txt").read_text())
+
+
 def test_run_gravity_succeeds(tmp_path, capsys):
     code = run_cli("run", "--config", "configs/gravity_verification.ini",
                    "--out", str(tmp_path), "--trials", "5")
@@ -767,6 +778,21 @@ def test_list_reports_prints_the_summary_that_run_writes(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("list", "--reports", str(tmp_path)) == 0
     assert (tmp_path / "r" / "summary.txt").read_text() in capsys.readouterr().out
+
+
+def test_list_reports_prints_one_table_per_directory(tmp_path, capsys):
+    # two seeds of one config in two directories are two tables, each headed
+    # by its directory, not one table of four unlabelled rows
+    for seed in ("1", "2"):
+        assert run_cli("run", "--config", "configs/bottle_pick.ini", "--seed", seed,
+                       "--out", str(tmp_path / seed), "--trials", "2", "--quiet") == 0
+    capsys.readouterr()
+    assert run_cli("list", "--reports", str(tmp_path)) == 0
+    out = capsys.readouterr().out
+    for seed in ("1", "2"):
+        summary = (tmp_path / seed / "summary.txt").read_text()
+        assert f"== bottle_pick in {tmp_path / seed} ==\n{summary}" in out
+    assert out.count("with grasping force") == 2
 
 
 def test_list_reports_names_a_report_of_no_declared_variant(tmp_path, capsys):
