@@ -287,8 +287,8 @@ def read_ft_sensor(contact: np.ndarray, payload: Payload, rotation: np.ndarray,
 
 def load_arm_model(path) -> ArmDynamicsModel:
     """Chain config plus per-joint inertial keys (mass, com, inertia_diag)."""
-    chain = load_chain(path)
-    _, joints = _read_chain_file(path)   # the sections load_chain read
+    cfg, joints = _read_chain_file(path)
+    chain = load_chain(path, (cfg, joints))
     masses, coms, inertias = [], [], []
     for sec in joints:
         name = sec.name

@@ -284,9 +284,12 @@ def _read_chain_file(path) -> tuple:
     return cfg, [cfg[name] for name in names]
 
 
-def load_chain(path) -> ChainModel:
-    """Load a chain from a key-value config file (see docs/formats.md)."""
-    cfg, joints = _read_chain_file(path)
+def load_chain(path, parsed=None) -> ChainModel:
+    """Load a chain from a key-value config file (see docs/formats.md).
+
+    `parsed` is what `_read_chain_file(path)` returned, when already read.
+    """
+    cfg, joints = parsed or _read_chain_file(path)
     links = []
     limits = []
     for sec in joints:

@@ -401,3 +401,18 @@ def test_load_arm_model_planar3():
     assert np.all(model.link_masses > 0.0)
     _, g_vec = bias_split(model, np.zeros(3), np.zeros(3))
     assert g_vec.shape == (3,)
+
+
+def test_load_arm_model_reads_the_chain_file_once(monkeypatch):
+    # the chain and the inertias come from one parse of the file
+    import configparser
+    reads = []
+    real = configparser.ConfigParser.read
+
+    def counting(self, *args, **kwargs):
+        reads.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(configparser.ConfigParser, "read", counting)
+    model = load_arm_model("configs/chains/arm6.ini")
+    assert len(reads) == 1 and model.chain.dof == 6
