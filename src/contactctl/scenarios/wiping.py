@@ -12,12 +12,13 @@ during the pass; the residual-marking fraction is the task metric.
 
 Every (variant, trial) of a run is one row of a single batched rollout: the
 rows share the arm, the gains and the start pose, and differ in plane offset,
-rng and command stream, so one closed-loop tick per control step advances
-them all. Rows with equal action streams share one compiled command stream.
-The executed rows of every distinct stream are compiled in one call before
-the loop, upsampled to the control rate in one more, and given their
+rng and action stream, so one closed-loop tick per control step advances
+them all. The setup holds one action stream per variant, an (S, n, 13)
+array, and the (S, n) mask of its scored (slide) rows; a row names its
+stream by index. The executed rows of every stream are compiled in one call
+before the loop, upsampled to the control rate in one more, and given their
 operational gains in a third, and a tick reads its rows' targets and gains
-by stream index.
+by stream index. Scores come back as (rows,) arrays.
 
 Recording stays out of the tick. The loop copies the recorded rows' states
 (end-effector pose, contact force, pose error, joint-limit clamps) into
@@ -30,7 +31,6 @@ by tick.
 
 import csv
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -141,17 +141,16 @@ def row_ticks(config: ScenarioConfig) -> int:
 
 
 def _scripted_actions(config: ScenarioConfig, start_rotation, force_target: float):
-    """(n, 13) action rows for settle -> press -> slide -> retreat, and phases."""
+    """(n, 13) action rows for settle -> press -> slide -> retreat, and the
+    (n,) mask of the slide rows, which are the scored ones."""
     _, stroke, commands = _script(config)
     rot6d = encode_rot6d_rows(start_rotation).tolist()
     width = config.value("wiping", "gripper_width")
-    rows, labels = [], []
-    for label, n, fz, dx_total in zip(PHASES, commands,
-                                      (0.0, force_target, force_target, 0.0),
-                                      (0.0, 0.0, stroke, 0.0)):
+    rows = []
+    for n, fz, dx_total in zip(commands, (0.0, force_target, force_target, 0.0),
+                               (0.0, 0.0, stroke, 0.0)):
         rows += [[dx_total / n, 0.0, 0.0, *rot6d, 0.0, 0.0, fz, width]] * n
-        labels += [label] * n
-    return np.array(rows), labels
+    return np.array(rows), np.repeat([phase == "slide" for phase in PHASES], commands)
 
 
 @dataclass
@@ -166,29 +165,15 @@ class WipingSetup:
     plane: ContactPlane            # nominal plane; rows differ in offset
     q0: np.ndarray                 # start pose IK solution
     start_pose: Pose
-    scripts: dict                  # variant -> (action rows, phase labels)
-    force_target: float            # normal force the wrench variant presses with
-    baseline_offset: float         # no-wrench surface offset from nominal
-    dt: float
+    streams: np.ndarray            # (S, n, 13) action rows, one stream per variant
+    scored: np.ndarray             # (S, n) bool: the slide rows
     ticks_per_action: int
     chunk_len: int
     horizon: int
     cell_edges: np.ndarray         # x edges of the erase cells
     erase_threshold: float
-    surface_jitter: float          # half-width of a row's plane offset draw
     payload: Payload
     noise_sigma: float
-
-
-@dataclass
-class WipingRow:
-    """One (variant, trial) of a batched rollout."""
-
-    actions: np.ndarray            # (n, 13) action rows
-    labels: list                   # phase per action row ("slide" is scored)
-    plane_offset: float
-    rng: np.random.Generator       # sensor noise of a recorded row
-    episode: Optional[Episode] = None   # set on rows that are recorded
 
 
 def wiping_setup(config: ScenarioConfig) -> WipingSetup:
@@ -203,10 +188,9 @@ def wiping_setup(config: ScenarioConfig) -> WipingSetup:
                                           config.value("wiping", "tool_pitch")),
                       [x_start, 0.0, plane.offset])
     force_target = config.value("wiping", "force_target")
-    scripts = {variant: _scripted_actions(
-                   config, start_pose.rotation,
-                   force_target if variant == "with_wrench" else 0.0)
-               for variant in VARIANTS}
+    streams, scored = zip(*[_scripted_actions(
+        config, start_pose.rotation, force_target if variant == "with_wrench" else 0.0)
+        for variant in VARIANTS])
     payload = Payload(config.value("sensor", "payload_mass"),
                       config.value("sensor", "payload_com"),
                       config.value("sensor", "payload_bias"))
@@ -222,54 +206,54 @@ def wiping_setup(config: ScenarioConfig) -> WipingSetup:
             f"start pose unreachable from q_init_guess (|xi| = {ik.error_norm:.3g})")
     return WipingSetup(
         config.scenario_id, config.config_hash, model, gains, schedule, plane, ik.q,
-        start_pose, scripts, force_target,
-        config.value("wiping", "baseline_surface_offset"), gains.dt,
+        start_pose, np.array(streams), np.array(scored),
         _ticks_per_action(rate, gains.dt), chunk_len, config.value("compliance", "horizon"),
         np.linspace(x_start, x_start + stroke, config.value("wiping", "cells") + 1),
-        config.value("wiping", "erase_threshold"),
-        config.value("plant", "surface_jitter"), payload,
+        config.value("wiping", "erase_threshold"), payload,
         config.value("sensor", "noise_sigma"))
 
 
 def run_wiping(config: ScenarioConfig, out_dir=None) -> list:
     """Run every variant as one batch of (variant, trial) rows.
 
-    Returns one report per variant. Trial 0 of each variant is recorded
-    when `out_dir` is given.
+    Row k * trials + t is trial t of the k-th variant. Returns one report
+    per variant. Trial 0 of each variant is recorded when `out_dir` is given.
     """
     setup = wiping_setup(config)
-    z_nominal = setup.plane.offset
-    rows = []
-    for variant in VARIANTS:
-        actions, labels = setup.scripts[variant]
-        for trial in range(config.trials):
+    trials, jitter = config.trials, config.value("plant", "surface_jitter")
+    plane_offset, recorded = [], {}
+    for k, variant in enumerate(VARIANTS):
+        for trial in range(trials):
             rng = np.random.default_rng(config.seed * 1000 + trial)
             if variant == "with_wrench":
-                offset = z_nominal + rng.uniform(-setup.surface_jitter,
-                                                 setup.surface_jitter)
+                offset = rng.uniform(-jitter, jitter)
             else:
-                offset = z_nominal + setup.baseline_offset
-            episode = None
+                offset = config.value("wiping", "baseline_surface_offset")
+            plane_offset.append(setup.plane.offset + offset)
             if trial == 0 and out_dir is not None:
-                episode = wiping_episode(setup, variant)
-            rows.append(WipingRow(actions, labels, offset, rng, episode))
-    results = rollout(setup, rows)
-    return [_report(config, setup, variant,
-                    results[k * config.trials:(k + 1) * config.trials], out_dir)
+                recorded[k * trials] = (rng, wiping_episode(setup, variant))
+    *scores, diagnostics = rollout(setup, np.repeat(np.arange(len(VARIANTS)), trials),
+                                   plane_offset, recorded)
+    return [_report(config, variant, [s[k * trials:(k + 1) * trials] for s in scores],
+                    recorded.get(k * trials, (None, None))[1],
+                    diagnostics.get(k * trials), out_dir)
             for k, variant in enumerate(VARIANTS)]
 
 
 RUNNER = run_wiping.__name__
 
 
-def _report(config: ScenarioConfig, setup: WipingSetup, variant: str,
-            trials: list, out_dir) -> ScenarioReport:
+def _report(config: ScenarioConfig, variant: str, scores: list, episode,
+            diagnostics, out_dir) -> ScenarioReport:
+    """The report of one variant from its trials' (mean_fz, frac_above_floor,
+    residual) arrays, and its recorded trial's episode and diagnostics."""
     notes = []
     if variant == "with_wrench":
+        force_target = config.value("wiping", "force_target")
         tol = config.value("criteria", "fz_tol_frac")
         criteria = [
-            Criterion("mean_fz_min", ">=", setup.force_target * (1.0 - tol)),
-            Criterion("mean_fz_max", "<=", setup.force_target * (1.0 + tol)),
+            Criterion("mean_fz_min", ">=", force_target * (1.0 - tol)),
+            Criterion("mean_fz_max", "<=", force_target * (1.0 + tol)),
             Criterion("frac_above_floor_min", ">=",
                       config.value("criteria", "fz_floor_frac")),
             Criterion("residual_max", "<", config.value("criteria", "residual_max")),
@@ -282,25 +266,22 @@ def _report(config: ScenarioConfig, setup: WipingSetup, variant: str,
         ]
         notes.append("scripted no-wrench baseline tracks the nominal surface "
                      f"height with the surface offset by "
-                     f"{setup.baseline_offset*1000:+.1f} mm; "
+                     f"{config.value('wiping', 'baseline_surface_offset')*1000:+.1f} mm; "
                      "it is a position-playback proxy, not a learned policy")
 
-    mean_fzs = [t["mean_fz"] for t in trials]
-    residuals = np.array([t["residual"] for t in trials])
+    mean_fzs, frac_above_floor, residuals = scores
     metrics = {
         "mean_fz_min": float(np.min(mean_fzs)),
         "mean_fz_max": float(np.max(mean_fzs)),
         "mean_fz": float(np.mean(mean_fzs)),
-        "frac_above_floor_min": float(np.min([t["frac_above_floor"] for t in trials])),
+        "frac_above_floor_min": float(np.min(frac_above_floor)),
         "residual_max": float(np.max(residuals)),
         "success_rate_5pct": float(np.mean(residuals < 0.05) * 100.0),
         "success_rate_50pct": float(np.mean(residuals < 0.50) * 100.0),
     }
-    episode = trials[0]["episode"]
     report = build_report(config, variant, metrics, criteria, notes, episode, out_dir)
     if episode is not None:
-        _write_diagnostics_csv(out_dir / f"diagnostics_{variant}.csv",
-                               trials[0]["diagnostics"])
+        _write_diagnostics_csv(out_dir / f"diagnostics_{variant}.csv", diagnostics)
     return report
 
 
@@ -314,11 +295,12 @@ def _write_diagnostics_csv(path, rows: np.ndarray) -> None:
 
 def wiping_episode(setup: WipingSetup, variant: str) -> Episode:
     """An empty episode with the streams a recorded row writes."""
-    action_hz = 1.0 / (setup.ticks_per_action * setup.dt)
+    dt = setup.gains.dt
+    action_hz = 1.0 / (setup.ticks_per_action * dt)
     return Episode(f"{setup.scenario_id}_{variant}",
                    [StreamSpec("pose", 200.0, POSE_SCHEMA, "pose"),
-                    StreamSpec("wrench_raw", 1.0 / setup.dt, WRENCH_SCHEMA, "wrench"),
-                    StreamSpec("wrench_ee", 1.0 / setup.dt, WRENCH_SCHEMA, "wrench"),
+                    StreamSpec("wrench_raw", 1.0 / dt, WRENCH_SCHEMA, "wrench"),
+                    StreamSpec("wrench_ee", 1.0 / dt, WRENCH_SCHEMA, "wrench"),
                     StreamSpec("action", action_hz, ACTION_SCHEMA, "action")],
                    config_hash=setup.config_hash)
 
@@ -333,15 +315,15 @@ def _executed(setup: WipingSetup, actions: np.ndarray) -> tuple:
     return tuple(zip(*RecedingHorizonScheduler(chunks, setup.horizon)))
 
 
-def _control_targets(setup: WipingSetup, streams: list) -> tuple:
-    """The executed row indices of S action streams of one length, and the
+def _control_targets(setup: WipingSetup) -> tuple:
+    """The executed row indices of the setup's S action streams, and the
     (target, kp) pair of their control-rate commands, (S, ticks) stacks
     compiled in one call.
 
     Tick k of command c blends command c - 1 (c itself for the first) into c
     by (k + 1) / ticks_per_action, upsampling to the control rate.
     """
-    index, rows = zip(*[_executed(setup, actions) for actions in streams])
+    index, rows = zip(*[_executed(setup, actions) for actions in setup.streams])
     executed = np.array(index[0])   # one for all streams of one length
     target, kp = compile_step(np.array(rows), setup.start_pose, setup.schedule)
     per = setup.ticks_per_action
@@ -371,42 +353,39 @@ class RecordLog:
     clamped: np.ndarray        # (ticks, R, 2): stiffness and joint-limit clamps
 
 
-def rollout(setup: WipingSetup, rows: list) -> list:
+def rollout(setup: WipingSetup, stream_of_row, plane_offset, recorded: dict) -> tuple:
     """Run every row in lockstep, one batched closed-loop tick per control step.
 
-    Returns per row its mean sliding normal force, the fraction of sliding
-    ticks at or above the erase threshold, the residual (uncleared) cell
-    fraction, and, for recorded rows, the episode and the (ticks, 5)
-    diagnostics. A row's results do not depend on the other rows of the
-    batch. The tick loop only logs the recorded rows' states; their sensor
-    readings and episode rows are computed after it.
+    Row i runs action stream `stream_of_row[i]` of the setup against the
+    plane at `plane_offset[i]`; `recorded` maps each recorded row to its
+    (rng, episode). Returns (rows,) arrays of each row's mean sliding normal
+    force, fraction of sliding ticks at or above the erase threshold and
+    residual (uncleared) cell fraction, and a dict of each recorded row's
+    (ticks, 5) diagnostics. A row's results do not depend on the other rows
+    of the batch. The tick loop only logs the recorded rows' states; their
+    sensor readings and episode rows are computed after it.
     """
-    if len({len(row.actions) for row in rows}) != 1:
-        raise ValueError("a rollout needs rows with action streams of one length")
-    n_rows = len(rows)
+    stream_of_row = np.asarray(stream_of_row)
+    n_rows = len(stream_of_row)
     n_cells = len(setup.cell_edges) - 1
     ticks_per_action = setup.ticks_per_action
-    plane = replace(setup.plane, offset=np.array([row.plane_offset for row in rows]))
+    plane = replace(setup.plane, offset=np.array(plane_offset, dtype=float))
     executor = ImpedanceExecutor(setup.model, setup.gains)
     state = SimState(np.tile(setup.q0, (n_rows, 1)),
                      np.zeros((n_rows, setup.model.chain.dof)))
-    # rows whose action streams are bitwise equal share one compiled stream
-    distinct = {}   # action bytes -> (stream index, actions)
-    stream_of_row = np.array([distinct.setdefault(row.actions.tobytes(),
-                                                  (len(distinct), row.actions))[0]
-                              for row in rows])
-    executed, (target, kp) = _control_targets(setup, [a for _, a in distinct.values()])
+    executed, (target, kp) = _control_targets(setup)
     gains, stiffness_clamped = build_operational_gains(kp, setup.gains)
-    # per tick and row: whether it slides, the tool's x and the normal force
-    sliding = np.repeat([[k < len(row.labels) and row.labels[k] == "slide"
-                          for row in rows] for k in executed.tolist()],
-                        ticks_per_action, axis=0)
+    # per tick and row: whether it slides, the tool's x and the normal force;
+    # an index past a stream's end is a padding row, never scored
+    n = setup.streams.shape[1]
+    scored = setup.scored[:, np.minimum(executed, n - 1)] & (executed < n)
+    sliding = np.repeat(scored[stream_of_row].T, ticks_per_action, axis=0)
     x_log = np.empty(sliding.shape)
     fz_log = np.empty(sliding.shape)
-    recorded = np.array([i for i, row in enumerate(rows)
-                         if row.episode is not None], dtype=int)
-    n_ticks, n_rec = len(sliding), len(recorded)
-    log = RecordLog(state.time, state.contact_force_ee[recorded],
+    rec_rows = sorted(recorded)
+    rec = np.array(rec_rows, dtype=int)
+    n_ticks, n_rec = len(sliding), len(rec)
+    log = RecordLog(state.time, state.contact_force_ee[rec],
                     np.empty(n_ticks), np.empty((n_ticks, n_rec, 3, 3)),
                     np.empty((n_ticks, n_rec, 3)), np.empty((n_ticks, n_rec, 3)),
                     np.empty((n_ticks, n_rec, 6)),
@@ -426,57 +405,53 @@ def rollout(setup: WipingSetup, rows: list) -> list:
         x_log[tick] = p_ee[:, 0]
 
         log.time[tick] = new_state.time
-        log.rotation[tick] = rotation[recorded]
-        log.translation[tick] = p_ee[recorded]
-        log.force[tick] = force[recorded]
-        log.xi[tick] = out.xi[recorded]
-        log.clamped[tick, :, 1] = out.limits_clamped[recorded]
+        log.rotation[tick] = rotation[rec]
+        log.translation[tick] = p_ee[rec]
+        log.force[tick] = force[rec]
+        log.xi[tick] = out.xi[rec]
+        log.clamped[tick, :, 1] = out.limits_clamped[rec]
         state = new_state
-    log.clamped[:, :, 0] = stiffness_clamped[stream_of_row[recorded]].T
+    log.clamped[:, :, 0] = stiffness_clamped[stream_of_row[rec]].T
 
     cell = np.searchsorted(setup.cell_edges, x_log, side="right") - 1
     erase = sliding & (fz_log >= setup.erase_threshold) & (cell >= 0) \
         & (cell < n_cells)
     cleared = np.zeros((n_rows, n_cells), dtype=bool)
     cleared[np.nonzero(erase)[1], cell[erase]] = True
-    diagnostics = {i: _record(setup, rows[i], executed, log, r)
-                   for r, i in enumerate(recorded.tolist())}
-    results = []
-    for i, row in enumerate(rows):
-        fz = fz_log[sliding[:, i], i]
-        results.append({
-            "mean_fz": float(fz.mean()) if fz.size else 0.0,
-            "frac_above_floor": float(np.mean(fz >= setup.erase_threshold))
-            if fz.size else 0.0,
-            "residual": float(1.0 - cleared[i].mean()),
-            "episode": row.episode,
-            "diagnostics": diagnostics.get(i),
-        })
-    return results
+    slides = sliding.sum(axis=0)
+    mean_fz = np.array([fz_log[sliding[:, i], i].mean() if slides[i] else 0.0
+                        for i in range(n_rows)])
+    above = (sliding & (fz_log >= setup.erase_threshold)).sum(axis=0)
+    frac_above_floor = np.divide(above, slides, out=np.zeros(n_rows),
+                                 where=slides > 0)
+    diagnostics = {i: _record(setup, setup.streams[stream_of_row[i]], *recorded[i],
+                              executed, log, r)
+                   for r, i in enumerate(rec_rows)}
+    return mean_fz, frac_above_floor, 1.0 - cleared.mean(axis=1), diagnostics
 
 
-def _record(setup: WipingSetup, row: WipingRow, executed: np.ndarray,
-            log: RecordLog, r: int) -> np.ndarray:
+def _record(setup: WipingSetup, actions: np.ndarray, rng: np.random.Generator,
+            episode: Episode, executed: np.ndarray, log: RecordLog,
+            r: int) -> np.ndarray:
     """Write recorded row r's episode from the log; return its diagnostics.
 
     The sensor noise comes from the row's own rng, one reading per tick, as
     if each had been read inside the loop.
     """
-    episode, t = row.episode, log.time
+    t = log.time
     rotation, p_ee = log.rotation[:, r], log.translation[:, r]
     # a point contact force (no torque) at the end effector, where the sensor sits
     contact = np.concatenate([log.force[:, r], np.zeros((len(t), 3))], axis=1)
-    raw = read_ft_sensor(contact, setup.payload, rotation, setup.noise_sigma,
-                         row.rng)
+    raw = read_ft_sensor(contact, setup.payload, rotation, setup.noise_sigma, rng)
     comp = compensate_wrench(raw, setup.payload, rotation, Pose.identity())
     # each command's executed row is recorded at the time its first tick
     # starts; a padding row repeats the stream's last row
     starts = np.concatenate(([log.start_time], t[:-1]))[::setup.ticks_per_action]
     episode.record_block("action", starts,
-                         row.actions[np.minimum(executed, len(row.actions) - 1)])
+                         actions[np.minimum(executed, len(actions) - 1)])
     episode.record_block("wrench_raw", t, raw)
     episode.record_block("wrench_ee", t, comp)
-    stride = max(1, int(round(1.0 / (200.0 * setup.dt))))
+    stride = max(1, int(round(1.0 / (200.0 * setup.gains.dt))))
     episode.record_block("pose", t[::stride], np.concatenate(
         [p_ee[::stride], encode_rot6d_rows(rotation[::stride])], axis=1))
 

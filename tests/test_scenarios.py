@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -143,27 +144,25 @@ def test_wiping_replay_second_generation(tmp_path):
     # re-execute a recorded episode's action stream: the second-generation
     # contact-force trace must match the first within 5% RMS
     from contactctl.episodes import load_episode, replay_actions
-    from contactctl.scenarios.wiping import (WipingRow, _scripted_actions,
-                                             rollout, wiping_episode,
-                                             wiping_setup)
+    from contactctl.scenarios.wiping import rollout, wiping_episode, wiping_setup
 
     config = load("wiping", trials_override=1)
     report, _ = run_wiping(config, tmp_path / "gen1")
     episode1 = load_episode(report.episode_dir)
 
-    # generation 2: action rows rebuilt from the recorded stream
+    # generation 2: action rows rebuilt from the recorded stream, whose
+    # padding rows are not scored
     chunks = replay_actions(episode1, 16)
     actions2 = np.array([s.as_array() for c in chunks for s in c.steps])
     setup = wiping_setup(config)
-    _, labels1 = _scripted_actions(config, setup.start_pose.rotation, 10.0)
-    labels2 = labels1 + ["retreat"] * (len(actions2) - len(labels1))
+    scored2 = np.pad(setup.scored[0], (0, len(actions2) - setup.streams.shape[1]))
     # same jittered plane and noise stream as the recorded trial (seed, trial 0)
     rng = np.random.default_rng(config.seed * 1000)
     jitter = config.value("plant", "surface_jitter")
     offset = rng.uniform(-jitter, jitter)
-    row = WipingRow(actions2, labels2, offset, rng, wiping_episode(setup, "gen2"))
-    result, = rollout(setup, [row])
-    episode2 = result["episode"]
+    episode2 = wiping_episode(setup, "gen2")
+    mean_fz, *_ = rollout(replace(setup, streams=actions2[None], scored=scored2[None]),
+                          [0], [offset], {0: (rng, episode2)})
     fz1 = episode1.values("wrench_ee")[:, 2]
     fz2 = episode2.values("wrench_ee")[:, 2]
     n = min(len(fz1), len(fz2))
@@ -171,20 +170,20 @@ def test_wiping_replay_second_generation(tmp_path):
     rms_diff = np.sqrt(np.mean((fz1[:n] - fz2[:n]) ** 2))
     assert scale > 1.0   # the wipe really pressed
     assert rms_diff / scale < 0.05
-    assert abs(result["mean_fz"] - report.metrics["mean_fz"]) \
+    assert abs(mean_fz[0] - report.metrics["mean_fz"]) \
         / report.metrics["mean_fz"] < 0.05
 
 
 def test_wiping_rows_bitwise_independent_of_batch(monkeypatch):
     # each (variant, trial) row of a batched rollout gives the same bits alone
-    # (batch of 1) as inside a mixed batch: both variants, rows in and out of
-    # contact, recorded and unrecorded rows, and a row whose orientation
-    # error sits at a half turn (rotation_log's near-pi branch)
+    # (batch of 1, its stream alone in the setup) as inside a mixed batch:
+    # both variants, rows in and out of contact, recorded and unrecorded
+    # rows, and a row whose orientation error sits at a half turn
+    # (rotation_log's near-pi branch)
     from contactctl import kinematics
     from contactctl.geometry import rotation_about_axis
-    from contactctl.scenarios.wiping import (WipingRow, _scripted_actions,
-                                             rollout, wiping_episode,
-                                             wiping_setup)
+    from contactctl.scenarios.wiping import (_scripted_actions, rollout,
+                                             wiping_episode, wiping_setup)
 
     config = load("wiping", trials_override=1)
     for key, value in (("settle_s", "0.1"), ("press_s", "0.2"),
@@ -194,18 +193,17 @@ def test_wiping_rows_bitwise_independent_of_batch(monkeypatch):
     start = setup.start_pose.rotation
     # planar3 turns about y only, so a half turn about x is never undone
     half_turn = rotation_about_axis(np.array([1.0, 0.0, 0.0]), np.pi) @ start
+    pressing, scored = _scripted_actions(config, start, 10.0)
+    hovering, _ = _scripted_actions(config, start, 0.0)
+    flipped, _ = _scripted_actions(config, half_turn, 10.0)
+    mixed = replace(setup, streams=np.array([pressing, hovering, flipped]),
+                    scored=np.array([scored] * 3))
+    stream_of_row = [0, 1, 0, 2]
+    plane_offset = [-0.0003, -0.002, 0.0004, 0.0]
 
-    def rows():
-        pressing, labels = _scripted_actions(config, start, 10.0)
-        hovering, _ = _scripted_actions(config, start, 0.0)
-        flipped, _ = _scripted_actions(config, half_turn, 10.0)
-        return [WipingRow(pressing, labels, -0.0003, np.random.default_rng(1),
-                          wiping_episode(setup, "pressing")),
-                WipingRow(hovering, labels, -0.002, np.random.default_rng(2),
-                          wiping_episode(setup, "hovering")),
-                WipingRow(pressing, labels, 0.0004, np.random.default_rng(3)),
-                WipingRow(flipped, labels, 0.0, np.random.default_rng(4),
-                          wiping_episode(setup, "flipped"))]
+    def recorded():   # rows 0, 1 and 3, each with its own noise stream
+        return {i: (np.random.default_rng(i + 1), wiping_episode(setup, name))
+                for i, name in ((0, "pressing"), (1, "hovering"), (3, "flipped"))}
 
     near_pi = []
     real_log = kinematics.rotation_log
@@ -217,26 +215,29 @@ def test_wiping_rows_bitwise_independent_of_batch(monkeypatch):
         return real_log(r)
 
     monkeypatch.setattr(kinematics, "rotation_log", spy)
-    together = rollout(setup, rows())
+    together_recorded = recorded()
+    *together, together_diagnostics = rollout(mixed, stream_of_row, plane_offset,
+                                              together_recorded)
     monkeypatch.undo()
     assert np.all(np.array(near_pi)[:, 3]) and not np.any(np.array(near_pi)[:, :3])
-    assert together[0]["mean_fz"] > 1.0 and together[1]["mean_fz"] == 0.0
+    assert together[0][0] > 1.0 and together[0][1] == 0.0
 
-    alone = [rollout(setup, [row])[0] for row in rows()]
-    for got, want in zip(together, alone):
-        for key in ("mean_fz", "frac_above_floor", "residual"):
-            assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes()
-        assert (got["episode"] is None) == (want["episode"] is None)
-        if got["episode"] is None:
+    for i, stream in enumerate(stream_of_row):
+        alone_recorded = {0: recorded()[i]} if i in together_recorded else {}
+        *alone, alone_diagnostics = rollout(
+            replace(mixed, streams=mixed.streams[[stream]], scored=mixed.scored[[stream]]),
+            [0], plane_offset[i:i + 1], alone_recorded)
+        for got, want in zip(together, alone):   # mean_fz, frac_above_floor, residual
+            assert got[i].tobytes() == want[0].tobytes()
+        assert (i in together_diagnostics) == (0 in alone_diagnostics)
+        if i not in together_recorded:
             continue
-        for name in got["episode"].streams:
-            assert len(got["episode"].times(name)) > 0
-            assert got["episode"].times(name).tobytes() \
-                == want["episode"].times(name).tobytes()
-            assert got["episode"].values(name).tobytes() \
-                == want["episode"].values(name).tobytes()
-        assert np.array(got["diagnostics"]).tobytes() \
-            == np.array(want["diagnostics"]).tobytes()
+        got, want = together_recorded[i][1], alone_recorded[0][1]
+        for name in got.streams:
+            assert len(got.times(name)) > 0
+            assert got.times(name).tobytes() == want.times(name).tobytes()
+            assert got.values(name).tobytes() == want.values(name).tobytes()
+        assert together_diagnostics[i].tobytes() == alone_diagnostics[0].tobytes()
 
 
 def output_hashes(out) -> dict:
@@ -283,18 +284,6 @@ def test_gripper_outputs_keep_their_bytes(tmp_path, seed):
     # CSV row through csv.writer
     want = json.loads(Path("tests/data/gripper_sha256.json").read_text())
     assert gripper_output_hashes(tmp_path, seed) == want[seed]
-
-
-def test_wiping_rollout_rejects_rows_of_unequal_length():
-    from contactctl.scenarios.wiping import (WipingRow, _scripted_actions,
-                                             rollout, wiping_setup)
-    config = load("wiping", trials_override=1)
-    setup = wiping_setup(config)
-    steps, labels = _scripted_actions(config, setup.start_pose.rotation, 10.0)
-    rows = [WipingRow(steps, labels, 0.0, np.random.default_rng(0)),
-            WipingRow(steps[:-1], labels, 0.0, np.random.default_rng(1))]
-    with pytest.raises(ValueError, match="one length"):
-        rollout(setup, rows)
 
 
 def test_wiping_compiles_each_distinct_stream_once(monkeypatch):
@@ -348,20 +337,16 @@ def test_wiping_records_the_executed_rows(tmp_path):
 
 
 def test_wiping_scores_the_executed_rows():
-    # only rows that no command executes are labelled "slide": nothing is scored
-    from contactctl.scenarios.wiping import (WipingRow, _scripted_actions,
-                                             rollout, wiping_setup)
-    config = horizon_8_config()
-    setup = wiping_setup(config)
-    actions, labels = _scripted_actions(config, setup.start_pose.rotation, 10.0)
-    skipped = ["slide" if k % 16 >= 8 else "press" for k in range(len(labels))]
-    result, = rollout(setup, [WipingRow(actions, skipped, 0.0,
-                                        np.random.default_rng(0))])
-    assert result["mean_fz"] == 0.0 and result["frac_above_floor"] == 0.0
-    executed = ["slide" if k % 16 < 8 else "press" for k in range(len(labels))]
-    result, = rollout(setup, [WipingRow(actions, executed, 0.0,
-                                        np.random.default_rng(0))])
-    assert result["mean_fz"] > 1.0
+    # only rows that no command executes are scored: nothing is scored
+    from contactctl.scenarios.wiping import rollout, wiping_setup
+    setup = wiping_setup(horizon_8_config())
+    k = np.arange(setup.streams.shape[1])
+    skipped = replace(setup, scored=np.tile(k % 16 >= 8, (2, 1)))
+    mean_fz, frac_above_floor, _, _ = rollout(skipped, [0], [0.0], {})
+    assert mean_fz[0] == 0.0 and frac_above_floor[0] == 0.0
+    executed = replace(setup, scored=np.tile(k % 16 < 8, (2, 1)))
+    mean_fz, _, _, _ = rollout(executed, [0], [0.0], {})
+    assert mean_fz[0] > 1.0
 
 
 def test_run_scenario_wiping_is_one_batch(monkeypatch):
@@ -370,9 +355,9 @@ def test_run_scenario_wiping_is_one_batch(monkeypatch):
     batches = []
     real = wiping.rollout
 
-    def counting(setup, rows):
-        batches.append(len(rows))
-        return real(setup, rows)
+    def counting(setup, stream_of_row, *args):
+        batches.append(len(stream_of_row))
+        return real(setup, stream_of_row, *args)
 
     monkeypatch.setattr(wiping, "rollout", counting)
     config = load("wiping", trials_override=1)
