@@ -382,8 +382,7 @@ def rollout(setup: WipingSetup, stream_of_row, plane_offset, recorded: dict) -> 
     sliding = np.repeat(scored[stream_of_row].T, ticks_per_action, axis=0)
     x_log = np.empty(sliding.shape)
     fz_log = np.empty(sliding.shape)
-    rec_rows = sorted(recorded)
-    rec = np.array(rec_rows, dtype=int)
+    rec = np.array(sorted(recorded), dtype=int)
     n_ticks, n_rec = len(sliding), len(rec)
     log = RecordLog(state.time, state.contact_force_ee[rec],
                     np.empty(n_ticks), np.empty((n_ticks, n_rec, 3, 3)),
@@ -426,7 +425,7 @@ def rollout(setup: WipingSetup, stream_of_row, plane_offset, recorded: dict) -> 
                                  where=slides > 0)
     diagnostics = {i: _record(setup, setup.streams[stream_of_row[i]], *recorded[i],
                               executed, log, r)
-                   for r, i in enumerate(rec_rows)}
+                   for r, i in enumerate(rec.tolist())}
     return mean_fz, frac_above_floor, 1.0 - cleared.mean(axis=1), diagnostics
 
 
