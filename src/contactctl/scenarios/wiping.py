@@ -413,15 +413,14 @@ def rollout(setup: WipingSetup, stream_of_row, plane_offset, recorded: dict) -> 
     log.clamped[:, :, 0] = stiffness_clamped[stream_of_row[rec]].T
 
     cell = np.searchsorted(setup.cell_edges, x_log, side="right") - 1
-    erase = sliding & (fz_log >= setup.erase_threshold) & (cell >= 0) \
-        & (cell < n_cells)
+    pressed = sliding & (fz_log >= setup.erase_threshold)
+    erase = pressed & (cell >= 0) & (cell < n_cells)
     cleared = np.zeros((n_rows, n_cells), dtype=bool)
     cleared[np.nonzero(erase)[1], cell[erase]] = True
     slides = sliding.sum(axis=0)
     mean_fz = np.array([fz_log[sliding[:, i], i].mean() if slides[i] else 0.0
                         for i in range(n_rows)])
-    above = (sliding & (fz_log >= setup.erase_threshold)).sum(axis=0)
-    frac_above_floor = np.divide(above, slides, out=np.zeros(n_rows),
+    frac_above_floor = np.divide(pressed.sum(axis=0), slides, out=np.zeros(n_rows),
                                  where=slides > 0)
     diagnostics = {i: _record(setup, setup.streams[stream_of_row[i]], *recorded[i],
                               executed, log, r)
