@@ -65,6 +65,10 @@ def _cmd_calibrate(args) -> int:
     except FileNotFoundError:
         print(f"error: samples file not found: {args.samples}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:   # a directory, or no permission to read
+        print(f"error: cannot read samples file {args.samples}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     except (IdentificationError, ValueError) as exc:
         print(f"error: cannot parse {args.samples}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -232,6 +236,9 @@ def _cmd_plot_data(args) -> int:
 def _cmd_list(args) -> int:
     if args.reports:
         reports_dir = Path(args.reports)
+        if not reports_dir.exists():
+            print(f"error: reports directory not found: {reports_dir}", file=sys.stderr)
+            return EXIT_USAGE
         paths = sorted(reports_dir.glob("**/report_*.json"))
         if not paths:
             print(f"no reports under {reports_dir}")

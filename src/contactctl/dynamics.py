@@ -7,22 +7,26 @@ stable against the stiff penalty contact used for the surface tasks.
 Contact is a spring-damper on the plane normal plus tanh-regularized Coulomb
 friction, so trajectories are smooth and bitwise reproducible.
 
+`load_arm_model` is the one reader of chain files: it reads each joint's
+geometry and inertial keys in one pass (format in docs/formats.md).
+
 The plant takes a leading trial axis: a SimState with (T, n) joint arrays,
 a ContactPlane whose offset is a (T,) array, and (T, n) torques advance T
 independent trials in one call. Each row goes through the same operations
 as a single (n,) state, so its bits do not depend on the batch around it.
 """
 
+import configparser
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .geometry import GRAVITY_WORLD, cross_rows, dot_rows, skew_rows
-from .kinematics import (ChainConfigError, ChainFrames, ChainModel,
-                         _parse_vector, _read_chain_file, chain_frames,
-                         load_chain)
+from .geometry import (GRAVITY_WORLD, Pose, cross_rows, decode_rot6d_rows,
+                       dot_rows, skew_rows)
+from .kinematics import ChainConfigError, ChainFrames, ChainModel, chain_frames
 from .sensing import Payload, gravity_model
 
 FRICTION_V_EPS = 1e-3   # m/s, tanh regularization of Coulomb friction
@@ -285,19 +289,81 @@ def read_ft_sensor(contact: np.ndarray, payload: Payload, rotation: np.ndarray,
     return raw
 
 
+def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
+    parts = text.replace(",", " ").split()
+    if len(parts) != n:
+        raise ChainConfigError(f"{what}: expected {n} numbers, got {len(parts)}")
+    try:
+        values = np.array([float(p) for p in parts])
+    except ValueError as exc:
+        raise ChainConfigError(f"{what}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise ChainConfigError(f"{what}: non-finite value in {text.strip()!r}")
+    return values
+
+
+def _parse_pose(section, prefix: str, what: str) -> Pose:
+    trans = _parse_vector(section.get(f"{prefix}translation", "0 0 0"), 3, what)
+    rot6d = _parse_vector(section.get(f"{prefix}rot6d", "1 0 0 0 1 0"), 6, what)
+    return Pose(decode_rot6d_rows(rot6d[:3], rot6d[3:]), trans)
+
+
+def _read_chain_file(path) -> tuple:
+    """The parsed chain file and its joint sections, [joint.1] to [joint.N].
+
+    Joints are numbered 1, 2, ... without gaps, repeats or leading zeros; a
+    [joint.*] section outside that list is a ChainConfigError naming it.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ChainConfigError(f"chain config not found: {path}")
+    cfg = configparser.ConfigParser()
+    try:
+        cfg.read(path)
+    except configparser.Error as exc:
+        raise ChainConfigError(f"{path}: {exc}") from exc
+    if "chain" not in cfg:
+        raise ChainConfigError(f"{path}: missing [chain] section")
+    found = [s for s in cfg.sections() if s.startswith("joint.")]
+    if not found:
+        raise ChainConfigError(f"{path}: no [joint.N] sections")
+    names = [f"joint.{i}" for i in range(1, len(found) + 1)]
+    for name in found:
+        if name not in names:
+            raise ChainConfigError(
+                f"{path} [{name}]: the {len(found)} joint sections must be "
+                f"[joint.1] to [joint.{len(found)}], numbered without gaps, "
+                f"repeats or leading zeros")
+    return cfg, [cfg[name] for name in names]
+
+
 def load_arm_model(path) -> ArmDynamicsModel:
-    """Chain config plus per-joint inertial keys (mass, com, inertia_diag)."""
+    """Load a chain and its inertias from a key-value config file (see
+    docs/formats.md); each [joint.N] section is read once, in order, so the
+    first joint's defect is the one reported."""
     cfg, joints = _read_chain_file(path)
-    chain = load_chain(path, (cfg, joints))
-    masses, coms, inertias = [], [], []
+    axes, offsets, limits, masses, coms, inertias = [], [], [], [], [], []
     for sec in joints:
         name = sec.name
+        if "axis" not in sec:
+            raise ChainConfigError(f"{path} [{name}]: missing axis")
+        axis = _parse_vector(sec["axis"], 3, f"{name} axis")
+        norm = np.linalg.norm(axis)
+        if norm < 1e-12:
+            raise ChainConfigError(f"{path} [{name}]: zero axis")
+        axes.append(axis / norm)
+        offsets.append(_parse_pose(sec, "offset_", f"{name} offset"))
+        limits.append(_parse_vector(sec.get("limits", "-6.2832 6.2832"), 2, f"{name} limits"))
         if "mass" not in sec:
             raise ChainConfigError(f"{path} [{name}]: missing mass for dynamics")
         masses.append(_parse_vector(sec["mass"], 1, f"{name} mass")[0])
         coms.append(_parse_vector(sec.get("com", "0 0 0"), 3, f"{name} com"))
         inertias.append(np.diag(_parse_vector(sec.get("inertia_diag", "1e-3 1e-3 1e-3"),
                                               3, f"{name} inertia_diag")))
+    tool = _parse_pose(cfg["chain"], "tool_", "tool offset")
+    chain = ChainModel(axes, [p.rotation for p in offsets],
+                       [p.translation for p in offsets], limits, tool,
+                       cfg["chain"].get("name", Path(path).stem))
     return ArmDynamicsModel(chain, np.array(masses), np.array(coms),
                             np.array(inertias))
 

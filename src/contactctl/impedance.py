@@ -119,17 +119,6 @@ def control_torque(gains: np.ndarray, q_d, q, qdot_d, qdot,
         + (gains[..., 1, :, :] @ ed[..., None])[..., 0] + bias
 
 
-@dataclass
-class TickResult:
-    """A tick's torque, joint targets and controller facts, (T, ...) if batched."""
-
-    tau: np.ndarray
-    q_d: np.ndarray
-    qdot_d: np.ndarray
-    xi: np.ndarray                  # pose error toward the virtual target
-    limits_clamped: np.ndarray      # per row
-
-
 class ImpedanceExecutor:
     """Per-control-loop session: one DLS step, gain fold, and torque per tick.
 
@@ -154,23 +143,26 @@ class ImpedanceExecutor:
 
     def closed_loop_tick(self, state: SimState, target: Pose, gains: np.ndarray,
                          plane: Optional[ContactPlane]
-                         ) -> tuple[TickResult, SimState, ChainFrames]:
+                         ) -> tuple[SimState, ChainFrames, np.ndarray, np.ndarray]:
         """One control step: one forward pass and one dynamics evaluation
-        shared by the controller and the plant. Returns the tick's result,
-        the plant state after it, and the frames of `state`."""
+        shared by the controller and the plant. Returns the plant state after
+        it, the frames of `state`, and the pose error and limit clamps."""
         frames = chain_frames(self.chain, state.q)
         terms = inverse_dynamics_terms(self.dyn_model, state.q, state.qdot,
                                        frames)
-        out = self.execute_tick(state, target, gains, frames, terms[1])
-        next_state = step(self.dyn_model, state, out.tau, plane, self.config.dt,
+        tau, xi, limits_clamped = self.execute_tick(state, target, gains, frames,
+                                                    terms[1])
+        next_state = step(self.dyn_model, state, tau, plane, self.config.dt,
                           terms=terms, frames=frames)
-        return out, next_state, frames
+        return next_state, frames, xi, limits_clamped
 
     def execute_tick(self, state: SimState, target: Pose, gains: np.ndarray,
-                     frames: ChainFrames, bias: np.ndarray) -> TickResult:
+                     frames: ChainFrames, bias: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Controller half of a tick toward the virtual `target` with the
         (..., 2, 6) operational `gains` of `build_operational_gains`, given
-        the frames and the bias C qdot + g of `state`."""
+        the frames and the bias C qdot + g of `state`. Returns the torque,
+        the pose error and, per row, whether a joint target hit its limit."""
         cfg = self.config
         xi = pose_error(target, frames.ee_pose)
         j = frames.jacobian
@@ -187,11 +179,11 @@ class ImpedanceExecutor:
             qdot_d_raw = np.zeros_like(q_d)
         else:
             qdot_d_raw = (q_d - self._prev_q_d) / cfg.dt
-        self._prev_q_d = q_d.copy()
+        self._prev_q_d = q_d
         self._qdot_d_filtered = self._qdot_d_filtered \
             + self._alpha * (qdot_d_raw - self._qdot_d_filtered)
-        qdot_d = self._qdot_d_filtered.copy()
 
         joint_gains = fold_to_joint_gains(j, gains, self._floors)
-        tau = control_torque(joint_gains, q_d, state.q, qdot_d, state.qdot, bias)
-        return TickResult(tau, q_d, qdot_d, xi, limits_clamped)
+        tau = control_torque(joint_gains, q_d, state.q, self._qdot_d_filtered,
+                             state.qdot, bias)
+        return tau, xi, limits_clamped

@@ -1,24 +1,23 @@
 """Serial-chain kinematics: FK, geometric Jacobian, and damped-least-squares IK.
 
-A chain is an ordered list of revolute joints. Each joint carries a fixed
-offset transform from its parent frame and a unit rotation axis expressed in
-the joint's own frame; an optional tool offset places the end-effector after
-the last joint. Joint limits are enforced by the iterative solver, not by the
-single-step update.
+A chain is an ordered list of revolute joints, held as arrays with one row
+per joint: a unit rotation axis in the joint's own frame, a fixed offset
+transform from the parent frame, and joint limits; an optional tool offset
+places the end-effector after the last joint. Joint limits are enforced by
+the iterative solver, not by the single-step update. Chain files are read by
+`dynamics.load_arm_model`.
 
 `chain_frames`, `ChainFrames.jacobian`, `pose_error` and `dls_step` take a
 leading trial axis: joint vectors (..., n) give frames, Jacobians (..., 6, n)
 and errors (..., 6) with the same leading axes, one row per trial.
 """
 
-import configparser
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .geometry import (Pose, cross_rows, decode_rot6d_rows, pose_unchecked,
+from .geometry import (Pose, check_rotations, cross_rows, pose_unchecked,
                        rodrigues, rotation_log, skew_rows)
 
 DEFAULT_DAMPING = 0.05
@@ -31,63 +30,56 @@ class ChainConfigError(ValueError):
 
 
 @dataclass
-class ChainLink:
-    """One revolute joint: unit axis in the joint frame, fixed parent offset."""
-
-    axis: np.ndarray
-    offset: Pose
-
-    def __post_init__(self):
-        self.axis = np.asarray(self.axis, dtype=float).reshape(3)
-        # written as `not ...` so that a non-finite axis fails too
-        if not abs(np.linalg.norm(self.axis) - 1.0) <= AXIS_UNIT_TOL:
-            raise ChainConfigError(f"joint axis {self.axis} is not unit norm")
-
-
-@dataclass
 class ChainModel:
-    """Serial chain of revolute joints with per-joint limits and a tool offset."""
+    """Serial chain of n revolute joints with per-joint limits and a tool offset.
 
-    links: list
-    joint_limits: np.ndarray
+    The joint arrays are read-only, so the constants of the forward pass,
+    built from them once at construction, always match them.
+    """
+
+    axes: np.ndarray                  # (n, 3) unit axes in the joint frames
+    offset_rotations: np.ndarray      # (n, 3, 3) fixed rotation from the parent
+    offset_translations: np.ndarray   # (n, 3) fixed translation from the parent
+    joint_limits: np.ndarray          # (n, 2) min, max
     tool_offset: Pose = field(default_factory=Pose.identity)
     name: str = "chain"
 
     def __post_init__(self):
-        if len(self.links) < 1:
+        axes = np.array(self.axes, dtype=float).reshape(-1, 3)
+        n = len(axes)
+        if n < 1:
             raise ChainConfigError("chain needs at least one joint")
-        self.joint_limits = np.asarray(self.joint_limits, dtype=float).reshape(len(self.links), 2)
+        # written as `not ...` so that a non-finite axis fails too
+        unit = np.abs(np.linalg.norm(axes, axis=1) - 1.0) <= AXIS_UNIT_TOL
+        if not unit.all():
+            raise ChainConfigError(f"joint axis {axes[np.argmin(unit)]} is not unit norm")
+        rotations = np.array(self.offset_rotations, dtype=float).reshape(n, 3, 3)
+        check_rotations(rotations)
+        translations = np.array(self.offset_translations, dtype=float).reshape(n, 3)
+        if not np.isfinite(translations).all():
+            raise ChainConfigError(f"joint offset translation not finite: {translations}")
+        limits = np.array(self.joint_limits, dtype=float).reshape(n, 2)
         # written as `not ...` so that NaN limits fail too
-        if not np.all(self.joint_limits[:, 0] < self.joint_limits[:, 1]):
+        if not np.all(limits[:, 0] < limits[:, 1]):
             raise ChainConfigError("joint limits must satisfy min < max")
+        for a in (axes, rotations, translations, limits):
+            a.flags.writeable = False
+        self.axes, self.offset_rotations = axes, rotations
+        self.offset_translations, self.joint_limits = translations, limits
+        self.skews = skew_rows(axes)                        # (n, 3, 3) skew(axis)
+        self.outers = axes[:, :, None] * axes[:, None, :]   # (n, 3, 3) axis axis^T
+        # per joint: its offset rotation, or None for the identity, whose
+        # product r @ I could flip the sign of a zero
+        self.turn_offsets = [None if np.array_equal(r, np.eye(3)) else r
+                             for r in rotations]
 
     @property
     def dof(self) -> int:
-        return len(self.links)
+        return len(self.axes)
 
     def clamp_to_limits(self, q: np.ndarray) -> np.ndarray:
         limits = self.joint_limits
         return np.minimum(np.maximum(q, limits[:, 0]), limits[:, 1])
-
-    @cached_property
-    def joint_terms(self) -> "_JointTerms":
-        """Constants of the forward pass, built once per chain (whose links
-        are not changed after its first use)."""
-        axes = np.array([link.axis for link in self.links])
-        offset_rotations = [None if np.array_equal(link.offset.rotation, np.eye(3))
-                            else link.offset.rotation for link in self.links]
-        return _JointTerms(axes, skew_rows(axes), axes[:, :, None] * axes[:, None, :],
-                           np.array([link.offset.translation for link in self.links]),
-                           offset_rotations)
-
-
-@dataclass
-class _JointTerms:
-    axes: np.ndarray              # (dof, 3) joint axes in the joint frames
-    skews: np.ndarray             # (dof, 3, 3) skew(axis)
-    outers: np.ndarray            # (dof, 3, 3) axis axis^T
-    offset_translations: np.ndarray   # (dof, 3)
-    offset_rotations: list        # per joint: 3x3, or None for the identity
 
 
 @dataclass
@@ -134,24 +126,23 @@ def chain_frames(chain: ChainModel, q: np.ndarray) -> ChainFrames:
     evaluation; only the product down the chain loops over the joints.
     """
     q = _check_q(chain, q)
-    terms = chain.joint_terms
-    turns = rodrigues(np.cos(q), np.sin(q), terms.skews, terms.outers)
+    turns = rodrigues(np.cos(q), np.sin(q), chain.skews, chain.outers)
     shape = q.shape + (3, 3)
     # frame each joint turns in (parent link after the fixed offset), and link
     turning = np.empty(shape)
     rotations = np.empty(shape)
     r = np.eye(3)
-    for i, offset in enumerate(terms.offset_rotations):
+    for i, offset in enumerate(chain.turn_offsets):
         turning[..., i, :, :] = r if offset is None else r @ offset
         r = np.matmul(turning[..., i, :, :], turns[..., i, :, :],
                       out=rotations[..., i, :, :])
     # origin_i = origin_{i-1} + R_{i-1} offset_i, with R_{-1} = I
     steps = np.empty(q.shape + (3,))
-    steps[..., 0, :] = terms.offset_translations[0]
+    steps[..., 0, :] = chain.offset_translations[0]
     steps[..., 1:, :] = (rotations[..., :-1, :, :]
-                         @ terms.offset_translations[1:, :, None])[..., 0]
+                         @ chain.offset_translations[1:, :, None])[..., 0]
     origins = np.cumsum(steps, axis=-2)
-    axes = (turning @ terms.axes[:, :, None])[..., 0]
+    axes = (turning @ chain.axes[:, :, None])[..., 0]
     tool = chain.tool_offset
     p_ee = r @ tool.translation + origins[..., -1, :]
     r_ee = r @ tool.rotation
@@ -231,77 +222,3 @@ def solve_ik(chain: ChainModel, q0: np.ndarray, target: Pose,
         if step_size < 1e-14:
             break   # stationary: no progress possible at any scale
     return IKResult(q, err_norm < tol, iterations, limited, err_norm)
-
-
-# ---------------------------------------------------------------------------
-# chain config files
-
-def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
-    parts = text.replace(",", " ").split()
-    if len(parts) != n:
-        raise ChainConfigError(f"{what}: expected {n} numbers, got {len(parts)}")
-    try:
-        values = np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise ChainConfigError(f"{what}: {exc}") from exc
-    if not np.isfinite(values).all():
-        raise ChainConfigError(f"{what}: non-finite value in {text.strip()!r}")
-    return values
-
-
-def _parse_pose(section, prefix: str, what: str) -> Pose:
-    trans = _parse_vector(section.get(f"{prefix}translation", "0 0 0"), 3, what)
-    rot6d = _parse_vector(section.get(f"{prefix}rot6d", "1 0 0 0 1 0"), 6, what)
-    return Pose(decode_rot6d_rows(rot6d[:3], rot6d[3:]), trans)
-
-
-def _read_chain_file(path) -> tuple:
-    """The parsed chain file and its joint sections, [joint.1] to [joint.N].
-
-    Joints are numbered 1, 2, ... without gaps, repeats or leading zeros; a
-    [joint.*] section outside that list is a ChainConfigError naming it.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise ChainConfigError(f"chain config not found: {path}")
-    cfg = configparser.ConfigParser()
-    try:
-        cfg.read(path)
-    except configparser.Error as exc:
-        raise ChainConfigError(f"{path}: {exc}") from exc
-    if "chain" not in cfg:
-        raise ChainConfigError(f"{path}: missing [chain] section")
-    found = [s for s in cfg.sections() if s.startswith("joint.")]
-    if not found:
-        raise ChainConfigError(f"{path}: no [joint.N] sections")
-    names = [f"joint.{i}" for i in range(1, len(found) + 1)]
-    for name in found:
-        if name not in names:
-            raise ChainConfigError(
-                f"{path} [{name}]: the {len(found)} joint sections must be "
-                f"[joint.1] to [joint.{len(found)}], numbered without gaps, "
-                f"repeats or leading zeros")
-    return cfg, [cfg[name] for name in names]
-
-
-def load_chain(path, parsed=None) -> ChainModel:
-    """Load a chain from a key-value config file (see docs/formats.md).
-
-    `parsed` is what `_read_chain_file(path)` returned, when already read.
-    """
-    cfg, joints = parsed or _read_chain_file(path)
-    links = []
-    limits = []
-    for sec in joints:
-        name = sec.name
-        if "axis" not in sec:
-            raise ChainConfigError(f"{path} [{name}]: missing axis")
-        axis = _parse_vector(sec["axis"], 3, f"{name} axis")
-        norm = np.linalg.norm(axis)
-        if norm < 1e-12:
-            raise ChainConfigError(f"{path} [{name}]: zero axis")
-        links.append(ChainLink(axis / norm, _parse_pose(sec, "offset_", f"{name} offset")))
-        limits.append(_parse_vector(sec.get("limits", "-6.2832 6.2832"), 2, f"{name} limits"))
-    tool = _parse_pose(cfg["chain"], "tool_", "tool offset")
-    return ChainModel(links, np.array(limits), tool,
-                      cfg["chain"].get("name", Path(path).stem))

@@ -25,6 +25,10 @@ class ScenarioConfigError(ValueError):
 
 
 TICKS_MAX = 1_000_000   # control ticks one row may run: 1 000 s at 1 kHz
+# control ticks of all rows of a run: a TICKS_MAX row at 10 trials of 2
+# variants. The wiping rollout holds about 36.5 B per tick and row (traced at
+# 10 and 20 trials), so its logs stay under about 0.75 GB.
+RUN_TICKS_MAX = 20_000_000
 DOF = "dof"             # type of a vector with one number per chain joint
 _WHAT = {int: "an integer", float: "a number", bool: "a boolean"}
 
@@ -133,9 +137,10 @@ def load_scenario_config(path, seed_override: Optional[int] = None,
                          trials_override: Optional[int] = None) -> ScenarioConfig:
     """Read a scenario config and check all of it against its kind's keys.
 
-    An undeclared section or key, a value outside its type or range, or a
-    row of more than TICKS_MAX control ticks is a ScenarioConfigError, raised
-    before anything runs.
+    An undeclared section or key, a value outside its type or range, a row
+    of more than TICKS_MAX control ticks, or trials whose rows together run
+    more than RUN_TICKS_MAX is a ScenarioConfigError, raised before anything
+    runs.
     """
     from . import KINDS   # the scenario modules, which import this one
 
@@ -182,6 +187,12 @@ def load_scenario_config(path, seed_override: Optional[int] = None,
             f"a row would run {ticks:.6g} control ticks, set by "
             f"{', '.join(f'[{s}] {k}' for s, k in kind.TICKS_SET_BY)}; "
             f"need 1 to {TICKS_MAX}")
+    run_ticks = config.trials * len(kind.VARIANTS) * ticks
+    if run_ticks > RUN_TICKS_MAX:
+        raise ScenarioConfigError(
+            f"[scenario] trials = {config.trials} would run {run_ticks:.6g} control "
+            f"ticks ({len(kind.VARIANTS)} variants of {ticks} ticks per row); "
+            f"need at most {RUN_TICKS_MAX}")
     return config
 
 

@@ -390,7 +390,7 @@ def rollout(setup: WipingSetup, stream_of_row, plane_offset, recorded: dict) -> 
                     np.empty((n_ticks, n_rec, 6)),
                     np.empty((n_ticks, n_rec, 2), dtype=bool))
     for tick in range(n_ticks):
-        out, new_state, frames = executor.closed_loop_tick(
+        new_state, frames, xi, limits_clamped = executor.closed_loop_tick(
             state, pose_unchecked(target.rotation[stream_of_row, tick],
                                   target.translation[stream_of_row, tick]),
             gains[stream_of_row, tick], plane)
@@ -407,8 +407,8 @@ def rollout(setup: WipingSetup, stream_of_row, plane_offset, recorded: dict) -> 
         log.rotation[tick] = rotation[rec]
         log.translation[tick] = p_ee[rec]
         log.force[tick] = force[rec]
-        log.xi[tick] = out.xi[rec]
-        log.clamped[tick, :, 1] = out.limits_clamped[rec]
+        log.xi[tick] = xi[rec]
+        log.clamped[tick, :, 1] = limits_clamped[rec]
         state = new_state
     log.clamped[:, :, 0] = stiffness_clamped[stream_of_row[rec]].T
 

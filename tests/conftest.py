@@ -5,7 +5,7 @@ import pytest
 
 from contactctl.dynamics import ArmDynamicsModel, inverse_dynamics_terms
 from contactctl.geometry import Pose, decode_rot6d_rows
-from contactctl.kinematics import ChainLink, ChainModel, chain_frames
+from contactctl.kinematics import ChainModel, chain_frames
 
 
 REPO_CONFIGS = "configs"
@@ -13,10 +13,10 @@ REPO_CONFIGS = "configs"
 
 def make_planar2(l1: float = 0.5, l2: float = 0.5) -> ChainModel:
     """Two z-axis revolute joints in the xy-plane; FK(0,0) = (l1+l2, 0, 0)."""
-    links = [ChainLink(np.array([0.0, 0.0, 1.0]), Pose.identity()),
-             ChainLink(np.array([0.0, 0.0, 1.0]), Pose(np.eye(3), [l1, 0.0, 0.0]))]
     limits = [[-2.0 * np.pi, 2.0 * np.pi]] * 2
-    return ChainModel(links, limits, Pose(np.eye(3), [l2, 0.0, 0.0]), "planar2")
+    return ChainModel([[0.0, 0.0, 1.0]] * 2, [np.eye(3)] * 2,
+                      [[0.0, 0.0, 0.0], [l1, 0.0, 0.0]], limits,
+                      Pose(np.eye(3), [l2, 0.0, 0.0]), "planar2")
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -24,14 +24,15 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 
 def random_chain(rng: np.random.Generator, dof: int) -> ChainModel:
-    links = []
+    axes, rotations, translations = [], [], []
     for _ in range(dof):
         axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        offset = Pose(random_rotation(rng), rng.uniform(-0.3, 0.3, 3))
-        links.append(ChainLink(axis, offset))
+        axes.append(axis / np.linalg.norm(axis))
+        rotations.append(random_rotation(rng))
+        translations.append(rng.uniform(-0.3, 0.3, 3))
     tool = Pose(random_rotation(rng), rng.uniform(-0.2, 0.2, 3))
-    return ChainModel(links, [[-2.0 * np.pi, 2.0 * np.pi]] * dof, tool)
+    return ChainModel(axes, rotations, translations,
+                      [[-2.0 * np.pi, 2.0 * np.pi]] * dof, tool)
 
 
 def random_model(rng, dof):

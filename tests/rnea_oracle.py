@@ -16,8 +16,8 @@ _ZERO3 = np.zeros(3)
 
 def joint_rotations(chain, q) -> list:
     """Parent-to-link rotations (offset rotation times joint rotation)."""
-    return [link.offset.rotation @ rotation_about_axis(link.axis, q[i])
-            for i, link in enumerate(chain.links)]
+    return [chain.offset_rotations[i] @ rotation_about_axis(chain.axes[i], q[i])
+            for i in range(chain.dof)]
 
 
 def rnea(model, q, qdot, qddot, gravity) -> np.ndarray:
@@ -31,10 +31,10 @@ def rnea(model, q, qdot, qddot, gravity) -> np.ndarray:
     a = -np.asarray(gravity, dtype=float)
     f_links = []
     n_links = []
-    for i, link in enumerate(chain.links):
-        axis = link.axis
+    for i in range(n):
+        axis = chain.axes[i]
         rt = rots[i].T
-        p_off = link.offset.translation
+        p_off = chain.offset_translations[i]
         a = rt @ (a + cross3(wd, p_off) + cross3(w, cross3(w, p_off)))
         w_par = rt @ w
         wd_par = rt @ wd
@@ -53,7 +53,7 @@ def rnea(model, q, qdot, qddot, gravity) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         if i < n - 1:
             rot_child = rots[i + 1]
-            p_child = chain.links[i + 1].offset.translation
+            p_child = chain.offset_translations[i + 1]
             f_down = rot_child @ f_child
             n_down = rot_child @ n_child + cross3(p_child, f_down)
             f_i = f_links[i] + f_down
@@ -61,7 +61,7 @@ def rnea(model, q, qdot, qddot, gravity) -> np.ndarray:
         else:
             f_i = f_links[i]
             n_i = n_links[i] + cross3(model.link_coms[i], f_links[i])
-        tau[i] = chain.links[i].axis @ n_i
+        tau[i] = chain.axes[i] @ n_i
         f_child = f_i
         n_child = n_i
     return tau
@@ -79,11 +79,11 @@ def mass_matrix(model, q) -> np.ndarray:
     wd = np.zeros((3, n))
     a = np.zeros((3, n))
     f_links, n_links = [], []
-    for i, link in enumerate(chain.links):
+    for i in range(n):
         rt = rots[i].T
-        a = rt @ (a - skew(link.offset.translation) @ wd)
+        a = rt @ (a - skew(chain.offset_translations[i]) @ wd)
         wd = rt @ wd
-        wd[:, i] += link.axis
+        wd[:, i] += chain.axes[i]
         a_com = a - skew(model.link_coms[i]) @ wd
         f_links.append(model.link_masses[i] * a_com)
         n_links.append(model.link_inertias[i] @ wd)
@@ -98,8 +98,8 @@ def mass_matrix(model, q) -> np.ndarray:
             f_down = rots[i + 1] @ f_child
             f_i = f_i + f_down
             n_i = n_i + rots[i + 1] @ n_child \
-                + skew(chain.links[i + 1].offset.translation) @ f_down
-        m[i, :] = chain.links[i].axis @ n_i
+                + skew(chain.offset_translations[i + 1]) @ f_down
+        m[i, :] = chain.axes[i] @ n_i
         f_child = f_i
         n_child = n_i
     return (m + m.T) / 2.0

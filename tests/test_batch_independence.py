@@ -168,6 +168,5 @@ def test_execute_tick_row_equals_single(case):
         target = pose_unchecked(targets.rotation[i], targets.translation[i])
         want = alone.execute_tick(SimState(qk[i], qdk[i]), target, gains[i], frames,
                                   bias)
-        assert_same_bits([(got.tau[i], want.tau), (got.q_d[i], want.q_d),
-                          (got.qdot_d[i], want.qdot_d), (got.xi[i], want.xi),
-                          (got.limits_clamped[i], want.limits_clamped)])
+        # the tau, xi and limits_clamped of the tick
+        assert_same_bits([(g[i], w) for g, w in zip(got, want)])

@@ -356,6 +356,16 @@ def test_calibrate_empty_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_calibrate_unreadable_samples_path_is_usage_error(tmp_path, capsys):
+    # a directory cannot be read as a samples file: exit 2 naming it, as a
+    # missing file does, not a runtime fault
+    code = run_cli("calibrate", "--samples", str(tmp_path),
+                   "--out", str(tmp_path / "p.ini"))
+    assert code == 2
+    assert f"cannot read samples file {tmp_path}: " in capsys.readouterr().err
+    assert not (tmp_path / "p.ini").exists()
+
+
 def test_calibrate_rank_deficient(tmp_path, capsys):
     from contactctl.sensing import gravity_model, save_calibration_csv
     orients = np.array([np.eye(3)] * 6)
@@ -758,6 +768,15 @@ def test_list_names_configs_it_skips(tmp_path, capsys):
     assert "good.ini" in captured.out and "typo.ini" not in captured.out
     assert f"skipped {tmp_path / 'typo.ini'}: " in captured.err
     assert "[release] dt_typo" in captured.err
+
+
+def test_list_missing_reports_directory_is_usage_error(tmp_path, capsys):
+    # as for --configs: a missing directory exits 2, an empty one exits 0
+    missing = tmp_path / "nonexistent"
+    assert run_cli("list", "--reports", str(missing)) == 2
+    assert f"reports directory not found: {missing}" in capsys.readouterr().err
+    assert run_cli("list", "--reports", str(tmp_path)) == 0
+    assert f"no reports under {tmp_path}" in capsys.readouterr().out
 
 
 def test_python_m_contactctl_runs_the_cli():

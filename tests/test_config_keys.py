@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from contactctl.scenarios import KINDS, load_scenario_config, run_scenario
-from contactctl.scenarios.base import (SCENARIO_KEYS, TICKS_MAX, ScenarioConfig,
-                                       ScenarioConfigError)
+from contactctl.scenarios.base import (RUN_TICKS_MAX, SCENARIO_KEYS, TICKS_MAX,
+                                       ScenarioConfig, ScenarioConfigError)
 from contactctl.scenarios.bottle import GRIPPER_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,6 +90,15 @@ def test_run_length_is_bounded_at_load(tmp_path, name, section, key, text):
     with pytest.raises(ScenarioConfigError, match="control ticks") as info:
         _load_with(ROOT / "configs" / f"{name}.ini", tmp_path, section, key, text)
     assert f"[{section}] {key}" in str(info.value)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_run_of_too_many_trials_fails_at_load(path):
+    # all rows of a run together are bounded too, from the parsed values:
+    # 10**9 trials fail at load, before any (ticks, rows) log is allocated
+    with pytest.raises(ScenarioConfigError, match=r"\[scenario\] trials") as info:
+        load_scenario_config(path, trials_override=10**9)
+    assert str(RUN_TICKS_MAX) in str(info.value)
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
@@ -177,4 +186,5 @@ def test_docs_tables_match_declared_keys():
         assert tables[f"Keys of `{kind}`"] \
             == [_render(k) for k in module.KEYS
                 if k.section != "scenario" and k not in GRIPPER_KEYS], kind
-    assert f"{TICKS_MAX:_}".replace("_", " ") in (ROOT / "docs" / "formats.md").read_text()
+    for bound in (TICKS_MAX, RUN_TICKS_MAX):
+        assert f"{bound:_}".replace("_", " ") in (ROOT / "docs" / "formats.md").read_text()

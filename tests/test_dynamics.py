@@ -8,7 +8,7 @@ from contactctl.dynamics import (ArmDynamicsModel, ContactPlane,
                                  load_arm_model, plane_contact_force,
                                  read_ft_sensor, step)
 from contactctl.geometry import Pose, rotation_about_axis, rotation_log
-from contactctl.kinematics import ChainLink, ChainModel, chain_frames
+from contactctl.kinematics import ChainConfigError, ChainModel, chain_frames
 from contactctl.sensing import Payload
 from conftest import bias_split, random_model
 import rnea_oracle
@@ -16,8 +16,8 @@ import rnea_oracle
 
 def make_pendulum(length=1.0, mass=2.0):
     """Gravity raises the COM for positive q (axis -y); q=0 is horizontal +x."""
-    links = [ChainLink(np.array([0.0, -1.0, 0.0]), Pose.identity())]
-    chain = ChainModel(links, [[-10.0, 10.0]], Pose(np.eye(3), [length, 0, 0]))
+    chain = ChainModel([[0.0, -1.0, 0.0]], [np.eye(3)], [[0.0, 0.0, 0.0]],
+                       [[-10.0, 10.0]], Pose(np.eye(3), [length, 0, 0]))
     inertia = np.diag([1e-6, mass * length ** 2 / 12.0, mass * length ** 2 / 12.0])
     return ArmDynamicsModel(chain, [mass], [[length / 2.0, 0.0, 0.0]], [inertia])
 
@@ -416,3 +416,13 @@ def test_load_arm_model_reads_the_chain_file_once(monkeypatch):
     monkeypatch.setattr(configparser.ConfigParser, "read", counting)
     model = load_arm_model("configs/chains/arm6.ini")
     assert len(reads) == 1 and model.chain.dof == 6
+
+
+def test_load_arm_model_reports_the_first_joints_defect_first(tmp_path):
+    # each joint is read whole, geometry and inertial keys, before the next
+    path = tmp_path / "two_defects.ini"
+    path.write_text("[chain]\nname = bad\n"
+                    "[joint.1]\naxis = 0 0 1\n"           # no mass
+                    "[joint.2]\naxis = 0 0 0\nmass = 1\n")
+    with pytest.raises(ChainConfigError, match=r"\[joint\.1\]: missing mass for dynamics"):
+        load_arm_model(path)

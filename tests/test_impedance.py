@@ -215,11 +215,11 @@ def test_execute_tick_identity_command():
     state = SimState(q0.copy(), np.zeros(2))
     target = chain_frames(model.chain, q0).ee_pose
     gains, _ = build_operational_gains(np.full(3, 1000.0), executor.config)
-    out, _, _ = executor.closed_loop_tick(state, target, gains, None)
-    _, hold = inverse_dynamics_terms(model, q0, np.zeros(2))
-    assert np.allclose(out.q_d, q0, atol=1e-9)
-    assert np.allclose(out.tau, hold, atol=1e-6)
-    assert np.allclose(out.xi, 0.0, atol=1e-12)
+    frames = chain_frames(model.chain, q0)
+    _, hold = inverse_dynamics_terms(model, q0, np.zeros(2), frames)
+    tau, xi, _ = executor.execute_tick(state, target, gains, frames, hold)
+    assert np.allclose(tau, hold, atol=1e-6)
+    assert np.allclose(xi, 0.0, atol=1e-12)
 
 
 def test_execute_tick_rest_drift_with_shared_terms():
@@ -230,7 +230,7 @@ def test_execute_tick_rest_drift_with_shared_terms():
     target = chain_frames(model.chain, q0).ee_pose
     gains, _ = build_operational_gains(np.full(3, 1000.0), executor.config)
     for _ in range(50):
-        _, new_state, _ = executor.closed_loop_tick(state, target, gains, None)
+        new_state, _, _, _ = executor.closed_loop_tick(state, target, gains, None)
         assert np.max(np.abs(new_state.q - state.q)) < 1e-9
         state = new_state
 
@@ -248,8 +248,8 @@ def test_executor_error_norm_decreases_in_free_space():
     state = SimState(q0.copy(), np.zeros(2))
     norms = []
     for _ in range(1500):
-        out, state, _ = executor.closed_loop_tick(state, target, gains, None)
-        norms.append(np.linalg.norm(out.xi))
+        state, _, xi, _ = executor.closed_loop_tick(state, target, gains, None)
+        norms.append(np.linalg.norm(xi))
     norms = np.array(norms)
     assert norms[-1] < 1e-3
     # monotone within a tight tolerance for discrete-time wobble
@@ -270,7 +270,7 @@ def wiping_rig(kp_z, plane_stiffness=2e4, depth=0.01):
     gains, _ = build_operational_gains(np.array([2000.0, 2000.0, kp_z]), cfg)
     state = SimState(ik.q.copy(), np.zeros(3))
     for _ in range(1500):
-        _, state, _ = executor.closed_loop_tick(state, target, gains, plane)
+        state, _, _, _ = executor.closed_loop_tick(state, target, gains, plane)
     frames = chain_frames(model.chain, state.q)
     _, f_n = plane_contact_force(plane, frames.ee_pose.translation, np.zeros(3))
     return f_n, frames.ee_pose.translation[2], state
@@ -321,7 +321,7 @@ def test_execute_tick_clamps_without_warning_or_filter_changes(monkeypatch):
                                 lambda *a, name=name, **k: touched.append(name))
         # the one clamp is build_operational_gains', which reports it with the gains
         gains, clamped = build_operational_gains(np.array([1.0, 1000.0, 9000.0]), cfg)
-        out = executor.execute_tick(state, frames.ee_pose, gains, frames, bias)
+        tau, _, _ = executor.execute_tick(state, frames.ee_pose, gains, frames, bias)
         monkeypatch.undo()
     assert touched == []
     assert clamped
@@ -329,8 +329,8 @@ def test_execute_tick_clamps_without_warning_or_filter_changes(monkeypatch):
     # the same torque as with the command clamped up front
     executor = ImpedanceExecutor(model, cfg)
     gains, clamped = build_operational_gains(np.array([cfg.k_min, 1000.0, cfg.k_max]), cfg)
-    again = executor.execute_tick(state, frames.ee_pose, gains, frames, bias)
-    assert np.array_equal(out.tau, again.tau)
+    again, _, _ = executor.execute_tick(state, frames.ee_pose, gains, frames, bias)
+    assert np.array_equal(tau, again)
     assert not clamped
 
 
@@ -366,8 +366,8 @@ def test_single_state_shapes_and_batched_rows(rng, name):
         plane = ContactPlane([0.0, 0.0, 1.0], offset, 2e4, 250.0, 0.4)
         gains, _ = build_operational_gains(kpi, cfg)
         state = SimState(qi, qdi)
-        first, state, _ = executor.closed_loop_tick(state, target, gains, plane)
-        return (first,) + executor.closed_loop_tick(state, target, gains, plane)
+        state, _, first_xi, _ = executor.closed_loop_tick(state, target, gains, plane)
+        return (first_xi,) + executor.closed_loop_tick(state, target, gains, plane)
 
     targets = [pose_unchecked(p.rotation, p.translation + 0.01) for p in ee]
     singles = [tick(q[i], qdot[i], offsets[i], kp[i], targets[i]) for i in range(rows)]
@@ -375,33 +375,31 @@ def test_single_state_shapes_and_batched_rows(rng, name):
                    pose_unchecked(np.stack([t.rotation for t in targets]),
                                   np.stack([t.translation for t in targets])))
 
-    first, out, state, frames = singles[0]
-    assert out.tau.shape == out.q_d.shape == out.qdot_d.shape == (n,)
+    _, state, frames, xi, limits_clamped = singles[0]
     assert state.q.shape == state.qdot.shape == (n,)
     assert state.contact_force_ee.shape == (3,)
     assert frames.jacobian.shape == (6, n)
     assert frames.joint_origins.shape == frames.joint_axes.shape == (n, 3)
     assert frames.link_rotations.shape == (n, 3, 3)
     assert frames.ee_pose.rotation.shape == (3, 3)
-    assert out.xi.shape == (6,)
+    assert xi.shape == (6,)
     assert np.ndim(build_operational_gains(kp[0], cfg)[1]) == 0
-    assert np.ndim(out.limits_clamped) == 0
+    assert np.ndim(limits_clamped) == 0
     mass_matrix, bias = inverse_dynamics_terms(model, q[0], qdot[0])
     assert mass_matrix.shape == (n, n) and bias.shape == (n,)
     force, f_n = plane_contact_force(ContactPlane([0.0, 0.0, 1.0], 0.0, 1e4),
                                      np.array([0.0, 0.0, -0.01]), np.zeros(3))
     assert force.shape == (3,) and isinstance(f_n, float) and f_n == 100.0
 
-    b_first, b_out, b_state, b_frames = batched
-    assert b_out.tau.shape == (rows, n) and b_state.q.shape == (rows, n)
+    b_first_xi, b_state, b_frames, b_xi, b_clamped = batched
+    assert b_state.q.shape == (rows, n)
     assert b_state.contact_force_ee.shape == (rows, 3)
     assert b_frames.jacobian.shape == (rows, 6, n)
-    assert b_out.xi.shape == (rows, 6)
+    assert b_xi.shape == (rows, 6) and b_clamped.shape == (rows,)
     assert build_operational_gains(kp, cfg)[1].shape == (rows,)
-    for i, (s_first, s_out, s_state, s_frames) in enumerate(singles):
-        for got, want in ((b_first.tau[i], s_first.tau), (b_out.tau[i], s_out.tau),
-                          (b_out.qdot_d[i], s_out.qdot_d),
-                          (b_out.xi[i], s_out.xi),
+    for i, (s_first_xi, s_state, s_frames, s_xi, s_clamped) in enumerate(singles):
+        for got, want in ((b_first_xi[i], s_first_xi), (b_xi[i], s_xi),
+                          (b_clamped[i], s_clamped),
                           (b_state.q[i], s_state.q), (b_state.qdot[i], s_state.qdot),
                           (b_state.contact_force_ee[i], s_state.contact_force_ee),
                           (b_frames.jacobian[i], s_frames.jacobian)):

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from contactctl.geometry import Pose, rotation_about_axis, rotation_log
-from contactctl.geometry import cross3
-from contactctl.kinematics import (ChainConfigError, ChainLink, ChainModel,
-                                   chain_frames, dls_step, load_chain,
-                                   pose_error, solve_ik)
+from contactctl.dynamics import load_arm_model
+from contactctl.geometry import (GeometryError, Pose, cross3, rotation_about_axis,
+                                 rotation_log)
+from contactctl.kinematics import (ChainConfigError, ChainModel, chain_frames,
+                                   dls_step, pose_error, solve_ik)
 from conftest import make_planar2, random_chain
 
 
@@ -46,12 +46,12 @@ def test_fk_matches_composition_oracle(rng):
         chain = random_chain(rng, 3)
         q = rng.uniform(-2.0, 2.0, 3)
         t = np.eye(4)
-        for link, qi in zip(chain.links, q):
+        for i, qi in enumerate(q):
             off = np.eye(4)
-            off[:3, :3] = link.offset.rotation
-            off[:3, 3] = link.offset.translation
+            off[:3, :3] = chain.offset_rotations[i]
+            off[:3, 3] = chain.offset_translations[i]
             rot = np.eye(4)
-            rot[:3, :3] = rotation_about_axis(link.axis, qi)
+            rot[:3, :3] = rotation_about_axis(chain.axes[i], qi)
             t = t @ off @ rot
         tool = np.eye(4)
         tool[:3, :3] = chain.tool_offset.rotation
@@ -83,7 +83,7 @@ def test_jacobian_finite_difference(planar2):
 
 
 def test_jacobian_single_link():
-    chain = ChainModel([ChainLink(np.array([0.0, 0.0, 1.0]), Pose.identity())],
+    chain = ChainModel([[0.0, 0.0, 1.0]], [np.eye(3)], [[0.0, 0.0, 0.0]],
                        [[-np.pi, np.pi]], Pose(np.eye(3), [1.0, 0.0, 0.0]))
     j = chain_frames(chain, [0.0]).jacobian
     assert np.allclose(j[:, 0], [0, 1, 0, 0, 0, 1], atol=1e-12)
@@ -269,7 +269,7 @@ def test_solve_ik_validates_arguments(planar2):
 # chain config files
 
 def test_load_chain_planar2_matches_fixture(planar2):
-    loaded = load_chain("configs/chains/planar2.ini")
+    loaded = load_arm_model("configs/chains/planar2.ini").chain
     assert loaded.dof == 2
     for q in ([0.0, 0.0], [0.7, -0.4]):
         assert np.allclose(chain_frames(loaded, q).ee_pose.translation,
@@ -278,7 +278,7 @@ def test_load_chain_planar2_matches_fixture(planar2):
 
 
 def test_load_chain_canonical_arm6():
-    chain = load_chain("configs/chains/arm6.ini")
+    chain = load_arm_model("configs/chains/arm6.ini").chain
     assert chain.dof == 6
     home = chain_frames(chain, np.zeros(6)).ee_pose
     assert np.allclose(home.translation, [0.0, 0.0, 1.14], atol=1e-9)
@@ -287,21 +287,43 @@ def test_load_chain_canonical_arm6():
 
 def test_load_chain_missing_file():
     with pytest.raises(ChainConfigError):
-        load_chain("configs/chains/does_not_exist.ini")
+        load_arm_model("configs/chains/does_not_exist.ini")
 
 
 def test_load_chain_rejects_zero_axis(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[chain]\nname = bad\n[joint.1]\naxis = 0 0 0\n")
     with pytest.raises(ChainConfigError):
-        load_chain(bad)
+        load_arm_model(bad)
+
+
+def chain_of(axes=((0.0, 0.0, 1.0),), rotations=(np.eye(3),),
+             translations=((0.0, 0.0, 0.0),), limits=((-1.0, 1.0),)):
+    return ChainModel(np.array(axes), np.array(rotations), np.array(translations),
+                      np.array(limits))
 
 
 def test_chain_model_validation():
+    chain_of()   # the valid one-joint chain the cases below break
     with pytest.raises(ChainConfigError):
-        ChainModel([], np.zeros((0, 2)))
+        chain_of(np.zeros((0, 3)), np.zeros((0, 3, 3)), np.zeros((0, 3)),
+                 np.zeros((0, 2)))
     with pytest.raises(ChainConfigError):
-        ChainLink(np.array([0.0, 0.0, 2.0]), Pose.identity())
+        chain_of(axes=[[0.0, 0.0, 2.0]])
     with pytest.raises(ChainConfigError):
-        ChainModel([ChainLink(np.array([0.0, 0.0, 1.0]), Pose.identity())],
-                   [[1.0, -1.0]])
+        chain_of(axes=[[0.0, 0.0, np.nan]])
+    with pytest.raises(ChainConfigError):
+        chain_of(limits=[[1.0, -1.0]])
+    with pytest.raises(ChainConfigError):
+        chain_of(limits=[[np.nan, 1.0]])
+    with pytest.raises(GeometryError):
+        chain_of(rotations=[np.diag([1.0, 1.0, -1.0])])
+    with pytest.raises(ChainConfigError):
+        chain_of(translations=[[0.0, np.inf, 0.0]])
+
+
+def test_chain_model_arrays_are_read_only(planar2):
+    # the forward-pass constants are built from them once
+    for a in (planar2.axes, planar2.offset_rotations, planar2.offset_translations,
+              planar2.joint_limits):
+        assert not a.flags.writeable
