@@ -142,7 +142,9 @@ def _plot_fz_wiping(episode) -> tuple:
     comp = episode.values("wrench_ee")
     if not len(t):
         return "fz_wiping", header, []
-    episode.align(float(t[0]), ["pose"])   # raises if no pose comes first
+    # each wrench row takes the last pose at or before it (zero-order hold);
+    # raises if no pose comes first
+    held, _ = episode.align(t, ["pose"])["pose"]
     if len(comp) < len(t):
         raise ValueError(f"wrench_ee has fewer rows ({len(comp)}) than "
                          f"wrench_raw ({len(t)})")
@@ -150,8 +152,6 @@ def _plot_fz_wiping(episode) -> tuple:
     if pose.shape[1] < 9:
         raise ValueError(f"pose has {pose.shape[1]} columns, fewer than the 9 of "
                          "a position and a 6D rotation")
-    # each wrench row takes the last pose at or before it (zero-order hold)
-    held = np.searchsorted(episode.times("pose"), t, side="right") - 1
     used, row_pose = np.unique(held, return_inverse=True)
     r6 = pose[used, 3:9]
     try:

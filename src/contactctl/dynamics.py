@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (GRAVITY_WORLD, Pose, cross_rows, decode_rot6d_rows,
-                       dot_rows, skew_rows)
+from .geometry import (GRAVITY_WORLD, GeometryError, Pose, cross_rows,
+                       decode_rot6d_rows, dot_rows, skew_rows)
 from .kinematics import ChainConfigError, ChainFrames, ChainModel, chain_frames
 from .sensing import Payload, gravity_model
 
@@ -302,10 +302,26 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
     return values
 
 
-def _parse_pose(section, prefix: str, what: str) -> Pose:
-    trans = _parse_vector(section.get(f"{prefix}translation", "0 0 0"), 3, what)
-    rot6d = _parse_vector(section.get(f"{prefix}rot6d", "1 0 0 0 1 0"), 6, what)
-    return Pose(decode_rot6d_rows(rot6d[:3], rot6d[3:]), trans)
+def _parse_pose(section, prefix: str) -> Pose:
+    where = f"{section.name} {prefix}"
+    trans = _parse_vector(section.get(f"{prefix}translation", "0 0 0"), 3,
+                          f"{where}translation")
+    rot6d = _parse_vector(section.get(f"{prefix}rot6d", "1 0 0 0 1 0"), 6, f"{where}rot6d")
+    try:
+        return Pose(decode_rot6d_rows(rot6d[:3], rot6d[3:]), trans)
+    except GeometryError as exc:
+        raise ChainConfigError(f"{where}rot6d: {exc}") from None
+
+
+_CHAIN_KEYS = ("name", "tool_translation", "tool_rot6d")
+_JOINT_KEYS = ("axis", "offset_translation", "offset_rot6d", "limits", "mass", "com",
+              "inertia_diag")
+
+
+def _check_keys(path, section, declared: tuple) -> None:
+    for key in section:
+        if key not in declared:
+            raise ChainConfigError(f"{path} [{section.name}] {key} is not a chain file key")
 
 
 def _read_chain_file(path) -> tuple:
@@ -345,6 +361,7 @@ def load_arm_model(path) -> ArmDynamicsModel:
     axes, offsets, limits, masses, coms, inertias = [], [], [], [], [], []
     for sec in joints:
         name = sec.name
+        _check_keys(path, sec, _JOINT_KEYS)
         if "axis" not in sec:
             raise ChainConfigError(f"{path} [{name}]: missing axis")
         axis = _parse_vector(sec["axis"], 3, f"{name} axis")
@@ -352,7 +369,7 @@ def load_arm_model(path) -> ArmDynamicsModel:
         if norm < 1e-12:
             raise ChainConfigError(f"{path} [{name}]: zero axis")
         axes.append(axis / norm)
-        offsets.append(_parse_pose(sec, "offset_", f"{name} offset"))
+        offsets.append(_parse_pose(sec, "offset_"))
         limits.append(_parse_vector(sec.get("limits", "-6.2832 6.2832"), 2, f"{name} limits"))
         if "mass" not in sec:
             raise ChainConfigError(f"{path} [{name}]: missing mass for dynamics")
@@ -360,7 +377,8 @@ def load_arm_model(path) -> ArmDynamicsModel:
         coms.append(_parse_vector(sec.get("com", "0 0 0"), 3, f"{name} com"))
         inertias.append(np.diag(_parse_vector(sec.get("inertia_diag", "1e-3 1e-3 1e-3"),
                                               3, f"{name} inertia_diag")))
-    tool = _parse_pose(cfg["chain"], "tool_", "tool offset")
+    _check_keys(path, cfg["chain"], _CHAIN_KEYS)
+    tool = _parse_pose(cfg["chain"], "tool_")
     chain = ChainModel(axes, [p.rotation for p in offsets],
                        [p.translation for p in offsets], limits, tool,
                        cfg["chain"].get("name", Path(path).stem))

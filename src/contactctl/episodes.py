@@ -1,14 +1,13 @@
 """Timestamp-aligned multimodal episode recording, replay, and persistence.
 
 An episode is a manifest (id, stream specs, config hash) plus one
-timestamped table per stream. Alignment is zero-order hold: a query returns
-each stream's latest sample at or before the query time together with its
-staleness, and never looks into the future. Persistence is a JSON manifest
-plus one CSV per stream with floats serialized via repr, so the round trip
-is value-exact.
+timestamped table per stream. Alignment is zero-order hold: a query time
+takes each stream's latest row at or before it, with its staleness, and
+never looks into the future. Persistence is a JSON manifest plus one CSV
+per stream with floats serialized via repr, so the round trip is
+value-exact.
 """
 
-import bisect
 import csv
 import json
 import math
@@ -47,19 +46,6 @@ class StreamSpec:
             raise EpisodeError(f"stream {self.name!r}: empty schema")
         if self.kind not in STREAM_KINDS:
             raise EpisodeError(f"stream {self.name!r}: unknown kind {self.kind!r}")
-
-
-@dataclass
-class StreamSample:
-    values: list
-    source_t: float
-    staleness: float
-
-
-@dataclass
-class AlignedFrame:
-    t: float
-    samples: dict   # stream name -> StreamSample
 
 
 class Episode:
@@ -159,23 +145,23 @@ class Episode:
             raise EpisodeError("empty episode")
         return min(starts), max(ends)
 
-    def align(self, t_query: float, stream_names: Optional[list] = None) -> AlignedFrame:
-        """Zero-order-hold frame at t_query; staleness = t_query - source time."""
-        if stream_names is None:
-            stream_names = list(self.streams)
-        samples = {}
-        for name in stream_names:
+    def align(self, t, stream_names: Optional[list] = None) -> dict:
+        """Zero-order hold at the query time or times t: stream name ->
+        (index, staleness) arrays shaped like t, the row each query holds (the
+        latest at or before it) and t minus that row's time."""
+        t = np.asarray(t, dtype=float)
+        held = {}
+        for name in self.streams if stream_names is None else stream_names:
             if name not in self.streams:
                 raise EpisodeError(f"unknown stream {name!r}")
-            times = self._times[name]
-            if not times or t_query < times[0]:
-                raise EpisodeError(
-                    f"t={t_query} precedes first sample of stream {name!r}")
-            # rightmost sample with time <= t_query
-            idx = bisect.bisect_right(times, t_query) - 1
-            samples[name] = StreamSample(self._rows[name][idx], times[idx],
-                                         t_query - times[idx])
-        return AlignedFrame(t_query, samples)
+            times = self.times(name)
+            index = np.searchsorted(times, t, side="right") - 1
+            early = index < 0
+            if early.any():
+                raise EpisodeError(f"t={float(t.flat[np.argmax(early)])} precedes "
+                                   f"first sample of stream {name!r}")
+            held[name] = (index, t - times[index])
+        return held
 
 
 def replay_actions(episode: Episode, chunk_len: int) -> list:

@@ -11,7 +11,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -246,15 +246,8 @@ class ScenarioReport:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"report_{self.variant}.json"
-        payload = {
-            "scenario_id": self.scenario_id, "kind": self.kind,
-            "variant": self.variant, "seed": self.seed, "trials": self.trials,
-            "metrics": self.metrics, "thresholds": self.thresholds,
-            "success": self.success, "notes": self.notes,
-            "config_hash": self.config_hash, "episode_dir": self.episode_dir,
-        }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
         with open(out_dir / f"metrics_{self.variant}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -287,12 +280,7 @@ def build_report(config: ScenarioConfig, variant: str, metrics: dict,
 
 def load_report(path) -> ScenarioReport:
     with open(path) as fh:
-        data = json.load(fh)
-    return ScenarioReport(data["scenario_id"], data["kind"], data["variant"],
-                          data["seed"], data["trials"], data["metrics"],
-                          data["thresholds"], data["success"],
-                          data["config_hash"], data.get("notes", []),
-                          data.get("episode_dir"))
+        return ScenarioReport(**json.load(fh))
 
 
 def render_comparison(title: str, columns: list, rows: list) -> str:

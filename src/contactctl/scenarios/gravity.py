@@ -26,7 +26,6 @@ KEYS = SCENARIO_KEYS + (
     Key("gravity", "sample_rate_hz", float, "100.0", "> 0"),
     Key("gravity", "noise_sigma", float, "0.05", ">= 0"),
     Key("gravity", "target_force_span", float, "6.7", ">= 0"),
-    Key("gravity", "mc_trials", int, ("scenario", "trials"), ">= 1"),
     Key("gravity", "payload_com", 3, "0.01 0.02 0.05"),
     Key("gravity", "payload_bias", 6, "0.3 -0.2 0.1 0.05 -0.03 0.02"),
     Key("gravity", "degenerate_poses", bool, "false"),
@@ -77,7 +76,7 @@ def _per_axis_span(values: np.ndarray) -> float:
 
 def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> list:
     gravity = config.values("gravity")
-    n_poses, mc_trials = gravity["n_poses"], gravity["mc_trials"]
+    n_poses = gravity["n_poses"]
     sigma, target_span = gravity["noise_sigma"], gravity["target_force_span"]
 
     # raw per-axis span covers [-m g, +m g] across the axis-aligned poses
@@ -101,7 +100,7 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> list:
                          orientations)
     raw_spans, comp_spans, residual_maxes = [], [], []
     episode = None
-    for trial in range(mc_trials):
+    for trial in range(config.trials):
         rng = np.random.default_rng(config.seed * 1000 + trial)
         # (poses, samples, 6): one draw gives the bits of one draw per pose
         blocks = true[:, None, :] + (rng.normal(0.0, sigma, (n_poses, n_hold, 6))
@@ -111,7 +110,7 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> list:
             payload = identify_payload(orientations, averaged)
         except IdentificationError as exc:
             return [build_report(config, "default", {}, criteria,
-                                 [f"identification failed: {exc}"], trials=mc_trials)]
+                                 [f"identification failed: {exc}"])]
         # with an identity sensor-to-ee transform, compensating a whole pose
         # block is the block minus the fitted gravity force at that pose
         grav_hat = gravity_model(payload.mass, payload.com, payload.bias,
@@ -131,8 +130,7 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> list:
         "residual_rms_max": float(np.max(residual_maxes)),
         "payload_mass_true": mass,
     }
-    return [build_report(config, "default", metrics, criteria, (), episode, out_dir,
-                         trials=mc_trials)]
+    return [build_report(config, "default", metrics, criteria, (), episode, out_dir)]
 
 
 RUNNER = run_gravity_verification.__name__

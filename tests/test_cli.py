@@ -252,13 +252,19 @@ def test_run_non_numeric_config_value_is_usage_error(tmp_path, capsys, config,
     ("limits = -2.8 2.8", "limits = nan nan", "joint.2 limits"),
     ("com = 0.16 0 0", "com = 0.16 0", "joint.2 com"),
     ("inertia_diag = 0.002 0.034 0.034", "inertia_diag = 0.002 0.034 inf",
-     "joint.2 inertia_diag")],
-    ids=["nan_mass", "nan_axis", "nan_limits", "short_com", "inf_inertia"])
+     "joint.2 inertia_diag"),
+    ("offset_rot6d = 1 0 0 0 1 0", "offset_rot6d = 1 0 0 1 0 0",
+     "joint.2 offset_rot6d: degenerate 6D rotation"),
+    ("com = 0.16 0 0\ninertia_diag", "cmo = 0.16 0 0\ninertia_dag",
+     "planar3.ini [joint.2] cmo is not a chain file key")],
+    ids=["nan_mass", "nan_axis", "nan_limits", "short_com", "inf_inertia",
+         "parallel_offset_rot6d", "misspelt_keys"])
 def test_run_bad_arm_file_value_is_usage_error_naming_joint_and_key(
         tmp_path, capsys, old, new, key):
-    # a value of the arm file that is not a finite number, or a vector of
-    # the wrong length, is a config error naming its joint and key, not a
-    # runtime fault or an unreachable start pose
+    # a value of the arm file that is not a finite number, a vector of the
+    # wrong length, a degenerate rotation, and a key the format does not
+    # declare are config errors naming the joint and key, not a runtime
+    # fault, an unreachable start pose or a silently defaulted value
     chain = Path("configs/chains/planar3.ini").read_text()
     head, joint2 = chain.split("[joint.2]")
     joint2, tail = joint2.split("[joint.3]")

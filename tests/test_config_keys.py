@@ -101,6 +101,14 @@ def test_run_of_too_many_trials_fails_at_load(path):
     assert str(RUN_TICKS_MAX) in str(info.value)
 
 
+def test_gravity_trials_come_only_from_scenario_trials(tmp_path):
+    # the Monte-Carlo loop runs [scenario] trials, which RUN_TICKS_MAX
+    # bounds; there is no second trial count to leave unbounded
+    with pytest.raises(ScenarioConfigError, match=r"\[gravity\] mc_trials"):
+        _load_with(ROOT / "configs" / "gravity_verification.ini", tmp_path,
+                   "gravity", "mc_trials", "1000000000")
+
+
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_shipped_config_holds_only_declared_keys(path):
     cfg = configparser.ConfigParser()

@@ -426,3 +426,17 @@ def test_load_arm_model_reports_the_first_joints_defect_first(tmp_path):
                     "[joint.2]\naxis = 0 0 0\nmass = 1\n")
     with pytest.raises(ChainConfigError, match=r"\[joint\.1\]: missing mass for dynamics"):
         load_arm_model(path)
+
+
+@pytest.mark.parametrize("chain_lines, message", [
+    ("tool_rot6d = 0 0 0 0 1 0\n",
+     r"chain tool_rot6d: degenerate 6D rotation: first vector near zero"),
+    ("tool_translaton = 0.5 0 0\n", r"\[chain\] tool_translaton is not a chain file key")],
+    ids=["zero_tool_rot6d", "misspelt_tool_key"])
+def test_load_arm_model_names_the_chain_key_at_fault(tmp_path, chain_lines, message):
+    # the [chain] section's tool keys are checked like a joint's
+    path = tmp_path / "bad_tool.ini"
+    path.write_text("[chain]\nname = bad\n" + chain_lines
+                    + "[joint.1]\naxis = 0 0 1\nmass = 1\n")
+    with pytest.raises(ChainConfigError, match=message):
+        load_arm_model(path)

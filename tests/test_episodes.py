@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import align_oracle
 import episode_csv_oracle
 from contactctl import episodes
 from contactctl.cli import main
@@ -160,9 +161,9 @@ def test_align_exact_time_zero_staleness():
     episode = basic_episode()
     episode.record("pose", 0.10, [1.0, 2.0, 3.0])
     episode.record("pose", 0.20, [4.0, 5.0, 6.0])
-    frame = episode.align(0.20, ["pose"])
-    assert frame.samples["pose"].staleness == 0.0
-    assert frame.samples["pose"].values == [4.0, 5.0, 6.0]
+    index, staleness = episode.align(0.20, ["pose"])["pose"]
+    assert staleness == 0.0
+    assert episode.rows("pose")[index] == [4.0, 5.0, 6.0]
 
 
 def test_align_zero_order_hold_staleness_bound():
@@ -171,19 +172,18 @@ def test_align_zero_order_hold_staleness_bound():
     n = 60
     for i in range(n):
         episode.record("tactile", i * period, [float(i)])
-    # exhaustive 1 kHz query over the covered span
-    for k in range(int((n - 1) * period * 1000)):
-        t = k / 1000.0
-        sample = episode.align(t, ["tactile"]).samples["tactile"]
-        assert 0.0 <= sample.staleness < period
-        assert sample.source_t <= t
+    # exhaustive 1 kHz query over the covered span, in one call
+    t = np.arange(int((n - 1) * period * 1000)) / 1000.0
+    index, staleness = episode.align(t, ["tactile"])["tactile"]
+    assert np.all((0.0 <= staleness) & (staleness < period))
+    assert np.all(episode.times("tactile")[index] <= t)
 
 
 def test_align_single_stream_trivial():
     episode = Episode("one", [StreamSpec("pose", 10.0, ("x",), "pose")])
     episode.record("pose", 0.5, [7.0])
-    frame = episode.align(0.9)
-    assert frame.samples["pose"].values == [7.0]
+    index, _ = episode.align(0.9)["pose"]
+    assert episode.rows("pose")[index] == [7.0]
 
 
 def test_align_before_first_sample_errors():
@@ -191,6 +191,11 @@ def test_align_before_first_sample_errors():
     episode.record("pose", 0.5, [1.0, 2.0, 3.0])
     with pytest.raises(EpisodeError, match="precedes"):
         episode.align(0.1, ["pose"])
+    # an array names its first query before the first row
+    with pytest.raises(EpisodeError, match=r"t=0\.2 precedes first sample of stream 'pose'"):
+        episode.align([0.6, 0.2, 0.1], ["pose"])
+    with pytest.raises(EpisodeError, match="unknown stream 'grip'"):
+        episode.align(0.6, ["grip"])
 
 
 def test_align_with_jittered_rates(rng):
@@ -203,13 +208,36 @@ def test_align_with_jittered_rates(rng):
         episode.record("s", t, [float(i)])
         times.append(t)
         t += period * (1.0 + rng.uniform(-0.2, 0.2))
-    for k in range(50, 1900):
-        tq = k / 1000.0
-        if tq < times[0] or tq > times[-1]:
-            continue
-        sample = episode.align(tq, ["s"]).samples["s"]
-        assert sample.source_t <= tq
-        assert sample.staleness < period * 1.2 + 1e-12
+    tq = np.arange(50, 1900) / 1000.0
+    tq = tq[(tq >= times[0]) & (tq <= times[-1])]
+    index, staleness = episode.align(tq, ["s"])["s"]
+    assert np.all(episode.times("s")[index] <= tq)
+    assert np.all(staleness < period * 1.2 + 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-40, 40), max_size=12, unique=True), st.data())
+def test_align_matches_a_per_query_bisect(ticks, data):
+    # queries at sample times, between them, before the first, repeated:
+    # the same rows and staleness bits as one query at a time, or the
+    # error of the first query that precedes the stream
+    times = sorted(k / 8.0 for k in ticks)
+    episode = Episode("prop", [StreamSpec("s", 8.0, ("v",), "wrench")])
+    episode.record_block("s", times, np.arange(len(times), dtype=float)[:, None])
+    query = st.floats(-6.0, 6.0)
+    if times:
+        query = st.one_of(query, st.sampled_from(times))
+    queries = data.draw(st.lists(query, min_size=1, max_size=16))
+    queries += data.draw(st.lists(st.sampled_from(queries), max_size=4))
+    try:
+        want = [align_oracle.hold(times, t, "s") for t in queries]
+    except EpisodeError as exc:
+        with pytest.raises(EpisodeError) as info:
+            episode.align(queries, ["s"])
+        assert str(info.value) == str(exc)
+        return
+    index, staleness = episode.align(queries, ["s"])["s"]
+    assert list(zip(index.tolist(), staleness.tolist())) == want
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +393,17 @@ def test_golden_episode_fixture():
     assert episode.episode_id == "golden"
     assert set(episode.streams) == {"pose", "gripper"}
     assert len(episode.rows("pose")) == 3
-    frame = episode.align(0.015, ["pose", "gripper"])
-    assert frame.samples["pose"].values == [0.41, 0.0, 0.2]
-    assert frame.samples["pose"].source_t == 0.01
-    assert np.isclose(frame.samples["pose"].staleness, 0.005)
-    assert frame.samples["gripper"].values == [0.08]
+    held = episode.align(0.015, ["pose", "gripper"])
+    index, staleness = held["pose"]
+    assert episode.rows("pose")[index] == [0.41, 0.0, 0.2]
+    assert episode.times("pose")[index] == 0.01
+    assert np.isclose(staleness, 0.005)
+    index, staleness = held["gripper"]
+    assert episode.rows("gripper")[index] == [0.08]
+    assert np.isclose(staleness, 0.015)
+    held = episode.align([0.0, 0.015, 0.02], ["pose", "gripper"])
+    assert held["pose"][0].tolist() == [0, 1, 2]
+    assert held["gripper"][0].tolist() == [0, 0, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -66,36 +66,31 @@ def test_calibration_orientations_distinct():
 # gravity
 
 def test_gravity_noise_free_exact():
-    config = load("gravity_verification")
+    config = load("gravity_verification", trials_override=1)
     config.sections["gravity"]["noise_sigma"] = "0.0"
-    config.sections["gravity"]["mc_trials"] = "1"
     report, = run_gravity_verification(config)
     assert report.metrics["compensated_span_max"] < 1e-6
     assert report.metrics["residual_rms_max"] < 1e-9
 
 
 def test_gravity_degenerate_poses_surfaced():
-    config = load("gravity_verification")
+    config = load("gravity_verification", trials_override=1)
     config.sections["gravity"]["degenerate_poses"] = "true"
-    config.sections["gravity"]["mc_trials"] = "1"
     report, = run_gravity_verification(config)
     assert not report.success
     assert any("identification failed" in n for n in report.notes)
 
 
 def test_gravity_reproducible_bit_exact():
-    config = load("gravity_verification")
-    config.sections["gravity"]["mc_trials"] = "5"
+    config = load("gravity_verification", trials_override=5)
     a, = run_gravity_verification(config)
     b, = run_gravity_verification(config)
     assert a.metrics == b.metrics
 
 
 def test_gravity_seed_changes_noise_metrics_only():
-    config_a = load("gravity_verification", seed_override=1)
-    config_b = load("gravity_verification", seed_override=2)
-    config_a.sections["gravity"]["mc_trials"] = "3"
-    config_b.sections["gravity"]["mc_trials"] = "3"
+    config_a = load("gravity_verification", seed_override=1, trials_override=3)
+    config_b = load("gravity_verification", seed_override=2, trials_override=3)
     a, = run_gravity_verification(config_a)
     b, = run_gravity_verification(config_b)
     assert a.metrics["compensated_span_max"] != b.metrics["compensated_span_max"]
