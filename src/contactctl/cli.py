@@ -7,7 +7,6 @@ given config and seed; the seed used is printed in every run header.
 
 import argparse
 import csv
-import json
 import os
 import sys
 from pathlib import Path
@@ -245,10 +244,12 @@ def _cmd_list(args) -> int:
             return EXIT_OK
         by_run = {}   # one table per directory, as `run` wrote it
         for path in paths:
-            rep = load_report(path)
-            if rep.variant not in getattr(KINDS.get(rep.kind), "VARIANTS", ()):
-                print(f"skipped {path}: {rep.kind} has no variant {rep.variant!r}",
-                      file=sys.stderr)
+            try:
+                rep = load_report(path)
+                if rep.variant not in getattr(KINDS.get(rep.kind), "VARIANTS", ()):
+                    raise ValueError(f"{rep.kind} has no variant {rep.variant!r}")
+            except (ValueError, TypeError) as exc:   # not JSON, not a report, or no such variant
+                print(f"skipped {path}: {exc}", file=sys.stderr)
                 continue
             by_run.setdefault((path.parent, rep.scenario_id, rep.kind), []).append(rep)
         for (directory, scenario_id, _kind), reps in sorted(by_run.items()):
@@ -327,7 +328,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except (ScenarioConfigError, json.JSONDecodeError) as exc:
+    except ScenarioConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:   # runtime fault contract

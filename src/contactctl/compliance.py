@@ -81,7 +81,6 @@ class StiffnessSchedule:
     k_max: float = 2000.0
     k_min: float = 200.0
     f_sat: float = 20.0
-    per_axis: bool = True   # False: schedule every axis from ||f||
 
     def __post_init__(self):
         if not 0.0 < self.k_min <= self.k_max:
@@ -95,11 +94,7 @@ def schedule_stiffness(force: np.ndarray, sched: StiffnessSchedule) -> np.ndarra
     force = as_vec3(force)
     if not np.isfinite(force).all():
         raise ComplianceError("non-finite force")
-    if sched.per_axis:
-        load = np.abs(force)
-    else:
-        load = np.repeat(np.sqrt(dot_rows(force, force))[..., None], 3, axis=-1)
-    frac = np.minimum(load / sched.f_sat, 1.0)
+    frac = np.minimum(np.abs(force) / sched.f_sat, 1.0)
     return sched.k_max - (sched.k_max - sched.k_min) * frac
 
 

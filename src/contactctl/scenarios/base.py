@@ -30,14 +30,14 @@ TICKS_MAX = 1_000_000   # control ticks one row may run: 1 000 s at 1 kHz
 # 10 and 20 trials), so its logs stay under about 0.75 GB.
 RUN_TICKS_MAX = 20_000_000
 DOF = "dof"             # type of a vector with one number per chain joint
-_WHAT = {int: "an integer", float: "a number", bool: "a boolean"}
+_WHAT = {int: "an integer", float: "a number"}
 
 
 @dataclass(frozen=True)
 class Key:
     """A declared config key.
 
-    `type` is float, int, bool, str, a vector length, or DOF. `default` is
+    `type` is float, int, str, a vector length, or DOF. `default` is
     INI text, a (section, key) pair whose value an absent key takes, or None
     for a required key. `range` is "finite", "> a", ">= a" or an interval
     such as "(0, 0.005]"; every number must also be finite.
@@ -56,11 +56,9 @@ class Key:
             return text
         scalar = self.type in (int, float)
         try:
-            if self.type is bool:
-                return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
             numbers = [self.type(text)] if scalar \
                 else [float(v) for v in text.replace(",", " ").split()]
-        except (KeyError, ValueError):
+        except ValueError:
             what = _WHAT.get(self.type, "a list of numbers")
             raise ScenarioConfigError(f"{where}: {text!r} is not {what}") from None
         if not (scalar or numbers and self.type in (DOF, len(numbers))):

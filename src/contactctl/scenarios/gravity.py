@@ -28,7 +28,6 @@ KEYS = SCENARIO_KEYS + (
     Key("gravity", "target_force_span", float, "6.7", ">= 0"),
     Key("gravity", "payload_com", 3, "0.01 0.02 0.05"),
     Key("gravity", "payload_bias", 6, "0.3 -0.2 0.1 0.05 -0.03 0.02"),
-    Key("gravity", "degenerate_poses", bool, "false"),
     Key("criteria", "compensated_span_max", float, "0.5", ">= 0"),
     Key("criteria", "residual_rms_max", float, "0.15", ">= 0"),
 )
@@ -81,10 +80,7 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> list:
 
     # raw per-axis span covers [-m g, +m g] across the axis-aligned poses
     mass = target_span / (2.0 * 9.81)
-    if gravity["degenerate_poses"]:
-        orientations = np.array([np.eye(3)] * n_poses)
-    else:
-        orientations = np.array(calibration_orientations(n_poses))
+    orientations = np.array(calibration_orientations(n_poses))
     n_hold = _hold_samples(gravity)
 
     criteria = [

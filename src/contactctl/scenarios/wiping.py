@@ -77,7 +77,6 @@ KEYS = SCENARIO_KEYS + (
     Key("compliance", "k_max", float, "2000.0"),
     Key("compliance", "k_min", float, "200.0"),
     Key("compliance", "f_sat", float, "20.0"),
-    Key("compliance", "per_axis", bool, "true"),
     Key("compliance", "chunk_len", int, "16", ">= 1"),
     Key("compliance", "horizon", int, ("compliance", "chunk_len"), ">= 1"),
     Key("wiping", "force_target", float, "10.0"),
@@ -116,7 +115,7 @@ def _controller(config: ScenarioConfig) -> tuple:
     plant, compliance = config.values("plant"), config.values("compliance")
     gains = config.build(ImpedanceConfig, dt=plant["dt"], **config.values("gains"))
     schedule = config.build(StiffnessSchedule, compliance["k_max"], compliance["k_min"],
-                            compliance["f_sat"], compliance["per_axis"])
+                            compliance["f_sat"])
     plane = config.build(ContactPlane, plant["plane_normal"], plant["plane_offset"],
                          plant["plane_stiffness"], plant["plane_damping"],
                          plant["plane_mu"])

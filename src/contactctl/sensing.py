@@ -44,7 +44,8 @@ class IdentificationError(ValueError):
 class Payload:
     """A rigid payload at the F/T sensor: mass, center of mass and constant
     bias in the sensor frame, plus the per-axis fit residual when it was
-    identified from calibration readings."""
+    identified from calibration readings. Every number is finite and the
+    mass nonnegative."""
 
     mass: float
     com: np.ndarray
@@ -52,11 +53,13 @@ class Payload:
     residual_rms: np.ndarray = field(default_factory=lambda: np.zeros(6))
 
     def __post_init__(self):
-        self.com = np.asarray(self.com, dtype=float).reshape(3)
-        self.bias = np.asarray(self.bias, dtype=float).reshape(6)
-        self.residual_rms = np.asarray(self.residual_rms, dtype=float).reshape(6)
-        if not self.mass >= 0.0:   # NaN fails too
-            raise ValueError("payload mass must be nonnegative")
+        if not 0.0 <= self.mass < np.inf:   # NaN fails too
+            raise ValueError(f"payload mass must be nonnegative and finite, got {self.mass}")
+        for name, count in (("com", 3), ("bias", 6), ("residual_rms", 6)):
+            value = np.asarray(getattr(self, name), dtype=float).ravel()
+            if value.size != count or not np.isfinite(value).all():
+                raise ValueError(f"payload {name} needs {count} finite numbers, got {value}")
+            setattr(self, name, value)
 
 
 def gravity_model(mass: float, com: np.ndarray, bias: np.ndarray,
@@ -199,13 +202,18 @@ def save_payload(path, payload: Payload) -> None:
 
 
 def load_payload(path) -> Payload:
+    """The payload a `save_payload` file holds. A file that is not INI text or
+    a value that is not a number is a ValueError naming the file; a missing
+    section or key, or a value `Payload` rejects, names that one too."""
     cfg = configparser.ConfigParser()
-    if not cfg.read(path):
-        raise FileNotFoundError(f"payload file not found: {path}")
-    sec = cfg["payload"]
-    return Payload(
-        float(sec["mass"]),
-        np.array([float(v) for v in sec["com"].split()]),
-        np.array([float(v) for v in sec["bias"].split()]),
-        np.array([float(v) for v in sec["residual_rms"].split()]),
-    )
+    try:
+        if not cfg.read(path):
+            raise FileNotFoundError(f"payload file not found: {path}")
+        text = [cfg.get("payload", key) for key in ("mass", "com", "bias", "residual_rms")]
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    try:
+        return Payload(float(text[0]), *(np.array([float(v) for v in t.split()])
+                                         for t in text[1:]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

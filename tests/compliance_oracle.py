@@ -19,11 +19,7 @@ def schedule_stiffness(force: np.ndarray, sched: StiffnessSchedule) -> np.ndarra
     force = np.asarray(force, dtype=float).reshape(3)
     if not np.all(np.isfinite(force)):
         raise ComplianceError("non-finite force")
-    if sched.per_axis:
-        load = np.abs(force)
-    else:
-        load = np.full(3, np.linalg.norm(force))
-    frac = np.minimum(load / sched.f_sat, 1.0)
+    frac = np.minimum(np.abs(force) / sched.f_sat, 1.0)
     return sched.k_max - (sched.k_max - sched.k_min) * frac
 
 

@@ -88,6 +88,19 @@ def test_criterion_03_wiping_force_regulation():
            f"F={mo['mean_fz_max']:.2f} N (<1), {elapsed:.1f} s (<60)")
 
 
+def test_criterion_03_wiping_on_arm6():
+    # the six-joint arm meets criterion 3's config thresholds at its own seed
+    config = load_scenario_config("configs/wiping_arm6.ini")
+    with_wrench, without = run_wiping(config)
+    mw = with_wrench.metrics
+    ok = with_wrench.success and without.success and config.trials == 10
+    report("3 wiping-on-arm6", ok,
+           f"mean_fz={mw['mean_fz']:.2f} N, min={mw['mean_fz_min']:.3f} N (>=8.5), "
+           f"frac>=7N={mw['frac_above_floor_min']:.3f} (>=0.95), "
+           f"residual={mw['residual_max']:.3f} (<0.05), baseline "
+           f"F={without.metrics['mean_fz_max']:.2f} N (<1)")
+
+
 def test_criterion_04_bottle_pick_slip():
     config = load_scenario_config("configs/bottle_pick.ini")
     t0 = time.perf_counter()

@@ -833,6 +833,24 @@ def test_list_reports_names_a_report_of_no_declared_variant(tmp_path, capsys):
     assert f"skipped {tmp_path / 'report_other.json'}: " in captured.err
 
 
+def test_list_reports_names_and_skips_a_malformed_report(tmp_path, capsys):
+    assert run_cli("run", "--config", "configs/gravity_verification.ini",
+                   "--out", str(tmp_path), "--trials", "2", "--quiet") == 0
+    report = json.loads((tmp_path / "report_default.json").read_text())
+    bad = {"extra": json.dumps({**report, "extra": 1}),
+           "no_metrics": json.dumps({k: v for k, v in report.items() if k != "metrics"}),
+           "list": json.dumps([report]),
+           "text": "not json"}
+    for name, text in bad.items():
+        (tmp_path / f"report_{name}.json").write_text(text)
+    capsys.readouterr()
+    assert run_cli("list", "--reports", str(tmp_path)) == 0
+    captured = capsys.readouterr()
+    assert "[default]" in captured.out
+    for name in bad:
+        assert f"skipped {tmp_path / f'report_{name}.json'}: " in captured.err
+
+
 def test_list_reports_renders_table(tmp_path, capsys):
     run_cli("run", "--config", "configs/selective_release.ini",
             "--out", str(tmp_path / "r"), "--trials", "2", "--quiet")

@@ -56,12 +56,6 @@ def test_schedule_monotone_in_force(rng):
         assert np.all(kf >= kg - 1e-12)
 
 
-def test_schedule_magnitude_mode():
-    sched = StiffnessSchedule(2000.0, 200.0, 20.0, per_axis=False)
-    kp = schedule_stiffness(np.array([0.0, 0.0, 10.0]), sched)
-    assert np.allclose(kp, 1100.0)   # every axis from |f| = 10
-
-
 def test_schedule_validation():
     with pytest.raises(ComplianceError):
         StiffnessSchedule(100.0, 200.0, 20.0)
@@ -197,21 +191,20 @@ def action_streams(draw):
     n = draw(st.integers(1, 64))
     chunk_len = draw(st.integers(1, 20))
     horizon = draw(st.integers(1, chunk_len))
-    per_axis = draw(st.booleans())
     seed = draw(st.integers(0, 2**32 - 1))
-    return n, chunk_len, horizon, per_axis, seed
+    return n, chunk_len, horizon, seed
 
 
 @settings(max_examples=200, deadline=None)
 @given(action_streams())
 def test_one_pass_compile_equals_per_step_oracle(case):
-    n, chunk_len, horizon, per_axis, seed = case
+    n, chunk_len, horizon, seed = case
     rng = np.random.default_rng(seed)
     rows = np.column_stack([rng.uniform(-0.02, 0.02, (n, 3)), rng.normal(size=(n, 6)),
                             rng.uniform(-40.0, 40.0, (n, 3)), rng.uniform(0.0, 0.1, n)])
     start = Pose(random_rotation(rng), rng.normal(size=3))
     sched = StiffnessSchedule(rng.uniform(500.0, 3000.0), rng.uniform(50.0, 500.0),
-                              rng.uniform(5.0, 30.0), per_axis)
+                              rng.uniform(5.0, 30.0))
     chunks, arrays = chunks_of(rows, chunk_len)
     index, executed = zip(*RecedingHorizonScheduler(arrays, horizon))
     got = compile_step(np.array(executed), start, sched)
@@ -228,7 +221,7 @@ def test_one_pass_compile_equals_per_step_oracle(case):
 
 def test_compile_step_rows_of_a_stack_equal_single_streams(rng):
     # a (S, n, 13) stack compiles each stream as it compiles alone
-    sched = StiffnessSchedule(per_axis=False)
+    sched = StiffnessSchedule()
     streams = np.concatenate([rng.uniform(-0.02, 0.02, (3, 10, 3)),
                               rng.normal(size=(3, 10, 6)),
                               rng.uniform(-40.0, 40.0, (3, 10, 3)),

@@ -32,7 +32,7 @@ def _kind(path: Path) -> str:
 def _numeric_keys():
     for path in SHIPPED:
         for key in KINDS[_kind(path)].KEYS:
-            if key.type not in (str, bool):
+            if key.type is not str:
                 yield pytest.param(path, key, id=f"{path.stem}-{key.section}-{key.name}")
 
 
@@ -162,7 +162,7 @@ def test_every_declared_key_is_read_by_a_run(monkeypatch, path):
 
 def _render(key) -> list:
     """A declared key as a docs/formats.md table row."""
-    kind = {float: "float", int: "int", bool: "bool", str: "string"}.get(key.type) \
+    kind = {float: "float", int: "int", str: "string"}.get(key.type) \
         or f"{key.type} floats"
     if key.default is None:
         default = "required"
@@ -170,7 +170,7 @@ def _render(key) -> list:
         default = "= [{}] {}".format(*key.default)
     else:
         default = f"`{key.default}`"
-    rng = "" if key.type in (str, bool) else key.range
+    rng = "" if key.type is str else key.range
     return [f"`{key.section}`", f"`{key.name}`", kind, default, rng]
 
 

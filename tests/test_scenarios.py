@@ -75,7 +75,7 @@ def test_gravity_noise_free_exact():
 
 def test_gravity_degenerate_poses_surfaced():
     config = load("gravity_verification", trials_override=1)
-    config.sections["gravity"]["degenerate_poses"] = "true"
+    config.sections["gravity"]["n_poses"] = "3"   # too few poses to fit
     report, = run_gravity_verification(config)
     assert not report.success
     assert any("identification failed" in n for n in report.notes)

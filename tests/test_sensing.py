@@ -358,6 +358,27 @@ def test_payload_file_with_nan_or_negative_mass_is_rejected(tmp_path, mass):
         load_payload(path)
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("com = 0.0 0.0 0.0", "com = nan 0 0", "payload com needs 3 finite numbers"),
+    ("bias = 0.0 0.0 0.0 0.0 0.0 0.0", "bias = inf 0 0 0 0 0", "payload bias"),
+    ("mass = 0.342", "mass = inf", "payload mass"),
+    ("com = 0.0 0.0 0.0", "com = 0 0", "payload com needs 3 finite numbers"),
+    ("com = 0.0 0.0 0.0", "com = 0 zero 0", "'zero'"),
+    ("bias = 0.0 0.0 0.0 0.0 0.0 0.0", "", "'bias'"),
+    ("[payload]", "[other]", "'payload'"),
+    ("[payload]", "", "no section headers"),
+], ids=["com-nan", "bias-inf", "mass-inf", "com-count", "com-word", "bias-missing",
+        "section-missing", "not-ini"])
+def test_payload_file_with_a_bad_key_names_file_and_key(tmp_path, old, new, named):
+    path = tmp_path / "payload.ini"
+    save_payload(path, Payload(0.342, np.zeros(3), np.zeros(6)))
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new))
+    with pytest.raises(ValueError) as excinfo:
+        load_payload(path)
+    assert str(excinfo.value).startswith(f"{path}: ") and named in str(excinfo.value)
+
+
 def test_payload_file_round_trip(tmp_path):
     payload = Payload(0.342, [0.01, 0.02, 0.05],
                       np.array([0.3, -0.2, 0.1, 0.0, 0.0, 0.0]),
