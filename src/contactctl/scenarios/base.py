@@ -261,13 +261,16 @@ def build_report(config: ScenarioConfig, variant: str, metrics: dict,
     """The report of one variant of a run.
 
     Success is that every declared criterion holds; a metric that is absent
-    fails its criterion. A recorded episode is exported to
-    out_dir/episode_<variant> and named in the report. `trials` defaults to
-    the config's.
+    fails its criterion. A metric's threshold text joins its criteria with
+    " and ". A recorded episode is exported to out_dir/episode_<variant> and
+    named in the report. `trials` defaults to the config's.
     """
+    thresholds = {}
+    for c in criteria:
+        thresholds.setdefault(c.metric, []).append(c.describe())
     report = ScenarioReport(config.scenario_id, config.kind, variant, config.seed,
                             config.trials if trials is None else trials, metrics,
-                            {c.metric: c.describe() for c in criteria},
+                            {m: " and ".join(t) for m, t in thresholds.items()},
                             all(c.check(metrics) for c in criteria),
                             config.config_hash, list(notes))
     if episode is not None:

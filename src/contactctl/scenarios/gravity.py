@@ -14,14 +14,13 @@ import numpy as np
 
 from ..episodes import Episode, StreamSpec
 from ..geometry import Pose, rotation_about_axis
-from ..sensing import (IdentificationError, compensate_wrench, gravity_model,
-                       identify_payload)
+from ..sensing import compensate_wrench, gravity_model, identify_payload
 from .base import SCENARIO_KEYS, Criterion, Key, ScenarioConfig, build_report
 
 WRENCH_SCHEMA = ("fx", "fy", "fz", "tx", "ty", "tz")
 
 KEYS = SCENARIO_KEYS + (
-    Key("gravity", "n_poses", int, "10", ">= 1"),
+    Key("gravity", "n_poses", int, "10", ">= 4"),
     Key("gravity", "hold_s", float, "1.0", ">= 0"),
     Key("gravity", "sample_rate_hz", float, "100.0", "> 0"),
     Key("gravity", "noise_sigma", float, "0.05", ">= 0"),
@@ -102,11 +101,7 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> list:
         blocks = true[:, None, :] + (rng.normal(0.0, sigma, (n_poses, n_hold, 6))
                                      if sigma > 0.0 else 0.0)
         averaged = blocks.mean(axis=1)
-        try:
-            payload = identify_payload(orientations, averaged)
-        except IdentificationError as exc:
-            return [build_report(config, "default", {}, criteria,
-                                 [f"identification failed: {exc}"])]
+        payload = identify_payload(orientations, averaged)
         # with an identity sensor-to-ee transform, compensating a whole pose
         # block is the block minus the fitted gravity force at that pose
         grav_hat = gravity_model(payload.mass, payload.com, payload.bias,

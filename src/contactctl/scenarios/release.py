@@ -25,7 +25,7 @@ KEYS = SCENARIO_KEYS + (
     Key("release", "open_rate", float, "0.002", ">= 0"),      # m/s
     Key("release", "inner_width_lo", float, "0.06"),
     Key("release", "inner_width_hi", float, "0.07"),
-    Key("release", "outer_gap", float, "0.006"),   # <= 0: degenerate, reported
+    Key("release", "outer_gap", float, "0.006", "> 0"),
     Key("release", "fixed_width", float, "0.062"),
     Key("release", "start_margin", float, "0.004"),
     Key("release", "tactile_inner", float, "6.0"),
@@ -60,10 +60,6 @@ def run_selective_release(config: ScenarioConfig, out_dir=None) -> list:
 
     notes = ["synthetic tactile stream and scripted release controller stand "
              "in for policy output; not a learned policy"]
-    if gap <= 0.0:
-        # selective release is then impossible, so the declared criteria fail
-        notes.append("degenerate config: inner and outer release widths "
-                     "coincide; selective release is impossible")
 
     # stratified inner widths; trial order shuffled by seed
     quantiles = (np.arange(config.trials) + 0.5) / config.trials

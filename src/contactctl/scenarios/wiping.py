@@ -81,7 +81,7 @@ KEYS = SCENARIO_KEYS + (
     Key("compliance", "horizon", int, ("compliance", "chunk_len"), ">= 1"),
     Key("wiping", "force_target", float, "10.0"),
     Key("wiping", "x_start", float, "0.4"),
-    Key("wiping", "stroke", float, "0.24"),
+    Key("wiping", "stroke", float, "0.24", "> 0"),
     Key("wiping", "tool_pitch", float, "0.7"),
     Key("wiping", "q_init_guess", DOF, "0.3 0.9 -0.5"),
     Key("wiping", "action_rate_hz", float, "20.0", "> 0"),
@@ -104,7 +104,8 @@ KEYS = SCENARIO_KEYS + (
 )
 PHASES = ("settle", "press", "slide", "retreat")
 TICKS_SET_BY = tuple(("wiping", f"{phase}_s") for phase in PHASES) \
-    + (("wiping", "action_rate_hz"), ("plant", "dt"))
+    + (("wiping", "action_rate_hz"), ("plant", "dt"),
+       ("compliance", "chunk_len"), ("compliance", "horizon"))
 VARIANTS = {"with_wrench": "with wrench", "no_wrench": "without wrench"}
 TABLE = ("surface erasing", {"success@5% residual": "success_rate_5pct",
                              "success@50% residual": "success_rate_50pct"})
@@ -123,11 +124,10 @@ def _controller(config: ScenarioConfig) -> tuple:
 
 
 def _script(config: ScenarioConfig) -> tuple:
-    """The action rate, the stroke, and each phase's command count."""
+    """The action rate and each phase's command count."""
     rate = config.value("wiping", "action_rate_hz")
-    return rate, config.value("wiping", "stroke"), \
-        [max(1, int(round(config.value("wiping", f"{phase}_s") * rate)))
-         for phase in PHASES]
+    return rate, [max(1, int(round(config.value("wiping", f"{phase}_s") * rate)))
+                  for phase in PHASES]
 
 
 def _ticks_per_action(rate: float, dt: float) -> int:
@@ -135,14 +135,21 @@ def _ticks_per_action(rate: float, dt: float) -> int:
 
 
 def row_ticks(config: ScenarioConfig) -> int:
-    rate, _, commands = _script(config)
-    return _ticks_per_action(rate, config.value("plant", "dt")) * sum(commands)
+    """Each chunk of `chunk_len` commands, the last one padded, runs its
+    first `horizon` commands, each for `_ticks_per_action` ticks."""
+    compliance = config.values("compliance")
+    if compliance["horizon"] > compliance["chunk_len"]:
+        raise ScenarioConfigError("[compliance] horizon must be <= chunk_len")
+    rate, commands = _script(config)
+    return _ticks_per_action(rate, config.value("plant", "dt")) \
+        * -(-sum(commands) // compliance["chunk_len"]) * compliance["horizon"]
 
 
 def _scripted_actions(config: ScenarioConfig, start_rotation, force_target: float):
     """(n, 13) action rows for settle -> press -> slide -> retreat, and the
     (n,) mask of the slide rows, which are the scored ones."""
-    _, stroke, commands = _script(config)
+    _, commands = _script(config)
+    stroke = config.value("wiping", "stroke")
     rot6d = encode_rot6d_rows(start_rotation).tolist()
     width = config.value("wiping", "gripper_width")
     rows = []
@@ -178,10 +185,6 @@ class WipingSetup:
 def wiping_setup(config: ScenarioConfig) -> WipingSetup:
     """Parse the config and solve the start-pose IK once for all rows."""
     gains, schedule, plane = _controller(config)
-    chunk_len = config.value("compliance", "chunk_len")
-    if config.value("compliance", "horizon") > chunk_len:
-        raise ScenarioConfigError("[compliance] horizon must be <= chunk_len")
-    rate, stroke, _ = _script(config)
     x_start = config.value("wiping", "x_start")
     start_pose = Pose(rotation_about_axis(np.array([0.0, 1.0, 0.0]),
                                           config.value("wiping", "tool_pitch")),
@@ -206,8 +209,10 @@ def wiping_setup(config: ScenarioConfig) -> WipingSetup:
     return WipingSetup(
         config.scenario_id, config.config_hash, model, gains, schedule, plane, ik.q,
         start_pose, np.array(streams), np.array(scored),
-        _ticks_per_action(rate, gains.dt), chunk_len, config.value("compliance", "horizon"),
-        np.linspace(x_start, x_start + stroke, config.value("wiping", "cells") + 1),
+        _ticks_per_action(config.value("wiping", "action_rate_hz"), gains.dt),
+        config.value("compliance", "chunk_len"), config.value("compliance", "horizon"),
+        np.linspace(x_start, x_start + config.value("wiping", "stroke"),
+                    config.value("wiping", "cells") + 1),
         config.value("wiping", "erase_threshold"), payload,
         config.value("sensor", "noise_sigma"))
 

@@ -307,10 +307,11 @@ def test_run_misnumbered_arm_joint_is_usage_error_naming_its_section(
 
 
 def test_run_failure_exit_code(tmp_path):
-    # impossible criterion: baseline forced to require selective success
+    # a config that runs but fails its criteria: the baseline opens past
+    # every outer width, releasing both objects in every trial
     src = Path("configs/selective_release.ini").read_text()
-    bad = tmp_path / "degenerate.ini"
-    bad.write_text(src.replace("outer_gap = 0.006", "outer_gap = 0.0"))
+    bad = tmp_path / "wide.ini"
+    bad.write_text(src.replace("fixed_width = 0.062", "fixed_width = 0.1"))
     code = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "out"),
                    "--quiet")
     assert code == 1

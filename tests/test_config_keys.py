@@ -92,6 +92,23 @@ def test_run_length_is_bounded_at_load(tmp_path, name, section, key, text):
     assert f"[{section}] {key}" in str(info.value)
 
 
+@pytest.mark.parametrize("chunk_len, horizon, named", [
+    ("25000", "25000", r"control ticks, set by .*\[compliance\] chunk_len"),
+    ("16", "17", r"\[compliance\] horizon must be <= chunk_len")],
+    ids=["chunks_past_ticks_max", "horizon_past_chunk"])
+def test_wiping_chunks_that_cannot_run_fail_at_load(tmp_path, chunk_len, horizon,
+                                                    named):
+    # a row runs the first `horizon` commands of every chunk: chunks longer
+    # than the script pad it to 25 000 commands, over TICKS_MAX at 50 ticks
+    # each, and a horizon past its chunk has no rows to run
+    text = (ROOT / "configs" / "wiping.ini").read_text()
+    bad = tmp_path / "wiping.ini"
+    bad.write_text(text.replace("chunk_len = 16\nhorizon = 16",
+                                f"chunk_len = {chunk_len}\nhorizon = {horizon}"))
+    with pytest.raises(ScenarioConfigError, match=named):
+        load_scenario_config(bad)
+
+
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_run_of_too_many_trials_fails_at_load(path):
     # all rows of a run together are bounded too, from the parsed values:
@@ -134,13 +151,8 @@ class _Reads(dict):
         return super().__iter__()
 
 
-@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
-def test_every_declared_key_is_read_by_a_run(monkeypatch, path):
-    config = load_scenario_config(path, trials_override=1)
-    for section, key, short in (("wiping", "slide_s", "0.2"),
-                                ("quality", "duration_s", "0.5")):
-        if (section, key) in config.keys:
-            config.sections[section][key] = short   # fewer ticks, same reads
+def _log_reads(monkeypatch) -> set:
+    """The set to which ScenarioConfig now adds each (section, key) read."""
     log = set()
     value = ScenarioConfig.value
 
@@ -154,10 +166,31 @@ def test_every_declared_key_is_read_by_a_run(monkeypatch, path):
 
     monkeypatch.setattr(ScenarioConfig, "value", logged_value)
     monkeypatch.setattr(ScenarioConfig, "values", logged_values)
+    return log
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_every_declared_key_is_read_by_a_run(monkeypatch, path):
+    config = load_scenario_config(path, trials_override=1)
+    for section, key, short in (("wiping", "slide_s", "0.2"),
+                                ("quality", "duration_s", "0.5")):
+        if (section, key) in config.keys:
+            config.sections[section][key] = short   # fewer ticks, same reads
+    log = _log_reads(monkeypatch)
     run_scenario(config)
     # [scenario] is read by the loader itself
     unread = {k for k in config.keys if k[0] != "scenario"} - log
     assert unread == set()
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_row_ticks_reads_exactly_its_ticks_set_by_keys(monkeypatch, path):
+    # a too-long row's error names TICKS_SET_BY as the keys that set it
+    config = load_scenario_config(path)
+    kind = KINDS[config.kind]
+    log = _log_reads(monkeypatch)
+    kind.row_ticks(config)
+    assert log == set(kind.TICKS_SET_BY)
 
 
 def _render(key) -> list:

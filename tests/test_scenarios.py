@@ -15,6 +15,7 @@ from contactctl.scenarios import (KINDS, load_scenario_config, run_bottle_pick,
 from contactctl.scenarios.base import Criterion, ScenarioConfigError, build_report
 from contactctl.scenarios.bilateral_quality import run_bilateral_signal_quality
 from contactctl.scenarios.gravity import calibration_orientations
+from contactctl.sensing import gravity_model, identify_payload
 
 
 def load(name, **kw):
@@ -54,6 +55,17 @@ def test_criteria_are_pure_functions():
     assert not success({"a": 1.0})   # missing metric fails
 
 
+def test_report_keeps_every_criterion_of_a_metric():
+    # two criteria on one metric are both checked, and both shown
+    config = load("gravity_verification")
+    crits = [Criterion("a", ">=", 1.0), Criterion("a", "<=", 2.0),
+             Criterion("b", "<", 0.5)]
+    report = build_report(config, "default", {"a": 2.5, "b": 0.4}, crits)
+    assert report.thresholds == {"a": ">= 1 and <= 2", "b": "< 0.5"}
+    assert not report.success
+    assert "a = 2.5   (required >= 1 and <= 2)" in "\n".join(report.summary_lines())
+
+
 def test_calibration_orientations_distinct():
     poses = calibration_orientations(10)
     assert len(poses) == 10
@@ -73,12 +85,24 @@ def test_gravity_noise_free_exact():
     assert report.metrics["residual_rms_max"] < 1e-9
 
 
-def test_gravity_degenerate_poses_surfaced():
+def test_gravity_too_few_poses_fail_at_load(tmp_path):
+    # three poses cannot identify the ten payload parameters: a config error,
+    # not a report. Every accepted count fits, since each pose set extends
+    # the one before it and so keeps its rank
+    bad = tmp_path / "gravity.ini"
+    bad.write_text(Path("configs/gravity_verification.ini").read_text()
+                   .replace("n_poses = 10", "n_poses = 3"))
+    with pytest.raises(ScenarioConfigError, match=r"\[gravity\] n_poses"):
+        load_scenario_config(bad)
+    for n in [*range(4, 16), 100]:
+        poses = np.array(calibration_orientations(n + 1))
+        assert np.array_equal(poses[:n], calibration_orientations(n))
+        identify_payload(poses[:n], gravity_model(0.3, np.zeros(3), np.zeros(6),
+                                                  poses[:n]))
     config = load("gravity_verification", trials_override=1)
-    config.sections["gravity"]["n_poses"] = "3"   # too few poses to fit
+    config.sections["gravity"]["n_poses"] = "4"
     report, = run_gravity_verification(config)
-    assert not report.success
-    assert any("identification failed" in n for n in report.notes)
+    assert set(report.metrics) == set(report.thresholds) | {"payload_mass_true"}
 
 
 def test_gravity_reproducible_bit_exact():
@@ -310,6 +334,22 @@ def test_wiping_compiles_each_distinct_stream_once(monkeypatch):
     assert np.shape(calls[0][0]) == (2, 48, 13)
 
 
+@pytest.mark.parametrize("name, chunking", [
+    ("wiping", "shipped"), ("wiping_arm6", "shipped"), ("wiping", "16/8"),
+    ("wiping", "5/3"), ("wiping", "44/44")])
+def test_wiping_row_ticks_count_the_ticks_a_row_runs(name, chunking):
+    # the load bound counts every chunk, the last one padded, running its
+    # first `horizon` commands: 48 x 50 ticks for the shipped 44 commands
+    from contactctl.scenarios.wiping import _control_targets, row_ticks, wiping_setup
+    config = load(name, trials_override=1)
+    if chunking != "shipped":
+        config.sections["compliance"].update(zip(("chunk_len", "horizon"),
+                                                 chunking.split("/")))
+    setup = wiping_setup(config)
+    executed, (_, kp) = _control_targets(setup)
+    assert row_ticks(config) == len(executed) * setup.ticks_per_action == kp.shape[1]
+
+
 def horizon_8_config():
     config = load("wiping", trials_override=1)
     config.sections["compliance"]["horizon"] = "8"
@@ -372,12 +412,15 @@ def test_bottle_massless_both_variants_succeed():
         assert report.metrics["slippage_rate"] == 0.0
 
 
-def test_release_degenerate_flagged():
-    config = load("selective_release", trials_override=3)
-    config.sections["release"]["outer_gap"] = "0.0"
-    report, _ = run_selective_release(config)
-    assert not report.success
-    assert any("degenerate" in n for n in report.notes)
+def test_release_without_outer_gap_fails_at_load(tmp_path):
+    # inner and outer widths that coincide leave no selective release to
+    # run: a config error, not a criteria failure
+    for gap in ("0.0", "-0.001"):
+        bad = tmp_path / "release.ini"
+        bad.write_text(Path("configs/selective_release.ini").read_text()
+                       .replace("outer_gap = 0.006", f"outer_gap = {gap}"))
+        with pytest.raises(ScenarioConfigError, match=r"\[release\] outer_gap"):
+            load_scenario_config(bad)
 
 
 def test_release_baseline_exact_split():
