@@ -125,7 +125,7 @@ def _cmd_inspect(args) -> int:
     except EpisodeError:   # no stream holds a row
         print("span: empty")
     for name, spec in episode.streams.items():
-        rows = len(episode.rows(name))
+        rows = len(episode.times(name))
         print(f"  {name:12s} kind={spec.kind:9s} rate={spec.rate_hz:g} Hz "
               f"rows={rows} columns={len(spec.schema)}")
     return EXIT_OK
@@ -140,7 +140,7 @@ def _plot_fz_wiping(episode) -> tuple:
     raw = episode.values("wrench_raw")
     comp = episode.values("wrench_ee")
     if not len(t):
-        return "fz_wiping", header, []
+        return "fz_wiping", header, np.empty((0, 3))
     # each wrench row takes the last pose at or before it (zero-order hold);
     # raises if no pose comes first
     held, _ = episode.align(t, ["pose"])["pose"]
@@ -161,7 +161,7 @@ def _plot_fz_wiping(episode) -> tuple:
         raise
     forces = np.stack([raw[:, :3], comp[:len(t), :3]])[..., None]
     fz = (rotations[row_pose] @ forces)[..., 2, 0]   # a row's bits of r @ f alone
-    return "fz_wiping", header, np.column_stack([t, fz[0], fz[1]]).tolist()
+    return "fz_wiping", header, np.column_stack([t, fz[0], fz[1]])
 
 
 def _plot_tactile_norm(episode) -> tuple:
@@ -169,7 +169,7 @@ def _plot_tactile_norm(episode) -> tuple:
         raise KeyError("tactile")
     rows = np.column_stack([episode.times("tactile"),
                             marker_motion_magnitude(episode.values("tactile"))])
-    return "tactile_norm", ["t", "marker_norm"], rows.tolist()
+    return "tactile_norm", ["t", "marker_norm"], rows
 
 
 def _plot_grasp_force(episode) -> tuple:
@@ -180,8 +180,8 @@ def _plot_grasp_force(episode) -> tuple:
         raise KeyError("gripper.f_int")
     idx = spec.schema.index("f_int")
     rows = [[t, row[idx]] for t, row
-            in zip(episode.times("gripper").tolist(), episode.rows("gripper"))]
-    return "grasp_force", ["t", "f_int"], rows
+            in zip(episode.times("gripper"), episode.rows("gripper"))]
+    return "grasp_force", ["t", "f_int"], np.array(rows).reshape(-1, 2)
 
 
 def _plot_gravity_comp(episode) -> tuple:
@@ -190,13 +190,12 @@ def _plot_gravity_comp(episode) -> tuple:
             raise KeyError(required)
     rows = np.column_stack([episode.times("wrench_raw"),
                             episode.values("wrench_raw")[:, :3],
-                            episode.values("wrench_ee")[:, :3]]).tolist()
+                            episode.values("wrench_ee")[:, :3]])
     return "gravity_comp", ["t", "fx_raw", "fy_raw", "fz_raw",
                             "fx_comp", "fy_comp", "fz_comp"], rows
 
 
-# figure kind -> plotter returning (file stem, header, rows of Python floats,
-# since numpy 2 reprs a float64 as "np.float64(...)")
+# figure kind -> plotter returning (file stem, header, (rows, columns) floats)
 _PLOTTERS = {
     "fz-wiping": _plot_fz_wiping,
     "tactile-norm": _plot_tactile_norm,

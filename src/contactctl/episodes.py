@@ -11,6 +11,7 @@ value-exact.
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import count, islice
 from pathlib import Path
@@ -60,14 +61,20 @@ class Episode:
         self.start_time = start_time
         self.config_hash = config_hash
         self.streams = {s.name: s for s in streams}
-        self._times = {s.name: [] for s in streams}
-        self._rows = {s.name: [] for s in streams}
+        # times and, for numeric streams, values row after row as float64;
+        # an image_ref stream keeps a list of its rows of strings
+        self._times = {s.name: array("d") for s in streams}
+        self._rows = {s.name: [] if s.kind == "image_ref" else array("d")
+                      for s in streams}
 
     def record(self, stream_name: str, t: float, values) -> None:
         """Append one row; timestamps must be finite and strictly increasing."""
         spec = self.streams.get(stream_name)
         if spec is None:
             raise EpisodeError(f"unknown stream {stream_name!r}")
+        if isinstance(values, (str, bytes)):
+            raise EpisodeError(f"stream {stream_name!r}: a row is a sequence of "
+                               f"values, not {type(values).__name__}")
         values = list(values) if spec.kind == "image_ref" \
             else [float(v) for v in values]
         if len(values) != len(spec.schema):
@@ -82,7 +89,10 @@ class Episode:
             raise EpisodeError(
                 f"non-monotonic timestamp on {stream_name!r}: {t} after {times[-1]}")
         times.append(t)
-        self._rows[stream_name].append(values)
+        if spec.kind == "image_ref":
+            self._rows[stream_name].append(values)
+        else:
+            self._rows[stream_name].fromlist(values)
 
     def record_block(self, stream_name: str, t, values) -> None:
         """Append rows (n, columns) at times (n,) under `record`'s rules.
@@ -120,23 +130,27 @@ class Episode:
                     f"non-finite timestamp on {stream_name!r}: {float(t[i])}")
             raise EpisodeError(f"non-monotonic timestamp on {stream_name!r}: "
                                f"{float(t[i])} after {float(before[i])}")
-        times.extend(t.tolist())
-        self._rows[stream_name].extend(values.tolist())
+        times.frombytes(t.tobytes())
+        self._rows[stream_name].frombytes(values.tobytes())
 
+    # times() and values() return copies: a view would see later rows, and
+    # would keep the buffer from growing (BufferError)
     def times(self, stream_name: str) -> np.ndarray:
         return np.array(self._times[stream_name])
 
     def rows(self, stream_name: str) -> list:
-        return self._rows[stream_name]
+        """A fresh list of the stream's rows, each a list of its values."""
+        if self.streams[stream_name].kind == "image_ref":
+            return [list(row) for row in self._rows[stream_name]]
+        return self.values(stream_name).tolist()
 
     def values(self, stream_name: str) -> np.ndarray:
         """Numeric streams as a (rows, columns) array."""
         if self.streams[stream_name].kind == "image_ref":
             raise EpisodeError(f"stream {stream_name!r} holds references, not numbers")
-        rows = self._rows[stream_name]
         # reshaped so that a stream without rows is (0, columns) too
-        return np.array(rows, dtype=float).reshape(
-            len(rows), len(self.streams[stream_name].schema))
+        return np.array(self._rows[stream_name], dtype=float).reshape(
+            -1, len(self.streams[stream_name].schema))
 
     def span(self) -> tuple:
         starts = [t[0] for t in self._times.values() if t]
@@ -211,16 +225,15 @@ def export_csv(episode: Episode, out_dir) -> list:
     for name, spec in episode.streams.items():
         path = out_dir / f"{name}.csv"
         files.append(path)
-        times, rows = episode._times[name], episode._rows[name]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(("t",) + spec.schema)
             if spec.kind == "image_ref":
                 # reference strings may need csv quoting
-                writer.writerows([repr(t)] + [str(v) for v in row]
-                                 for t, row in zip(times, rows))
+                writer.writerows([repr(t)] + [str(v) for v in row] for t, row
+                                 in zip(episode._times[name], episode._rows[name]))
             else:
-                write_float_rows(fh, rows, times)
+                write_float_rows(fh, episode.values(name), episode.times(name))
     return files
 
 
@@ -228,18 +241,20 @@ CSV_CHUNK_ROWS = 256   # rows formatted per write, and lines parsed per loadtxt
 
 
 def write_float_rows(fh, rows, times=None) -> None:
-    """Write rows of floats as CSV lines, the bytes csv.writer writes for them.
+    """Write a (rows, columns) float array as CSV lines, the bytes csv.writer
+    writes for its rows of Python floats.
 
-    A line is the repr of the row's time (when `times` is given) and of each
-    value, joined by "," and ended by "\r\n"; no repr of a float needs csv
-    quoting. Rows are formatted column by column, CSV_CHUNK_ROWS at a time,
-    so the text of a whole table is never held at once.
+    A line is the repr of the row's time (when (rows,) `times` is given) and
+    of each value, joined by "," and ended by "\r\n"; no repr of a float
+    needs csv quoting. Rows are formatted column by column, CSV_CHUNK_ROWS at
+    a time, so the text of a whole table is never held at once. The chunks
+    go through tolist(), since numpy 2 reprs a float64 as "np.float64(...)".
     """
     for start in range(0, len(rows), CSV_CHUNK_ROWS):
         stop = start + CSV_CHUNK_ROWS
-        columns = [map(repr, column) for column in zip(*rows[start:stop])]
+        columns = [map(repr, column) for column in rows[start:stop].T.tolist()]
         if times is not None:
-            columns.insert(0, map(repr, times[start:stop]))
+            columns.insert(0, map(repr, times[start:stop].tolist()))
         fh.writelines([",".join(line) + "\r\n" for line in zip(*columns)])
 
 

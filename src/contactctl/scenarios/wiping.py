@@ -294,7 +294,7 @@ def _write_diagnostics_csv(path, rows: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["t", "error_norm", "contact_force_norm",
                                  "stiffness_clamped", "limits_clamped"])
-        write_float_rows(fh, rows.tolist())
+        write_float_rows(fh, rows)
 
 
 def wiping_episode(setup: WipingSetup, variant: str) -> Episode:

@@ -156,7 +156,7 @@ def save_calibration_csv(path, orientations: np.ndarray, readings: np.ndarray) -
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["r6_0", "r6_1", "r6_2", "r6_3", "r6_4", "r6_5",
                                  "fx", "fy", "fz", "tx", "ty", "tz"])
-        write_float_rows(fh, rows.tolist())
+        write_float_rows(fh, rows)
 
 
 def load_calibration_csv(path) -> tuple:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import shutil
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -152,6 +153,43 @@ def test_record_block_rejects_mismatched_and_reference_blocks():
         refs.record_block("rgb", [0.0], [["a.png"]])
     episode.record_block("pose", [], np.zeros((0, 3)))
     assert episode.rows("pose") == []
+
+
+def test_record_rejects_a_string_row():
+    # a string is not a row of its characters: "12" is not [1.0, 2.0], as
+    # record_block already rules for the same row
+    episode = Episode("s", [StreamSpec("s", 10.0, ("a", "b"), "wrench"),
+                            StreamSpec("cam", 30.0, ("path",), "image_ref")])
+    for row in ("12", b"12"):
+        with pytest.raises(EpisodeError, match="stream 's': a row is a sequence"):
+            episode.record("s", 0.0, row)
+    with pytest.raises(EpisodeError, match="stream 'cam': a row is a sequence"):
+        episode.record("cam", 0.0, "a")
+    with pytest.raises(EpisodeError, match="stream 's'"):
+        episode.record_block("s", [0.1], ["34"])
+    assert episode.rows("s") == [] and episode.rows("cam") == []
+
+
+@pytest.mark.parametrize("how", ["record_block", "record"])
+def test_a_recorded_stream_holds_about_its_float64_bytes(how):
+    # 12 s of a 1 kHz wrench stream costs about 8 bytes a value, not a
+    # Python float object in a per-row list for each
+    t = np.arange(12000) / 1000.0
+    values = np.random.default_rng(0).normal(size=(len(t), 6))
+    tracemalloc.start()
+    try:
+        episode = Episode("mem", [StreamSpec("w", 1000.0, ("fx", "fy", "fz", "tx", "ty",
+                                                           "tz"), "wrench")])
+        if how == "record_block":
+            episode.record_block("w", t, values)
+        else:
+            for tk, row in zip(t, values):
+                episode.record("w", tk, row)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(episode.times("w")) == len(t)
+    assert held <= 1.5 * (t.nbytes + values.nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +371,7 @@ def test_export_csv_writes_the_csv_writer_bytes(tmp_path_factory, case, chunk):
         mp.setattr(episodes, "CSV_CHUNK_ROWS", chunk)
         export_csv(episode, out)
     assert (out / "s.csv").read_bytes() == episode_csv_oracle.stream_csv_bytes(
-        spec, episode._times["s"], episode._rows["s"])
+        spec, episode.times("s").tolist(), episode.rows("s"))
 
 
 @settings(max_examples=100, deadline=None)
@@ -344,8 +382,67 @@ def test_write_float_rows_writes_the_csv_writer_bytes(rows, chunk):
     buf = io.StringIO(newline="")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(episodes, "CSV_CHUNK_ROWS", chunk)
-        write_float_rows(buf, rows)
+        write_float_rows(buf, np.array(rows).reshape(len(rows), -1 if rows else 0))
     assert buf.getvalue().encode() == episode_csv_oracle.rows_csv_bytes(rows)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# exact through repr and float(): NaN only as the canonical quiet NaN
+EXACT_FLOATS = st.one_of(st.sampled_from(AWKWARD_FLOATS), st.floats(allow_nan=False))
+
+
+@st.composite
+def recording_plans(draw):
+    """Times and 3-column rows of one stream, cut into calls: (record or
+    record_block, start, stop, what to read after the call)."""
+    ticks = sorted(draw(st.lists(st.integers(-10 ** 6, 10 ** 6), unique=True,
+                                 max_size=40)))
+    rows = [draw(st.lists(EXACT_FLOATS, min_size=3, max_size=3)) for _ in ticks]
+    calls, start = [], 0
+    while start < len(ticks):
+        stop = draw(st.integers(start + 1, len(ticks)))
+        calls.append((draw(st.sampled_from(["record", "record_block"])), start, stop,
+                      draw(st.sampled_from(["times", "values", "rows", "align"]))))
+        start = stop
+    return [k / 1000.0 for k in ticks], rows, calls
+
+
+@settings(max_examples=50, deadline=None)
+@given(recording_plans())
+def test_interleaved_recording_equals_recording_row_by_row(tmp_path_factory, plan):
+    # any mix of record and record_block, read between calls, stores what
+    # one record per row stores, bit for bit through export and load; what
+    # a read returned never changes, and no read blocks a later record
+    times, rows, calls = plan
+    spec = StreamSpec("s", 1000.0, ("a", "b", "c"), "wrench")
+    one_by_one, episode = Episode("e", [spec]), Episode("e", [spec])
+    for t, row in zip(times, rows):
+        one_by_one.record("s", t, row)
+    returned = []
+    for how, start, stop, read in calls:
+        if how == "record_block":
+            episode.record_block("s", times[start:stop], np.array(rows[start:stop]))
+        else:
+            for t, row in zip(times[start:stop], rows[start:stop]):
+                episode.record("s", t, row)
+        got = episode.align(times[:stop], ["s"])["s"] if read == "align" \
+            else getattr(episode, read)("s")
+        returned.append((got, _bits(got)))
+    for read in ("times", "values", "rows"):
+        assert _bits(getattr(episode, read)("s")) \
+            == _bits(getattr(one_by_one, read)("s"))
+    assert all(type(v) is float for row in episode.rows("s") for v in row)
+    assert all(_bits(got) == bits for got, bits in returned)
+    out = tmp_path_factory.mktemp("export")
+    export_csv(episode, out)
+    assert (out / "s.csv").read_bytes() \
+        == episode_csv_oracle.stream_csv_bytes(spec, times, rows)
+    loaded = load_episode(out)
+    assert _bits(loaded.times("s")) == _bits(times)
+    assert _bits(loaded.values("s")) == _bits(np.reshape(rows, (-1, 3)))
 
 
 def test_export_load_image_refs(tmp_path):
