@@ -40,9 +40,9 @@ class GripperParams:
     b_l: float = 0.0             # N*m*s/rad master velocity compensation
     motor_inertia: float = 1e-4  # kg*m^2, both sides
     filter_cutoff: float = 20.0  # Hz, slave-torque filter
-    viscous: float = 0.0         # N*m*s/rad optional motor friction
+    viscous: float = 0.002       # N*m*s/rad motor friction
     w_max: float = 0.10          # m width at theta_s = 0
-    width_per_rad: float = 0.01  # m/rad transmission ratio (defaults to r_g)
+    width_per_rad: float = 0.01  # m/rad transmission ratio
 
     def __post_init__(self):
         if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .geometry import (GeometryError, Pose, as_vec3, check_rotations,
                        decode_rot6d_rows, dot_rows, pose_unchecked,
-                       rotation_about_axis, rotation_log_between)
+                       rotation_about_axis, rotation_log)
 
 # serialized action-step layout (the policy/controller boundary)
 ACTION_SCHEMA = ("dx", "dy", "dz",
@@ -145,7 +145,7 @@ def interpolate_commands(prev: tuple, nxt: tuple,
     # equal orientations need no geodesic (their log is below 1e-12 anyway)
     rot = r_next
     if not (r_prev == r_next).all():
-        rel = rotation_log_between(r_prev, r_next)
+        rel = rotation_log(r_prev.swapaxes(-1, -2) @ r_next)
         angle = np.sqrt(dot_rows(rel, rel))
         turning = angle > 1e-12
         if turning.any():

@@ -71,8 +71,8 @@ class ContactPlane:
     normal: np.ndarray
     offset: float
     stiffness: float
-    damping: float = 0.0
-    friction_mu: float = 0.0
+    damping: float
+    friction_mu: float
 
     def __post_init__(self):
         self.normal = np.asarray(self.normal, dtype=float).reshape(3)

@@ -134,11 +134,6 @@ def rotation_log(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def rotation_log_between(r_from: np.ndarray, r_to: np.ndarray) -> np.ndarray:
-    """Axis-angle of the relative rotation r_from^T r_to, in the from-frame."""
-    return rotation_log(np.asarray(r_from).swapaxes(-1, -2) @ r_to)
-
-
 def check_rotations(r: np.ndarray) -> None:
     """Raise GeometryError unless every matrix of a (..., 3, 3) stack is
     finite, orthonormal and of determinant +1."""

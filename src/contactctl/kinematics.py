@@ -20,8 +20,6 @@ import numpy as np
 from .geometry import (Pose, check_rotations, cross_rows, pose_unchecked,
                        rodrigues, rotation_log, skew_rows)
 
-DEFAULT_DAMPING = 0.05
-
 AXIS_UNIT_TOL = 1e-9
 
 
@@ -178,12 +176,11 @@ class IKResult:
     q: np.ndarray
     converged: bool
     iterations: int
-    limited: bool        # any joint clamped at its limit on the final iterate
     error_norm: float
 
 
 def solve_ik(chain: ChainModel, q0: np.ndarray, target: Pose,
-             lam: float = DEFAULT_DAMPING, max_iters: int = 100,
+             lam: float, max_iters: int = 100,
              tol: float = 1e-6) -> IKResult:
     """Iterate dls_step with joint-limit clamping until ||xi|| < tol.
 
@@ -200,11 +197,10 @@ def solve_ik(chain: ChainModel, q0: np.ndarray, target: Pose,
     frames = chain_frames(chain, q)
     xi = pose_error(target, frames.ee_pose)
     err_norm = float(np.linalg.norm(xi))
-    limited = False
     iterations = 0
     for it in range(max_iters):
         if err_norm < tol:
-            return IKResult(q, True, it, limited, err_norm)
+            return IKResult(q, True, it, err_norm)
         iterations = it + 1
         dq = dls_step(frames.jacobian, xi, lam)
         scale = 1.0
@@ -217,8 +213,7 @@ def solve_ik(chain: ChainModel, q0: np.ndarray, target: Pose,
                 break
             scale *= 0.5
         step_size = float(np.max(np.abs(q_try - q)))
-        limited = bool(np.any(q_try != q + scale * dq))
         q, frames, xi, err_norm = q_try, frames_try, xi_try, err_try
         if step_size < 1e-14:
             break   # stationary: no progress possible at any scale
-    return IKResult(q, err_norm < tol, iterations, limited, err_norm)
+    return IKResult(q, err_norm < tol, iterations, err_norm)

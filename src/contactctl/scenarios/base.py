@@ -11,7 +11,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -77,6 +77,23 @@ SCENARIO_KEYS = (
 )
 
 
+def field_keys(section: str, cls, skip=()) -> tuple:
+    """One Key of `section` per field of dataclass `cls` not in `skip`, in
+    field order: the field's type (an array field's length), and its default
+    written by repr. `cls` checks the values itself."""
+    keys = []
+    for f in fields(cls):
+        if f.name in skip:
+            continue
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if isinstance(default, np.ndarray):
+            keys.append(Key(section, f.name, len(default),
+                            " ".join(map(repr, default.tolist()))))
+        else:
+            keys.append(Key(section, f.name, f.type, repr(default)))
+    return tuple(keys)
+
+
 def _within(x, range_: str) -> bool:
     """Whether x is finite and in `range_` (see Key); NaN never is."""
     if not (isinstance(x, int) or math.isfinite(x)):   # an int of any size is finite
@@ -101,7 +118,6 @@ class ScenarioConfig:
     config_hash: str
     base_dir: Path
     keys: dict                  # (section, key) -> the kind's declared Key
-    path: Optional[Path] = None
 
     def value(self, section: str, key: str):
         """The parsed value of a declared key, or its declared default."""
@@ -167,7 +183,7 @@ def load_scenario_config(path, seed_override: Optional[int] = None,
                 raise ScenarioConfigError(
                     f"[{section}] {key} is not a {scenario['kind']} config key")
     config = ScenarioConfig(None, scenario["kind"], None, None, sections, None,
-                            path.parent.resolve(), keys, path)
+                            path.parent.resolve(), keys)
     for section, key in keys:
         config.value(section, key)
     config.scenario_id = config.value("scenario", "id")

@@ -20,24 +20,10 @@ from ..bilateral import (BILATERAL_DT_MAX, BILATERAL_SCHEMA, BilateralState,
                          step_bilateral)
 from ..dynamics import grasp_slip_check
 from ..episodes import Episode, StreamSpec
-from .base import SCENARIO_KEYS, Criterion, Key, ScenarioConfig, build_report
+from .base import (SCENARIO_KEYS, Criterion, Key, ScenarioConfig, build_report,
+                   field_keys)
 
-# GripperParams's fields, which it checks
-GRIPPER_KEYS = (
-    Key("gripper", "k_tau", float, "0.05"),
-    Key("gripper", "r_g", float, "0.01"),
-    Key("gripper", "kp", float, "5.0"),
-    Key("gripper", "kd", float, "0.045"),
-    Key("gripper", "b", float, "1.0"),
-    Key("gripper", "delta", float, "0.0"),
-    Key("gripper", "a", float, "2.0"),
-    Key("gripper", "b_l", float, "0.0"),
-    Key("gripper", "motor_inertia", float, "0.0001"),
-    Key("gripper", "filter_cutoff", float, "20.0"),
-    Key("gripper", "viscous", float, "0.002"),
-    Key("gripper", "w_max", float, "0.1"),
-    Key("gripper", "width_per_rad", float, "0.01"),
-)
+GRIPPER_KEYS = field_keys("gripper", GripperParams)   # GripperParams checks them
 BILATERAL_DT = f"(0, {BILATERAL_DT_MAX}]"
 
 KEYS = SCENARIO_KEYS + GRIPPER_KEYS + (

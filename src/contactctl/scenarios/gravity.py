@@ -13,7 +13,7 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from ..episodes import Episode, StreamSpec
-from ..geometry import Pose, rotation_about_axis
+from ..geometry import rotation_about_axis
 from ..sensing import compensate_wrench, gravity_model, identify_payload
 from .base import SCENARIO_KEYS, Criterion, Key, ScenarioConfig, build_report
 
@@ -136,7 +136,7 @@ def _record_episode(config, orientations, blocks, payload, rate) -> Episode:
                       config_hash=config.config_hash)
     raw = blocks.reshape(-1, 6)
     rows_r = np.repeat(orientations, blocks.shape[1], axis=0)
-    comp = compensate_wrench(raw, payload, rows_r, Pose.identity())
+    comp = compensate_wrench(raw, payload, rows_r)
     # sample times advance by a running sum, 0, 1/rate, 2/rate, ...
     t = list(accumulate(repeat(1.0 / rate, len(raw) - 1), initial=0.0))
     episode.record_block("wrench_raw", t, raw)

@@ -46,7 +46,7 @@ from ..impedance import (ImpedanceConfig, ImpedanceExecutor,
 from ..kinematics import solve_ik
 from ..sensing import Payload, compensate_wrench
 from .base import (DOF, SCENARIO_KEYS, Criterion, Key, ScenarioConfig,
-                   ScenarioConfigError, ScenarioReport, build_report)
+                   ScenarioConfigError, ScenarioReport, build_report, field_keys)
 from .gravity import WRENCH_SCHEMA
 
 POSE_SCHEMA = ("px", "py", "pz", "r6_0", "r6_1", "r6_2", "r6_3", "r6_4", "r6_5")
@@ -54,7 +54,7 @@ POSE_SCHEMA = ("px", "py", "pz", "r6_0", "r6_1", "r6_2", "r6_3", "r6_4", "r6_5")
 
 KEYS = SCENARIO_KEYS + (
     Key("plant", "chain", str),
-    Key("plant", "dt", float, "0.001"),              # ImpedanceConfig checks it
+    Key("plant", "dt", float, repr(ImpedanceConfig.dt)),   # ImpedanceConfig checks it
     # ContactPlane checks these
     Key("plant", "plane_normal", 3, "0 0 1"),
     Key("plant", "plane_offset", float, "0.0"),
@@ -62,21 +62,9 @@ KEYS = SCENARIO_KEYS + (
     Key("plant", "plane_damping", float, "200.0"),
     Key("plant", "plane_mu", float, "0.4"),
     Key("plant", "surface_jitter", float, "0.0005", ">= 0"),
-    # ImpedanceConfig's fields, which it checks
-    Key("gains", "k_min", float, "200.0"),
-    Key("gains", "k_max", float, "2000.0"),
-    Key("gains", "zeta", float, "1.0"),
-    Key("gains", "m_eff", float, "2.0"),
-    Key("gains", "k_rot", 3, "50 50 50"),
-    Key("gains", "d_rot", 3, "5 5 5"),
-    Key("gains", "kq_floor", float, "1.0"),
-    Key("gains", "kqd_floor", float, "0.1"),
-    Key("gains", "ik_damping", float, "0.05"),
-    Key("gains", "qd_filter_cutoff", float, "20.0"),
-    # StiffnessSchedule checks these
-    Key("compliance", "k_max", float, "2000.0"),
-    Key("compliance", "k_min", float, "200.0"),
-    Key("compliance", "f_sat", float, "20.0"),
+    # ImpedanceConfig's fields but dt, and StiffnessSchedule's, which they check
+    *field_keys("gains", ImpedanceConfig, skip=("dt",)),
+    *field_keys("compliance", StiffnessSchedule),
     Key("compliance", "chunk_len", int, "16", ">= 1"),
     Key("compliance", "horizon", int, ("compliance", "chunk_len"), ">= 1"),
     Key("wiping", "force_target", float, "10.0"),
@@ -202,7 +190,8 @@ def wiping_setup(config: ScenarioConfig) -> WipingSetup:
     if len(q_guess) != model.chain.dof:
         raise ScenarioConfigError(f"[wiping] q_init_guess needs {model.chain.dof} "
                                   f"numbers, got {len(q_guess)}")
-    ik = solve_ik(model.chain, q_guess, start_pose, max_iters=300, tol=1e-8)
+    ik = solve_ik(model.chain, q_guess, start_pose, gains.ik_damping, max_iters=300,
+                  tol=1e-8)
     if not ik.converged:
         raise ScenarioConfigError(
             f"start pose unreachable from q_init_guess (|xi| = {ik.error_norm:.3g})")
@@ -445,7 +434,7 @@ def _record(setup: WipingSetup, actions: np.ndarray, rng: np.random.Generator,
     # a point contact force (no torque) at the end effector, where the sensor sits
     contact = np.concatenate([log.force[:, r], np.zeros((len(t), 3))], axis=1)
     raw = read_ft_sensor(contact, setup.payload, rotation, setup.noise_sigma, rng)
-    comp = compensate_wrench(raw, setup.payload, rotation, Pose.identity())
+    comp = compensate_wrench(raw, setup.payload, rotation)
     # each command's executed row is recorded at the time its first tick
     # starts; a padding row repeats the stream's last row
     starts = np.concatenate(([log.start_time], t[:-1]))[::setup.ticks_per_action]

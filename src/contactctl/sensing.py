@@ -8,13 +8,12 @@ COM is folded into s = mass * com:
     torque = -skew(R^T g) s       + bias_t
 
 so a single least-squares solve recovers all ten parameters. Compensation
-subtracts the fitted gravity wrench and maps the remainder into the
-end-effector frame with the full adjoint wrench transform (rotation plus
-lever-arm torque).
+subtracts the fitted gravity wrench. The sensor is collocated with the
+end-effector, so the remainder is the end-effector wrench as it stands.
 
-Wrenches are (..., 6) arrays, force then torque. Gravity, compensation and
-the wrench transform give one result per row of (..., 3, 3) orientation and
-(..., 6) wrench stacks, with the same bits as one call per row.
+Wrenches are (..., 6) arrays, force then torque. Gravity and compensation
+give one result per row of (..., 3, 3) orientation and (..., 6) wrench
+stacks, with the same bits as one call per row.
 """
 
 from dataclasses import dataclass, field
@@ -25,8 +24,8 @@ import csv
 import numpy as np
 
 from .episodes import write_float_rows
-from .geometry import (GRAVITY_WORLD, Pose, cross_rows, decode_rot6d_rows,
-                       dot_rows, encode_rot6d_rows)
+from .geometry import (GRAVITY_WORLD, cross_rows, decode_rot6d_rows, dot_rows,
+                       encode_rot6d_rows)
 
 MARKER_DIM = 126   # 63 tactile markers x 2D offsets
 
@@ -118,22 +117,11 @@ def identify_payload(orientations: np.ndarray, readings: np.ndarray) -> Payload:
     return Payload(max(mass, 0.0), com, bias, rms)
 
 
-def transform_wrench(wrench: np.ndarray, transform: Pose) -> np.ndarray:
-    """Adjoint wrench map of (..., 6) wrenches: rotate, then add the
-    lever-arm torque of the frame-origin shift."""
-    rotation = transform.rotation
-    force = (rotation @ wrench[..., :3, None])[..., 0]
-    torque = (rotation @ wrench[..., 3:, None])[..., 0] \
-        + cross_rows(transform.translation, force)
-    return np.concatenate([force, torque], axis=-1)
-
-
-def compensate_wrench(raw: np.ndarray, payload: Payload, sensor_orientation: np.ndarray,
-                      sensor_to_ee: Pose) -> np.ndarray:
-    """End-effector wrench adjoint(T_sensor_to_ee) (w_raw - w_grav) of
-    (..., 6) sensor-frame readings."""
-    grav = gravity_model(payload.mass, payload.com, payload.bias, sensor_orientation)
-    return transform_wrench(raw - grav, sensor_to_ee)
+def compensate_wrench(raw: np.ndarray, payload: Payload,
+                      sensor_orientation: np.ndarray) -> np.ndarray:
+    """End-effector wrench w_raw - w_grav of (..., 6) sensor-frame readings."""
+    return raw - gravity_model(payload.mass, payload.com, payload.bias,
+                               sensor_orientation)
 
 
 def marker_motion_magnitude(offsets: np.ndarray) -> np.ndarray:

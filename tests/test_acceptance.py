@@ -148,7 +148,7 @@ def test_criterion_06_ik_oracle_equivalence():
         target = Pose(rotation_about_axis(z_axis, q1 + q2), [x, y, 0.0])
         q0 = np.array([np.arctan2(y, x) - 0.5, 1.0])
         t0 = time.perf_counter()
-        res = solve_ik(chain, q0, target, max_iters=200, tol=1e-6)
+        res = solve_ik(chain, q0, target, 0.05, max_iters=200, tol=1e-6)
         times.append(time.perf_counter() - t0)
         pos = chain_frames(chain, res.q).ee_pose.translation
         worst = max(worst, float(np.linalg.norm(pos - np.array([x, y, 0.0]))))

@@ -1,8 +1,11 @@
-"""Every public name in src/contactctl has a caller in src/.
+"""Every public name in src/contactctl has a caller in src/, and every
+dataclass field a reader there.
 
 A public top-level function, class or method that nothing in the package
 names, outside its own definition, is an API kept alive only by tests. The
-documented file-format API and the CLI entry point are the exceptions.
+documented file-format API and the CLI entry point are the exceptions. A
+dataclass field that nothing in the package reads as an attribute is state
+kept alive only by tests.
 """
 
 import ast
@@ -13,6 +16,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "contactctl"
 # documented in docs/formats.md (payload and calibration files), and the
 # console-script entry point
 ALLOWED = {"sensing.load_payload", "sensing.save_calibration_csv", "cli.main"}
+# read by perfbench's tracer, which reports the solver's iterations
+ALLOWED_FIELDS = {"kinematics.IKResult.iterations"}
 
 
 def _definitions(tree: ast.Module):
@@ -37,11 +42,27 @@ def _uses(tree: ast.Module):
             yield node.attr, node.lineno
 
 
-def test_every_public_name_has_a_caller_in_src():
+def _modules() -> dict:
+    """Dotted module name under contactctl -> parsed source."""
     modules = {}
     for path in sorted(SRC.rglob("*.py")):
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
         modules[module] = ast.parse(path.read_text(), str(path))
+    return modules
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(class name, field name) of every dataclass field a module declares."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def test_every_public_name_has_a_caller_in_src():
+    modules = _modules()
     uses = [(module, name, line) for module, tree in modules.items()
             for name, line in _uses(tree)]
     unused = []
@@ -54,3 +75,13 @@ def test_every_public_name_has_a_caller_in_src():
                 unused.append(f"{module}.{qualname}")
     unused = sorted(set(unused) - ALLOWED)
     assert unused == [], f"public names with no caller in src/: {unused}"
+
+
+def test_every_dataclass_field_is_read_in_src():
+    modules = _modules()
+    reads = {node.attr for tree in modules.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted({f"{module}.{cls}.{name}" for module, tree in modules.items()
+                     for cls, name in _dataclass_fields(tree)
+                     if name not in reads} - ALLOWED_FIELDS)
+    assert unread == [], f"dataclass fields no code in src/ reads: {unread}"

@@ -9,15 +9,20 @@ of docs/formats.md against the declared ones.
 
 import configparser
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from contactctl.bilateral import GripperParams
+from contactctl.compliance import StiffnessSchedule
+from contactctl.impedance import ImpedanceConfig
 from contactctl.scenarios import KINDS, load_scenario_config, run_scenario
 from contactctl.scenarios.base import (RUN_TICKS_MAX, SCENARIO_KEYS, TICKS_MAX,
                                        ScenarioConfig, ScenarioConfigError)
-from contactctl.scenarios.bottle import GRIPPER_KEYS
+from contactctl.scenarios.bottle import GRIPPER_KEYS, gripper_params
+from contactctl.scenarios.wiping import wiping_setup
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "configs").glob("*.ini"))
@@ -191,6 +196,33 @@ def test_row_ticks_reads_exactly_its_ticks_set_by_keys(monkeypatch, path):
     log = _log_reads(monkeypatch)
     kind.row_ticks(config)
     assert log == set(kind.TICKS_SET_BY)
+
+
+@pytest.mark.parametrize("name", ["bottle_pick", "bilateral_quality", "wiping"])
+def test_omitted_keys_build_the_class_defaults(tmp_path, name):
+    # the [gripper], [gains] and [compliance] keys and [plant] dt take their
+    # defaults from the fields of the classes they build, so a config that
+    # omits them builds each class as its no-argument construction does
+    cfg = configparser.ConfigParser()
+    cfg.read(ROOT / "configs" / f"{name}.ini")
+    for section in ("gripper", "gains", "compliance"):
+        cfg.remove_section(section)
+    if cfg.has_section("plant"):
+        cfg.remove_option("plant", "dt")
+        cfg["plant"]["chain"] = str(ROOT / "configs" / cfg["plant"]["chain"])
+    path = tmp_path / f"{name}.ini"
+    with open(path, "w") as fh:
+        cfg.write(fh)
+    config = load_scenario_config(path)
+    if name == "wiping":
+        setup = wiping_setup(config)
+        built = [(ImpedanceConfig(), setup.gains), (StiffnessSchedule(), setup.schedule)]
+    else:
+        built = [(GripperParams(), gripper_params(config))]
+    for default, made in built:
+        for f in fields(default):
+            assert np.array_equal(getattr(made, f.name), getattr(default, f.name)), \
+                f"{type(default).__name__}.{f.name}"
 
 
 def _render(key) -> list:

@@ -263,7 +263,8 @@ def wiping_rig(kp_z, plane_stiffness=2e4, depth=0.01):
     pitch = 0.7
     rot = rotation_about_axis(np.array([0.0, 1.0, 0.0]), pitch)
     surface = Pose(rot, [0.45, 0.0, 0.0])
-    ik = solve_ik(model.chain, [0.3, 0.9, -0.5], surface, max_iters=300, tol=1e-9)
+    ik = solve_ik(model.chain, [0.3, 0.9, -0.5], surface, cfg.ik_damping, max_iters=300,
+                  tol=1e-9)
     assert ik.converged
     plane = ContactPlane([0.0, 0.0, 1.0], 0.0, plane_stiffness, 250.0, 0.0)
     target = Pose(rot, [0.45, 0.0, -depth])
@@ -387,7 +388,7 @@ def test_single_state_shapes_and_batched_rows(rng, name):
     assert np.ndim(limits_clamped) == 0
     mass_matrix, bias = inverse_dynamics_terms(model, q[0], qdot[0])
     assert mass_matrix.shape == (n, n) and bias.shape == (n,)
-    force, f_n = plane_contact_force(ContactPlane([0.0, 0.0, 1.0], 0.0, 1e4),
+    force, f_n = plane_contact_force(ContactPlane([0.0, 0.0, 1.0], 0.0, 1e4, 0.0, 0.0),
                                      np.array([0.0, 0.0, -0.01]), np.zeros(3))
     assert force.shape == (3,) and isinstance(f_n, float) and f_n == 100.0
 

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import episode_csv_oracle
 import payload_oracle
-from contactctl.geometry import Pose, rotation_about_axis
+from contactctl.geometry import rotation_about_axis
 from contactctl.sensing import (IdentificationError, Payload,
                                 compensate_wrench, gravity_model,
                                 identify_payload,
                                 load_calibration_csv, load_payload,
                                 marker_motion_magnitude, save_calibration_csv,
-                                save_payload, transform_wrench)
+                                save_payload)
 from conftest import random_rotation
 
 
@@ -58,7 +58,7 @@ def test_gravity_model_rotation_oracle(rng):
                        atol=1e-12)
 
 
-def test_gravity_model_and_transform_bit_equal_to_np_cross(rng):
+def test_gravity_model_bit_equal_to_np_cross(rng):
     for _ in range(10):
         mass = rng.uniform(0.1, 2.0)
         com = rng.normal(size=3) * 0.05
@@ -68,14 +68,6 @@ def test_gravity_model_and_transform_bit_equal_to_np_cross(rng):
         grav = gravity_model(mass, com, bias, r)
         assert grav[:3].tobytes() == (force + bias[:3]).tobytes()
         assert grav[3:].tobytes() == (np.cross(com, force) + bias[3:]).tobytes()
-
-        wrench = rng.normal(size=6)
-        transform = Pose(random_rotation(rng), rng.normal(size=3) * 0.1)
-        moved = transform_wrench(wrench, transform)
-        f = transform.rotation @ wrench[:3]
-        t = transform.rotation @ wrench[3:] + np.cross(transform.translation, f)
-        assert moved[:3].tobytes() == f.tobytes()
-        assert moved[3:].tobytes() == t.tobytes()
 
 
 def test_sensing_rows_of_a_stack_equal_single_calls(rng):
@@ -88,13 +80,12 @@ def test_sensing_rows_of_a_stack_equal_single_calls(rng):
                              axis=1)
     spec = Payload(0.3, rng.normal(size=3) * 0.05, rng.normal(size=6))
     payload = Payload(0.31, rng.normal(size=3) * 0.05, rng.normal(size=6))
-    sensor_to_ee = Pose(random_rotation(rng), rng.normal(size=3) * 0.1)
     raw = read_ft_sensor(contact, spec, rotations, 0.02, np.random.default_rng(9))
-    comp = compensate_wrench(raw, payload, rotations, sensor_to_ee)
+    comp = compensate_wrench(raw, payload, rotations)
     noise = np.random.default_rng(9)
     for i in range(n):
         raw_i = read_ft_sensor(contact[i], spec, rotations[i], 0.02, noise)
-        comp_i = compensate_wrench(raw_i, payload, rotations[i], sensor_to_ee)
+        comp_i = compensate_wrench(raw_i, payload, rotations[i])
         assert raw[i].tobytes() == raw_i.tobytes()
         assert comp[i].tobytes() == comp_i.tobytes()
 
@@ -210,39 +201,17 @@ def test_compensation_round_trip(rng):
         r = random_rotation(rng)
         w_true = rng.normal(size=6)
         raw = predicted(payload, r) + w_true
-        out = compensate_wrench(raw, payload, r, Pose.identity())
+        out = compensate_wrench(raw, payload, r)
         assert np.max(np.abs(out - w_true)) < 1e-9
 
 
-def test_compensation_identity_transform_is_subtraction(rng):
+def test_compensation_is_subtraction(rng):
+    # the sensor is collocated with the end-effector: no frame change
     payload = Payload(0.3, [0.0, 0.01, 0.02], np.zeros(6))
     r = random_rotation(rng)
     raw = rng.normal(size=6)
-    out = compensate_wrench(raw, payload, r, Pose.identity())
-    expected = raw - predicted(payload, r)
-    assert np.allclose(out, expected, atol=1e-12)
-
-
-def test_adjoint_lever_arm_oracle():
-    lever = np.array([0.1, 0.0, 0.0])
-    force = np.array([0.0, 0.0, 5.0])
-    out = transform_wrench(np.concatenate([force, np.zeros(3)]),
-                           Pose(np.eye(3), lever))
-    assert np.allclose(out[:3], force)
-    assert np.allclose(out[3:], np.cross(lever, force), atol=1e-12)
-
-
-def test_frame_covariance_linearity(rng):
-    # compensate-then-transform equals transform-both-then-subtract
-    payload = Payload(0.4, [0.02, 0.01, -0.01],
-                      np.array([0.1, 0.0, -0.2, 0.0, 0.01, 0.0]))
-    transform = Pose(random_rotation(rng), rng.normal(size=3) * 0.1)
-    r = random_rotation(rng)
-    raw = rng.normal(size=6)
-    a = compensate_wrench(raw, payload, r, transform)
-    raw_t = transform_wrench(raw, transform)
-    grav_t = transform_wrench(predicted(payload, r), transform)
-    assert np.allclose(a, raw_t - grav_t, atol=1e-12)
+    out = compensate_wrench(raw, payload, r)
+    assert out.tobytes() == (raw - predicted(payload, r)).tobytes()
 
 
 def test_pose_variation_reduction():
@@ -257,8 +226,7 @@ def test_pose_variation_reduction():
         mass, com, bias, calibration_orientations(10), sigma, rng)
     payload = identify_payload(orientations, readings)
     raw_forces = readings[:, :3]
-    comp_forces = compensate_wrench(readings, payload, orientations,
-                                    Pose.identity())[:, :3]
+    comp_forces = compensate_wrench(readings, payload, orientations)[:, :3]
     raw_span = np.max(raw_forces.max(axis=0) - raw_forces.min(axis=0))
     comp_span = np.max(comp_forces.max(axis=0) - comp_forces.min(axis=0))
     assert raw_span > 6.0
