@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import (GRAVITY_WORLD, GeometryError, Pose, cross_rows,
                        decode_rot6d_rows, dot_rows, skew_rows)
-from .kinematics import ChainConfigError, ChainFrames, ChainModel, chain_frames
+from .kinematics import ChainConfigError, ChainFrames, ChainModel
 from .sensing import Payload, gravity_model
 
 FRICTION_V_EPS = 1e-3   # m/s, tanh regularization of Coulomb friction
@@ -103,12 +103,12 @@ class SimState:
 
 
 def inverse_dynamics_terms(model: ArmDynamicsModel, q, qdot,
-                           frames: Optional[ChainFrames] = None) -> tuple:
+                           frames: ChainFrames) -> tuple:
     """The pair (M, bias), with bias = C qdot + g, shared by the plant and
     the controller.
 
-    Both come in one vectorised pass from the world-frame quantities of a
-    forward pass (pass `frames` of q to reuse one). With the COM Jacobians
+    Both come in one vectorised pass from the world-frame quantities of
+    `frames`, the forward pass of q. With the COM Jacobians
     [Jv_i; Jw_i] of every link i,
 
         M    = sum_i m_i Jv_i^T Jv_i + Jw_i^T I_i Jw_i,
@@ -124,8 +124,6 @@ def inverse_dynamics_terms(model: ArmDynamicsModel, q, qdot,
     qdot = np.atleast_1d(np.asarray(qdot, dtype=float))
     if q.shape[-1] != n or qdot.shape != q.shape:
         raise ValueError("q/qdot dimension mismatch")
-    if frames is None:
-        frames = chain_frames(chain, q)
     batch = q.shape[:-1]
     origins = frames.joint_origins
     axes = frames.joint_axes
@@ -202,10 +200,8 @@ def plane_contact_force(plane: ContactPlane, p_ee: np.ndarray,
         # no friction below a tangential speed of 1e-12 (nor off contact,
         # where f_n = 0 already zeroes it)
         slipping = speed > 1e-12
-        pressing = f_n
-        if not slipping.all():
-            speed = np.where(slipping, speed, 1.0)
-            pressing = np.where(slipping, f_n, 0.0)
+        speed = np.where(slipping, speed, 1.0)
+        pressing = np.where(slipping, f_n, 0.0)
         drag = plane.friction_mu * pressing * np.tanh(speed / FRICTION_V_EPS)
         force = force - drag[..., None] * (v_t / speed[..., None])
     return force, f_n[()]
@@ -215,14 +211,14 @@ STEP_DT_MAX = 0.01   # s, largest plant step `step` accepts
 
 
 def step(model: ArmDynamicsModel, state: SimState, tau: np.ndarray,
-         plane: Optional[ContactPlane] = None, dt: float = 1e-3,
-         terms: Optional[tuple] = None, frames=None) -> SimState:
+         plane: Optional[ContactPlane], dt: float, terms: tuple,
+         frames: ChainFrames) -> SimState:
     """Advance one semi-implicit Euler step: M qdd + C qd + g = tau + J^T f_c.
 
-    Pass `terms`, the (M, bias) pair of `inverse_dynamics_terms`, and
-    `frames` to share one inverse-dynamics/kinematics evaluation between the
-    plant and a controller that compensates the bias; both must belong to
-    the current state. A batched state advances every row at once.
+    `terms` is the (M, bias) pair of `inverse_dynamics_terms` and `frames`
+    the forward pass of the current state, which the plant shares with a
+    controller that compensates the bias. `plane` None is free space. A
+    batched state advances every row at once.
     """
     if not 0.0 < dt <= STEP_DT_MAX:
         raise ValueError(f"dt must be in (0, {STEP_DT_MAX}]")
@@ -230,8 +226,6 @@ def step(model: ArmDynamicsModel, state: SimState, tau: np.ndarray,
     if not np.isfinite(tau).all():
         raise _fault("non-finite torque", state, tau, np.isfinite(tau))
 
-    if frames is None:
-        frames = chain_frames(model.chain, state.q)
     j_lin = frames.jacobian[..., :3, :]
 
     if plane is None:
@@ -240,8 +234,6 @@ def step(model: ArmDynamicsModel, state: SimState, tau: np.ndarray,
         v_ee = (j_lin @ state.qdot[..., None])[..., 0]
         f_contact, _ = plane_contact_force(plane, frames.ee_pose.translation, v_ee)
 
-    if terms is None:
-        terms = inverse_dynamics_terms(model, state.q, state.qdot, frames)
     mass_matrix, bias = terms
     rhs = tau + (j_lin.swapaxes(-1, -2) @ f_contact[..., None])[..., 0] - bias
     qddot = np.linalg.solve(mass_matrix, rhs[..., None])[..., 0]
@@ -269,8 +261,8 @@ def _fault(what: str, state: SimState, tau: np.ndarray,
 
 
 def read_ft_sensor(contact: np.ndarray, payload: Payload, rotation: np.ndarray,
-                   noise_sigma: float = 0.0,
-                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
+                   noise_sigma: float,
+                   rng: Optional[np.random.Generator]) -> np.ndarray:
     """Raw sensor-frame readings (..., 6): contact + payload gravity + bias + noise.
 
     The sensor is collocated with the end effector, so the (..., 6) contact
@@ -387,7 +379,7 @@ def load_arm_model(path) -> ArmDynamicsModel:
 
 
 def grasp_slip_check(grasp_force: float, object_mass: float, mu: float,
-                     accel_z: float = 0.0) -> bool:
+                     accel_z: float) -> bool:
     """True when a two-finger friction grasp cannot hold the load.
 
     Holds iff 2 mu F >= m (9.81 + max(accel_z, 0)); ties go to holding.

@@ -159,13 +159,14 @@ class Episode:
             raise EpisodeError("empty episode")
         return min(starts), max(ends)
 
-    def align(self, t, stream_names: Optional[list] = None) -> dict:
+    def align(self, t, stream_names: list) -> dict:
         """Zero-order hold at the query time or times t: stream name ->
         (index, staleness) arrays shaped like t, the row each query holds (the
-        latest at or before it) and t minus that row's time."""
+        latest at or before it) and t minus that row's time, for each of the
+        named streams."""
         t = np.asarray(t, dtype=float)
         held = {}
-        for name in self.streams if stream_names is None else stream_names:
+        for name in stream_names:
             if name not in self.streams:
                 raise EpisodeError(f"unknown stream {name!r}")
             times = self.times(name)

@@ -117,15 +117,12 @@ def rotation_log(r: np.ndarray) -> np.ndarray:
     theta = np.arccos(np.minimum(np.maximum((trace - 1.0) / 2.0, -1.0), 1.0))
     vee = flat.take(_VEE_PLUS, -1) - flat.take(_VEE_MINUS, -1)
     # vee((R - R^T)/2) ~= theta * axis to first order near the identity;
-    # the batch's extreme angles tell whether any row needs a special branch
-    if theta.min() < 1e-10:
-        small = theta < 1e-10
-        axis = vee / np.where(small, 2.0, 2.0 * np.sin(theta))[..., None]
-        out = np.where(small[..., None], axis, theta[..., None] * axis)
-    else:
-        out = theta[..., None] * (vee / (2.0 * np.sin(theta))[..., None])
-    if np.pi - theta.max() < 1e-6:
-        near_pi = np.pi - theta < 1e-6
+    # each row's own angle picks its branch
+    small = theta < 1e-10
+    axis = vee / np.where(small, 2.0, 2.0 * np.sin(theta))[..., None]
+    out = np.where(small[..., None], axis, theta[..., None] * axis)
+    near_pi = np.pi - theta < 1e-6
+    if near_pi.any():
         b = (r[near_pi] + _EYE3) / 2.0
         k = np.argmax(np.diagonal(b, axis1=-2, axis2=-1), axis=-1)
         axis = np.take_along_axis(b, k[:, None, None], axis=-1)[..., 0]

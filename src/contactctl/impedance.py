@@ -120,21 +120,21 @@ def control_torque(gains: np.ndarray, q_d, q, qdot_d, qdot,
 
 
 class ImpedanceExecutor:
-    """Per-control-loop session: one DLS step, gain fold, and torque per tick.
+    """One DLS step, gain fold, and torque per tick, for any number of loops.
 
-    Holds the first-order filter state for the finite-difference target
-    velocity qdot_d, shaped like the states it is ticked with (one row per
-    trial of a batch); everything else is stateless. One executor per
-    control loop or batch of loops; independent executors may run
-    concurrently.
+    An executor holds only its config and the constants derived from it.
+    The first-order filter state of the finite-difference target velocity
+    qdot_d is the array pair (prev_q_d, qdot_d_filtered), shaped like the
+    states it goes with (one row per trial of a batch), or None before a
+    loop's first tick: each tick takes it and returns its next value, so the
+    caller holds it beside the plant state, and one executor may tick
+    independent loops in turn or concurrently.
     """
 
     def __init__(self, dyn_model: ArmDynamicsModel, config: ImpedanceConfig):
         self.chain = dyn_model.chain
         self.dyn_model = dyn_model
         self.config = config
-        self._qdot_d_filtered = None
-        self._prev_q_d = None
         rc = 1.0 / (2.0 * np.pi * config.qd_filter_cutoff)
         self._alpha = config.dt / (config.dt + rc)
         floors = np.empty((2, self.chain.dof))   # [Kq_floor; Kqd_floor] diagonals
@@ -142,27 +142,31 @@ class ImpedanceExecutor:
         self._floors = floors[:, :, None] * np.eye(self.chain.dof)
 
     def closed_loop_tick(self, state: SimState, target: Pose, gains: np.ndarray,
-                         plane: Optional[ContactPlane]
-                         ) -> tuple[SimState, ChainFrames, np.ndarray, np.ndarray]:
+                         plane: Optional[ContactPlane], filtered: Optional[tuple]
+                         ) -> tuple[SimState, ChainFrames, np.ndarray, np.ndarray,
+                                    tuple]:
         """One control step: one forward pass and one dynamics evaluation
         shared by the controller and the plant. Returns the plant state after
-        it, the frames of `state`, and the pose error and limit clamps."""
+        it, the frames of `state`, the pose error, the limit clamps, and the
+        next qdot_d filter state."""
         frames = chain_frames(self.chain, state.q)
         terms = inverse_dynamics_terms(self.dyn_model, state.q, state.qdot,
                                        frames)
-        tau, xi, limits_clamped = self.execute_tick(state, target, gains, frames,
-                                                    terms[1])
+        tau, xi, limits_clamped, filtered = self.execute_tick(
+            state, target, gains, frames, terms[1], filtered)
         next_state = step(self.dyn_model, state, tau, plane, self.config.dt,
-                          terms=terms, frames=frames)
-        return next_state, frames, xi, limits_clamped
+                          terms, frames)
+        return next_state, frames, xi, limits_clamped, filtered
 
     def execute_tick(self, state: SimState, target: Pose, gains: np.ndarray,
-                     frames: ChainFrames, bias: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     frames: ChainFrames, bias: np.ndarray,
+                     filtered: Optional[tuple]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
         """Controller half of a tick toward the virtual `target` with the
         (..., 2, 6) operational `gains` of `build_operational_gains`, given
-        the frames and the bias C qdot + g of `state`. Returns the torque,
-        the pose error and, per row, whether a joint target hit its limit."""
+        the frames and the bias C qdot + g of `state` and the qdot_d filter
+        state `filtered`. Returns the torque, the pose error, per row whether
+        a joint target hit its limit, and the next filter state."""
         cfg = self.config
         xi = pose_error(target, frames.ee_pose)
         j = frames.jacobian
@@ -174,16 +178,14 @@ class ImpedanceExecutor:
 
         # target velocity = finite difference of successive IK targets, so it
         # vanishes at steady state even when contact blocks the virtual target
-        if self._prev_q_d is None:
-            self._qdot_d_filtered = np.zeros_like(q_d)
+        if filtered is None:
+            qdot_d = np.zeros_like(q_d)
             qdot_d_raw = np.zeros_like(q_d)
         else:
-            qdot_d_raw = (q_d - self._prev_q_d) / cfg.dt
-        self._prev_q_d = q_d
-        self._qdot_d_filtered = self._qdot_d_filtered \
-            + self._alpha * (qdot_d_raw - self._qdot_d_filtered)
+            prev_q_d, qdot_d = filtered
+            qdot_d_raw = (q_d - prev_q_d) / cfg.dt
+        qdot_d = qdot_d + self._alpha * (qdot_d_raw - qdot_d)
 
         joint_gains = fold_to_joint_gains(j, gains, self._floors)
-        tau = control_torque(joint_gains, q_d, state.q, self._qdot_d_filtered,
-                             state.qdot, bias)
-        return tau, xi, limits_clamped
+        tau = control_torque(joint_gains, q_d, state.q, qdot_d, state.qdot, bias)
+        return tau, xi, limits_clamped, (q_d, qdot_d)

@@ -180,8 +180,7 @@ class IKResult:
 
 
 def solve_ik(chain: ChainModel, q0: np.ndarray, target: Pose,
-             lam: float, max_iters: int = 100,
-             tol: float = 1e-6) -> IKResult:
+             lam: float, max_iters: int, tol: float) -> IKResult:
     """Iterate dls_step with joint-limit clamping until ||xi|| < tol.
 
     Each step is backtracked (halved) until it does not increase ||xi||,

@@ -45,7 +45,7 @@ def row_ticks(config: ScenarioConfig) -> int:
     return config.value("gravity", "n_poses") * _hold_samples(config.values("gravity"))
 
 
-def calibration_orientations(n_poses: int = 10) -> list:
+def calibration_orientations(n_poses: int) -> list:
     """Deterministic orientation set spanning the workspace.
 
     The first six align gravity with each sensor +/- axis so the raw span

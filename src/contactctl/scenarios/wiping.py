@@ -366,6 +366,7 @@ def rollout(setup: WipingSetup, stream_of_row, plane_offset, recorded: dict) -> 
     executor = ImpedanceExecutor(setup.model, setup.gains)
     state = SimState(np.tile(setup.q0, (n_rows, 1)),
                      np.zeros((n_rows, setup.model.chain.dof)))
+    filtered = None   # the executor's qdot_d filter state, held beside `state`
     executed, (target, kp) = _control_targets(setup)
     gains, stiffness_clamped = build_operational_gains(kp, setup.gains)
     # per tick and row: whether it slides, the tool's x and the normal force;
@@ -383,10 +384,10 @@ def rollout(setup: WipingSetup, stream_of_row, plane_offset, recorded: dict) -> 
                     np.empty((n_ticks, n_rec, 6)),
                     np.empty((n_ticks, n_rec, 2), dtype=bool))
     for tick in range(n_ticks):
-        new_state, frames, xi, limits_clamped = executor.closed_loop_tick(
+        new_state, frames, xi, limits_clamped, filtered = executor.closed_loop_tick(
             state, pose_unchecked(target.rotation[stream_of_row, tick],
                                   target.translation[stream_of_row, tick]),
-            gains[stream_of_row, tick], plane)
+            gains[stream_of_row, tick], plane, filtered)
 
         rotation = frames.ee_pose.rotation
         p_ee = frames.ee_pose.translation

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from contactctl.dynamics import ArmDynamicsModel, inverse_dynamics_terms
+from contactctl.dynamics import ArmDynamicsModel, inverse_dynamics_terms, step
 from contactctl.geometry import Pose, decode_rot6d_rows
 from contactctl.kinematics import ChainModel, chain_frames
 
@@ -51,6 +51,19 @@ def bias_split(model, q, qdot):
     c_qdot = inverse_dynamics_terms(replace(model, gravity=np.zeros(3)), q, qdot,
                                     frames)[1]
     return c_qdot, g_vec
+
+
+def dynamics_terms(model, q, qdot):
+    """inverse_dynamics_terms on the forward pass of q."""
+    return inverse_dynamics_terms(model, q, qdot, chain_frames(model.chain, q))
+
+
+def plant_step(model, state, tau, plane, dt):
+    """One plant step on the forward pass and dynamics terms of `state`, which
+    the closed-loop tick would share with its controller."""
+    frames = chain_frames(model.chain, state.q)
+    return step(model, state, tau, plane, dt,
+                inverse_dynamics_terms(model, state.q, state.qdot, frames), frames)
 
 
 @pytest.fixture

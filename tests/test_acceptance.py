@@ -11,7 +11,7 @@ import numpy as np
 import compliance_oracle
 from contactctl.compliance import (ActionStep, RecedingHorizonScheduler,
                                    StiffnessSchedule, compile_step)
-from contactctl.dynamics import SimState, inverse_dynamics_terms, step
+from contactctl.dynamics import SimState
 from contactctl.episodes import Episode, StreamSpec, export_csv, load_episode
 from contactctl.geometry import Pose, encode_rot6d_rows, rotation_about_axis
 from contactctl.impedance import (ImpedanceConfig, build_operational_gains,
@@ -24,7 +24,8 @@ from contactctl.scenarios import (load_scenario_config, run_bottle_pick,
                                   run_gravity_verification,
                                   run_selective_release, run_wiping)
 from contactctl.sensing import gravity_model, identify_payload
-from conftest import bias_split, make_planar2, random_rotation
+from conftest import (bias_split, dynamics_terms, make_planar2, plant_step,
+                      random_rotation)
 from test_dynamics import make_pendulum, potential_energy
 from test_kinematics import planar2_analytic_ik
 
@@ -243,8 +244,8 @@ def test_criterion_09_dynamics_sanity():
     scale = 2.0 * 9.81 * 0.5
     worst = 0.0
     for _ in range(5000):
-        state = step(model, state, np.array([0.0]), None, 1e-3)
-        m = inverse_dynamics_terms(model, state.q, np.zeros(1))[0][0, 0]
+        state = plant_step(model, state, np.array([0.0]), None, 1e-3)
+        m = dynamics_terms(model, state.q, np.zeros(1))[0][0, 0]
         energy = 0.5 * m * state.qdot[0] ** 2 + potential_energy(model, state.q)
         worst = max(worst, abs(energy - e0))
     drift = worst / scale
@@ -253,7 +254,7 @@ def test_criterion_09_dynamics_sanity():
     _, tau = bias_split(model, hold_state.q, hold_state.qdot)
     max_step_drift = 0.0
     for _ in range(1000):
-        new = step(model, hold_state, tau, None, 1e-3)
+        new = plant_step(model, hold_state, tau, None, 1e-3)
         max_step_drift = max(max_step_drift, abs(new.q[0] - hold_state.q[0]))
         hold_state = new
     ok = drift < 0.005 and max_step_drift < 1e-9

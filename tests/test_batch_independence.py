@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from contactctl.compliance import interpolate_commands
 from contactctl.dynamics import (ContactPlane, SimState, inverse_dynamics_terms,
-                                 plane_contact_force, step)
+                                 plane_contact_force)
 from contactctl.geometry import pose_unchecked
 from contactctl.impedance import (ImpedanceConfig, ImpedanceExecutor,
                                   build_operational_gains)
 from contactctl.kinematics import chain_frames
-from conftest import random_chain, random_model, random_rotation
+from conftest import (dynamics_terms, plant_step, random_chain, random_model,
+                      random_rotation)
 
 EXAMPLES = 50
 
@@ -79,8 +80,8 @@ def test_inverse_dynamics_terms_row_equals_single(case):
     rng, dof, rows, i = case
     model = random_model(rng, dof)
     q, qdot = states(rng, rows, dof)
-    got = inverse_dynamics_terms(model, q, qdot)
-    want = inverse_dynamics_terms(model, q[i], qdot[i])
+    got = dynamics_terms(model, q, qdot)
+    want = dynamics_terms(model, q[i], qdot[i])
     assert_same_bits([(got[0][i], want[0]), (got[1][i], want[1])])   # M, bias
 
 
@@ -106,8 +107,8 @@ def test_step_row_equals_single(case):
     q, qdot = states(rng, rows, dof)
     tau = rng.normal(size=(rows, dof))
     plane = plane_near(rng, chain_frames(model.chain, q).ee_pose.translation)
-    got = step(model, SimState(q, qdot), tau, plane, 1e-3)
-    want = step(model, SimState(q[i], qdot[i]), tau[i], row_plane(plane, i), 1e-3)
+    got = plant_step(model, SimState(q, qdot), tau, plane, 1e-3)
+    want = plant_step(model, SimState(q[i], qdot[i]), tau[i], row_plane(plane, i), 1e-3)
     assert_same_bits([(got.q[i], want.q), (got.qdot[i], want.qdot),
                       (got.contact_force_ee[i], want.contact_force_ee)])
 
@@ -158,15 +159,18 @@ def test_execute_tick_row_equals_single(case):
     q_next, qdot_next = states(rng, rows, dof)
     targets = pose_unchecked(rotations(rng, rows), rng.uniform(-0.5, 0.5, (rows, 3)))
     gains, _ = build_operational_gains(rng.uniform(100.0, 3000.0, (rows, 3)), cfg)
-    batched, alone = ImpedanceExecutor(model, cfg), ImpedanceExecutor(model, cfg)
+    executor = ImpedanceExecutor(model, cfg)
+    batched = alone = None   # the qdot_d filter states of the batch and of row i
     for qk, qdk in ((q, qdot), (q_next, qdot_next)):
         frames = chain_frames(model.chain, qk)
         _, bias = inverse_dynamics_terms(model, qk, qdk, frames)
-        got = batched.execute_tick(SimState(qk, qdk), targets, gains, frames, bias)
+        *got, batched = executor.execute_tick(SimState(qk, qdk), targets, gains, frames,
+                                              bias, batched)
         frames = chain_frames(model.chain, qk[i])
         _, bias = inverse_dynamics_terms(model, qk[i], qdk[i], frames)
         target = pose_unchecked(targets.rotation[i], targets.translation[i])
-        want = alone.execute_tick(SimState(qk[i], qdk[i]), target, gains[i], frames,
-                                  bias)
-        # the tau, xi and limits_clamped of the tick
-        assert_same_bits([(g[i], w) for g, w in zip(got, want)])
+        *want, alone = executor.execute_tick(SimState(qk[i], qdk[i]), target, gains[i],
+                                             frames, bias, alone)
+        # the tau, xi and limits_clamped of the tick, and the filter state after it
+        assert_same_bits([(g[i], w) for g, w in zip(got + list(batched),
+                                                     want + list(alone))])

@@ -6,11 +6,11 @@ from contactctl.dynamics import (ArmDynamicsModel, ContactPlane,
                                  SimState, SimulationFault,
                                  grasp_slip_check, inverse_dynamics_terms,
                                  load_arm_model, plane_contact_force,
-                                 read_ft_sensor, step)
+                                 read_ft_sensor)
 from contactctl.geometry import Pose, rotation_about_axis, rotation_log
 from contactctl.kinematics import ChainConfigError, ChainModel, chain_frames
 from contactctl.sensing import Payload
-from conftest import bias_split, random_model
+from conftest import bias_split, dynamics_terms, plant_step, random_model
 import rnea_oracle
 
 
@@ -83,7 +83,7 @@ def test_mass_matrix_matches_momentum_fd(rng):
         model = random_model(rng, dof)
         q = rng.uniform(-1.5, 1.5, dof)
         qdot = rng.uniform(-1.0, 1.0, dof)
-        m, _ = inverse_dynamics_terms(model, q, np.zeros(dof))
+        m, _ = dynamics_terms(model, q, np.zeros(dof))
         # momentum p_i = dT/dqdot_i by central differences of the FD oracle
         eps = 1e-5
         for i in range(dof):
@@ -98,7 +98,7 @@ def test_mass_matrix_spd(rng):
     for _ in range(6):
         dof = int(rng.integers(1, 5))
         model = random_model(rng, dof)
-        m, _ = inverse_dynamics_terms(model, rng.uniform(-2, 2, dof), np.zeros(dof))
+        m, _ = dynamics_terms(model, rng.uniform(-2, 2, dof), np.zeros(dof))
         assert np.allclose(m, m.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(m) > 0.0)
 
@@ -107,13 +107,13 @@ def test_inverse_dynamics_terms_bundle(rng):
     model = random_model(rng, 3)
     q = rng.uniform(-1, 1, 3)
     qdot = rng.uniform(-1, 1, 3)
-    mass_matrix, bias = inverse_dynamics_terms(model, q, qdot)
+    mass_matrix, bias = dynamics_terms(model, q, qdot)
     c_qdot, g_vec = bias_split(model, q, qdot)
     assert np.allclose(bias, c_qdot + g_vec, rtol=0.0, atol=1e-12)
     # M does not depend on the joint velocity
-    assert np.allclose(mass_matrix, inverse_dynamics_terms(model, q, np.zeros(3))[0])
+    assert np.allclose(mass_matrix, dynamics_terms(model, q, np.zeros(3))[0])
     with pytest.raises(ValueError):
-        inverse_dynamics_terms(model, q[:2], qdot)
+        inverse_dynamics_terms(model, q[:2], qdot, chain_frames(model.chain, q))
 
 
 def assert_matches_oracle(got, want, tol=1e-12):
@@ -125,8 +125,8 @@ def assert_matches_oracle(got, want, tol=1e-12):
 def check_against_rnea_oracle(model, q, qdot):
     dof = model.chain.dof
     zero = np.zeros(dof)
-    mass_matrix, bias = inverse_dynamics_terms(model, q, qdot)
-    at_rest, _ = inverse_dynamics_terms(model, q, zero)
+    mass_matrix, bias = dynamics_terms(model, q, qdot)
+    at_rest, _ = dynamics_terms(model, q, zero)
     c_qdot, g_vec = bias_split(model, q, qdot)
     assert_matches_oracle(mass_matrix, rnea_oracle.mass_matrix(model, q))
     assert_matches_oracle(at_rest, rnea_oracle.mass_matrix(model, q))
@@ -153,17 +153,6 @@ def test_terms_match_link_frame_rnea_on_shipped_chains(rng, name):
                                   rng.uniform(-2.0, 2.0, dof))
 
 
-def test_terms_from_shared_frames_are_bit_identical(rng):
-    for dof in (1, 3, 6):
-        model = random_model(rng, dof)
-        q = rng.uniform(-2.0, 2.0, dof)
-        qdot = rng.uniform(-2.0, 2.0, dof)
-        own = inverse_dynamics_terms(model, q, qdot)
-        shared = inverse_dynamics_terms(model, q, qdot, chain_frames(model.chain, q))
-        assert own[0].tobytes() == shared[0].tobytes()   # M
-        assert own[1].tobytes() == shared[1].tobytes()   # bias
-
-
 def test_model_validation():
     pend = make_pendulum()
     with pytest.raises(ValueError):
@@ -180,7 +169,7 @@ def test_gravity_hold_static_equilibrium():
     state = SimState(np.array([0.3]), np.array([0.0]))
     _, tau = bias_split(model, state.q, state.qdot)
     for _ in range(100):
-        new = step(model, state, tau, None, 1e-3)
+        new = plant_step(model, state, tau, None, 1e-3)
         assert abs(new.q[0] - state.q[0]) < 1e-9
         state = new
 
@@ -192,8 +181,8 @@ def test_pendulum_energy_drift():
     scale = 2.0 * 9.81 * 0.5   # peak energy swing
     worst = 0.0
     for _ in range(5000):
-        state = step(model, state, np.array([0.0]), None, 1e-3)
-        m = inverse_dynamics_terms(model, state.q, np.zeros(1))[0][0, 0]
+        state = plant_step(model, state, np.array([0.0]), None, 1e-3)
+        m = dynamics_terms(model, state.q, np.zeros(1))[0][0, 0]
         energy = 0.5 * m * state.qdot[0] ** 2 + potential_energy(model, state.q)
         worst = max(worst, abs(energy - e0))
     assert worst / scale < 0.005
@@ -271,7 +260,7 @@ def test_determinism_bitwise(rng):
         trace = []
         for i in range(400):
             tau = bias_split(model, state.q, state.qdot)[1] * 0.98
-            state = step(model, state, tau, plane, 1e-3)
+            state = plant_step(model, state, tau, plane, 1e-3)
             trace.append(state.q.copy())
         return np.array(trace)
 
@@ -285,8 +274,8 @@ def test_passive_plant_energy_nonincreasing(rng):
     state = SimState(np.array([0.2, -0.3]), np.array([0.8, -0.5]))
     prev = None
     for _ in range(500):
-        state = step(model, state, np.zeros(2), None, 1e-3)
-        m, _ = inverse_dynamics_terms(model, state.q, np.zeros(2))
+        state = plant_step(model, state, np.zeros(2), None, 1e-3)
+        m, _ = dynamics_terms(model, state.q, np.zeros(2))
         ke = 0.5 * state.qdot @ m @ state.qdot
         if prev is not None:
             assert ke <= prev * (1.0 + 1e-6)
@@ -297,21 +286,23 @@ def test_step_rejects_bad_input():
     model = make_pendulum()
     state = SimState(np.array([0.0]), np.array([0.0]))
     with pytest.raises(ValueError):
-        step(model, state, np.zeros(1), None, 0.02)
+        plant_step(model, state, np.zeros(1), None, 0.02)
     with pytest.raises(SimulationFault, match=r"^non-finite torque at t=0\.000000"):
-        step(model, state, np.array([np.nan]), None, 1e-3)
+        plant_step(model, state, np.array([np.nan]), None, 1e-3)
 
 
 def test_batched_fault_names_the_first_bad_row():
     # only the faulting row's state goes into the message, not the whole batch
     state = SimState(np.array([[0.1], [0.2], [0.3]]), np.zeros((3, 1)))
     with pytest.raises(SimulationFault) as raised:
-        step(make_pendulum(), state, np.array([[0.0], [np.nan], [1.0]]))
+        plant_step(make_pendulum(), state, np.array([[0.0], [np.nan], [1.0]]), None,
+                   1e-3)
     assert str(raised.value) == ("non-finite torque in row 1 of 3 at t=0.000000: "
                                  "q=[0.2], qdot=[0.], tau=[nan]")
     # a light pendulum's acceleration overflows under the largest torque
     with pytest.raises(SimulationFault) as raised:
-        step(make_pendulum(mass=0.1), state, np.array([[0.0], [1e308], [1.0]]))
+        plant_step(make_pendulum(mass=0.1), state, np.array([[0.0], [1e308], [1.0]]),
+                   None, 1e-3)
     assert str(raised.value) == ("state diverged in row 1 of 3 at t=0.000000: "
                                  "q=[0.2], qdot=[0.], tau=[1.e+308]")
 
@@ -324,14 +315,14 @@ NO_CONTACT = np.zeros(6)   # the end-effector wrench of a state out of contact
 
 def test_ft_sensor_payload_on_axis():
     payload = Payload(0.5, [0.0, 0.0, 0.05], np.zeros(6))
-    raw = read_ft_sensor(NO_CONTACT, payload, np.eye(3))
+    raw = read_ft_sensor(NO_CONTACT, payload, np.eye(3), 0.0, None)
     assert np.allclose(raw[:3], [0.0, 0.0, -4.905], atol=1e-12)
     assert np.allclose(raw[3:], 0.0, atol=1e-12)
 
 
 def test_ft_sensor_off_axis_torque():
     payload = Payload(0.5, [0.05, 0.0, 0.0], np.zeros(6))
-    raw = read_ft_sensor(NO_CONTACT, payload, np.eye(3))
+    raw = read_ft_sensor(NO_CONTACT, payload, np.eye(3), 0.0, None)
     assert np.allclose(raw[3:], [0.0, 0.24525, 0.0], atol=1e-6)
 
 
@@ -341,7 +332,7 @@ def test_ft_sensor_rotated_frame_oracle(rng):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         r = rotation_about_axis(axis, rng.uniform(-np.pi, np.pi))
-        raw = read_ft_sensor(NO_CONTACT, payload, r)
+        raw = read_ft_sensor(NO_CONTACT, payload, r, 0.0, None)
         assert np.allclose(raw[:3], r.T @ np.array([0.0, 0.0, -0.7 * 9.81]),
                            atol=1e-12)
 
@@ -351,7 +342,7 @@ def test_ft_sensor_affine_in_mass():
     readings = []
     for mass in (0.0, 0.5, 1.0):
         payload = Payload(mass, [0.01, 0.02, 0.03], np.array([1, 2, 3, 4, 5, 6.0]))
-        readings.append(read_ft_sensor(NO_CONTACT, payload, rotation))
+        readings.append(read_ft_sensor(NO_CONTACT, payload, rotation, 0.0, None))
     r0, r1, r2 = readings
     assert np.allclose(r2 - r1, r1 - r0, atol=1e-12)
 

@@ -220,7 +220,7 @@ def test_align_zero_order_hold_staleness_bound():
 def test_align_single_stream_trivial():
     episode = Episode("one", [StreamSpec("pose", 10.0, ("x",), "pose")])
     episode.record("pose", 0.5, [7.0])
-    index, _ = episode.align(0.9)["pose"]
+    index, _ = episode.align(0.9, ["pose"])["pose"]
     assert episode.rows("pose")[index] == [7.0]
 
 

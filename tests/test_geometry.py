@@ -42,10 +42,13 @@ def test_rotation_log_identity_and_near_pi(rng):
 
 def test_rotation_log_batch_rows_equal_single_calls(rng):
     # each row of a batch takes its own branch (identity, generic, near pi)
-    # and gets the bits the single call gives
+    # and gets the bits the single call gives, also beside a NaN row, which
+    # has no angle to steer the others by
     rotations = [np.eye(3), rotation_about_axis([0.0, 0.0, 1.0], 1e-12),
                  rotation_about_axis([1.0, 0.0, 0.0], np.pi),
-                 rotation_about_axis([0.0, 0.6, 0.8], np.pi - 1e-8)]
+                 rotation_about_axis([0.0, 0.6, 0.8], np.pi - 1e-8),
+                 rotation_about_axis([0.0, 1.0, 0.0], np.pi - 1e-9),
+                 np.full((3, 3), np.nan)]
     rotations += [random_rotation(rng) for _ in range(4)]
     batch = rotation_log(np.stack(rotations))
     assert batch.shape == (len(rotations), 3)

@@ -11,6 +11,8 @@ from contactctl.impedance import (ImpedanceConfig, ImpedanceExecutor,
                                   build_operational_gains, control_torque,
                                   fold_to_joint_gains)
 from contactctl.kinematics import chain_frames, solve_ik
+from contactctl.scenarios import load_scenario_config
+from contactctl.scenarios.wiping import _control_targets, wiping_setup
 from conftest import make_planar2
 
 
@@ -190,7 +192,7 @@ def test_closed_loop_converges_to_constant_target():
     dt = 1e-3
     for _ in range(2000):   # 2 s
         frames = chain_frames(chain, state.q)
-        terms = inverse_dynamics_terms(model, state.q, state.qdot)
+        terms = inverse_dynamics_terms(model, state.q, state.qdot, frames)
         cart, _ = build_operational_gains(np.full(3, 1500.0), cfg)
         gains = fold_to_joint_gains(frames.jacobian, cart, floor_stack(3.0, 0.5, 2))
         tau = control_torque(gains, q_d, state.q, np.zeros(2), state.qdot,
@@ -217,7 +219,7 @@ def test_execute_tick_identity_command():
     gains, _ = build_operational_gains(np.full(3, 1000.0), executor.config)
     frames = chain_frames(model.chain, q0)
     _, hold = inverse_dynamics_terms(model, q0, np.zeros(2), frames)
-    tau, xi, _ = executor.execute_tick(state, target, gains, frames, hold)
+    tau, xi, _, _ = executor.execute_tick(state, target, gains, frames, hold, None)
     assert np.allclose(tau, hold, atol=1e-6)
     assert np.allclose(xi, 0.0, atol=1e-12)
 
@@ -229,8 +231,10 @@ def test_execute_tick_rest_drift_with_shared_terms():
     state = SimState(q0.copy(), np.zeros(2))
     target = chain_frames(model.chain, q0).ee_pose
     gains, _ = build_operational_gains(np.full(3, 1000.0), executor.config)
+    filtered = None
     for _ in range(50):
-        new_state, _, _, _ = executor.closed_loop_tick(state, target, gains, None)
+        new_state, _, _, _, filtered = executor.closed_loop_tick(state, target, gains,
+                                                                 None, filtered)
         assert np.max(np.abs(new_state.q - state.q)) < 1e-9
         state = new_state
 
@@ -246,9 +250,10 @@ def test_executor_error_norm_decreases_in_free_space():
     assert 0.03 < offset < 0.08
     gains, _ = build_operational_gains(np.full(3, 1500.0), executor.config)
     state = SimState(q0.copy(), np.zeros(2))
-    norms = []
+    norms, filtered = [], None
     for _ in range(1500):
-        state, _, xi, _ = executor.closed_loop_tick(state, target, gains, None)
+        state, _, xi, _, filtered = executor.closed_loop_tick(state, target, gains, None,
+                                                              filtered)
         norms.append(np.linalg.norm(xi))
     norms = np.array(norms)
     assert norms[-1] < 1e-3
@@ -269,9 +274,10 @@ def wiping_rig(kp_z, plane_stiffness=2e4, depth=0.01):
     plane = ContactPlane([0.0, 0.0, 1.0], 0.0, plane_stiffness, 250.0, 0.0)
     target = Pose(rot, [0.45, 0.0, -depth])
     gains, _ = build_operational_gains(np.array([2000.0, 2000.0, kp_z]), cfg)
-    state = SimState(ik.q.copy(), np.zeros(3))
+    state, filtered = SimState(ik.q.copy(), np.zeros(3)), None
     for _ in range(1500):
-        state, _, _, _ = executor.closed_loop_tick(state, target, gains, plane)
+        state, _, _, _, filtered = executor.closed_loop_tick(state, target, gains, plane,
+                                                             filtered)
     frames = chain_frames(model.chain, state.q)
     _, f_n = plane_contact_force(plane, frames.ee_pose.translation, np.zeros(3))
     return f_n, frames.ee_pose.translation[2], state
@@ -302,7 +308,7 @@ def test_executor_reports_stiffness_clamp():
     target = chain_frames(model.chain, q0).ee_pose
     gains, clamped = build_operational_gains(np.array([1.0, 1000.0, 1000.0]),
                                              executor.config)
-    executor.closed_loop_tick(state, target, gains, None)
+    executor.closed_loop_tick(state, target, gains, None, None)
     assert clamped
 
 
@@ -322,15 +328,16 @@ def test_execute_tick_clamps_without_warning_or_filter_changes(monkeypatch):
                                 lambda *a, name=name, **k: touched.append(name))
         # the one clamp is build_operational_gains', which reports it with the gains
         gains, clamped = build_operational_gains(np.array([1.0, 1000.0, 9000.0]), cfg)
-        tau, _, _ = executor.execute_tick(state, frames.ee_pose, gains, frames, bias)
+        tau, _, _, _ = executor.execute_tick(state, frames.ee_pose, gains, frames, bias,
+                                             None)
         monkeypatch.undo()
     assert touched == []
     assert clamped
     assert caught == []
     # the same torque as with the command clamped up front
-    executor = ImpedanceExecutor(model, cfg)
     gains, clamped = build_operational_gains(np.array([cfg.k_min, 1000.0, cfg.k_max]), cfg)
-    again, _, _ = executor.execute_tick(state, frames.ee_pose, gains, frames, bias)
+    again, _, _, _ = executor.execute_tick(state, frames.ee_pose, gains, frames, bias,
+                                           None)
     assert np.array_equal(tau, again)
     assert not clamped
 
@@ -342,8 +349,41 @@ def test_executor_single_code_path_in_contact_and_free_space():
     free_state = SimState(np.array([0.4, 0.7]), np.zeros(2))
     target = chain_frames(model.chain, free_state.q).ee_pose
     gains, _ = build_operational_gains(np.full(3, 1000.0), executor.config)
-    executor.closed_loop_tick(free_state, target, gains, None)
+    executor.closed_loop_tick(free_state, target, gains, None, None)
     assert f_n > 0.0   # contact case did make contact, same code path
+
+
+def test_one_executor_ticks_two_loops():
+    # the executor keeps no loop state: two one-row loops on wiping.ini's
+    # targets, ticked in turn through one executor, get the bits each gets
+    # from an executor of its own
+    setup = wiping_setup(load_scenario_config("configs/wiping.ini"))
+    _, (target, kp) = _control_targets(setup)
+    gains, _ = build_operational_gains(kp, setup.gains)
+    starts = (setup.q0, setup.q0 + 0.02)   # loop i runs stream i from starts[i]
+
+    def run(executors):
+        loops = [(SimState(q, np.zeros_like(q)), None) for q in starts]
+        for k in range(200):
+            for i, executor in enumerate(executors):
+                state, filtered = loops[i]
+                state, _, _, _, filtered = executor.closed_loop_tick(
+                    state, pose_unchecked(target.rotation[i, k], target.translation[i, k]),
+                    gains[i, k], setup.plane, filtered)
+                loops[i] = (state, filtered)
+        return loops
+
+    shared = ImpedanceExecutor(setup.model, setup.gains)
+    attributes = set(vars(shared))
+    together = run([shared, shared])
+    assert set(vars(shared)) == attributes   # ticking set no attribute
+    apart = run([ImpedanceExecutor(setup.model, setup.gains) for _ in starts])
+    for (state, filtered), (want, want_filtered) in zip(together, apart):
+        for got, ref in ((state.q, want.q), (state.qdot, want.qdot),
+                         (state.contact_force_ee, want.contact_force_ee),
+                         (filtered[0], want_filtered[0]),
+                         (filtered[1], want_filtered[1])):
+            assert got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +407,10 @@ def test_single_state_shapes_and_batched_rows(rng, name):
         plane = ContactPlane([0.0, 0.0, 1.0], offset, 2e4, 250.0, 0.4)
         gains, _ = build_operational_gains(kpi, cfg)
         state = SimState(qi, qdi)
-        state, _, first_xi, _ = executor.closed_loop_tick(state, target, gains, plane)
-        return (first_xi,) + executor.closed_loop_tick(state, target, gains, plane)
+        state, _, first_xi, _, filtered = executor.closed_loop_tick(state, target, gains,
+                                                                    plane, None)
+        return (first_xi,) + executor.closed_loop_tick(state, target, gains, plane,
+                                                       filtered)
 
     targets = [pose_unchecked(p.rotation, p.translation + 0.01) for p in ee]
     singles = [tick(q[i], qdot[i], offsets[i], kp[i], targets[i]) for i in range(rows)]
@@ -376,7 +418,7 @@ def test_single_state_shapes_and_batched_rows(rng, name):
                    pose_unchecked(np.stack([t.rotation for t in targets]),
                                   np.stack([t.translation for t in targets])))
 
-    _, state, frames, xi, limits_clamped = singles[0]
+    _, state, frames, xi, limits_clamped, _ = singles[0]
     assert state.q.shape == state.qdot.shape == (n,)
     assert state.contact_force_ee.shape == (3,)
     assert frames.jacobian.shape == (6, n)
@@ -386,20 +428,24 @@ def test_single_state_shapes_and_batched_rows(rng, name):
     assert xi.shape == (6,)
     assert np.ndim(build_operational_gains(kp[0], cfg)[1]) == 0
     assert np.ndim(limits_clamped) == 0
-    mass_matrix, bias = inverse_dynamics_terms(model, q[0], qdot[0])
+    mass_matrix, bias = inverse_dynamics_terms(model, q[0], qdot[0],
+                                               chain_frames(chain, q[0]))
     assert mass_matrix.shape == (n, n) and bias.shape == (n,)
     force, f_n = plane_contact_force(ContactPlane([0.0, 0.0, 1.0], 0.0, 1e4, 0.0, 0.0),
                                      np.array([0.0, 0.0, -0.01]), np.zeros(3))
     assert force.shape == (3,) and isinstance(f_n, float) and f_n == 100.0
 
-    b_first_xi, b_state, b_frames, b_xi, b_clamped = batched
+    b_first_xi, b_state, b_frames, b_xi, b_clamped, b_filtered = batched
     assert b_state.q.shape == (rows, n)
     assert b_state.contact_force_ee.shape == (rows, 3)
     assert b_frames.jacobian.shape == (rows, 6, n)
     assert b_xi.shape == (rows, 6) and b_clamped.shape == (rows,)
     assert build_operational_gains(kp, cfg)[1].shape == (rows,)
-    for i, (s_first_xi, s_state, s_frames, s_xi, s_clamped) in enumerate(singles):
+    for i, (s_first_xi, s_state, s_frames, s_xi, s_clamped, s_filtered) \
+            in enumerate(singles):
         for got, want in ((b_first_xi[i], s_first_xi), (b_xi[i], s_xi),
+                          (b_filtered[0][i], s_filtered[0]),
+                          (b_filtered[1][i], s_filtered[1]),
                           (b_clamped[i], s_clamped),
                           (b_state.q[i], s_state.q), (b_state.qdot[i], s_state.qdot),
                           (b_state.contact_force_ee[i], s_state.contact_force_ee),

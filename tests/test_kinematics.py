@@ -236,7 +236,8 @@ def test_solve_ik_near_solution_converges_fast(planar2):
 
 def test_solve_ik_fixed_point(planar2):
     q0 = np.array([0.3, -0.5])
-    result = solve_ik(planar2, q0, chain_frames(planar2, q0).ee_pose, LAM, tol=1e-6)
+    result = solve_ik(planar2, q0, chain_frames(planar2, q0).ee_pose, LAM,
+                      max_iters=100, tol=1e-6)
     assert result.converged and result.iterations <= 1
 
 
@@ -255,7 +256,7 @@ def test_solve_ik_respects_joint_limits():
     chain.joint_limits = np.array([[-0.5, 0.5], [-0.5, 0.5]])
     target = Pose(rotation_about_axis(np.array([0.0, 0.0, 1.0]), 2.0),
                   [-0.3, 0.6, 0.0])
-    result = solve_ik(chain, [0.0, 0.0], target, LAM, max_iters=100)
+    result = solve_ik(chain, [0.0, 0.0], target, LAM, max_iters=100, tol=1e-6)
     assert np.all(result.q >= chain.joint_limits[:, 0] - 1e-12)
     assert np.all(result.q <= chain.joint_limits[:, 1] + 1e-12)
     # the target lies outside the limits: the solver stops with a joint on one
@@ -264,9 +265,9 @@ def test_solve_ik_respects_joint_limits():
 
 def test_solve_ik_validates_arguments(planar2):
     with pytest.raises(ValueError):
-        solve_ik(planar2, [0, 0], Pose.identity(), LAM, tol=0.0)
+        solve_ik(planar2, [0, 0], Pose.identity(), LAM, max_iters=100, tol=0.0)
     with pytest.raises(ValueError):
-        solve_ik(planar2, [0, 0], Pose.identity(), LAM, max_iters=0)
+        solve_ik(planar2, [0, 0], Pose.identity(), LAM, max_iters=0, tol=1e-6)
 
 
 # ---------------------------------------------------------------------------
