@@ -178,10 +178,9 @@ def _plot_grasp_force(episode) -> tuple:
     spec = episode.streams["gripper"]
     if "f_int" not in spec.schema:
         raise KeyError("gripper.f_int")
-    idx = spec.schema.index("f_int")
-    rows = [[t, row[idx]] for t, row
-            in zip(episode.times("gripper"), episode.rows("gripper"))]
-    return "grasp_force", ["t", "f_int"], np.array(rows).reshape(-1, 2)
+    rows = np.column_stack([episode.times("gripper"),
+                            episode.values("gripper")[:, spec.schema.index("f_int")]])
+    return "grasp_force", ["t", "f_int"], rows
 
 
 def _plot_gravity_comp(episode) -> tuple:

@@ -22,9 +22,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .geometry import (GeometryError, Pose, as_vec3, check_rotations,
-                       decode_rot6d_rows, dot_rows, pose_unchecked,
-                       rotation_about_axis, rotation_log)
+from .geometry import (GeometryError, Pose, as_vec3, decode_rot6d_rows,
+                       dot_rows, rotation_about_axis, rotation_log)
 
 # serialized action-step layout (the policy/controller boundary)
 ACTION_SCHEMA = ("dx", "dy", "dz",
@@ -114,7 +113,6 @@ def compile_step(actions: np.ndarray, start: Pose,
     if actions.shape[-1] != len(ACTION_SCHEMA):
         raise ComplianceError(f"action rows need 13 columns, got {actions.shape[-1]}")
     rotation = decode_rot6d_rows(actions[..., 3:6], actions[..., 6:9])
-    check_rotations(rotation)
     first = np.broadcast_to(start.translation, actions.shape[:-2] + (1, 3))
     ref = np.cumsum(np.concatenate([first, actions[..., :3]], axis=-2),
                     axis=-2)[..., 1:, :]
@@ -123,7 +121,7 @@ def compile_step(actions: np.ndarray, start: Pose,
     target = ref - force / kp
     if not np.isfinite(target).all():
         raise GeometryError("pose translation not finite")
-    return pose_unchecked(rotation, target), kp
+    return Pose(rotation, target), kp
 
 
 def interpolate_commands(prev: tuple, nxt: tuple,
@@ -156,8 +154,7 @@ def interpolate_commands(prev: tuple, nxt: tuple,
     pos = (1.0 - vec_frac) * target_prev.translation \
         + vec_frac * target_next.translation
     kp = (1.0 - vec_frac) * kp_prev + vec_frac * kp_next
-    # a product of validated rotations needs no re-validation
-    return pose_unchecked(rot, pos), kp
+    return Pose(rot, pos), kp
 
 
 class RecedingHorizonScheduler:

@@ -210,9 +210,8 @@ def plane_contact_force(plane: ContactPlane, p_ee: np.ndarray,
 STEP_DT_MAX = 0.01   # s, largest plant step `step` accepts
 
 
-def step(model: ArmDynamicsModel, state: SimState, tau: np.ndarray,
-         plane: Optional[ContactPlane], dt: float, terms: tuple,
-         frames: ChainFrames) -> SimState:
+def step(state: SimState, tau: np.ndarray, plane: Optional[ContactPlane],
+         dt: float, terms: tuple, frames: ChainFrames) -> SimState:
     """Advance one semi-implicit Euler step: M qdd + C qd + g = tau + J^T f_c.
 
     `terms` is the (M, bias) pair of `inverse_dynamics_terms` and `frames`

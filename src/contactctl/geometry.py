@@ -3,7 +3,10 @@
 Conventions used throughout the library:
 - rotations are 3x3 orthonormal matrices with det = +1,
 - a Pose maps points from its local frame into the parent frame
-  (p_parent = R @ p_local + t),
+  (p_parent = R @ p_local + t); it is a plain (rotation, translation) pair,
+  and a rotation is checked where it enters the program: every 6D pair is
+  checked as `decode_rot6d_rows` decodes it, and every chain matrix by
+  `kinematics.ChainModel`,
 - orientation errors are rotation-log (axis-angle) 3-vectors in radians,
 - a wrench is a (..., 6) float array, force then torque; the function that
   returns it says which frame it is expressed in.
@@ -146,42 +149,24 @@ def check_rotations(r: np.ndarray) -> None:
 
 @dataclass
 class Pose:
-    """Rigid transform: 3x3 rotation plus translation in meters."""
+    """Rigid transform: 3x3 rotation plus translation in meters, as float
+    arrays; or a stack of them, (..., 3, 3) rotations and (..., 3)
+    translations. It checks nothing: a rotation read from a 6D pair is
+    checked where `decode_rot6d_rows` decodes it."""
 
     rotation: np.ndarray
     translation: np.ndarray
-
-    def __post_init__(self):
-        self.rotation = np.asarray(self.rotation, dtype=float)
-        self.translation = np.asarray(self.translation, dtype=float).reshape(3)
-        if self.rotation.shape != (3, 3):
-            raise GeometryError(f"rotation must be 3x3, got {self.rotation.shape}")
-        check_rotations(self.rotation)
-        if not np.all(np.isfinite(self.translation)):
-            raise GeometryError(f"pose translation not finite: {self.translation}")
 
     @staticmethod
     def identity() -> "Pose":
         return Pose(np.eye(3), np.zeros(3))
 
 
-def pose_unchecked(rotation: np.ndarray, translation: np.ndarray) -> Pose:
-    """Internal fast path: skip orthonormality validation.
-
-    Only for rotations that are orthonormal by construction (products of
-    validated rotations); public callers should use Pose(). Also holds a
-    batch of poses: (..., 3, 3) rotations and (..., 3) translations.
-    """
-    p = object.__new__(Pose)
-    p.rotation = rotation
-    p.translation = translation
-    return p
-
-
 def decode_rot6d_rows(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     """Rotations (..., 3, 3), by Gram-Schmidt, of 6D encodings given as their
     two (..., 3) vectors; a row gets the bits of decoding it alone. Raises
-    GeometryError if any first vector is near zero or any pair near parallel.
+    GeometryError if any first vector is near zero, any pair near parallel,
+    or any result fails `check_rotations`: every decoded pair is a rotation.
     """
     n1 = np.sqrt(dot_rows(a1, a1))
     if (n1 < 1e-8).any():
@@ -194,6 +179,7 @@ def decode_rot6d_rows(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     b2 = u2 / n2[..., None]
     out = np.empty(b1.shape + (3,))   # columns b1, b2, b1 x b2
     out[..., 0], out[..., 1], out[..., 2] = b1, b2, cross3(b1.T, b2.T).T
+    check_rotations(out)
     return out
 
 

@@ -154,8 +154,7 @@ class ImpedanceExecutor:
                                        frames)
         tau, xi, limits_clamped, filtered = self.execute_tick(
             state, target, gains, frames, terms[1], filtered)
-        next_state = step(self.dyn_model, state, tau, plane, self.config.dt,
-                          terms, frames)
+        next_state = step(state, tau, plane, self.config.dt, terms, frames)
         return next_state, frames, xi, limits_clamped, filtered
 
     def execute_tick(self, state: SimState, target: Pose, gains: np.ndarray,

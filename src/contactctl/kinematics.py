@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (Pose, check_rotations, cross_rows, pose_unchecked,
-                       rodrigues, rotation_log, skew_rows)
+from .geometry import (Pose, check_rotations, cross_rows, rodrigues,
+                       rotation_log, skew_rows)
 
 AXIS_UNIT_TOL = 1e-9
 
@@ -56,6 +56,11 @@ class ChainModel:
         translations = np.array(self.offset_translations, dtype=float).reshape(n, 3)
         if not np.isfinite(translations).all():
             raise ChainConfigError(f"joint offset translation not finite: {translations}")
+        tool = Pose(np.array(self.tool_offset.rotation, dtype=float).reshape(3, 3),
+                    np.array(self.tool_offset.translation, dtype=float).reshape(3))
+        check_rotations(tool.rotation)
+        if not np.isfinite(tool.translation).all():
+            raise ChainConfigError(f"tool offset translation not finite: {tool.translation}")
         limits = np.array(self.joint_limits, dtype=float).reshape(n, 2)
         # written as `not ...` so that NaN limits fail too
         if not np.all(limits[:, 0] < limits[:, 1]):
@@ -64,6 +69,7 @@ class ChainModel:
             a.flags.writeable = False
         self.axes, self.offset_rotations = axes, rotations
         self.offset_translations, self.joint_limits = translations, limits
+        self.tool_offset = tool
         self.skews = skew_rows(axes)                        # (n, 3, 3) skew(axis)
         self.outers = axes[:, :, None] * axes[:, None, :]   # (n, 3, 3) axis axis^T
         # per joint: its offset rotation, or None for the identity, whose
@@ -144,7 +150,7 @@ def chain_frames(chain: ChainModel, q: np.ndarray) -> ChainFrames:
     tool = chain.tool_offset
     p_ee = r @ tool.translation + origins[..., -1, :]
     r_ee = r @ tool.rotation
-    return ChainFrames(origins, axes, rotations, pose_unchecked(r_ee, p_ee))
+    return ChainFrames(origins, axes, rotations, Pose(r_ee, p_ee))
 
 
 def pose_error(target: Pose, current: Pose) -> np.ndarray:

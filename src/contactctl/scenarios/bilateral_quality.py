@@ -23,7 +23,9 @@ from .base import SCENARIO_KEYS, Criterion, Key, ScenarioConfig, build_report
 from .bottle import (BILATERAL_DT, GRIPPER_KEYS, STATE_COLUMNS, gripper_episode,
                      gripper_params)
 
-KEYS = SCENARIO_KEYS + GRIPPER_KEYS + (
+# the three divisor settings run once: a run is one trial
+KEYS = tuple(Key("scenario", "trials", int, "1", "[1, 1]") if key.name == "trials"
+             else key for key in SCENARIO_KEYS) + GRIPPER_KEYS + (
     Key("quality", "dt", float, "0.001", BILATERAL_DT),
     Key("quality", "duration_s", float, "5.0", ">= 0"),
     Key("quality", "hold_force", float, "8.0"),
@@ -141,7 +143,7 @@ def run_bilateral_signal_quality(config: ScenarioConfig, out_dir=None) -> list:
     return [build_report(config, "default", metrics, criteria,
                          ["signal-level proxy with a scripted force-intent "
                           "operator model; not a human-subject comparison"],
-                         episode, out_dir, trials=1)]
+                         episode, out_dir)]
 
 
 RUNNER = run_bilateral_signal_quality.__name__

@@ -102,17 +102,14 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> list:
                                      if sigma > 0.0 else 0.0)
         averaged = blocks.mean(axis=1)
         payload = identify_payload(orientations, averaged)
-        # with an identity sensor-to-ee transform, compensating a whole pose
-        # block is the block minus the fitted gravity force at that pose
-        grav_hat = gravity_model(payload.mass, payload.com, payload.bias,
-                                 orientations)[:, :3]
+        # every sample of a pose block compensated at that pose's orientation
+        compensated = compensate_wrench(blocks, payload, orientations[:, None])
         raw_spans.append(_per_axis_span(averaged[:, :3]))
-        comp_spans.append(_per_axis_span(
-            (blocks[:, :, :3] - grav_hat[:, None, :]).reshape(-1, 3)))
+        comp_spans.append(_per_axis_span(compensated[..., :3].reshape(-1, 3)))
         residual_maxes.append(float(payload.residual_rms.max()))
 
         if trial == 0 and out_dir is not None:
-            episode = _record_episode(config, orientations, blocks, payload,
+            episode = _record_episode(config, blocks, compensated,
                                       gravity["sample_rate_hz"])
 
     metrics = {
@@ -127,18 +124,15 @@ def run_gravity_verification(config: ScenarioConfig, out_dir=None) -> list:
 RUNNER = run_gravity_verification.__name__
 
 
-def _record_episode(config, orientations, blocks, payload, rate) -> Episode:
-    """Raw and compensated readings of the (poses, samples, 6) blocks, in
-    pose order."""
+def _record_episode(config, blocks, compensated, rate) -> Episode:
+    """The (poses, samples, 6) raw and compensated readings, in pose order."""
     episode = Episode(f"{config.scenario_id}_default",
                       [StreamSpec("wrench_raw", rate, WRENCH_SCHEMA, "wrench"),
                        StreamSpec("wrench_ee", rate, WRENCH_SCHEMA, "wrench")],
                       config_hash=config.config_hash)
     raw = blocks.reshape(-1, 6)
-    rows_r = np.repeat(orientations, blocks.shape[1], axis=0)
-    comp = compensate_wrench(raw, payload, rows_r)
     # sample times advance by a running sum, 0, 1/rate, 2/rate, ...
     t = list(accumulate(repeat(1.0 / rate, len(raw) - 1), initial=0.0))
     episode.record_block("wrench_raw", t, raw)
-    episode.record_block("wrench_ee", t, comp)
+    episode.record_block("wrench_ee", t, compensated.reshape(-1, 6))
     return episode

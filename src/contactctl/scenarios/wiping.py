@@ -39,8 +39,7 @@ from ..compliance import (ACTION_SCHEMA, RecedingHorizonScheduler,
 from ..dynamics import (ArmDynamicsModel, ContactPlane, SimState,
                         load_arm_model, read_ft_sensor)
 from ..episodes import Episode, StreamSpec, replay_actions, write_float_rows
-from ..geometry import (Pose, dot_rows, encode_rot6d_rows, pose_unchecked,
-                        rotation_about_axis)
+from ..geometry import Pose, dot_rows, encode_rot6d_rows, rotation_about_axis
 from ..impedance import (ImpedanceConfig, ImpedanceExecutor,
                          build_operational_gains)
 from ..kinematics import solve_ik
@@ -176,7 +175,7 @@ def wiping_setup(config: ScenarioConfig) -> WipingSetup:
     x_start = config.value("wiping", "x_start")
     start_pose = Pose(rotation_about_axis(np.array([0.0, 1.0, 0.0]),
                                           config.value("wiping", "tool_pitch")),
-                      [x_start, 0.0, plane.offset])
+                      np.array([x_start, 0.0, plane.offset]))
     force_target = config.value("wiping", "force_target")
     streams, scored = zip(*[_scripted_actions(
         config, start_pose.rotation, force_target if variant == "with_wrench" else 0.0)
@@ -324,7 +323,7 @@ def _control_targets(setup: WipingSetup) -> tuple:
     frac = np.tile(np.arange(1, per + 1) / per, len(executed))
 
     def at(k):
-        return pose_unchecked(target.rotation[:, k], target.translation[:, k]), kp[:, k]
+        return Pose(target.rotation[:, k], target.translation[:, k]), kp[:, k]
     return executed, interpolate_commands(at(np.maximum(now - 1, 0)), at(now), frac)
 
 
@@ -385,8 +384,8 @@ def rollout(setup: WipingSetup, stream_of_row, plane_offset, recorded: dict) -> 
                     np.empty((n_ticks, n_rec, 2), dtype=bool))
     for tick in range(n_ticks):
         new_state, frames, xi, limits_clamped, filtered = executor.closed_loop_tick(
-            state, pose_unchecked(target.rotation[stream_of_row, tick],
-                                  target.translation[stream_of_row, tick]),
+            state, Pose(target.rotation[stream_of_row, tick],
+                        target.translation[stream_of_row, tick]),
             gains[stream_of_row, tick], plane, filtered)
 
         rotation = frames.ee_pose.rotation

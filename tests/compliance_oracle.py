@@ -4,14 +4,14 @@
 Each executed action step is compiled on its own, in stream order: the
 reference pose advances by the step's delta and takes the step's absolute
 orientation, the stiffness is scheduled from the step's force, and the
-target is displaced by Kp^-1 f. Every pose is built, and so checked, as a
-`Pose`.
+target is displaced by Kp^-1 f. Each step's orientation is checked as it is
+decoded, and each target's translation as it is built.
 """
 
 import numpy as np
 
 from contactctl.compliance import ActionStep, ComplianceError, StiffnessSchedule
-from contactctl.geometry import Pose, decode_rot6d_rows
+from contactctl.geometry import GeometryError, Pose, decode_rot6d_rows
 
 
 def schedule_stiffness(force: np.ndarray, sched: StiffnessSchedule) -> np.ndarray:
@@ -36,6 +36,8 @@ def compile_virtual_target(ref_pose: Pose, force: np.ndarray,
             raise ComplianceError(
                 f"zero stiffness on axis {i} with nonzero force {force[i]}")
     target = Pose(ref_pose.rotation.copy(), ref_pose.translation - delta_p)
+    if not np.all(np.isfinite(target.translation)):
+        raise GeometryError(f"pose translation not finite: {target.translation}")
     return target, delta_p
 
 

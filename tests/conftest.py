@@ -62,7 +62,7 @@ def plant_step(model, state, tau, plane, dt):
     """One plant step on the forward pass and dynamics terms of `state`, which
     the closed-loop tick would share with its controller."""
     frames = chain_frames(model.chain, state.q)
-    return step(model, state, tau, plane, dt,
+    return step(state, tau, plane, dt,
                 inverse_dynamics_terms(model, state.q, state.qdot, frames), frames)
 
 

@@ -1,11 +1,13 @@
-"""Every public name in src/contactctl has a caller in src/, and every
-dataclass field a reader there.
+"""Every public name in src/contactctl has a caller in src/, every
+dataclass field a reader there, and every function parameter a read in its
+function's body.
 
 A public top-level function, class or method that nothing in the package
 names, outside its own definition, is an API kept alive only by tests. The
 documented file-format API and the CLI entry point are the exceptions. A
 dataclass field that nothing in the package reads as an attribute is state
-kept alive only by tests.
+kept alive only by tests. A parameter its function never reads is an
+argument every caller passes for nothing.
 """
 
 import ast
@@ -85,3 +87,27 @@ def test_every_dataclass_field_is_read_in_src():
                      for cls, name in _dataclass_fields(tree)
                      if name not in reads} - ALLOWED_FIELDS)
     assert unread == [], f"dataclass fields no code in src/ reads: {unread}"
+
+
+def _unread_parameters(tree: ast.Module):
+    """(name, line, parameter) of every parameter, other than self and cls,
+    that its function's body never reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            for param in params:
+                if param not in read and param not in ("self", "cls"):
+                    yield name, node.lineno, param
+
+
+def test_every_parameter_is_read_in_its_body():
+    unread = [f"{module}.{name} (line {line}): {param}"
+              for module, tree in _modules().items()
+              for name, line, param in _unread_parameters(tree)]
+    assert unread == [], f"parameters their function never reads: {unread}"

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from contactctl.compliance import interpolate_commands
 from contactctl.dynamics import (ContactPlane, SimState, inverse_dynamics_terms,
                                  plane_contact_force)
-from contactctl.geometry import pose_unchecked
+from contactctl.geometry import Pose
 from contactctl.impedance import (ImpedanceConfig, ImpedanceExecutor,
                                   build_operational_gains)
 from contactctl.kinematics import chain_frames
@@ -134,7 +134,7 @@ def test_interpolate_commands_row_equals_single(case):
     r_next[same] = r_prev[same]
 
     def command(rotation):
-        return (pose_unchecked(rotation, rng.normal(size=(rows, 3))),
+        return (Pose(rotation, rng.normal(size=(rows, 3))),
                 rng.uniform(200.0, 2000.0, (rows, 3)))
     prev, nxt = command(r_prev), command(r_next)
     frac = rng.uniform(0.0, 1.0, rows)
@@ -142,7 +142,7 @@ def test_interpolate_commands_row_equals_single(case):
 
     def single(command):
         target, kp = command
-        return pose_unchecked(target.rotation[i], target.translation[i]), kp[i]
+        return Pose(target.rotation[i], target.translation[i]), kp[i]
     want, want_kp = interpolate_commands(single(prev), single(nxt), frac[i])
     assert_same_bits([(got.rotation[i], want.rotation),
                       (got.translation[i], want.translation), (got_kp[i], want_kp)])
@@ -157,7 +157,7 @@ def test_execute_tick_row_equals_single(case):
     cfg = ImpedanceConfig()
     q, qdot = states(rng, rows, dof)
     q_next, qdot_next = states(rng, rows, dof)
-    targets = pose_unchecked(rotations(rng, rows), rng.uniform(-0.5, 0.5, (rows, 3)))
+    targets = Pose(rotations(rng, rows), rng.uniform(-0.5, 0.5, (rows, 3)))
     gains, _ = build_operational_gains(rng.uniform(100.0, 3000.0, (rows, 3)), cfg)
     executor = ImpedanceExecutor(model, cfg)
     batched = alone = None   # the qdot_d filter states of the batch and of row i
@@ -168,7 +168,7 @@ def test_execute_tick_row_equals_single(case):
                                               bias, batched)
         frames = chain_frames(model.chain, qk[i])
         _, bias = inverse_dynamics_terms(model, qk[i], qdk[i], frames)
-        target = pose_unchecked(targets.rotation[i], targets.translation[i])
+        target = Pose(targets.rotation[i], targets.translation[i])
         *want, alone = executor.execute_tick(SimState(qk[i], qdk[i]), target, gains[i],
                                              frames, bias, alone)
         # the tau, xi and limits_clamped of the tick, and the filter state after it

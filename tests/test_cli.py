@@ -2,9 +2,11 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +17,14 @@ import episode_csv_oracle
 import plot_oracle
 from contactctl import cli
 from contactctl.cli import main
+from contactctl.compliance import StiffnessSchedule, compile_step
+from contactctl.dynamics import load_arm_model
 from contactctl.episodes import Episode, StreamSpec, export_csv, load_episode
-from contactctl.geometry import encode_rot6d_rows
+from contactctl.geometry import GeometryError, Pose, encode_rot6d_rows
+from contactctl.kinematics import ChainConfigError
 from contactctl.sensing import load_payload
 from conftest import random_rotation
+from test_geometry import near_parallel_rows
 
 
 GOLDEN_CAL = "tests/data/calibration_golden.csv"
@@ -485,6 +491,20 @@ def test_plot_data_grasp_force(tmp_path):
     assert (tmp_path / "episode_default" / "grasp_force.csv").exists()
 
 
+def test_plot_data_grasp_force_of_a_reference_stream_is_criteria_failure(
+        tmp_path, capsys):
+    # a gripper stream of image references has no numbers to plot, even
+    # with an f_int column; the figure is refused, not written as text
+    episode = Episode("refs", [StreamSpec("gripper", 100.0, ("f_int",), "image_ref")])
+    episode.record("gripper", 0.0, ["a.png"])
+    export_csv(episode, tmp_path / "ep")
+    code = run_cli("plot-data", "--episode", str(tmp_path / "ep"),
+                   "--kind", "grasp-force", "--out", str(tmp_path / "plots"))
+    assert code == 1
+    assert "cannot make the grasp-force figure" in capsys.readouterr().err
+    assert not (tmp_path / "plots" / "grasp_force.csv").exists()
+
+
 def test_plot_data_gravity_comp(tmp_path):
     run_cli("run", "--config", "configs/gravity_verification.ini",
             "--out", str(tmp_path), "--trials", "2", "--quiet")
@@ -737,6 +757,70 @@ def test_plot_data_fz_wiping_names_the_first_degenerate_pose(tmp_path, capsys):
     assert "vectors near parallel" in err and "first vector near zero" not in err
     assert _fz_outcome(_new_fz_rows, episode) \
         == _fz_outcome(plot_oracle.fz_wiping_rows, episode)
+
+
+# ---------------------------------------------------------------------------
+# a 6D pair that decodes to no rotation, through every reader
+
+NOT_A_ROTATION = r"rotation (not orthonormal|determinant)"
+
+
+def _read_chain_key(tmp_path, capsys, pair, section, key):
+    text = Path("configs/chains/planar3.ini").read_text()
+    head, rest = text.split(f"[{section}]")
+    old = f"{key} = 1 0 0 0 1 0"
+    assert old in rest
+    path = tmp_path / "planar3.ini"
+    path.write_text(f"{head}[{section}]"
+                    + rest.replace(old, f"{key} = " + " ".join(map(repr, pair)), 1))
+    with pytest.raises(ChainConfigError, match=f"{section} {key}: {NOT_A_ROTATION}"):
+        load_arm_model(path)
+
+
+def _read_action_row(tmp_path, capsys, pair):
+    rows = np.zeros((3, 13))
+    rows[:, 3:9], rows[:, 12] = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0], 0.05
+    rows[1, 3:9] = pair
+    with pytest.raises(GeometryError, match=NOT_A_ROTATION):
+        compile_step(rows, Pose.identity(), StiffnessSchedule())
+
+
+def _read_calibration_row(tmp_path, capsys, pair):
+    lines = Path(GOLDEN_CAL).read_text().splitlines()
+    lines[3] = ",".join(list(map(repr, pair)) + lines[3].split(",")[6:])
+    path = tmp_path / "cal.csv"
+    path.write_text("\n".join(lines) + "\n")
+    out_path = tmp_path / "p.ini"
+    assert run_cli("calibrate", "--samples", str(path), "--out", str(out_path)) == 2
+    assert re.search(f"{path}:4: {NOT_A_ROTATION}", capsys.readouterr().err)
+    assert not out_path.exists()
+
+
+def _read_episode_pose(tmp_path, capsys, pair):
+    t = np.arange(2) / 1000.0
+    poses = [[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, *pair]]
+    export_csv(fz_episode(t, poses, t, np.ones((2, 6)), t, np.ones((2, 6))),
+               tmp_path / "ep")
+    code = run_cli("plot-data", "--episode", str(tmp_path / "ep"),
+                   "--kind", "fz-wiping", "--out", str(tmp_path / "plots"))
+    assert code == 1
+    assert re.search(f"cannot make the fz-wiping figure: {NOT_A_ROTATION}",
+                     capsys.readouterr().err)
+    assert not (tmp_path / "plots" / "fz_wiping.csv").exists()
+
+
+@pytest.mark.parametrize("read", [
+    partial(_read_chain_key, section="chain", key="tool_rot6d"),
+    partial(_read_chain_key, section="joint.2", key="offset_rot6d"),
+    _read_action_row, _read_calibration_row, _read_episode_pose],
+    ids=["chain_tool_rot6d", "chain_offset_rot6d", "action_row", "calibration_row",
+         "episode_pose"])
+def test_every_reader_rejects_a_6d_pair_that_is_no_rotation(tmp_path, capsys, rng,
+                                                             read):
+    # the pair passes decode's near-zero and near-parallel tests but decodes
+    # to a matrix off orthonormal by more than 1e-9; every reader of 6D
+    # pairs rejects it where it decodes it
+    read(tmp_path, capsys, near_parallel_rows(rng, 1)[0].tolist())
 
 
 def test_plot_data_unknown_kind(tmp_path, capsys):

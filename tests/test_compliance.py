@@ -8,8 +8,8 @@ from contactctl.compliance import (ACTION_SCHEMA, ActionChunk, ActionStep,
                                    StiffnessSchedule, compile_step,
                                    interpolate_commands, schedule_stiffness)
 from contactctl.episodes import Episode, StreamSpec, replay_actions
-from contactctl.geometry import (GeometryError, Pose, encode_rot6d_rows,
-                                 pose_unchecked, rotation_about_axis)
+from contactctl.geometry import (GeometryError, Pose, check_rotations,
+                                 encode_rot6d_rows, rotation_about_axis)
 from conftest import random_rotation
 from test_geometry import near_parallel_rows
 
@@ -163,8 +163,8 @@ def test_compile_step_rejects_what_the_per_step_path_rejects():
 
 
 def test_compile_step_checks_each_decoded_rotation(rng):
-    # near-parallel 6D vectors can decode to a non-orthonormal matrix; the
-    # per-step path rejects it when it builds the reference Pose
+    # near-parallel 6D vectors pass the parallel test but not the rotation
+    # check, which both paths make as they decode
     rows = np.array([make_row()] * 5)
     rows[3, 3:9] = near_parallel_rows(rng, 1)[0]
     step = ActionStep.from_array(rows[3])
@@ -341,7 +341,7 @@ def test_interpolate_commands_clamps_frac(rng):
         assert np.array_equal(got_kp, want_kp)
     for frac in np.linspace(0.0, 1.0, 7):
         rot = interpolate_commands(a, b, frac)[0].rotation
-        Pose(rot, np.zeros(3))   # raises unless orthonormal with det +1
+        check_rotations(rot)
 
 
 def test_interpolate_commands_array_frac_matches_scalar_calls(rng):
@@ -353,7 +353,7 @@ def test_interpolate_commands_array_frac_matches_scalar_calls(rng):
     def stack():
         rotation = np.array([[random_rotation(rng) for _ in range(s)]
                              for _ in range(k)])
-        return (pose_unchecked(rotation, rng.normal(size=(k, s, 3))),
+        return (Pose(rotation, rng.normal(size=(k, s, 3))),
                 rng.uniform(200.0, 2000.0, (k, s, 3)))
 
     prev, nxt = stack(), stack()

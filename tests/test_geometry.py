@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contactctl.geometry import (GeometryError, Pose, check_rotations, cross3,
+from contactctl.geometry import (GeometryError, check_rotations, cross3,
                                  cross_rows, decode_rot6d_rows, encode_rot6d_rows,
                                  rotation_about_axis, rotation_log, skew)
 from conftest import random_rotation
@@ -102,13 +102,13 @@ def test_rot6d_degenerate_inputs():
 
 def near_parallel_rows(rng, count):
     """6D rows whose vectors pass decode's parallel test but decode to a
-    matrix that fails the orthonormality check."""
+    matrix that fails the rotation check."""
     found = []
     while len(found) < count:
         a1 = rng.normal(size=3)
         a2 = a1 * rng.uniform(0.5, 2.0) + rng.normal(size=3) * 1.5e-8
         try:
-            Pose(decode_rot6d_rows(a1, a2), np.zeros(3))
+            decode_rot6d_rows(a1, a2)
         except GeometryError as exc:
             if "parallel" not in str(exc):
                 found.append(np.concatenate([a1, a2]))
@@ -139,16 +139,16 @@ def test_rot6d_rows_reject_what_single_decodes_reject(rng):
         with pytest.raises(GeometryError) as rows:
             decode_rot6d_rows(rows_a1, rows_a2)
         assert str(rows.value) == str(single.value)
-    # near-parallel rows decode, and the rotation check rejects each of them
-    # alone and in a stack
+    # near-parallel rows pass the parallel test, and decode's rotation check
+    # rejects each of them alone and in a stack
     near = near_parallel_rows(rng, 3)
     for row in near:
         with pytest.raises(GeometryError, match="not orthonormal|determinant"):
-            check_rotations(decode_rot6d_rows(row[:3], row[3:]))
+            decode_rot6d_rows(row[:3], row[3:])
     stack = np.concatenate([np.concatenate([a1, a2], axis=1), near])
     with pytest.raises(GeometryError, match="not orthonormal|determinant"):
-        check_rotations(decode_rot6d_rows(stack[:, :3], stack[:, 3:]))
-    check_rotations(decode_rot6d_rows(a1, a2))
+        decode_rot6d_rows(stack[:, :3], stack[:, 3:])
+    decode_rot6d_rows(a1, a2)   # the stack without them decodes
 
 
 def test_rot6d_rows_encode_the_first_two_columns(rng):
@@ -165,22 +165,19 @@ def test_rot6d_rows_encode_the_first_two_columns(rng):
         == decode_rot6d_rows(r[..., :, 0], r[..., :, 1]).tobytes()
 
 
-def test_pose_rejects_bad_rotation():
+def test_check_rotations_rejects_bad_rotation():
     with pytest.raises(GeometryError):
-        Pose(np.eye(3) * 1.0001, np.zeros(3))
-    flipped = np.diag([1.0, 1.0, -1.0])
+        check_rotations(np.eye(3) * 1.0001)
     with pytest.raises(GeometryError):
-        Pose(flipped, np.zeros(3))
+        check_rotations(np.diag([1.0, 1.0, -1.0]))
 
 
-def test_pose_rejects_non_finite_input():
+def test_check_rotations_rejects_non_finite_input():
     # NaN compares false with every tolerance, so it must not slip through
     with pytest.raises(GeometryError):
-        Pose(np.full((3, 3), np.nan), np.zeros(3))
+        check_rotations(np.full((3, 3), np.nan))
     for bad in (np.nan, np.inf, -np.inf):
         rotation = np.eye(3)
         rotation[1, 2] = bad
         with pytest.raises(GeometryError):
-            Pose(rotation, np.zeros(3))
-        with pytest.raises(GeometryError):
-            Pose(np.eye(3), [bad, 0.0, 0.0])
+            check_rotations(rotation)

@@ -6,7 +6,7 @@ import pytest
 from contactctl.dynamics import (ArmDynamicsModel, ContactPlane, SimState,
                                  inverse_dynamics_terms, load_arm_model,
                                  plane_contact_force, step)
-from contactctl.geometry import Pose, pose_unchecked, rotation_about_axis
+from contactctl.geometry import Pose, rotation_about_axis
 from contactctl.impedance import (ImpedanceConfig, ImpedanceExecutor,
                                   build_operational_gains, control_torque,
                                   fold_to_joint_gains)
@@ -197,7 +197,7 @@ def test_closed_loop_converges_to_constant_target():
         gains = fold_to_joint_gains(frames.jacobian, cart, floor_stack(3.0, 0.5, 2))
         tau = control_torque(gains, q_d, state.q, np.zeros(2), state.qdot,
                              terms[1])
-        state = step(model, state, tau, None, dt, terms=terms, frames=frames)
+        state = step(state, tau, None, dt, terms=terms, frames=frames)
     assert np.linalg.norm(state.q - q_d) < 1e-3
 
 
@@ -368,7 +368,7 @@ def test_one_executor_ticks_two_loops():
             for i, executor in enumerate(executors):
                 state, filtered = loops[i]
                 state, _, _, _, filtered = executor.closed_loop_tick(
-                    state, pose_unchecked(target.rotation[i, k], target.translation[i, k]),
+                    state, Pose(target.rotation[i, k], target.translation[i, k]),
                     gains[i, k], setup.plane, filtered)
                 loops[i] = (state, filtered)
         return loops
@@ -412,11 +412,11 @@ def test_single_state_shapes_and_batched_rows(rng, name):
         return (first_xi,) + executor.closed_loop_tick(state, target, gains, plane,
                                                        filtered)
 
-    targets = [pose_unchecked(p.rotation, p.translation + 0.01) for p in ee]
+    targets = [Pose(p.rotation, p.translation + 0.01) for p in ee]
     singles = [tick(q[i], qdot[i], offsets[i], kp[i], targets[i]) for i in range(rows)]
     batched = tick(q, qdot, offsets, kp,
-                   pose_unchecked(np.stack([t.rotation for t in targets]),
-                                  np.stack([t.translation for t in targets])))
+                   Pose(np.stack([t.rotation for t in targets]),
+                        np.stack([t.translation for t in targets])))
 
     _, state, frames, xi, limits_clamped, _ = singles[0]
     assert state.q.shape == state.qdot.shape == (n,)

@@ -327,6 +327,23 @@ def test_chain_model_validation():
         chain_of(translations=[[0.0, np.inf, 0.0]])
 
 
+def test_chain_model_checks_its_tool_offset():
+    # a Pose checks nothing itself, so the chain checks the tool offset it
+    # is handed as it checks the joint offsets, and holds it as floats
+    joint = (np.array([[0.0, 0.0, 1.0]]), np.eye(3)[None], np.zeros((1, 3)),
+             np.array([[-1.0, 1.0]]))
+    for bad in (np.eye(3) * 1.0001, np.diag([1.0, 1.0, -1.0]),
+                np.full((3, 3), np.nan)):
+        with pytest.raises(GeometryError):
+            ChainModel(*joint, Pose(bad, np.zeros(3)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ChainConfigError, match="tool offset translation"):
+            ChainModel(*joint, Pose(np.eye(3), [bad, 0.0, 0.0]))
+    tool = ChainModel(*joint, Pose(np.eye(3, dtype=int), [1, 0, 0])).tool_offset
+    assert tool.rotation.dtype == tool.translation.dtype == float
+    assert tool.translation.tolist() == [1.0, 0.0, 0.0]
+
+
 def test_chain_model_arrays_are_read_only(planar2):
     # the forward-pass constants are built from them once
     for a in (planar2.axes, planar2.offset_rotations, planar2.offset_translations,
