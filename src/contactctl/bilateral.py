@@ -15,6 +15,9 @@ grasp force is estimated from motor current through the transmission,
 F = k_tau i / r_g, with the slave current derived from its commanded torque
 (ideal current control). Both motors are simulated as inertias under applied
 torque; integration is semi-implicit Euler.
+
+The step functions trust their settings, which GripperParams and the config
+loader check; they raise only a BilateralFault, on a non-finite state.
 """
 
 import math
@@ -47,11 +50,12 @@ class GripperParams:
     def __post_init__(self):
         if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
             raise ValueError("gripper parameters must be finite")
-        if not min(self.k_tau, self.r_g, self.a, self.kp, self.filter_cutoff,
-                   self.motor_inertia, self.width_per_rad) > 0.0:
-            raise ValueError("k_tau, r_g, a, Kp, cutoff, inertia, width_per_rad must be positive")
-        if not (self.kd >= 0.0 and self.viscous >= 0.0):
-            raise ValueError("Kd and viscous friction must be nonnegative")
+        for name in ("k_tau", "r_g", "a", "kp", "filter_cutoff", "motor_inertia", "width_per_rad"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("kd", "viscous"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass
@@ -94,8 +98,6 @@ def estimate_internal_force(current: float, params: GripperParams) -> float:
 
 def low_pass(prev_filtered: float, raw: float, dt: float, cutoff: float) -> float:
     """First-order IIR step with alpha = dt / (dt + 1/(2 pi cutoff))."""
-    if cutoff <= 0.0:
-        raise ValueError("cutoff must be positive")
     alpha = dt / (dt + 1.0 / (2.0 * math.pi * cutoff))
     return prev_filtered + alpha * (raw - prev_filtered)
 
@@ -115,7 +117,7 @@ def grasp_contact_force(width: float, contact: Optional[GraspContactModel]) -> f
     return contact.contact_stiffness * (contact.object_width - width)
 
 
-BILATERAL_DT_MAX = 0.005   # s, largest step `step_bilateral` accepts
+BILATERAL_DT_MAX = 0.005   # s, largest gripper step a config may set
 
 
 def step_bilateral(state: BilateralState, master_drive_torque: float,
@@ -126,8 +128,6 @@ def step_bilateral(state: BilateralState, master_drive_torque: float,
     Master sees operator drive plus reflected torque; slave sees its PD
     command minus the contact reaction mapped through the transmission.
     """
-    if not 0.0 < dt <= BILATERAL_DT_MAX:
-        raise ValueError(f"dt must be in (0, {BILATERAL_DT_MAX}]")
     tau_s = slave_torque(state, params)
     tau_filtered = low_pass(state.tau_s_filtered, tau_s, dt, params.filter_cutoff)
     # master_torque of the state with its filter advanced

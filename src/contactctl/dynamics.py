@@ -14,6 +14,9 @@ The plant takes a leading trial axis: a SimState with (T, n) joint arrays,
 a ContactPlane whose offset is a (T,) array, and (T, n) torques advance T
 independent trials in one call. Each row goes through the same operations
 as a single (n,) state, so its bits do not depend on the batch around it.
+
+The step functions trust their settings, checked where they enter; they
+raise only a SimulationFault, on a non-finite torque or state.
 """
 
 import configparser
@@ -118,16 +121,10 @@ def inverse_dynamics_terms(model: ArmDynamicsModel, q, qdot,
     COM at qddot = 0, with gravity entering as the base acceleration -g.
     q and qdot may carry leading trial axes, (..., n); so do M and the bias.
     """
-    chain = model.chain
-    n = chain.dof
-    q = np.atleast_1d(np.asarray(q, dtype=float))
+    n = model.chain.dof
     qdot = np.atleast_1d(np.asarray(qdot, dtype=float))
-    if q.shape[-1] != n or qdot.shape != q.shape:
-        raise ValueError("q/qdot dimension mismatch")
-    batch = q.shape[:-1]
-    origins = frames.joint_origins
-    axes = frames.joint_axes
-    rots = frames.link_rotations
+    batch = np.shape(q)[:-1]
+    origins, axes, rots = frames.joint_origins, frames.joint_axes, frames.link_rotations
     # running sums over the links inward of (and including) each link
     inward, strictly_inward = _link_sums(n)
     # columns: the vectors fixed in link i to the next joint origin and to the COM
@@ -207,7 +204,7 @@ def plane_contact_force(plane: ContactPlane, p_ee: np.ndarray,
     return force, f_n[()]
 
 
-STEP_DT_MAX = 0.01   # s, largest plant step `step` accepts
+STEP_DT_MAX = 0.01   # s, largest plant step a config may set
 
 
 def step(state: SimState, tau: np.ndarray, plane: Optional[ContactPlane],
@@ -219,8 +216,6 @@ def step(state: SimState, tau: np.ndarray, plane: Optional[ContactPlane],
     controller that compensates the bias. `plane` None is free space. A
     batched state advances every row at once.
     """
-    if not 0.0 < dt <= STEP_DT_MAX:
-        raise ValueError(f"dt must be in (0, {STEP_DT_MAX}]")
     tau = np.asarray(tau, dtype=float).reshape(state.q.shape)
     if not np.isfinite(tau).all():
         raise _fault("non-finite torque", state, tau, np.isfinite(tau))
@@ -260,8 +255,7 @@ def _fault(what: str, state: SimState, tau: np.ndarray,
 
 
 def read_ft_sensor(contact: np.ndarray, payload: Payload, rotation: np.ndarray,
-                   noise_sigma: float,
-                   rng: Optional[np.random.Generator]) -> np.ndarray:
+                   noise_sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Raw sensor-frame readings (..., 6): contact + payload gravity + bias + noise.
 
     The sensor is collocated with the end effector, so the (..., 6) contact
@@ -270,12 +264,8 @@ def read_ft_sensor(contact: np.ndarray, payload: Payload, rotation: np.ndarray,
     (N, 3, 3) rotations give N readings whose noise is one (N, 6) draw: the
     same bits as N readings in turn.
     """
-    if noise_sigma < 0.0:
-        raise ValueError("noise_sigma must be nonnegative")
     raw = contact + gravity_model(payload.mass, payload.com, payload.bias, rotation)
     if noise_sigma > 0.0:
-        if rng is None:
-            raise ValueError("seeded rng required when noise_sigma > 0")
         raw = raw + rng.normal(0.0, noise_sigma, size=raw.shape)
     return raw
 
@@ -384,7 +374,5 @@ def grasp_slip_check(grasp_force: float, object_mass: float, mu: float,
     Holds iff 2 mu F >= m (9.81 + max(accel_z, 0)); ties go to holding.
     Downward acceleration reduces the load, which we conservatively ignore.
     """
-    if object_mass < 0.0:
-        raise ValueError("object mass must be nonnegative")
     required = object_mass * (9.81 + max(accel_z, 0.0))
     return 2.0 * mu * grasp_force < required

@@ -93,15 +93,6 @@ def fold_to_joint_gains(j: np.ndarray, gains: np.ndarray,
     definite at singular configurations. A (..., 6, n) stack of Jacobians
     folds a matching stack of gains.
     """
-    j = np.asarray(j, dtype=float)
-    if j.ndim < 2 or j.shape[-2] != 6:
-        raise ValueError(f"Jacobian must be 6 x dof, got {j.shape}")
-    batch = j.shape[:-2]
-    gains = np.asarray(gains, dtype=float)
-    if gains.shape[-2:] != (2, 6) or gains.shape[:-2] not in ((), batch):
-        raise ValueError(
-            "operational-space gains must be diagonals: (2, 6) arrays or "
-            f"stacks matching the Jacobian's batch {batch}")
     # J^T diag(k) J as (J^T * k) @ J: the same bits as with the full 6x6 matrix
     jt = j.swapaxes(-1, -2)[..., None, :, :]
     kq = (jt * gains[..., None, :]) @ j[..., None, :, :] + floors

@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (Pose, check_rotations, cross_rows, rodrigues,
-                       rotation_log, skew_rows)
+from .geometry import (GeometryError, Pose, check_rotations, cross_rows,
+                       rodrigues, rotation_log, skew_rows)
 
 AXIS_UNIT_TOL = 1e-9
 
@@ -52,13 +52,17 @@ class ChainModel:
         if not unit.all():
             raise ChainConfigError(f"joint axis {axes[np.argmin(unit)]} is not unit norm")
         rotations = np.array(self.offset_rotations, dtype=float).reshape(n, 3, 3)
-        check_rotations(rotations)
         translations = np.array(self.offset_translations, dtype=float).reshape(n, 3)
         if not np.isfinite(translations).all():
             raise ChainConfigError(f"joint offset translation not finite: {translations}")
         tool = Pose(np.array(self.tool_offset.rotation, dtype=float).reshape(3, 3),
                     np.array(self.tool_offset.translation, dtype=float).reshape(3))
-        check_rotations(tool.rotation)
+        for what, r in [*((f"joint {i} offset", r) for i, r in enumerate(rotations)),
+                        ("tool offset", tool.rotation)]:
+            try:
+                check_rotations(r)
+            except GeometryError as exc:
+                raise ChainConfigError(f"{what} rotation: {exc}") from None
         if not np.isfinite(tool.translation).all():
             raise ChainConfigError(f"tool offset translation not finite: {tool.translation}")
         limits = np.array(self.joint_limits, dtype=float).reshape(n, 2)
@@ -116,20 +120,13 @@ class ChainFrames:
         return j
 
 
-def _check_q(chain: ChainModel, q: np.ndarray) -> np.ndarray:
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if q.shape[-1] != chain.dof:
-        raise ChainConfigError(f"expected {chain.dof} joint values, got {q.shape[-1]}")
-    return q
-
-
 def chain_frames(chain: ChainModel, q: np.ndarray) -> ChainFrames:
     """Forward pass returning world joint origins, axes, and link rotations.
 
     The joint rotations of every joint (and row) come from one Rodrigues
     evaluation; only the product down the chain loops over the joints.
     """
-    q = _check_q(chain, q)
+    q = np.atleast_1d(np.asarray(q, dtype=float))
     turns = rodrigues(np.cos(q), np.sin(q), chain.skews, chain.outers)
     shape = q.shape + (3, 3)
     # frame each joint turns in (parent link after the fixed offset), and link
@@ -169,8 +166,6 @@ def dls_step(j: np.ndarray, xi: np.ndarray, lam: float) -> np.ndarray:
 
     The damping term keeps the solve well-posed at singularities.
     """
-    if lam <= 0.0:
-        raise ValueError("damping must be positive")
     jt = j.swapaxes(-1, -2)
     jjt = j @ jt
     jjt[..., _DIAG6, _DIAG6] += lam * lam
@@ -194,11 +189,7 @@ def solve_ik(chain: ChainModel, q0: np.ndarray, target: Pose,
     targets. Non-convergence is reported in the result, not raised; the
     returned q is the last (clamped) iterate either way.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    q = chain.clamp_to_limits(_check_q(chain, q0))
+    q = chain.clamp_to_limits(q0)
     frames = chain_frames(chain, q)
     xi = pose_error(target, frames.ee_pose)
     err_norm = float(np.linalg.norm(xi))

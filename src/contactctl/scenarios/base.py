@@ -13,7 +13,8 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -37,10 +38,10 @@ _WHAT = {int: "an integer", float: "a number"}
 class Key:
     """A declared config key.
 
-    `type` is float, int, str, a vector length, or DOF. `default` is
-    INI text, a (section, key) pair whose value an absent key takes, or None
-    for a required key. `range` is "finite", "> a", ">= a" or an interval
-    such as "(0, 0.005]"; every number must also be finite.
+    `type` is float, int, str, a vector length, or DOF. `default` is INI
+    text, an earlier key's (section, key) pair whose value an absent key
+    takes, or None for a required key. `range` is "finite", "> a", ">= a" or
+    an interval such as "(0, 0.005]"; every number must also be finite.
     """
 
     section: str
@@ -50,7 +51,7 @@ class Key:
     range: str = "finite"
 
     def parse(self, text: str):
-        """The value `text` gives this key, checked against its type and range."""
+        """The value `text` gives this key, checked; a vector is read-only."""
         where = f"[{self.section}] {self.name}"
         if self.type is str:
             return text
@@ -66,7 +67,11 @@ class Key:
         if not all(_within(x, self.range) for x in numbers):
             words = f"in {self.range}" if self.range[0] in "([" else self.range
             raise ScenarioConfigError(f"{where} must be {words}, got {text!r}")
-        return numbers[0] if scalar else np.array(numbers)
+        if scalar:
+            return numbers[0]
+        vector = np.array(numbers)
+        vector.flags.writeable = False
+        return vector
 
 
 SCENARIO_KEYS = (
@@ -108,32 +113,26 @@ def _within(x, range_: str) -> bool:
         and (x <= high if range_[-1] == "]" else x < high)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    scenario_id: str
-    kind: str
-    seed: int
-    trials: int
-    sections: dict
+    """Every declared key's value, parsed and checked once at load."""
+
+    settings: Mapping           # read-only: (section, key) -> parsed value
     config_hash: str
     base_dir: Path
-    keys: dict                  # (section, key) -> the kind's declared Key
+
+    scenario_id = property(lambda self: self.settings["scenario", "id"])
+    kind = property(lambda self: self.settings["scenario", "kind"])
+    seed = property(lambda self: self.settings["scenario", "seed"])
+    trials = property(lambda self: self.settings["scenario", "trials"])
 
     def value(self, section: str, key: str):
-        """The parsed value of a declared key, or its declared default."""
-        entry = self.keys[section, key]
-        text = self.sections.get(section, {}).get(key)
-        if text is None:
-            if isinstance(entry.default, tuple):
-                return self.value(*entry.default)
-            if entry.default is None:
-                raise ScenarioConfigError(f"missing [{section}] {key}")
-            text = entry.default
-        return entry.parse(text)
+        """The value of a declared key."""
+        return self.settings[section, key]
 
     def values(self, section: str) -> dict:
-        """Every declared key of a section, by name, parsed."""
-        return {key: self.value(section, key) for sec, key in self.keys if sec == section}
+        """Every declared key of a section, by name."""
+        return {key: v for (sec, key), v in self.settings.items() if sec == section}
 
     def build(self, make, *args, **kwargs):
         """make(*args, **kwargs), its ValueError turned into a config error."""
@@ -151,10 +150,11 @@ def load_scenario_config(path, seed_override: Optional[int] = None,
                          trials_override: Optional[int] = None) -> ScenarioConfig:
     """Read a scenario config and check all of it against its kind's keys.
 
-    An undeclared section or key, a value outside its type or range, a row
-    of more than TICKS_MAX control ticks, or trials whose rows together run
-    more than RUN_TICKS_MAX is a ScenarioConfigError, raised before anything
-    runs.
+    Each declared key is parsed once, in declared order. An undeclared
+    section or key, a missing required key, a value outside its type or
+    range, a row of more than TICKS_MAX control ticks, or trials whose rows
+    together run more than RUN_TICKS_MAX is a ScenarioConfigError, raised
+    before anything runs.
     """
     from . import KINDS   # the scenario modules, which import this one
 
@@ -167,31 +167,31 @@ def load_scenario_config(path, seed_override: Optional[int] = None,
         cfg.read_string(text)
     except configparser.Error as exc:
         raise ScenarioConfigError(f"{path}: {exc}") from exc
-    sections = {name: dict(cfg[name]) for name in cfg.sections()}
-    scenario = sections.setdefault("scenario", {})
-    kind = KINDS.get(scenario.get("kind"))
+    given = {(section, key): value for section in cfg.sections()
+             for key, value in cfg[section].items()}
+    kind_name = given.get(("scenario", "kind"))
+    kind = KINDS.get(kind_name)
     if kind is None:
-        raise ScenarioConfigError(f"[scenario] kind must be one of "
-                                  f"{', '.join(KINDS)}, got {scenario.get('kind')!r}")
+        raise ScenarioConfigError(
+            f"[scenario] kind must be one of {', '.join(KINDS)}, got {kind_name!r}")
     for key, override in (("seed", seed_override), ("trials", trials_override)):
         if override is not None:
-            scenario[key] = str(override)
-    keys = {(entry.section, entry.name): entry for entry in kind.KEYS}
-    for section, entries in sections.items():
-        for key in entries:
-            if (section, key) not in keys:
-                raise ScenarioConfigError(
-                    f"[{section}] {key} is not a {scenario['kind']} config key")
-    config = ScenarioConfig(None, scenario["kind"], None, None, sections, None,
-                            path.parent.resolve(), keys)
-    for section, key in keys:
-        config.value(section, key)
-    config.scenario_id = config.value("scenario", "id")
-    config.seed = config.value("scenario", "seed")
-    config.trials = config.value("scenario", "trials")
-    config.config_hash = hashlib.sha256(
-        text.encode() + f"|seed={config.seed}|trials={config.trials}".encode()
-    ).hexdigest()[:16]
+            given["scenario", key] = str(override)
+    declared = {(entry.section, entry.name): entry for entry in kind.KEYS}
+    for section, key in given:
+        if (section, key) not in declared:
+            raise ScenarioConfigError(f"[{section}] {key} is not a {kind_name} config key")
+    settings = {}
+    for (section, key), entry in declared.items():
+        raw = given.get((section, key), entry.default)
+        if raw is None:
+            raise ScenarioConfigError(f"missing [{section}] {key}")
+        settings[section, key] = settings[raw] if isinstance(raw, tuple) \
+            else entry.parse(raw)
+    seed, trials = settings["scenario", "seed"], settings["scenario", "trials"]
+    config_hash = hashlib.sha256(
+        text.encode() + f"|seed={seed}|trials={trials}".encode()).hexdigest()[:16]
+    config = ScenarioConfig(MappingProxyType(settings), config_hash, path.parent.resolve())
     try:
         ticks = kind.row_ticks(config)
     except ArithmeticError:   # a step count that overflows
@@ -201,10 +201,10 @@ def load_scenario_config(path, seed_override: Optional[int] = None,
             f"a row would run {ticks:.6g} control ticks, set by "
             f"{', '.join(f'[{s}] {k}' for s, k in kind.TICKS_SET_BY)}; "
             f"need 1 to {TICKS_MAX}")
-    run_ticks = config.trials * len(kind.VARIANTS) * ticks
+    run_ticks = trials * len(kind.VARIANTS) * ticks
     if run_ticks > RUN_TICKS_MAX:
         raise ScenarioConfigError(
-            f"[scenario] trials = {config.trials} would run {run_ticks:.6g} control "
+            f"[scenario] trials = {trials} would run {run_ticks:.6g} control "
             f"ticks ({len(kind.VARIANTS)} variants of {ticks} ticks per row); "
             f"need at most {RUN_TICKS_MAX}")
     return config

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..bilateral import (BilateralState, GraspContactModel,
+from ..bilateral import (BilateralState, GraspContactModel, angle_from_width,
                          estimate_internal_force, step_bilateral)
 from .base import SCENARIO_KEYS, Criterion, Key, ScenarioConfig, build_report
 from .bottle import (BILATERAL_DT, GRIPPER_KEYS, STATE_COLUMNS, gripper_episode,
@@ -38,7 +38,6 @@ KEYS = tuple(Key("scenario", "trials", int, "1", "[1, 1]") if key.name == "trial
     Key("quality", "operator_kp", float, "8.0", ">= 0"),
     Key("quality", "operator_kd", float, "0.1", ">= 0"),
     Key("quality", "overclose", float, "0.004"),
-    Key("quality", "start_clearance", float, "0.002"),
     # these replace [gripper] a, so GripperParams checks them
     Key("quality", "a_open_loop", float, "1000000000000.0"),
     Key("quality", "a_infinite", float, "1000000000.0"),
@@ -47,6 +46,7 @@ KEYS = tuple(Key("scenario", "trials", int, "1", "[1, 1]") if key.name == "trial
 TICKS_SET_BY = (("quality", "duration_s"), ("quality", "dt"))
 VARIANTS = {"default": "default"}
 TABLE = None
+START_CLEARANCE = 0.002   # m, the gap above the object each setting starts at
 
 
 def row_ticks(config: ScenarioConfig) -> int:
@@ -82,8 +82,7 @@ def _run_setting(config: ScenarioConfig, quality: dict, params, a_nominal: float
     theta_max = (params.w_max - width_obj + quality["overclose"]) / params.width_per_rad
 
     # start hovering just above the object, as a demonstrator would
-    width_start = width_obj + quality["start_clearance"]
-    theta0 = (params.w_max - width_start) / params.width_per_rad
+    theta0 = angle_from_width(width_obj + START_CLEARANCE, params)
     state = BilateralState(theta_m=theta0,
                            theta_s=params.b * theta0 - params.delta)
     theta_cmd = theta0

@@ -1,4 +1,6 @@
+import configparser
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from contactctl.dynamics import ArmDynamicsModel, inverse_dynamics_terms, step
 from contactctl.geometry import Pose, decode_rot6d_rows
 from contactctl.kinematics import ChainModel, chain_frames
+from contactctl.scenarios import load_scenario_config
 
 
 REPO_CONFIGS = "configs"
@@ -64,6 +67,26 @@ def plant_step(model, state, tau, plane, dt):
     frames = chain_frames(model.chain, state.q)
     return step(state, tau, plane, dt,
                 inverse_dynamics_terms(model, state.q, state.qdot, frames), frames)
+
+
+def load_edited(path, tmp_path, edits: dict, **overrides):
+    """Load a copy of config `path`, written to tmp_path with `edits`, a dict
+    of (section, key) -> INI text, applied. A loaded config is never edited:
+    each config a runner sees has passed the load checks. A relative
+    [plant] chain is made absolute, so the copy reads the same chain file."""
+    path = Path(path)
+    cfg = configparser.ConfigParser()
+    cfg.read(path)
+    if cfg.has_option("plant", "chain"):
+        cfg["plant"]["chain"] = str((path.parent / cfg["plant"]["chain"]).resolve())
+    for (section, key), text in edits.items():
+        if section not in cfg:
+            cfg.add_section(section)
+        cfg[section][key] = text
+    copy = tmp_path / path.name
+    with open(copy, "w") as fh:
+        cfg.write(fh)
+    return load_scenario_config(copy, **overrides)
 
 
 @pytest.fixture

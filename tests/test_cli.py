@@ -107,6 +107,7 @@ def test_run_selective_release_pair_and_table(tmp_path, capsys):
      ("bilateral_quality", "dt = 0.001", "dt = 0.01"),
      ("bottle_pick", "kp = 5.0", "kp = -1"),
      ("bilateral_quality", "kp = 5.0", "kp = -1"),
+     ("bottle_pick", "filter_cutoff = 20", "filter_cutoff = 0"),
      ("wiping", "m_eff = 2.0", "m_eff = -2"),
      ("wiping", "m_eff = 2.0", "m_eff = 0"),
      ("wiping", "zeta = 1.0", "zeta = -1"),
@@ -153,6 +154,7 @@ def test_run_selective_release_pair_and_table(tmp_path, capsys):
     ids=["k_min_above_k_max", "zero_ik_damping", "plant_dt_above_step_bound",
          "bottle_dt_above_step_bound", "quality_dt_above_step_bound",
          "bottle_negative_gripper_kp", "quality_negative_gripper_kp",
+         "zero_gripper_filter_cutoff",
          "negative_m_eff", "zero_m_eff", "negative_zeta", "negative_k_rot",
          "negative_d_rot", "negative_kq_floor", "negative_kqd_floor",
          "nan_plane_mu", "nan_plane_stiffness", "nan_plane_damping",
@@ -178,7 +180,9 @@ def test_run_bad_gain_config_is_usage_error(tmp_path, capsys, config, old, new):
     code = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "out"),
                    "--quiet")
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert new.split(" = ")[0].split()[-1] in err   # the key
 
 
 @pytest.mark.parametrize("config", ["wiping", "bottle_pick"])

@@ -19,10 +19,11 @@ from contactctl.bilateral import GripperParams
 from contactctl.compliance import StiffnessSchedule
 from contactctl.impedance import ImpedanceConfig
 from contactctl.scenarios import KINDS, load_scenario_config, run_scenario
-from contactctl.scenarios.base import (RUN_TICKS_MAX, SCENARIO_KEYS, TICKS_MAX,
+from contactctl.scenarios.base import (RUN_TICKS_MAX, SCENARIO_KEYS, TICKS_MAX, Key,
                                        ScenarioConfig, ScenarioConfigError)
 from contactctl.scenarios.bottle import GRIPPER_KEYS, gripper_params
 from contactctl.scenarios.wiping import wiping_setup
+from conftest import load_edited
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "configs").glob("*.ini"))
@@ -58,15 +59,7 @@ def _outside(key) -> list:
 
 
 def _load_with(path: Path, tmp_path: Path, section: str, key: str, text: str):
-    cfg = configparser.ConfigParser()
-    cfg.read(path)
-    if section not in cfg:
-        cfg.add_section(section)
-    cfg[section][key] = text
-    bad = tmp_path / path.name
-    with open(bad, "w") as fh:
-        cfg.write(fh)
-    return load_scenario_config(bad)
+    return load_edited(path, tmp_path, {(section, key): text})
 
 
 @pytest.mark.parametrize("path, key", _numeric_keys())
@@ -169,25 +162,53 @@ def _log_reads(monkeypatch) -> set:
 
     def logged_values(self, section):
         return _Reads(section, {k: value(self, section, k)
-                                for s, k in self.keys if s == section}, log)
+                                for s, k in self.settings if s == section}, log)
 
     monkeypatch.setattr(ScenarioConfig, "value", logged_value)
     monkeypatch.setattr(ScenarioConfig, "values", logged_values)
     return log
 
 
+def _short_run(path: Path, tmp_path: Path):
+    """The config at `path` at one trial, loaded from a copy with fewer
+    ticks and the same reads."""
+    shorter = {("wiping", "slide_s"): "0.2", ("quality", "duration_s"): "0.5"}
+    declared = {(key.section, key.name) for key in KINDS[_kind(path)].KEYS}
+    return load_edited(path, tmp_path, {k: v for k, v in shorter.items() if k in declared},
+                       trials_override=1)
+
+
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
-def test_every_declared_key_is_read_by_a_run(monkeypatch, path):
-    config = load_scenario_config(path, trials_override=1)
-    for section, key, short in (("wiping", "slide_s", "0.2"),
-                                ("quality", "duration_s", "0.5")):
-        if (section, key) in config.keys:
-            config.sections[section][key] = short   # fewer ticks, same reads
+def test_every_declared_key_is_read_by_a_run(monkeypatch, tmp_path, path):
+    config = _short_run(path, tmp_path)
     log = _log_reads(monkeypatch)
     run_scenario(config)
     # [scenario] is read by the loader itself
-    unread = {k for k in config.keys if k[0] != "scenario"} - log
+    unread = {k for k in config.settings if k[0] != "scenario"} - log
     assert unread == set()
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_each_key_is_parsed_once_at_load_and_never_by_a_run(monkeypatch, tmp_path,
+                                                           path):
+    # a loaded config holds every value parsed and checked, in declared order:
+    # a run only looks values up, and no vector it is handed can change
+    parsed = []
+    parse = Key.parse
+
+    def logged_parse(key, text):
+        parsed.append((key.section, key.name))
+        return parse(key, text)
+
+    monkeypatch.setattr(Key, "parse", logged_parse)
+    config = _short_run(path, tmp_path)
+    keys = KINDS[config.kind].KEYS
+    assert parsed == [(key.section, key.name) for key in keys]
+    for key in keys:
+        if key.type not in (int, float, str):
+            assert not config.value(key.section, key.name).flags.writeable, key.name
+    run_scenario(config)
+    assert len(parsed) == len(keys)
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)

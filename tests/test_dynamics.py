@@ -4,9 +4,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from contactctl.dynamics import (ArmDynamicsModel, ContactPlane,
                                  SimState, SimulationFault,
-                                 grasp_slip_check, inverse_dynamics_terms,
-                                 load_arm_model, plane_contact_force,
-                                 read_ft_sensor)
+                                 grasp_slip_check, load_arm_model,
+                                 plane_contact_force, read_ft_sensor)
 from contactctl.geometry import Pose, rotation_about_axis, rotation_log
 from contactctl.kinematics import ChainConfigError, ChainModel, chain_frames
 from contactctl.sensing import Payload
@@ -112,8 +111,6 @@ def test_inverse_dynamics_terms_bundle(rng):
     assert np.allclose(bias, c_qdot + g_vec, rtol=0.0, atol=1e-12)
     # M does not depend on the joint velocity
     assert np.allclose(mass_matrix, dynamics_terms(model, q, np.zeros(3))[0])
-    with pytest.raises(ValueError):
-        inverse_dynamics_terms(model, q[:2], qdot, chain_frames(model.chain, q))
 
 
 def assert_matches_oracle(got, want, tol=1e-12):
@@ -285,8 +282,6 @@ def test_passive_plant_energy_nonincreasing(rng):
 def test_step_rejects_bad_input():
     model = make_pendulum()
     state = SimState(np.array([0.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        plant_step(model, state, np.zeros(1), None, 0.02)
     with pytest.raises(SimulationFault, match=r"^non-finite torque at t=0\.000000"):
         plant_step(model, state, np.array([np.nan]), None, 1e-3)
 
@@ -354,8 +349,6 @@ def test_ft_sensor_noise_is_seeded():
     b = read_ft_sensor(NO_CONTACT, payload, np.eye(3), 0.1,
                        np.random.default_rng(5))
     assert np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        read_ft_sensor(NO_CONTACT, payload, np.eye(3), 0.1, None)
 
 
 # ---------------------------------------------------------------------------

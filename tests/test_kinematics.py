@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from contactctl.dynamics import load_arm_model
-from contactctl.geometry import (GeometryError, Pose, cross3, rotation_about_axis,
-                                 rotation_log)
+from contactctl.geometry import Pose, cross3, rotation_about_axis, rotation_log
 from contactctl.kinematics import (ChainConfigError, ChainModel, chain_frames,
                                    dls_step, pose_error, solve_ik)
 from conftest import make_planar2, random_chain
@@ -60,11 +59,6 @@ def test_fk_matches_composition_oracle(rng):
         pose = chain_frames(chain, q).ee_pose
         assert np.allclose(pose.rotation, t[:3, :3], atol=1e-12)
         assert np.allclose(pose.translation, t[:3, 3], atol=1e-12)
-
-
-def test_fk_dimension_mismatch(planar2):
-    with pytest.raises(ChainConfigError):
-        chain_frames(planar2, [0.0, 0.0, 0.0]).ee_pose
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +172,6 @@ def test_dls_damping_limit(planar2):
     assert norms[-1] < 1e-9
 
 
-def test_dls_requires_positive_damping(planar2):
-    with pytest.raises(ValueError):
-        dls_step(chain_frames(planar2, [0.0, 0.0]).jacobian, np.ones(6), 0.0)
-
-
 def test_dls_iteration_reaches_analytic_solution(planar2, rng):
     for _ in range(25):
         radius = rng.uniform(0.25, 0.92)
@@ -263,13 +252,6 @@ def test_solve_ik_respects_joint_limits():
     assert (result.q == chain.joint_limits.T).any() and not result.converged
 
 
-def test_solve_ik_validates_arguments(planar2):
-    with pytest.raises(ValueError):
-        solve_ik(planar2, [0, 0], Pose.identity(), LAM, max_iters=100, tol=0.0)
-    with pytest.raises(ValueError):
-        solve_ik(planar2, [0, 0], Pose.identity(), LAM, max_iters=0, tol=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # chain config files
 
@@ -321,7 +303,7 @@ def test_chain_model_validation():
         chain_of(limits=[[1.0, -1.0]])
     with pytest.raises(ChainConfigError):
         chain_of(limits=[[np.nan, 1.0]])
-    with pytest.raises(GeometryError):
+    with pytest.raises(ChainConfigError, match="joint 0 offset rotation"):
         chain_of(rotations=[np.diag([1.0, 1.0, -1.0])])
     with pytest.raises(ChainConfigError):
         chain_of(translations=[[0.0, np.inf, 0.0]])
@@ -334,7 +316,7 @@ def test_chain_model_checks_its_tool_offset():
              np.array([[-1.0, 1.0]]))
     for bad in (np.eye(3) * 1.0001, np.diag([1.0, 1.0, -1.0]),
                 np.full((3, 3), np.nan)):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ChainConfigError, match="tool offset rotation"):
             ChainModel(*joint, Pose(bad, np.zeros(3)))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ChainConfigError, match="tool offset translation"):

@@ -16,10 +16,15 @@ from contactctl.scenarios.base import Criterion, ScenarioConfigError, build_repo
 from contactctl.scenarios.bilateral_quality import run_bilateral_signal_quality
 from contactctl.scenarios.gravity import calibration_orientations
 from contactctl.sensing import gravity_model, identify_payload
+from conftest import load_edited
 
 
 def load(name, **kw):
     return load_scenario_config(f"configs/{name}.ini", **kw)
+
+
+def load_with(name, tmp_path, edits, **kw):
+    return load_edited(f"configs/{name}.ini", tmp_path, edits, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +82,9 @@ def test_calibration_orientations_distinct():
 # ---------------------------------------------------------------------------
 # gravity
 
-def test_gravity_noise_free_exact():
-    config = load("gravity_verification", trials_override=1)
-    config.sections["gravity"]["noise_sigma"] = "0.0"
+def test_gravity_noise_free_exact(tmp_path):
+    config = load_with("gravity_verification", tmp_path,
+                       {("gravity", "noise_sigma"): "0.0"}, trials_override=1)
     report, = run_gravity_verification(config)
     assert report.metrics["compensated_span_max"] < 1e-6
     assert report.metrics["residual_rms_max"] < 1e-9
@@ -99,8 +104,8 @@ def test_gravity_too_few_poses_fail_at_load(tmp_path):
         assert np.array_equal(poses[:n], calibration_orientations(n))
         identify_payload(poses[:n], gravity_model(0.3, np.zeros(3), np.zeros(6),
                                                   poses[:n]))
-    config = load("gravity_verification", trials_override=1)
-    config.sections["gravity"]["n_poses"] = "4"
+    config = load_with("gravity_verification", tmp_path, {("gravity", "n_poses"): "4"},
+                       trials_override=1)
     report, = run_gravity_verification(config)
     assert set(report.metrics) == set(report.thresholds) | {"payload_mass_true"}
 
@@ -144,10 +149,10 @@ def test_wiping_baseline_misses_surface():
     assert report.metrics["residual_max"] == 1.0
 
 
-def test_wiping_stiffer_plane_same_force():
+def test_wiping_stiffer_plane_same_force(tmp_path):
     # compliance absorbs a doubled surface stiffness
-    config = load("wiping", trials_override=1)
-    config.sections["plant"]["plane_stiffness"] = "4e4"
+    config = load_with("wiping", tmp_path, {("plant", "plane_stiffness"): "4e4"},
+                       trials_override=1)
     report, _ = run_wiping(config)
     assert abs(report.metrics["mean_fz"] - 10.0) / 10.0 < 0.15
 
@@ -193,7 +198,7 @@ def test_wiping_replay_second_generation(tmp_path):
         / report.metrics["mean_fz"] < 0.05
 
 
-def test_wiping_rows_bitwise_independent_of_batch(monkeypatch):
+def test_wiping_rows_bitwise_independent_of_batch(monkeypatch, tmp_path):
     # each (variant, trial) row of a batched rollout gives the same bits alone
     # (batch of 1, its stream alone in the setup) as inside a mixed batch:
     # both variants, rows in and out of contact, recorded and unrecorded
@@ -204,10 +209,10 @@ def test_wiping_rows_bitwise_independent_of_batch(monkeypatch):
     from contactctl.scenarios.wiping import (_scripted_actions, rollout,
                                              wiping_episode, wiping_setup)
 
-    config = load("wiping", trials_override=1)
-    for key, value in (("settle_s", "0.1"), ("press_s", "0.2"),
-                       ("slide_s", "0.3"), ("retreat_s", "0.1")):
-        config.sections["wiping"][key] = value   # every phase, fewer ticks
+    config = load_with("wiping", tmp_path,   # every phase, fewer ticks
+                       {("wiping", "settle_s"): "0.1", ("wiping", "press_s"): "0.2",
+                        ("wiping", "slide_s"): "0.3", ("wiping", "retreat_s"): "0.1"},
+                       trials_override=1)
     setup = wiping_setup(config)
     start = setup.start_pose.rotation
     # planar3 turns about y only, so a half turn about x is never undone
@@ -337,23 +342,21 @@ def test_wiping_compiles_each_distinct_stream_once(monkeypatch):
 @pytest.mark.parametrize("name, chunking", [
     ("wiping", "shipped"), ("wiping_arm6", "shipped"), ("wiping", "16/8"),
     ("wiping", "5/3"), ("wiping", "44/44")])
-def test_wiping_row_ticks_count_the_ticks_a_row_runs(name, chunking):
+def test_wiping_row_ticks_count_the_ticks_a_row_runs(tmp_path, name, chunking):
     # the load bound counts every chunk, the last one padded, running its
     # first `horizon` commands: 48 x 50 ticks for the shipped 44 commands
     from contactctl.scenarios.wiping import _control_targets, row_ticks, wiping_setup
-    config = load(name, trials_override=1)
-    if chunking != "shipped":
-        config.sections["compliance"].update(zip(("chunk_len", "horizon"),
-                                                 chunking.split("/")))
+    edits = {} if chunking == "shipped" else dict(
+        zip((("compliance", "chunk_len"), ("compliance", "horizon")), chunking.split("/")))
+    config = load_with(name, tmp_path, edits, trials_override=1)
     setup = wiping_setup(config)
     executed, (_, kp) = _control_targets(setup)
     assert row_ticks(config) == len(executed) * setup.ticks_per_action == kp.shape[1]
 
 
-def horizon_8_config():
-    config = load("wiping", trials_override=1)
-    config.sections["compliance"]["horizon"] = "8"
-    return config
+def horizon_8_config(tmp_path):
+    return load_with("wiping", tmp_path, {("compliance", "horizon"): "8"},
+                     trials_override=1)
 
 
 def test_wiping_records_the_executed_rows(tmp_path):
@@ -363,7 +366,7 @@ def test_wiping_records_the_executed_rows(tmp_path):
     from contactctl.episodes import load_episode
     padded = load_episode(run_wiping(load("wiping", trials_override=1),
                                      tmp_path / "h16")[0].episode_dir).values("action")
-    recorded = load_episode(run_wiping(horizon_8_config(),
+    recorded = load_episode(run_wiping(horizon_8_config(tmp_path),
                                        tmp_path / "h8")[0].episode_dir).values("action")
     executed = [(k // 8) * 16 + k % 8 for k in range(len(padded) // 2)]
     assert recorded.tobytes() == padded[executed].tobytes()
@@ -371,10 +374,10 @@ def test_wiping_records_the_executed_rows(tmp_path):
     assert np.all(padded[8:14, 0] == 0.0) and np.all(recorded[8:14, 0] > 0.0)
 
 
-def test_wiping_scores_the_executed_rows():
+def test_wiping_scores_the_executed_rows(tmp_path):
     # only rows that no command executes are scored: nothing is scored
     from contactctl.scenarios.wiping import rollout, wiping_setup
-    setup = wiping_setup(horizon_8_config())
+    setup = wiping_setup(horizon_8_config(tmp_path))
     k = np.arange(setup.streams.shape[1])
     skipped = replace(setup, scored=np.tile(k % 16 >= 8, (2, 1)))
     mean_fz, frac_above_floor, _, _ = rollout(skipped, [0], [0.0], {})
@@ -384,7 +387,7 @@ def test_wiping_scores_the_executed_rows():
     assert mean_fz[0] > 1.0
 
 
-def test_run_scenario_wiping_is_one_batch(monkeypatch):
+def test_run_scenario_wiping_is_one_batch(monkeypatch, tmp_path):
     # both variants run as one batched rollout, one report per variant
     from contactctl.scenarios import wiping
     batches = []
@@ -395,8 +398,8 @@ def test_run_scenario_wiping_is_one_batch(monkeypatch):
         return real(setup, stream_of_row, *args)
 
     monkeypatch.setattr(wiping, "rollout", counting)
-    config = load("wiping", trials_override=1)
-    config.sections["wiping"]["slide_s"] = "0.2"
+    config = load_with("wiping", tmp_path, {("wiping", "slide_s"): "0.2"},
+                       trials_override=1)
     reports = run_scenario(config)
     assert batches == [2]
     assert [r.variant for r in reports] == ["with_wrench", "no_wrench"]
@@ -405,9 +408,9 @@ def test_run_scenario_wiping_is_one_batch(monkeypatch):
 # ---------------------------------------------------------------------------
 # bottle / release / quality edge cases
 
-def test_bottle_massless_both_variants_succeed():
-    config = load("bottle_pick", trials_override=3)
-    config.sections["bottle"]["mass"] = "0.0"
+def test_bottle_massless_both_variants_succeed(tmp_path):
+    config = load_with("bottle_pick", tmp_path, {("bottle", "mass"): "0.0"},
+                       trials_override=3)
     for report in run_bottle_pick(config):
         assert report.metrics["slippage_rate"] == 0.0
 
@@ -430,10 +433,9 @@ def test_release_baseline_exact_split():
     assert report.metrics["both_retained_rate"] == 80.0
 
 
-def test_quality_zero_motion_profile():
-    config = load("bilateral_quality")
-    config.sections["quality"]["hold_force"] = "0.0"
-    config.sections["quality"]["wipe_amp"] = "0.0"
+def test_quality_zero_motion_profile(tmp_path):
+    config = load_with("bilateral_quality", tmp_path,
+                       {("quality", "hold_force"): "0.0", ("quality", "wipe_amp"): "0.0"})
     report, = run_bilateral_signal_quality(config)
     assert report.metrics["rms_bilateral"] < 1e-9
     assert report.metrics["rms_no_reflection"] < 1e-9
@@ -442,9 +444,9 @@ def test_quality_zero_motion_profile():
 # ---------------------------------------------------------------------------
 # runner and tables
 
-def test_run_scenario_dispatch_unknown_kind():
+def test_run_scenario_dispatch_unknown_kind(monkeypatch):
     config = load("wiping")
-    config.kind = "warp-drive"
+    monkeypatch.delitem(KINDS, "wiping")
     with pytest.raises(ScenarioConfigError):
         run_scenario(config)
 
@@ -473,10 +475,9 @@ def test_run_scenario_calls_the_runner_bound_on_the_kind_module(monkeypatch, kin
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_each_kind_reports_its_declared_variants_in_order(kind):
-    config = load(kind, trials_override=1)
-    if kind == "wiping":
-        config.sections["wiping"]["slide_s"] = "0.2"
+def test_each_kind_reports_its_declared_variants_in_order(tmp_path, kind):
+    edits = {("wiping", "slide_s"): "0.2"} if kind == "wiping" else {}
+    config = load_with(kind, tmp_path, edits, trials_override=1)
     reports = run_scenario(config)
     variants = KINDS[kind].VARIANTS
     assert [rep.variant for rep in reports] == list(variants)
